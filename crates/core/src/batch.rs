@@ -1480,15 +1480,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_width_one_matches_single_source_shape() {
-        let (n, parents, depths) = batch_over_cluster(7, 4, Thresholds::new(64, 16), &[1]);
-        assert_eq!(parents.len(), 1);
-        assert_eq!(parents[0].len(), n as usize);
-        assert_eq!(depths[0][1], 0);
-        assert_eq!(parents[0][1], 1);
-    }
-
-    #[test]
     #[should_panic(expected = "batch width")]
     fn oversized_batch_is_rejected() {
         let params = RmatParams::graph500(6, 42);
