@@ -5,7 +5,7 @@
 //! each with its own push/pull decision. State lives where the
 //! partition dictates:
 //!
-//! * **hub state** (E∪H frontier/visited bits) is delegated: every rank
+//! * **hub state** (E∪H frontier/seen sets) is delegated: every rank
 //!   keeps a replica, and newly discovered hub bits propagate at
 //!   sub-iteration boundaries through a row-then-column OR-allreduce —
 //!   the row hop rides the supernode-internal network, the column hop
@@ -15,46 +15,61 @@
 //! * **hub parents** are *delegate-local* and reduced once after the
 //!   traversal — the delayed reduction of §5.
 //! * **L state** lives only at the owner; pushes reach it as `(dest,
-//!   parent)` messages bucketed on-chip (OCS-RMA) and exchanged with
-//!   `alltoallv` (intra-row for H2L, hierarchically forwarded via the
-//!   column-then-row intersection node for L2L, §4.4).
+//!   parent, mask)` messages bucketed on-chip (OCS-RMA) and exchanged
+//!   with `alltoallv` (intra-row for H2L, hierarchically forwarded via
+//!   the column-then-row intersection node for L2L, §4.4).
 //!
 //! Bottom-up sub-iterations honor "the latest visited status" (§4.2):
 //! earlier sub-iterations of the same iteration mark vertices visited
 //! before later ones run, so nothing already activated gets pulled.
+//!
+//! The schedule is written once, generic over the frontier element
+//! (the crate-private `lane` module): [`run_bfs`] instantiates it with
+//! one bit per vertex, [`crate::batch::run_bfs_batch`] with one 64-root
+//! word per vertex. Heuristic inputs count `(vertex, root)` *pairs* against
+//! denominators scaled by the lane width — for a batch, the decision
+//! uses the mean frontier density across its roots.
+
+use std::ops::Range;
 
 use sunbfs_common::bitmap::wide;
-use sunbfs_common::{pool, Bitmap, TimeAccumulator, INVALID_VERTEX};
+use sunbfs_common::{pool, Bitmap, PoolStats, TimeAccumulator, INVALID_VERTEX};
 use sunbfs_net::{CommStats, RankCtx, Scope};
-use sunbfs_part::RankPartition;
-use sunbfs_sunway::{ocs_sort_rma, OcsConfig, SegmentedBitvec};
+use sunbfs_part::{Csr, RankPartition};
+use sunbfs_sunway::{ocs_sort_rma, KernelReport, OcsConfig, SegmentedBitvec};
 
 use crate::balance;
+use crate::batch::{BatchOutput, BatchRunStats};
 use crate::checkpoint::{CheckpointState, CheckpointStore, ResumeStats};
 use crate::config::{
     choose_crossing, choose_local, choose_measured, Direction, DirectionHeuristic, EngineConfig,
 };
 use crate::costing;
+use crate::lane::{Bit, Lane, SCAN_GRAIN_ITEMS};
 use crate::stats::{BfsRunStats, IterationStats, SubIterationStats};
 
 /// Iteration cap that converts a non-shrinking frontier (an engine bug)
 /// into a clean error instead of an unbounded loop.
-pub(crate) const MAX_ITERATIONS: u32 = 1_000;
+const MAX_ITERATIONS: u32 = 1_000;
 
-/// Word grain for pool-chunked bitmap scans: workers claim blocks of at
-/// least this many words (64 vertices each), the CPE-block analogue.
-pub(crate) const SCAN_GRAIN_WORDS: u64 = 4;
-
-/// Item grain for pool-chunked frontier/vertex-range scans.
-pub(crate) const SCAN_GRAIN_ITEMS: u64 = 256;
+/// Time-accounting category of each sub-iteration, indexed
+/// `[component][direction]` ([`crate::config::Component::ALL`] order).
+const CATEGORY: [[&str; 2]; 6] = [
+    ["sub.EH2EH.push", "sub.EH2EH.pull"],
+    ["sub.E2L.push", "sub.E2L.pull"],
+    ["sub.L2E.push", "sub.L2E.pull"],
+    ["sub.H2L.push", "sub.H2L.pull"],
+    ["sub.L2H.push", "sub.L2H.pull"],
+    ["sub.L2L.push", "sub.L2L.pull"],
+];
 
 /// Errors one traversal can report. SPMD-consistent: the conditions are
 /// derived from replicated/global state, so every rank observes the
 /// same error on the same collective schedule (no deadlock).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineError {
-    /// The frontier failed to drain within [`MAX_ITERATIONS`]
-    /// iterations — a BFS must terminate in at most `diameter` steps.
+    /// The frontier failed to drain within the iteration cap — a BFS
+    /// must terminate in at most `diameter` steps.
     NonTermination {
         /// Iterations executed before giving up.
         iterations: u32,
@@ -116,17 +131,29 @@ pub fn run_bfs_recoverable(
     cfg: &EngineConfig,
     checkpoints: Option<&CheckpointStore>,
 ) -> Result<BfsOutput, EngineError> {
-    Engine::new(ctx, part, *cfg).run(ctx, root, checkpoints)
+    // A single-source traversal is the width-1 view of a batch.
+    let run = Engine::new(ctx, part, *cfg, Bit).run(ctx, &[root], checkpoints)?;
+    Ok(BfsOutput {
+        parents: run.parents,
+        stats: BfsRunStats {
+            iterations: run.stats.iterations,
+            traversed_edges: run.stats.traversed_edges[0],
+            visited_vertices: run.stats.visited[0],
+            sim_seconds: run.stats.sim_seconds,
+            times: run.stats.times,
+            comm: run.stats.comm,
+        },
+    })
 }
 
-/// Row-then-column allreduce of hub bitmap words with summed counters
+/// Row-then-column allreduce of hub set words with summed counters
 /// piggybacked as trailing elements — one collective pair instead of a
-/// bitmap sync plus scalar collectives. Returns the globally OR-ed
-/// words and the global sums of `counters` (element-wise). The fixed
+/// set sync plus scalar collectives. Returns the globally OR-ed words
+/// and the global sums of `counters` (element-wise). The fixed
 /// heuristic rides exactly one counter, the measured heuristic two (the
 /// visited count plus its degree mass), so the payload size is part of
 /// each mode's byte-identity contract.
-pub(crate) fn hub_sync_collective(
+fn hub_sync_collective(
     ctx: &mut RankCtx,
     op: &str,
     words: &[u64],
@@ -147,25 +174,172 @@ pub(crate) fn hub_sync_collective(
 /// owned span is smaller than `ranges`, several bucket indices go
 /// unused but every offset still lands in-bounds (the `min` clamp).
 #[inline]
-pub(crate) fn range_bucket(offset: u64, span: u64, ranges: u64) -> usize {
+fn range_bucket(offset: u64, span: u64, ranges: u64) -> usize {
     debug_assert!(offset < span);
     ((offset * ranges / span) as usize).min(ranges as usize - 1)
 }
 
-struct Engine<'a> {
+/// Yield of one pool-chunked scan: its `(dest, parent, mask)` messages
+/// in serial scan order, the adjacency entries it read, and how the
+/// pool staffed it.
+struct Scan<M> {
+    msgs: Vec<M>,
+    edges: u64,
+    pool: PoolStats,
+}
+
+impl<M> Scan<M> {
+    /// Concatenate per-chunk `(edges, messages)` results in chunk order
+    /// — which replays the serial scan exactly (`pool::run_ranges`).
+    fn merge(parts: Vec<(u64, Vec<M>)>, pool: PoolStats) -> Self {
+        let mut parts = parts.into_iter();
+        let (mut edges, mut msgs) = parts.next().unwrap_or_default();
+        for (e, out) in parts {
+            edges += e;
+            msgs.extend(out);
+        }
+        Scan { msgs, edges, pool }
+    }
+}
+
+/// Top-down scan: every active vertex of `set` within `span` sends its
+/// mask along each adjacency entry. `key` names a set element in
+/// `adj`'s key space, `parent` names that key as a parent vertex id;
+/// the adjacency target is the message destination.
+///
+/// Chunks only read `set`, so concatenating their message lists in
+/// chunk order is the serial scan; first-writer-wins application of
+/// that list is therefore worker-count invariant.
+fn push_scan<L: Lane>(
+    set: &Bitmap,
+    span: Range<u64>,
+    adj: &Csr,
+    key: impl Fn(u64) -> u64 + Sync,
+    parent: impl Fn(u64) -> u64 + Sync,
+) -> Scan<L::Msg> {
+    let base = span.start / L::PUSH_UNIT;
+    let units = span.end.div_ceil(L::PUSH_UNIT) - base;
+    let (parts, pool) = pool::run_ranges(units, L::PUSH_GRAIN, |_, r| {
+        let start = ((base + r.start) * L::PUSH_UNIT).max(span.start);
+        let end = ((base + r.end) * L::PUSH_UNIT).min(span.end);
+        let mut edges = 0u64;
+        let mut out: Vec<L::Msg> = Vec::new();
+        L::for_each_active(set, start, end, |i, m| {
+            let k = key(i);
+            if adj.degree(k) == 0 {
+                return;
+            }
+            let p = parent(k);
+            for &t in adj.neighbors(k) {
+                edges += 1;
+                out.push(L::pack(t, p, m));
+            }
+        });
+        (edges, out)
+    });
+    Scan::merge(parts, pool)
+}
+
+/// Bottom-up scan: every vertex of `span` still wanting roots (per
+/// `seen` and `update`) probes its adjacency in `src` until its wants
+/// are exhausted (early exit). `key` names a destination element in
+/// `adj`'s key space, `src_index` turns an adjacency target into an
+/// element of `src`, `msg` builds `(dest, parent)` from `(element, key,
+/// target)`.
+///
+/// Each destination belongs to exactly one chunk and the want test
+/// reads only pre-scan snapshots, so per-chunk hits merged in chunk
+/// order are byte-identical to the serial scan.
+#[allow(clippy::too_many_arguments)]
+fn pull_scan<L: Lane>(
+    lane: L,
+    seen: &Bitmap,
+    update: Option<&Bitmap>,
+    span: Range<u64>,
+    adj: &Csr,
+    key: impl Fn(u64) -> u64 + Sync,
+    src: &Bitmap,
+    src_index: impl Fn(u64) -> u64 + Sync,
+    msg: impl Fn(u64, u64, u64) -> (u64, u64) + Sync,
+) -> Scan<L::Msg> {
+    let (parts, pool) = pool::run_ranges(span.end - span.start, SCAN_GRAIN_ITEMS, |_, r| {
+        let mut edges = 0u64;
+        let mut out: Vec<L::Msg> = Vec::new();
+        let (start, end) = (span.start + r.start, span.start + r.end);
+        lane.for_each_wanting(seen, update, start, end, |i, mut want| {
+            let k = key(i);
+            if adj.degree(k) == 0 {
+                return;
+            }
+            for &t in adj.neighbors(k) {
+                edges += 1;
+                if let Some((got, done)) = L::hit(src, src_index(t), &mut want) {
+                    let (dest, parent) = msg(i, k, t);
+                    out.push(L::pack(dest, parent, got));
+                    if done {
+                        break;
+                    }
+                }
+            }
+        });
+        (edges, out)
+    });
+    Scan::merge(parts, pool)
+}
+
+/// Traversal state of one vertex class on one rank: frontier, seen and
+/// next-frontier sets plus the per-`(vertex, root)` result slots.
+struct ClassState {
+    curr: Bitmap,
+    seen: Bitmap,
+    next: Bitmap,
+    parent: Vec<u64>,
+    depth: Vec<u32>,
+}
+
+impl ClassState {
+    fn new<L: Lane>(lane: &L, n: u64) -> Self {
+        ClassState {
+            curr: L::new_set(n),
+            seen: L::new_set(n),
+            next: L::new_set(n),
+            parent: vec![INVALID_VERTEX; n as usize * lane.width()],
+            depth: lane.new_depths(n as usize),
+        }
+    }
+
+    /// Record `parent` and `depth` for every root of `m` at vertex `i`.
+    fn stamp<L: Lane>(&mut self, lane: &L, i: u64, m: L::Mask, parent: u64, depth: u32) {
+        lane.stamp(&mut self.parent, &mut self.depth, i, m, parent, depth);
+    }
+
+    /// Light root slot `m` of `root` at vertex `i`, depth 0.
+    fn activate<L: Lane>(&mut self, lane: &L, i: u64, m: L::Mask, root: u64) {
+        L::insert(&mut self.curr, i, m);
+        L::insert(&mut self.seen, i, m);
+        self.stamp(lane, i, m, root, 0);
+    }
+
+    /// The next frontier becomes the frontier.
+    fn advance(&mut self) {
+        std::mem::swap(&mut self.curr, &mut self.next);
+        self.next.clear();
+    }
+}
+
+/// One traversal's state on one rank: [`Engine::new`] runs the setup
+/// collective, [`Engine::run`] the traversal.
+pub(crate) struct Engine<'a, L: Lane> {
+    lane: L,
     part: &'a RankPartition,
     cfg: EngineConfig,
-    // Replicated hub state.
-    hub_curr: Bitmap,
-    hub_visited: Bitmap,
-    hub_next: Bitmap,
+    /// Replicated hub state (index: hub id); parents are
+    /// delegate-local until the end-of-run reduction.
+    hub: ClassState,
+    /// Hub roots discovered locally since the last hub sync.
     hub_update: Bitmap,
-    hub_parent: Vec<u64>,
-    // Owner-local L state (indexed by local offset).
-    l_curr: Bitmap,
-    l_visited: Bitmap,
-    l_next: Bitmap,
-    l_parent: Vec<u64>,
+    /// Owner-local L state (index: local offset).
+    l: ClassState,
     // Cached global totals (one collective at engine setup).
     total_l_connected: u64,
     total_el: u64,
@@ -175,15 +349,18 @@ struct Engine<'a> {
     // Mesh facts.
     rows: usize,
     cols: usize,
+    /// Iteration currently executing (1-based; the depth it discovers).
+    iter: u32,
     // Scratch counters.
     scanned: u64,
     /// Per-sub-iteration scratch for the current iteration
     /// ([`crate::config::Component::ALL`] order).
     sub_stats: [SubIterationStats; 6],
     /// Index of the sub-iteration currently executing (attributes
-    /// scanned edges and OCS kernel work to the right slot).
+    /// scanned edges, OCS kernel work and charges to the right slot).
     cur_sub: usize,
-    // Measured-heuristic state (all zeros / Push under Fixed).
+    // Measured-heuristic state (all zeros / Push under Fixed). Masses
+    // count `(vertex, root)` pairs weighted by degree.
     /// Total degree mass per class (E, H, connected L) — one extra
     /// triple on the setup allreduce in measured mode.
     class_mass_total: [u64; 3],
@@ -191,7 +368,7 @@ struct Engine<'a> {
     /// from the previous iteration's closing allreduce).
     frontier_mass: [u64; 3],
     /// Accumulated degree mass of visited vertices per class (global;
-    /// the root's own mass is uniformly excluded on every rank).
+    /// the roots' own mass is uniformly excluded on every rank).
     visited_mass: [u64; 3],
     /// Previous per-component directions — the hysteresis state.
     prev_dirs: [Direction; 6],
@@ -200,21 +377,34 @@ struct Engine<'a> {
     sub_masses: [(u64, u64); 6],
 }
 
-impl<'a> Engine<'a> {
-    fn new(ctx: &mut RankCtx, part: &'a RankPartition, cfg: EngineConfig) -> Self {
+impl<'a, L: Lane> Engine<'a, L> {
+    pub(crate) fn new(
+        ctx: &mut RankCtx,
+        part: &'a RankPartition,
+        cfg: EngineConfig,
+        lane: L,
+    ) -> Self {
         let nh = part.directory.num_hubs() as u64;
         let range = part.owned_range();
         let local_n = range.end - range.start;
         let topo = ctx.topology();
-        // Connected (degree > 0) L vertices, globally — the heuristic
-        // denominator for the L class.
+        // Connected (degree > 0) L vertices — the heuristic denominator
+        // for the L class — and the degree mass per class (E, H, L).
         let dir = &part.directory;
-        let local_l_connected = part
-            .owned_degrees
-            .iter()
-            .enumerate()
-            .filter(|(i, &d)| d > 0 && dir.hub_id(range.start + *i as u64).is_none())
-            .count() as u64;
+        let num_e = dir.num_e();
+        let mut local_l_connected = 0u64;
+        let mut class_mass = [0u64; 3];
+        for (i, &d) in part.owned_degrees.iter().enumerate() {
+            match dir.hub_id(range.start + i as u64) {
+                Some(h) if h < num_e => class_mass[0] += d as u64,
+                Some(_) => class_mass[1] += d as u64,
+                None if d > 0 => {
+                    local_l_connected += 1;
+                    class_mass[2] += d as u64;
+                }
+                None => {}
+            }
+        }
         // One setup collective carries every global total the engine
         // needs: the L-class denominator plus per-component global edge
         // counts (globally empty components skip their collectives, so
@@ -231,43 +421,28 @@ impl<'a> Engine<'a> {
             part.stats.l2l,
         ];
         if cfg.heuristic == DirectionHeuristic::Measured {
-            let num_e = dir.num_e();
-            let mut class_mass = [0u64; 3];
-            for (i, &d) in part.owned_degrees.iter().enumerate() {
-                match dir.hub_id(range.start + i as u64) {
-                    Some(h) if h < num_e => class_mass[0] += d as u64,
-                    Some(_) => class_mass[1] += d as u64,
-                    None if d > 0 => class_mass[2] += d as u64,
-                    None => {}
-                }
-            }
             payload.extend(class_mass);
         }
         let totals = ctx.allreduce_with(Scope::World, "heur.totals", payload, None, |a, b| *a += b);
-        let total_l_connected = totals[0];
         let class_mass_total = match totals.get(5..8) {
             Some(m) => [m[0], m[1], m[2]],
             None => [0; 3],
         };
         Engine {
+            lane,
             part,
             cfg,
-            hub_curr: Bitmap::new(nh),
-            hub_visited: Bitmap::new(nh),
-            hub_next: Bitmap::new(nh),
-            hub_update: Bitmap::new(nh),
-            hub_parent: vec![INVALID_VERTEX; nh as usize],
-            l_curr: Bitmap::new(local_n),
-            l_visited: Bitmap::new(local_n),
-            l_next: Bitmap::new(local_n),
-            l_parent: vec![INVALID_VERTEX; local_n as usize],
-            total_l_connected,
+            hub: ClassState::new(&lane, nh),
+            hub_update: L::new_set(nh),
+            l: ClassState::new(&lane, local_n),
+            total_l_connected: totals[0],
             total_el: totals[1],
             total_h2l: totals[2],
             total_lh: totals[3],
             total_l2l: totals[4],
             rows: topo.shape().rows,
             cols: topo.shape().cols,
+            iter: 0,
             scanned: 0,
             sub_stats: Default::default(),
             cur_sub: 0,
@@ -285,49 +460,76 @@ impl<'a> Engine<'a> {
         self.cfg.heuristic == DirectionHeuristic::Measured
     }
 
+    /// Lane width as a heuristic scale factor: every class size and
+    /// mass total counts once per root.
+    #[inline]
+    fn scale(&self) -> u64 {
+        self.lane.width() as u64
+    }
+
+    /// `(vertex, root)` pairs of a hub set in the E class and in the H
+    /// class.
+    fn hub_class_counts(&self, set: &Bitmap) -> (u64, u64) {
+        let dir = &self.part.directory;
+        let e_end = dir.num_e() as u64 * L::STRIDE;
+        let h_end = dir.num_hubs() as u64 * L::STRIDE;
+        (
+            set.count_ones_range(0, e_end),
+            set.count_ones_range(e_end, h_end),
+        )
+    }
+
     /// This rank's contribution to a class-split frontier degree mass:
-    /// `(E mass, H mass, L mass)` of the given hub-frontier and
-    /// L-frontier bitmaps, counting only *owned* vertices (each rank
-    /// knows the global degree of its owned slice only — hub degrees are
-    /// not replicated — so summing across ranks yields the global mass).
-    fn local_frontier_mass(&self, hub_bits: &Bitmap, l_bits: &Bitmap) -> [u64; 3] {
+    /// `(E mass, H mass, L mass)` of the given hub and L frontier sets,
+    /// counting only *owned* vertices (each rank knows the global degree
+    /// of its owned slice only — hub degrees are not replicated — so
+    /// summing across ranks yields the global mass).
+    fn local_frontier_mass(&self, hub_set: &Bitmap, l_set: &Bitmap) -> [u64; 3] {
         let dir = &self.part.directory;
         let range = self.part.owned_range();
         let num_e = dir.num_e() as u64;
         let mut mass = [0u64; 3];
-        for h in hub_bits.iter_ones() {
+        L::for_each_active(hub_set, 0, dir.num_hubs() as u64, |h, m| {
             let v = dir.vertex_of(h as u32);
             if range.contains(&v) {
                 let d = self.part.owned_degrees[(v - range.start) as usize] as u64;
-                mass[if h < num_e { 0 } else { 1 }] += d;
+                mass[if h < num_e { 0 } else { 1 }] += d * L::weight(m);
             }
-        }
-        for li in l_bits.iter_ones() {
-            mass[2] += self.part.owned_degrees[li as usize] as u64;
-        }
+        });
+        mass[2] = self.local_l_mass(l_set);
         mass
     }
 
-    /// This rank's degree mass of visited owned L vertices (the measured
-    /// counter piggybacked on the L2E hub sync).
-    fn local_l_visited_mass(&self) -> u64 {
-        self.l_visited
-            .iter_ones()
-            .map(|li| self.part.owned_degrees[li as usize] as u64)
-            .sum()
+    /// This rank's degree mass of an owned L set (of the seen set: the
+    /// measured counter piggybacked on the L2E hub sync).
+    fn local_l_mass(&self, l_set: &Bitmap) -> u64 {
+        let mut mass = 0u64;
+        L::for_each_active(l_set, 0, self.part.owned_degrees.len() as u64, |li, m| {
+            mass += self.part.owned_degrees[li as usize] as u64 * L::weight(m);
+        });
+        mass
     }
 
-    fn run(
+    /// Traverse from `roots` (one per root slot of the lane, order
+    /// significant). Slots of the output are vertex-major per root;
+    /// `depths` is empty for a lane that keeps none.
+    ///
+    /// Only a single-root [`Bit`] traversal may pass `checkpoints`: the
+    /// checkpoint codec carries no depth slots.
+    pub(crate) fn run(
         mut self,
         ctx: &mut RankCtx,
-        root: u64,
+        roots: &[u64],
         checkpoints: Option<&CheckpointStore>,
-    ) -> Result<BfsOutput, EngineError> {
+    ) -> Result<BatchOutput, EngineError> {
+        debug_assert_eq!(roots.len(), self.lane.width());
         let t_start = ctx.now();
         let acc_start = ctx.accumulator().clone();
         let comm_start = ctx.comm_stats().clone();
         let dir = &self.part.directory;
         let range = self.part.owned_range();
+        let width = self.lane.width();
+        let scale = self.scale();
 
         // ---- resume decision (SPMD-consistent: `common_iter` reads
         // the shared store, so every rank takes the same branch) ----
@@ -336,9 +538,8 @@ impl<'a> Engine<'a> {
             .and_then(|s| s.load(ctx.rank()));
 
         let mut iterations: Vec<IterationStats>;
-        let mut iter: u32;
         // L-class counters are carried across iterations instead of
-        // being re-collected: the root's class is globally known, and
+        // being re-collected: the roots' classes are globally known, and
         // each iteration's closing allreduce refreshes them (real BFS
         // codes piggyback these counters for exactly this reason —
         // scalar collectives are pure latency).
@@ -353,16 +554,16 @@ impl<'a> Engine<'a> {
             Some((state, stats)) => {
                 // ---- restore the loop-carried state; root activation
                 // is part of the checkpointed history ----
-                iter = state.iter;
+                self.iter = state.iter;
                 active_l = state.active_l;
                 visited_l = state.visited_l;
                 base_sim_seconds = state.sim_seconds;
-                self.hub_curr = state.hub_curr;
-                self.hub_visited = state.hub_visited;
-                self.hub_parent = state.hub_parent;
-                self.l_curr = state.l_curr;
-                self.l_visited = state.l_visited;
-                self.l_parent = state.l_parent;
+                self.hub.curr = state.hub_curr;
+                self.hub.seen = state.hub_visited;
+                self.hub.parent = state.hub_parent;
+                self.l.curr = state.l_curr;
+                self.l.seen = state.l_visited;
+                self.l.parent = state.l_parent;
                 // Measured-heuristic loop state rides the checkpoint
                 // (codec v2), so a resumed run re-decides directions
                 // from the exact masses the dead run saw — no extra
@@ -374,45 +575,41 @@ impl<'a> Engine<'a> {
                 base = stats;
             }
             None => {
-                // ---- root activation (replicated hubs / owner-local L) ----
-                match dir.hub_id(root) {
-                    Some(h) => {
-                        self.hub_curr.set(h as u64);
-                        self.hub_visited.set(h as u64);
-                        self.hub_parent[h as usize] = root;
-                    }
-                    None => {
-                        if range.contains(&root) {
-                            let li = root - range.start;
-                            self.l_curr.set(li);
-                            self.l_visited.set(li);
-                            self.l_parent[li as usize] = root;
+                // ---- root activation (replicated hubs / owner-local
+                // L): root slot `b` lights up `roots[b]` at depth 0.
+                // Duplicate roots are distinct slots, so no guard. ----
+                active_l = 0;
+                for (b, &root) in roots.iter().enumerate() {
+                    let m = L::root(b);
+                    match dir.hub_id(root) {
+                        Some(h) => self.hub.activate(&self.lane, h as u64, m, root),
+                        None => {
+                            // Every rank counts every L root (its class
+                            // is globally known): already the global count.
+                            active_l += 1;
+                            if range.contains(&root) {
+                                self.l.activate(&self.lane, root - range.start, m, root);
+                            }
                         }
                     }
                 }
+                visited_l = active_l;
                 iterations = Vec::new();
-                iter = 0;
-                let root_is_l = dir.hub_id(root).is_none();
-                active_l = root_is_l as u64;
-                visited_l = root_is_l as u64;
             }
         }
 
         // A checkpoint taken after the *final* iteration restores a
         // drained frontier: skip straight to the parent reduction.
-        let mut done = self.hub_curr.is_zero() && active_l == 0;
+        let mut done = self.hub.curr.is_zero() && active_l == 0;
         while !done {
-            iter += 1;
+            self.iter += 1;
             let mut st = IterationStats {
-                iter,
+                iter: self.iter,
                 ..Default::default()
             };
 
-            // ---- per-class counts for the heuristics ----
-            let num_e = dir.num_e() as u64;
-            let nh = dir.num_hubs() as u64;
-            st.active_e = self.hub_curr.count_ones_range(0, num_e);
-            st.active_h = self.hub_curr.count_ones_range(num_e, nh);
+            // ---- per-class `(vertex, root)` pair counts ----
+            (st.active_e, st.active_h) = self.hub_class_counts(&self.hub.curr);
             st.active_l = active_l;
 
             // ---- direction selection ----
@@ -436,13 +633,13 @@ impl<'a> Engine<'a> {
             // sync (row sum then column sum = global sum). The measured
             // heuristic additionally piggybacks the visited degree mass
             // — one extra u64 on the same collective, never a new one.
-            let l2e_counters = if self.measured() {
-                vec![self.l_visited.count_ones(), self.local_l_visited_mass()]
-            } else {
-                vec![self.l_visited.count_ones()]
-            };
+            let mut l2e_counters = vec![self.l.seen.count_ones()];
+            if self.measured() {
+                l2e_counters.push(self.local_l_mass(&self.l.seen));
+            }
             let refreshed = self.sync_hubs(ctx, "L2E", &l2e_counters);
 
+            let total_l = self.total_l_connected * scale;
             let (d_h2l, d_l2l) = if self.cfg.sub_iteration {
                 // Fall back to one scalar collective only when there is
                 // no hub sync to piggyback on (|E∪H| = 0).
@@ -452,47 +649,24 @@ impl<'a> Engine<'a> {
                     })
                 });
                 visited_l = counts[0];
-                let unvisited_l = self.total_l_connected.saturating_sub(visited_l);
+                let unvisited_l = total_l.saturating_sub(visited_l);
+                let num_h = dir.num_h() as u64 * scale;
                 if self.measured() {
                     // The L-class unexplored mass from the piggybacked
                     // visited mass; frontier masses are loop-carried.
-                    let um_l = self.class_mass_total[2].saturating_sub(counts[1]);
-                    self.sub_masses[3] = (self.frontier_mass[1], um_l);
-                    self.sub_masses[5] = (self.frontier_mass[2], um_l);
+                    let um_l = (self.class_mass_total[2] * scale).saturating_sub(counts[1]);
+                    let (fm_h, fm_l) = (self.frontier_mass[1], self.frontier_mass[2]);
+                    self.sub_masses[3] = (fm_h, um_l);
+                    self.sub_masses[5] = (fm_l, um_l);
+                    let (cfg, prev) = (&self.cfg, &self.prev_dirs);
                     (
-                        choose_measured(
-                            &self.cfg,
-                            self.prev_dirs[3],
-                            self.frontier_mass[1],
-                            um_l,
-                            st.active_h,
-                            dir.num_h() as u64,
-                        ),
-                        choose_measured(
-                            &self.cfg,
-                            self.prev_dirs[5],
-                            self.frontier_mass[2],
-                            um_l,
-                            st.active_l,
-                            self.total_l_connected,
-                        ),
+                        choose_measured(cfg, prev[3], fm_h, um_l, st.active_h, num_h),
+                        choose_measured(cfg, prev[5], fm_l, um_l, st.active_l, total_l),
                     )
                 } else {
                     (
-                        choose_crossing(
-                            &self.cfg,
-                            st.active_h,
-                            dir.num_h() as u64,
-                            unvisited_l,
-                            self.total_l_connected,
-                        ),
-                        choose_crossing(
-                            &self.cfg,
-                            st.active_l,
-                            self.total_l_connected,
-                            unvisited_l,
-                            self.total_l_connected,
-                        ),
+                        choose_crossing(&self.cfg, st.active_h, num_h, unvisited_l, total_l),
+                        choose_crossing(&self.cfg, st.active_l, total_l, unvisited_l, total_l),
                     )
                 }
             } else {
@@ -527,16 +701,15 @@ impl<'a> Engine<'a> {
             // ---- closing allreduce: next-frontier L count + visited L
             // count; doubles as the termination check (hub state is
             // replicated, so it needs no collective of its own).
-            st.newly_e = self.hub_next.count_ones_range(0, num_e);
-            st.newly_h = self.hub_next.count_ones_range(num_e, nh);
-            let mut payload = vec![self.l_next.count_ones(), self.l_visited.count_ones()];
+            (st.newly_e, st.newly_h) = self.hub_class_counts(&self.hub.next);
+            let mut payload = vec![self.l.next.count_ones(), self.l.seen.count_ones()];
             if self.measured() {
                 // Next iteration's frontier degree masses ride the same
                 // closing allreduce (three extra u64s): each rank sums
-                // its *owned* next-frontier degrees per class. The root's
-                // own mass never enters (it was activated, not
+                // its *owned* next-frontier degrees per class. The roots'
+                // own mass never enters (they were activated, not
                 // discovered), uniformly on every rank.
-                payload.extend(self.local_frontier_mass(&self.hub_next, &self.l_next));
+                payload.extend(self.local_frontier_mass(&self.hub.next, &self.l.next));
             }
             let counts =
                 ctx.allreduce_with(Scope::World, "heur.counts", payload, None, |a, b| *a += b);
@@ -556,20 +729,17 @@ impl<'a> Engine<'a> {
             // the boundary (see `IterationStats::end_op`).
             st.end_op = ctx.collective_calls();
 
-            std::mem::swap(&mut self.hub_curr, &mut self.hub_next);
-            self.hub_next.clear();
-            std::mem::swap(&mut self.l_curr, &mut self.l_next);
-            self.l_next.clear();
+            self.hub.advance();
+            self.l.advance();
 
             iterations.push(st);
             // Snapshot between the closing allreduce and the next
             // collective: faults only unwind at collectives, so every
-            // rank checkpoints iteration `iter` or none does.
+            // rank checkpoints this iteration or none does.
             if let Some(store) = checkpoints {
                 self.save_checkpoint(
                     ctx,
                     store,
-                    iter,
                     active_l,
                     visited_l,
                     &iterations,
@@ -577,11 +747,13 @@ impl<'a> Engine<'a> {
                     (&base, &acc_start, &comm_start),
                 );
             }
-            done = self.hub_curr.is_zero() && active_l == 0;
-            if !done && iter > MAX_ITERATIONS {
+            done = self.hub.curr.is_zero() && active_l == 0;
+            if !done && self.iter > MAX_ITERATIONS {
                 // Replicated termination state: every rank takes this
                 // branch on the same iteration.
-                return Err(EngineError::NonTermination { iterations: iter });
+                return Err(EngineError::NonTermination {
+                    iterations: self.iter,
+                });
             }
         }
 
@@ -589,34 +761,35 @@ impl<'a> Engine<'a> {
         let reduced_hub_parents = ctx.allreduce_with(
             Scope::World,
             "reduce.parent",
-            std::mem::take(&mut self.hub_parent),
+            std::mem::take(&mut self.hub.parent),
             None,
             |a, b| *a = (*a).min(*b),
         );
 
-        // ---- assemble owned parents + TEPS inputs ----
-        let mut parents = Vec::with_capacity((range.end - range.start) as usize);
-        let mut visited_degree_sum = 0u64;
-        let mut visited_count = 0u64;
-        for v in range.clone() {
-            let li = (v - range.start) as usize;
-            let p = match dir.hub_id(v) {
-                Some(h) => reduced_hub_parents[h as usize],
-                None => self.l_parent[li],
+        // ---- assemble owned slots + TEPS inputs: per-root tallies,
+        // packed as [visited_0.., degree_sum_0..] ----
+        let local_n = (range.end - range.start) as usize;
+        let mut parents = Vec::with_capacity(local_n * width);
+        let mut depths = Vec::with_capacity(self.l.depth.len());
+        let mut tallies = vec![0u64; 2 * width];
+        for (li, v) in range.enumerate() {
+            let deg = self.part.owned_degrees[li] as u64;
+            let (slot_parents, slot_depths, first) = match dir.hub_id(v) {
+                Some(h) => (&reduced_hub_parents, &self.hub.depth, h as usize * width),
+                None => (&self.l.parent, &self.l.depth, li * width),
             };
-            if p != INVALID_VERTEX {
-                visited_degree_sum += self.part.owned_degrees[li] as u64;
-                visited_count += 1;
+            for (b, &p) in slot_parents[first..first + width].iter().enumerate() {
+                if p != INVALID_VERTEX {
+                    tallies[b] += 1;
+                    tallies[width + b] += deg;
+                }
+                parents.push(p);
             }
-            parents.push(p);
+            // No slots at all for a lane that keeps no depths.
+            depths.extend_from_slice(slot_depths.get(first..first + width).unwrap_or(&[]));
         }
-        let totals = ctx.allreduce_with(
-            Scope::World,
-            "reduce.teps",
-            vec![visited_degree_sum, visited_count],
-            None,
-            |a, b| *a += b,
-        );
+        let tallies =
+            ctx.allreduce_with(Scope::World, "reduce.teps", tallies, None, |a, b| *a += b);
 
         // Charge the resumed segment on top of the checkpointed base
         // (both zero when not resuming), so interrupted-then-resumed
@@ -625,15 +798,19 @@ impl<'a> Engine<'a> {
         times.merge(&ctx.accumulator().diff(&acc_start));
         let mut comm = base.comm;
         comm.merge(&ctx.comm_stats().diff(&comm_start));
-        let stats = BfsRunStats {
-            iterations,
-            traversed_edges: totals[0] / 2,
-            visited_vertices: totals[1],
-            sim_seconds: base_sim_seconds + (ctx.now() - t_start).as_secs(),
-            times,
-            comm,
-        };
-        Ok(BfsOutput { parents, stats })
+        Ok(BatchOutput {
+            num_roots: width,
+            parents,
+            depths,
+            stats: BatchRunStats {
+                iterations,
+                sim_seconds: base_sim_seconds + (ctx.now() - t_start).as_secs(),
+                visited: tallies[..width].to_vec(),
+                traversed_edges: tallies[width..].iter().map(|&d| d / 2).collect(),
+                times,
+                comm,
+            },
+        })
     }
 
     /// Store this rank's snapshot of the just-completed iteration:
@@ -644,7 +821,6 @@ impl<'a> Engine<'a> {
         &self,
         ctx: &mut RankCtx,
         store: &CheckpointStore,
-        iter: u32,
         active_l: u64,
         visited_l: u64,
         iterations: &[IterationStats],
@@ -652,19 +828,19 @@ impl<'a> Engine<'a> {
         (base, acc_start, comm_start): (&ResumeStats, &TimeAccumulator, &CommStats),
     ) {
         let state = CheckpointState {
-            iter,
+            iter: self.iter,
             active_l,
             visited_l,
             sim_seconds,
             frontier_mass: self.frontier_mass,
             visited_mass: self.visited_mass,
             prev_dirs: self.prev_dirs,
-            hub_curr: self.hub_curr.clone(),
-            hub_visited: self.hub_visited.clone(),
-            hub_parent: self.hub_parent.clone(),
-            l_curr: self.l_curr.clone(),
-            l_visited: self.l_visited.clone(),
-            l_parent: self.l_parent.clone(),
+            hub_curr: self.hub.curr.clone(),
+            hub_visited: self.hub.seen.clone(),
+            hub_parent: self.hub.parent.clone(),
+            l_curr: self.l.curr.clone(),
+            l_visited: self.l.seen.clone(),
+            l_parent: self.l.parent.clone(),
         };
         let mut times = base.times.clone();
         times.merge(&ctx.accumulator().diff(acc_start));
@@ -685,20 +861,19 @@ impl<'a> Engine<'a> {
     fn select_directions(&mut self, st: &IterationStats, visited_l: u64) -> [Direction; 6] {
         let dir = &self.part.directory;
         let cfg = self.cfg;
-        let num_e = dir.num_e() as u64;
-        let num_h = dir.num_h() as u64;
+        let scale = self.scale();
+        let num_e = dir.num_e() as u64 * scale;
+        let num_h = dir.num_h() as u64 * scale;
         let nh = num_e + num_h;
-        let total_l = self.total_l_connected;
+        let total_l = self.total_l_connected * scale;
         if self.measured() {
             // Beamer-style measured masses per class: the loop-carried
             // frontier masses against each destination class's
             // unexplored mass (total minus accumulated visited).
             let fm = self.frontier_mass;
-            let um = [
-                self.class_mass_total[0].saturating_sub(self.visited_mass[0]),
-                self.class_mass_total[1].saturating_sub(self.visited_mass[1]),
-                self.class_mass_total[2].saturating_sub(self.visited_mass[2]),
-            ];
+            let um: [u64; 3] = std::array::from_fn(|c| {
+                (self.class_mass_total[c] * scale).saturating_sub(self.visited_mass[c])
+            });
             if !cfg.sub_iteration {
                 // Vanilla mode: one global measured decision.
                 let m_f = fm[0] + fm[1] + fm[2];
@@ -738,7 +913,7 @@ impl<'a> Engine<'a> {
             return [d; 6];
         }
         let unvisited_l = total_l.saturating_sub(visited_l);
-        let unvisited_h = num_h - self.hub_visited.count_ones_range(num_e, nh);
+        let unvisited_h = num_h - self.hub_class_counts(&self.hub.seen).1;
         [
             // EH2EH: node-local, source class E∪H.
             choose_local(&cfg, st.active_e + st.active_h, nh),
@@ -760,68 +935,77 @@ impl<'a> Engine<'a> {
     /// column (inter-supernode) — together a global dissemination, with
     /// each hop charged at its network tier.
     ///
-    /// `counters` are summed globally alongside the bitmap words (row
-    /// sums then column sums) and returned element-wise — the
-    /// piggybacked counters that feed the mid-iteration direction
-    /// refresh without a dedicated scalar collective. Returns `None`
-    /// when there are no hubs (no sync happens).
+    /// `counters` are summed globally alongside the set words (row sums
+    /// then column sums) and returned element-wise — the piggybacked
+    /// counters that feed the mid-iteration direction refresh without a
+    /// dedicated scalar collective. Returns `None` when there are no
+    /// hubs (no sync happens).
     fn sync_hubs(&mut self, ctx: &mut RankCtx, tag: &str, counters: &[u64]) -> Option<Vec<u64>> {
         if self.hub_update.is_empty() {
             return None;
         }
         let op = format!("hubsync.{tag}");
         let (words, counts) = hub_sync_collective(ctx, &op, self.hub_update.words(), counters);
-        // newly = update \ visited → next frontier; visited absorbs the
-        // whole update. Both run on the wide 4-word kernels — the fused
-        // `dst |= a & !b` form replaces the clone + and_not + or chain.
-        wide::or_and_not_assign(self.hub_next.words_mut(), &words, self.hub_visited.words());
-        wide::or_assign(self.hub_visited.words_mut(), &words);
+        // newly = update \ seen → next frontier (depth-stamped where the
+        // lane keeps depths); seen absorbs the whole update. The fused
+        // `dst |= a & !b` wide kernel needs no materialized difference.
+        self.lane
+            .stamp_hub_depths(&mut self.hub.depth, &words, &self.hub.seen, self.iter);
+        wide::or_and_not_assign(self.hub.next.words_mut(), &words, self.hub.seen.words());
+        wide::or_assign(self.hub.seen.words_mut(), &words);
         self.hub_update.clear();
         Some(counts)
     }
 
-    /// Attribute `edges` scanned to the current sub-iteration and the
-    /// iteration total.
+    /// Time-accounting category of the executing sub-iteration.
     #[inline]
-    fn note_edges(&mut self, edges: u64) {
+    fn category(&self, d: Direction) -> &'static str {
+        CATEGORY[self.cur_sub][d as usize]
+    }
+
+    /// Attribute one scan's edges and pool activity to the current
+    /// sub-iteration and the iteration total.
+    fn note_scan(&mut self, edges: u64, pool: PoolStats) {
         self.scanned += edges;
-        self.sub_stats[self.cur_sub].scanned_edges += edges;
+        let slot = &mut self.sub_stats[self.cur_sub];
+        slot.scanned_edges += edges;
+        slot.pool.merge(&pool);
     }
 
     /// Attribute one OCS kernel's work to the current sub-iteration
     /// (times and counters sum across the sub-iteration's sorts).
     #[inline]
-    fn note_kernel(&mut self, report: &sunbfs_sunway::KernelReport) {
+    fn note_kernel(&mut self, report: &KernelReport) {
         self.sub_stats[self.cur_sub].kernel.join_serial(report);
     }
 
-    /// Attribute one worker-pool call to the current sub-iteration.
-    #[inline]
-    fn note_pool(&mut self, stats: pool::PoolStats) {
-        self.sub_stats[self.cur_sub].pool.merge(&stats);
+    /// Record locally discovered hub roots (delegate-local parents; the
+    /// depth is stamped again, identically, on every rank by the next
+    /// hub sync).
+    fn discover_hubs(&mut self, msgs: Vec<L::Msg>) {
+        let depth = self.iter;
+        for msg in msgs {
+            let (h, parent, m) = L::unpack(msg);
+            if let Some(new) = L::fresh(m, &self.hub.seen, Some(&self.hub_update), h) {
+                L::insert(&mut self.hub_update, h, new);
+                self.hub.stamp(&self.lane, h, new, parent, depth);
+            }
+        }
     }
 
-    /// Record a locally discovered hub (delegate-local parent).
-    #[inline]
-    fn discover_hub(&mut self, h: u64, parent: u64) -> bool {
-        if self.hub_visited.get(h) || self.hub_update.get(h) {
-            return false;
+    /// Record discoveries at locally owned L vertices; `base` is
+    /// subtracted from each destination to get its local offset.
+    fn discover_locals(&mut self, msgs: impl IntoIterator<Item = L::Msg>, base: u64) {
+        let depth = self.iter;
+        for msg in msgs {
+            let (l, parent, m) = L::unpack(msg);
+            let li = l - base;
+            if let Some(new) = L::fresh(m, &self.l.seen, None, li) {
+                L::insert(&mut self.l.seen, li, new);
+                L::insert(&mut self.l.next, li, new);
+                self.l.stamp(&self.lane, li, new, parent, depth);
+            }
         }
-        self.hub_update.set(h);
-        self.hub_parent[h as usize] = parent;
-        true
-    }
-
-    /// Record a locally owned L discovery.
-    #[inline]
-    fn discover_local(&mut self, local: u64, parent: u64) -> bool {
-        if self.l_visited.get(local) {
-            return false;
-        }
-        self.l_visited.set(local);
-        self.l_next.set(local);
-        self.l_parent[local as usize] = parent;
-        true
     }
 
     // ---------------------------------------------------------------
@@ -830,149 +1014,120 @@ impl<'a> Engine<'a> {
     fn eh2eh(&mut self, ctx: &mut RankCtx, d: Direction) {
         let part = self.part;
         let dir = &part.directory;
-        if dir.num_hubs() == 0 {
+        let nh = dir.num_hubs() as u64;
+        if nh == 0 {
             return;
         }
-        let my_row = ctx.row();
-        let my_col = ctx.col();
-        let nh = dir.num_hubs() as u64;
-        match d {
+        let (my_row, my_col) = (ctx.row() as u64, ctx.col() as u64);
+        let (rows, cols) = (self.rows as u64, self.cols as u64);
+        let scan = match d {
             Direction::Push => {
                 // Edge-aware vertex-cut balancing (§5): cut the frontier
                 // by accumulated degree, charge the critical-path chunk.
                 // Sources are this column's cyclic slice of the hub
-                // space, gathered with the block-skipping wide walk.
-                let mut frontier: Vec<u64> = Vec::new();
-                let cols = self.cols as u64;
-                wide::for_each_one(
-                    self.hub_curr.words(),
-                    nh,
-                    0,
-                    self.hub_curr.num_words(),
-                    |s| {
-                        if s % cols == my_col as u64 {
-                            frontier.push(s);
-                        }
-                    },
-                );
-                let degrees: Vec<u64> =
-                    frontier.iter().map(|&s| part.eh_by_src.degree(s)).collect();
-                let cpes = ctx.machine().cpes_per_node();
-                let max_chunk = balance::max_chunk_edges(&degrees, cpes);
-                // Pool-chunked over frontier sources: each chunk scans
-                // its slice into a candidate list; applying the lists in
-                // chunk order replays the serial first-writer-wins
-                // discovery order exactly.
+                // space.
+                let mut frontier: Vec<(u64, L::Mask)> = Vec::new();
+                L::for_each_active(&self.hub.curr, 0, nh, |s, m| {
+                    if s % cols == my_col {
+                        frontier.push((s, m));
+                    }
+                });
+                let degrees: Vec<u64> = frontier
+                    .iter()
+                    .map(|&(s, _)| part.eh_by_src.degree(s))
+                    .collect();
+                let max_chunk = balance::max_chunk_edges(&degrees, ctx.machine().cpes_per_node());
+                // Pool-chunked over frontier sources; chunk-order merge
+                // replays the serial first-writer-wins discovery order.
                 let (parts, pstats) =
                     pool::run_ranges(frontier.len() as u64, SCAN_GRAIN_ITEMS, |_, r| {
                         let mut edges = 0u64;
-                        let mut cand: Vec<(u64, u64)> = Vec::new();
-                        for &s in &frontier[r.start as usize..r.end as usize] {
+                        let mut out: Vec<L::Msg> = Vec::new();
+                        for &(s, m) in &frontier[r.start as usize..r.end as usize] {
                             let parent = dir.vertex_of(s as u32);
                             for &dst in part.eh_by_src.neighbors(s) {
                                 edges += 1;
-                                cand.push((dst, parent));
+                                out.push(L::pack(dst, parent, m));
                             }
                         }
-                        (edges, cand)
+                        (edges, out)
                     });
-                let mut edges = 0u64;
-                for (e, cand) in parts {
-                    edges += e;
-                    for (dst, parent) in cand {
-                        self.discover_hub(dst, parent);
-                    }
-                }
-                self.note_pool(pstats);
-                self.note_edges(edges);
                 costing::charge_balanced_push(
                     ctx,
-                    "sub.EH2EH.push",
+                    self.category(d),
                     max_chunk,
                     frontier.len() as u64,
                 );
+                Scan::merge(parts, pstats)
             }
             Direction::Pull => {
-                // CG-aware segmenting (§4.3): the source activeness bits
-                // live in a SegmentedBitvec distributed over 64 CPE LDMs;
-                // sources split into one segment per core group.
-                let cgs = ctx.machine().cgs_per_node;
-                let cpes_per_cg = ctx.machine().cpes_per_cg;
-                // Segmenting requires the per-CG share of the activeness
-                // bit vector to fit the LDM budget (half of each CPE's
-                // scratchpad, leaving room for adjacency staging, §4.3);
-                // otherwise fall back to GLD probes.
-                let segment_fits = SegmentedBitvec::fits_budget(
-                    nh.div_ceil(cgs as u64),
-                    cpes_per_cg,
-                    ctx.machine().ldm_bytes / 2,
-                );
-                let seg_vec = if self.cfg.segmenting && segment_fits {
-                    Some(SegmentedBitvec::from_bitmap(&self.hub_curr, cpes_per_cg))
-                } else {
-                    None
-                };
+                // CG-aware segmenting (§4.3): sources split into one
+                // segment per core group, their activeness kept in LDM —
+                // if the per-CG share fits the budget (half of each
+                // CPE's scratchpad, leaving room for adjacency staging);
+                // otherwise every probe is a GLD round trip. The charge
+                // follows what the scan executed.
+                let machine = *ctx.machine();
+                let cgs = machine.cgs_per_node;
+                let on_chip = self.cfg.segmenting
+                    && SegmentedBitvec::fits_budget(
+                        (nh * L::STRIDE).div_ceil(cgs as u64),
+                        machine.cpes_per_cg,
+                        machine.ldm_bytes / 2,
+                    );
+                let probe = L::stage(&self.hub.curr, on_chip, machine.cpes_per_cg);
                 // This column's source slice is cyclic; its k-th source
                 // (slot s/cols) maps to core group slot*cgs/slots.
-                let slots = nh.div_ceil(self.cols as u64).max(1);
-                let cols = self.cols as u64;
+                let slots = nh.div_ceil(cols).max(1);
                 let seg_of =
                     move |s: u64| -> usize { ((s / cols) * cgs as u64 / slots) as usize % cgs };
                 // Pool-chunked over this row's strided destination
                 // sequence. Each destination is examined by exactly one
-                // chunk, and the early-exit test reads only pre-scan
-                // frontier/visited snapshots, so per-chunk discoveries
-                // merged in chunk order are byte-identical to serial.
-                let rows = self.rows as u64;
-                let n_dst = if (my_row as u64) < nh {
-                    (nh - my_row as u64).div_ceil(rows)
+                // chunk, and the want test reads only pre-scan
+                // snapshots, so chunk-order merge is the serial scan.
+                let n_dst = if my_row < nh {
+                    (nh - my_row).div_ceil(rows)
                 } else {
                     0
                 };
-                let hub_visited = &self.hub_visited;
-                let hub_update = &self.hub_update;
-                let hub_curr = &self.hub_curr;
-                let seg_vec = &seg_vec;
+                let all = self.lane.all();
+                let (hub_seen, hub_update) = (&self.hub.seen, &self.hub_update);
                 let (parts, pstats) = pool::run_ranges(n_dst, SCAN_GRAIN_ITEMS, |_, r| {
                     let mut edges = 0u64;
                     let mut probes = vec![0u64; cgs];
-                    let mut found: Vec<(u64, u64)> = Vec::new();
+                    let mut out: Vec<L::Msg> = Vec::new();
                     for k in r {
-                        let dst = my_row as u64 + k * rows;
-                        if hub_visited.get(dst) || hub_update.get(dst) {
+                        let dst = my_row + k * rows;
+                        let Some(mut want) = L::fresh(all, hub_seen, Some(hub_update), dst) else {
                             continue;
-                        }
+                        };
                         for &s in part.eh_by_dst.neighbors(dst) {
                             edges += 1;
                             probes[seg_of(s)] += 1;
-                            let active = match seg_vec {
-                                Some(sv) => sv.get(s),
-                                None => hub_curr.get(s),
-                            };
-                            if active {
-                                found.push((dst, dir.vertex_of(s as u32)));
-                                break; // early exit
+                            if let Some((got, done)) = probe(s, &mut want) {
+                                out.push(L::pack(dst, dir.vertex_of(s as u32), got));
+                                if done {
+                                    break; // early exit
+                                }
                             }
                         }
                     }
-                    (edges, probes, found)
+                    ((edges, out), probes)
                 });
                 let mut probes = vec![0u64; cgs];
-                let mut edges = 0u64;
-                for (e, p, found) in parts {
-                    edges += e;
-                    for (slot, add) in probes.iter_mut().zip(&p) {
-                        *slot += *add;
+                let parts = parts.into_iter().map(|(chunk, chunk_probes)| {
+                    for (slot, add) in probes.iter_mut().zip(chunk_probes) {
+                        *slot += add;
                     }
-                    for (dst, parent) in found {
-                        self.discover_hub(dst, parent);
-                    }
-                }
-                self.note_pool(pstats);
-                self.note_edges(edges);
-                costing::charge_eh_pull(ctx, "sub.EH2EH.pull", edges, &probes, self.cfg.segmenting);
+                    chunk
+                });
+                let scan = Scan::merge(parts.collect(), pstats);
+                costing::charge_eh_pull(ctx, self.category(d), scan.edges, &probes, on_chip);
+                scan
             }
-        }
+        };
+        self.note_scan(scan.edges, scan.pool);
+        self.discover_hubs(scan.msgs);
     }
 
     // ---------------------------------------------------------------
@@ -980,86 +1135,16 @@ impl<'a> Engine<'a> {
     // ---------------------------------------------------------------
     fn e2l(&mut self, ctx: &mut RankCtx, d: Direction) {
         let part = self.part;
-        let dir = &part.directory;
-        let num_e = dir.num_e() as u64;
+        let num_e = part.directory.num_e() as u64;
         if num_e == 0 || self.total_el == 0 {
             return;
         }
         let range = part.owned_range();
-        let mut edges = 0u64;
-        match d {
-            Direction::Push => {
-                let mut frontier: Vec<u64> = Vec::new();
-                wide::for_each_one(
-                    self.hub_curr.words(),
-                    num_e,
-                    0,
-                    num_e.div_ceil(64) as usize,
-                    |e| frontier.push(e),
-                );
-                let (parts, pstats) =
-                    pool::run_ranges(frontier.len() as u64, SCAN_GRAIN_ITEMS, |_, r| {
-                        let mut edges = 0u64;
-                        let mut cand: Vec<(u64, u64)> = Vec::new();
-                        for &e in &frontier[r.start as usize..r.end as usize] {
-                            if part.el_by_hub.degree(e) == 0 {
-                                continue;
-                            }
-                            let parent = dir.vertex_of(e as u32);
-                            for &l in part.el_by_hub.neighbors(e) {
-                                edges += 1;
-                                cand.push((l - range.start, parent));
-                            }
-                        }
-                        (edges, cand)
-                    });
-                for (e, cand) in parts {
-                    edges += e;
-                    for (li, parent) in cand {
-                        self.discover_local(li, parent);
-                    }
-                }
-                self.note_pool(pstats);
-                costing::charge_scan(ctx, "sub.E2L.push", edges);
-            }
-            Direction::Pull => {
-                // Destination-partitioned: each owned L index belongs to
-                // exactly one chunk, so snapshot reads + chunk-order
-                // merge reproduce the serial scan bit for bit.
-                let local_n = range.end - range.start;
-                let l_visited = &self.l_visited;
-                let hub_curr = &self.hub_curr;
-                let (parts, pstats) = pool::run_ranges(local_n, SCAN_GRAIN_ITEMS, |_, r| {
-                    let mut edges = 0u64;
-                    let mut found: Vec<(u64, u64)> = Vec::new();
-                    // Inverted wide walk over the visited bits: only
-                    // unvisited locals in the chunk are examined.
-                    wide::for_each_zero(l_visited.words(), local_n, r.start, r.end, |li| {
-                        let l = range.start + li;
-                        if part.el_by_local.degree(l) == 0 {
-                            return;
-                        }
-                        for &e in part.el_by_local.neighbors(l) {
-                            edges += 1;
-                            if hub_curr.get(e) {
-                                found.push((li, dir.vertex_of(e as u32)));
-                                break; // early exit
-                            }
-                        }
-                    });
-                    (edges, found)
-                });
-                for (e, found) in parts {
-                    edges += e;
-                    for (li, parent) in found {
-                        self.discover_local(li, parent);
-                    }
-                }
-                self.note_pool(pstats);
-                costing::charge_scan(ctx, "sub.E2L.pull", edges);
-            }
-        }
-        self.note_edges(edges);
+        let (by_hub, by_local) = (&part.el_by_hub, &part.el_by_local);
+        let scan = self.hubs_to_l(d, 0..num_e, by_hub, by_local, &self.l.seen, range.start);
+        costing::charge_scan(ctx, self.category(d), scan.edges);
+        self.note_scan(scan.edges, scan.pool);
+        self.discover_locals(scan.msgs, range.start);
     }
 
     // ---------------------------------------------------------------
@@ -1067,92 +1152,83 @@ impl<'a> Engine<'a> {
     // ---------------------------------------------------------------
     fn l2e(&mut self, ctx: &mut RankCtx, d: Direction) {
         let part = self.part;
-        let dir = &part.directory;
-        let num_e = dir.num_e() as u64;
+        let num_e = part.directory.num_e() as u64;
         if num_e == 0 || self.total_el == 0 {
             return;
         }
-        let range = part.owned_range();
-        let mut edges = 0u64;
+        self.l_to_hubs(ctx, d, 0..num_e, &part.el_by_local, &part.el_by_hub);
+    }
+
+    /// The hub → L scan shared by E2L and H2L over the hub id range
+    /// `hubs`: push walks the hub frontier through `by_hub`, pull walks
+    /// the L vertices still wanting roots in `seen` — a set over the
+    /// vertex interval starting at `base` — through `by_local`, probing
+    /// the hub frontier (a push ignores `seen` and `base`). Messages are
+    /// `(L vertex, hub parent)`.
+    fn hubs_to_l(
+        &self,
+        d: Direction,
+        hubs: Range<u64>,
+        by_hub: &Csr,
+        by_local: &Csr,
+        seen: &Bitmap,
+        base: u64,
+    ) -> Scan<L::Msg> {
+        let dir = &self.part.directory;
+        let vertex = |h: u64| dir.vertex_of(h as u32);
         match d {
-            Direction::Push => {
-                // Pool-chunked on frontier bitmap *words*: workers claim
-                // 64-vertex blocks; window order = ascending bit order,
-                // so chunk-order merge replays the serial scan.
-                let l_curr = &self.l_curr;
-                let local_n = range.end - range.start;
-                let (parts, pstats) =
-                    pool::run_ranges(l_curr.num_words() as u64, SCAN_GRAIN_WORDS, |_, r| {
-                        let mut edges = 0u64;
-                        let mut cand: Vec<(u64, u64)> = Vec::new();
-                        wide::for_each_one(
-                            l_curr.words(),
-                            local_n,
-                            r.start as usize,
-                            r.end as usize,
-                            |li| {
-                                let l = range.start + li;
-                                if part.el_by_local.degree(l) == 0 {
-                                    return;
-                                }
-                                for &e in part.el_by_local.neighbors(l) {
-                                    edges += 1;
-                                    cand.push((e, l));
-                                }
-                            },
-                        );
-                        (edges, cand)
-                    });
-                for (e, cand) in parts {
-                    edges += e;
-                    for (h, l) in cand {
-                        self.discover_hub(h, l);
-                    }
-                }
-                self.note_pool(pstats);
-                costing::charge_scan(ctx, "sub.L2E.push", edges);
-            }
-            Direction::Pull => {
-                let hub_visited = &self.hub_visited;
-                let hub_update = &self.hub_update;
-                let l_curr = &self.l_curr;
-                let (parts, pstats) = pool::run_ranges(num_e, SCAN_GRAIN_ITEMS, |_, r| {
-                    let mut edges = 0u64;
-                    let mut found: Vec<(u64, u64)> = Vec::new();
-                    // Fused `visited | update` skip test, one inverted
-                    // word walk over the chunk's E hubs.
-                    wide::for_each_unset_pair(
-                        hub_visited.words(),
-                        hub_update.words(),
-                        num_e,
-                        r.start,
-                        r.end,
-                        |e| {
-                            if part.el_by_hub.degree(e) == 0 {
-                                return;
-                            }
-                            for &l in part.el_by_hub.neighbors(e) {
-                                edges += 1;
-                                if l_curr.get(l - range.start) {
-                                    found.push((e, l));
-                                    break; // early exit (per-rank)
-                                }
-                            }
-                        },
-                    );
-                    (edges, found)
-                });
-                for (e, found) in parts {
-                    edges += e;
-                    for (h, l) in found {
-                        self.discover_hub(h, l);
-                    }
-                }
-                self.note_pool(pstats);
-                costing::charge_scan(ctx, "sub.L2E.pull", edges);
-            }
+            Direction::Push => push_scan::<L>(&self.hub.curr, hubs, by_hub, |h| h, vertex),
+            Direction::Pull => pull_scan(
+                self.lane,
+                seen,
+                None,
+                0..seen.len() / L::STRIDE,
+                by_local,
+                |off| base + off,
+                &self.hub.curr,
+                |h| h,
+                |_, l, h| (l, vertex(h)),
+            ),
         }
-        self.note_edges(edges);
+    }
+
+    /// The L → hub sub-iteration shared by L2E and L2H over the hub id
+    /// range `hubs`: push walks the L frontier through `by_local`, pull
+    /// walks the still-wanting hubs through `by_hub` probing the L
+    /// frontier (early exit is per rank). Discoveries are `(hub, L
+    /// parent)`, absorbed by the local delegates.
+    fn l_to_hubs(
+        &mut self,
+        ctx: &mut RankCtx,
+        d: Direction,
+        hubs: Range<u64>,
+        by_local: &Csr,
+        by_hub: &Csr,
+    ) {
+        let range = self.part.owned_range();
+        let scan = match d {
+            Direction::Push => push_scan::<L>(
+                &self.l.curr,
+                0..range.end - range.start,
+                by_local,
+                |li| range.start + li,
+                |l| l,
+            ),
+            Direction::Pull => pull_scan(
+                self.lane,
+                &self.hub.seen,
+                Some(&self.hub_update),
+                hubs,
+                by_hub,
+                |h| h,
+                &self.l.curr,
+                |l| l - range.start,
+                |h, _, l| (h, l),
+            ),
+        };
+        costing::charge_scan(ctx, self.category(d), scan.edges);
+        self.note_scan(scan.edges, scan.pool);
+        self.discover_hubs(scan.msgs);
     }
 
     // ---------------------------------------------------------------
@@ -1163,113 +1239,43 @@ impl<'a> Engine<'a> {
             return; // globally empty: no rank runs the exchange
         }
         let part = self.part;
-        let dir = &part.directory;
-        let topo = ctx.topology();
-        let num_e = dir.num_e() as u64;
-        let nh = dir.num_hubs() as u64;
-        let mut edges = 0u64;
-        let mut msgs: Vec<(u64, u64)> = Vec::new();
-        match d {
-            Direction::Push => {
-                if num_e < nh {
-                    // Pool-chunked on the H word window of the hub
-                    // frontier bitmap; the first window filters out the
-                    // E bits sharing its boundary word.
-                    let hub_curr = &self.hub_curr;
-                    let wstart = num_e / 64;
-                    let wend = nh.div_ceil(64);
-                    let (parts, pstats) =
-                        pool::run_ranges(wend - wstart, SCAN_GRAIN_WORDS, |_, r| {
-                            let mut edges = 0u64;
-                            let mut out: Vec<(u64, u64)> = Vec::new();
-                            let (ws, we) = ((wstart + r.start) as usize, (wstart + r.end) as usize);
-                            wide::for_each_one(hub_curr.words(), nh, ws, we, |h| {
-                                if h < num_e || part.h2l_by_hub.degree(h) == 0 {
-                                    return;
-                                }
-                                let parent = dir.vertex_of(h as u32);
-                                for &l in part.h2l_by_hub.neighbors(h) {
-                                    edges += 1;
-                                    out.push((l, parent));
-                                }
-                            });
-                            (edges, out)
-                        });
-                    for (e, out) in parts {
-                        edges += e;
-                        msgs.extend(out);
-                    }
-                    self.note_pool(pstats);
-                }
-                costing::charge_scan(ctx, "sub.H2L.push", edges);
-                self.exchange_and_apply_row(ctx, msgs, "H2L", "sub.H2L.push");
-            }
-            Direction::Pull => {
-                // Destination (L) visited bits must be visible along the
-                // row where the edges live: gather the row's bitmaps.
-                let row_visited = self.gather_row_visited(ctx);
-                let row_range = part.row_range(&topo);
-                let hub_curr = &self.hub_curr;
-                let row_visited = &row_visited;
-                let row_n = row_range.end - row_range.start;
-                let (parts, pstats) = pool::run_ranges(row_n, SCAN_GRAIN_ITEMS, |_, r| {
-                    let mut edges = 0u64;
-                    let mut out: Vec<(u64, u64)> = Vec::new();
-                    // Inverted wide walk over the row-visited bits; the
-                    // degree filter moves inside (same examined set:
-                    // unvisited ∧ degree > 0).
-                    wide::for_each_zero(row_visited.words(), row_n, r.start, r.end, |off| {
-                        let l = row_range.start + off;
-                        if part.h2l_by_local.degree(l) == 0 {
-                            return;
-                        }
-                        for &h in part.h2l_by_local.neighbors(l) {
-                            edges += 1;
-                            if hub_curr.get(h) {
-                                out.push((l, dir.vertex_of(h as u32)));
-                                break; // early exit at the edge's location
-                            }
-                        }
-                    });
-                    (edges, out)
-                });
-                for (e, out) in parts {
-                    edges += e;
-                    msgs.extend(out);
-                }
-                self.note_pool(pstats);
-                costing::charge_scan(ctx, "sub.H2L.pull", edges);
-                self.exchange_and_apply_row(ctx, msgs, "H2L", "sub.H2L.pull");
-            }
-        }
-        self.note_edges(edges);
+        let hubs = part.directory.num_e() as u64..part.directory.num_hubs() as u64;
+        // A pull needs the destination (L) seen sets visible along the
+        // row where the edges live: gather the row's sets. The early
+        // exit then happens at the edge's location.
+        let row_seen = (d == Direction::Pull).then(|| self.gather_row_seen(ctx));
+        let seen = row_seen.as_ref().unwrap_or(&self.l.seen);
+        let base = part.row_range(&ctx.topology()).start;
+        let scan = self.hubs_to_l(d, hubs, &part.h2l_by_hub, &part.h2l_by_local, seen, base);
+        costing::charge_scan(ctx, self.category(d), scan.edges);
+        self.note_scan(scan.edges, scan.pool);
+        self.exchange_and_apply_row(ctx, scan.msgs, "H2L", self.category(d));
     }
 
-    /// Bucket `(dest L, parent)` messages by destination column with
-    /// OCS-RMA, exchange them intra-row, and apply at the owners.
+    /// Bucket `(dest L, parent, mask)` messages by destination column
+    /// with OCS-RMA, exchange them intra-row, and apply at the owners.
     fn exchange_and_apply_row(
         &mut self,
         ctx: &mut RankCtx,
-        msgs: Vec<(u64, u64)>,
+        msgs: Vec<L::Msg>,
         comm_tag: &str,
         cost_category: &str,
     ) {
         let dist = self.part.dist;
         let topo = ctx.topology();
-        let cols = self.cols;
         let machine = *ctx.machine();
         let (buckets, report) = ocs_sort_rma(
             &machine,
             &OcsConfig::default(),
             &msgs,
-            cols,
+            self.cols,
             machine.cgs_per_node,
-            |&(l, _)| topo.col_of(dist.owner(l)),
+            |&msg| topo.col_of(dist.owner(L::unpack(msg).0)),
         );
         ctx.charge(cost_category, report.time);
         self.note_kernel(&report);
         let received = ctx.alltoallv(Scope::Row, &format!("comm.alltoallv.{comm_tag}"), buckets);
-        let msgs: Vec<(u64, u64)> = received.into_iter().flatten().collect();
+        let msgs: Vec<L::Msg> = received.into_iter().flatten().collect();
         self.apply_l_messages(ctx, msgs, cost_category);
     }
 
@@ -1277,7 +1283,7 @@ impl<'a> Engine<'a> {
     /// coarse-sorted into fixed-length vertex ranges with OCS-RMA, then
     /// each range is updated in LDM by its owning consumer — no atomic
     /// bit-sets against main memory.
-    fn apply_l_messages(&mut self, ctx: &mut RankCtx, msgs: Vec<(u64, u64)>, category: &str) {
+    fn apply_l_messages(&mut self, ctx: &mut RankCtx, msgs: Vec<L::Msg>, category: &str) {
         if msgs.is_empty() {
             return;
         }
@@ -1291,38 +1297,29 @@ impl<'a> Engine<'a> {
             &msgs,
             ranges as usize,
             machine.cgs_per_node,
-            |&(l, _)| range_bucket(l - range.start, span, ranges),
+            |&msg| range_bucket(L::unpack(msg).0 - range.start, span, ranges),
         );
         ctx.charge(category, report.time);
         self.note_kernel(&report);
-        for bucket in buckets {
-            for (l, parent) in bucket {
-                self.discover_local(l - range.start, parent);
-            }
-        }
+        self.discover_locals(buckets.into_iter().flatten(), range.start);
     }
 
-    /// Allgather the row's owned-visited bitmaps into one bitmap over
-    /// the row's vertex interval.
-    fn gather_row_visited(&self, ctx: &mut RankCtx) -> Bitmap {
+    /// Allgather the row's owned seen sets into one set over the row's
+    /// vertex interval.
+    fn gather_row_seen(&self, ctx: &mut RankCtx) -> Bitmap {
         let topo = ctx.topology();
         let dist = self.part.dist;
-        let my_row = topo.row_of(ctx.rank());
-        let row_range = sunbfs_part::row_vertex_range(&dist, &topo, my_row);
-        let words = self.l_visited.words().to_vec();
+        let my_row = ctx.row();
+        let row_range = self.part.row_range(&topo);
+        let words = self.l.seen.words().to_vec();
         let gathered = ctx.allgatherv(Scope::Row, "comm.allgather.H2L", words);
-        let mut row_visited = Bitmap::new(row_range.end - row_range.start);
+        let mut row_seen = L::new_set(row_range.end - row_range.start);
         for (pos, words) in gathered.into_iter().enumerate() {
-            let member_rank = topo.rank_at(my_row, pos);
-            let member_range = dist.range_of(member_rank);
-            let len = member_range.end - member_range.start;
-            let mut bm = Bitmap::new(len);
-            bm.words_mut().copy_from_slice(&words);
-            for bit in bm.iter_ones() {
-                row_visited.set(member_range.start - row_range.start + bit);
-            }
+            let member = dist.range_of(topo.rank_at(my_row, pos));
+            let base = member.start - row_range.start;
+            L::splice(&mut row_seen, base, &words, member.end - member.start);
         }
-        row_visited
+        row_seen
     }
 
     // ---------------------------------------------------------------
@@ -1330,90 +1327,12 @@ impl<'a> Engine<'a> {
     // ---------------------------------------------------------------
     fn l2h(&mut self, ctx: &mut RankCtx, d: Direction) {
         let part = self.part;
-        let dir = &part.directory;
-        let num_e = dir.num_e() as u64;
-        let nh = dir.num_hubs() as u64;
+        let num_e = part.directory.num_e() as u64;
+        let nh = part.directory.num_hubs() as u64;
         if num_e == nh || self.total_lh == 0 {
             return; // no H vertices (or no L↔H edges anywhere)
         }
-        let range = part.owned_range();
-        let mut edges = 0u64;
-        match d {
-            Direction::Push => {
-                let l_curr = &self.l_curr;
-                let local_n = range.end - range.start;
-                let (parts, pstats) =
-                    pool::run_ranges(l_curr.num_words() as u64, SCAN_GRAIN_WORDS, |_, r| {
-                        let mut edges = 0u64;
-                        let mut cand: Vec<(u64, u64)> = Vec::new();
-                        wide::for_each_one(
-                            l_curr.words(),
-                            local_n,
-                            r.start as usize,
-                            r.end as usize,
-                            |li| {
-                                let l = range.start + li;
-                                if part.lh_by_local.degree(l) == 0 {
-                                    return;
-                                }
-                                for &h in part.lh_by_local.neighbors(l) {
-                                    edges += 1;
-                                    cand.push((h, l));
-                                }
-                            },
-                        );
-                        (edges, cand)
-                    });
-                for (e, cand) in parts {
-                    edges += e;
-                    for (h, l) in cand {
-                        self.discover_hub(h, l);
-                    }
-                }
-                self.note_pool(pstats);
-                costing::charge_scan(ctx, "sub.L2H.push", edges);
-            }
-            Direction::Pull => {
-                let hub_visited = &self.hub_visited;
-                let hub_update = &self.hub_update;
-                let l_curr = &self.l_curr;
-                let (parts, pstats) = pool::run_ranges(nh - num_e, SCAN_GRAIN_ITEMS, |_, r| {
-                    let mut edges = 0u64;
-                    let mut found: Vec<(u64, u64)> = Vec::new();
-                    // The chunk's H range in absolute hub indices, with
-                    // the `visited | update` skip test fused.
-                    wide::for_each_unset_pair(
-                        hub_visited.words(),
-                        hub_update.words(),
-                        nh,
-                        num_e + r.start,
-                        num_e + r.end,
-                        |h| {
-                            if part.lh_by_hub.degree(h) == 0 {
-                                return;
-                            }
-                            for &l in part.lh_by_hub.neighbors(h) {
-                                edges += 1;
-                                if l_curr.get(l - range.start) {
-                                    found.push((h, l));
-                                    break; // early exit (per-rank)
-                                }
-                            }
-                        },
-                    );
-                    (edges, found)
-                });
-                for (e, found) in parts {
-                    edges += e;
-                    for (h, l) in found {
-                        self.discover_hub(h, l);
-                    }
-                }
-                self.note_pool(pstats);
-                costing::charge_scan(ctx, "sub.L2H.pull", edges);
-            }
-        }
-        self.note_edges(edges);
+        self.l_to_hubs(ctx, d, num_e..nh, &part.lh_by_local, &part.lh_by_hub);
     }
 
     // ---------------------------------------------------------------
@@ -1427,127 +1346,95 @@ impl<'a> Engine<'a> {
         let dist = part.dist;
         let topo = ctx.topology();
         let range = part.owned_range();
+        let local_n = range.end - range.start;
         let machine = *ctx.machine();
-        let mut edges = 0u64;
+        let category = self.category(d);
+        let dest_owner = |msg: &L::Msg| dist.owner(L::unpack(*msg).0);
         match d {
             Direction::Push => {
-                // Generate (dest, parent) messages from the frontier,
-                // pool-chunked on frontier bitmap words.
-                let l_curr = &self.l_curr;
-                let local_n = range.end - range.start;
-                let (parts, pstats) =
-                    pool::run_ranges(l_curr.num_words() as u64, SCAN_GRAIN_WORDS, |_, r| {
-                        let mut edges = 0u64;
-                        let mut out: Vec<(u64, u64)> = Vec::new();
-                        wide::for_each_one(
-                            l_curr.words(),
-                            local_n,
-                            r.start as usize,
-                            r.end as usize,
-                            |li| {
-                                let l = range.start + li;
-                                if part.l2l.degree(l) == 0 {
-                                    return;
-                                }
-                                for &v in part.l2l.neighbors(l) {
-                                    edges += 1;
-                                    out.push((v, l));
-                                }
-                            },
-                        );
-                        (edges, out)
-                    });
-                let mut msgs: Vec<(u64, u64)> = Vec::new();
-                for (e, out) in parts {
-                    edges += e;
-                    msgs.extend(out);
-                }
-                self.note_pool(pstats);
-                costing::charge_scan(ctx, "sub.L2L.push", edges);
+                // Generate (dest, parent, mask) messages from the
+                // frontier.
+                let scan = push_scan::<L>(
+                    &self.l.curr,
+                    0..local_n,
+                    &part.l2l,
+                    |li| range.start + li,
+                    |l| l,
+                );
+                self.note_scan(scan.edges, scan.pool);
+                costing::charge_scan(ctx, category, scan.edges);
                 // Hop 1: sort by the forwarding node — the intersection
                 // of our column and the destination's row — and exchange
                 // along the column.
                 let (col_buckets, rep1) = ocs_sort_rma(
                     &machine,
                     &OcsConfig::default(),
-                    &msgs,
+                    &scan.msgs,
                     self.rows,
                     machine.cgs_per_node,
-                    |&(v, _)| topo.row_of(dist.owner(v)),
+                    |msg| topo.row_of(dest_owner(msg)),
                 );
-                ctx.charge("sub.L2L.push", rep1.time);
+                ctx.charge(category, rep1.time);
                 self.note_kernel(&rep1);
-                let forwarded: Vec<(u64, u64)> = ctx
+                let forwarded: Vec<L::Msg> = ctx
                     .alltoallv(Scope::Col, "comm.alltoallv.L2L", col_buckets)
                     .into_iter()
                     .flatten()
                     .collect();
                 // Hop 2: the forwarding node sorts by final destination
                 // and exchanges along its row.
-                let (row_buckets, rep2) = ocs_sort_rma(
-                    &machine,
-                    &OcsConfig::default(),
-                    &forwarded,
-                    self.cols,
-                    machine.cgs_per_node,
-                    |&(v, _)| topo.col_of(dist.owner(v)),
-                );
-                ctx.charge("sub.L2L.push", rep2.time);
-                self.note_kernel(&rep2);
-                let received = ctx.alltoallv(Scope::Row, "comm.alltoallv.L2L", row_buckets);
-                let msgs: Vec<(u64, u64)> = received.into_iter().flatten().collect();
-                self.apply_l_messages(ctx, msgs, "sub.L2L.push");
+                self.exchange_and_apply_row(ctx, forwarded, "L2L", category);
             }
             Direction::Pull => {
-                // Query/confirm two-phase: unvisited locals ask the
-                // owners of their neighbors whether those are in the
-                // frontier. No remote early exit — the 1D limitation the
-                // paper notes (§2.1.2).
+                // Query/confirm two-phase: wanting locals ask the owners
+                // of their neighbors which of the wanted roots have them
+                // in the frontier. No remote early exit — the 1D
+                // limitation the paper notes (§2.1.2). Per-chunk
+                // per-owner query lists merged in chunk order keep each
+                // owner's serial query order.
                 let p = ctx.nranks();
-                let l_visited = &self.l_visited;
-                let local_n = range.end - range.start;
+                let (lane, l_seen) = (self.lane, &self.l.seen);
                 let (parts, pstats) = pool::run_ranges(local_n, SCAN_GRAIN_ITEMS, |_, r| {
                     let mut edges = 0u64;
-                    let mut out: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
-                    wide::for_each_zero(l_visited.words(), local_n, r.start, r.end, |li| {
+                    let mut out: Vec<Vec<L::Msg>> = vec![Vec::new(); p];
+                    lane.for_each_wanting(l_seen, None, r.start, r.end, |li, want| {
                         let l = range.start + li;
                         if part.l2l.degree(l) == 0 {
                             return;
                         }
                         for &u in part.l2l.neighbors(l) {
                             edges += 1;
-                            out[dist.owner(u)].push((u, l));
+                            out[dist.owner(u)].push(L::pack(u, l, want));
                         }
                     });
                     (edges, out)
                 });
-                let mut queries: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
+                let mut edges = 0u64;
+                let mut queries: Vec<Vec<L::Msg>> = vec![Vec::new(); p];
                 for (e, out) in parts {
                     edges += e;
                     for (dst, batch) in queries.iter_mut().zip(out) {
                         dst.extend(batch);
                     }
                 }
-                self.note_pool(pstats);
-                costing::charge_scan(ctx, "sub.L2L.pull", edges);
+                self.note_scan(edges, pstats);
+                costing::charge_scan(ctx, category, edges);
                 let incoming = ctx.alltoallv(Scope::World, "comm.alltoallv.L2L", queries);
-                let mut replies: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
+                let mut replies: Vec<Vec<L::Msg>> = vec![Vec::new(); p];
                 let mut checked = 0u64;
-                for batch in incoming {
-                    for (u, l) in batch {
-                        checked += 1;
-                        if self.l_curr.get(u - range.start) {
-                            replies[dist.owner(l)].push((l, u));
-                        }
+                for query in incoming.into_iter().flatten() {
+                    let (u, l, mut want) = L::unpack(query);
+                    checked += 1;
+                    if let Some((got, _)) = L::hit(&self.l.curr, u - range.start, &mut want) {
+                        replies[dist.owner(l)].push(L::pack(l, u, got));
                     }
                 }
-                costing::charge_apply(ctx, "sub.L2L.pull", checked);
+                costing::charge_apply(ctx, category, checked);
                 let confirmed = ctx.alltoallv(Scope::World, "comm.alltoallv.L2L", replies);
-                let msgs: Vec<(u64, u64)> = confirmed.into_iter().flatten().collect();
-                self.apply_l_messages(ctx, msgs, "sub.L2L.pull");
+                let msgs: Vec<L::Msg> = confirmed.into_iter().flatten().collect();
+                self.apply_l_messages(ctx, msgs, category);
             }
         }
-        self.note_edges(edges);
     }
 }
 
@@ -1556,6 +1443,8 @@ mod tests {
     use super::*;
     use sunbfs_common::MachineConfig;
     use sunbfs_net::{Cluster, CommOpStats, MeshShape};
+    use sunbfs_part::{build_1p5d, Thresholds};
+    use sunbfs_rmat::RmatParams;
 
     #[test]
     fn range_bucket_in_bounds_for_spans_below_ranges() {
@@ -1588,7 +1477,7 @@ mod tests {
 
     #[test]
     fn piggybacked_counter_sums_globally() {
-        // The sync_hubs payload: bitmap words OR-reduced, the trailing
+        // The sync_hubs payload: set words OR-reduced, the trailing
         // counter summed — row hop then column hop gives the global sum
         // and the global union on every rank.
         let c = Cluster::new(MeshShape::new(2, 3), MachineConfig::new_sunway());
@@ -1643,6 +1532,44 @@ mod tests {
                 "no world-scope fallback"
             );
         }
+    }
+
+    /// Simulated seconds rank 0 spent in the EH2EH pull of one
+    /// all-hubs SCALE-8 traversal (every vertex with an edge is a hub:
+    /// only the core subgraph runs, and no OCS sort needs LDM).
+    fn eh_pull_seconds(ldm_bytes: usize, segmenting: bool) -> f64 {
+        let params = RmatParams::graph500(8, 42);
+        let n = params.num_vertices();
+        let machine = MachineConfig {
+            ldm_bytes,
+            ..MachineConfig::new_sunway()
+        };
+        let cfg = EngineConfig {
+            segmenting,
+            heuristic: DirectionHeuristic::Fixed,
+            ..EngineConfig::default()
+        };
+        let outs = Cluster::new(MeshShape::new(2, 2), machine).run(|ctx| {
+            let chunk = sunbfs_rmat::generate_chunk(&params, ctx.rank() as u64, 4);
+            let part = build_1p5d(ctx, n, &chunk, Thresholds::all_hubs(1 << 20));
+            run_bfs(ctx, &part, 1, &cfg).expect("terminates")
+        });
+        outs[0].stats.times.get("sub.EH2EH.pull").as_secs()
+    }
+
+    #[test]
+    fn eh_pull_is_charged_as_executed() {
+        // A pull whose activeness vector does not fit the LDM budget
+        // probes main memory whatever `segmenting` says, and is billed
+        // at the GLD price — the same as with segmenting off.
+        let ldm = MachineConfig::new_sunway().ldm_bytes;
+        let (on_chip, off_chip) = (eh_pull_seconds(ldm, true), eh_pull_seconds(ldm, false));
+        assert!(on_chip > 0.0, "the traversal must pull");
+        assert!(on_chip < off_chip, "segmenting is the cheaper probe");
+        // One 1 KiB line per CPE is the smallest segment: 1 KiB of LDM
+        // (512 B budget) cannot hold it.
+        assert_eq!(eh_pull_seconds(1024, true), off_chip);
+        assert_eq!(eh_pull_seconds(1024, false), off_chip);
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //!   ([`run_bfs_recoverable`]).
 //!
 //! Entry point: [`run_bfs`], called SPMD from every rank of a
-//! [`sunbfs_net::Cluster`] with the rank's [`sunbfs_part::RankPartition`].
+//! [`sunbfs_net::Cluster`] with the rank's [`sunbfs_part::RankPartition`];
+//! [`run_bfs_batch`] runs the same schedule for up to 64 roots in one
+//! pass (one engine, two frontier element types).
 
 #![warn(missing_docs)]
 
@@ -31,13 +33,11 @@ pub mod checkpoint;
 pub mod config;
 pub mod costing;
 pub mod engine;
+mod lane;
 pub mod stats;
 pub mod validate;
 
-pub use batch::{
-    run_bfs_batch, BatchIterationStats, BatchOutput, BatchRunStats, MAX_BATCH_ROOTS,
-    UNREACHED_DEPTH,
-};
+pub use batch::{run_bfs_batch, BatchOutput, BatchRunStats, MAX_BATCH_ROOTS, UNREACHED_DEPTH};
 pub use checkpoint::{CheckpointState, CheckpointStore, ResumeStats};
 pub use config::{choose_measured, Component, Direction, DirectionHeuristic, EngineConfig};
 pub use engine::{run_bfs, run_bfs_recoverable, BfsOutput, EngineError};

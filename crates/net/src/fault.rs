@@ -465,81 +465,51 @@ impl ToJson for FaultRecord {
 
 /// Best-effort payload corruption through `Any`: the collectives are
 /// generic, so corruption knows the concrete payload types the engine
-/// actually ships (scalar/bitmap words, byte/word/pair vectors, and
-/// alltoallv send sets of the same). Returns whether anything changed.
+/// actually ships (scalar/bitmap words, byte/word vectors, the
+/// single-source `(dest, parent)` pairs and the batch `(dest, parent,
+/// mask)` triples, and alltoallv send sets of the same). Returns
+/// whether anything changed.
 ///
 /// Invariant: every type this function can damage is covered by
 /// `crate::frame::frame_any`, so no applied corruption can evade the
 /// exchange layer's checksum verification.
 pub(crate) fn corrupt_any(payload: &mut (dyn Any + Send + Sync), mode: CorruptMode) -> bool {
-    fn corrupt_u64s(v: &mut Vec<u64>, mode: CorruptMode) -> bool {
+    /// Flip the first element's lowest bit, or drop the last element.
+    fn flat<T>(v: &mut Vec<T>, mode: CorruptMode, flip: impl FnOnce(&mut T)) -> bool {
         match mode {
-            CorruptMode::BitFlip => match v.first_mut() {
-                Some(x) => {
-                    *x ^= 1;
-                    true
-                }
-                None => false,
-            },
+            CorruptMode::BitFlip => v.first_mut().map(flip).is_some(),
             CorruptMode::Truncate => v.pop().is_some(),
         }
+    }
+    /// [`flat`] on the first non-empty destination of a send set.
+    fn nested<T>(vv: &mut [Vec<T>], mode: CorruptMode, flip: impl FnOnce(&mut T)) -> bool {
+        vv.iter_mut()
+            .find(|inner| !inner.is_empty())
+            .is_some_and(|inner| flat(inner, mode, flip))
     }
     if let Some(v) = payload.downcast_mut::<Vec<u64>>() {
-        return corrupt_u64s(v, mode);
+        return flat(v, mode, |x| *x ^= 1);
     }
     if let Some(v) = payload.downcast_mut::<Vec<u32>>() {
-        return match mode {
-            CorruptMode::BitFlip => match v.first_mut() {
-                Some(x) => {
-                    *x ^= 1;
-                    true
-                }
-                None => false,
-            },
-            CorruptMode::Truncate => v.pop().is_some(),
-        };
+        return flat(v, mode, |x| *x ^= 1);
     }
     if let Some(v) = payload.downcast_mut::<Vec<u8>>() {
-        return match mode {
-            CorruptMode::BitFlip => match v.first_mut() {
-                Some(x) => {
-                    *x ^= 1;
-                    true
-                }
-                None => false,
-            },
-            CorruptMode::Truncate => v.pop().is_some(),
-        };
+        return flat(v, mode, |x| *x ^= 1);
     }
     if let Some(v) = payload.downcast_mut::<Vec<(u64, u64)>>() {
-        return match mode {
-            CorruptMode::BitFlip => match v.first_mut() {
-                Some(x) => {
-                    x.0 ^= 1;
-                    true
-                }
-                None => false,
-            },
-            CorruptMode::Truncate => v.pop().is_some(),
-        };
+        return flat(v, mode, |x| x.0 ^= 1);
+    }
+    if let Some(v) = payload.downcast_mut::<Vec<(u64, u64, u64)>>() {
+        return flat(v, mode, |x| x.0 ^= 1);
     }
     if let Some(vv) = payload.downcast_mut::<Vec<Vec<u64>>>() {
-        if let Some(inner) = vv.iter_mut().find(|i| !i.is_empty()) {
-            return corrupt_u64s(inner, mode);
-        }
-        return false;
+        return nested(vv, mode, |x| *x ^= 1);
     }
     if let Some(vv) = payload.downcast_mut::<Vec<Vec<(u64, u64)>>>() {
-        if let Some(inner) = vv.iter_mut().find(|i| !i.is_empty()) {
-            return match mode {
-                CorruptMode::BitFlip => {
-                    inner[0].0 ^= 1;
-                    true
-                }
-                CorruptMode::Truncate => inner.pop().is_some(),
-            };
-        }
-        return false;
+        return nested(vv, mode, |x| x.0 ^= 1);
+    }
+    if let Some(vv) = payload.downcast_mut::<Vec<Vec<(u64, u64, u64)>>>() {
+        return nested(vv, mode, |x| x.0 ^= 1);
     }
     false
 }

@@ -96,6 +96,15 @@ impl FrameElem for (u64, u64) {
     }
 }
 
+impl FrameElem for (u64, u64, u64) {
+    const SIZE: u64 = 24;
+    fn feed(&self, h: &mut Fnv1a) {
+        h.update(&self.0.to_le_bytes());
+        h.update(&self.1.to_le_bytes());
+        h.update(&self.2.to_le_bytes());
+    }
+}
+
 fn frame_flat<T: FrameElem>(v: &[T]) -> Frame {
     let mut h = Fnv1a::new();
     for e in v {
@@ -141,10 +150,16 @@ pub(crate) fn frame_any(payload: &(dyn Any + Send + Sync)) -> Option<Frame> {
     if let Some(v) = payload.downcast_ref::<Vec<(u64, u64)>>() {
         return Some(frame_flat(v));
     }
+    if let Some(v) = payload.downcast_ref::<Vec<(u64, u64, u64)>>() {
+        return Some(frame_flat(v));
+    }
     if let Some(vv) = payload.downcast_ref::<Vec<Vec<u64>>>() {
         return Some(frame_nested(vv));
     }
     if let Some(vv) = payload.downcast_ref::<Vec<Vec<(u64, u64)>>>() {
+        return Some(frame_nested(vv));
+    }
+    if let Some(vv) = payload.downcast_ref::<Vec<Vec<(u64, u64, u64)>>>() {
         return Some(frame_nested(vv));
     }
     None
@@ -167,10 +182,16 @@ pub(crate) fn clone_any(payload: &(dyn Any + Send + Sync)) -> Option<Box<dyn Any
     if let Some(v) = payload.downcast_ref::<Vec<(u64, u64)>>() {
         return Some(Box::new(v.clone()));
     }
+    if let Some(v) = payload.downcast_ref::<Vec<(u64, u64, u64)>>() {
+        return Some(Box::new(v.clone()));
+    }
     if let Some(vv) = payload.downcast_ref::<Vec<Vec<u64>>>() {
         return Some(Box::new(vv.clone()));
     }
     if let Some(vv) = payload.downcast_ref::<Vec<Vec<(u64, u64)>>>() {
+        return Some(Box::new(vv.clone()));
+    }
+    if let Some(vv) = payload.downcast_ref::<Vec<Vec<(u64, u64, u64)>>>() {
         return Some(Box::new(vv.clone()));
     }
     None
@@ -208,20 +229,24 @@ mod tests {
         let mut u8s = vec![1u8, 2];
         let mut pairs = vec![(1u64, 2u64)];
         let mut nested = vec![vec![3u64]];
+        let mut triples = vec![(1u64, 2u64, 3u64)];
         let mut nested_pairs = vec![vec![(3u64, 4u64)]];
-        let payloads: [&mut (dyn Any + Send + Sync); 6] = [
+        let mut nested_triples = vec![vec![], vec![(3u64, 4u64, 5u64)]];
+        let payloads: [&mut (dyn Any + Send + Sync); 8] = [
             &mut u64s,
             &mut u32s,
             &mut u8s,
             &mut pairs,
+            &mut triples,
             &mut nested,
             &mut nested_pairs,
+            &mut nested_triples,
         ];
         for p in payloads {
             let before = frame_any(&*p).expect("type must be framed");
-            if corrupt_any(&mut *p, CorruptMode::BitFlip) {
-                assert_ne!(frame_any(&*p), Some(before), "corruption must be visible");
-            }
+            assert!(clone_any(&*p).is_some(), "type must be retransmittable");
+            assert!(corrupt_any(&mut *p, CorruptMode::BitFlip));
+            assert_ne!(frame_any(&*p), Some(before), "corruption must be visible");
         }
     }
 

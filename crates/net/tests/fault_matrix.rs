@@ -282,3 +282,50 @@ fn multiple_simultaneous_faults_still_terminate() {
         );
     }
 }
+
+/// The batch engine's `(dest, parent, mask)` triples are registered
+/// with the frame/corruption registry like the single-source pairs: a
+/// corruption aimed at an `alltoallv` send set of triples is applied,
+/// caught by the frame, healed by one retransmit, and every rank
+/// receives the fault-free values.
+#[test]
+fn batch_triples_through_alltoallv_are_framed_and_healed() {
+    fn triple_exchange(ctx: &mut RankCtx) -> Vec<Vec<(u64, u64, u64)>> {
+        let me = ctx.rank() as u64;
+        let send = (0..ctx.nranks() as u64)
+            .map(|d| vec![(me * 100 + d, me, 1 << d), (d, me + 7, u64::MAX)])
+            .collect();
+        ctx.alltoallv(Scope::World, "a2a.triples", send)
+    }
+    let mesh = MeshShape::new(2, 2);
+    let expected: Vec<_> = Cluster::new(mesh, MachineConfig::new_sunway())
+        .run_fallible(triple_exchange)
+        .into_iter()
+        .map(|r| r.expect("fault-free run cannot fail"))
+        .collect();
+    for mode in [CorruptMode::BitFlip, CorruptMode::Truncate] {
+        let label = format!("triples/{mode:?}");
+        let (cluster, results) = with_timeout(label.clone(), move || {
+            let plan = FaultPlan::from_events(vec![FaultEvent {
+                rank: 3,
+                op_index: 0,
+                kind: FaultKind::Corrupt { mode },
+            }]);
+            let cluster = Cluster::with_faults(mesh, MachineConfig::new_sunway(), plan);
+            let results = cluster.run_fallible(triple_exchange);
+            (cluster, results)
+        });
+        for (rank, r) in results.iter().enumerate() {
+            let got = r
+                .as_ref()
+                .unwrap_or_else(|f| panic!("{label}: rank {rank} must heal, got {f}"));
+            assert_eq!(*got, expected[rank], "{label}: healed values must be clean");
+        }
+        let log = cluster.fault_log();
+        assert_eq!(log.len(), 1, "{label}");
+        assert!(log[0].applied, "{label}: triples must be corruptible");
+        let retrans = cluster.retransmit_log();
+        assert_eq!(retrans.len(), 1, "{label}: one heal round suffices");
+        assert_eq!((retrans[0].from, retrans[0].op_index), (3, 0), "{label}");
+    }
+}

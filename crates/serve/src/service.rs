@@ -57,7 +57,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-use sunbfs_common::{Edge, SplitMix64, INVALID_VERTEX};
+use sunbfs_common::{Edge, SplitMix64};
 use sunbfs_core::{validate, BatchOutput, BfsOutput, CheckpointStore, EngineError};
 use sunbfs_mutate::UpdatePlan;
 use sunbfs_net::{CorruptMode, FaultEvent, FaultKind};
@@ -494,7 +494,7 @@ pub struct QueryResult {
     /// Served or quarantined.
     pub status: QueryStatus,
     /// Handle to the assembled global parent array (`n` entries,
-    /// [`INVALID_VERTEX`] where unreached); `None` when quarantined.
+    /// [`sunbfs_common::INVALID_VERTEX`] where unreached); `None` when quarantined.
     pub parents: Option<Arc<Vec<u64>>>,
     /// Vertices at each BFS depth (index = depth; root at 0).
     pub depth_histogram: Vec<u64>,
@@ -1054,10 +1054,7 @@ impl BfsService {
         results
     }
 
-    /// Turn per-rank [`BatchOutput`]s into per-query results. The
-    /// engine ran against the base CSRs; when a delta overlay is
-    /// resident, each assembled result is patched by incremental
-    /// repair into the exact union-graph answer before it leaves.
+    /// Turn per-rank [`BatchOutput`]s into per-query results.
     fn assemble_batch(
         &mut self,
         batch: &[Pending],
@@ -1066,59 +1063,70 @@ impl BfsService {
         sim_seconds: f64,
         wall_seconds: f64,
     ) -> Vec<QueryResult> {
-        let n = self.session.num_vertices() as usize;
         let nb = batch.len();
-        let dist = self.session.distribution();
-        let has_delta = self.session.has_delta();
-        let epoch = self.session.epoch();
-        let mut results = Vec::with_capacity(nb);
-        for (b, p) in batch.iter().enumerate() {
-            let mut parents = vec![INVALID_VERTEX; n];
-            let mut depths = vec![u64::MAX; n];
-            for (rank, out) in outs.iter().enumerate() {
-                let range = dist.range_of(rank);
-                for li in 0..(range.end - range.start) as usize {
-                    parents[range.start as usize + li] = out.parent_of(li, b);
-                    let d = out.depth_of(li, b);
-                    if d != sunbfs_core::UNREACHED_DEPTH {
-                        depths[range.start as usize + li] = u64::from(d);
-                    }
-                }
-            }
-            let mut visited = outs[0].stats.visited[b];
-            if has_delta {
-                let stats = self.session.repair_result(&mut parents, &mut depths);
-                self.report.repaired_queries += 1;
-                self.report.repaired_vertices += stats.improved;
-                visited = depths.iter().filter(|&&d| d != u64::MAX).count() as u64;
-            }
-            let mut histogram: Vec<u64> = Vec::new();
-            for &d in &depths {
-                if d == u64::MAX {
-                    continue;
-                }
-                let d = d as usize;
-                if histogram.len() <= d {
-                    histogram.resize(d + 1, 0);
-                }
-                histogram[d] += 1;
-            }
-            results.push(QueryResult {
-                id: p.id,
-                root: p.root,
-                batch_id: Some(batch_id),
-                status: QueryStatus::Served,
-                parents: Some(Arc::new(parents)),
-                depth_histogram: histogram,
-                visited,
-                engine_traversed_edges: outs[0].stats.traversed_edges[b],
-                sim_latency_s: sim_seconds,
-                wall_latency_s: wall_seconds,
-                via_fallback: false,
-                epoch,
-            });
+        let rank_parents: Vec<&[u64]> = outs.iter().map(|o| &o.parents[..]).collect();
+        let rank_depths: Vec<&[u32]> = outs.iter().map(|o| &o.depths[..]).collect();
+        batch
+            .iter()
+            .enumerate()
+            .map(|(b, p)| {
+                let parents = gather_slot(&rank_parents, nb, b, |p| p);
+                let depths = gather_slot(&rank_depths, nb, b, |d| match d {
+                    sunbfs_core::UNREACHED_DEPTH => u64::MAX,
+                    d => u64::from(d),
+                });
+                let edges = outs[0].stats.traversed_edges[b];
+                let latency = (sim_seconds, wall_seconds);
+                self.finish_result(p, batch_id, parents, depths, edges, latency, false)
+            })
+            .collect()
+    }
+
+    /// The tail every served result shares, whichever engine entry
+    /// point produced its tree. The engine ran against the base CSRs;
+    /// when a delta overlay is resident, the assembled tree is patched
+    /// by incremental repair into the exact union-graph answer before
+    /// it leaves. Then the depth census: histogram and visited count.
+    #[allow(clippy::too_many_arguments)]
+    fn finish_result(
+        &mut self,
+        p: &Pending,
+        batch_id: u64,
+        mut parents: Vec<u64>,
+        mut depths: Vec<u64>,
+        engine_traversed_edges: u64,
+        (sim_latency_s, wall_latency_s): (f64, f64),
+        via_fallback: bool,
+    ) -> QueryResult {
+        if self.session.has_delta() {
+            let stats = self.session.repair_result(&mut parents, &mut depths);
+            self.report.repaired_queries += 1;
+            self.report.repaired_vertices += stats.improved;
         }
-        results
+        let mut histogram: Vec<u64> = Vec::new();
+        let mut visited = 0u64;
+        for &d in depths.iter().filter(|&&d| d != u64::MAX) {
+            visited += 1;
+            let d = d as usize;
+            if histogram.len() <= d {
+                histogram.resize(d + 1, 0);
+            }
+            histogram[d] += 1;
+        }
+        QueryResult {
+            id: p.id,
+            root: p.root,
+            batch_id: Some(batch_id),
+            status: QueryStatus::Served,
+            parents: Some(Arc::new(parents)),
+            depth_histogram: histogram,
+            visited,
+            engine_traversed_edges,
+            sim_latency_s,
+            wall_latency_s,
+            via_fallback,
+            epoch: self.session.epoch(),
+        }
     }
 
     /// Per-root recovery: checkpointed single-source runs with bounded
@@ -1188,58 +1196,30 @@ impl BfsService {
         wall_seconds: f64,
     ) -> QueryResult {
         let sim = outs.iter().fold(0.0f64, |m, o| m.max(o.stats.sim_seconds));
-        let epoch = self.session.epoch();
-        let mut parents: Vec<u64> = outs
+        let parents: Vec<u64> = outs
             .iter()
             .flat_map(|o| o.parents.iter().copied())
             .collect();
-        let mut depths = match validate::levels_from_parents(p.root, &parents) {
-            Ok(levels) => levels,
-            Err(e) => {
-                return quarantined_result(
-                    p,
-                    batch_id,
-                    Quarantine {
-                        label: "tree",
-                        detail: format!("{e:?}"),
-                    },
-                    wall_seconds,
-                    true,
-                    epoch,
-                );
+        // The single-source engine keeps no depth slots: deriving the
+        // levels walks every parent chain, which doubles as the tree
+        // check of the recovery path.
+        match validate::levels_from_parents(p.root, &parents) {
+            Ok(depths) => {
+                let edges = outs[0].stats.traversed_edges;
+                let latency = (sim, wall_seconds);
+                self.finish_result(p, batch_id, parents, depths, edges, latency, true)
             }
-        };
-        if self.session.has_delta() {
-            let stats = self.session.repair_result(&mut parents, &mut depths);
-            self.report.repaired_queries += 1;
-            self.report.repaired_vertices += stats.improved;
-        }
-        let mut histogram: Vec<u64> = Vec::new();
-        let mut visited = 0u64;
-        for &lvl in &depths {
-            if lvl == u64::MAX {
-                continue;
-            }
-            visited += 1;
-            let d = lvl as usize;
-            if histogram.len() <= d {
-                histogram.resize(d + 1, 0);
-            }
-            histogram[d] += 1;
-        }
-        QueryResult {
-            id: p.id,
-            root: p.root,
-            batch_id: Some(batch_id),
-            status: QueryStatus::Served,
-            parents: Some(Arc::new(parents)),
-            depth_histogram: histogram,
-            visited,
-            engine_traversed_edges: outs[0].stats.traversed_edges,
-            sim_latency_s: sim,
-            wall_latency_s: wall_seconds,
-            via_fallback: true,
-            epoch,
+            Err(e) => quarantined_result(
+                p,
+                batch_id,
+                Quarantine {
+                    label: "tree",
+                    detail: format!("{e:?}"),
+                },
+                wall_seconds,
+                true,
+                self.session.epoch(),
+            ),
         }
     }
 
@@ -1264,6 +1244,24 @@ impl BfsService {
         }
         Some(per_root_max.iter().sum())
     }
+}
+
+/// Global per-vertex array of root slot `b`, each entry passed through
+/// `map`, from per-rank vertex-major slot arrays of `width` roots:
+/// ranks own consecutive vertex blocks, so the rank slices concatenate
+/// in rank order.
+fn gather_slot<T: Copy, U>(
+    rank_slots: &[&[T]],
+    width: usize,
+    b: usize,
+    map: impl Fn(T) -> U,
+) -> Vec<U> {
+    let n = rank_slots.iter().map(|slots| slots.len() / width).sum();
+    let mut out = Vec::with_capacity(n);
+    for slots in rank_slots {
+        out.extend(slots.chunks_exact(width).map(|vertex| map(vertex[b])));
+    }
+    out
 }
 
 fn quarantined_result(

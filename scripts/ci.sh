@@ -24,6 +24,13 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q --workspace
 
+# The frozen benchmark (BENCHMARK.json, sunbfs_bench/) is a package of
+# its own compiled against this crate's public API: build and unit-test
+# it here so API drift fails CI, not the benchmark pipeline.
+echo "==> frozen benchmark builds and tests against the crate (offline)"
+cargo build --release --offline --manifest-path sunbfs_bench/Cargo.toml
+(cd sunbfs_bench && cargo test -q --offline)
+
 # Worker-pool determinism: SUNBFS_WORKERS must never change an output
 # byte (parents and depths identical to the serial path at every worker
 # count) — the contract that makes the parallel kernels trustworthy.

@@ -6,8 +6,12 @@
 use std::time::Duration;
 
 use proptest::prelude::*;
+use sunbfs::common::MachineConfig;
+use sunbfs::core::{reference_bfs, run_bfs_batch, EngineConfig, UNREACHED_DEPTH};
 use sunbfs::driver::{run_benchmark, run_benchmark_with_sleeper, FaultSpec, RunConfig};
-use sunbfs_net::FaultPlan;
+use sunbfs::part::{build_1p5d, Thresholds};
+use sunbfs::rmat::{degrees, generate_chunk, generate_edges, RmatParams};
+use sunbfs_net::{Cluster, CorruptMode, FaultEvent, FaultKind, FaultPlan, MeshShape};
 
 /// A campaign guaranteed to hit root 0's first attempt: one panic at
 /// collective index 0, which every run reaches immediately in the
@@ -117,6 +121,61 @@ fn applied_corruption_is_healed_by_retransmit_without_any_retry() {
         return;
     }
     panic!("no probed campaign seed produced an applied corruption");
+}
+
+#[test]
+fn batch_traversal_heals_a_corrupted_triple_exchange() {
+    // The batch engine ships `(dest, parent, mask)` triples; a bitflip
+    // planted on one of its `alltoallv` send sets must be applied,
+    // caught by the frame and healed by retransmit, leaving every depth
+    // equal to the serial reference. Probe op indices until the event
+    // lands on such an exchange (earlier indices hit the partition
+    // build or hub syncs and heal the same way, unasserted).
+    let params = RmatParams::graph500(7, 42);
+    let n = params.num_vertices();
+    let edges = generate_edges(&params);
+    let degs = degrees(n, &edges);
+    let roots: Vec<u64> = (0..n).filter(|&v| degs[v as usize] > 0).take(3).collect();
+    for op_index in 0..400 {
+        let plan = FaultPlan::from_events(vec![FaultEvent {
+            rank: 3,
+            op_index,
+            kind: FaultKind::Corrupt {
+                mode: CorruptMode::BitFlip,
+            },
+        }]);
+        let cluster = Cluster::with_faults(MeshShape::new(2, 2), MachineConfig::new_sunway(), plan);
+        let outs = cluster.run(|ctx| {
+            let chunk = generate_chunk(&params, ctx.rank() as u64, 4);
+            let part = build_1p5d(ctx, n, &chunk, Thresholds::new(64, 16));
+            run_bfs_batch(ctx, &part, &roots, &EngineConfig::default()).expect("terminates")
+        });
+        let hit_triples = cluster
+            .fault_log()
+            .iter()
+            .any(|f| f.applied && f.op.starts_with("comm.alltoallv"));
+        if !hit_triples {
+            continue;
+        }
+        assert_eq!(
+            cluster.retransmit_log().len(),
+            1,
+            "healed by one retransmit"
+        );
+        let depths: Vec<u32> = outs.iter().flat_map(|o| o.depths.iter().copied()).collect();
+        for (b, &root) in roots.iter().enumerate() {
+            let (_, want) = reference_bfs(n, &edges, root);
+            for v in 0..n as usize {
+                let got = match depths[v * roots.len() + b] {
+                    UNREACHED_DEPTH => u64::MAX,
+                    d => d as u64,
+                };
+                assert_eq!(got, want[v], "root {root} vertex {v} (op {op_index})");
+            }
+        }
+        return;
+    }
+    panic!("no corruption landed on a batch alltoallv: triples are not in the registry");
 }
 
 #[test]

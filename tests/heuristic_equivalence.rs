@@ -123,11 +123,7 @@ fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
 fn graph() -> (RmatParams, Vec<Edge>, u64) {
     let params = RmatParams::graph500(SCALE, SEED);
     let edges = generate_edges(&params);
-    let degs = degrees(params.num_vertices(), &edges);
-    let root = (0..params.num_vertices())
-        .find(|&v| degs[v as usize] > 0)
-        .expect("connected root");
-    (params, edges, root)
+    (params, edges, connected_roots(1)[0])
 }
 
 /// Derive BFS levels by walking parent chains — canonical depths, the
@@ -295,7 +291,7 @@ fn batch_print(outs: &[BatchOutput]) -> LanePrint {
 }
 
 /// First `k` connected (degree > 0) vertices — the batch roots; the
-/// first one is [`graph`]'s single-source root.
+/// first one is the single-source root.
 fn connected_roots(k: usize) -> Vec<u64> {
     let params = RmatParams::graph500(SCALE, SEED);
     let degs = degrees(params.num_vertices(), &generate_edges(&params));
@@ -500,13 +496,14 @@ fn width_one_batch_is_the_single_source_traversal() {
                         "{label}: per-iteration directions / scanned edges differ"
                     );
                 }
-                let gather = |pick: fn(&(BfsOutput, BatchOutput)) -> &[u64]| -> Vec<u64> {
-                    outs.iter()
-                        .flat_map(|rank| pick(&rank[r]).iter().copied())
-                        .collect()
-                };
-                let single_parents = gather(|(single, _)| &single.parents);
-                let batch_parents = gather(|(_, batch)| &batch.parents);
+                let single_parents: Vec<u64> = outs
+                    .iter()
+                    .flat_map(|rank| rank[r].0.parents.iter().copied())
+                    .collect();
+                let batch_parents: Vec<u64> = outs
+                    .iter()
+                    .flat_map(|rank| rank[r].1.parents.iter().copied())
+                    .collect();
                 let depths: Vec<u32> = outs
                     .iter()
                     .flat_map(|rank| rank[r].1.depths.iter().copied())
