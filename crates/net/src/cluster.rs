@@ -114,6 +114,10 @@ struct ClusterShared {
     cols: Vec<ScopeShared>,
     /// Deterministic fault-injection schedule (empty when unused).
     plan: FaultPlan,
+    /// [`FaultPlan::next_panic_op`] as of the start of the current run
+    /// (`u64::MAX` when no panic is pending): stored between runs, with
+    /// no rank thread alive, and read by the rank threads spawned after.
+    panic_op: AtomicU64,
     /// Every fault that actually fired, across all runs of this cluster.
     fault_log: Mutex<Vec<FaultRecord>>,
     /// Every corrupted deposit healed by retransmission, across all
@@ -134,6 +138,8 @@ impl ClusterShared {
     /// rank threads are running — `run_fallible` joins all threads
     /// before returning, so its entry point is safe.
     fn reset_for_run(&self) {
+        let panic_op = self.plan.next_panic_op().unwrap_or(u64::MAX);
+        self.panic_op.store(panic_op, Ordering::Release);
         self.world.reset();
         for s in self.rows.iter().chain(self.cols.iter()) {
             s.reset();
@@ -399,6 +405,7 @@ impl Cluster {
                 rows,
                 cols,
                 plan,
+                panic_op: AtomicU64::new(u64::MAX),
                 fault_log: Mutex::new(Vec::new()),
                 retransmit_log: Mutex::new(Vec::new()),
             }),
@@ -465,8 +472,15 @@ impl Cluster {
                     let outcome = match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
                         Ok(v) => Ok(v),
                         Err(p) => {
-                            ctx.shared.poison_all();
-                            Err(RankFailure::from_panic(rank, p))
+                            let failure = RankFailure::from_panic(rank, p);
+                            // Collateral teardown poisons nothing itself:
+                            // its root cause does — possibly later, when
+                            // the victim of a planned panic reaches the
+                            // collective the others already stopped at.
+                            if failure.is_root_cause() {
+                                ctx.shared.poison_all();
+                            }
+                            Err(failure)
                         }
                     };
                     lock_ignore_poison(results)[rank] = Some(outcome);
@@ -494,23 +508,37 @@ impl Cluster {
         T: Send,
         F: Fn(&mut RankCtx) -> T + Sync,
     {
-        let results = self.run_fallible(f);
-        let mut failures: Vec<&RankFailure> =
-            results.iter().filter_map(|r| r.as_ref().err()).collect();
-        if !failures.is_empty() {
+        all_ranks_ok(self.run_fallible(f)).unwrap_or_else(|mut failures| {
             failures.sort_by_key(|f| (!f.is_root_cause(), f.rank));
             let lines: Vec<String> = failures.iter().map(|f| format!("  {f}")).collect();
             panic!(
                 "{} of {} ranks failed:\n{}",
                 failures.len(),
-                results.len(),
+                self.shared.topo.num_ranks(),
                 lines.join("\n")
-            );
+            )
+        })
+    }
+}
+
+/// Fold [`Cluster::run_fallible`]'s per-rank results into the all-ranks
+/// view every caller decides on: `Ok` with the rank-ordered values when
+/// no rank failed, otherwise `Err` with every failure in rank order (the
+/// surviving ranks' values are dropped — an SPMD result missing a rank
+/// is not a result).
+pub fn all_ranks_ok<T>(results: Vec<Result<T, RankFailure>>) -> Result<Vec<T>, Vec<RankFailure>> {
+    let mut oks = Vec::with_capacity(results.len());
+    let mut failures = Vec::new();
+    for r in results {
+        match r {
+            Ok(v) => oks.push(v),
+            Err(f) => failures.push(f),
         }
-        results
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|f| unreachable!("failures already handled: {f}")))
-            .collect()
+    }
+    if failures.is_empty() {
+        Ok(oks)
+    } else {
+        Err(failures)
     }
 }
 
@@ -863,6 +891,15 @@ impl RankCtx {
         } else {
             None
         };
+        // A planned panic ends the run at its collective on *every*
+        // rank (each has fired its own events for this op by now), not
+        // just on the victim's scope-mates. Left to barrier poisoning
+        // alone, ranks on disjoint row/column scopes would run on for a
+        // timing-dependent number of collectives — firing events that
+        // belong to the retry — before the poison reached them.
+        if framing && op_index == self.shared.panic_op.load(Ordering::Acquire) {
+            std::panic::panic_any(BarrierPoisoned);
+        }
         let retrans_volumes = if framing { volumes.clone() } else { None };
         self.comm.record(scope, op, bytes);
         let tag = seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ fnv1a(op.as_bytes());
@@ -1547,6 +1584,51 @@ mod tests {
         let log = c.fault_log();
         assert_eq!(log.len(), 1);
         assert_eq!((log[0].rank, log[0].op_index), (1, 1));
+    }
+
+    #[test]
+    fn planned_panic_stops_every_rank_at_its_collective() {
+        use crate::fault::{FaultEvent, FaultKind};
+        // Rank 0 dies entering a row collective, which ranks 2 and 3
+        // (the other row) complete among themselves. The straggler
+        // planned for rank 3 one collective later must wait for the
+        // retry — on every run, whatever the thread timing — because
+        // no rank enters a collective past a planned panic's.
+        for _ in 0..8 {
+            let plan = FaultPlan::from_events(vec![
+                FaultEvent {
+                    rank: 0,
+                    op_index: 1,
+                    kind: FaultKind::Panic,
+                },
+                FaultEvent {
+                    rank: 3,
+                    op_index: 2,
+                    kind: FaultKind::Straggler { secs: 0.5 },
+                },
+            ]);
+            let c = Cluster::with_faults(MeshShape::new(2, 2), MachineConfig::new_sunway(), plan);
+            let work = |ctx: &mut RankCtx| {
+                (0..4)
+                    .map(|_| ctx.allreduce_sum(Scope::Row, "rowsum", 1))
+                    .sum::<u64>()
+            };
+            let failures = all_ranks_ok(c.run_fallible(work)).expect_err("rank 0 dies");
+            assert_eq!(failures.len(), 4, "the whole run stops");
+            let causes: Vec<usize> = failures
+                .iter()
+                .filter(|f| f.is_root_cause())
+                .map(|f| f.rank)
+                .collect();
+            assert_eq!(causes, vec![0]);
+            assert_eq!(c.fault_log().len(), 1, "only the panic fired");
+            // The healed retry meets the straggler and completes.
+            assert_eq!(
+                all_ranks_ok(c.run_fallible(work)).expect("retry"),
+                vec![8; 4]
+            );
+            assert_eq!(c.fault_log().len(), 2);
+        }
     }
 
     #[test]

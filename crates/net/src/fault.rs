@@ -363,6 +363,34 @@ impl FaultPlan {
         self.injected_ever.load(Ordering::Acquire)
     }
 
+    /// The collective index at which a run started now meets its first
+    /// planned panic: the smallest `op_index` of a `(rank, op_index)`
+    /// pair whose next [`Self::fire`] returns [`FaultKind::Panic`].
+    /// The cluster snapshots it per run so that *every* rank stops at
+    /// that collective, not just the ranks sharing the victim's scope.
+    pub fn next_panic_op(&self) -> Option<u64> {
+        let injected = self.injected.lock().expect("fault plan lock poisoned");
+        let planned = self.events.iter().zip(&self.fired);
+        let pending = planned
+            .filter(|(_, fired)| !fired.load(Ordering::Acquire))
+            .map(|(e, _)| e)
+            .chain(injected.iter());
+        // `fire` hands out one event per call, in listed order: only the
+        // first pending event of a pair is the one its next fire returns.
+        let mut pairs: Vec<(usize, u64)> = Vec::new();
+        let mut next: Option<u64> = None;
+        for e in pending {
+            if pairs.contains(&(e.rank, e.op_index)) {
+                continue;
+            }
+            pairs.push((e.rank, e.op_index));
+            if e.kind == FaultKind::Panic {
+                next = Some(next.map_or(e.op_index, |n| n.min(e.op_index)));
+            }
+        }
+        next
+    }
+
     /// Consume and return the first unfired event matching
     /// `(rank, op_index)`. Each event fires at most once per plan (and
     /// the plan lives as long as its cluster), so retried runs observe
@@ -621,6 +649,36 @@ mod tests {
             })
         );
         assert_eq!(p.fire(0, 3), None, "all duplicates consumed");
+    }
+
+    #[test]
+    fn next_panic_op_is_the_first_panic_a_fire_would_return() {
+        let panic_at = |rank, op_index| FaultEvent {
+            rank,
+            op_index,
+            kind: FaultKind::Panic,
+        };
+        let p = FaultPlan::from_events(vec![
+            // (0, 3): the straggler is listed first, so the next fire
+            // of that pair is not a panic.
+            FaultEvent {
+                rank: 0,
+                op_index: 3,
+                kind: FaultKind::Straggler { secs: 0.1 },
+            },
+            panic_at(0, 3),
+            panic_at(1, 9),
+        ]);
+        assert_eq!(p.next_panic_op(), Some(9));
+        p.inject([panic_at(2, 5)]);
+        assert_eq!(p.next_panic_op(), Some(5), "live-injected events count");
+        assert!(p.fire(0, 3).is_some());
+        assert_eq!(p.next_panic_op(), Some(3), "now the pair's next fire");
+        for (rank, op) in [(0, 3), (2, 5), (1, 9)] {
+            assert_eq!(p.fire(rank, op), Some(FaultKind::Panic));
+        }
+        assert_eq!(p.next_panic_op(), None);
+        assert_eq!(FaultPlan::none().next_panic_op(), None);
     }
 
     #[test]

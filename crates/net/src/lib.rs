@@ -46,8 +46,8 @@ pub mod topology;
 
 pub use barrier::{BarrierPoisoned, PoisonBarrier};
 pub use cluster::{
-    Cluster, CommOpStats, CommStats, FailureKind, RankCtx, RankFailure, RetransmitRecord,
-    SpmdViolation, SpmdViolationKind,
+    all_ranks_ok, Cluster, CommOpStats, CommStats, FailureKind, RankCtx, RankFailure,
+    RetransmitRecord, SpmdViolation, SpmdViolationKind,
 };
 pub use cost::Scope;
 pub use fault::{

@@ -66,11 +66,12 @@ pub use report::{
     occupancy_bucket, BatchRecord, HealthTransition, QueryRecord, ServeReport, OCCUPANCY_LABELS,
 };
 pub use service::{
-    BfsService, ChaosConfig, HealthConfig, HealthMachine, HealthSnapshot, HealthState, Quarantine,
-    QueryId, QueryResult, QueryStatus, RejectReason, ServeConfig,
+    BfsService, ChaosConfig, HealthConfig, HealthMachine, HealthSnapshot, HealthState, QueryId,
+    QueryResult, QueryStatus, RejectReason, ServeConfig,
 };
 pub use session::{
-    GraphSession, LoadError, SessionConfig, SessionError, StoreActivity, DELTA_COMPACT_THRESHOLD,
+    GraphSession, LoadError, Quarantine, RootTraversal, SessionConfig, SessionError, StoreActivity,
+    DELTA_COMPACT_THRESHOLD,
 };
 pub use sunbfs_mutate::{RepairStats, UpdateEvent, UpdatePlan};
 pub use sunbfs_store::{StoreError, StoreHeader, StoreInfo};

@@ -800,7 +800,7 @@ mod tests {
         assert!(!js.contains("quarantine"), "got {js}");
 
         let mut bad = served;
-        bad.status = QueryStatus::Quarantined(crate::service::Quarantine {
+        bad.status = QueryStatus::Quarantined(crate::Quarantine {
             label: "engine",
             detail: "boom".into(),
         });

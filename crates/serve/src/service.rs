@@ -26,8 +26,10 @@
 //!
 //! Fault containment: a lost rank during a batch degrades *only that
 //! batch's riders* — each rider falls back to its own checkpointed
-//! single-source run with bounded retries (the PR 2/3 machinery), and
-//! the resident [`GraphSession`] is never rebuilt or invalidated.
+//! single-source run with bounded retries
+//! ([`GraphSession::run_root`], the loop the Graph 500 driver runs every
+//! root through), and the resident [`GraphSession`] is never rebuilt or
+//! invalidated.
 //!
 //! Above containment sits a **health state machine**
 //! (`Healthy → Degraded → Quarantined → Recovering`, `docs/FAULTS.md`):
@@ -58,12 +60,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sunbfs_common::{Edge, SplitMix64};
-use sunbfs_core::{validate, BatchOutput, BfsOutput, CheckpointStore, EngineError};
+use sunbfs_core::{validate, BatchOutput, BfsOutput, EngineError};
 use sunbfs_mutate::UpdatePlan;
-use sunbfs_net::{CorruptMode, FaultEvent, FaultKind};
+use sunbfs_net::{all_ranks_ok, CorruptMode, FaultEvent, FaultKind};
 
 use crate::report::{BatchRecord, HealthTransition, QueryRecord, ServeReport};
-use crate::session::{GraphSession, SessionError};
+use crate::session::{GraphSession, Quarantine, SessionError};
 use crate::MAX_BATCH;
 
 /// Service knobs.
@@ -444,15 +446,6 @@ impl std::fmt::Display for RejectReason {
     }
 }
 
-/// Why a query was quarantined instead of served.
-#[derive(Clone, Debug)]
-pub struct Quarantine {
-    /// Stable category label (`engine` / `rank_failure` / `tree`).
-    pub label: &'static str,
-    /// Human-readable detail.
-    pub detail: String,
-}
-
 /// Terminal status of a completed query.
 #[derive(Clone, Debug)]
 pub enum QueryStatus {
@@ -635,6 +628,11 @@ impl BfsService {
     /// The resident session (topology, fault log, partition stats).
     pub fn session(&self) -> &GraphSession {
         &self.session
+    }
+
+    /// Hand the resident session back (pending queries are dropped).
+    pub fn into_session(self) -> GraphSession {
+        self.session
     }
 
     /// Commit one batched edge-insert against the resident session and
@@ -944,63 +942,42 @@ impl BfsService {
         self.next_batch += 1;
         let roots: Vec<u64> = batch.iter().map(|p| p.root).collect();
         let wall0 = Instant::now();
-        let rank_results = self.session.run_batch(&roots);
-        let mut oks = Vec::with_capacity(rank_results.len());
-        let mut failures = Vec::new();
-        for r in rank_results {
-            match r {
-                Ok(v) => oks.push(v),
-                Err(f) => failures.push(f),
-            }
-        }
-        let mut results;
-        let fallback = !failures.is_empty();
-        let mut sim_seconds = 0.0f64;
-        if !fallback {
-            // Engine errors are replicated: either every rank returned
-            // the same Err, or every rank has a BatchOutput.
-            match oks
-                .into_iter()
+        // Engine errors are replicated: either every rank returned the
+        // same Err, or every rank has a BatchOutput.
+        let outs = all_ranks_ok(self.session.run_batch(&roots)).map(|outs| {
+            outs.into_iter()
                 .collect::<Result<Vec<BatchOutput>, EngineError>>()
-            {
-                Ok(outs) => {
-                    sim_seconds = outs.iter().fold(0.0, |m, o| m.max(o.stats.sim_seconds));
-                    let wall = wall0.elapsed().as_secs_f64();
-                    results = self.assemble_batch(&batch, batch_id, outs, sim_seconds, wall);
-                }
-                Err(e) => {
-                    let wall = wall0.elapsed().as_secs_f64();
-                    let epoch = self.session.epoch();
-                    results = batch
-                        .iter()
-                        .map(|p| {
-                            quarantined_result(
-                                p,
-                                batch_id,
-                                Quarantine {
-                                    label: "engine",
-                                    detail: e.to_string(),
-                                },
-                                wall,
-                                false,
-                                epoch,
-                            )
-                        })
-                        .collect();
-                }
+        });
+        let fallback = outs.is_err();
+        let mut sim_seconds = 0.0f64;
+        let results: Vec<QueryResult> = match outs {
+            Ok(Ok(outs)) => {
+                sim_seconds = outs.iter().fold(0.0, |m, o| m.max(o.stats.sim_seconds));
+                let wall = wall0.elapsed().as_secs_f64();
+                self.assemble_batch(&batch, batch_id, outs, sim_seconds, wall)
             }
-        } else {
+            Ok(Err(e)) => {
+                let wall = wall0.elapsed().as_secs_f64();
+                let epoch = self.session.epoch();
+                let q = Quarantine::engine(e);
+                batch
+                    .iter()
+                    .map(|p| quarantined_result(p, batch_id, q.clone(), wall, false, epoch))
+                    .collect()
+            }
             // A rank died mid-batch: the batch's riders fall back to
             // individually recoverable single-source runs. The session
             // itself stays resident — planned faults fire once, so the
             // healed cluster serves the fallback (and later batches).
-            results = Vec::with_capacity(batch.len());
-            for p in &batch {
-                let r = self.serve_fallback(p, batch_id);
-                sim_seconds += r.sim_latency_s;
-                results.push(r);
-            }
-        }
+            Err(_) => batch
+                .iter()
+                .map(|p| {
+                    let r = self.serve_fallback(p, batch_id);
+                    sim_seconds += r.sim_latency_s;
+                    r
+                })
+                .collect(),
+        };
         let wall_seconds = wall0.elapsed().as_secs_f64();
         self.executed_queries += batch.len() as u64;
 
@@ -1129,62 +1106,17 @@ impl BfsService {
         }
     }
 
-    /// Per-root recovery: checkpointed single-source runs with bounded
-    /// retries, quarantining only when the budget is exhausted.
+    /// Per-root recovery: [`GraphSession::run_root`] with the service's
+    /// retry budget (no backoff — the service clock is ticks, not time).
     fn serve_fallback(&mut self, p: &Pending, batch_id: u64) -> QueryResult {
         let wall0 = Instant::now();
-        let budget = 1 + self.cfg.max_root_retries;
-        let store = CheckpointStore::new(self.session.num_ranks());
-        let epoch = self.session.epoch();
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            let mut oks = Vec::new();
-            let mut failures = Vec::new();
-            for r in self.session.run_single_recoverable(p.root, &store) {
-                match r {
-                    Ok(v) => oks.push(v),
-                    Err(f) => failures.push(f),
-                }
-            }
-            if failures.is_empty() {
-                let wall = wall0.elapsed().as_secs_f64();
-                return match oks
-                    .into_iter()
-                    .collect::<Result<Vec<BfsOutput>, EngineError>>()
-                {
-                    Ok(outs) => self.assemble_single(p, batch_id, outs, wall),
-                    Err(e) => quarantined_result(
-                        p,
-                        batch_id,
-                        Quarantine {
-                            label: "engine",
-                            detail: e.to_string(),
-                        },
-                        wall,
-                        true,
-                        epoch,
-                    ),
-                };
-            }
-            if attempts >= budget {
-                let named: Vec<String> = failures
-                    .iter()
-                    .filter(|f| f.is_root_cause())
-                    .map(|f| f.to_string())
-                    .collect();
-                return quarantined_result(
-                    p,
-                    batch_id,
-                    Quarantine {
-                        label: "rank_failure",
-                        detail: format!("{attempts} attempts exhausted: {}", named.join("; ")),
-                    },
-                    wall0.elapsed().as_secs_f64(),
-                    true,
-                    epoch,
-                );
-            }
+        let run = self
+            .session
+            .run_root(p.root, self.cfg.max_root_retries, &mut |_| {});
+        let wall = wall0.elapsed().as_secs_f64();
+        match run.result {
+            Ok(outs) => self.assemble_single(p, batch_id, outs, wall),
+            Err(q) => quarantined_result(p, batch_id, q, wall, true, self.session.epoch()),
         }
     }
 
@@ -1223,26 +1155,21 @@ impl BfsService {
         }
     }
 
-    /// The sequential baseline: the same roots, one at a time through
-    /// the single-source engine in one SPMD pass (the driver's per-root
-    /// loop shape). Returns the summed per-root simulated time, or
-    /// `None` if a rank was lost mid-measurement.
+    /// The sequential baseline: the same roots, one single-source
+    /// traversal each (the driver's per-root loop shape). Returns the
+    /// summed per-root simulated time, or `None` if a traversal failed
+    /// mid-measurement.
     fn measure_sequential(&mut self, roots: &[u64]) -> Option<f64> {
-        let mut per_root_max = vec![0.0f64; roots.len()];
-        for rank_result in self.session.run_seq_loop(roots) {
-            match rank_result {
-                Err(_) => return None,
-                Ok(outs) => {
-                    for (ri, out) in outs.into_iter().enumerate() {
-                        match out {
-                            Ok(o) => per_root_max[ri] = per_root_max[ri].max(o.stats.sim_seconds),
-                            Err(_) => return None,
-                        }
-                    }
-                }
+        let mut total = 0.0;
+        for &root in roots {
+            let outs = all_ranks_ok(self.session.run_single(root)).ok()?;
+            let mut sim = 0.0f64;
+            for out in outs {
+                sim = sim.max(out.ok()?.stats.sim_seconds);
             }
+            total += sim;
         }
-        Some(per_root_max.iter().sum())
+        Some(total)
     }
 }
 

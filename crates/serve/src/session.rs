@@ -1,15 +1,15 @@
 //! The session-persistent graph: generate + partition once, query many.
 //!
-//! The Graph 500 driver rebuilds its partition for every benchmark run
-//! and exits; a service cannot afford that. [`GraphSession::load`] pays
-//! the R-MAT generation and 1.5D partition build exactly once, keeps
-//! each rank's [`RankPartition`] resident on the driver side, and hands
-//! out traversals against it for as long as the session lives. The
-//! underlying [`Cluster`] is reusable across SPMD runs (its collective
-//! counters reset per run), so one session serves an unbounded stream
-//! of queries — and because planned fault events fire at most once per
-//! cluster lifetime, a query that loses a rank can simply be retried on
-//! the healed cluster without touching the resident partition.
+//! [`GraphSession::load`] pays the R-MAT generation and 1.5D partition
+//! build exactly once, keeps each rank's [`RankPartition`] resident on
+//! the driver side, and hands out traversals against it for as long as
+//! the session lives — to the query service and to the Graph 500 driver
+//! alike. The underlying [`Cluster`] is reusable across SPMD runs (its
+//! collective counters reset per run), so one session serves an
+//! unbounded stream of queries — and because planned fault events fire
+//! at most once per cluster lifetime, a root that loses a rank is simply
+//! retried on the healed cluster without touching the resident
+//! partition ([`GraphSession::run_root`]).
 //!
 //! The build is no longer the only way in: [`GraphSession::save`]
 //! serializes the resident partition into the paged, checksummed
@@ -40,14 +40,14 @@ use std::time::Instant;
 
 use sunbfs_common::{Edge, JsonValue, MachineConfig, ToJson};
 use sunbfs_core::{
-    run_bfs, run_bfs_batch, run_bfs_recoverable, BatchOutput, BfsOutput, CheckpointStore,
-    EngineConfig, EngineError,
+    run_bfs_batch, run_bfs_recoverable, BatchOutput, BfsOutput, CheckpointStore, EngineConfig,
+    EngineError,
 };
 use sunbfs_mutate::{
     canonical_edge_set, repair_in_place, route_update_batch, DeltaPartition, RepairStats,
     UnionAdjacency,
 };
-use sunbfs_net::{Cluster, FaultPlan, MeshShape, RankFailure};
+use sunbfs_net::{all_ranks_ok, Cluster, FaultPlan, MeshShape, RankFailure};
 use sunbfs_part::{build_1p5d, ComponentStats, RankPartition, Thresholds, VertexDistribution};
 use sunbfs_rmat::RmatParams;
 use sunbfs_store::{StoreError, StoreHeader, StoreInfo};
@@ -144,6 +144,15 @@ impl std::fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
+/// The error of a one-attempt SPMD pass (update routing, compaction)
+/// that lost ranks.
+fn lost_ranks(failures: Vec<RankFailure>) -> SessionError {
+    SessionError::Load(LoadError {
+        attempts: 1,
+        failures,
+    })
+}
+
 /// Opening or building a session failed.
 #[derive(Debug)]
 pub enum SessionError {
@@ -216,6 +225,40 @@ impl ToJson for StoreActivity {
     }
 }
 
+/// Why a root was given up on instead of served.
+#[derive(Clone, Debug)]
+pub struct Quarantine {
+    /// Stable category label (`engine` / `rank_failure` / `tree` /
+    /// `validation`).
+    pub label: &'static str,
+    /// Human-readable detail.
+    pub detail: String,
+}
+
+impl Quarantine {
+    /// A replicated engine error: every rank returned it together.
+    pub fn engine(e: EngineError) -> Self {
+        Quarantine {
+            label: "engine",
+            detail: e.to_string(),
+        }
+    }
+}
+
+/// What one root cost and produced on [`GraphSession::run_root`].
+#[derive(Debug)]
+pub struct RootTraversal {
+    /// SPMD attempts spent (1 = clean first run).
+    pub attempts: u32,
+    /// BFS iterations the final attempt resumed from a checkpoint
+    /// instead of re-running (0 = it started at the root).
+    pub iterations_salvaged: u32,
+    /// Iteration checkpoints taken across all attempts.
+    pub checkpoints_taken: u64,
+    /// Every rank's output in rank order, or why there is none.
+    pub result: Result<Vec<BfsOutput>, Quarantine>,
+}
+
 /// A resident graph: one cluster plus every rank's partition, built
 /// once and borrowed by each query run.
 pub struct GraphSession {
@@ -274,20 +317,12 @@ impl GraphSession {
         loop {
             attempts += 1;
             let faults_before = cluster.fault_log().len();
-            let results = cluster.run_fallible(|ctx| {
+            let outcome = all_ranks_ok(cluster.run_fallible(|ctx| {
                 let t0 = ctx.now();
                 let chunk = sunbfs_rmat::generate_chunk(&params, ctx.rank() as u64, p);
                 let part = build_1p5d(ctx, n, &chunk, cfg.thresholds);
                 ((ctx.now() - t0).as_secs(), part)
-            });
-            let mut oks = Vec::with_capacity(results.len());
-            let mut failures = Vec::new();
-            for r in results {
-                match r {
-                    Ok(v) => oks.push(v),
-                    Err(f) => failures.push(f),
-                }
-            }
+            }));
             // Every attempt's simulated cost counts — a failed attempt
             // still burned build time before unwinding, and hiding it
             // would make a `load_attempts = 3` session look as cheap
@@ -295,36 +330,38 @@ impl GraphSession {
             // timings (every rank unwinds at the poisoned collective),
             // so its cost is taken from the fault log: the simulated
             // clock at the moment the attempt's fault(s) fired.
-            let attempt_sim_seconds = if failures.is_empty() {
-                oks.iter().map(|(s, _)| *s).fold(0.0, f64::max)
-            } else {
-                cluster.fault_log()[faults_before..]
+            let attempt_sim_seconds = match &outcome {
+                Ok(oks) => oks.iter().map(|(s, _)| *s).fold(0.0, f64::max),
+                Err(_) => cluster.fault_log()[faults_before..]
                     .iter()
                     .map(|f| f.sim_seconds)
-                    .fold(0.0, f64::max)
+                    .fold(0.0, f64::max),
             };
             load_sim_seconds += attempt_sim_seconds;
-            if failures.is_empty() {
-                let parts: Vec<RankPartition> = oks.into_iter().map(|(_, p)| p).collect();
-                let partition_stats = parts.iter().map(|p| p.stats).collect();
-                return Ok(GraphSession {
-                    cfg,
-                    cluster,
-                    parts,
-                    partition_stats,
-                    build_sim_seconds: attempt_sim_seconds,
-                    load_sim_seconds,
-                    load_attempts: attempts,
-                    store: None,
-                    build_wall_seconds: Some(wall0.elapsed().as_secs_f64()),
-                    deltas: fresh_deltas(p as usize),
-                    delta_log: Vec::new(),
-                    epoch: 0,
-                    compactions: 0,
-                });
-            }
-            if attempts >= budget {
-                return Err(LoadError { attempts, failures });
+            match outcome {
+                Ok(oks) => {
+                    let parts: Vec<RankPartition> = oks.into_iter().map(|(_, p)| p).collect();
+                    let partition_stats = parts.iter().map(|p| p.stats).collect();
+                    return Ok(GraphSession {
+                        cfg,
+                        cluster,
+                        parts,
+                        partition_stats,
+                        build_sim_seconds: attempt_sim_seconds,
+                        load_sim_seconds,
+                        load_attempts: attempts,
+                        store: None,
+                        build_wall_seconds: Some(wall0.elapsed().as_secs_f64()),
+                        deltas: fresh_deltas(p as usize),
+                        delta_log: Vec::new(),
+                        epoch: 0,
+                        compactions: 0,
+                    });
+                }
+                Err(failures) if attempts >= budget => {
+                    return Err(LoadError { attempts, failures })
+                }
+                Err(_) => {}
             }
         }
     }
@@ -593,7 +630,7 @@ impl GraphSession {
         let updates = {
             let parts = &self.parts;
             let deltas = &self.deltas;
-            let results = self.cluster.run_fallible(move |ctx| {
+            all_ranks_ok(self.cluster.run_fallible(move |ctx| {
                 route_update_batch(
                     ctx,
                     &parts[ctx.rank()],
@@ -601,22 +638,8 @@ impl GraphSession {
                     thresholds,
                     batch,
                 )
-            });
-            let mut oks = Vec::with_capacity(results.len());
-            let mut failures = Vec::new();
-            for r in results {
-                match r {
-                    Ok(u) => oks.push(u),
-                    Err(f) => failures.push(f),
-                }
-            }
-            if !failures.is_empty() {
-                return Err(SessionError::Load(LoadError {
-                    attempts: 1,
-                    failures,
-                }));
-            }
-            oks
+            }))
+            .map_err(lost_ranks)?
         };
         let mut promoted = false;
         for update in &updates {
@@ -654,9 +677,9 @@ impl GraphSession {
             set.into_iter().map(|(u, v)| Edge::new(u, v)).collect()
         };
         let thresholds = self.cfg.thresholds;
-        let results = {
+        let parts = {
             let union_edges = &union_edges;
-            self.cluster.run_fallible(move |ctx| {
+            all_ranks_ok(self.cluster.run_fallible(move |ctx| {
                 let chunk: Vec<Edge> = union_edges
                     .iter()
                     .enumerate()
@@ -664,22 +687,9 @@ impl GraphSession {
                     .map(|(_, e)| *e)
                     .collect();
                 build_1p5d(ctx, n, &chunk, thresholds)
-            })
+            }))
+            .map_err(lost_ranks)?
         };
-        let mut parts = Vec::with_capacity(results.len());
-        let mut failures = Vec::new();
-        for r in results {
-            match r {
-                Ok(part) => parts.push(part),
-                Err(f) => failures.push(f),
-            }
-        }
-        if !failures.is_empty() {
-            return Err(SessionError::Load(LoadError {
-                attempts: 1,
-                failures,
-            }));
-        }
         self.partition_stats = parts.iter().map(|part| part.stats).collect();
         self.parts = parts;
         for d in &mut self.deltas {
@@ -708,8 +718,8 @@ impl GraphSession {
 
     /// One bit-parallel multi-source traversal over the resident
     /// partition. Rank-indexed results; an `Err` entry is a lost rank
-    /// (callers fall back to [`Self::run_single_recoverable`]), an
-    /// inner `Err` is a replicated engine error.
+    /// (callers fall back to [`Self::run_root`]), an inner `Err` is a
+    /// replicated engine error.
     pub fn run_batch(
         &self,
         roots: &[u64],
@@ -720,48 +730,83 @@ impl GraphSession {
             .run_fallible(move |ctx| run_bfs_batch(ctx, &parts[ctx.rank()], roots, &engine))
     }
 
-    /// One single-source traversal (the sequential baseline path).
+    /// One single-source traversal, one attempt, no checkpoints (the
+    /// sequential baseline path).
     pub fn run_single(
         &self,
         root: u64,
     ) -> Vec<Result<Result<BfsOutput, EngineError>, RankFailure>> {
-        let parts = &self.parts;
-        let engine = self.cfg.engine;
-        self.cluster
-            .run_fallible(move |ctx| run_bfs(ctx, &parts[ctx.rank()], root, &engine))
+        self.traverse(root, None)
     }
 
-    /// The sequential baseline shape: every root, one at a time, inside
-    /// one SPMD pass (the driver's per-root loop against the resident
-    /// partition). Rank-indexed; inner vector is root-indexed.
-    #[allow(clippy::type_complexity)]
-    pub fn run_seq_loop(
-        &self,
-        roots: &[u64],
-    ) -> Vec<Result<Vec<Result<BfsOutput, EngineError>>, RankFailure>> {
-        let parts = &self.parts;
-        let engine = self.cfg.engine;
-        self.cluster.run_fallible(move |ctx| {
-            roots
-                .iter()
-                .map(|&root| run_bfs(ctx, &parts[ctx.rank()], root, &engine))
-                .collect()
-        })
-    }
-
-    /// One checkpointed single-source traversal — the per-root recovery
-    /// path a degraded batch falls back to. Resumes from `store`'s last
-    /// verified common checkpoint when one exists.
-    pub fn run_single_recoverable(
+    fn traverse(
         &self,
         root: u64,
-        store: &CheckpointStore,
+        checkpoints: Option<&CheckpointStore>,
     ) -> Vec<Result<Result<BfsOutput, EngineError>, RankFailure>> {
         let parts = &self.parts;
         let engine = self.cfg.engine;
         self.cluster.run_fallible(move |ctx| {
-            run_bfs_recoverable(ctx, &parts[ctx.rank()], root, &engine, Some(store))
+            run_bfs_recoverable(ctx, &parts[ctx.rank()], root, &engine, checkpoints)
         })
+    }
+
+    /// One root, recoverably: single-source traversals on the resident
+    /// partition until one completes or `1 + max_retries` attempts lost
+    /// a rank. The Graph 500 driver runs every root through here and the
+    /// service every rider of a degraded batch.
+    ///
+    /// Planned faults fire once per cluster lifetime, so a retry runs on
+    /// the healed cluster. While the cluster's fault plan is live, every
+    /// completed iteration is checkpointed and a retry resumes from the
+    /// last checkpoint common to all ranks instead of the root; with no
+    /// plan there is nothing to recover from and no checkpoint is paid
+    /// for. `on_retry` is called with the attempts spent so far before
+    /// each retry (the driver's backoff hook).
+    pub fn run_root(
+        &self,
+        root: u64,
+        max_retries: u32,
+        on_retry: &mut dyn FnMut(u32),
+    ) -> RootTraversal {
+        let store =
+            (!self.cluster.fault_plan().is_empty()).then(|| CheckpointStore::new(self.num_ranks()));
+        let mut attempts = 0u32;
+        let mut iterations_salvaged = 0;
+        let result = loop {
+            attempts += 1;
+            // What this attempt inherits: the iterations it will NOT
+            // re-run. Zero on the first attempt (empty store).
+            if let Some(resumable) = store.as_ref().and_then(CheckpointStore::common_iter) {
+                iterations_salvaged = resumable;
+            }
+            match all_ranks_ok(self.traverse(root, store.as_ref())) {
+                // Engine errors are replicated: either every rank
+                // returned the same `Err`, or every rank has an output.
+                Ok(outs) => {
+                    let outs: Result<Vec<BfsOutput>, EngineError> = outs.into_iter().collect();
+                    break outs.map_err(Quarantine::engine);
+                }
+                Err(failures) if attempts > max_retries => {
+                    let named: Vec<String> = failures
+                        .iter()
+                        .filter(|f| f.is_root_cause())
+                        .map(|f| f.to_string())
+                        .collect();
+                    break Err(Quarantine {
+                        label: "rank_failure",
+                        detail: format!("{attempts} attempts exhausted: {}", named.join("; ")),
+                    });
+                }
+                Err(_) => on_retry(attempts),
+            }
+        };
+        RootTraversal {
+            attempts,
+            iterations_salvaged,
+            checkpoints_taken: store.map_or(0, |s| s.saves()),
+            result,
+        }
     }
 }
 
@@ -824,6 +869,53 @@ mod tests {
             GraphSession::load(SessionConfig::small(8, 4), FaultPlan::none()).expect("clean load");
         assert_eq!(clean.load_attempts, 1);
         assert_eq!(clean.load_sim_seconds, clean.build_sim_seconds);
+    }
+
+    #[test]
+    fn run_root_retries_on_the_resident_partition_then_quarantines() {
+        let session =
+            GraphSession::load(SessionConfig::small(8, 4), FaultPlan::none()).expect("clean load");
+        let panic_at_start = || FaultEvent {
+            rank: 1,
+            op_index: 0,
+            kind: FaultKind::Panic,
+        };
+        // No plan: one attempt, nothing checkpointed.
+        let clean = session.run_root(1, 2, &mut |_| panic!("no retry on a clean run"));
+        assert_eq!((clean.attempts, clean.checkpoints_taken), (1, 0));
+        let clean_parents: Vec<Vec<u64>> = clean
+            .result
+            .expect("clean traversal")
+            .into_iter()
+            .map(|o| o.parents)
+            .collect();
+
+        // A transient panic costs one retry — of the traversal only.
+        session.cluster().fault_plan().inject([panic_at_start()]);
+        let mut retries = Vec::new();
+        let healed = session.run_root(1, 2, &mut |attempts| retries.push(attempts));
+        assert_eq!(healed.attempts, 2);
+        assert_eq!(retries, vec![1]);
+        assert!(healed.checkpoints_taken > 0, "a live plan checkpoints");
+        let healed_parents: Vec<Vec<u64>> = healed
+            .result
+            .expect("the retry heals")
+            .into_iter()
+            .map(|o| o.parents)
+            .collect();
+        assert_eq!(healed_parents, clean_parents);
+        assert!(session
+            .cluster()
+            .fault_log()
+            .iter()
+            .all(|f| !f.op.starts_with("prep.")));
+
+        // No budget left: quarantined with the attempt count.
+        session.cluster().fault_plan().inject([panic_at_start()]);
+        let lost = session.run_root(1, 0, &mut |_| panic!("no budget, no retry"));
+        let q = lost.result.expect_err("budget exhausted");
+        assert_eq!((lost.attempts, q.label), (1, "rank_failure"));
+        assert!(q.detail.contains("rank 1: injected panic"), "{q:?}");
     }
 
     fn temp_store(tag: &str) -> std::path::PathBuf {

@@ -230,9 +230,7 @@ fn main() {
         for q in &report.faults.quarantined {
             println!(
                 "  quarantined root {:>8}: {} ({})",
-                q.root,
-                q.reason.label(),
-                q.reason.detail()
+                q.root, q.reason.label, q.reason.detail
             );
         }
     }

@@ -60,12 +60,16 @@ timeout 600 cargo test -q --test checkpoint_resume --test recovery_env
 
 # Smoke: an injected bitflip on a live runner invocation must be healed
 # at the exchange layer and surface as a retransmit in the JSON report.
+# The campaign addresses traversal collectives (docs/FAULTS.md): op 0 is
+# the engine's setup allreduce (`heur.totals`), which always carries a
+# payload — whatever the root, scale or direction heuristic.
 echo "==> fault-plan smoke (graph500_runner --json)"
 SMOKE_JSON="$(mktemp)"
-SUNBFS_FAULT_PLAN="corrupt@1:3:bitflip" timeout 300 \
+SUNBFS_FAULT_PLAN="corrupt@1:0:bitflip" timeout 300 \
     cargo run -q --release --example graph500_runner -- 9 4 256 64 1 --json "$SMOKE_JSON" \
     > /dev/null
 grep -Eq '"retransmits": *[1-9]' "$SMOKE_JSON"
+grep -Eq '"op": *"heur.totals"' "$SMOKE_JSON"
 grep -Eq '"schema_version": *10' "$SMOKE_JSON"
 rm -f "$SMOKE_JSON"
 
@@ -110,12 +114,17 @@ timeout 300 cargo test -q -p sunbfs-store
 timeout 600 cargo test -q --release --test store_session
 
 # Smoke: SCALE 14 save -> load through the runner. The warm run must
-# open the saved file (never rebuild) and its open wall time must beat
-# the cold run's build wall time.
+# open the saved file (never rebuild), its open wall time must beat the
+# cold run's build wall time, and where the partition came from must
+# not show in the headline: the plain, cold and warm harmonic means are
+# the same string.
 echo "==> store save/load smoke (graph500_runner)"
 STORE_FILE="$(mktemp -u).sbfs"
+PLAIN_JSON="$(mktemp)"
 COLD_JSON="$(mktemp)"
 WARM_JSON="$(mktemp)"
+timeout 600 cargo run -q --release --example graph500_runner -- 14 16 256 64 2 \
+    --json "$PLAIN_JSON" > /dev/null
 timeout 600 cargo run -q --release --example graph500_runner -- 14 16 256 64 2 \
     --json "$COLD_JSON" --save-graph "$STORE_FILE" > /dev/null
 timeout 600 cargo run -q --release --example graph500_runner -- 14 16 256 64 2 \
@@ -127,7 +136,14 @@ COLD_S=$(grep -o '"cold_build_wall_seconds": *[0-9.e-]*' "$COLD_JSON" | grep -o 
 WARM_S=$(grep -o '"warm_open_wall_seconds": *[0-9.e-]*' "$WARM_JSON" | grep -o '[0-9.e-]*$')
 awk -v cold="$COLD_S" -v warm="$WARM_S" \
     'BEGIN { if (!(warm + 0 < cold + 0)) { print "warm open (" warm "s) not faster than cold build (" cold "s)"; exit 1 } }'
-rm -f "$STORE_FILE" "$COLD_JSON" "$WARM_JSON"
+PLAIN_HMEAN=$(grep -o '"harmonic_mean_gteps": *[0-9.eE+-]*' "$PLAIN_JSON")
+COLD_HMEAN=$(grep -o '"harmonic_mean_gteps": *[0-9.eE+-]*' "$COLD_JSON")
+WARM_HMEAN=$(grep -o '"harmonic_mean_gteps": *[0-9.eE+-]*' "$WARM_JSON")
+if [ -z "$PLAIN_HMEAN" ] || [ "$COLD_HMEAN" != "$PLAIN_HMEAN" ] || [ "$WARM_HMEAN" != "$PLAIN_HMEAN" ]; then
+    echo "store smoke: harmonic means differ (plain '$PLAIN_HMEAN', cold '$COLD_HMEAN', warm '$WARM_HMEAN')"
+    exit 1
+fi
+rm -f "$STORE_FILE" "$PLAIN_JSON" "$COLD_JSON" "$WARM_JSON"
 
 # Smoke: the bfs_server stdin protocol answers with well-formed JSON —
 # a load acknowledgment, per-query results, and a stats reply carrying

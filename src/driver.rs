@@ -2,26 +2,25 @@
 //!
 //! Reproduces the paper's measurement procedure (§6.1): generate an
 //! R-MAT graph at a given SCALE, build the 1.5D partition on a mesh of
-//! simulated ranks, traverse from a set of random roots ("64 random
-//! roots" at full scale; fewer at laptop scale), validate every parent
-//! tree against the specification, and report TEPS statistics with the
-//! harmonic mean the benchmark mandates.
+//! simulated ranks — once, as a resident [`GraphSession`] — traverse
+//! from a set of random roots ("64 random roots" at full scale; fewer
+//! at laptop scale), validate every parent tree against the
+//! specification, and report TEPS statistics with the harmonic mean the
+//! benchmark mandates.
 
 use std::fmt;
+use std::path::Path;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sunbfs_common::{pool, Edge, MachineConfig, TimeAccumulator};
-use sunbfs_core::validate::{self, ValidationError};
-use sunbfs_core::{
-    run_bfs_recoverable, BfsOutput, CheckpointStore, EngineConfig, EngineError, IterationStats,
-};
-use sunbfs_net::{
-    Cluster, CommStats, FaultPlan, FaultRecord, MeshShape, RankFailure, RetransmitRecord,
-};
-use sunbfs_part::{build_1p5d, ComponentStats, Thresholds};
+use sunbfs_core::{validate, EngineConfig, IterationStats};
+use sunbfs_net::{CommStats, FaultPlan, FaultRecord, MeshShape, RetransmitRecord};
+use sunbfs_part::{ComponentStats, Thresholds};
 use sunbfs_rmat::RmatParams;
 use sunbfs_serve::{
-    BfsService, GraphSession, QueryStatus, ServeConfig, ServeReport, SessionConfig, StoreActivity,
+    BfsService, GraphSession, Quarantine, QueryResult, QueryStatus, RootTraversal, ServeConfig,
+    ServeReport, SessionConfig, SessionError, StoreActivity,
 };
 
 /// Everything one benchmark run needs.
@@ -50,20 +49,19 @@ pub struct RunConfig {
     /// disables injection). Overridable at run time via the
     /// `SUNBFS_FAULT_PLAN` environment variable.
     pub faults: FaultSpec,
-    /// How many times a root whose SPMD phase lost a rank is retried
+    /// How many times a root whose traversal lost a rank is retried
     /// (with backoff) before it is quarantined.
     pub max_root_retries: u32,
     /// Route the benchmark's roots through the serve layer's
-    /// bit-parallel multi-source batch path (one resident partition,
-    /// up to 64 roots per traversal) instead of the per-root loop.
+    /// bit-parallel multi-source batch path (up to 64 roots per
+    /// traversal) instead of the per-root loop.
     pub serve_batch: bool,
     /// With `serve_batch`, also measure the sequential single-source
     /// baseline over the same roots and record the comparison in the
     /// report's `serve` section.
     pub serve_baseline: bool,
     /// Write the built partition to this persistent-store path after
-    /// the session load (routes the run through the serve session even
-    /// without `serve_batch`).
+    /// the session load.
     pub save_graph: Option<String>,
     /// Open the partition from this persistent-store path instead of
     /// rebuilding (building and saving it first when the file is
@@ -230,38 +228,23 @@ impl RunConfigBuilder {
     }
 }
 
-/// A traversal or validation failure surfaced by [`run_benchmark`] as a
-/// diagnosable error instead of a rank-local abort.
+/// A failure of the benchmark as a whole, surfaced by [`run_benchmark`]
+/// as a diagnosable error. Per-root failures never end up here: they
+/// quarantine the root ([`FaultReport::quarantined`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DriverError {
-    /// The BFS engine itself failed (e.g. non-termination on a broken
-    /// partition) — replicated across ranks, so the whole SPMD phase
-    /// returns it coherently.
-    Engine(EngineError),
-    /// A parent tree failed Graph 500 validation.
-    Validation {
-        /// The root whose traversal failed validation.
-        root: u64,
-        /// The specification rule that was violated.
-        error: ValidationError,
-    },
     /// The generator probe found no vertex with nonzero degree to use
     /// as a BFS root (degenerate graph or probe window).
     NoConnectedRoot,
     /// The `SUNBFS_FAULT_PLAN` environment variable did not parse.
     InvalidFaultPlan(String),
-    /// The serve path could not build its resident graph session
-    /// (every load attempt lost a rank).
+    /// The resident graph session could not be built, opened or saved.
     SessionLoad(String),
 }
 
 impl fmt::Display for DriverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DriverError::Engine(e) => write!(f, "engine failure: {e}"),
-            DriverError::Validation { root, error } => {
-                write!(f, "Graph 500 validation failed for root {root}: {error:?}")
-            }
             DriverError::NoConnectedRoot => {
                 write!(
                     f,
@@ -272,7 +255,7 @@ impl fmt::Display for DriverError {
                 write!(f, "invalid SUNBFS_FAULT_PLAN: {e}")
             }
             DriverError::SessionLoad(e) => {
-                write!(f, "serve session load failed: {e}")
+                write!(f, "graph session load failed: {e}")
             }
         }
     }
@@ -280,68 +263,21 @@ impl fmt::Display for DriverError {
 
 impl std::error::Error for DriverError {}
 
-impl From<EngineError> for DriverError {
-    fn from(e: EngineError) -> Self {
-        DriverError::Engine(e)
+impl From<SessionError> for DriverError {
+    fn from(e: SessionError) -> Self {
+        DriverError::SessionLoad(e.to_string())
     }
 }
 
-/// Why a root was dropped from the TEPS statistics instead of aborting
-/// the whole benchmark.
-#[derive(Clone, Debug)]
-pub enum QuarantineReason {
-    /// The engine returned a (replicated) error for this root.
-    Engine(EngineError),
-    /// The parent tree failed Graph 500 validation.
-    Validation(ValidationError),
-    /// The SPMD phase kept losing ranks; every retry was consumed.
-    RankFailure {
-        /// Total attempts made (initial run + retries).
-        attempts: u32,
-        /// The rank failures observed on the final attempt.
-        failures: Vec<RankFailure>,
-    },
-    /// The serve layer's batch/fallback pipeline quarantined the query
-    /// (its own label and detail carried through).
-    Serve(sunbfs_serve::Quarantine),
-}
-
-impl QuarantineReason {
-    /// Stable label used in messages and JSON.
-    pub fn label(&self) -> &'static str {
-        match self {
-            QuarantineReason::Engine(_) => "engine",
-            QuarantineReason::Validation(_) => "validation",
-            QuarantineReason::RankFailure { .. } => "rank_failure",
-            QuarantineReason::Serve(q) => q.label,
-        }
-    }
-
-    /// Human-readable detail string for logs and JSON.
-    pub fn detail(&self) -> String {
-        match self {
-            QuarantineReason::Engine(e) => e.to_string(),
-            QuarantineReason::Validation(e) => format!("{e:?}"),
-            QuarantineReason::RankFailure { attempts, failures } => {
-                let named: Vec<String> = failures
-                    .iter()
-                    .filter(|f| f.is_root_cause())
-                    .map(|f| f.to_string())
-                    .collect();
-                format!("{} attempts exhausted: {}", attempts, named.join("; "))
-            }
-            QuarantineReason::Serve(q) => q.detail.clone(),
-        }
-    }
-}
-
-/// A root excluded from the report's TEPS statistics, with its reason.
+/// A root excluded from the report's TEPS statistics, with its reason:
+/// the session's own label and detail (`engine`, `rank_failure`, `tree`)
+/// or the driver's `validation`.
 #[derive(Clone, Debug)]
 pub struct QuarantinedRoot {
     /// The quarantined root vertex.
     pub root: u64,
     /// Why it was quarantined.
-    pub reason: QuarantineReason,
+    pub reason: Quarantine,
 }
 
 /// Per-root bookkeeping of the retry loop, in root order.
@@ -349,7 +285,7 @@ pub struct QuarantinedRoot {
 pub struct RootOutcome {
     /// The root vertex.
     pub root: u64,
-    /// SPMD attempts spent on this root (1 = clean first run).
+    /// Traversal attempts spent on this root (1 = clean first run).
     pub attempts: u32,
     /// True when the root ended up quarantined.
     pub quarantined: bool,
@@ -391,7 +327,7 @@ pub struct FaultReport {
     pub outcomes: Vec<RootOutcome>,
     /// Roots excluded from the statistics.
     pub quarantined: Vec<QuarantinedRoot>,
-    /// Total SPMD retries across all roots.
+    /// Total traversal retries across all roots.
     pub total_retries: u64,
 }
 
@@ -404,12 +340,14 @@ impl FaultReport {
 }
 
 /// Results of one root's traversal, aggregated over ranks.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RootRun {
     /// The root vertex.
     pub root: u64,
     /// Simulated traversal seconds (max over ranks — they finish
-    /// together at the final collective).
+    /// together at the final collective). A batched rider's is its
+    /// *batch's* simulated time — up to 64 riders share it — so GTEPS
+    /// per root on a `serve_batch` run is a service-level number.
     pub sim_seconds: f64,
     /// Graph 500 `m` for this root: the spec-conformant
     /// [`validate::component_edges`] count when validation ran,
@@ -423,7 +361,9 @@ pub struct RootRun {
     pub visited_vertices: u64,
     /// Giga-TEPS on the simulated machine (from `traversed_edges`).
     pub gteps: f64,
-    /// Iteration series (identical replicated counters from rank 0).
+    /// Iteration series (identical replicated counters from rank 0;
+    /// every `end_op` counts from this traversal's first collective).
+    /// Empty for a batched rider.
     pub iterations: Vec<IterationStats>,
     /// Per-category simulated time summed over ranks (for breakdowns).
     pub times: TimeAccumulator,
@@ -447,8 +387,9 @@ pub struct WallClockReport {
     /// Wall-clock seconds of the whole benchmark (generation,
     /// partitioning, traversals, validation, reporting).
     pub total_seconds: f64,
-    /// Wall-clock seconds inside the SPMD phases (partition build +
-    /// BFS traversals) — the part the worker pool accelerates.
+    /// Wall-clock seconds inside the SPMD phases (the one partition
+    /// build or store open, plus the BFS traversals) — the part the
+    /// worker pool accelerates.
     pub bfs_seconds: f64,
     /// Traversed edges summed over surviving roots (numerator of
     /// `edges_per_second`).
@@ -495,7 +436,7 @@ pub struct BenchmarkReport {
     /// Retransmit and checkpoint/resume bookkeeping.
     pub recovery: RecoveryReport,
     /// Serve-layer observability when the roots went through the batch
-    /// path (`None` on the classic per-root driver loop).
+    /// path (`None` on the per-root loop, store-only runs included).
     pub serve: Option<ServeReport>,
     /// Persistent-store activity when the run saved or opened a graph
     /// file (`None` when no store path was involved).
@@ -564,35 +505,92 @@ pub fn pick_roots(params: &RmatParams, k: usize) -> Result<Vec<u64>, DriverError
     Ok(roots)
 }
 
-/// Fold one all-ranks-Ok SPMD batch into root-major storage.
-///
-/// `indices[bi]` is the global root index of the batch's `bi`-th root.
-/// Engine failure is replicated state — every rank reports the same
-/// error — so collecting across ranks loses nothing.
-fn fold_batch(
-    rank_results: Vec<(ComponentStats, Vec<Result<BfsOutput, EngineError>>)>,
-    indices: &[usize],
-    data: &mut [Option<Result<Vec<BfsOutput>, QuarantineReason>>],
-    partition_stats: &mut Option<Vec<ComponentStats>>,
-) {
-    if partition_stats.is_none() {
-        *partition_stats = Some(rank_results.iter().map(|(s, _)| *s).collect());
-    }
-    // Transpose rank-major results to root-major.
-    let mut per_root: Vec<Vec<Result<BfsOutput, EngineError>>> =
-        (0..indices.len()).map(|_| Vec::new()).collect();
-    for (_, outputs) in rank_results {
-        for (bi, out) in outputs.into_iter().enumerate() {
-            per_root[bi].push(out);
+/// One root's traversal before validation: what it cost and — when it
+/// completed — its [`RootRun`] (`traversed_edges` still the engine's
+/// estimate, `gteps` unset) with the global parent array to validate.
+struct RootRecord {
+    root: u64,
+    attempts: u32,
+    iterations_salvaged: u32,
+    checkpoints_taken: u64,
+    result: Result<(RootRun, Arc<Vec<u64>>), Quarantine>,
+}
+
+impl RootRecord {
+    /// The per-root loop's record: every rank's output folded into one
+    /// run (ranks own consecutive vertex blocks, so the global parent
+    /// array is the rank slices in rank order).
+    fn from_traversal(root: u64, t: RootTraversal) -> Self {
+        let result = t.result.map(|mut per_rank| {
+            let parents = per_rank.iter().flat_map(|o| o.parents.iter().copied());
+            let parents: Arc<Vec<u64>> = Arc::new(parents.collect());
+            let mut times = TimeAccumulator::new();
+            let mut comm = CommStats::new();
+            let mut sim_seconds = 0.0f64;
+            for out in &per_rank {
+                times.merge(&out.stats.times);
+                comm.merge(&out.stats.comm);
+                sim_seconds = sim_seconds.max(out.stats.sim_seconds);
+            }
+            // Replicated counters: rank 0 speaks for all.
+            let stats = per_rank.swap_remove(0).stats;
+            let run = RootRun {
+                root,
+                sim_seconds,
+                traversed_edges: stats.traversed_edges,
+                engine_traversed_edges: stats.traversed_edges,
+                visited_vertices: stats.visited_vertices,
+                gteps: 0.0,
+                iterations: stats.iterations,
+                times,
+                comm,
+            };
+            (run, parents)
+        });
+        RootRecord {
+            root,
+            attempts: t.attempts,
+            iterations_salvaged: t.iterations_salvaged,
+            checkpoints_taken: t.checkpoints_taken,
+            result,
         }
     }
-    for (bi, outs) in per_root.into_iter().enumerate() {
-        let folded: Result<Vec<BfsOutput>, EngineError> = outs.into_iter().collect();
-        data[indices[bi]] = Some(folded.map_err(QuarantineReason::Engine));
+
+    /// The service drain's record: one query result. The service does
+    /// its own retrying (per-rider fallback) and reports no per-level
+    /// series, so a rider is one attempt with empty `iterations`.
+    fn from_query(r: QueryResult) -> Self {
+        let result = match (r.status, r.parents) {
+            (QueryStatus::Quarantined(q), _) => Err(q),
+            (QueryStatus::Served, Some(parents)) => Ok((
+                RootRun {
+                    root: r.root,
+                    sim_seconds: r.sim_latency_s,
+                    traversed_edges: r.engine_traversed_edges,
+                    engine_traversed_edges: r.engine_traversed_edges,
+                    visited_vertices: r.visited,
+                    ..RootRun::default()
+                },
+                parents,
+            )),
+            (QueryStatus::Served, None) => unreachable!("served queries carry a parent handle"),
+            (QueryStatus::DeadlineExceeded { .. }, _) => {
+                unreachable!("driver queries carry no deadline budget")
+            }
+        };
+        RootRecord {
+            root: r.root,
+            attempts: 1,
+            iterations_salvaged: 0,
+            checkpoints_taken: 0,
+            result,
+        }
     }
 }
 
-/// Run the complete benchmark pipeline.
+/// Run the complete benchmark pipeline: obtain one resident
+/// [`GraphSession`] (built, or opened from `load_graph`; saved to
+/// `save_graph`), run every root on it, validate, report.
 ///
 /// Fault containment: a root whose traversal fails — injected rank
 /// failure (after `max_root_retries` retries with backoff), replicated
@@ -601,17 +599,25 @@ fn fold_batch(
 /// degraded: its TEPS statistics cover the surviving roots and
 /// [`BenchmarkReport::faults`] records what happened.
 ///
-/// Two self-healing layers run underneath the retry loop: corrupted
-/// exchange payloads are detected and retransmitted inside the
-/// collectives (so corruption normally never costs an attempt), and
-/// every completed BFS iteration is checkpointed so a retried root
-/// resumes from its last verified checkpoint instead of re-traversing
-/// from scratch — [`BenchmarkReport::recovery`] accounts for both.
+/// Two self-healing layers run underneath the retry loop
+/// ([`GraphSession::run_root`]): corrupted exchange payloads are
+/// detected and retransmitted inside the collectives (so corruption
+/// normally never costs an attempt), and under a fault campaign every
+/// completed BFS iteration is checkpointed so a retried root resumes
+/// from its last verified checkpoint instead of re-traversing from
+/// scratch — [`BenchmarkReport::recovery`] accounts for both.
+///
+/// A fault campaign (`SUNBFS_FAULT_PLAN`, else [`RunConfig::faults`])
+/// addresses *traversals*: the session loads fault-free and the
+/// campaign is armed on the resident cluster afterwards, so `op_index`
+/// counts a traversal's collectives and a retried or quarantined root
+/// costs traversals, never a rebuild.
 ///
 /// # Errors
-/// Returns [`DriverError::NoConnectedRoot`] when no usable root exists
-/// and [`DriverError::InvalidFaultPlan`] when `SUNBFS_FAULT_PLAN` is
-/// set but unparseable. Per-root failures never surface here.
+/// Returns [`DriverError::NoConnectedRoot`] when no usable root exists,
+/// [`DriverError::InvalidFaultPlan`] when `SUNBFS_FAULT_PLAN` is set but
+/// unparseable, and [`DriverError::SessionLoad`] when the session cannot
+/// be built, opened or saved. Per-root failures never surface here.
 pub fn run_benchmark(config: &RunConfig) -> Result<BenchmarkReport, DriverError> {
     run_benchmark_with_sleeper(config, &mut std::thread::sleep)
 }
@@ -624,224 +630,13 @@ pub fn run_benchmark_with_sleeper(
     sleep: &mut dyn FnMut(Duration),
 ) -> Result<BenchmarkReport, DriverError> {
     let wall_start = Instant::now();
-    let params = config.rmat();
-    let n = params.num_vertices();
-    let p = config.mesh.num_ranks() as u64;
-    let roots = pick_roots(&params, config.num_roots)?;
+    let roots = pick_roots(&config.rmat(), config.num_roots)?;
     let plan = match FaultPlan::from_env() {
         Err(e) => return Err(DriverError::InvalidFaultPlan(e)),
         Ok(Some(plan)) => plan,
         Ok(None) => FaultPlan::generate(&config.faults, config.mesh.num_ranks()),
     };
-    if config.serve_batch || config.save_graph.is_some() || config.load_graph.is_some() {
-        return run_benchmark_serve(config, &roots, plan, wall_start);
-    }
-    let fault_free = plan.is_empty();
-    let cluster = Cluster::with_faults(config.mesh, config.machine, plan);
 
-    // One SPMD pass over a batch of roots: each rank generates its
-    // chunk, builds the partition, traverses every root in the batch.
-    // A root's engine error does NOT short-circuit the batch — the
-    // error is replicated, collectives stay in lock-step, and the
-    // remaining roots still run.
-    let bfs_wall = std::cell::Cell::new(0.0f64);
-    let spmd = |batch: &[u64], checkpoints: Option<&CheckpointStore>| {
-        let t = Instant::now();
-        let out = cluster.run_fallible(|ctx| {
-            let chunk = sunbfs_rmat::generate_chunk(&params, ctx.rank() as u64, p);
-            let part = build_1p5d(ctx, n, &chunk, config.thresholds);
-            drop(chunk);
-            let outputs: Vec<Result<BfsOutput, EngineError>> = batch
-                .iter()
-                .map(|&root| run_bfs_recoverable(ctx, &part, root, &config.engine, checkpoints))
-                .collect();
-            (part.stats, outputs)
-        });
-        bfs_wall.set(bfs_wall.get() + t.elapsed().as_secs_f64());
-        out
-    };
-
-    let mut data: Vec<Option<Result<Vec<BfsOutput>, QuarantineReason>>> =
-        (0..roots.len()).map(|_| None).collect();
-    let mut attempts: Vec<u32> = vec![0; roots.len()];
-    let mut salvaged: Vec<u32> = vec![0; roots.len()];
-    let mut checkpoints_taken = 0u64;
-    let mut partition_stats: Option<Vec<ComponentStats>> = None;
-    let mut total_retries = 0u64;
-    let mut pending: Vec<usize> = (0..roots.len()).collect();
-
-    // Fast path: nothing planned — all roots in one SPMD phase, one
-    // partition build, no checkpointing overhead. A rank failure here
-    // (an SPMD bug surfacing at run time, not an injection) falls
-    // through to the containment loop with this batch charged as every
-    // root's first attempt.
-    if fault_free {
-        let res = spmd(&roots, None);
-        if res.iter().all(Result::is_ok) {
-            let rank_results = res.into_iter().map(|r| r.unwrap()).collect();
-            fold_batch(rank_results, &pending, &mut data, &mut partition_stats);
-            pending.clear();
-        }
-        for a in attempts.iter_mut() {
-            *a = 1;
-        }
-    }
-
-    // Containment path: one root at a time so a lost rank only costs
-    // that root's attempt. Bounded retry with exponential backoff —
-    // injected faults fire at most once per cluster lifetime, so a
-    // retry on the healed cluster exercises the transient-fault model.
-    // Each attempt checkpoints every completed iteration into the
-    // root's store, and a retry resumes from the last verified common
-    // checkpoint instead of restarting the root from scratch.
-    for ri in pending {
-        let root = roots[ri];
-        let budget = 1 + config.max_root_retries;
-        let store = CheckpointStore::new(config.mesh.num_ranks());
-        loop {
-            attempts[ri] += 1;
-            // What this attempt inherits: the iterations it will NOT
-            // re-run. Zero on the first attempt (empty store).
-            salvaged[ri] = store.common_iter().unwrap_or(0);
-            let mut oks = Vec::new();
-            let mut failures = Vec::new();
-            for r in spmd(std::slice::from_ref(&root), Some(&store)) {
-                match r {
-                    Ok(v) => oks.push(v),
-                    Err(f) => failures.push(f),
-                }
-            }
-            if failures.is_empty() {
-                fold_batch(oks, &[ri], &mut data, &mut partition_stats);
-                break;
-            }
-            if attempts[ri] >= budget {
-                data[ri] = Some(Err(QuarantineReason::RankFailure {
-                    attempts: attempts[ri],
-                    failures,
-                }));
-                break;
-            }
-            total_retries += 1;
-            sleep(Duration::from_millis(1u64 << attempts[ri].min(6)));
-        }
-        checkpoints_taken += store.saves();
-    }
-
-    // Aggregation and validation. A validation failure quarantines the
-    // root rather than aborting: the report stays complete.
-    let full_edges: Option<Vec<Edge>> = config
-        .validate
-        .then(|| sunbfs_rmat::generate_edges(&params));
-    let mut runs = Vec::with_capacity(roots.len());
-    let mut quarantined = Vec::new();
-    let mut outcomes = Vec::with_capacity(roots.len());
-    for (ri, &root) in roots.iter().enumerate() {
-        let quarantine = |reason: QuarantineReason, quarantined: &mut Vec<QuarantinedRoot>| {
-            quarantined.push(QuarantinedRoot { root, reason });
-            RootOutcome {
-                root,
-                attempts: attempts[ri],
-                quarantined: true,
-                iterations_salvaged: salvaged[ri],
-            }
-        };
-        let per_rank: Vec<BfsOutput> = match data[ri].take().expect("every root resolved") {
-            Err(reason) => {
-                let o = quarantine(reason, &mut quarantined);
-                outcomes.push(o);
-                continue;
-            }
-            Ok(v) => v,
-        };
-        let mut times = TimeAccumulator::new();
-        let mut comm = CommStats::new();
-        let mut sim_seconds = 0.0f64;
-        for out in &per_rank {
-            times.merge(&out.stats.times);
-            comm.merge(&out.stats.comm);
-            sim_seconds = sim_seconds.max(out.stats.sim_seconds);
-        }
-        let stats0 = &per_rank[0].stats;
-        let engine_traversed_edges = stats0.traversed_edges;
-        // Spec-conformant TEPS `m`: duplicate generator edges count
-        // once. Only computable with the full edge list on the driver,
-        // so fall back to the engine's estimate when not validating.
-        let mut traversed_edges = engine_traversed_edges;
-        if let Some(edges) = &full_edges {
-            let parents: Vec<u64> = per_rank
-                .iter()
-                .flat_map(|o| o.parents.iter().copied())
-                .collect();
-            if let Err(error) = validate::validate_parents(n, edges, root, &parents) {
-                let o = quarantine(QuarantineReason::Validation(error), &mut quarantined);
-                outcomes.push(o);
-                continue;
-            }
-            traversed_edges = validate::component_edges(edges, &parents);
-        }
-        runs.push(RootRun {
-            root,
-            sim_seconds,
-            traversed_edges,
-            engine_traversed_edges,
-            visited_vertices: stats0.visited_vertices,
-            gteps: if sim_seconds > 0.0 {
-                traversed_edges as f64 / sim_seconds / 1e9
-            } else {
-                0.0
-            },
-            iterations: stats0.iterations.clone(),
-            times,
-            comm,
-        });
-        outcomes.push(RootOutcome {
-            root,
-            attempts: attempts[ri],
-            quarantined: false,
-            iterations_salvaged: salvaged[ri],
-        });
-    }
-    let iterations_salvaged = outcomes.iter().map(|o| o.iterations_salvaged as u64).sum();
-    let faults = FaultReport {
-        injected: cluster.fault_log(),
-        outcomes,
-        quarantined,
-        total_retries,
-    };
-    let recovery = RecoveryReport {
-        retransmit_log: cluster.retransmit_log(),
-        checkpoints_taken,
-        iterations_salvaged,
-    };
-    let wall = WallClockReport::new(wall_start.elapsed().as_secs_f64(), bfs_wall.get(), &runs);
-    Ok(BenchmarkReport {
-        config: config.clone(),
-        partition_stats: partition_stats.unwrap_or_default(),
-        runs,
-        validated: full_edges.is_some() && faults.quarantined.is_empty(),
-        faults,
-        recovery,
-        serve: None,
-        store: None,
-        wall,
-    })
-}
-
-/// The serve-path benchmark: load one resident session, submit every
-/// root to the [`BfsService`], drain, and translate the per-query
-/// results into the classic report shape (plus the `serve` section).
-///
-/// Per-query latency semantics: a batched rider's `sim_seconds` is its
-/// *batch's* simulated time — the whole point is that up to 64 riders
-/// share it. GTEPS per root is therefore a service-level number, not
-/// comparable 1:1 with the per-root loop's.
-fn run_benchmark_serve(
-    config: &RunConfig,
-    roots: &[u64],
-    plan: FaultPlan,
-    wall_start: Instant,
-) -> Result<BenchmarkReport, DriverError> {
     let session_cfg = SessionConfig {
         scale: config.scale,
         edge_factor: config.edge_factor,
@@ -852,13 +647,12 @@ fn run_benchmark_serve(
         seed: config.seed,
         max_load_attempts: 1 + config.max_root_retries,
     };
-    let bfs_wall_start = Instant::now();
+    let load_start = Instant::now();
     let mut session = match &config.load_graph {
-        Some(path) => GraphSession::open_or_build(std::path::Path::new(path), session_cfg, plan)
-            .map_err(|e| DriverError::SessionLoad(e.to_string()))?,
-        None => GraphSession::load(session_cfg, plan)
-            .map_err(|e| DriverError::SessionLoad(e.to_string()))?,
+        Some(path) => GraphSession::open_or_build(Path::new(path), session_cfg, FaultPlan::none())?,
+        None => GraphSession::load(session_cfg, FaultPlan::none()).map_err(SessionError::Load)?,
     };
+    let mut bfs_seconds = load_start.elapsed().as_secs_f64();
     if let Some(path) = &config.save_graph {
         // open_or_build may already have written this exact file on its
         // build branch — don't pay the encode twice.
@@ -867,130 +661,119 @@ fn run_benchmark_serve(
             .as_ref()
             .is_some_and(|s| s.saved && s.path == *path);
         if !already {
-            session
-                .save(std::path::Path::new(path))
-                .map_err(|e| DriverError::SessionLoad(e.to_string()))?;
+            session.save(Path::new(path))?;
         }
     }
-    let store_activity = session.store.clone();
-    let n = session.num_vertices();
-    let partition_stats = session.partition_stats.clone();
-    let mut service = BfsService::new(
-        session,
-        ServeConfig {
-            queue_capacity: roots.len().max(1),
-            // A store-only run (save/load without --serve) keeps the
-            // classic one-root-per-traversal semantics.
-            batch_max: if config.serve_batch {
-                ServeConfig::default().batch_max
-            } else {
-                1
-            },
-            max_root_retries: config.max_root_retries,
-            measure_baseline: config.serve_baseline,
-            ..ServeConfig::default()
-        },
-    );
-    for &root in roots {
-        service
-            .submit(root)
-            .expect("capacity covers every root and pick_roots yields in-range roots");
-    }
-    let mut results = service.drain();
-    results.sort_by_key(|r| r.id);
-    let bfs_wall = bfs_wall_start.elapsed().as_secs_f64();
+    // Armed between runs, after the load: the campaign's `op_index`
+    // addresses traversal collectives (an empty campaign arms nothing
+    // and leaves payload framing off).
+    session
+        .cluster()
+        .fault_plan()
+        .inject(plan.events().iter().copied());
 
+    // `serve_batch` only swaps how the per-root records are produced:
+    // a service drain instead of the per-root loop.
+    let traversals_start = Instant::now();
+    let mut serve = None;
+    let records: Vec<RootRecord>;
+    let session = if config.serve_batch {
+        let mut service = BfsService::new(
+            session,
+            ServeConfig {
+                queue_capacity: roots.len().max(1),
+                max_root_retries: config.max_root_retries,
+                measure_baseline: config.serve_baseline,
+                ..ServeConfig::default()
+            },
+        );
+        for &root in &roots {
+            service
+                .submit(root)
+                .expect("capacity covers every root and pick_roots yields in-range roots");
+        }
+        let mut results = service.drain();
+        results.sort_by_key(|r| r.id);
+        records = results.into_iter().map(RootRecord::from_query).collect();
+        serve = Some(service.report());
+        service.into_session()
+    } else {
+        let mut backoff = |attempts: u32| sleep(Duration::from_millis(1u64 << attempts.min(6)));
+        records = roots
+            .iter()
+            .map(|&root| {
+                let t = session.run_root(root, config.max_root_retries, &mut backoff);
+                RootRecord::from_traversal(root, t)
+            })
+            .collect();
+        session
+    };
+    bfs_seconds += traversals_start.elapsed().as_secs_f64();
+
+    // Validation and aggregation. A validation failure quarantines the
+    // root rather than aborting: the report stays complete.
+    let n = session.num_vertices();
     let full_edges: Option<Vec<Edge>> = config
         .validate
         .then(|| sunbfs_rmat::generate_edges(&config.rmat()));
-    let mut runs = Vec::with_capacity(results.len());
-    let mut quarantined = Vec::new();
-    let mut outcomes = Vec::with_capacity(results.len());
-    for r in &results {
-        let push_quarantine = |reason: QuarantineReason, quarantined: &mut Vec<_>| {
-            quarantined.push(QuarantinedRoot {
-                root: r.root,
+    let mut runs = Vec::with_capacity(records.len());
+    let mut faults = FaultReport {
+        injected: session.cluster().fault_log(),
+        ..FaultReport::default()
+    };
+    let mut recovery = RecoveryReport {
+        retransmit_log: session.cluster().retransmit_log(),
+        ..RecoveryReport::default()
+    };
+    for rec in records {
+        let result = rec.result.and_then(|(mut run, parents)| {
+            // Spec-conformant TEPS `m`: duplicate generator edges count
+            // once. Only computable with the full edge list on the
+            // driver, so the engine's estimate stands when not validating.
+            if let Some(edges) = &full_edges {
+                validate::validate_parents(n, edges, run.root, &parents).map_err(|e| {
+                    Quarantine {
+                        label: "validation",
+                        detail: format!("{e:?}"),
+                    }
+                })?;
+                run.traversed_edges = validate::component_edges(edges, &parents);
+            }
+            if run.sim_seconds > 0.0 {
+                run.gteps = run.traversed_edges as f64 / run.sim_seconds / 1e9;
+            }
+            Ok(run)
+        });
+        faults.outcomes.push(RootOutcome {
+            root: rec.root,
+            attempts: rec.attempts,
+            quarantined: result.is_err(),
+            iterations_salvaged: rec.iterations_salvaged,
+        });
+        faults.total_retries += u64::from(rec.attempts - 1);
+        recovery.checkpoints_taken += rec.checkpoints_taken;
+        recovery.iterations_salvaged += u64::from(rec.iterations_salvaged);
+        match result {
+            Ok(run) => runs.push(run),
+            Err(reason) => faults.quarantined.push(QuarantinedRoot {
+                root: rec.root,
                 reason,
-            });
-            RootOutcome {
-                root: r.root,
-                attempts: 1,
-                quarantined: true,
-                iterations_salvaged: 0,
-            }
-        };
-        let parents = match (&r.status, &r.parents) {
-            (QueryStatus::Quarantined(q), _) => {
-                let o = push_quarantine(QuarantineReason::Serve(q.clone()), &mut quarantined);
-                outcomes.push(o);
-                continue;
-            }
-            (QueryStatus::Served, Some(parents)) => parents,
-            (QueryStatus::Served, None) => unreachable!("served queries carry a parent handle"),
-            (QueryStatus::DeadlineExceeded { .. }, _) => {
-                unreachable!("driver queries carry no deadline budget")
-            }
-        };
-        let engine_traversed_edges = r.engine_traversed_edges;
-        let mut traversed_edges = engine_traversed_edges;
-        if let Some(edges) = &full_edges {
-            if let Err(error) = validate::validate_parents(n, edges, r.root, parents) {
-                let o = push_quarantine(QuarantineReason::Validation(error), &mut quarantined);
-                outcomes.push(o);
-                continue;
-            }
-            traversed_edges = validate::component_edges(edges, parents);
+            }),
         }
-        runs.push(RootRun {
-            root: r.root,
-            sim_seconds: r.sim_latency_s,
-            traversed_edges,
-            engine_traversed_edges,
-            visited_vertices: r.visited,
-            gteps: if r.sim_latency_s > 0.0 {
-                traversed_edges as f64 / r.sim_latency_s / 1e9
-            } else {
-                0.0
-            },
-            iterations: Vec::new(),
-            times: TimeAccumulator::new(),
-            comm: CommStats::new(),
-        });
-        outcomes.push(RootOutcome {
-            root: r.root,
-            attempts: 1,
-            quarantined: false,
-            iterations_salvaged: 0,
-        });
     }
-    let faults = FaultReport {
-        injected: service.session().cluster().fault_log(),
-        outcomes,
-        quarantined,
-        total_retries: 0,
-    };
-    let recovery = RecoveryReport {
-        retransmit_log: service.session().cluster().retransmit_log(),
-        checkpoints_taken: 0,
-        iterations_salvaged: 0,
-    };
-    let wall = WallClockReport::new(wall_start.elapsed().as_secs_f64(), bfs_wall, &runs);
+    let wall = WallClockReport::new(wall_start.elapsed().as_secs_f64(), bfs_seconds, &runs);
     Ok(BenchmarkReport {
         config: config.clone(),
-        partition_stats,
+        partition_stats: session.partition_stats.clone(),
         runs,
-        validated: full_edges.is_some() && faults.quarantined.is_empty(),
+        validated: full_edges.is_some() && !faults.degraded(),
         faults,
         recovery,
-        serve: Some(service.report()),
-        store: store_activity,
+        serve,
+        store: session.store.clone(),
         wall,
     })
 }
-
-/// Re-exported so callers can name validation errors without another
-/// import path.
-pub type DriverValidationError = ValidationError;
 
 /// Re-exported so callers can configure fault campaigns without
 /// importing `sunbfs_net` directly.
@@ -1071,11 +854,6 @@ mod tests {
 
     #[test]
     fn driver_error_displays() {
-        let e = DriverError::Validation {
-            root: 7,
-            error: ValidationError::BadRoot,
-        };
-        assert!(e.to_string().contains("root 7"));
         assert!(DriverError::NoConnectedRoot
             .to_string()
             .contains("connected root"));
@@ -1136,8 +914,8 @@ mod tests {
         assert!(!report.validated, "a degraded report is never validated");
         assert!(!report.faults.quarantined.is_empty());
         let q = &report.faults.quarantined[0];
-        assert_eq!(q.reason.label(), "rank_failure");
-        assert!(q.reason.detail().contains("attempts exhausted"));
+        assert_eq!(q.reason.label, "rank_failure");
+        assert!(q.reason.detail.contains("attempts exhausted"));
         assert_eq!(
             report.runs.len() + report.faults.quarantined.len(),
             3,
@@ -1146,5 +924,15 @@ mod tests {
         for run in &report.runs {
             assert!(run.gteps > 0.0, "survivors still carry statistics");
         }
+        // One build per benchmark: retried and quarantined roots cost
+        // traversals — no fault ever fired in a partition-build
+        // (`prep.*`) collective, because none ran after the load.
+        assert!(report.faults.injected.len() >= 2);
+        assert!(report
+            .faults
+            .injected
+            .iter()
+            .all(|f| !f.op.starts_with("prep.")));
+        assert_eq!(report.partition_stats.len(), 4);
     }
 }

@@ -26,10 +26,14 @@
 //! * [`mutate`] — live graph mutations: the per-rank delta overlay,
 //!   epoch-versioned edge-insert batches, incremental BFS repair, and
 //!   delta-into-base compaction (`docs/UPDATES.md`),
-//! * [`serve`] — the BFS query service: a session-persistent partition
-//!   behind a bounded admission queue with multi-source batching,
-//! * [`driver`] — the end-to-end Graph 500 benchmark pipeline
-//!   (generate → partition → traverse × roots → validate → report).
+//! * [`serve`] — the session-persistent partition (build or open once,
+//!   traverse many) and the BFS query service on top of it: a bounded
+//!   admission queue with multi-source batching,
+//! * [`driver`] — the end-to-end Graph 500 benchmark pipeline: one
+//!   resident session, every root traversed on it, each tree validated,
+//!   one report. A root that fails — lost ranks past the retry budget,
+//!   an engine error, a failed validation — is quarantined in the
+//!   report, never an `Err`.
 //!
 //! ## Quickstart
 //!

@@ -181,8 +181,8 @@ fn faults_json(f: &FaultReport) -> JsonValue {
         .map(|q| {
             JsonValue::object()
                 .field("root", q.root)
-                .field("reason", q.reason.label())
-                .field("detail", q.reason.detail())
+                .field("reason", q.reason.label)
+                .field("detail", q.reason.detail.as_str())
                 .build()
         })
         .collect();

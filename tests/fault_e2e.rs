@@ -14,8 +14,8 @@ use sunbfs::rmat::{degrees, generate_chunk, generate_edges, RmatParams};
 use sunbfs_net::{Cluster, CorruptMode, FaultEvent, FaultKind, FaultPlan, MeshShape};
 
 /// A campaign guaranteed to hit root 0's first attempt: one panic at
-/// collective index 0, which every run reaches immediately in the
-/// partition build.
+/// collective index 0 — the first collective of the first traversal
+/// (campaigns are armed on the resident session, after the build).
 fn one_panic_at_start(seed: u64) -> FaultSpec {
     FaultSpec {
         seed,

@@ -40,6 +40,32 @@ fn quickstart_pipeline_validates() {
 }
 
 #[test]
+fn every_roots_end_op_counts_from_its_own_first_collective() {
+    // `IterationStats::end_op` is an index a fault plan can use
+    // (`panic@<rank>:<end_op>`), and a plan addresses one traversal's
+    // collectives — so the series must restart at every root instead
+    // of accumulating over the build and the earlier roots.
+    let mut cfg = base_config(10, 4);
+    cfg.num_roots = 3;
+    let report = run_benchmark(&cfg).expect("benchmark must pass");
+    assert_eq!(report.runs.len(), 3);
+    let last_of_root0 = report.runs[0].iterations.last().expect("iterations").end_op;
+    for run in &report.runs {
+        let first = run.iterations.first().expect("iterations").end_op;
+        assert!(
+            first <= last_of_root0,
+            "root {}: first-iteration end_op {first} is past root 0's last ({last_of_root0}) — \
+             the series is cumulative",
+            run.root
+        );
+        assert!(
+            run.iterations.windows(2).all(|w| w[0].end_op < w[1].end_op),
+            "end_op must still grow within one traversal"
+        );
+    }
+}
+
+#[test]
 fn every_mesh_shape_validates() {
     for (rows, cols) in [(1usize, 1usize), (1, 6), (6, 1), (2, 3), (3, 3)] {
         let mut cfg = base_config(10, rows * cols);

@@ -11,7 +11,6 @@ use sunbfs::driver::{run_benchmark, RunConfig};
 #[test]
 fn panic_at_an_iteration_boundary_resumes_and_salvages_completed_iterations() {
     let mut cfg = RunConfig::small_test(9, 4);
-    cfg.num_roots = 1;
     cfg.max_root_retries = 2;
 
     // Fault-free reference run: learn the iteration boundaries and the
@@ -26,7 +25,10 @@ fn panic_at_an_iteration_boundary_resumes_and_salvages_completed_iterations() {
         iters.len()
     );
     // Kill rank 2 just after iteration k completed (k = all but the
-    // last two, so the retry still has work left to do).
+    // last two, so the retry still has work left to do). `end_op`
+    // counts from the traversal's first collective and so does the
+    // plan's index: the fault fires in root 0's traversal, the first
+    // to reach it.
     let k = iters.len() - 2;
     let boundary = iters[k - 1].end_op;
 
@@ -44,6 +46,10 @@ fn panic_at_an_iteration_boundary_resumes_and_salvages_completed_iterations() {
         "the retry must inherit exactly the {k} checkpointed iterations"
     );
     assert_eq!(report.recovery.iterations_salvaged, k as u64);
+    assert!(
+        report.faults.outcomes[1..].iter().all(|o| o.attempts == 1),
+        "fire-once: the later roots run clean on the healed cluster"
+    );
     assert!(
         report.recovery.checkpoints_taken > 0,
         "both attempts checkpoint every completed iteration"
