@@ -1,6 +1,7 @@
-//! Golden-file test pinning the JSON metrics schema at SCALE 9.
+//! Golden-file tests pinning the JSON metrics schema at SCALE 9: the
+//! BENCH report and the three soak artifact families.
 //!
-//! The golden file records the *skeleton* of the report — every field
+//! The golden file records the *skeleton* of the document — every field
 //! path with its JSON type, arrays descended through their first
 //! element — not the values, so perf changes don't churn it but any
 //! schema change (added, removed, renamed, or retyped field) fails
@@ -35,9 +36,9 @@ fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{name}"))
 }
 
-fn check_against_golden(report: &sunbfs::driver::BenchmarkReport, name: &str) {
+fn check_against_golden(document: &JsonValue, name: &str) {
     let mut lines = Vec::new();
-    skeleton(&report.to_json(), "$", &mut lines);
+    skeleton(document, "$", &mut lines);
     let got = lines.join("\n") + "\n";
 
     let path = golden_path(name);
@@ -74,7 +75,7 @@ fn check_against_golden(report: &sunbfs::driver::BenchmarkReport, name: &str) {
 #[test]
 fn json_schema_matches_golden_at_scale_9() {
     let report = run_benchmark(&RunConfig::small_test(9, 4)).expect("benchmark must pass");
-    check_against_golden(&report, "bench_schema_scale9.txt");
+    check_against_golden(&report.to_json(), "bench_schema_scale9.txt");
 }
 
 #[test]
@@ -95,7 +96,7 @@ fn degraded_json_schema_matches_golden_at_scale_9() {
     cfg.max_root_retries = 0;
     let report = run_benchmark(&cfg).expect("degraded completion");
     assert!(report.faults.degraded(), "campaign must degrade the run");
-    check_against_golden(&report, "bench_schema_scale9_faults.txt");
+    check_against_golden(&report.to_json(), "bench_schema_scale9_faults.txt");
 }
 
 #[test]
@@ -119,7 +120,7 @@ fn recovery_json_schema_matches_golden_at_scale_9() {
         cfg.max_root_retries = 2;
         let report = run_benchmark(&cfg).expect("campaign is absorbed or degraded, never fatal");
         if report.recovery.retransmits() >= 1 && report.recovery.iterations_salvaged >= 1 {
-            check_against_golden(&report, "bench_schema_scale9_resume.txt");
+            check_against_golden(&report.to_json(), "bench_schema_scale9_resume.txt");
             return;
         }
     }
@@ -145,7 +146,7 @@ fn serve_json_schema_matches_golden_at_scale_9() {
     let serve = report.serve.as_ref().expect("serve section present");
     assert_eq!(serve.served, 3);
     assert!(serve.speedup().is_some(), "baseline requested");
-    check_against_golden(&report, "bench_schema_scale9_serve.txt");
+    check_against_golden(&report.to_json(), "bench_schema_scale9_serve.txt");
 }
 
 #[test]
@@ -167,7 +168,7 @@ fn store_json_schema_matches_golden_at_scale_9() {
     assert!(report.validated, "opened-session trees must validate");
     let store = report.store.as_ref().expect("store section present");
     assert!(store.opened, "second run must open the saved file");
-    check_against_golden(&report, "bench_schema_scale9_store.txt");
+    check_against_golden(&report.to_json(), "bench_schema_scale9_store.txt");
 }
 
 #[test]
@@ -204,4 +205,113 @@ fn report_contains_acceptance_fields() {
     assert!(js.contains("\"rma_ops\":"));
     assert!(js.contains("\"dma_bytes\":"));
     assert!(js.contains("\"atomic_ops\":"));
+}
+
+/// Run one of this package's example binaries with `--json` and parse
+/// the artifact it wrote. Plain `cargo test` builds the examples next
+/// to the test executables (`target/<profile>/examples/`).
+fn example_artifact(name: &str, args: &[&str]) -> JsonValue {
+    let exe = std::env::current_exe().expect("test executable path");
+    let bin = exe
+        .parent()
+        .and_then(|deps| deps.parent())
+        .expect("target/<profile>/deps layout")
+        .join("examples")
+        .join(name);
+    assert!(
+        bin.exists(),
+        "{} not built — run plain `cargo test` (or `cargo build --examples` first)",
+        bin.display()
+    );
+    let out = std::env::temp_dir().join(format!("sunbfs_{name}_{}.json", std::process::id()));
+    let run = std::process::Command::new(&bin)
+        .args(args)
+        .arg("--json")
+        .arg(&out)
+        .output()
+        .expect("example runs");
+    assert!(
+        run.status.success(),
+        "{name} failed its own gate:\n{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let text = std::fs::read_to_string(&out).expect("artifact written");
+    std::fs::remove_file(&out).ok();
+    JsonValue::parse(&text).expect("artifact is JSON")
+}
+
+#[test]
+fn soak_artifact_schemas_match_goldens_at_scale_9() {
+    use sunbfs::net::FaultPlan;
+    use sunbfs::serve::{serve, BfsService, GraphSession, NetConfig, ServeConfig, SessionConfig};
+
+    // serve_load: the loadgen CLI against an in-process TCP server.
+    let session = GraphSession::load(SessionConfig::small(9, 4), FaultPlan::none()).expect("load");
+    let svc = BfsService::new(session, ServeConfig::default());
+    let server = serve(svc, "127.0.0.1:0", NetConfig::default()).expect("bind");
+    let addr = server.local_addr().to_string();
+    let load = example_artifact(
+        "loadgen",
+        &[
+            &addr,
+            "--conns",
+            "2",
+            "--qps",
+            "100",
+            "--duration",
+            "1",
+            "--root-max",
+            "512",
+        ],
+    );
+    server.join().expect_clean();
+    check_against_golden(&load, "soak_schema_load.txt");
+
+    // serve_chaos: faults armed every 8 executed queries, so the
+    // transition log and the side poller's state list are never empty.
+    let chaos = example_artifact(
+        "chaos_soak",
+        &[
+            "--scale",
+            "9",
+            "--ranks",
+            "4",
+            "--conns",
+            "2",
+            "--qps",
+            "100",
+            "--duration",
+            "1",
+            "--chaos-every",
+            "8",
+            "--chaos-max-events",
+            "4",
+        ],
+    );
+    check_against_golden(&chaos, "soak_schema_chaos.txt");
+
+    // update_soak: phase A over two rounds, phase B with the default
+    // plan and an interleaved wire update every 8 queries.
+    let update = example_artifact(
+        "update_soak",
+        &[
+            "--scale",
+            "9",
+            "--ranks",
+            "4",
+            "--rounds",
+            "2",
+            "--batch",
+            "16",
+            "--roots",
+            "2",
+            "--qps",
+            "100",
+            "--duration",
+            "1",
+            "--update-every",
+            "8",
+        ],
+    );
+    check_against_golden(&update, "soak_schema_update.txt");
 }
