@@ -478,6 +478,36 @@ pub trait ToJson {
     fn to_json(&self) -> JsonValue;
 }
 
+/// Declare a report struct whose JSON form is its fields, in
+/// declaration order, under their own names — so the struct and its
+/// `to_json` cannot drift apart. Every field type must be `Copy` and
+/// convert `Into<JsonValue>`; the struct itself gets both, so records
+/// nest.
+#[macro_export]
+macro_rules! json_record {
+    ($(#[$meta:meta])* pub struct $name:ident {
+        $($(#[$fmeta:meta])* pub $field:ident: $ty:ty,)*
+    }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy)]
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+        impl $crate::ToJson for $name {
+            fn to_json(&self) -> $crate::JsonValue {
+                $crate::JsonValue::object()
+                    $(.field(stringify!($field), self.$field))*
+                    .build()
+            }
+        }
+        impl From<$name> for $crate::JsonValue {
+            fn from(record: $name) -> $crate::JsonValue {
+                $crate::ToJson::to_json(&record)
+            }
+        }
+    };
+}
+
 impl<T: ToJson> ToJson for [T] {
     fn to_json(&self) -> JsonValue {
         JsonValue::Array(self.iter().map(ToJson::to_json).collect())
@@ -510,6 +540,37 @@ impl ToJson for crate::TimeAccumulator {
 mod tests {
     use super::*;
     use crate::{SimTime, TimeAccumulator};
+
+    json_record! {
+        /// A nested record.
+        #[derive(Debug, Default)]
+        pub struct Inner {
+            /// A float.
+            pub ratio: f64,
+        }
+    }
+    json_record! {
+        /// An outer record.
+        #[derive(Debug, Default)]
+        pub struct Outer {
+            /// A counter.
+            pub count: u64,
+            /// A nested record.
+            pub inner: Inner,
+        }
+    }
+
+    #[test]
+    fn json_records_render_their_fields_in_declaration_order() {
+        let outer = Outer {
+            count: 3,
+            inner: Inner { ratio: 0.5 },
+        };
+        assert_eq!(
+            outer.to_json().render(),
+            r#"{"count":3,"inner":{"ratio":0.5}}"#
+        );
+    }
 
     #[test]
     fn scalars_render() {

@@ -31,9 +31,10 @@
 //! errors): the stdin loop of `examples/bfs_server.rs`, and the
 //! concurrent TCP server of [`net`] (accept loop with a connection
 //! cap, per-connection deadlines, one deterministic service thread,
-//! graceful drain-on-shutdown). [`loadgen`] drives the TCP server at a
-//! configured offered load and folds what it saw into the `serve_load`
-//! saturation artifact.
+//! graceful drain-on-shutdown). [`loadgen`] is the wire client — a
+//! blocking line client and the paced load generator — and [`soak`]
+//! runs the whole stack in-process under that load in three profiles
+//! (`load`, `chaos`, `update`), each writing one artifact section.
 //!
 //! Observability lives in [`ServeReport`] ([`report`]), which renders
 //! as the `serve` section of the metrics JSON.
@@ -52,14 +53,12 @@ pub mod proto;
 pub mod report;
 pub mod service;
 pub mod session;
+pub mod soak;
 
 /// Widest batch the engine's frontier word can carry.
 pub const MAX_BATCH: usize = sunbfs_core::MAX_BATCH_ROOTS;
 
-pub use loadgen::{
-    run_chaos_soak, run_loadgen, ChaosSoakConfig, ChaosSoakReport, LatencySummary, LoadgenConfig,
-    LoadgenReport,
-};
+pub use loadgen::{run_loadgen, LatencySummary, LineClient, LoadgenConfig, LoadgenReport, Target};
 pub use net::{serve, JoinOutcome, NetConfig, NetSummary, TcpServer};
 pub use proto::{parse_request, LoadRequest, ProtoError, Request, MAX_REQUEST_BYTES};
 pub use report::{
@@ -72,6 +71,9 @@ pub use service::{
 pub use session::{
     GraphSession, LoadError, Quarantine, RootTraversal, SessionConfig, SessionError, StoreActivity,
     DELTA_COMPACT_THRESHOLD,
+};
+pub use soak::{
+    recovery_episodes, run_soak, Profile, RepairRounds, RepairTiming, SoakConfig, SoakReport,
 };
 pub use sunbfs_mutate::{RepairStats, UpdateEvent, UpdatePlan};
 pub use sunbfs_store::{StoreError, StoreHeader, StoreInfo};

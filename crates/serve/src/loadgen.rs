@@ -1,15 +1,14 @@
-//! Closed-duration open-loop load generator for the TCP server, plus
-//! the chaos soak harness built on top of it.
+//! The wire client: a blocking line-protocol client ([`LineClient`])
+//! and the closed-duration open-loop load generator built beside it.
 //!
-//! Opens N connections and offers a configured total queries/sec for a
-//! configured duration, then settles (waits for every outstanding
-//! reply), optionally triggers a graceful server shutdown, and folds
-//! what it saw into a [`LoadgenReport`] — accepted/rejected counts,
-//! rejection classes, backoff-hint coverage, and p50/p99/p999
-//! end-to-end latency. The report renders as the `serve_load` section
-//! of the schema-v9 metrics JSON (`docs/METRICS.md`), which is what
-//! the committed saturation artifact and the CI sustained-load smoke
-//! regression-gate.
+//! [`run_loadgen`] opens N connections and offers a configured total
+//! queries/sec for a configured duration, then settles (waits for every
+//! outstanding reply for as long as replies keep arriving), closes its
+//! connections, and folds what it saw into a [`LoadgenReport`] —
+//! accepted/rejected counts, rejection classes, backoff-hint coverage,
+//! and p50/p99/p999 end-to-end latency. The report renders as the
+//! `serve_load` section of the metrics JSON (`docs/METRICS.md`);
+//! [`run_soak`](crate::soak::run_soak) embeds it in every soak profile.
 //!
 //! Clients honor the server's `retry_after_ticks` backoff hints: a
 //! rejection that carries one is re-offered after the hinted wait (up
@@ -23,115 +22,157 @@
 //! * every accepted query gets exactly one result
 //!   (`lost_replies == 0`, `duplicate_replies == 0`),
 //! * a reply line is never malformed (`protocol_errors == 0`).
-//!
-//! [`run_chaos_soak`] wraps the whole stack end to end: it builds a
-//! resident session with an **armed** fault plan, wires a seeded
-//! [`ChaosConfig`] into the service so rank panics, stragglers, and
-//! payload corruption fire against live traffic, polls the `health`
-//! request from a side connection while the load runs, drives recovery
-//! to `healthy` after the chaos schedule exhausts, and folds
-//! everything into a [`ChaosSoakReport`] (the `serve_chaos` section of
-//! the schema-v9 metrics JSON) with availability and recovery-time
-//! gates.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use sunbfs_common::{JsonValue, SplitMix64, ToJson};
-use sunbfs_net::FaultPlan;
+use sunbfs_common::{json_record, JsonValue, SplitMix64};
 
-use crate::net::{serve, NetConfig, NetSummary};
-use crate::report::{HealthTransition, ServeReport};
-use crate::service::{BfsService, ChaosConfig, ServeConfig};
-use crate::session::{GraphSession, SessionConfig};
+/// Extra wall time after the offered-load window in which pending
+/// retries are still drained before the run settles.
+const RETRY_GRACE: Duration = Duration::from_secs(2);
 
-/// Knobs for one load run.
+/// A blocking client of the line protocol: one JSON request or reply
+/// per line. The soak driver's side connections and the serve tests
+/// talk to the server through it.
+pub struct LineClient {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl LineClient {
+    /// Connect; every [`recv`](Self::recv) waits at most `deadline`.
+    ///
+    /// # Errors
+    /// The connect / socket-option errors of the underlying stream.
+    pub fn connect(addr: impl ToSocketAddrs, deadline: Duration) -> io::Result<LineClient> {
+        let writer = TcpStream::connect(addr)?;
+        writer.set_read_timeout(Some(deadline))?;
+        let reader = BufReader::new(writer.try_clone()?);
+        Ok(LineClient { writer, reader })
+    }
+
+    /// Write one request line (the newline is added here).
+    ///
+    /// # Errors
+    /// The socket's write error.
+    pub fn send(&mut self, line: &str) -> io::Result<()> {
+        self.writer.write_all(line.as_bytes())?;
+        self.writer.write_all(b"\n")
+    }
+
+    /// The next non-blank reply line, parsed.
+    ///
+    /// # Errors
+    /// `UnexpectedEof` when the server closed the connection, the
+    /// socket's timeout error when the deadline passed first, and
+    /// `InvalidData` for a line that is not JSON.
+    pub fn recv(&mut self) -> io::Result<JsonValue> {
+        read_reply(&mut self.reader)
+    }
+}
+
+/// The next non-blank line of `reader`, parsed (errors as
+/// [`LineClient::recv`] documents them).
+fn read_reply(reader: &mut BufReader<TcpStream>) -> io::Result<JsonValue> {
+    let mut line = String::new();
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        if !line.trim().is_empty() {
+            return JsonValue::parse(line.trim())
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
+        }
+    }
+}
+
+/// What a client must know about the server it drives.
+/// [`run_soak`](crate::soak::run_soak) reads all three off the server it
+/// started; only an external server has to be described by hand.
 #[derive(Clone, Debug)]
-pub struct LoadgenConfig {
+pub struct Target {
     /// Server address, e.g. `127.0.0.1:4700`.
     pub addr: String,
+    /// Vertices of the served graph: roots and update endpoints are
+    /// drawn uniformly from `[0, root_max)`.
+    pub root_max: u64,
+    /// Wall-clock length of one idle server tick
+    /// (`NetConfig::tick_interval`), which turns a `retry_after_ticks`
+    /// hint into a backoff sleep.
+    pub tick: Duration,
+}
+
+/// The load one run offers.
+#[derive(Clone, Debug)]
+pub struct LoadgenConfig {
     /// Connections to open; offered load is split evenly across them.
     pub connections: usize,
     /// Total offered queries/sec across all connections.
     pub qps: u64,
     /// How long to offer load.
     pub duration: Duration,
-    /// Roots are drawn uniformly from `[0, root_max)`.
-    pub root_max: u64,
     /// Deterministic root sequence seed.
     pub seed: u64,
-    /// Send `{"cmd":"shutdown"}` after settling, exercising the
-    /// server's graceful drain.
-    pub shutdown_at_end: bool,
-    /// How long to wait for outstanding replies after the offered-load
-    /// window closes.
+    /// How long the run waits *without a single reply arriving* before
+    /// it gives up on the replies still outstanding.
     pub settle_timeout: Duration,
     /// Attach this deadline budget to every offered query.
     pub deadline_ticks: Option<u32>,
     /// Times a rejected query carrying a `retry_after_ticks` hint is
     /// re-offered before the rejection counts as terminal (0 = never
-    /// retry, the pre-chaos behavior).
+    /// retry).
     pub retry_max: u32,
-    /// Wall-clock estimate of one server tick, used to turn a
-    /// `retry_after_ticks` hint into a backoff sleep (the server ticks
-    /// every `NetConfig::tick_interval` when idle).
-    pub tick_hint: Duration,
-    /// Extra wall time after the offered-load window in which pending
-    /// retries are still drained before the run settles.
-    pub retry_grace: Duration,
     /// Interleave one `{"cmd":"update",...}` edge-insert batch into the
     /// paced query stream every N queries per connection (0 = never,
     /// the read-only behavior). Update replies use their own distinct
     /// shapes (`committed` / `update_rejected`), so interleaving them
     /// never perturbs the query-offer accounting invariants.
     pub update_every: u64,
-    /// Edges per interleaved update batch (endpoints drawn uniformly
-    /// from `[0, root_max)` off the same seeded stream as the roots).
+    /// Edges per interleaved update batch (drawn off the same seeded
+    /// stream as the roots).
     pub update_batch: usize,
 }
 
 impl Default for LoadgenConfig {
     fn default() -> Self {
         LoadgenConfig {
-            addr: "127.0.0.1:4700".into(),
             connections: 4,
             qps: 200,
             duration: Duration::from_secs(3),
-            root_max: 1 << 10,
             seed: 42,
-            shutdown_at_end: true,
             settle_timeout: Duration::from_secs(30),
             deadline_ticks: None,
             retry_max: 0,
-            tick_hint: Duration::from_millis(10),
-            retry_grace: Duration::from_secs(2),
             update_every: 0,
             update_batch: 4,
         }
     }
 }
 
-/// End-to-end latency distribution (accepted → result), milliseconds.
-#[derive(Clone, Debug, Default)]
-pub struct LatencySummary {
-    /// Samples (== queries that went accepted → result).
-    pub count: u64,
-    /// Fastest sample.
-    pub min_ms: f64,
-    /// Arithmetic mean.
-    pub mean_ms: f64,
-    /// Median.
-    pub p50_ms: f64,
-    /// 99th percentile.
-    pub p99_ms: f64,
-    /// 99.9th percentile.
-    pub p999_ms: f64,
-    /// Slowest sample.
-    pub max_ms: f64,
+json_record! {
+    /// End-to-end latency distribution (accepted → result), milliseconds.
+    #[derive(Debug, Default)]
+    pub struct LatencySummary {
+        /// Samples (== queries that went accepted → result).
+        pub count: u64,
+        /// Fastest sample.
+        pub min_ms: f64,
+        /// Arithmetic mean.
+        pub mean_ms: f64,
+        /// Median.
+        pub p50_ms: f64,
+        /// 99th percentile.
+        pub p99_ms: f64,
+        /// 99.9th percentile.
+        pub p999_ms: f64,
+        /// Slowest sample.
+        pub max_ms: f64,
+    }
 }
 
 impl LatencySummary {
@@ -157,136 +198,83 @@ impl LatencySummary {
     }
 }
 
-impl ToJson for LatencySummary {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("count", self.count)
-            .field("min_ms", self.min_ms)
-            .field("mean_ms", self.mean_ms)
-            .field("p50_ms", self.p50_ms)
-            .field("p99_ms", self.p99_ms)
-            .field("p999_ms", self.p999_ms)
-            .field("max_ms", self.max_ms)
-            .build()
-    }
-}
-
-/// What one load run saw, end to end. Renders as the `serve_load`
-/// JSON section.
-#[derive(Clone, Debug, Default)]
-pub struct LoadgenReport {
-    /// Connections opened.
-    pub connections: u64,
-    /// Configured total offered queries/sec.
-    pub target_qps: u64,
-    /// Configured offered-load window, seconds.
-    pub duration_s: f64,
-    /// Observed wall time of the whole run (offer + settle), seconds.
-    pub elapsed_s: f64,
-    /// Query lines actually written.
-    pub offered: u64,
-    /// `offered / duration_s`.
-    pub offered_qps: f64,
-    /// Queries the server admitted.
-    pub accepted: u64,
-    /// `accepted / duration_s`.
-    pub accepted_qps: f64,
-    /// Rejections with reason `queue_full`.
-    pub rejected_full: u64,
-    /// Rejections with reason `client_backlog`.
-    pub rejected_backlog: u64,
-    /// Rejections with reason `shutting_down`.
-    pub rejected_shutdown: u64,
-    /// Rejections with reason `service_degraded` (the health breaker).
-    pub rejected_degraded: u64,
-    /// Rejections with any other reason (e.g. `invalid_root`).
-    pub rejected_other: u64,
-    /// Rejections that carried a non-null `retry_after_ticks` hint.
-    pub rejects_with_hint: u64,
-    /// Every rejection reply seen, terminal or retried (the terminal
-    /// `rejected_*` classes exclude retried ones when retry is on).
-    pub rejections_seen: u64,
-    /// Rejected offers re-sent after honoring their backoff hint.
-    pub retried: u64,
-    /// Retried offers the server eventually accepted.
-    pub retry_successes: u64,
-    /// Retries still waiting out their backoff when the run ended
-    /// (terminal: they were never re-offered).
-    pub retries_abandoned: u64,
-    /// Results with status `served`.
-    pub served: u64,
-    /// Results with status `quarantined`.
-    pub quarantined: u64,
-    /// Results with status `deadline_exceeded`.
-    pub deadline_exceeded: u64,
-    /// Of the served results, ones that rode per-root fallback
-    /// (salvaged from a degraded batch).
-    pub salvaged: u64,
-    /// Accepted queries that never got a result — must be 0.
-    pub lost_replies: u64,
-    /// Offered queries never acknowledged at all — must be 0.
-    pub unacked: u64,
-    /// Results for ids not awaiting one — must be 0.
-    pub duplicate_replies: u64,
-    /// Error replies or unparseable reply lines — must be 0.
-    pub protocol_errors: u64,
-    /// Query lines that failed to write.
-    pub write_errors: u64,
-    /// `{"cmd":"update"}` batches written into the paced stream.
-    pub updates_offered: u64,
-    /// Update batches the server committed (`reply":"committed"`).
-    pub updates_committed: u64,
-    /// Edges across all committed batches (the server's own count).
-    pub update_edges: u64,
-    /// Update batches refused with `update_rejected`.
-    pub updates_rejected: u64,
-    /// Epoch values (on `committed` and `result` replies) that went
-    /// *backwards* on a connection — the torn-read proxy; must be 0.
-    pub epoch_regressions: u64,
-    /// Highest epoch observed on any reply.
-    pub final_epoch: u64,
-    /// End-to-end accepted→result latency distribution.
-    pub latency: LatencySummary,
-}
-
-impl ToJson for LoadgenReport {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("connections", self.connections)
-            .field("target_qps", self.target_qps)
-            .field("duration_s", self.duration_s)
-            .field("elapsed_s", self.elapsed_s)
-            .field("offered", self.offered)
-            .field("offered_qps", self.offered_qps)
-            .field("accepted", self.accepted)
-            .field("accepted_qps", self.accepted_qps)
-            .field("rejected_full", self.rejected_full)
-            .field("rejected_backlog", self.rejected_backlog)
-            .field("rejected_shutdown", self.rejected_shutdown)
-            .field("rejected_degraded", self.rejected_degraded)
-            .field("rejected_other", self.rejected_other)
-            .field("rejects_with_hint", self.rejects_with_hint)
-            .field("rejections_seen", self.rejections_seen)
-            .field("retried", self.retried)
-            .field("retry_successes", self.retry_successes)
-            .field("retries_abandoned", self.retries_abandoned)
-            .field("served", self.served)
-            .field("quarantined", self.quarantined)
-            .field("deadline_exceeded", self.deadline_exceeded)
-            .field("salvaged", self.salvaged)
-            .field("lost_replies", self.lost_replies)
-            .field("unacked", self.unacked)
-            .field("duplicate_replies", self.duplicate_replies)
-            .field("protocol_errors", self.protocol_errors)
-            .field("write_errors", self.write_errors)
-            .field("updates_offered", self.updates_offered)
-            .field("updates_committed", self.updates_committed)
-            .field("update_edges", self.update_edges)
-            .field("updates_rejected", self.updates_rejected)
-            .field("epoch_regressions", self.epoch_regressions)
-            .field("final_epoch", self.final_epoch)
-            .field("latency", self.latency.to_json())
-            .build()
+json_record! {
+    /// What one load run saw, end to end. Renders as the `serve_load`
+    /// JSON section.
+    #[derive(Debug, Default)]
+    pub struct LoadgenReport {
+        /// Connections opened.
+        pub connections: u64,
+        /// Configured total offered queries/sec.
+        pub target_qps: u64,
+        /// Configured offered-load window, seconds.
+        pub duration_s: f64,
+        /// Observed wall time of the whole run (offer + settle), seconds.
+        pub elapsed_s: f64,
+        /// Query lines actually written.
+        pub offered: u64,
+        /// `offered / duration_s`.
+        pub offered_qps: f64,
+        /// Queries the server admitted.
+        pub accepted: u64,
+        /// `accepted / duration_s`.
+        pub accepted_qps: f64,
+        /// Rejections with reason `queue_full`.
+        pub rejected_full: u64,
+        /// Rejections with reason `client_backlog`.
+        pub rejected_backlog: u64,
+        /// Rejections with reason `shutting_down`.
+        pub rejected_shutdown: u64,
+        /// Rejections with reason `service_degraded` (the health breaker).
+        pub rejected_degraded: u64,
+        /// Rejections with any other reason (e.g. `invalid_root`).
+        pub rejected_other: u64,
+        /// Rejections that carried a non-null `retry_after_ticks` hint.
+        pub rejects_with_hint: u64,
+        /// Every rejection reply seen, terminal or retried (the terminal
+        /// `rejected_*` classes exclude retried ones when retry is on).
+        pub rejections_seen: u64,
+        /// Rejected offers re-sent after honoring their backoff hint.
+        pub retried: u64,
+        /// Retried offers the server eventually accepted.
+        pub retry_successes: u64,
+        /// Retries still waiting out their backoff when the run ended
+        /// (terminal: they were never re-offered).
+        pub retries_abandoned: u64,
+        /// Results with status `served`.
+        pub served: u64,
+        /// Results with status `quarantined`.
+        pub quarantined: u64,
+        /// Results with status `deadline_exceeded`.
+        pub deadline_exceeded: u64,
+        /// Of the served results, ones that rode per-root fallback
+        /// (salvaged from a degraded batch).
+        pub salvaged: u64,
+        /// Accepted queries that never got a result — must be 0.
+        pub lost_replies: u64,
+        /// Offered queries never acknowledged at all — must be 0.
+        pub unacked: u64,
+        /// Results for ids not awaiting one — must be 0.
+        pub duplicate_replies: u64,
+        /// Error replies or unparseable reply lines — must be 0.
+        pub protocol_errors: u64,
+        /// Query lines that failed to write.
+        pub write_errors: u64,
+        /// `{"cmd":"update"}` batches written into the paced stream.
+        pub updates_offered: u64,
+        /// Update batches the server committed (`reply":"committed"`).
+        pub updates_committed: u64,
+        /// Edges across all committed batches (the server's own count).
+        pub update_edges: u64,
+        /// Update batches refused with `update_rejected`.
+        pub updates_rejected: u64,
+        /// Epoch values (on `committed` and `result` replies) that went
+        /// *backwards* on a connection — the torn-read proxy; must be 0.
+        pub epoch_regressions: u64,
+        /// Highest epoch observed on any reply.
+        pub final_epoch: u64,
+        /// End-to-end accepted→result latency distribution.
+        pub latency: LatencySummary,
     }
 }
 
@@ -301,45 +289,17 @@ impl LoadgenReport {
             && self.write_errors == 0
             && self.epoch_regressions == 0
     }
-
-    /// Terminal rejections per offered query. Rejections that were
-    /// retried into an eventual accept don't count — this is the rate
-    /// a hint-honoring client actually experiences.
-    pub fn terminal_rejection_rate(&self) -> f64 {
-        let terminal = self.rejected_full
-            + self.rejected_backlog
-            + self.rejected_shutdown
-            + self.rejected_degraded
-            + self.rejected_other
-            + self.retries_abandoned;
-        if self.offered == 0 {
-            0.0
-        } else {
-            terminal as f64 / self.offered as f64
-        }
-    }
 }
 
-/// One offered query awaiting its accepted/rejected acknowledgment.
+/// One offered query: awaiting its accepted/rejected acknowledgment in
+/// the ack FIFO, or rejected and waiting out its backoff hint in the
+/// retry queue.
 struct Offer {
-    t0: Instant,
     root: u64,
     /// Retries already spent on this root (0 = first offer).
     attempts: u32,
-}
-
-/// A rejected offer waiting out its backoff hint before re-sending.
-struct RetryItem {
-    root: u64,
-    attempts: u32,
-    due: Instant,
-}
-
-/// How the receiver turns `retry_after_ticks` hints into retries.
-#[derive(Clone, Copy)]
-struct RetryPolicy {
-    max: u32,
-    tick_hint: Duration,
+    /// When it was sent (ack FIFO) or is due for re-sending (retry queue).
+    at: Instant,
 }
 
 /// Send times and in-flight ids shared between one connection's sender
@@ -352,52 +312,48 @@ struct RetryPolicy {
 #[derive(Default)]
 struct ConnShared {
     /// Offers awaiting accepted/rejected, in send order.
-    awaiting_ack: Mutex<std::collections::VecDeque<Offer>>,
+    awaiting_ack: Mutex<VecDeque<Offer>>,
     /// Accepted id → send instant, awaiting its result.
     awaiting_result: Mutex<HashMap<u64, Instant>>,
     /// Rejected offers waiting out their backoff before re-sending.
-    retry_queue: Mutex<std::collections::VecDeque<RetryItem>>,
+    retry_queue: Mutex<VecDeque<Offer>>,
 }
 
-/// Per-connection receiver tallies, merged into the report at the end.
+impl ConnShared {
+    /// `(unacknowledged offers, accepted queries without a result)`.
+    fn outstanding(&self) -> (usize, usize) {
+        (
+            lock(&self.awaiting_ack).len(),
+            lock(&self.awaiting_result).len(),
+        )
+    }
+}
+
+/// What every connection of one run tallies into: the report's
+/// counters directly, plus the raw latency samples behind its summary.
 #[derive(Default)]
-struct ConnStats {
-    accepted: u64,
-    rejected_full: u64,
-    rejected_backlog: u64,
-    rejected_shutdown: u64,
-    rejected_degraded: u64,
-    rejected_other: u64,
-    rejects_with_hint: u64,
-    rejections_seen: u64,
-    retried: u64,
-    retry_successes: u64,
-    served: u64,
-    quarantined: u64,
-    deadline_exceeded: u64,
-    salvaged: u64,
-    duplicate_replies: u64,
-    protocol_errors: u64,
-    updates_committed: u64,
-    update_edges: u64,
-    updates_rejected: u64,
-    epoch_regressions: u64,
-    /// Highest epoch this connection has seen on any stamped reply.
-    last_epoch: u64,
+struct Tally {
+    report: LoadgenReport,
     latency_ms: Vec<f64>,
 }
 
-impl ConnStats {
-    /// Fold one stamped epoch into the monotonicity check: a reply
-    /// carrying an epoch older than one already observed on this
-    /// connection means the snapshot went backwards (a torn read —
-    /// impossible while commits serialize on the service thread).
-    fn observe_epoch(&mut self, epoch: u64) {
-        if epoch < self.last_epoch {
-            self.epoch_regressions += 1;
-        }
-        self.last_epoch = self.last_epoch.max(epoch);
+/// Lock a mutex of this module. None is ever held across a call that
+/// can panic, so poisoning means a load thread already died of a bug.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock()
+        .expect("a loadgen thread panicked holding this lock")
+}
+
+/// Fold one stamped epoch into the monotonicity check: a reply carrying
+/// an epoch older than one already observed on its connection (`last`)
+/// means the snapshot went backwards (a torn read — impossible while
+/// commits serialize on the service thread).
+fn observe_epoch(report: &mut LoadgenReport, last: &mut u64, epoch: u64) {
+    if epoch < *last {
+        report.epoch_regressions += 1;
     }
+    *last = (*last).max(epoch);
+    report.final_epoch = report.final_epoch.max(epoch);
 }
 
 /// Render one update line: a batch of edge inserts drawn from the
@@ -429,13 +385,13 @@ fn offer_root(
     deadline_ticks: Option<u32>,
 ) -> bool {
     let line = query_line(root, deadline_ticks);
-    shared.awaiting_ack.lock().unwrap().push_back(Offer {
-        t0: Instant::now(),
+    lock(&shared.awaiting_ack).push_back(Offer {
         root,
         attempts,
+        at: Instant::now(),
     });
     if stream.write_all(line.as_bytes()).is_err() {
-        shared.awaiting_ack.lock().unwrap().pop_back();
+        lock(&shared.awaiting_ack).pop_back();
         return false;
     }
     true
@@ -445,9 +401,9 @@ fn offer_root(
 fn drain_due_retries(stream: &mut TcpStream, shared: &ConnShared, offered: &mut u64) -> bool {
     loop {
         let item = {
-            let mut q = shared.retry_queue.lock().unwrap();
+            let mut q = lock(&shared.retry_queue);
             match q.front() {
-                Some(r) if r.due <= Instant::now() => q.pop_front(),
+                Some(r) if r.at <= Instant::now() => q.pop_front(),
                 _ => None,
             }
         };
@@ -463,184 +419,172 @@ fn drain_due_retries(stream: &mut TcpStream, shared: &ConnShared, offered: &mut 
     }
 }
 
+/// Pace one connection's share of the offered load, add what was
+/// written to the run's tally, and hand the socket back.
 fn sender_loop(
     mut stream: TcpStream,
     shared: &ConnShared,
+    tally: &Mutex<Tally>,
     mut rng: SplitMix64,
-    per_conn_interval: Duration,
+    root_max: u64,
     cfg: &LoadgenConfig,
-) -> (u64, u64, u64) {
+) -> TcpStream {
+    let interval = Duration::from_secs_f64(cfg.connections.max(1) as f64 / cfg.qps.max(1) as f64);
     let start = Instant::now();
     let mut offered = 0u64;
     let mut updates_offered = 0u64;
-    let mut write_errors = 0u64;
     let mut paced = 0u64;
-    while start.elapsed() < cfg.duration {
-        if !drain_due_retries(&mut stream, shared, &mut offered) {
-            write_errors += 1;
-            break;
-        }
+    let mut alive = true;
+    while alive && start.elapsed() < cfg.duration {
+        alive = drain_due_retries(&mut stream, shared, &mut offered);
         // Interleave a live edge-insert batch into the paced stream.
         // Its reply shapes are distinct from the query offer/result
         // shapes, so the ack FIFO stays query-only.
-        if cfg.update_every > 0 && paced > 0 && paced.is_multiple_of(cfg.update_every) {
-            let line = update_line(&mut rng, cfg.update_batch, cfg.root_max);
-            if stream.write_all(line.as_bytes()).is_err() {
-                write_errors += 1;
-                break;
-            }
-            updates_offered += 1;
+        if alive && cfg.update_every > 0 && paced > 0 && paced.is_multiple_of(cfg.update_every) {
+            let line = update_line(&mut rng, cfg.update_batch, root_max);
+            alive = stream.write_all(line.as_bytes()).is_ok();
+            updates_offered += u64::from(alive);
         }
-        let root = rng.next_below(cfg.root_max.max(1));
-        if !offer_root(&mut stream, shared, root, 0, cfg.deadline_ticks) {
-            write_errors += 1;
-            break;
-        }
-        offered += 1;
-        paced += 1;
-        let target = start + per_conn_interval.mul_f64(paced as f64);
-        let now = Instant::now();
-        if target > now {
-            std::thread::sleep(target - now);
+        alive = alive
+            && offer_root(
+                &mut stream,
+                shared,
+                rng.next_below(root_max.max(1)),
+                0,
+                cfg.deadline_ticks,
+            );
+        if alive {
+            offered += 1;
+            paced += 1;
+            let target = start + interval.mul_f64(paced as f64);
+            std::thread::sleep(target.saturating_duration_since(Instant::now()));
         }
     }
     // Post-window retry drain: rejected offers still waiting out their
     // backoff get their re-send before the run settles. Bounded by the
     // grace window — retries are capped per offer, so this terminates.
-    if write_errors == 0 && cfg.retry_max > 0 {
-        let grace_deadline = Instant::now() + cfg.retry_grace;
-        loop {
-            if !drain_due_retries(&mut stream, shared, &mut offered) {
-                write_errors += 1;
-                break;
-            }
-            let (queued, unacked) = (
-                shared.retry_queue.lock().unwrap().len(),
-                shared.awaiting_ack.lock().unwrap().len(),
-            );
-            if (queued == 0 && unacked == 0) || Instant::now() >= grace_deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
+    let grace_deadline = Instant::now() + RETRY_GRACE;
+    while alive && cfg.retry_max > 0 {
+        alive = drain_due_retries(&mut stream, shared, &mut offered);
+        let idle = lock(&shared.retry_queue).is_empty() && shared.outstanding().0 == 0;
+        if idle || Instant::now() >= grace_deadline {
+            break;
         }
+        std::thread::sleep(Duration::from_millis(5));
     }
     // Flush whatever partial batch our last queries are sitting in.
     let _ = stream.write_all(b"{\"cmd\":\"drain\"}\n");
-    (offered, updates_offered, write_errors)
+    let mut t = lock(tally);
+    t.report.offered += offered;
+    t.report.updates_offered += updates_offered;
+    t.report.write_errors += u64::from(!alive);
+    stream
 }
 
-fn receiver_loop(stream: TcpStream, shared: &ConnShared, retry: RetryPolicy) -> ConnStats {
-    let mut stats = ConnStats::default();
+/// Read one connection's replies until EOF, tallying each into the
+/// run's shared report.
+fn receiver_loop(
+    stream: TcpStream,
+    shared: &ConnShared,
+    tally: &Mutex<Tally>,
+    retry_max: u32,
+    tick: Duration,
+) {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // Highest epoch this connection has seen on any stamped reply.
+    let mut last_epoch = 0u64;
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let Ok(reply) = JsonValue::parse(trimmed) else {
-            stats.protocol_errors += 1;
-            continue;
+        let reply = read_reply(&mut reader);
+        let mut guard = lock(tally);
+        let Tally { report, latency_ms } = &mut *guard;
+        let reply = match reply {
+            Ok(reply) => reply,
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                report.protocol_errors += 1;
+                continue;
+            }
+            Err(_) => break,
         };
-        match reply.get("reply").and_then(JsonValue::as_str) {
+        let num = |key: &str| reply.get(key).and_then(JsonValue::as_u64);
+        let text = |key: &str| reply.get(key).and_then(JsonValue::as_str);
+        match text("reply") {
             Some("accepted") => {
-                let offer = shared.awaiting_ack.lock().unwrap().pop_front();
-                let Some(id) = reply.get("id").and_then(JsonValue::as_u64) else {
-                    stats.protocol_errors += 1;
-                    continue;
-                };
-                match offer {
-                    Some(offer) => {
-                        shared.awaiting_result.lock().unwrap().insert(id, offer.t0);
-                        stats.accepted += 1;
-                        if offer.attempts > 0 {
-                            stats.retry_successes += 1;
-                        }
+                let offer = lock(&shared.awaiting_ack).pop_front();
+                match (offer, num("id")) {
+                    (Some(offer), Some(id)) => {
+                        lock(&shared.awaiting_result).insert(id, offer.at);
+                        report.accepted += 1;
+                        report.retry_successes += u64::from(offer.attempts > 0);
                     }
-                    None => stats.protocol_errors += 1,
+                    _ => report.protocol_errors += 1,
                 }
             }
             Some("rejected") => {
-                let Some(offer) = shared.awaiting_ack.lock().unwrap().pop_front() else {
-                    stats.protocol_errors += 1;
+                let Some(offer) = lock(&shared.awaiting_ack).pop_front() else {
+                    report.protocol_errors += 1;
                     continue;
                 };
-                stats.rejections_seen += 1;
-                let hint = reply.get("retry_after_ticks").and_then(JsonValue::as_u64);
-                if hint.is_some() {
-                    stats.rejects_with_hint += 1;
-                }
+                report.rejections_seen += 1;
+                let hint = num("retry_after_ticks");
+                report.rejects_with_hint += u64::from(hint.is_some());
                 // Honor the backoff hint with bounded retry; only a
                 // rejection we won't (or can't) retry is terminal.
-                if let Some(ticks) = hint.filter(|_| offer.attempts < retry.max) {
-                    stats.retried += 1;
-                    shared.retry_queue.lock().unwrap().push_back(RetryItem {
+                if let Some(ticks) = hint.filter(|_| offer.attempts < retry_max) {
+                    report.retried += 1;
+                    lock(&shared.retry_queue).push_back(Offer {
                         root: offer.root,
                         attempts: offer.attempts + 1,
-                        due: Instant::now() + retry.tick_hint.mul_f64(ticks.max(1) as f64),
+                        at: Instant::now() + tick.mul_f64(ticks.max(1) as f64),
                     });
                     continue;
                 }
-                match reply.get("reason").and_then(JsonValue::as_str) {
-                    Some("queue_full") => stats.rejected_full += 1,
-                    Some("client_backlog") => stats.rejected_backlog += 1,
-                    Some("shutting_down") => stats.rejected_shutdown += 1,
-                    Some("service_degraded") => stats.rejected_degraded += 1,
-                    _ => stats.rejected_other += 1,
+                match text("reason") {
+                    Some("queue_full") => report.rejected_full += 1,
+                    Some("client_backlog") => report.rejected_backlog += 1,
+                    Some("shutting_down") => report.rejected_shutdown += 1,
+                    Some("service_degraded") => report.rejected_degraded += 1,
+                    _ => report.rejected_other += 1,
                 }
             }
             Some("result") => {
-                let Some(id) = reply.get("id").and_then(JsonValue::as_u64) else {
-                    stats.protocol_errors += 1;
+                let Some(id) = num("id") else {
+                    report.protocol_errors += 1;
                     continue;
                 };
-                if let Some(epoch) = reply.get("epoch").and_then(JsonValue::as_u64) {
-                    stats.observe_epoch(epoch);
+                if let Some(epoch) = num("epoch") {
+                    observe_epoch(report, &mut last_epoch, epoch);
                 }
-                match shared.awaiting_result.lock().unwrap().remove(&id) {
-                    Some(t0) => {
-                        stats.latency_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-                        match reply.get("status").and_then(JsonValue::as_str) {
-                            Some("served") => {
-                                stats.served += 1;
-                                if reply.get("via_fallback").and_then(JsonValue::as_bool)
-                                    == Some(true)
-                                {
-                                    stats.salvaged += 1;
-                                }
-                            }
-                            Some("deadline_exceeded") => stats.deadline_exceeded += 1,
-                            _ => stats.quarantined += 1,
-                        }
+                let Some(t0) = lock(&shared.awaiting_result).remove(&id) else {
+                    report.duplicate_replies += 1;
+                    continue;
+                };
+                latency_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+                match text("status") {
+                    Some("served") => {
+                        report.served += 1;
+                        let fallback = reply.get("via_fallback").and_then(JsonValue::as_bool);
+                        report.salvaged += u64::from(fallback == Some(true));
                     }
-                    None => stats.duplicate_replies += 1,
+                    Some("deadline_exceeded") => report.deadline_exceeded += 1,
+                    _ => report.quarantined += 1,
                 }
             }
             // Update acknowledgments: distinct shapes by design, so
             // they never pop the query-offer FIFO.
             Some("committed") => {
-                stats.updates_committed += 1;
-                stats.update_edges += reply
-                    .get("edges")
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or_default();
-                match reply.get("epoch").and_then(JsonValue::as_u64) {
-                    Some(epoch) => stats.observe_epoch(epoch),
-                    None => stats.protocol_errors += 1,
+                report.updates_committed += 1;
+                report.update_edges += num("edges").unwrap_or_default();
+                match num("epoch") {
+                    Some(epoch) => observe_epoch(report, &mut last_epoch, epoch),
+                    None => report.protocol_errors += 1,
                 }
             }
-            Some("update_rejected") => stats.updates_rejected += 1,
+            Some("update_rejected") => report.updates_rejected += 1,
             // Lifecycle acknowledgments, not per-query accounting.
             Some("drained" | "shutting_down" | "shutdown" | "stats" | "health") => {}
-            Some("error") | Some(_) | None => stats.protocol_errors += 1,
+            Some(_) | None => report.protocol_errors += 1,
         }
     }
-    stats
 }
 
 /// Drive one configured load run against a listening server.
@@ -648,114 +592,104 @@ fn receiver_loop(stream: TcpStream, shared: &ConnShared, retry: RetryPolicy) -> 
 /// # Errors
 /// Connection setup errors; a run that connects always returns a
 /// report (individual socket failures surface as its counters).
-pub fn run_loadgen(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
+pub fn run_loadgen(target: &Target, cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
     let started = Instant::now();
     let connections = cfg.connections.max(1);
-    let per_conn_interval = Duration::from_secs_f64(connections as f64 / cfg.qps.max(1) as f64);
-
+    // One socket per connection, with a handle for each of its two
+    // threads; the senders hand theirs back to end the run with.
     let mut streams = Vec::with_capacity(connections);
-    let mut shareds = Vec::with_capacity(connections);
     for _ in 0..connections {
-        streams.push(TcpStream::connect(&cfg.addr)?);
-        shareds.push(Arc::new(ConnShared::default()));
+        let stream = TcpStream::connect(&target.addr)?;
+        streams.push((stream.try_clone()?, stream));
     }
+    let shareds: Vec<ConnShared> = (0..connections).map(|_| ConnShared::default()).collect();
+    let tally = Mutex::new(Tally::default());
+    let tick = target.tick.max(Duration::from_millis(1));
 
-    let retry = RetryPolicy {
-        max: cfg.retry_max,
-        tick_hint: cfg.tick_hint.max(Duration::from_millis(1)),
-    };
-    let mut receivers = Vec::with_capacity(connections);
-    let mut senders = Vec::with_capacity(connections);
-    for (i, stream) in streams.iter().enumerate() {
-        let shared = Arc::clone(&shareds[i]);
-        let read_half = stream.try_clone()?;
-        receivers.push(std::thread::spawn(move || {
-            receiver_loop(read_half, &shared, retry)
-        }));
-        let shared = Arc::clone(&shareds[i]);
-        let write_half = stream.try_clone()?;
-        let rng = SplitMix64::new(cfg.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let cfg = cfg.clone();
-        senders.push(std::thread::spawn(move || {
-            sender_loop(write_half, &shared, rng, per_conn_interval, &cfg)
-        }));
-    }
-
-    let mut offered = 0u64;
-    let mut updates_offered = 0u64;
-    let mut write_errors = 0u64;
-    for s in senders {
-        let (o, u, w) = s.join().expect("sender thread panicked");
-        offered += o;
-        updates_offered += u;
-        write_errors += w;
-    }
-
-    // Settle: wait until every offer is acknowledged and every accepted
-    // query has its result, or give up at the settle deadline.
-    let settle_deadline = Instant::now() + cfg.settle_timeout;
-    loop {
-        let outstanding: usize = shareds
-            .iter()
-            .map(|s| s.awaiting_ack.lock().unwrap().len() + s.awaiting_result.lock().unwrap().len())
-            .sum();
-        if outstanding == 0 || Instant::now() >= settle_deadline {
-            break;
+    let settle_end = std::thread::scope(|scope| {
+        let (mut receivers, mut senders) = (Vec::new(), Vec::new());
+        for (i, (read_half, write_half)) in streams.into_iter().enumerate() {
+            let (shared, tally) = (&shareds[i], &tally);
+            receivers.push(
+                scope.spawn(move || receiver_loop(read_half, shared, tally, cfg.retry_max, tick)),
+            );
+            let rng = SplitMix64::new(cfg.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            senders.push(
+                scope.spawn(move || {
+                    sender_loop(write_half, shared, tally, rng, target.root_max, cfg)
+                }),
+            );
         }
-        std::thread::sleep(Duration::from_millis(20));
-    }
+        let streams: Vec<TcpStream> = senders
+            .into_iter()
+            .map(|s| s.join().expect("sender thread panicked"))
+            .collect();
 
-    if cfg.shutdown_at_end {
-        // Exercise the graceful drain; the server answers with a final
-        // shutdown line and closes every connection (receiver EOF).
-        let _ = (&streams[0]).write_all(b"{\"cmd\":\"shutdown\"}\n");
-    } else {
+        // Settle: wait until every offer is acknowledged and every
+        // accepted query has its result. The deadline is progress-based
+        // — it runs out only after `settle_timeout` without a single
+        // reply — so a server that is slow but still answering is never
+        // booked as having lost what it had not sent yet.
+        let mut last = (0, 0);
+        let mut deadline = Instant::now();
+        let settle_end = loop {
+            let left = shareds
+                .iter()
+                .map(ConnShared::outstanding)
+                .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+            if left == (0, 0) {
+                break "every reply arrived";
+            }
+            if receivers.iter().all(|r| r.is_finished()) {
+                break "the server closed every connection";
+            }
+            if left != last {
+                last = left;
+                deadline = Instant::now() + cfg.settle_timeout;
+            } else if Instant::now() >= deadline {
+                break "the settle timeout passed without a reply";
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+
+        // Closing the sockets ends the receivers (EOF).
         for s in &streams {
             let _ = s.shutdown(Shutdown::Both);
         }
-    }
+        settle_end
+    });
 
-    let mut report = LoadgenReport {
-        connections: connections as u64,
-        target_qps: cfg.qps,
-        duration_s: cfg.duration.as_secs_f64(),
-        offered,
-        updates_offered,
-        write_errors,
-        ..LoadgenReport::default()
-    };
-    let mut samples = Vec::new();
-    for r in receivers {
-        let s = r.join().expect("receiver thread panicked");
-        report.accepted += s.accepted;
-        report.rejected_full += s.rejected_full;
-        report.rejected_backlog += s.rejected_backlog;
-        report.rejected_shutdown += s.rejected_shutdown;
-        report.rejected_degraded += s.rejected_degraded;
-        report.rejected_other += s.rejected_other;
-        report.rejects_with_hint += s.rejects_with_hint;
-        report.rejections_seen += s.rejections_seen;
-        report.retried += s.retried;
-        report.retry_successes += s.retry_successes;
-        report.served += s.served;
-        report.quarantined += s.quarantined;
-        report.deadline_exceeded += s.deadline_exceeded;
-        report.salvaged += s.salvaged;
-        report.duplicate_replies += s.duplicate_replies;
-        report.protocol_errors += s.protocol_errors;
-        report.updates_committed += s.updates_committed;
-        report.update_edges += s.update_edges;
-        report.updates_rejected += s.updates_rejected;
-        report.epoch_regressions += s.epoch_regressions;
-        report.final_epoch = report.final_epoch.max(s.last_epoch);
-        samples.extend(s.latency_ms);
-    }
+    let Tally {
+        mut report,
+        latency_ms,
+    } = tally.into_inner().expect("load threads are joined");
+    report.connections = connections as u64;
+    report.target_qps = cfg.qps;
+    report.duration_s = cfg.duration.as_secs_f64();
     for s in &shareds {
-        report.unacked += s.awaiting_ack.lock().unwrap().len() as u64;
-        report.lost_replies += s.awaiting_result.lock().unwrap().len() as u64;
-        report.retries_abandoned += s.retry_queue.lock().unwrap().len() as u64;
+        let (unacked, unanswered) = s.outstanding();
+        report.unacked += unacked as u64;
+        report.lost_replies += unanswered as u64;
+        report.retries_abandoned += lock(&s.retry_queue).len() as u64;
     }
-    report.latency = LatencySummary::from_samples(samples);
+    if report.unacked + report.lost_replies > 0 {
+        eprintln!(
+            "loadgen: {} offers unacknowledged and {} accepted queries unanswered when settling \
+             ended because {settle_end} (settle timeout {:?})",
+            report.unacked, report.lost_replies, cfg.settle_timeout
+        );
+        for (i, s) in shareds.iter().enumerate() {
+            let mut ids: Vec<u64> = lock(&s.awaiting_result).keys().copied().collect();
+            ids.sort_unstable();
+            eprintln!(
+                "loadgen:   connection {i}: {} unacknowledged, {} unanswered ids {:?}",
+                s.outstanding().0,
+                ids.len(),
+                &ids[..ids.len().min(32)]
+            );
+        }
+    }
+    report.latency = LatencySummary::from_samples(latency_ms);
     report.elapsed_s = started.elapsed().as_secs_f64();
     let window = report.duration_s.max(1e-9);
     report.offered_qps = report.offered as f64 / window;
@@ -763,333 +697,9 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
     Ok(report)
 }
 
-// ---------------------------------------------------------------------------
-// Chaos soak: the whole stack under live faults, end to end.
-// ---------------------------------------------------------------------------
-
-/// Knobs for one chaos soak run ([`run_chaos_soak`]).
-#[derive(Clone, Debug)]
-pub struct ChaosSoakConfig {
-    /// The resident graph to serve. Loaded with an **armed**
-    /// [`FaultPlan`] so chaos events injected mid-run keep payload
-    /// framing SPMD-consistent.
-    pub session: SessionConfig,
-    /// Service knobs (health thresholds included).
-    pub serve: ServeConfig,
-    /// Transport knobs.
-    pub net: NetConfig,
-    /// The seeded fault schedule the service arms against itself.
-    /// Bound `max_events` so the soak tail is chaos-free and recovery
-    /// can close.
-    pub chaos: ChaosConfig,
-    /// The offered load (`addr` and `shutdown_at_end` are overridden).
-    pub load: LoadgenConfig,
-    /// Minimum acceptable `served / completed` ratio.
-    pub availability_gate: f64,
-    /// Maximum acceptable single recovery episode, in service ticks.
-    pub recovery_gate_ticks: u64,
-    /// How often the side connection polls the `health` request.
-    pub health_poll: Duration,
-    /// Wall-clock bound on driving the service back to `healthy`
-    /// after the load window closes.
-    pub recovery_timeout: Duration,
-}
-
-/// What one chaos soak saw, end to end: the load generator's view, the
-/// service's own report, the transport summary, and the availability /
-/// recovery verdicts. Renders as the `serve_chaos` section of the
-/// schema-v9 metrics JSON.
-#[derive(Debug)]
-pub struct ChaosSoakReport {
-    /// The client-side view of the run.
-    pub load: LoadgenReport,
-    /// The service's own report (empty when the service thread died).
-    pub serve: ServeReport,
-    /// The transport summary.
-    pub net: NetSummary,
-    /// `served / (served + quarantined + deadline_exceeded)`.
-    pub availability: f64,
-    /// The configured availability gate.
-    pub availability_gate: f64,
-    /// Health round trips that left and re-reached `healthy`.
-    pub recovery_episodes: u64,
-    /// The longest such episode, in service ticks.
-    pub max_recovery_ticks: u64,
-    /// The configured recovery-time gate.
-    pub recovery_gate_ticks: u64,
-    /// Deduped health-state sequence the side poller observed.
-    pub observed_states: Vec<String>,
-    /// Health state at shutdown.
-    pub final_health: String,
-    /// True when the service ended the run `healthy`.
-    pub recovered: bool,
-    /// True when a server thread panicked (automatic failure).
-    pub server_panicked: bool,
-    /// The panic payload, when one did.
-    pub join_error: Option<String>,
-}
-
-impl ChaosSoakReport {
-    /// The soak's verdict: no crash, clean accounting, availability at
-    /// or above the gate, recovered to `healthy`, and every recovery
-    /// episode inside the tick budget.
-    pub fn passed(&self) -> bool {
-        !self.server_panicked
-            && self.load.clean()
-            && self.availability >= self.availability_gate
-            && self.recovered
-            && self.max_recovery_ticks <= self.recovery_gate_ticks
-    }
-}
-
-impl ToJson for ChaosSoakReport {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("availability", self.availability)
-            .field("availability_gate", self.availability_gate)
-            .field("recovery_episodes", self.recovery_episodes)
-            .field("max_recovery_ticks", self.max_recovery_ticks)
-            .field("recovery_gate_ticks", self.recovery_gate_ticks)
-            .field(
-                "observed_states",
-                JsonValue::Array(
-                    self.observed_states
-                        .iter()
-                        .map(|s| JsonValue::from(s.as_str()))
-                        .collect(),
-                ),
-            )
-            .field("final_health", self.final_health.as_str())
-            .field("recovered", self.recovered)
-            .field("server_panicked", self.server_panicked)
-            .field(
-                "join_error",
-                match &self.join_error {
-                    Some(e) => JsonValue::from(e.as_str()),
-                    None => JsonValue::Null,
-                },
-            )
-            .field("passed", self.passed())
-            .field("load", self.load.to_json())
-            // Aggregates only: a soak records thousands of queries, and
-            // the committed artifact must stay reviewable.
-            .field("serve", self.serve.to_summary_json())
-            .field("net", self.net.to_json())
-            .build()
-    }
-}
-
-/// Poll `{"cmd":"health"}` on a dedicated connection, recording the
-/// deduped state sequence, until `stop` flips or the socket dies.
-fn health_poller(addr: &str, poll: Duration, stop: &AtomicBool, observed: &Mutex<Vec<String>>) {
-    let Ok(mut stream) = TcpStream::connect(addr) else {
-        return;
-    };
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
-    while !stop.load(Ordering::SeqCst) {
-        if stream.write_all(b"{\"cmd\":\"health\"}\n").is_err() {
-            break;
-        }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        if let Ok(reply) = JsonValue::parse(line.trim()) {
-            if reply.get("reply").and_then(JsonValue::as_str) == Some("health") {
-                if let Some(state) = reply.get("state").and_then(JsonValue::as_str) {
-                    let mut seen = observed.lock().unwrap();
-                    if seen.last().map(String::as_str) != Some(state) {
-                        seen.push(state.to_string());
-                    }
-                }
-            }
-        }
-        std::thread::sleep(poll);
-    }
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// After the load window, feed the service small clean batches until
-/// the poller sees `healthy` (or the deadline passes): quarantine
-/// probes fire on idle ticks by themselves, but `Recovering → Healthy`
-/// needs clean traffic to prove.
-fn drive_recovery(addr: &str, deadline: Instant, observed: &Mutex<Vec<String>>) -> bool {
-    let healthy_now = || observed.lock().unwrap().last().map(String::as_str) == Some("healthy");
-    let Ok(mut stream) = TcpStream::connect(addr) else {
-        return healthy_now();
-    };
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let Ok(read_half) = stream.try_clone() else {
-        return healthy_now();
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
-    while Instant::now() < deadline && !healthy_now() {
-        for root in 0..4u64 {
-            if stream.write_all(query_line(root, None).as_bytes()).is_err() {
-                return healthy_now();
-            }
-        }
-        let _ = stream.write_all(b"{\"cmd\":\"drain\"}\n");
-        // Drain replies until the short read deadline; we only care
-        // that the service executes clean batches, not about matching.
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-        }
-    }
-    let _ = stream.shutdown(Shutdown::Both);
-    healthy_now()
-}
-
-/// Recovery episodes from the transition log: every span from leaving
-/// `healthy` to re-reaching it, in ticks. A run that never got back is
-/// not an episode — [`ChaosSoakReport::recovered`] catches it instead.
-fn recovery_episodes(transitions: &[HealthTransition]) -> (u64, u64) {
-    let mut episodes = 0u64;
-    let mut max_ticks = 0u64;
-    let mut left_at: Option<u64> = None;
-    for t in transitions {
-        if t.from == "healthy" && left_at.is_none() {
-            left_at = Some(t.at_tick);
-        }
-        if t.to == "healthy" {
-            if let Some(start) = left_at.take() {
-                episodes += 1;
-                max_ticks = max_ticks.max(t.at_tick.saturating_sub(start));
-            }
-        }
-    }
-    (episodes, max_ticks)
-}
-
-/// Run the whole chaos soak: build the session with an armed fault
-/// plan, serve it over TCP with the seeded chaos schedule, offer load
-/// while polling health from the side, drive recovery closed, shut
-/// down gracefully, and fold every view into a [`ChaosSoakReport`].
-///
-/// # Errors
-/// Session build and listener setup errors; everything after the
-/// server is up folds into the report instead.
-pub fn run_chaos_soak(cfg: &ChaosSoakConfig) -> io::Result<ChaosSoakReport> {
-    let session = GraphSession::load(cfg.session, FaultPlan::armed())
-        .map_err(|e| io::Error::other(format!("session load: {e}")))?;
-    let svc = BfsService::new(session, cfg.serve).with_chaos(cfg.chaos);
-    let server = serve(svc, "127.0.0.1:0", cfg.net)?;
-    let addr = server.local_addr().to_string();
-
-    let stop_poller = Arc::new(AtomicBool::new(false));
-    let observed = Arc::new(Mutex::new(Vec::<String>::new()));
-    let poller = {
-        let (addr, poll) = (addr.clone(), cfg.health_poll);
-        let stop = Arc::clone(&stop_poller);
-        let observed = Arc::clone(&observed);
-        std::thread::spawn(move || health_poller(&addr, poll, &stop, &observed))
-    };
-
-    let mut load_cfg = cfg.load.clone();
-    load_cfg.addr = addr.clone();
-    load_cfg.shutdown_at_end = false;
-    let load = run_loadgen(&load_cfg)?;
-
-    let recovered_by_drive =
-        drive_recovery(&addr, Instant::now() + cfg.recovery_timeout, &observed);
-
-    stop_poller.store(true, Ordering::SeqCst);
-    server.shutdown();
-    let outcome = server.join();
-    let _ = poller.join();
-
-    let serve_report = outcome
-        .service
-        .as_ref()
-        .map(|svc| svc.report())
-        .unwrap_or_default();
-    let (recovery_episodes, max_recovery_ticks) =
-        recovery_episodes(&serve_report.health_transitions);
-    let final_health = outcome
-        .service
-        .as_ref()
-        .map(|svc| svc.health().label().to_string())
-        .unwrap_or_default();
-    let recovered = recovered_by_drive || final_health == "healthy";
-    let server_panicked = outcome.panicked();
-    let join_error = outcome
-        .service_join_error
-        .clone()
-        .or(outcome.accept_join_error.clone());
-    let observed_states = observed.lock().unwrap().clone();
-    Ok(ChaosSoakReport {
-        availability: serve_report.availability(),
-        availability_gate: cfg.availability_gate,
-        recovery_episodes,
-        max_recovery_ticks,
-        recovery_gate_ticks: cfg.recovery_gate_ticks,
-        observed_states,
-        final_health,
-        recovered: recovered && !server_panicked,
-        server_panicked,
-        join_error,
-        load,
-        serve: serve_report,
-        net: outcome.summary,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn terminal_rejection_rate_excludes_successful_retries() {
-        let mut r = LoadgenReport {
-            offered: 100,
-            rejections_seen: 20,
-            retried: 15,
-            retry_successes: 12,
-            rejected_degraded: 5,
-            ..LoadgenReport::default()
-        };
-        assert_eq!(r.terminal_rejection_rate(), 0.05);
-        r.retries_abandoned = 3;
-        assert_eq!(r.terminal_rejection_rate(), 0.08);
-        let empty = LoadgenReport::default();
-        assert_eq!(empty.terminal_rejection_rate(), 0.0);
-    }
-
-    #[test]
-    fn recovery_episodes_measure_healthy_round_trips() {
-        let t = |from: &'static str, to: &'static str, at_tick: u64| HealthTransition {
-            from,
-            to,
-            at_tick,
-            reason: String::new(),
-        };
-        assert_eq!(recovery_episodes(&[]), (0, 0));
-        // One full round trip of 9 ticks, one of 4.
-        let trail = vec![
-            t("healthy", "degraded", 10),
-            t("degraded", "quarantined", 12),
-            t("quarantined", "recovering", 17),
-            t("recovering", "healthy", 19),
-            t("healthy", "degraded", 30),
-            t("degraded", "recovering", 32),
-            t("recovering", "healthy", 34),
-        ];
-        assert_eq!(recovery_episodes(&trail), (2, 9));
-        // Never recovered: no episode closes.
-        let open = vec![t("healthy", "degraded", 5)];
-        assert_eq!(recovery_episodes(&open), (0, 0));
-    }
 
     #[test]
     fn query_lines_carry_the_deadline_budget() {
@@ -1098,28 +708,6 @@ mod tests {
             query_line(7, Some(3)),
             "{\"cmd\":\"query\",\"root\":7,\"deadline_ticks\":3}\n"
         );
-    }
-
-    #[test]
-    fn loadgen_report_json_carries_the_chaos_fields() {
-        let js = LoadgenReport::default().to_json().render();
-        for key in [
-            "rejected_degraded",
-            "rejections_seen",
-            "retried",
-            "retry_successes",
-            "retries_abandoned",
-            "deadline_exceeded",
-            "salvaged",
-            "updates_offered",
-            "updates_committed",
-            "update_edges",
-            "updates_rejected",
-            "epoch_regressions",
-            "final_epoch",
-        ] {
-            assert!(js.contains(&format!("\"{key}\"")), "missing {key} in {js}");
-        }
     }
 
     #[test]
@@ -1138,19 +726,77 @@ mod tests {
 
     #[test]
     fn epoch_regressions_count_backwards_stamps_and_gate_clean() {
-        let mut stats = ConnStats::default();
+        let (mut report, mut last) = (LoadgenReport::default(), 0);
         for e in [1, 2, 2, 5] {
-            stats.observe_epoch(e);
+            observe_epoch(&mut report, &mut last, e);
         }
-        assert_eq!(stats.epoch_regressions, 0);
-        assert_eq!(stats.last_epoch, 5);
-        stats.observe_epoch(3);
-        assert_eq!(stats.epoch_regressions, 1);
-        assert_eq!(stats.last_epoch, 5);
-        let report = LoadgenReport {
-            epoch_regressions: 1,
-            ..LoadgenReport::default()
-        };
+        assert_eq!((report.epoch_regressions, last), (0, 5));
+        observe_epoch(&mut report, &mut last, 3);
+        assert_eq!((report.epoch_regressions, last), (1, 5));
+        assert_eq!(report.final_epoch, 5);
         assert!(!report.clean(), "a torn read must fail the clean gate");
+    }
+
+    /// A server that acknowledges at once but answers one result per
+    /// `gap`: slower than the settle timeout in total, never silent for
+    /// that long. Returns how many queries it answered.
+    fn trickling_server(listener: std::net::TcpListener, gap: Duration) -> u64 {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut client = LineClient {
+            reader: BufReader::new(stream.try_clone().expect("clone")),
+            writer: stream,
+        };
+        let mut accepted = 0u64;
+        while let Ok(request) = client.recv() {
+            match request.get("cmd").and_then(JsonValue::as_str) {
+                Some("query") => {
+                    let ack = format!("{{\"reply\":\"accepted\",\"id\":{accepted}}}");
+                    client.send(&ack).expect("ack");
+                    accepted += 1;
+                }
+                Some("drain") => break,
+                other => panic!("unexpected request {other:?}"),
+            }
+        }
+        for id in 0..accepted {
+            std::thread::sleep(gap);
+            let result = format!("{{\"reply\":\"result\",\"id\":{id},\"status\":\"served\"}}");
+            client.send(&result).expect("result");
+        }
+        // Hold the connection until the client ends the run.
+        let _ = client.recv();
+        accepted
+    }
+
+    #[test]
+    fn settle_outlives_a_slow_server_that_never_goes_silent() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let target = Target {
+            addr: listener.local_addr().expect("addr").to_string(),
+            root_max: 64,
+            tick: Duration::from_millis(1),
+        };
+        let gap = Duration::from_millis(50);
+        let settle_timeout = 5 * gap;
+        let server = std::thread::spawn(move || trickling_server(listener, gap));
+        let report = run_loadgen(
+            &target,
+            &LoadgenConfig {
+                connections: 1,
+                qps: 100,
+                duration: Duration::from_millis(100),
+                settle_timeout,
+                ..LoadgenConfig::default()
+            },
+        )
+        .expect("run");
+        let answered = server.join().expect("server thread");
+        assert!(
+            gap * answered as u32 > settle_timeout,
+            "the server must take longer than the settle timeout in total ({answered} results)"
+        );
+        assert_eq!(report.accepted, answered);
+        assert_eq!(report.served, answered, "every trickled result counts");
+        assert!(report.clean(), "nothing may be booked as lost: {report:?}");
     }
 }

@@ -1,5 +1,5 @@
 //! Service observability: everything the metrics JSON `serve` section
-//! (schema v9, `docs/METRICS.md`) reports about one service lifetime.
+//! (`docs/METRICS.md`) reports about one service lifetime.
 
 use sunbfs_common::{JsonValue, ToJson};
 

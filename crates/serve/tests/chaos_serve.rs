@@ -1,72 +1,26 @@
-//! Chaos-serving tests: the live-fault soak end to end at a small
-//! scale, the `health` request over TCP, deadline budgets over TCP,
-//! and the satellite claim that honoring `retry_after_ticks` hints
-//! reduces the terminal rejection rate under overload.
+//! Soak and chaos-serving tests: every soak profile end to end at a
+//! small scale, the `health` request over TCP, deadline budgets over
+//! TCP, and the claim that honoring `retry_after_ticks` hints reduces
+//! the terminal rejection rate under overload.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 use sunbfs_common::JsonValue;
-use sunbfs_net::FaultPlan;
 use sunbfs_serve::{
-    run_chaos_soak, run_loadgen, BfsService, ChaosConfig, ChaosSoakConfig, GraphSession,
-    LoadgenConfig, NetConfig, ServeConfig, SessionConfig, TcpServer,
+    recovery_episodes, run_loadgen, run_soak, ChaosConfig, LoadgenConfig, LoadgenReport, NetConfig,
+    Profile, RepairRounds, ServeConfig, SessionConfig, SoakConfig, UpdatePlan,
 };
 
-fn start(scale: u32, ranks: usize, serve_cfg: ServeConfig, net_cfg: NetConfig) -> TcpServer {
-    let session =
-        GraphSession::load(SessionConfig::small(scale, ranks), FaultPlan::none()).expect("load");
-    let svc = BfsService::new(session, serve_cfg);
-    sunbfs_serve::serve(svc, "127.0.0.1:0", net_cfg).expect("bind")
-}
-
-/// A blocking NDJSON test client.
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(server: &TcpServer) -> Client {
-        let stream = TcpStream::connect(server.local_addr()).expect("connect");
-        let reader = BufReader::new(stream.try_clone().expect("clone"));
-        Client {
-            writer: stream,
-            reader,
-        }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).expect("write");
-        self.writer.write_all(b"\n").expect("write newline");
-    }
-
-    fn recv(&mut self) -> JsonValue {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            let n = self.reader.read_line(&mut line).expect("read");
-            assert!(n > 0, "unexpected EOF from server");
-            if line.trim().is_empty() {
-                continue;
-            }
-            return JsonValue::parse(line.trim()).expect("well-formed reply line");
-        }
-    }
-}
-
-fn str_field<'a>(v: &'a JsonValue, key: &str) -> &'a str {
-    v.get(key).and_then(JsonValue::as_str).unwrap_or("<none>")
-}
+mod common;
+use common::{connect, start, str_field, target};
 
 #[test]
 fn health_request_over_tcp_reports_the_state_machine() {
     let server = start(8, 4, ServeConfig::default(), NetConfig::default());
-    let mut c = Client::connect(&server);
+    let mut c = connect(&server);
 
-    c.send(r#"{"cmd":"health"}"#);
-    let h = c.recv();
+    c.send(r#"{"cmd":"health"}"#).unwrap();
+    let h = c.recv().unwrap();
     assert_eq!(str_field(&h, "reply"), "health");
     assert_eq!(str_field(&h, "state"), "healthy");
     for key in [
@@ -88,10 +42,10 @@ fn health_request_over_tcp_reports_the_state_machine() {
     );
 
     // Health is read-only: the service still serves afterwards.
-    c.send(r#"{"cmd":"query","root":1}"#);
-    let acc = c.recv();
+    c.send(r#"{"cmd":"query","root":1}"#).unwrap();
+    let acc = c.recv().unwrap();
     assert_eq!(str_field(&acc, "reply"), "accepted");
-    let res = c.recv();
+    let res = c.recv().unwrap();
     assert_eq!(str_field(&res, "reply"), "result");
     assert_eq!(str_field(&res, "status"), "served");
 
@@ -116,12 +70,13 @@ fn a_deadline_budget_expires_into_a_typed_eviction_over_tcp() {
             ..NetConfig::default()
         },
     );
-    let mut c = Client::connect(&server);
-    c.send(r#"{"cmd":"query","root":3,"deadline_ticks":2}"#);
-    let acc = c.recv();
+    let mut c = connect(&server);
+    c.send(r#"{"cmd":"query","root":3,"deadline_ticks":2}"#)
+        .unwrap();
+    let acc = c.recv().unwrap();
     assert_eq!(str_field(&acc, "reply"), "accepted");
 
-    let res = c.recv();
+    let res = c.recv().unwrap();
     assert_eq!(str_field(&res, "reply"), "result");
     assert_eq!(str_field(&res, "status"), "deadline_exceeded");
     assert_eq!(
@@ -148,17 +103,26 @@ fn a_deadline_budget_expires_into_a_typed_eviction_over_tcp() {
     assert_eq!(summary.final_health, "healthy");
 }
 
-/// The tentpole soak, miniaturized: live chaos against the serving
-/// path, health observed over a side connection, recovery driven to
-/// `healthy`, and exactly-once accounting for every accepted query.
+/// Every soak profile, miniaturized: the whole stack served in-process
+/// under paced load, health observed over a side connection, and
+/// exactly-once accounting for every accepted query — plus what each
+/// profile arms on top (live chaos driven back to `healthy`; a scripted
+/// update plan beside wire updates, with epochs that never regress).
 #[test]
-fn chaos_soak_survives_faults_and_recovers_to_healthy() {
-    let cfg = ChaosSoakConfig {
-        session: SessionConfig::small(8, 4),
+fn every_soak_profile_passes_its_gate_with_exactly_once_accounting() {
+    let base = |profile, scale| SoakConfig {
+        profile,
+        session: SessionConfig::small(scale, 4),
         serve: ServeConfig::default(),
         net: NetConfig {
             tick_interval: Duration::from_millis(2),
             ..NetConfig::default()
+        },
+        load: LoadgenConfig {
+            connections: 2,
+            qps: 150,
+            duration: Duration::from_secs(2),
+            ..LoadgenConfig::default()
         },
         chaos: ChaosConfig {
             seed: 7,
@@ -167,136 +131,134 @@ fn chaos_soak_survives_faults_and_recovers_to_healthy() {
             straggler_secs: 0.01,
             max_events: 3,
         },
-        load: LoadgenConfig {
-            connections: 2,
-            qps: 150,
-            duration: Duration::from_secs(2),
-            root_max: 1 << 8,
-            deadline_ticks: Some(200),
-            retry_max: 2,
-            tick_hint: Duration::from_millis(2),
-            retry_grace: Duration::from_secs(1),
-            ..LoadgenConfig::default()
-        },
         availability_gate: 0.90,
         recovery_gate_ticks: 5_000,
-        health_poll: Duration::from_millis(25),
-        recovery_timeout: Duration::from_secs(20),
+        update_plan: UpdatePlan::parse("insert@8:16;insert@40:16").expect("plan parses"),
+        repair: RepairRounds {
+            rounds: 2,
+            batch: 16,
+            roots: 2,
+        },
     };
-    let report = run_chaos_soak(&cfg).expect("soak runs");
+    let mut chaos = base(Profile::Chaos, 8);
+    chaos.load.deadline_ticks = Some(200);
+    chaos.load.retry_max = 2;
+    let mut update = base(Profile::Update, 9);
+    update.load.update_every = 8;
 
-    // The server never crashed or wedged.
-    assert!(!report.server_panicked, "panic: {:?}", report.join_error);
-    assert_eq!(report.load.protocol_errors, 0);
+    for cfg in [base(Profile::Load, 8), chaos, update] {
+        let profile = cfg.profile;
+        let report = run_soak(&cfg).expect("soak runs");
 
-    // Exactly-once: every accepted query got exactly one typed reply.
-    assert_eq!(report.load.lost_replies, 0);
-    assert_eq!(report.load.duplicate_replies, 0);
-    assert_eq!(report.load.unacked, 0);
-    assert_eq!(
-        report.load.accepted,
-        report.load.served + report.load.quarantined + report.load.deadline_exceeded,
-        "accepted queries must partition exactly into the completion classes"
-    );
+        // The server never crashed or wedged.
+        assert_eq!(report.join_error, None, "{profile:?}");
+        assert_eq!(report.load.protocol_errors, 0, "{profile:?}");
 
-    // Chaos actually fired, and the service healed from it.
-    assert!(
-        report.serve.chaos_injected > 0,
-        "the soak must inject at least one live fault"
-    );
-    assert!(report.recovered, "service must end the run healthy");
-    assert_eq!(report.final_health, "healthy");
-    assert!(
-        report.availability >= cfg.availability_gate,
-        "availability {} under gate {}",
-        report.availability,
-        cfg.availability_gate
-    );
-    assert!(report.passed(), "the composite verdict must hold");
+        // Exactly-once: every accepted query got exactly one typed reply.
+        assert_eq!(report.load.lost_replies, 0, "{profile:?}");
+        assert_eq!(report.load.duplicate_replies, 0, "{profile:?}");
+        assert_eq!(report.load.unacked, 0, "{profile:?}");
+        assert_eq!(
+            report.load.accepted,
+            report.load.served + report.load.quarantined + report.load.deadline_exceeded,
+            "{profile:?}: accepted queries must partition exactly into the completion classes"
+        );
+        assert!(report.clean_drain(), "{profile:?}");
+        assert_eq!(report.net.results_dropped, 0, "{profile:?}");
 
-    // The side poller saw the machine leave healthy and come back.
-    assert!(
-        report.observed_states.first().map(String::as_str) == Some("healthy"),
-        "poll sequence must start healthy, got {:?}",
-        report.observed_states
-    );
-    assert!(
-        report.observed_states.last().map(String::as_str) == Some("healthy"),
-        "poll sequence must end healthy, got {:?}",
-        report.observed_states
-    );
-    // The full required path is in the service's own transition log.
-    let hops: Vec<(&str, &str)> = report
-        .serve
-        .health_transitions
-        .iter()
-        .map(|t| (t.from, t.to))
-        .collect();
-    assert!(
-        hops.contains(&("healthy", "degraded")),
-        "no degradation recorded: {hops:?}"
-    );
-    assert!(
-        hops.iter()
-            .any(|&(from, to)| to == "recovering" || from == "recovering"),
-        "no recovery hop recorded: {hops:?}"
-    );
-    assert!(
-        hops.last() == Some(&("recovering", "healthy")),
-        "the log must close back at healthy: {hops:?}"
-    );
-    assert!(report.recovery_episodes > 0);
-    assert!(report.max_recovery_ticks <= cfg.recovery_gate_ticks);
+        // The side poller watched the machine from healthy to healthy.
+        let states: Vec<&str> = report.observed_states.iter().map(String::as_str).collect();
+        assert_eq!(states.first(), Some(&"healthy"), "{profile:?}: {states:?}");
+        assert_eq!(states.last(), Some(&"healthy"), "{profile:?}: {states:?}");
+        assert!(report.recovered(), "{profile:?}: service must end healthy");
+        assert_eq!(report.final_health, "healthy", "{profile:?}");
+        assert!(
+            report.passed(),
+            "{profile:?}: the profile's verdict must hold"
+        );
+
+        let hops: Vec<(&str, &str)> = report
+            .serve
+            .health_transitions
+            .iter()
+            .map(|t| (t.from, t.to))
+            .collect();
+        match profile {
+            Profile::Load => assert!(hops.is_empty(), "no fault, no transition: {hops:?}"),
+            Profile::Chaos => {
+                // Chaos actually fired, and the service healed from it:
+                // the full required path is in its own transition log.
+                assert!(report.serve.chaos_injected > 0, "no live fault injected");
+                assert!(report.serve.availability() >= cfg.availability_gate);
+                assert!(
+                    hops.contains(&("healthy", "degraded")),
+                    "no degradation recorded: {hops:?}"
+                );
+                assert!(
+                    hops.last() == Some(&("recovering", "healthy")),
+                    "the log must close back at healthy: {hops:?}"
+                );
+                let (episodes, max_ticks) = recovery_episodes(&report.serve.health_transitions);
+                assert!(episodes > 0);
+                assert!(max_ticks <= cfg.recovery_gate_ticks);
+            }
+            Profile::Update => {
+                // Both update sources committed: the armed plan inside
+                // the service and the wire batches the clients sent.
+                assert!(report.load.updates_committed > 0, "no wire update");
+                assert_eq!(report.load.updates_rejected, 0);
+                assert_eq!(report.load.epoch_regressions, 0, "torn read");
+                assert_eq!(
+                    report.serve.updates_applied,
+                    report.load.updates_committed + cfg.update_plan.events().len() as u64,
+                    "plan events and wire batches must all commit"
+                );
+                assert_eq!(report.load.final_epoch, report.serve.epoch);
+                assert_eq!(report.repair.equivalence_violations, 0);
+                assert_eq!(report.repair.updates_applied, cfg.repair.rounds);
+            }
+        }
+    }
 }
 
-/// Satellite 3's claim, measured: with the same offered load against
+/// The backoff claim, measured: with the same offered load against
 /// the same overloaded server shape, clients that honor
 /// `retry_after_ticks` end the run with a lower terminal rejection
 /// rate than clients that treat every rejection as final.
 #[test]
 fn honoring_retry_hints_reduces_the_terminal_rejection_rate() {
-    let overloaded = || {
-        start(
-            8,
-            4,
-            // A slow flush cycle (40 ticks × 5 ms) with a 4-slot queue:
-            // offered load far outruns admission, so most offers bounce
-            // off a full queue with a retry hint pointing at the next
-            // flush.
-            ServeConfig {
-                queue_capacity: 4,
-                batch_max: 64,
-                flush_deadline: 40,
-                ..ServeConfig::default()
-            },
-            NetConfig {
-                tick_interval: Duration::from_millis(5),
-                ..NetConfig::default()
+    let net_cfg = NetConfig {
+        tick_interval: Duration::from_millis(5),
+        ..NetConfig::default()
+    };
+    // A slow flush cycle (40 ticks × 5 ms) with a 4-slot queue: offered
+    // load far outruns admission, so most offers bounce off a full
+    // queue with a retry hint pointing at the next flush.
+    let overloaded = ServeConfig {
+        queue_capacity: 4,
+        batch_max: 64,
+        flush_deadline: 40,
+        ..ServeConfig::default()
+    };
+    let run = |retry_max: u32| {
+        let server = start(8, 4, overloaded, net_cfg);
+        let report = run_loadgen(
+            &target(&server, 8, net_cfg),
+            &LoadgenConfig {
+                connections: 2,
+                qps: 400,
+                duration: Duration::from_millis(1500),
+                retry_max,
+                ..LoadgenConfig::default()
             },
         )
+        .expect("load run");
+        server.shutdown();
+        server.join().expect_clean();
+        report
     };
-    let load = |addr: String, retry_max: u32| LoadgenConfig {
-        addr,
-        connections: 2,
-        qps: 400,
-        duration: Duration::from_millis(1500),
-        root_max: 1 << 8,
-        retry_max,
-        tick_hint: Duration::from_millis(5),
-        retry_grace: Duration::from_secs(2),
-        shutdown_at_end: false,
-        ..LoadgenConfig::default()
-    };
-
-    let server = overloaded();
-    let naive = run_loadgen(&load(server.local_addr().to_string(), 0)).expect("naive run");
-    server.shutdown();
-    server.join().expect_clean();
-
-    let server = overloaded();
-    let polite = run_loadgen(&load(server.local_addr().to_string(), 3)).expect("polite run");
-    server.shutdown();
-    server.join().expect_clean();
+    let naive = run(0);
+    let polite = run(3);
 
     // Both runs oversubscribed the queue and saw hinted rejections.
     assert!(naive.rejected_full > 0, "naive run must hit backpressure");
@@ -311,8 +273,19 @@ fn honoring_retry_hints_reduces_the_terminal_rejection_rate() {
         "some retried offers must land once the queue drains"
     );
 
-    let naive_rate = naive.terminal_rejection_rate();
-    let polite_rate = polite.terminal_rejection_rate();
+    // Terminal rejections per offered query: rejections retried into an
+    // eventual accept don't count — this is the rate a hint-honoring
+    // client actually experiences.
+    let terminal_rate = |r: &LoadgenReport| {
+        let terminal = r.rejected_full
+            + r.rejected_backlog
+            + r.rejected_shutdown
+            + r.rejected_degraded
+            + r.rejected_other
+            + r.retries_abandoned;
+        terminal as f64 / r.offered.max(1) as f64
+    };
+    let (naive_rate, polite_rate) = (terminal_rate(&naive), terminal_rate(&polite));
     assert!(
         polite_rate < naive_rate,
         "honoring hints must reduce terminal rejections: polite {polite_rate:.4} vs naive {naive_rate:.4}"

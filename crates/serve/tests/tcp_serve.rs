@@ -7,94 +7,45 @@
 //! replies. Plus the perimeter: connection caps, typed protocol
 //! errors, idle-client deadlines, and per-connection in-flight caps.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use sunbfs_common::JsonValue;
-use sunbfs_net::FaultPlan;
-use sunbfs_serve::{
-    run_loadgen, BfsService, GraphSession, LoadgenConfig, NetConfig, ServeConfig, SessionConfig,
-    TcpServer,
-};
+use sunbfs_serve::{run_loadgen, LineClient, LoadgenConfig, NetConfig, ServeConfig};
 
-fn start(scale: u32, ranks: usize, serve_cfg: ServeConfig, net_cfg: NetConfig) -> TcpServer {
-    let session =
-        GraphSession::load(SessionConfig::small(scale, ranks), FaultPlan::none()).expect("load");
-    let svc = BfsService::new(session, serve_cfg);
-    sunbfs_serve::serve(svc, "127.0.0.1:0", net_cfg).expect("bind")
+mod common;
+use common::{connect, start, str_field, target};
+
+fn reply_kind(v: &JsonValue) -> &str {
+    str_field(v, "reply")
 }
 
-/// A blocking NDJSON test client.
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(server: &TcpServer) -> Client {
-        let stream = TcpStream::connect(server.local_addr()).expect("connect");
-        let reader = BufReader::new(stream.try_clone().expect("clone"));
-        Client {
-            writer: stream,
-            reader,
-        }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).expect("write");
-        self.writer.write_all(b"\n").expect("write newline");
-    }
-
-    /// Next reply line, parsed; panics on EOF.
-    fn recv(&mut self) -> JsonValue {
-        self.try_recv().expect("unexpected EOF from server")
-    }
-
-    /// Next reply line, or `None` on EOF / closed connection.
-    fn try_recv(&mut self) -> Option<JsonValue> {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match self.reader.read_line(&mut line) {
-                Ok(0) | Err(_) => return None,
-                Ok(_) => {}
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            return Some(JsonValue::parse(line.trim()).expect("well-formed reply line"));
-        }
-    }
-}
-
-fn reply_kind(v: &JsonValue) -> String {
-    v.get("reply")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("<none>")
-        .to_string()
+/// True when the server closed the connection (a `recv` that merely
+/// timed out does not count).
+fn closed(client: &mut LineClient) -> bool {
+    use std::io::ErrorKind::{TimedOut, WouldBlock};
+    matches!(client.recv(), Err(e) if !matches!(e.kind(), TimedOut | WouldBlock))
 }
 
 #[test]
 fn roundtrip_query_stats_drain_and_shutdown_over_tcp() {
     let server = start(8, 4, ServeConfig::default(), NetConfig::default());
-    let mut c = Client::connect(&server);
+    let mut c = connect(&server);
 
     // flush_deadline 4 at a 10ms tick: the result follows the accepted
     // reply within a few clock ticks without an explicit drain.
-    c.send(r#"{"cmd":"query","root":1}"#);
-    let accepted = c.recv();
+    c.send(r#"{"cmd":"query","root":1}"#).unwrap();
+    let accepted = c.recv().unwrap();
     assert_eq!(reply_kind(&accepted), "accepted");
     assert_eq!(accepted.get("root").and_then(JsonValue::as_u64), Some(1));
-    let result = c.recv();
+    let result = c.recv().unwrap();
     assert_eq!(reply_kind(&result), "result");
     assert_eq!(
         result.get("status").and_then(JsonValue::as_str),
         Some("served")
     );
 
-    c.send(r#"{"cmd":"stats"}"#);
-    let stats = c.recv();
+    c.send(r#"{"cmd":"stats"}"#).unwrap();
+    let stats = c.recv().unwrap();
     assert_eq!(reply_kind(&stats), "stats");
     assert_eq!(
         stats
@@ -105,18 +56,18 @@ fn roundtrip_query_stats_drain_and_shutdown_over_tcp() {
     );
 
     // `load` is a startup decision on the TCP transport.
-    c.send(r#"{"cmd":"load","scale":8}"#);
-    let err = c.recv();
+    c.send(r#"{"cmd":"load","scale":8}"#).unwrap();
+    let err = c.recv().unwrap();
     assert_eq!(reply_kind(&err), "error");
     assert_eq!(
         err.get("kind").and_then(JsonValue::as_str),
         Some("bad_request")
     );
 
-    c.send(r#"{"cmd":"shutdown"}"#);
-    assert_eq!(reply_kind(&c.recv()), "shutting_down");
-    assert_eq!(reply_kind(&c.recv()), "shutdown");
-    assert!(c.try_recv().is_none(), "server closes after shutdown");
+    c.send(r#"{"cmd":"shutdown"}"#).unwrap();
+    assert_eq!(reply_kind(&c.recv().unwrap()), "shutting_down");
+    assert_eq!(reply_kind(&c.recv().unwrap()), "shutdown");
+    assert!(closed(&mut c), "server closes after shutdown");
 
     let (svc, summary) = server.join().expect_clean();
     assert_eq!(summary.connections, 1);
@@ -137,6 +88,10 @@ fn overload_degrades_predictably_and_server_survives() {
     // sits at capacity for most of each formation window — at most 8 of
     // every ~64 offered queries are admitted, and scale-13 batches take
     // tens of milliseconds in a debug build on top of that.
+    let net_cfg = NetConfig {
+        tick_interval: Duration::from_millis(5),
+        ..NetConfig::default()
+    };
     let server = start(
         13,
         4,
@@ -146,22 +101,19 @@ fn overload_degrades_predictably_and_server_survives() {
             flush_deadline: 64,
             ..ServeConfig::default()
         },
-        NetConfig {
-            tick_interval: Duration::from_millis(5),
-            ..NetConfig::default()
-        },
+        net_cfg,
     );
-    let report = run_loadgen(&LoadgenConfig {
-        addr: server.local_addr().to_string(),
-        connections: 4,
-        qps: 1000,
-        duration: Duration::from_secs(2),
-        root_max: 1 << 13,
-        seed: 7,
-        shutdown_at_end: false,
-        settle_timeout: Duration::from_secs(60),
-        ..LoadgenConfig::default()
-    })
+    let report = run_loadgen(
+        &target(&server, 13, net_cfg),
+        &LoadgenConfig {
+            connections: 4,
+            qps: 1000,
+            duration: Duration::from_secs(2),
+            seed: 7,
+            settle_timeout: Duration::from_secs(60),
+            ..LoadgenConfig::default()
+        },
+    )
     .expect("loadgen run");
 
     // Accounting invariants: exactly-once replies, nothing malformed.
@@ -190,16 +142,16 @@ fn overload_degrades_predictably_and_server_survives() {
     assert!(report.latency.p99_ms <= report.latency.p999_ms);
 
     // The server survived the storm: a fresh connection still serves.
-    let mut c = Client::connect(&server);
-    c.send(r#"{"cmd":"query","root":1}"#);
-    assert_eq!(reply_kind(&c.recv()), "accepted");
-    let result = c.recv();
+    let mut c = connect(&server);
+    c.send(r#"{"cmd":"query","root":1}"#).unwrap();
+    assert_eq!(reply_kind(&c.recv().unwrap()), "accepted");
+    let result = c.recv().unwrap();
     assert_eq!(reply_kind(&result), "result");
     assert_eq!(
         result.get("status").and_then(JsonValue::as_str),
         Some("served")
     );
-    c.send(r#"{"cmd":"shutdown"}"#);
+    c.send(r#"{"cmd":"shutdown"}"#).unwrap();
     server.shutdown();
     let (_svc, summary) = server.join().expect_clean();
     assert_eq!(summary.results_dropped, 0, "no lost replies: {summary:?}");
@@ -222,28 +174,29 @@ fn shutdown_drains_every_inflight_query_exactly_once() {
         },
         NetConfig::default(),
     );
-    let mut c = Client::connect(&server);
+    let mut c = connect(&server);
     for root in 1u64..=5 {
-        c.send(&format!("{{\"cmd\":\"query\",\"root\":{root}}}"));
-        assert_eq!(reply_kind(&c.recv()), "accepted");
+        c.send(&format!("{{\"cmd\":\"query\",\"root\":{root}}}"))
+            .unwrap();
+        assert_eq!(reply_kind(&c.recv().unwrap()), "accepted");
     }
-    c.send(r#"{"cmd":"shutdown"}"#);
-    assert_eq!(reply_kind(&c.recv()), "shutting_down");
+    c.send(r#"{"cmd":"shutdown"}"#).unwrap();
+    assert_eq!(reply_kind(&c.recv().unwrap()), "shutting_down");
 
     // Exactly the five results, then the final shutdown line, then EOF.
     let mut roots = Vec::new();
     for _ in 0..5 {
-        let r = c.recv();
+        let r = c.recv().unwrap();
         assert_eq!(reply_kind(&r), "result");
         assert_eq!(r.get("status").and_then(JsonValue::as_str), Some("served"));
         roots.push(r.get("root").and_then(JsonValue::as_u64).unwrap());
     }
     roots.sort_unstable();
     assert_eq!(roots, vec![1, 2, 3, 4, 5]);
-    let bye = c.recv();
+    let bye = c.recv().unwrap();
     assert_eq!(reply_kind(&bye), "shutdown");
     assert_eq!(bye.get("drained").and_then(JsonValue::as_u64), Some(5));
-    assert!(c.try_recv().is_none(), "no further replies after shutdown");
+    assert!(closed(&mut c), "no further replies after shutdown");
 
     let (svc, summary) = server.join().expect_clean();
     assert_eq!(summary.shutdown_drained, 5);
@@ -263,27 +216,27 @@ fn connection_cap_refuses_excess_clients_with_a_typed_error() {
             ..NetConfig::default()
         },
     );
-    let mut c1 = Client::connect(&server);
-    let mut c2 = Client::connect(&server);
+    let mut c1 = connect(&server);
+    let mut c2 = connect(&server);
     // A stats round-trip proves both connections are registered before
     // the third attempt arrives.
     for c in [&mut c1, &mut c2] {
-        c.send(r#"{"cmd":"stats"}"#);
-        assert_eq!(reply_kind(&c.recv()), "stats");
+        c.send(r#"{"cmd":"stats"}"#).unwrap();
+        assert_eq!(reply_kind(&c.recv().unwrap()), "stats");
     }
-    let mut c3 = Client::connect(&server);
-    let refusal = c3.recv();
+    let mut c3 = connect(&server);
+    let refusal = c3.recv().unwrap();
     assert_eq!(reply_kind(&refusal), "error");
     assert_eq!(
         refusal.get("kind").and_then(JsonValue::as_str),
         Some("refused")
     );
-    assert!(c3.try_recv().is_none(), "refused connection is closed");
+    assert!(closed(&mut c3), "refused connection is closed");
 
     // The registered clients are unaffected.
-    c1.send(r#"{"cmd":"query","root":3}"#);
-    assert_eq!(reply_kind(&c1.recv()), "accepted");
-    assert_eq!(reply_kind(&c1.recv()), "result");
+    c1.send(r#"{"cmd":"query","root":3}"#).unwrap();
+    assert_eq!(reply_kind(&c1.recv().unwrap()), "accepted");
+    assert_eq!(reply_kind(&c1.recv().unwrap()), "result");
 
     server.shutdown();
     let (_svc, summary) = server.join().expect_clean();
@@ -294,48 +247,48 @@ fn connection_cap_refuses_excess_clients_with_a_typed_error() {
 #[test]
 fn malformed_unknown_and_oversized_lines_get_typed_errors() {
     let server = start(8, 4, ServeConfig::default(), NetConfig::default());
-    let mut c = Client::connect(&server);
+    let mut c = connect(&server);
 
-    c.send("this is not json");
-    let e = c.recv();
+    c.send("this is not json").unwrap();
+    let e = c.recv().unwrap();
     assert_eq!(reply_kind(&e), "error");
     assert_eq!(e.get("kind").and_then(JsonValue::as_str), Some("bad_json"));
 
-    c.send(r#"{"cmd":"frobnicate"}"#);
-    let e = c.recv();
+    c.send(r#"{"cmd":"frobnicate"}"#).unwrap();
+    let e = c.recv().unwrap();
     assert_eq!(
         e.get("kind").and_then(JsonValue::as_str),
         Some("unknown_cmd")
     );
 
-    c.send(r#"{"cmd":"query","root":"seven"}"#);
-    let e = c.recv();
+    c.send(r#"{"cmd":"query","root":"seven"}"#).unwrap();
+    let e = c.recv().unwrap();
     assert_eq!(
         e.get("kind").and_then(JsonValue::as_str),
         Some("bad_request")
     );
 
     // Recoverable errors leave the connection usable.
-    c.send(r#"{"cmd":"query","root":7}"#);
-    assert_eq!(reply_kind(&c.recv()), "accepted");
-    assert_eq!(reply_kind(&c.recv()), "result");
+    c.send(r#"{"cmd":"query","root":7}"#).unwrap();
+    assert_eq!(reply_kind(&c.recv().unwrap()), "accepted");
+    assert_eq!(reply_kind(&c.recv().unwrap()), "result");
 
     // An oversized line loses framing: typed error, then disconnect.
     let huge = format!(
         "{{\"cmd\":\"query\",\"root\":1,\"pad\":\"{}\"}}",
         "x".repeat(sunbfs_serve::MAX_REQUEST_BYTES)
     );
-    c.send(&huge);
-    let e = c.recv();
+    c.send(&huge).unwrap();
+    let e = c.recv().unwrap();
     assert_eq!(reply_kind(&e), "error");
     assert_eq!(e.get("kind").and_then(JsonValue::as_str), Some("oversized"));
-    assert!(c.try_recv().is_none(), "oversized sender is disconnected");
+    assert!(closed(&mut c), "oversized sender is disconnected");
 
     // The server itself is unharmed: a new connection still serves.
-    let mut c2 = Client::connect(&server);
-    c2.send(r#"{"cmd":"query","root":2}"#);
-    assert_eq!(reply_kind(&c2.recv()), "accepted");
-    assert_eq!(reply_kind(&c2.recv()), "result");
+    let mut c2 = connect(&server);
+    c2.send(r#"{"cmd":"query","root":2}"#).unwrap();
+    assert_eq!(reply_kind(&c2.recv().unwrap()), "accepted");
+    assert_eq!(reply_kind(&c2.recv().unwrap()), "result");
 
     server.shutdown();
     let (_svc, summary) = server.join().expect_clean();
@@ -354,11 +307,11 @@ fn idle_clients_hit_the_read_deadline_and_are_disconnected() {
             ..NetConfig::default()
         },
     );
-    let mut idle = Client::connect(&server);
+    let mut idle = connect(&server);
     let t0 = Instant::now();
     // Send nothing: the read deadline must cut us loose (EOF), long
     // before any test-harness timeout.
-    assert!(idle.try_recv().is_none(), "idle connection must be closed");
+    assert!(closed(&mut idle), "idle connection must be closed");
     assert!(
         t0.elapsed() >= Duration::from_millis(150),
         "closed before the deadline could have fired"
@@ -366,10 +319,10 @@ fn idle_clients_hit_the_read_deadline_and_are_disconnected() {
     assert!(t0.elapsed() < Duration::from_secs(30));
 
     // The engine never noticed: a live client still gets served.
-    let mut live = Client::connect(&server);
-    live.send(r#"{"cmd":"query","root":5}"#);
-    assert_eq!(reply_kind(&live.recv()), "accepted");
-    assert_eq!(reply_kind(&live.recv()), "result");
+    let mut live = connect(&server);
+    live.send(r#"{"cmd":"query","root":5}"#).unwrap();
+    assert_eq!(reply_kind(&live.recv().unwrap()), "accepted");
+    assert_eq!(reply_kind(&live.recv().unwrap()), "result");
     server.shutdown();
     let (_svc, summary) = server.join().expect_clean();
     assert_eq!(summary.connections, 2);
@@ -390,16 +343,16 @@ fn per_connection_inflight_cap_rejects_with_a_backoff_hint() {
             ..NetConfig::default()
         },
     );
-    let mut c = Client::connect(&server);
-    c.send(r#"{"cmd":"query","root":1}"#);
-    assert_eq!(reply_kind(&c.recv()), "accepted");
-    c.send(r#"{"cmd":"query","root":2}"#);
-    assert_eq!(reply_kind(&c.recv()), "accepted");
+    let mut c = connect(&server);
+    c.send(r#"{"cmd":"query","root":1}"#).unwrap();
+    assert_eq!(reply_kind(&c.recv().unwrap()), "accepted");
+    c.send(r#"{"cmd":"query","root":2}"#).unwrap();
+    assert_eq!(reply_kind(&c.recv().unwrap()), "accepted");
 
     // Two unanswered queries on this connection: the third is refused
     // for fairness even though the service queue itself has room.
-    c.send(r#"{"cmd":"query","root":3}"#);
-    let rejected = c.recv();
+    c.send(r#"{"cmd":"query","root":3}"#).unwrap();
+    let rejected = c.recv().unwrap();
     assert_eq!(reply_kind(&rejected), "rejected");
     assert_eq!(
         rejected.get("reason").and_then(JsonValue::as_str),
@@ -413,12 +366,12 @@ fn per_connection_inflight_cap_rejects_with_a_backoff_hint() {
     );
 
     // Draining completes the two in-flight queries and frees the cap.
-    c.send(r#"{"cmd":"drain"}"#);
-    assert_eq!(reply_kind(&c.recv()), "result");
-    assert_eq!(reply_kind(&c.recv()), "result");
-    assert_eq!(reply_kind(&c.recv()), "drained");
-    c.send(r#"{"cmd":"query","root":3}"#);
-    assert_eq!(reply_kind(&c.recv()), "accepted");
+    c.send(r#"{"cmd":"drain"}"#).unwrap();
+    assert_eq!(reply_kind(&c.recv().unwrap()), "result");
+    assert_eq!(reply_kind(&c.recv().unwrap()), "result");
+    assert_eq!(reply_kind(&c.recv().unwrap()), "drained");
+    c.send(r#"{"cmd":"query","root":3}"#).unwrap();
+    assert_eq!(reply_kind(&c.recv().unwrap()), "accepted");
 
     server.shutdown();
     let (_svc, summary) = server.join().expect_clean();

@@ -189,16 +189,16 @@ grep -Eq '"reply":"loaded".*"opened":true' "$SECOND_OUT"
 grep -Eq '"reply":"result".*"status":"served"' "$SECOND_OUT"
 rm -f "$SERVER_STORE" "$FIRST_OUT" "$SECOND_OUT"
 
-# Smoke: sustained overload against the real TCP server. loadgen offers
-# well beyond what a capacity-16 queue admits at SCALE 14, so the run
-# must produce queue-full rejections while keeping every accounting
-# invariant (loadgen exits nonzero on any lost/duplicated/unacked/
+# Smoke: sustained overload against the real TCP server. `soak load`
+# offers well beyond what a capacity-16 queue admits at SCALE 14, so the
+# run must produce queue-full rejections while keeping every accounting
+# invariant (soak exits nonzero on any lost/duplicated/unacked/
 # malformed reply), emit the committed schema-v10 serve_load artifact,
 # and the server must drain cleanly on shutdown with zero dropped
-# results. Both binaries are prebuilt so the two processes never race
-# for the cargo target-dir lock.
-echo "==> TCP sustained-load smoke (bfs_server --tcp + loadgen)"
-cargo build -q --release --example bfs_server --example loadgen
+# results. Both binaries are prebuilt once — for this and the two soaks
+# below — so the two processes never race for the cargo target-dir lock.
+echo "==> TCP sustained-load smoke (bfs_server --tcp + soak load --addr)"
+cargo build -q --release --example bfs_server --example soak
 TCP_LOG="$(mktemp)"
 timeout 600 ./target/release/examples/bfs_server --tcp 127.0.0.1:0 \
     --scale 14 --ranks 4 --queue-capacity 16 --batch-max 64 --flush-deadline 128 \
@@ -210,7 +210,7 @@ for _ in $(seq 1 300); do
 done
 grep -q '"event":"listening"' "$TCP_LOG"
 TCP_ADDR=$(sed -n 's/.*"addr":"\([^"]*\)".*/\1/p' "$TCP_LOG" | head -1)
-timeout 300 ./target/release/examples/loadgen "$TCP_ADDR" \
+timeout 300 ./target/release/examples/soak load --addr "$TCP_ADDR" \
     --conns 4 --qps 400 --duration 4 --root-max 16384 --seed 42 \
     --json SERVE_LOAD_14.json > /dev/null
 wait "$TCP_SERVER_PID"
@@ -231,10 +231,9 @@ rm -f "$TCP_LOG"
 # `health` state machine. The soak must end with zero protocol losses,
 # availability at or above the gate, the service recovered to healthy
 # within the tick budget, and the committed schema-v10 serve_chaos
-# artifact well-formed (chaos_soak exits nonzero on any gate failure).
+# artifact well-formed (soak exits nonzero on any gate failure).
 echo "==> chaos soak smoke (SCALE 14, hard timeout)"
-cargo build -q --release --example chaos_soak
-timeout 600 ./target/release/examples/chaos_soak \
+timeout 600 ./target/release/examples/soak chaos \
     --scale 14 --ranks 8 --conns 4 --qps 300 --duration 4 --seed 42 \
     --chaos-every 48 --chaos-max-events 4 --deadline-ticks 400 --retry-max 3 \
     --availability-gate 0.90 --json SERVE_CHAOS_14.json > /dev/null
@@ -247,17 +246,16 @@ grep -Eq '"lost_replies": *0' SERVE_CHAOS_14.json
 grep -Eq '"chaos_injected": *[1-9]' SERVE_CHAOS_14.json
 
 # Update soak: live graph mutations against the SCALE-14 serving path.
-# Phase A commits seeded edge-insert batches and proves incremental BFS
-# repair depth-identical to — and at least as fast as — a full
-# recompute over the same union adjacency; phase B interleaves wire
-# `update` batches into paced TCP load with a seeded update plan armed,
-# and the epoch stamped on every reply must never regress on a
-# connection (the torn-read proxy) through a clean drain. update_soak
-# exits nonzero on any gate failure and regenerates the committed
-# schema-v10 UPDATE_14.json artifact.
+# First seeded edge-insert batches are committed and incremental BFS
+# repair is proven depth-identical to — and at least as fast as — a
+# full recompute over the same union adjacency; then wire `update`
+# batches are interleaved into paced TCP load with a seeded update plan
+# armed, and the epoch stamped on every reply must never regress on a
+# connection (the torn-read proxy) through a clean drain. soak exits
+# nonzero on any gate failure and regenerates the committed schema-v10
+# UPDATE_14.json artifact.
 echo "==> update soak smoke (SCALE 14, hard timeout)"
-cargo build -q --release --example update_soak
-timeout 600 ./target/release/examples/update_soak \
+timeout 600 ./target/release/examples/soak update \
     --scale 14 --ranks 4 --rounds 6 --batch 64 --seed 42 \
     --json UPDATE_14.json > /dev/null
 grep -Eq '"schema_version": *10' UPDATE_14.json

@@ -16,6 +16,8 @@ use sunbfs_net::MeshShape;
 use sunbfs_part::ComponentStats;
 use sunbfs_sunway::KernelReport;
 
+use sunbfs_serve::SoakReport;
+
 use crate::driver::{
     BenchmarkReport, FaultReport, RecoveryReport, RootRun, RunConfig, WallClockReport,
 };
@@ -51,7 +53,8 @@ use crate::driver::{
 /// attempts, failed ones included).
 ///
 /// v7: added the `serve_load` artifact family — the TCP saturation
-/// record `loadgen` emits (`{"schema_version":7,"serve_load":{...}}`:
+/// record the `soak load` profile emits
+/// (`{"schema_version":7,"serve_load":{...}}` at the time:
 /// offered/accepted/rejected rates by rejection class,
 /// `retry_after_ticks` hint coverage, p50/p99/p999 end-to-end latency,
 /// and the lost/duplicate/unacked/protocol-error invariant counters).
@@ -64,8 +67,8 @@ use crate::driver::{
 /// counters (`rejected_degraded`, `rejections_seen`, `retried`,
 /// `retry_successes`, `retries_abandoned`, `deadline_exceeded`,
 /// `salvaged`); and the `serve_chaos` artifact family was added — the
-/// availability record `chaos_soak` emits
-/// (`{"schema_version":8,"serve_chaos":{...}}`: availability vs gate,
+/// availability record the `soak chaos` profile emits
+/// (`{"schema_version":8,"serve_chaos":{...}}` at the time: availability vs gate,
 /// recovery episodes and worst recovery time in ticks, the observed
 /// health-state sequence, and the nested load/serve/net views).
 /// The `BenchmarkReport` shape itself is unchanged from v6.
@@ -78,8 +81,9 @@ use crate::driver::{
 /// `updates_rejected`, `epoch_regressions`, `final_epoch`); the `net`
 /// transport summary gained `updates_committed` / `update_edges` /
 /// `updates_rejected` / `final_epoch`; and the `update_soak` artifact
-/// family was added — the live-mutation record `update_soak` emits
-/// (`{"schema_version":10,"update_soak":{...}}`: repair-vs-recompute
+/// family was added — the live-mutation record the `soak update`
+/// profile emits (`{"schema_version":9,"update_soak":{...}}` at the
+/// time: repair-vs-recompute
 /// speedup, updates/sec, the equivalence verdict, and the nested
 /// `serve_load` view of the mutating TCP phase).
 /// The `BenchmarkReport` shape itself is unchanged from v6.
@@ -93,6 +97,17 @@ use crate::driver::{
 /// and `beta_measured`. Traversal results are byte-identical to v9
 /// under `direction_heuristic: "fixed"`.
 pub const SCHEMA_VERSION: u64 = 10;
+
+/// The one envelope every soak artifact is written in:
+/// `{"schema_version":N,"<section>":{...}}`, the section named by the
+/// run's profile (`serve_load` / `serve_chaos` / `update_soak`).
+pub fn soak_artifact(report: &SoakReport) -> JsonValue {
+    let (section, body) = report.section();
+    JsonValue::object()
+        .field("schema_version", SCHEMA_VERSION)
+        .field(section, body)
+        .build()
+}
 
 /// Ratio bin edges of the partition load-balance histogram: each rank's
 /// `total / mean` storage falls into one bin; the last bin is open.

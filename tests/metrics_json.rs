@@ -207,111 +207,51 @@ fn report_contains_acceptance_fields() {
     assert!(js.contains("\"atomic_ops\":"));
 }
 
-/// Run one of this package's example binaries with `--json` and parse
-/// the artifact it wrote. Plain `cargo test` builds the examples next
-/// to the test executables (`target/<profile>/examples/`).
-fn example_artifact(name: &str, args: &[&str]) -> JsonValue {
-    let exe = std::env::current_exe().expect("test executable path");
-    let bin = exe
-        .parent()
-        .and_then(|deps| deps.parent())
-        .expect("target/<profile>/deps layout")
-        .join("examples")
-        .join(name);
-    assert!(
-        bin.exists(),
-        "{} not built — run plain `cargo test` (or `cargo build --examples` first)",
-        bin.display()
-    );
-    let out = std::env::temp_dir().join(format!("sunbfs_{name}_{}.json", std::process::id()));
-    let run = std::process::Command::new(&bin)
-        .args(args)
-        .arg("--json")
-        .arg(&out)
-        .output()
-        .expect("example runs");
-    assert!(
-        run.status.success(),
-        "{name} failed its own gate:\n{}",
-        String::from_utf8_lossy(&run.stderr)
-    );
-    let text = std::fs::read_to_string(&out).expect("artifact written");
-    std::fs::remove_file(&out).ok();
-    JsonValue::parse(&text).expect("artifact is JSON")
-}
-
 #[test]
 fn soak_artifact_schemas_match_goldens_at_scale_9() {
-    use sunbfs::net::FaultPlan;
-    use sunbfs::serve::{serve, BfsService, GraphSession, NetConfig, ServeConfig, SessionConfig};
+    use std::time::Duration;
+    use sunbfs::metrics::soak_artifact;
+    use sunbfs::serve::{
+        run_soak, ChaosConfig, LoadgenConfig, NetConfig, Profile, RepairRounds, ServeConfig,
+        SessionConfig, SoakConfig, UpdatePlan,
+    };
 
-    // serve_load: the loadgen CLI against an in-process TCP server.
-    let session = GraphSession::load(SessionConfig::small(9, 4), FaultPlan::none()).expect("load");
-    let svc = BfsService::new(session, ServeConfig::default());
-    let server = serve(svc, "127.0.0.1:0", NetConfig::default()).expect("bind");
-    let addr = server.local_addr().to_string();
-    let load = example_artifact(
-        "loadgen",
-        &[
-            &addr,
-            "--conns",
-            "2",
-            "--qps",
-            "100",
-            "--duration",
-            "1",
-            "--root-max",
-            "512",
-        ],
-    );
-    server.join().expect_clean();
-    check_against_golden(&load, "soak_schema_load.txt");
-
-    // serve_chaos: faults armed every 8 executed queries, so the
-    // transition log and the side poller's state list are never empty.
-    let chaos = example_artifact(
-        "chaos_soak",
-        &[
-            "--scale",
-            "9",
-            "--ranks",
-            "4",
-            "--conns",
-            "2",
-            "--qps",
-            "100",
-            "--duration",
-            "1",
-            "--chaos-every",
-            "8",
-            "--chaos-max-events",
-            "4",
-        ],
-    );
-    check_against_golden(&chaos, "soak_schema_chaos.txt");
-
-    // update_soak: phase A over two rounds, phase B with the default
-    // plan and an interleaved wire update every 8 queries.
-    let update = example_artifact(
-        "update_soak",
-        &[
-            "--scale",
-            "9",
-            "--ranks",
-            "4",
-            "--rounds",
-            "2",
-            "--batch",
-            "16",
-            "--roots",
-            "2",
-            "--qps",
-            "100",
-            "--duration",
-            "1",
-            "--update-every",
-            "8",
-        ],
-    );
-    check_against_golden(&update, "soak_schema_update.txt");
+    // One-second windows; faults armed every 8 executed queries, so the
+    // chaos run's transition log and state list are never empty.
+    let mut cfg = SoakConfig {
+        profile: Profile::Load,
+        session: SessionConfig::small(9, 4),
+        serve: ServeConfig::default(),
+        net: NetConfig::default(),
+        load: LoadgenConfig {
+            connections: 2,
+            qps: 100,
+            duration: Duration::from_secs(1),
+            ..LoadgenConfig::default()
+        },
+        chaos: ChaosConfig {
+            every_queries: 8,
+            max_events: 4,
+            ..ChaosConfig::default()
+        },
+        availability_gate: 0.90,
+        recovery_gate_ticks: 20_000,
+        update_plan: UpdatePlan::parse("insert@8:32;insert@24:32").expect("plan parses"),
+        repair: RepairRounds {
+            rounds: 2,
+            batch: 16,
+            roots: 2,
+        },
+    };
+    for (profile, golden) in [
+        (Profile::Load, "soak_schema_load.txt"),
+        (Profile::Chaos, "soak_schema_chaos.txt"),
+        (Profile::Update, "soak_schema_update.txt"),
+    ] {
+        cfg.profile = profile;
+        cfg.load.update_every = if profile == Profile::Update { 8 } else { 0 };
+        let report = run_soak(&cfg).expect("soak runs");
+        assert!(report.passed(), "{profile:?} failed its own gate");
+        check_against_golden(&soak_artifact(&report), golden);
+    }
 }
