@@ -93,7 +93,14 @@ impl TimeAccumulator {
 
     /// Add `t` to `category`.
     pub fn add(&mut self, category: &str, t: SimTime) {
-        *self.totals.entry(category.to_string()).or_insert(0.0) += t.0;
+        // Looked up before it is owned: only a category's first charge
+        // allocates its key.
+        match self.totals.get_mut(category) {
+            Some(total) => *total += t.0,
+            None => {
+                self.totals.insert(category.to_string(), 0.0 + t.0);
+            }
+        }
     }
 
     /// Total for one category (0 when absent).

@@ -39,7 +39,7 @@ use sunbfs_part::{Csr, RankPartition};
 use sunbfs_sunway::{ocs_sort_rma, KernelReport, OcsConfig, SegmentedBitvec};
 
 use crate::balance;
-use crate::batch::{BatchOutput, BatchRunStats};
+use crate::batch::{BatchOutput, BatchRunStats, UNREACHED_DEPTH};
 use crate::checkpoint::{CheckpointState, CheckpointStore, ResumeStats};
 use crate::config::{
     choose_crossing, choose_local, choose_measured, Direction, DirectionHeuristic, EngineConfig,
@@ -62,6 +62,15 @@ const CATEGORY: [[&str; 2]; 6] = [
     ["sub.L2H.push", "sub.L2H.pull"],
     ["sub.L2L.push", "sub.L2L.pull"],
 ];
+
+/// Op tags of the three hub syncs of an iteration.
+const HUBSYNC_EH2EH: &str = "hubsync.EH2EH";
+const HUBSYNC_L2E: &str = "hubsync.L2E";
+const HUBSYNC_L2H: &str = "hubsync.L2H";
+
+/// Op tags of the L-message exchanges.
+const ALLTOALLV_H2L: &str = "comm.alltoallv.H2L";
+const ALLTOALLV_L2L: &str = "comm.alltoallv.L2L";
 
 /// Errors one traversal can report. SPMD-consistent: the conditions are
 /// derived from replicated/global state, so every rank observes the
@@ -177,6 +186,80 @@ fn hub_sync_collective(
 fn range_bucket(offset: u64, span: u64, ranges: u64) -> usize {
     debug_assert!(offset < span);
     ((offset * ranges / span) as usize).min(ranges as usize - 1)
+}
+
+/// The hubs this rank owns, as `(hub id, local offset)` in hub-id
+/// order: one walk of the replicated hub table — |E∪H| steps and no
+/// hashing, where asking the directory about every owned vertex is
+/// n/p lookups. Nothing a root pays for may be the latter.
+fn owned_hubs(part: &RankPartition) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let range = part.owned_range();
+    let start = range.start;
+    let hubs = part.directory.hubs().iter().enumerate();
+    hubs.filter(move |(_, (v, _))| range.contains(v))
+        .map(move |(h, (v, _))| (h, (v - start) as usize))
+}
+
+/// Connected (degree > 0) L vertices of the owned slice — the heuristic
+/// denominator for the L class — and its degree mass per class
+/// (E, H, L): everything counts as L, then each owned hub moves over.
+fn owned_class_totals(part: &RankPartition) -> (u64, [u64; 3]) {
+    let degrees = &part.owned_degrees;
+    let num_e = part.directory.num_e() as usize;
+    let mut l_connected = degrees.iter().filter(|&&d| d > 0).count() as u64;
+    let mut class_mass = [0, 0, degrees.iter().map(|&d| d as u64).sum()];
+    for (h, li) in owned_hubs(part) {
+        let d = degrees[li] as u64;
+        l_connected -= (d > 0) as u64;
+        class_mass[2] -= d;
+        class_mass[if h < num_e { 0 } else { 1 }] += d;
+    }
+    (l_connected, class_mass)
+}
+
+/// Assemble a rank's output: the owned `(vertex, root)` parent and
+/// depth slots plus the TEPS tallies `[visited_0.., degree_sum_0..]`.
+///
+/// The owner-local L slots *are* the output — roots and messages are
+/// routed by class, so an owned hub's L slots are never written — and
+/// only the owned hubs' slots are patched in, from the reduced hub
+/// parents and the replicated hub depths (`depths` stays empty for a
+/// lane that keeps none).
+fn assemble_owned(
+    part: &RankPartition,
+    width: usize,
+    mut parents: Vec<u64>,
+    mut depths: Vec<u32>,
+    hub_parents: &[u64],
+    hub_depths: &[u32],
+) -> (Vec<u64>, Vec<u32>, Vec<u64>) {
+    debug_assert!(
+        owned_hubs(part).all(|(_, li)| {
+            let slots = li * width..(li + 1) * width;
+            parents[slots.clone()].iter().all(|&p| p == INVALID_VERTEX)
+                && depths
+                    .get(slots)
+                    .is_none_or(|d| d.iter().all(|&d| d == UNREACHED_DEPTH))
+        }),
+        "an owned hub's L slots were written: the traversal routed a hub as an L vertex"
+    );
+    for (h, li) in owned_hubs(part) {
+        let (from, to) = (h * width..(h + 1) * width, li * width..(li + 1) * width);
+        parents[to.clone()].copy_from_slice(&hub_parents[from.clone()]);
+        if !depths.is_empty() {
+            depths[to].copy_from_slice(&hub_depths[from]);
+        }
+    }
+    let mut tallies = vec![0u64; 2 * width];
+    for (slots, &deg) in parents.chunks_exact(width).zip(&part.owned_degrees) {
+        for (b, &p) in slots.iter().enumerate() {
+            if p != INVALID_VERTEX {
+                tallies[b] += 1;
+                tallies[width + b] += deg as u64;
+            }
+        }
+    }
+    (parents, depths, tallies)
 }
 
 /// Yield of one pool-chunked scan: its `(dest, parent, mask)` messages
@@ -388,23 +471,7 @@ impl<'a, L: Lane> Engine<'a, L> {
         let range = part.owned_range();
         let local_n = range.end - range.start;
         let topo = ctx.topology();
-        // Connected (degree > 0) L vertices — the heuristic denominator
-        // for the L class — and the degree mass per class (E, H, L).
-        let dir = &part.directory;
-        let num_e = dir.num_e();
-        let mut local_l_connected = 0u64;
-        let mut class_mass = [0u64; 3];
-        for (i, &d) in part.owned_degrees.iter().enumerate() {
-            match dir.hub_id(range.start + i as u64) {
-                Some(h) if h < num_e => class_mass[0] += d as u64,
-                Some(_) => class_mass[1] += d as u64,
-                None if d > 0 => {
-                    local_l_connected += 1;
-                    class_mass[2] += d as u64;
-                }
-                None => {}
-            }
-        }
+        let (local_l_connected, class_mass) = owned_class_totals(part);
         // One setup collective carries every global total the engine
         // needs: the L-class denominator plus per-component global edge
         // counts (globally empty components skip their collectives, so
@@ -621,7 +688,7 @@ impl<'a, L: Lane> Engine<'a, L> {
             self.sub_stats = Default::default();
             self.cur_sub = 0;
             self.eh2eh(ctx, dirs[0]);
-            self.sync_hubs(ctx, "EH2EH", &[0]);
+            self.sync_hubs(ctx, HUBSYNC_EH2EH, &[0]);
 
             self.cur_sub = 1;
             self.e2l(ctx, dirs[1]);
@@ -637,7 +704,7 @@ impl<'a, L: Lane> Engine<'a, L> {
             if self.measured() {
                 l2e_counters.push(self.local_l_mass(&self.l.seen));
             }
-            let refreshed = self.sync_hubs(ctx, "L2E", &l2e_counters);
+            let refreshed = self.sync_hubs(ctx, HUBSYNC_L2E, &l2e_counters);
 
             let total_l = self.total_l_connected * scale;
             let (d_h2l, d_l2l) = if self.cfg.sub_iteration {
@@ -680,7 +747,7 @@ impl<'a, L: Lane> Engine<'a, L> {
             self.h2l(ctx, d_h2l);
             self.cur_sub = 4;
             self.l2h(ctx, dirs[4]);
-            self.sync_hubs(ctx, "L2H", &[0]);
+            self.sync_hubs(ctx, HUBSYNC_L2H, &[0]);
             self.cur_sub = 5;
             self.l2l(ctx, d_l2l);
 
@@ -766,28 +833,15 @@ impl<'a, L: Lane> Engine<'a, L> {
             |a, b| *a = (*a).min(*b),
         );
 
-        // ---- assemble owned slots + TEPS inputs: per-root tallies,
-        // packed as [visited_0.., degree_sum_0..] ----
-        let local_n = (range.end - range.start) as usize;
-        let mut parents = Vec::with_capacity(local_n * width);
-        let mut depths = Vec::with_capacity(self.l.depth.len());
-        let mut tallies = vec![0u64; 2 * width];
-        for (li, v) in range.enumerate() {
-            let deg = self.part.owned_degrees[li] as u64;
-            let (slot_parents, slot_depths, first) = match dir.hub_id(v) {
-                Some(h) => (&reduced_hub_parents, &self.hub.depth, h as usize * width),
-                None => (&self.l.parent, &self.l.depth, li * width),
-            };
-            for (b, &p) in slot_parents[first..first + width].iter().enumerate() {
-                if p != INVALID_VERTEX {
-                    tallies[b] += 1;
-                    tallies[width + b] += deg;
-                }
-                parents.push(p);
-            }
-            // No slots at all for a lane that keeps no depths.
-            depths.extend_from_slice(slot_depths.get(first..first + width).unwrap_or(&[]));
-        }
+        // ---- assemble owned slots + TEPS inputs (per-root tallies) ----
+        let (parents, depths, tallies) = assemble_owned(
+            self.part,
+            width,
+            self.l.parent,
+            self.l.depth,
+            &reduced_hub_parents,
+            &self.hub.depth,
+        );
         let tallies =
             ctx.allreduce_with(Scope::World, "reduce.teps", tallies, None, |a, b| *a += b);
 
@@ -940,12 +994,11 @@ impl<'a, L: Lane> Engine<'a, L> {
     /// counters that feed the mid-iteration direction refresh without a
     /// dedicated scalar collective. Returns `None` when there are no
     /// hubs (no sync happens).
-    fn sync_hubs(&mut self, ctx: &mut RankCtx, tag: &str, counters: &[u64]) -> Option<Vec<u64>> {
+    fn sync_hubs(&mut self, ctx: &mut RankCtx, op: &str, counters: &[u64]) -> Option<Vec<u64>> {
         if self.hub_update.is_empty() {
             return None;
         }
-        let op = format!("hubsync.{tag}");
-        let (words, counts) = hub_sync_collective(ctx, &op, self.hub_update.words(), counters);
+        let (words, counts) = hub_sync_collective(ctx, op, self.hub_update.words(), counters);
         // newly = update \ seen → next frontier (depth-stamped where the
         // lane keeps depths); seen absorbs the whole update. The fused
         // `dst |= a & !b` wide kernel needs no materialized difference.
@@ -1249,7 +1302,7 @@ impl<'a, L: Lane> Engine<'a, L> {
         let scan = self.hubs_to_l(d, hubs, &part.h2l_by_hub, &part.h2l_by_local, seen, base);
         costing::charge_scan(ctx, self.category(d), scan.edges);
         self.note_scan(scan.edges, scan.pool);
-        self.exchange_and_apply_row(ctx, scan.msgs, "H2L", self.category(d));
+        self.exchange_and_apply_row(ctx, scan.msgs, ALLTOALLV_H2L, self.category(d));
     }
 
     /// Bucket `(dest L, parent, mask)` messages by destination column
@@ -1258,7 +1311,7 @@ impl<'a, L: Lane> Engine<'a, L> {
         &mut self,
         ctx: &mut RankCtx,
         msgs: Vec<L::Msg>,
-        comm_tag: &str,
+        comm_op: &str,
         cost_category: &str,
     ) {
         let dist = self.part.dist;
@@ -1274,7 +1327,7 @@ impl<'a, L: Lane> Engine<'a, L> {
         );
         ctx.charge(cost_category, report.time);
         self.note_kernel(&report);
-        let received = ctx.alltoallv(Scope::Row, &format!("comm.alltoallv.{comm_tag}"), buckets);
+        let received = ctx.alltoallv(Scope::Row, comm_op, buckets);
         let msgs: Vec<L::Msg> = received.into_iter().flatten().collect();
         self.apply_l_messages(ctx, msgs, cost_category);
     }
@@ -1377,13 +1430,13 @@ impl<'a, L: Lane> Engine<'a, L> {
                 ctx.charge(category, rep1.time);
                 self.note_kernel(&rep1);
                 let forwarded: Vec<L::Msg> = ctx
-                    .alltoallv(Scope::Col, "comm.alltoallv.L2L", col_buckets)
+                    .alltoallv(Scope::Col, ALLTOALLV_L2L, col_buckets)
                     .into_iter()
                     .flatten()
                     .collect();
                 // Hop 2: the forwarding node sorts by final destination
                 // and exchanges along its row.
-                self.exchange_and_apply_row(ctx, forwarded, "L2L", category);
+                self.exchange_and_apply_row(ctx, forwarded, ALLTOALLV_L2L, category);
             }
             Direction::Pull => {
                 // Query/confirm two-phase: wanting locals ask the owners
@@ -1419,7 +1472,7 @@ impl<'a, L: Lane> Engine<'a, L> {
                 }
                 self.note_scan(edges, pstats);
                 costing::charge_scan(ctx, category, edges);
-                let incoming = ctx.alltoallv(Scope::World, "comm.alltoallv.L2L", queries);
+                let incoming = ctx.alltoallv(Scope::World, ALLTOALLV_L2L, queries);
                 let mut replies: Vec<Vec<L::Msg>> = vec![Vec::new(); p];
                 let mut checked = 0u64;
                 for query in incoming.into_iter().flatten() {
@@ -1430,7 +1483,7 @@ impl<'a, L: Lane> Engine<'a, L> {
                     }
                 }
                 costing::charge_apply(ctx, category, checked);
-                let confirmed = ctx.alltoallv(Scope::World, "comm.alltoallv.L2L", replies);
+                let confirmed = ctx.alltoallv(Scope::World, ALLTOALLV_L2L, replies);
                 let msgs: Vec<L::Msg> = confirmed.into_iter().flatten().collect();
                 self.apply_l_messages(ctx, msgs, category);
             }
@@ -1441,7 +1494,7 @@ impl<'a, L: Lane> Engine<'a, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sunbfs_common::MachineConfig;
+    use sunbfs_common::{MachineConfig, SplitMix64};
     use sunbfs_net::{Cluster, CommOpStats, MeshShape};
     use sunbfs_part::{build_1p5d, Thresholds};
     use sunbfs_rmat::RmatParams;
@@ -1570,6 +1623,140 @@ mod tests {
         // (512 B budget) cannot hold it.
         assert_eq!(eh_pull_seconds(1024, true), off_chip);
         assert_eq!(eh_pull_seconds(1024, false), off_chip);
+    }
+
+    /// SCALE-8 R-MAT partitions of a 2x2 mesh, in rank order.
+    fn partitions(thresholds: Thresholds) -> Vec<RankPartition> {
+        let params = RmatParams::graph500(8, 42);
+        let n = params.num_vertices();
+        Cluster::new(MeshShape::new(2, 2), MachineConfig::new_sunway()).run(|ctx| {
+            let chunk = sunbfs_rmat::generate_chunk(&params, ctx.rank() as u64, 4);
+            build_1p5d(ctx, n, &chunk, thresholds)
+        })
+    }
+
+    /// The per-vertex form the engine must not run per root: ask the
+    /// directory about every owned vertex.
+    fn class_totals_by_lookup(part: &RankPartition) -> (u64, [u64; 3]) {
+        let (mut l_connected, mut class_mass) = (0u64, [0u64; 3]);
+        for (v, &d) in part.owned_range().zip(&part.owned_degrees) {
+            match part.directory.hub_id(v) {
+                Some(h) if h < part.directory.num_e() => class_mass[0] += d as u64,
+                Some(_) => class_mass[1] += d as u64,
+                None => {
+                    l_connected += (d > 0) as u64;
+                    class_mass[2] += d as u64;
+                }
+            }
+        }
+        (l_connected, class_mass)
+    }
+
+    /// Output assembly in the same per-vertex form.
+    fn assemble_by_lookup(
+        part: &RankPartition,
+        width: usize,
+        l_parents: &[u64],
+        l_depths: &[u32],
+        hub_parents: &[u64],
+        hub_depths: &[u32],
+    ) -> (Vec<u64>, Vec<u32>, Vec<u64>) {
+        let (mut parents, mut depths) = (Vec::new(), Vec::new());
+        let mut tallies = vec![0u64; 2 * width];
+        for (li, v) in part.owned_range().enumerate() {
+            let (slot_parents, slot_depths, first) = match part.directory.hub_id(v) {
+                Some(h) => (hub_parents, hub_depths, h as usize * width),
+                None => (l_parents, l_depths, li * width),
+            };
+            for (b, &p) in slot_parents[first..first + width].iter().enumerate() {
+                if p != INVALID_VERTEX {
+                    tallies[b] += 1;
+                    tallies[width + b] += part.owned_degrees[li] as u64;
+                }
+                parents.push(p);
+            }
+            depths.extend_from_slice(slot_depths.get(first..first + width).unwrap_or(&[]));
+        }
+        (parents, depths, tallies)
+    }
+
+    /// `slots` result slots in the state a traversal could leave them:
+    /// about two in three reached, with some parent and depth.
+    fn reached_slots(
+        rng: &mut SplitMix64,
+        slots: usize,
+        keep_depths: bool,
+    ) -> (Vec<u64>, Vec<u32>) {
+        let mut parents = vec![INVALID_VERTEX; slots];
+        let mut depths = vec![UNREACHED_DEPTH; if keep_depths { slots } else { 0 }];
+        for s in 0..slots {
+            if rng.next_below(3) > 0 {
+                parents[s] = rng.next_below(256);
+                if keep_depths {
+                    depths[s] = rng.next_below(9) as u32;
+                }
+            }
+        }
+        (parents, depths)
+    }
+
+    #[test]
+    fn hub_walk_totals_and_assembly_match_per_vertex_lookups() {
+        let mixed = Thresholds::new(64, 16);
+        for thresholds in [mixed, Thresholds::all_hubs(1 << 20), Thresholds::none()] {
+            let parts = partitions(thresholds);
+            if thresholds == mixed {
+                // The case worth testing: both hub classes, spread over
+                // ranks, beside isolated L vertices.
+                let owners = |hubs: Range<u32>| -> Vec<usize> {
+                    let owns = |p: &RankPartition| {
+                        hubs.clone()
+                            .any(|h| p.owned_range().contains(&p.directory.vertex_of(h)))
+                    };
+                    (0..parts.len()).filter(|&r| owns(&parts[r])).collect()
+                };
+                let dir = &parts[0].directory;
+                let e_owners = owners(0..dir.num_e());
+                let h_owners = owners(dir.num_e()..dir.num_hubs());
+                assert!(!e_owners.is_empty() && !h_owners.is_empty());
+                assert!(
+                    e_owners.len() > 1 || h_owners != e_owners,
+                    "E and H hubs must not all sit on one rank"
+                );
+                let isolated_l = |p: &RankPartition| {
+                    let mut owned = p.owned_range().zip(&p.owned_degrees);
+                    owned.any(|(v, &d)| d == 0 && p.directory.hub_id(v).is_none())
+                };
+                assert!(parts.iter().any(isolated_l));
+            }
+            let mut rng = SplitMix64::new(7);
+            for part in &parts {
+                assert_eq!(owned_class_totals(part), class_totals_by_lookup(part));
+                let nh = part.directory.num_hubs() as usize;
+                let local_n = part.owned_degrees.len();
+                // Width 1 without depth slots is the `Bit` lane; `Word`
+                // keeps depths.
+                for (width, keep_depths) in [(1, false), (8, true), (64, true)] {
+                    let (hub_parents, hub_depths) =
+                        reached_slots(&mut rng, nh * width, keep_depths);
+                    let (mut l_parents, mut l_depths) =
+                        reached_slots(&mut rng, local_n * width, keep_depths);
+                    // What the routing guarantees: no owned hub is ever
+                    // stamped as an L vertex.
+                    for (_, li) in owned_hubs(part) {
+                        l_parents[li * width..][..width].fill(INVALID_VERTEX);
+                        if keep_depths {
+                            l_depths[li * width..][..width].fill(UNREACHED_DEPTH);
+                        }
+                    }
+                    let hubs = (&hub_parents[..], &hub_depths[..]);
+                    let want =
+                        assemble_by_lookup(part, width, &l_parents, &l_depths, hubs.0, hubs.1);
+                    let got = assemble_owned(part, width, l_parents, l_depths, hubs.0, hubs.1);
+                    assert_eq!(got, want, "width {width}, depths {keep_depths}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! distributed computation, not a shared-memory shortcut.
 //!
 //! Every collective simultaneously:
-//! 1. moves the data (two-barrier deposit/collect protocol),
+//! 1. moves the data (deposit, barrier, collect — one barrier over
+//!    double-buffered slots when fault-free, the two-phase heal
+//!    protocol under a live fault plan; see `RankCtx::exchange`),
 //! 2. synchronizes the ranks' *simulated clocks* (entry skew is recorded
 //!    as `comm.imbalance`, the paper's "imbalance/latency" component),
 //! 3. charges the analytic network cost from the real byte volumes under
@@ -73,35 +75,50 @@ struct Deposit {
     payload: Payload,
 }
 
-/// Shared state of one communicator scope (world, a row, or a column).
-struct ScopeShared {
-    /// Global ranks of the members, in scope position order.
-    members: Vec<usize>,
-    barrier: PoisonBarrier,
+/// One rendezvous buffer of a scope: what each member deposits for one
+/// collective, in scope position order.
+struct ScopeBuffer {
     slots: Vec<Mutex<Option<Deposit>>>,
     /// Entry clocks (f64 bits) deposited before the first barrier.
     clocks: Vec<AtomicU64>,
 }
 
+/// Shared state of one communicator scope (world, a row, or a column).
+struct ScopeShared {
+    /// Global ranks of the members, in scope position order.
+    members: Vec<usize>,
+    barrier: PoisonBarrier,
+    /// Collective `k` of the scope rendezvouses in buffer `k mod 2`, so
+    /// a member re-deposits into a buffer two collectives later — after
+    /// the barrier in between, which every member enters only once it
+    /// has collected (see [`RankCtx::exchange`]).
+    buffers: [ScopeBuffer; 2],
+}
+
 impl ScopeShared {
     fn new(members: Vec<usize>) -> Self {
         let n = members.len();
+        let buffer = || ScopeBuffer {
+            slots: (0..n).map(|_| Mutex::new(None)).collect(),
+            clocks: (0..n).map(|_| AtomicU64::new(0)).collect(),
+        };
         ScopeShared {
             members,
             barrier: PoisonBarrier::new(n),
-            slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            clocks: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            buffers: [buffer(), buffer()],
         }
     }
 
     /// Clear all rendezvous state (only sound with no threads running).
     fn reset(&self) {
         self.barrier.reset();
-        for s in &self.slots {
-            *lock_ignore_poison(s) = None;
-        }
-        for c in &self.clocks {
-            c.store(0, Ordering::Release);
+        for buffer in &self.buffers {
+            for s in &buffer.slots {
+                *lock_ignore_poison(s) = None;
+            }
+            for c in &buffer.clocks {
+                c.store(0, Ordering::Release);
+            }
         }
     }
 }
@@ -576,18 +593,26 @@ impl CommStats {
 
     /// Record one collective call of `op` on `scope` with `bytes` sent.
     pub fn record(&mut self, scope: Scope, op: &str, bytes: u64) {
-        let key = format!("{}/{op}", scope_label(scope));
-        let e = self.ops.entry(key).or_default();
-        e.count += 1;
-        e.bytes += bytes;
+        with_joined(&[scope_label(scope), "/", op], |key| {
+            match self.ops.get_mut(key) {
+                Some(e) => {
+                    e.count += 1;
+                    e.bytes += bytes;
+                }
+                None => {
+                    self.ops
+                        .insert(key.to_string(), CommOpStats { count: 1, bytes });
+                }
+            }
+        })
     }
 
     /// Stats for one `(scope, op)` pair (zero when absent).
     pub fn get(&self, scope: Scope, op: &str) -> CommOpStats {
-        self.ops
-            .get(&format!("{}/{op}", scope_label(scope)))
-            .copied()
-            .unwrap_or_default()
+        with_joined(&[scope_label(scope), "/", op], |key| {
+            self.ops.get(key).copied()
+        })
+        .unwrap_or_default()
     }
 
     /// All `(key, stats)` pairs in lexicographic key order.
@@ -649,6 +674,23 @@ impl ToJson for CommStats {
     }
 }
 
+/// Call `f` with the concatenation of `parts`, composed on the stack
+/// (on the heap only when it does not fit): a map key that is looked up
+/// once per collective must not cost an allocation per lookup.
+fn with_joined<R>(parts: &[&str], f: impl FnOnce(&str) -> R) -> R {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let mut buf = [0u8; 64];
+    if len > buf.len() {
+        return f(&parts.concat());
+    }
+    let mut at = 0;
+    for p in parts {
+        buf[at..at + p.len()].copy_from_slice(p.as_bytes());
+        at += p.len();
+    }
+    f(std::str::from_utf8(&buf[..len]).expect("a concatenation of strs"))
+}
+
 pub(crate) fn scope_label(scope: Scope) -> &'static str {
     match scope {
         Scope::World => "world",
@@ -675,12 +717,17 @@ pub struct RankCtx {
     /// heal cost lands *after* entry-skew alignment instead of being
     /// rewound by it.
     pending_retransmit: SimTime,
+    /// Whether deposits are framed and healed: the fault plan is
+    /// non-empty. That is fixed for a run and every rank must agree on
+    /// it, so it is sampled once, here.
+    framing: bool,
 }
 
 impl RankCtx {
     fn new(rank: usize, shared: Arc<ClusterShared>) -> Self {
         RankCtx {
             rank,
+            framing: !shared.plan.is_empty(),
             shared,
             clock: SimTime::ZERO,
             acc: TimeAccumulator::new(),
@@ -783,11 +830,6 @@ impl RankCtx {
         self.scope_shared(scope).0.members.len()
     }
 
-    /// Core rendezvous: deposit `payload`, wait for all scope members,
-    /// collect everyone's payloads (as shared `Arc`s) and metadata.
-    ///
-    /// Returns `(payloads, bytes, volumes, entry-clock max)` in scope
-    /// position order.
     /// Poison every barrier and unwind with a typed [`SpmdViolation`]
     /// so the violation surfaces as a structured [`RankFailure`]
     /// instead of a bare panic (and never a deadlock).
@@ -862,6 +904,21 @@ impl RankCtx {
         pristine
     }
 
+    /// Core rendezvous: deposit `payload`, wait for all scope members,
+    /// collect everyone's payloads (as shared `Arc`s) and metadata.
+    ///
+    /// Returns `(payloads, bytes, volumes, entry-clock max)` in scope
+    /// position order.
+    ///
+    /// Fault-free (no framing) this is **one** barrier: deposit into
+    /// the scope's buffer `seq mod 2`, wait, collect. Nothing protects
+    /// the slots after the collect, and nothing needs to: a member
+    /// deposits into this buffer again at collective `seq + 2`, which
+    /// it reaches only through the barrier of `seq + 1`, which every
+    /// member enters only after it has collected `seq`. With a live
+    /// fault plan the exchange is the two-phase protocol — deposit,
+    /// barrier, [`Self::heal_corrupt_deposits`], collect, barrier — so
+    /// a heal round always works on slots no member has moved past.
     #[allow(clippy::type_complexity)]
     fn exchange<T: Send + Sync + 'static>(
         &mut self,
@@ -884,7 +941,7 @@ impl RankCtx {
         // Framing (and the pristine-copy bookkeeping for retransmits)
         // is only paid when a fault plan is live: the fault-free fast
         // path deposits unframed and skips verification entirely.
-        let framing = !self.shared.plan.is_empty();
+        let framing = self.framing;
         let frame = if framing { frame_any(&payload) } else { None };
         let pristine = if framing {
             self.inject_fault(scope, op, op_index, &mut payload)
@@ -911,9 +968,13 @@ impl RankCtx {
         };
         let n = ss.members.len();
         debug_assert_eq!(ss.members[pos], self.rank);
+        // `seq` is equal on every member (the SPMD contract), so all of
+        // them pick the same buffer; one that is out of step finds a
+        // missing deposit or another collective's tag there.
+        let ScopeBuffer { slots, clocks } = &ss.buffers[(seq % 2) as usize];
 
-        ss.clocks[pos].store(self.clock.as_secs().to_bits(), Ordering::Release);
-        *lock_ignore_poison(&ss.slots[pos]) = Some(Deposit {
+        clocks[pos].store(self.clock.as_secs().to_bits(), Ordering::Release);
+        *lock_ignore_poison(&slots[pos]) = Some(Deposit {
             tag,
             bytes,
             volumes,
@@ -925,6 +986,7 @@ impl RankCtx {
         if framing {
             self.heal_corrupt_deposits(
                 ss,
+                slots,
                 scope,
                 op,
                 op_index,
@@ -943,7 +1005,7 @@ impl RankCtx {
         let mut max_entry = SimTime::ZERO;
         for p in 0..n {
             let member = ss.members[p];
-            let slot = lock_ignore_poison(&ss.slots[p]);
+            let slot = lock_ignore_poison(&slots[p]);
             let Some(dep) = slot.as_ref() else {
                 drop(slot);
                 self.violate(scope, op, Some(member), SpmdViolationKind::MissingDeposit);
@@ -966,12 +1028,14 @@ impl RankCtx {
             payloads.push(typed);
             all_bytes.push(dep.bytes);
             all_volumes.push(dep.volumes.clone().unwrap_or_default());
-            let entry = SimTime::secs(f64::from_bits(ss.clocks[p].load(Ordering::Acquire)));
+            let entry = SimTime::secs(f64::from_bits(clocks[p].load(Ordering::Acquire)));
             max_entry = max_entry.max(entry);
         }
-        // Second barrier: nobody may start the next collective (and
-        // overwrite slots) until everyone has collected.
-        ss.barrier.wait();
+        if framing {
+            // Second barrier of the two-phase protocol: nobody starts
+            // the next collective until everyone has collected.
+            ss.barrier.wait();
+        }
         (payloads, all_bytes, all_volumes, max_entry)
     }
 
@@ -990,6 +1054,7 @@ impl RankCtx {
     fn heal_corrupt_deposits(
         &mut self,
         ss: &ScopeShared,
+        slots: &[Mutex<Option<Deposit>>],
         scope: Scope,
         op: &str,
         op_index: u64,
@@ -1004,7 +1069,7 @@ impl RankCtx {
         let corrupt_positions = || -> Vec<usize> {
             (0..n)
                 .filter(|&p| {
-                    let slot = lock_ignore_poison(&ss.slots[p]);
+                    let slot = lock_ignore_poison(&slots[p]);
                     slot.as_ref().is_some_and(|dep| match dep.frame {
                         Some(f) => frame_any(dep.payload.as_ref()) != Some(f),
                         // Unframed deposits (e.g. barriers) are
@@ -1046,7 +1111,7 @@ impl RankCtx {
             // clock bump during entry-skew alignment).
             let mut heal_volumes = vec![0u64; n];
             for &p in &corrupt {
-                heal_volumes[p] = lock_ignore_poison(&ss.slots[p])
+                heal_volumes[p] = lock_ignore_poison(&slots[p])
                     .as_ref()
                     .map_or(0, |d| d.bytes);
             }
@@ -1070,7 +1135,7 @@ impl RankCtx {
                     op_index,
                     attempt,
                 });
-                *lock_ignore_poison(&ss.slots[pos]) = Some(Deposit {
+                *lock_ignore_poison(&slots[pos]) = Some(Deposit {
                     tag,
                     bytes,
                     volumes: volumes.clone(),
@@ -1127,11 +1192,10 @@ impl RankCtx {
         let my_pos = self.scope_pos(scope);
         let (payloads, _, all_volumes, max_entry) =
             self.exchange(scope, category, send, bytes, Some(volumes));
-        let members = self.scope_members(scope);
         let cost = cost::alltoallv_cost(
             &self.shared.machine,
             &self.shared.topo,
-            &members,
+            self.scope_members(scope),
             &all_volumes,
         );
         self.settle(category, max_entry, cost);
@@ -1231,8 +1295,9 @@ impl RankCtx {
         // Keep the op name as a suffix so callers can group the same
         // totals per comm type (Figure 11) *and* per algorithm phase
         // (Figure 10).
-        self.acc.add(&format!("comm.reduce_scatter.{op}"), half);
-        self.acc.add(&format!("comm.allgather.{op}"), half);
+        for prefix in ["comm.reduce_scatter.", "comm.allgather."] {
+            with_joined(&[prefix, op], |category| self.acc.add(category, half));
+        }
         self.clock = max_entry + heal + half + half;
         result
     }
@@ -1267,12 +1332,8 @@ impl RankCtx {
         }
     }
 
-    fn scope_members(&self, scope: Scope) -> Vec<usize> {
-        match scope {
-            Scope::World => self.shared.world.members.clone(),
-            Scope::Row => self.shared.rows[self.row()].members.clone(),
-            Scope::Col => self.shared.cols[self.col()].members.clone(),
-        }
+    fn scope_members(&self, scope: Scope) -> &[usize] {
+        &self.scope_shared(scope).0.members
     }
 }
 
@@ -1379,6 +1440,62 @@ mod tests {
         for t in out {
             assert!(t > 0.0, "alltoallv must cost simulated time");
         }
+    }
+
+    #[test]
+    fn one_barrier_exchange_never_shows_a_neighbouring_collective() {
+        // 20 k back-to-back collectives on the unframed path, in runs of
+        // five per scope (a buffer is reused by the scope's *own* next
+        // collectives; the scope changes exercise the three sequence
+        // numbers against each other). Every collected payload must be
+        // `(member, k)` of collective `k` itself: a slot read one
+        // collective early or overwritten one collective late shows up
+        // as `k - 1`, `k + 1` or a typed violation (with one buffer
+        // instead of two, within the first few hundred ops). Rank 3
+        // dawdles before varying ops so the others run as far ahead as
+        // the protocol lets them.
+        const OPS: u64 = 20_000;
+        let c = small_cluster(2, 2);
+        let topo = c.topology();
+        let members_of = move |scope: Scope, rank: usize| -> Vec<usize> {
+            let (row, col) = (topo.row_of(rank), topo.col_of(rank));
+            match scope {
+                Scope::World => (0..4).collect(),
+                Scope::Row => (0..2).map(|c| topo.rank_at(row, c)).collect(),
+                Scope::Col => (0..2).map(|r| topo.rank_at(r, col)).collect(),
+            }
+        };
+        c.run(|ctx| {
+            assert!(!ctx.framing, "no plan: the one-barrier path");
+            let me = ctx.rank();
+            for k in 0..OPS {
+                let scope = [Scope::World, Scope::Row, Scope::Col][(k / 5 % 3) as usize];
+                if me == 3 && k % 97 < 3 {
+                    std::thread::sleep(std::time::Duration::from_micros(50 + k % 7 * 30));
+                }
+                let members = members_of(scope, me);
+                let stamp = |m: usize| (m as u64, k);
+                match k % 4 {
+                    0 => {
+                        let got = ctx.allgatherv(scope, "gather", vec![stamp(me)]);
+                        let want: Vec<_> = members.iter().map(|&m| vec![stamp(m)]).collect();
+                        assert_eq!(got, want, "allgatherv {k}");
+                    }
+                    1 => {
+                        // Each member sends `(sender, k, receiver)`.
+                        let send = members.iter().map(|&d| vec![(stamp(me), d)]).collect();
+                        let got = ctx.alltoallv(scope, "route", send);
+                        let want: Vec<_> = members.iter().map(|&m| vec![(stamp(m), me)]).collect();
+                        assert_eq!(got, want, "alltoallv {k}");
+                    }
+                    _ => {
+                        let sum = ctx.allreduce_sum(scope, "sum", me as u64 + k);
+                        let want = members.iter().map(|&m| m as u64 + k).sum::<u64>();
+                        assert_eq!(sum, want, "allreduce {k}");
+                    }
+                }
+            }
+        });
     }
 
     #[test]
@@ -1689,28 +1806,38 @@ mod tests {
     #[test]
     fn bitflip_corruption_is_detected_and_healed_with_time_charged() {
         use crate::fault::{CorruptMode, FaultEvent, FaultKind};
-        let plan = FaultPlan::from_events(vec![FaultEvent {
+        let event = FaultEvent {
             rank: 0,
             op_index: 0,
             kind: FaultKind::Corrupt {
                 mode: CorruptMode::BitFlip,
             },
-        }]);
-        let c = Cluster::with_faults(MeshShape::new(1, 2), MachineConfig::new_sunway(), plan);
-        let out = c.run_fallible(|ctx| {
-            let sum = ctx.allreduce_sum(Scope::World, "sum", 8u64);
-            (sum, ctx.accumulator().get("comm.retransmit").as_secs())
-        });
-        for r in out {
-            let (sum, heal_secs) = r.expect("bitflip is healed, not silent");
-            assert_eq!(sum, 8 + 8, "the pristine payload is what gets reduced");
-            assert!(
-                heal_secs > 0.0,
-                "every member charges the retransmit heal time"
-            );
+        };
+        let cluster =
+            |plan| Cluster::with_faults(MeshShape::new(1, 2), MachineConfig::new_sunway(), plan);
+        let planned = cluster(FaultPlan::from_events(vec![event]));
+        // Armed but empty, the flip injected live: the run must be on
+        // the framed two-barrier path from its first collective, or the
+        // flipped payload would be reduced instead of healed.
+        let armed = cluster(FaultPlan::armed());
+        armed.fault_plan().inject([event]);
+        for c in [planned, armed] {
+            let out = c.run_fallible(|ctx| {
+                assert!(ctx.framing, "a planned or armed plan keeps framing on");
+                let sum = ctx.allreduce_sum(Scope::World, "sum", 8u64);
+                (sum, ctx.accumulator().get("comm.retransmit").as_secs())
+            });
+            for r in out {
+                let (sum, heal_secs) = r.expect("bitflip is healed, not silent");
+                assert_eq!(sum, 8 + 8, "the pristine payload is what gets reduced");
+                assert!(
+                    heal_secs > 0.0,
+                    "every member charges the retransmit heal time"
+                );
+            }
+            assert_eq!(c.retransmit_log().len(), 1);
+            assert_eq!(c.retransmit_log()[0].from, 0);
         }
-        assert_eq!(c.retransmit_log().len(), 1);
-        assert_eq!(c.retransmit_log()[0].from, 0);
     }
 
     #[test]

@@ -52,6 +52,16 @@ echo "==> fault containment suite (hard timeout)"
 timeout 300 cargo test -q -p sunbfs-net --test fault_matrix
 timeout 300 cargo test -q --test fault_e2e --test fault_env
 
+# The rendezvous itself: the spin-then-sleep barrier (200 k generations
+# on the shipped poll count and on the forced sleep path, poison landing
+# on a poller and on a sleeper) and the one-barrier double-buffered
+# exchange (20 k back-to-back collectives that must only ever see their
+# own deposits). In release, where the races are tightest; a lost
+# wake-up or an early release is a hang, so it must fail this gate, not
+# stall it.
+echo "==> barrier and slot-reuse stress (release, hard timeout)"
+timeout 120 cargo test -q --release -p sunbfs-net barrier
+
 # Self-healing: exchange-layer retransmission heals corruption below
 # the retry loop, and checkpoint/resume salvages completed iterations.
 # Same hard-timeout rule — the heal protocol's barriers must never hang.
