@@ -4,8 +4,8 @@
 //! group scanning frontiers and bucketing messages in parallel while
 //! the MPE orchestrates. This module reproduces that layer for the
 //! *host* execution of the simulation: a bounded, work-chunked pool
-//! that the pull/push scans ([`crate::Bitmap`] word blocks), the OCS
-//! bucket sort, and the PARADIS permutation route through.
+//! that the pull/push scans ([`crate::Bitmap`] word blocks) and the
+//! PARADIS permutation route through.
 //!
 //! Design constraints, in priority order:
 //!

@@ -253,10 +253,10 @@ fn assemble_owned(
     let mut tallies = vec![0u64; 2 * width];
     for (slots, &deg) in parents.chunks_exact(width).zip(&part.owned_degrees) {
         for (b, &p) in slots.iter().enumerate() {
-            if p != INVALID_VERTEX {
-                tallies[b] += 1;
-                tallies[width + b] += deg as u64;
-            }
+            // Reached or not is a coin flip per slot: add, don't branch.
+            let hit = (p != INVALID_VERTEX) as u64;
+            tallies[b] += hit;
+            tallies[width + b] += hit * deg as u64;
         }
     }
     (parents, depths, tallies)
@@ -326,9 +326,11 @@ fn push_scan<L: Lane>(
 /// Bottom-up scan: every vertex of `span` still wanting roots (per
 /// `seen` and `update`) probes its adjacency in `src` until its wants
 /// are exhausted (early exit). `key` names a destination element in
-/// `adj`'s key space, `src_index` turns an adjacency target into an
-/// element of `src`, `msg` builds `(dest, parent)` from `(element, key,
-/// target)`.
+/// `adj`'s key space — element `i` is `adj`'s `i`-th key, so the walk
+/// takes `adj.nonempty()` as its mask and never visits a vertex with
+/// nothing to pull through — `src_index` turns an adjacency target into
+/// an element of `src`, `msg` builds `(dest, parent)` from `(element,
+/// key, target)`.
 ///
 /// Each destination belongs to exactly one chunk and the want test
 /// reads only pre-scan snapshots, so per-chunk hits merged in chunk
@@ -349,11 +351,9 @@ fn pull_scan<L: Lane>(
         let mut edges = 0u64;
         let mut out: Vec<L::Msg> = Vec::new();
         let (start, end) = (span.start + r.start, span.start + r.end);
-        lane.for_each_wanting(seen, update, start, end, |i, mut want| {
+        lane.for_each_wanting(seen, update, adj.nonempty(), start, end, |i, mut want| {
             let k = key(i);
-            if adj.degree(k) == 0 {
-                return;
-            }
+            debug_assert_eq!(k - adj.key_base(), i, "seen-set index is the key offset");
             for &t in adj.neighbors(k) {
                 edges += 1;
                 if let Some((got, done)) = L::hit(src, src_index(t), &mut want) {
@@ -458,6 +458,10 @@ pub(crate) struct Engine<'a, L: Lane> {
     /// Measured `(m_f, m_u)` each component's decision saw this
     /// iteration (surfaced in [`SubIterationStats`]; zeros under Fixed).
     sub_masses: [(u64, u64); 6],
+    /// This rank's degree mass of `l.seen` ([`Engine::local_l_mass`] of
+    /// it), carried instead of re-walked: it grows only where an owned
+    /// L root is activated and where `discover_locals` inserts.
+    l_seen_mass: u64,
 }
 
 impl<'a, L: Lane> Engine<'a, L> {
@@ -518,6 +522,7 @@ impl<'a, L: Lane> Engine<'a, L> {
             visited_mass: [0; 3],
             prev_dirs: [Direction::Push; 6],
             sub_masses: [(0, 0); 6],
+            l_seen_mass: 0,
         }
     }
 
@@ -547,11 +552,12 @@ impl<'a, L: Lane> Engine<'a, L> {
     }
 
     /// This rank's contribution to a class-split frontier degree mass:
-    /// `(E mass, H mass, L mass)` of the given hub and L frontier sets,
-    /// counting only *owned* vertices (each rank knows the global degree
-    /// of its owned slice only — hub degrees are not replicated — so
-    /// summing across ranks yields the global mass).
-    fn local_frontier_mass(&self, hub_set: &Bitmap, l_set: &Bitmap) -> [u64; 3] {
+    /// `(E mass, H mass, L mass)` of the given hub frontier set and of
+    /// an L frontier whose mass the caller carries, counting only
+    /// *owned* vertices (each rank knows the global degree of its owned
+    /// slice only — hub degrees are not replicated — so summing across
+    /// ranks yields the global mass).
+    fn local_frontier_mass(&self, hub_set: &Bitmap, l_mass: u64) -> [u64; 3] {
         let dir = &self.part.directory;
         let range = self.part.owned_range();
         let num_e = dir.num_e() as u64;
@@ -563,12 +569,13 @@ impl<'a, L: Lane> Engine<'a, L> {
                 mass[if h < num_e { 0 } else { 1 }] += d * L::weight(m);
             }
         });
-        mass[2] = self.local_l_mass(l_set);
+        mass[2] = l_mass;
         mass
     }
 
-    /// This rank's degree mass of an owned L set (of the seen set: the
-    /// measured counter piggybacked on the L2E hub sync).
+    /// This rank's degree mass of an owned L set by a full walk of it:
+    /// what a resumed run starts its carried mass from, and what the
+    /// carried masses are `debug_assert`ed against.
     fn local_l_mass(&self, l_set: &Bitmap) -> u64 {
         let mut mass = 0u64;
         L::for_each_active(l_set, 0, self.part.owned_degrees.len() as u64, |li, m| {
@@ -638,6 +645,9 @@ impl<'a, L: Lane> Engine<'a, L> {
                 self.frontier_mass = state.frontier_mass;
                 self.visited_mass = state.visited_mass;
                 self.prev_dirs = state.prev_dirs;
+                // The carried seen mass is derived state: one walk of
+                // the restored set, no checkpoint byte.
+                self.l_seen_mass = self.local_l_mass(&self.l.seen);
                 iterations = stats.iterations.clone();
                 base = stats;
             }
@@ -655,7 +665,10 @@ impl<'a, L: Lane> Engine<'a, L> {
                             // is globally known): already the global count.
                             active_l += 1;
                             if range.contains(&root) {
-                                self.l.activate(&self.lane, root - range.start, m, root);
+                                let li = root - range.start;
+                                self.l.activate(&self.lane, li, m, root);
+                                self.l_seen_mass +=
+                                    self.part.owned_degrees[li as usize] as u64 * L::weight(m);
                             }
                         }
                     }
@@ -674,6 +687,7 @@ impl<'a, L: Lane> Engine<'a, L> {
                 iter: self.iter,
                 ..Default::default()
             };
+            let l_mass_before = self.l_seen_mass;
 
             // ---- per-class `(vertex, root)` pair counts ----
             (st.active_e, st.active_h) = self.hub_class_counts(&self.hub.curr);
@@ -702,7 +716,8 @@ impl<'a, L: Lane> Engine<'a, L> {
             // — one extra u64 on the same collective, never a new one.
             let mut l2e_counters = vec![self.l.seen.count_ones()];
             if self.measured() {
-                l2e_counters.push(self.local_l_mass(&self.l.seen));
+                debug_assert_eq!(self.l_seen_mass, self.local_l_mass(&self.l.seen));
+                l2e_counters.push(self.l_seen_mass);
             }
             let refreshed = self.sync_hubs(ctx, HUBSYNC_L2E, &l2e_counters);
 
@@ -775,8 +790,12 @@ impl<'a, L: Lane> Engine<'a, L> {
                 // closing allreduce (three extra u64s): each rank sums
                 // its *owned* next-frontier degrees per class. The roots'
                 // own mass never enters (they were activated, not
-                // discovered), uniformly on every rank.
-                payload.extend(self.local_frontier_mass(&self.hub.next, &self.l.next));
+                // discovered), uniformly on every rank. Every insert
+                // into `l.next` is an insert into `l.seen`, so the next
+                // L frontier's mass is the seen mass's growth.
+                let l_next = self.l_seen_mass - l_mass_before;
+                debug_assert_eq!(l_next, self.local_l_mass(&self.l.next));
+                payload.extend(self.local_frontier_mass(&self.hub.next, l_next));
             }
             let counts =
                 ctx.allreduce_with(Scope::World, "heur.counts", payload, None, |a, b| *a += b);
@@ -1057,6 +1076,7 @@ impl<'a, L: Lane> Engine<'a, L> {
                 L::insert(&mut self.l.seen, li, new);
                 L::insert(&mut self.l.next, li, new);
                 self.l.stamp(&self.lane, li, new, parent, depth);
+                self.l_seen_mass += self.part.owned_degrees[li as usize] as u64 * L::weight(new);
             }
         }
     }
@@ -1450,11 +1470,10 @@ impl<'a, L: Lane> Engine<'a, L> {
                 let (parts, pstats) = pool::run_ranges(local_n, SCAN_GRAIN_ITEMS, |_, r| {
                     let mut edges = 0u64;
                     let mut out: Vec<Vec<L::Msg>> = vec![Vec::new(); p];
-                    lane.for_each_wanting(l_seen, None, r.start, r.end, |li, want| {
+                    let live = part.l2l.nonempty();
+                    lane.for_each_wanting(l_seen, None, live, r.start, r.end, |li, want| {
                         let l = range.start + li;
-                        if part.l2l.degree(l) == 0 {
-                            return;
-                        }
+                        debug_assert_eq!(l - part.l2l.key_base(), li);
                         for &u in part.l2l.neighbors(l) {
                             edges += 1;
                             out[dist.owner(u)].push(L::pack(u, l, want));
@@ -1494,6 +1513,7 @@ impl<'a, L: Lane> Engine<'a, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lane::Word;
     use sunbfs_common::{MachineConfig, SplitMix64};
     use sunbfs_net::{Cluster, CommOpStats, MeshShape};
     use sunbfs_part::{build_1p5d, Thresholds};
@@ -1756,6 +1776,115 @@ mod tests {
                     assert_eq!(got, want, "width {width}, depths {keep_depths}");
                 }
             }
+        }
+    }
+
+    /// The measured L masses each iteration must have seen, from the
+    /// traversal's outputs alone — a full walk over every `(vertex,
+    /// root)` slot with none of the engine's bookkeeping: per iteration
+    /// `k`, the L frontier's mass entering it (pairs of depth `k - 1`;
+    /// roots are activated, not discovered, and never enter) and the
+    /// unexplored L mass at its L2E sync (everything but the pairs of
+    /// depth below `k` and the depth-`k` pairs E2L had just discovered
+    /// — those whose parent is an E hub, since the first stamp wins).
+    fn l_masses_from_outputs(parts: &[RankPartition], outs: &[BatchOutput]) -> Vec<(u64, u64)> {
+        let dir = &parts[0].directory;
+        let width = outs[0].num_roots;
+        let iterations = outs[0].stats.iterations.len();
+        let parents: Vec<u64> = outs
+            .iter()
+            .flat_map(|o| o.parents.iter().copied())
+            .collect();
+        // The `Bit` lane keeps no depths: chase its one parent tree.
+        let depth_by_chase = |mut v: u64| {
+            let mut d = 0;
+            while parents[v as usize] != v {
+                (v, d) = (parents[v as usize], d + 1);
+            }
+            d
+        };
+        let mut total = 0u64;
+        let mut of_depth = vec![0u64; iterations + 1];
+        let mut of_depth_by_e2l = vec![0u64; iterations + 1];
+        for (part, out) in parts.iter().zip(outs) {
+            for (li, (v, &deg)) in part.owned_range().zip(&part.owned_degrees).enumerate() {
+                if dir.hub_id(v).is_some() {
+                    continue;
+                }
+                total += deg as u64 * width as u64;
+                for b in 0..width {
+                    let parent = out.parents[li * width + b];
+                    if parent == INVALID_VERTEX {
+                        continue;
+                    }
+                    let depth = match out.depths.get(li * width + b) {
+                        Some(&d) => d as usize,
+                        None => depth_by_chase(v),
+                    };
+                    of_depth[depth] += deg as u64;
+                    if dir.hub_id(parent).is_some_and(|h| h < dir.num_e()) {
+                        of_depth_by_e2l[depth] += deg as u64;
+                    }
+                }
+            }
+        }
+        (1..=iterations)
+            .map(|k| {
+                let frontier = if k == 1 { 0 } else { of_depth[k - 1] };
+                let seen = of_depth[..k].iter().sum::<u64>() + of_depth_by_e2l[k];
+                (frontier, total - seen)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn carried_l_masses_equal_a_full_walk_of_the_outputs() {
+        let params = RmatParams::graph500(8, 42);
+        let n = params.num_vertices();
+        // Roots with an edge (sources of the generator's first edges);
+        // width 8 and 64 batches with one duplicated root each.
+        let edges = sunbfs_rmat::generate_chunk(&params, 0, 16);
+        let mut roots64: Vec<u64> = edges.iter().map(|e| e.u).take(64).collect();
+        roots64[63] = roots64[0];
+        let mut roots8 = roots64[..8].to_vec();
+        roots8[7] = roots8[2];
+        let cfg = EngineConfig::default();
+        assert_eq!(cfg.heuristic, DirectionHeuristic::Measured);
+        for shape in [MeshShape::new(2, 2), MeshShape::new(2, 3)] {
+            let nranks = (shape.rows * shape.cols) as u64;
+            let ranks = Cluster::new(shape, MachineConfig::new_sunway()).run(|ctx| {
+                let chunk = sunbfs_rmat::generate_chunk(&params, ctx.rank() as u64, nranks);
+                let part = build_1p5d(ctx, n, &chunk, Thresholds::new(64, 16));
+                let mut run = |roots: &[u64]| match roots.len() {
+                    1 => Engine::new(ctx, &part, cfg, Bit).run(ctx, roots, None),
+                    nb => Engine::new(ctx, &part, cfg, Word::new(nb)).run(ctx, roots, None),
+                };
+                let outs = [run(&roots8[..1]), run(&roots8), run(&roots64)];
+                (part, outs.map(|out| out.expect("terminates")))
+            });
+            let parts: Vec<RankPartition> = ranks.iter().map(|(p, _)| p.clone()).collect();
+            for lane in 0..3 {
+                let outs: Vec<BatchOutput> = ranks.iter().map(|(_, o)| o[lane].clone()).collect();
+                let want = l_masses_from_outputs(&parts, &outs);
+                assert!(
+                    want.len() >= 3 && want.first().map(|m| m.1) > want.last().map(|m| m.1),
+                    "{shape:?} lane {lane}: the unexplored L mass must shrink: {want:?}"
+                );
+                for out in &outs {
+                    for (it, &(frontier, unexplored)) in out.stats.iterations.iter().zip(&want) {
+                        let subs = &it.subs;
+                        let at = format!("{shape:?} lane {lane} iteration {}", it.iter);
+                        // L2E and L2L read the L frontier mass; H2L and
+                        // L2L the unexplored L mass of the L2E sync.
+                        assert_eq!(subs[2].frontier_edges, frontier, "{at}");
+                        assert_eq!(subs[5].frontier_edges, frontier, "{at}");
+                        assert_eq!(subs[3].unexplored_edges, unexplored, "{at}");
+                        assert_eq!(subs[5].unexplored_edges, unexplored, "{at}");
+                    }
+                }
+            }
+            roots8.rotate_left(1);
+            roots64.rotate_left(1);
         }
     }
 

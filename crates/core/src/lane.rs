@@ -14,7 +14,7 @@
 //! | message | `(dest, parent)` | `(dest, parent, mask)` |
 //! | hub-sync payload | `nh` bits | `nh` words |
 //! | active walk | `wide::for_each_one` | `wide::for_each_nonzero_word` |
-//! | wanting walk | `wide::for_each_unset_pair` | `full & !seen & !update` per word |
+//! | wanting walk | `!(seen \| update) & live` per 64 vertices | `full & !seen & !update` at each set bit of `live` |
 //! | push chunks | 4-word blocks of the bitmap | 256 vertices |
 //! | EH2EH pull source | `SegmentedBitvec` when it fits LDM | the word vector |
 //! | result slots | parent per vertex | parent + depth per `(vertex, root)` |
@@ -88,20 +88,25 @@ pub(crate) trait Lane: Copy + Send + Sync {
     fn for_each_active(set: &Bitmap, start: u64, end: u64, f: impl FnMut(u64, Self::Mask));
 
     /// Visit `(vertex, wanted mask)` of every vertex in `[start, end)`
-    /// that still lacks some root in `seen` (and `update`), ascending.
+    /// that is set in `live` (one bit per vertex: the keys with an
+    /// adjacency to pull through, [`sunbfs_part::Csr::nonempty`]) and
+    /// still lacks some root in `seen` (and `update`), ascending.
     fn for_each_wanting(
         &self,
         seen: &Bitmap,
         update: Option<&Bitmap>,
+        live: &Bitmap,
         start: u64,
         end: u64,
         mut f: impl FnMut(u64, Self::Mask),
     ) {
-        for i in start..end {
+        // The mask is a single-source set: walk its ones and test the
+        // element there — a vertex outside it costs nothing.
+        Bit::for_each_active(live, start, end, |i, ()| {
             if let Some(want) = Self::fresh(self.all(), seen, update, i) {
                 f(i, want);
             }
-        }
+        });
     }
 
     /// Stage the hub frontier for the EH2EH pull (§4.3) and return the
@@ -206,18 +211,42 @@ impl Lane for Bit {
         &self,
         seen: &Bitmap,
         update: Option<&Bitmap>,
+        live: &Bitmap,
         start: u64,
         end: u64,
         mut f: impl FnMut(u64, ()),
     ) {
-        // One inverted wide walk: only unvisited vertices are examined.
-        // Without an update set `seen` stands in for it (`!a & !a`), so
-        // the scan body `f` has a single call site and inlines into the
-        // word loop.
-        let update = update.unwrap_or(seen);
-        wide::for_each_unset_pair(seen.words(), update.words(), seen.len(), start, end, |i| {
-            f(i, ())
-        });
+        // One inverted word walk, `!(seen | update) & live`: only
+        // unvisited vertices with an adjacency are examined. Without an
+        // update set `seen` stands in for it (`!a & !a`), so the scan
+        // body `f` has a single call site and inlines into the word
+        // loop.
+        let end = end.min(live.len());
+        if start >= end {
+            return;
+        }
+        let update = update.unwrap_or(seen).words();
+        let (seen, live) = (seen.words(), live.words());
+        assert_eq!(seen.len(), update.len(), "word slice length mismatch");
+        assert_eq!(seen.len(), live.len(), "word slice length mismatch");
+        let (ws, we) = ((start / 64) as usize, ((end - 1) / 64) as usize);
+        for wi in ws..=we {
+            let mut want = !(seen[wi] | update[wi]) & live[wi];
+            if wi == ws {
+                want &= u64::MAX << (start % 64);
+            }
+            if wi == we {
+                let top = end - wi as u64 * 64;
+                if top < 64 {
+                    want &= (1u64 << top) - 1;
+                }
+            }
+            while want != 0 {
+                let i = wi as u64 * 64 + want.trailing_zeros() as u64;
+                want &= want - 1;
+                f(i, ());
+            }
+        }
     }
 
     /// CG-aware segmenting: the activeness bits live in a
@@ -415,6 +444,7 @@ impl Lane for Word {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sunbfs_common::SplitMix64;
 
     #[test]
     fn bit_active_walk_honors_unaligned_windows() {
@@ -441,10 +471,91 @@ mod tests {
         Word::insert(&mut seen, 0, 0b111);
         Word::insert(&mut seen, 1, 0b001);
         Word::insert(&mut update, 1, 0b010);
+        let mut live = Bit::new_set(4);
+        for i in [0, 1, 3] {
+            live.set(i);
+        }
         let mut got = Vec::new();
-        lane.for_each_wanting(&seen, Some(&update), 0, 4, |i, want| got.push((i, want)));
-        assert_eq!(got, vec![(1, 0b100), (2, 0b111), (3, 0b111)]);
+        lane.for_each_wanting(&seen, Some(&update), &live, 0, 4, |i, want| {
+            got.push((i, want))
+        });
+        // Vertex 2 wants every root but has nothing to pull through.
+        assert_eq!(got, vec![(1, 0b100), (3, 0b111)]);
         assert_eq!(Word::new(64).all(), u64::MAX);
+    }
+
+    /// The wanting walk by definition: one vertex of the window at a
+    /// time, mask bit first.
+    fn naive_wanting<L: Lane>(
+        lane: &L,
+        (seen, update, live): (&Bitmap, Option<&Bitmap>, &Bitmap),
+        (start, end): (u64, u64),
+    ) -> Vec<(u64, L::Mask)> {
+        let mut out = Vec::new();
+        for i in start..end {
+            if !live.get(i) {
+                continue;
+            }
+            if let Some(want) = L::fresh(lane.all(), seen, update, i) {
+                out.push((i, want));
+            }
+        }
+        out
+    }
+
+    /// Every `[start, end)` window over `n` vertices — unaligned heads,
+    /// a ragged tail word, empty windows — with and without an update
+    /// set, against [`naive_wanting`]. `element` draws the roots a
+    /// vertex already has in a set.
+    fn check_masked_walk<L: Lane>(lane: L, n: u64, mut element: impl FnMut() -> Option<L::Mask>)
+    where
+        L::Mask: PartialEq + std::fmt::Debug,
+    {
+        let mut rng = SplitMix64::new(n);
+        let (mut seen, mut update) = (L::new_set(n), L::new_set(n));
+        let mut live = Bit::new_set(n);
+        for i in 0..n {
+            for set in [&mut seen, &mut update] {
+                if let Some(m) = element() {
+                    L::insert(set, i, m);
+                }
+            }
+            if rng.next_below(2) == 0 {
+                live.set(i);
+            }
+        }
+        let mut skipped_live = false;
+        for start in 0..=n {
+            for end in start..=n {
+                for update in [None, Some(&update)] {
+                    let mut got = Vec::new();
+                    lane.for_each_wanting(&seen, update, &live, start, end, |i, want| {
+                        got.push((i, want))
+                    });
+                    let want = naive_wanting(&lane, (&seen, update, &live), (start, end));
+                    assert_eq!(got, want, "window [{start}, {end})");
+                    skipped_live |= (got.len() as u64) < live.count_ones_range(start, end);
+                }
+            }
+        }
+        assert!(skipped_live, "some live vertex must already be covered");
+    }
+
+    #[test]
+    fn masked_wanting_walks_match_the_per_vertex_loop() {
+        // 140 vertices: two full words and a 12-bit tail word, so mask
+        // bits sit below `start`, in the tail, and under `seen`/`update`.
+        let mut rng = SplitMix64::new(7);
+        check_masked_walk(Bit, 140, || (rng.next_below(3) == 0).then_some(()));
+        for width in [3, 64] {
+            let lane = Word::new(width);
+            // A third of the vertices have every root, a third some.
+            check_masked_walk(lane, 140, || match rng.next_below(3) {
+                0 => Some(lane.all()),
+                1 => Some(rng.next_u64() & lane.all()).filter(|&m| m != 0),
+                _ => None,
+            });
+        }
     }
 
     #[test]

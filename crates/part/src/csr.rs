@@ -11,12 +11,28 @@
 //! in-place because on the real machine the edge list nearly fills
 //! main memory.
 
+use sunbfs_common::Bitmap;
+
 /// CSR adjacency over keys `key_base .. key_base + num_keys`.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Csr {
     key_base: u64,
     offsets: Vec<u64>,
     targets: Vec<u64>,
+    /// Bit `k` set iff key `key_base + k` has an adjacency — derived
+    /// from `offsets` by every constructor, never stored.
+    nonempty: Bitmap,
+}
+
+/// The keys of `offsets` that own at least one target.
+fn nonempty_keys(offsets: &[u64]) -> Bitmap {
+    let mut mask = Bitmap::new(offsets.len() as u64 - 1);
+    for (k, w) in offsets.windows(2).enumerate() {
+        if w[1] > w[0] {
+            mask.set(k as u64);
+        }
+    }
+    mask
 }
 
 impl Csr {
@@ -51,6 +67,7 @@ impl Csr {
             key_base,
             offsets,
             targets,
+            nonempty: Bitmap::new(0),
         };
         for k in 0..nk {
             let lo = csr.offsets[k] as usize;
@@ -60,6 +77,7 @@ impl Csr {
         if dedup {
             csr.dedup_targets();
         }
+        csr.nonempty = nonempty_keys(&csr.offsets);
         csr
     }
 
@@ -106,9 +124,18 @@ impl Csr {
         );
         Csr {
             key_base,
+            nonempty: nonempty_keys(&offsets),
             offsets,
             targets,
         }
+    }
+
+    /// One bit per key, set iff the key has at least one neighbor: what
+    /// a walk over keys may skip without looking at `offsets`. Not part
+    /// of the serialized form.
+    #[inline]
+    pub fn nonempty(&self) -> &Bitmap {
+        &self.nonempty
     }
 
     /// The raw offset array (`num_keys + 1` entries, first 0, last
@@ -199,6 +226,27 @@ mod tests {
         let csr = Csr::from_pairs(5, 3, vec![], true);
         assert_eq!(csr.num_edges(), 0);
         assert_eq!(csr.neighbors(6), &[] as &[u64]);
+    }
+
+    #[test]
+    fn nonempty_marks_exactly_the_keys_with_neighbors() {
+        // Key 0's duplicates collapse to one target and stay set; keys
+        // 1 and 3 have no pairs and stay clear.
+        let pairs = vec![(10, 7), (10, 7), (12, 1), (12, 5)];
+        let csr = Csr::from_pairs(10, 4, pairs, true);
+        assert_eq!(csr.nonempty().len(), 4);
+        assert_eq!(csr.nonempty().iter_ones().collect::<Vec<_>>(), vec![0, 2]);
+
+        // The store's decode path derives the same mask from raw arrays.
+        let raw = Csr::from_raw(10, csr.offsets().to_vec(), csr.targets().to_vec());
+        assert_eq!(raw.nonempty(), csr.nonempty());
+        let raw = Csr::from_raw(0, vec![0, 0, 2, 2, 3], vec![4, 5, 6]);
+        assert_eq!(raw.nonempty().iter_ones().collect::<Vec<_>>(), vec![1, 3]);
+
+        let empty = Csr::from_pairs(5, 3, vec![], true);
+        assert_eq!(empty.nonempty().len(), 3);
+        assert!(empty.nonempty().is_zero());
+        assert_eq!(Csr::from_pairs(0, 0, vec![], false).nonempty().len(), 0);
     }
 
     #[test]

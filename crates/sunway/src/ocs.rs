@@ -18,18 +18,19 @@
 //! little efficiency — exactly the effect visible in Figure 14
 //! (12.5 GB/s × 6 = 75 ≠ 58.6 GB/s measured).
 //!
-//! [`ocs_sort_rma`] is *functional*: it really routes every item
-//! through producer buffers and consumer drains, and the returned
-//! [`KernelReport`] carries the simulated time from the machine
-//! constants. [`ocs_sort_mpe`] is the sequential management-core
-//! baseline.
+//! [`ocs_sort_rma`] is *functional*: its buckets hold every item in the
+//! order the producer buffers and consumer drains would deliver it, and
+//! its RMA counters are the puts that protocol would issue. It *replays*
+//! that routing order and flush count arithmetically instead of
+//! building the buffers — host time proportional to the items, not to
+//! the 6 × 32 × 32 buffer grid — and the literal buffer-by-buffer pass
+//! is the oracle it is tested against (`tests/ocs_reference.rs`). The
+//! returned [`KernelReport`] carries the simulated time from the
+//! machine constants. [`ocs_sort_mpe`] is the sequential
+//! management-core baseline.
 
 use crate::kernels::{self, KernelReport};
-use sunbfs_common::{pool, MachineConfig, SimTime};
-
-/// Producer/consumer indices per worker-pool chunk: coarse enough that
-/// a 32-CPE side splits into at most four chunks.
-const OCS_GRAIN_CPES: u64 = 8;
+use sunbfs_common::{MachineConfig, SimTime};
 
 /// Tuning knobs of the OCS-RMA kernel (§4.4 defaults).
 #[derive(Clone, Copy, Debug)]
@@ -109,104 +110,102 @@ where
     let item_bytes = std::mem::size_of::<T>() as u64;
     let n = items.len();
 
-    let mut buckets: Vec<Vec<T>> = (0..num_buckets).map(|_| Vec::new()).collect();
     let mut report = KernelReport {
         items: n as u64,
         ..Default::default()
     };
 
-    // ---- functional pass -------------------------------------------------
-    // Consumer receive queues: per consumer, batches in arrival order.
-    // (Per-CG partitioning only affects cost, not routing: every CG runs
-    // the same producer/consumer layout on its block.)
-    //
-    // The producer and consumer sides each run as real worker-pool jobs
-    // (the host analogue of the CPE pairs): producers are chunked over
-    // producer indices — concatenating per-chunk flush lists in chunk
-    // order reproduces the serial producer-major arrival order — and
-    // consumers over consumer indices, which own disjoint bucket sets
-    // (`bucket % consumers`), so bucket contents are byte-identical to
-    // the serial pass for every worker count.
+    // ---- routing replay --------------------------------------------------
+    // What the producer/consumer protocol decides is a permutation and
+    // a put count, and both are arithmetic. Within one CG block (every
+    // CG runs the same layout on its block; the split only affects
+    // cost), bucket `b` of consumer `c = b mod consumers` receives,
+    // producer slice by producer slice, the items of stream `(p, c)`
+    // that left in *full* buffers — the first `k / cap * cap` of its
+    // `k` items — and only after every producer's full buffers, in
+    // producer order again, the `k mod cap` left-overs of the final
+    // partial flushes. Each non-empty stream costs `ceil(k / cap)` puts.
+    // So the pass costs what it carries: nothing below is sized by the
+    // CPE counts except two per-consumer counter rows.
+    assert!(
+        num_buckets - 1 <= u32::MAX as usize,
+        "bucket ids are kept as u32"
+    );
+    let mut totals = vec![0usize; num_buckets];
+    let ids: Vec<u32> = items
+        .iter()
+        .map(|it| {
+            let b = bucket_of(it);
+            assert!(b < num_buckets, "bucket {b} out of range {num_buckets}");
+            totals[b] += 1;
+            b as u32
+        })
+        .collect();
+    let mut buckets: Vec<Vec<T>> = totals.iter().map(|&k| Vec::with_capacity(k)).collect();
+    let consumers = cfg.consumers;
+    // The engine sorts into at most as many buckets as there are
+    // consumers: bucket `b` is then consumer `b`, with no division.
+    let consumer_of = |b: u32| {
+        let b = b as usize;
+        if b < consumers {
+            b
+        } else {
+            b % consumers
+        }
+    };
     let mut rma_flushes = 0u64;
-    let mut pool_stats = pool::PoolStats::default();
-    let bucket_of = &bucket_of;
-    for cg_chunk in items.chunks(n.div_ceil(active_cgs).max(1)) {
-        let slice_len = cg_chunk.len().div_ceil(cfg.producers).max(1);
-        let n_producers = cg_chunk.len().div_ceil(slice_len).min(cfg.producers);
-        let (parts, pstats) = pool::run_ranges(n_producers as u64, OCS_GRAIN_CPES, |_, r| {
-            let mut flushes = 0u64;
-            // Cap-triggered and final partial flushes, kept apart so the
-            // merge can replay the serial order (all caps, then partials).
-            let mut caps: Vec<Vec<(usize, Vec<T>)>> = vec![Vec::new(); cfg.consumers];
-            let mut partials: Vec<Vec<(usize, Vec<T>)>> = vec![Vec::new(); cfg.consumers];
-            for p in r.start as usize..r.end as usize {
-                // Producers take contiguous slices of the CG's block.
-                let slice = &cg_chunk[p * slice_len..((p + 1) * slice_len).min(cg_chunk.len())];
-                let mut send: Vec<Vec<T>> = vec![Vec::with_capacity(cap); cfg.consumers];
-                for &it in slice {
-                    let b = bucket_of(&it);
-                    assert!(b < num_buckets, "bucket {b} out of range {num_buckets}");
-                    let c = b % cfg.consumers;
-                    send[c].push(it);
-                    if send[c].len() == cap {
-                        let batch = std::mem::replace(&mut send[c], Vec::with_capacity(cap));
-                        caps[c].push((p, batch));
-                        flushes += 1;
+    // Last short slice that opened a stream to each consumer.
+    let mut opened_by = vec![0usize; consumers];
+    let mut slice_no = 0usize;
+    // Items of each stream of the current slice still to leave in full
+    // buffers, and the block's left-overs in producer order.
+    let mut in_full = vec![0usize; consumers];
+    let mut leftovers: Vec<(u32, T)> = Vec::new();
+    let block_len = n.div_ceil(active_cgs).max(1);
+    for (block_ids, block) in ids.chunks(block_len).zip(items.chunks(block_len)) {
+        // Producers take contiguous slices of the CG's block.
+        let slice_len = block.len().div_ceil(cfg.producers).max(1);
+        let slices = block_ids.chunks(slice_len).zip(block.chunks(slice_len));
+        if slice_len < cap {
+            // No stream can fill a buffer: every item is a left-over,
+            // and the block is a stable partition of its input. Each
+            // slice pays one put per consumer it addresses.
+            for (slice_ids, slice) in slices {
+                slice_no += 1;
+                for (&b, &it) in slice_ids.iter().zip(slice) {
+                    let c = consumer_of(b);
+                    if opened_by[c] != slice_no {
+                        opened_by[c] = slice_no;
+                        rma_flushes += 1;
                     }
-                }
-                for (c, batch) in send.into_iter().enumerate() {
-                    if !batch.is_empty() {
-                        partials[c].push((p, batch));
-                        flushes += 1;
-                    }
+                    buckets[b as usize].push(it);
                 }
             }
-            (flushes, caps, partials)
-        });
-        pool_stats.merge(&pstats);
-        let mut recv: Vec<Vec<(usize, Vec<T>)>> = vec![Vec::new(); cfg.consumers];
-        let mut partials_by_c: Vec<Vec<(usize, Vec<T>)>> = vec![Vec::new(); cfg.consumers];
-        for (flushes, caps, partials) in parts {
-            rma_flushes += flushes;
-            for (dst, batches) in recv.iter_mut().zip(caps) {
-                dst.extend(batches);
+            continue;
+        }
+        for (slice_ids, slice) in slices {
+            in_full.fill(0);
+            for &b in slice_ids {
+                in_full[consumer_of(b)] += 1;
             }
-            for (dst, batches) in partials_by_c.iter_mut().zip(partials) {
-                dst.extend(batches);
+            for k in &mut in_full {
+                rma_flushes += k.div_ceil(cap) as u64;
+                *k -= *k % cap;
+            }
+            for (&b, &it) in slice_ids.iter().zip(slice) {
+                let full = &mut in_full[consumer_of(b)];
+                if *full > 0 {
+                    *full -= 1;
+                    buckets[b as usize].push(it);
+                } else {
+                    leftovers.push((b, it));
+                }
             }
         }
-        for (dst, batches) in recv.iter_mut().zip(partials_by_c) {
-            dst.extend(batches);
-        }
-        // Consumers drain in arrival order into the buckets they own.
-        let recv = &recv;
-        let (drained, cstats) = pool::run_ranges(cfg.consumers as u64, OCS_GRAIN_CPES, |_, r| {
-            let mut out: Vec<(usize, Vec<T>)> = Vec::new();
-            for c in r.start as usize..r.end as usize {
-                // Buckets owned by consumer c: c, c + consumers, ...
-                let n_owned = num_buckets.saturating_sub(c).div_ceil(cfg.consumers);
-                let mut local: Vec<Vec<T>> = vec![Vec::new(); n_owned];
-                for (_, batch) in &recv[c] {
-                    for &it in batch {
-                        local[(bucket_of(&it) - c) / cfg.consumers].push(it);
-                    }
-                }
-                for (i, v) in local.into_iter().enumerate() {
-                    if !v.is_empty() {
-                        out.push((c + i * cfg.consumers, v));
-                    }
-                }
-            }
-            out
-        });
-        pool_stats.merge(&cstats);
-        for chunk in drained {
-            for (b, v) in chunk {
-                buckets[b].extend(v);
-            }
+        for (b, it) in leftovers.drain(..) {
+            buckets[b as usize].push(it);
         }
     }
-    report.pool = pool_stats;
 
     // ---- cost model -------------------------------------------------------
     let payload = n as u64 * item_bytes;

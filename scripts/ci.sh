@@ -45,6 +45,12 @@ timeout 600 cargo test -q --release --test parallel_equivalence
 echo "==> heuristic equivalence suite (hard timeout)"
 timeout 600 cargo test -q --release --test heuristic_equivalence
 
+# OCS-RMA oracle: the shipped routing replay must equal the literal
+# producer-buffer / consumer-drain pass in bucket order and RMA counters
+# over 448 shapes. In release — the 10^6-item shapes are slow in debug.
+echo "==> OCS-RMA routing oracle (release, hard timeout)"
+timeout 300 cargo test -q --release -p sunbfs-sunway --test ocs_reference
+
 # The fault suites prove every injected failure terminates in a typed
 # outcome instead of a hung barrier — so they run under a hard wall
 # timeout: a hang is a regression, not a slow test.

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use sunbfs::common::{Bitmap, MachineConfig};
 use sunbfs::core::{
-    run_bfs_recoverable, CheckpointState, CheckpointStore, Direction, EngineConfig,
+    run_bfs_recoverable, CheckpointState, CheckpointStore, Direction, EngineConfig, IterationStats,
 };
 use sunbfs::net::{Cluster, FaultEvent, FaultKind, FaultPlan, MeshShape, RankFailure};
 use sunbfs::part::{build_1p5d, Thresholds};
@@ -70,11 +70,17 @@ proptest! {
     }
 }
 
-/// This rank's parent array plus the per-iteration `end_op` series.
-type RankOutcome = Result<(Vec<u64>, Vec<u64>), RankFailure>;
+/// What one iteration's direction decisions saw and chose: the six
+/// directions and each component's measured `(m_f, m_u)` masses.
+type Decisions = ([Direction; 6], [(u64, u64); 6]);
+
+/// This rank's parent array plus the per-iteration `end_op` and
+/// decision series.
+type RankOutcome = Result<(Vec<u64>, Vec<u64>, Vec<Decisions>), RankFailure>;
 
 /// One full SPMD traversal on `cluster`: generate, partition, BFS with
-/// optional checkpointing. Returns per-rank `(parents, end_ops)`.
+/// optional checkpointing. Returns per-rank `(parents, end_ops,
+/// decisions)`.
 fn traverse(
     cluster: &Cluster,
     params: &RmatParams,
@@ -89,8 +95,11 @@ fn traverse(
         drop(chunk);
         let out = run_bfs_recoverable(ctx, &part, root, &EngineConfig::default(), store)
             .expect("engine must terminate");
-        let end_ops = out.stats.iterations.iter().map(|it| it.end_op).collect();
-        (out.parents, end_ops)
+        let iterations = &out.stats.iterations;
+        let end_ops = iterations.iter().map(|it| it.end_op).collect();
+        let masses = |it: &IterationStats| it.subs.map(|s| (s.frontier_edges, s.unexplored_edges));
+        let decisions = iterations.iter().map(|it| (it.directions, masses(it)));
+        (out.parents, end_ops, decisions.collect())
     })
 }
 
@@ -116,6 +125,11 @@ fn resume_from_every_iteration_boundary_reproduces_parents() {
     let clean = traverse(&clean_cluster, &params, root, None);
     let reference = concat_parents(&clean);
     let end_ops = clean[0].as_ref().expect("clean run ok").1.clone();
+    let decisions = clean[0].as_ref().expect("clean run ok").2.clone();
+    assert!(
+        decisions.iter().any(|(_, masses)| masses[5].1 > 0),
+        "the default heuristic must be deciding from measured masses"
+    );
     assert!(
         end_ops.len() >= 3,
         "need a multi-iteration traversal to exercise resume, got {} iterations",
@@ -154,5 +168,16 @@ fn resume_from_every_iteration_boundary_reproduces_parents() {
             reference,
             "boundary {boundary}: resumed parents must be byte-identical to the fault-free run"
         );
+        // The L visited mass is carried, not checkpointed: a resumed
+        // engine that restarted it from zero instead of from the
+        // restored seen set would see other unexplored masses from the
+        // next iteration on.
+        for rank in &resumed {
+            assert_eq!(
+                rank.as_ref().expect("rank ok").2,
+                decisions,
+                "boundary {boundary}: resumed masses and directions must be the uninterrupted run's"
+            );
+        }
     }
 }
