@@ -63,10 +63,11 @@ pub use net::{serve, JoinOutcome, NetConfig, NetSummary, TcpServer};
 pub use proto::{parse_request, LoadRequest, ProtoError, Request, MAX_REQUEST_BYTES};
 pub use report::{
     occupancy_bucket, BatchRecord, HealthTransition, QueryRecord, ServeReport, OCCUPANCY_LABELS,
+    QUERY_RECORDS_KEPT,
 };
 pub use service::{
-    BfsService, ChaosConfig, HealthConfig, HealthMachine, HealthSnapshot, HealthState, QueryId,
-    QueryResult, QueryStatus, RejectReason, ServeConfig,
+    BfsService, ChaosConfig, HealthConfig, HealthMachine, HealthSnapshot, HealthState, ParentTree,
+    QueryId, QueryResult, QueryStatus, RejectReason, ServeConfig,
 };
 pub use session::{
     GraphSession, LoadError, Quarantine, RootTraversal, SessionConfig, SessionError, StoreActivity,

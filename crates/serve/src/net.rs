@@ -395,11 +395,12 @@ fn spawn_connection(
     stream.set_read_timeout(Some(cfg.read_timeout))?;
     let write_half = stream.try_clone()?;
     write_half.set_write_timeout(Some(cfg.write_timeout))?;
-    let (reply_tx, reply_rx) = mpsc::sync_channel::<String>(cfg.reply_buffer.max(1));
+    let reply_buffer = cfg.reply_buffer.max(1);
+    let (reply_tx, reply_rx) = mpsc::sync_channel::<String>(reply_buffer);
     event_tx
         .send(Event::Connected { conn, tx: reply_tx })
         .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "service thread gone"))?;
-    std::thread::spawn(move || writer_loop(write_half, &reply_rx));
+    std::thread::spawn(move || writer_loop(write_half, &reply_rx, reply_buffer));
     let event_tx = event_tx.clone();
     let live = Arc::clone(live);
     std::thread::spawn(move || {
@@ -410,12 +411,22 @@ fn spawn_connection(
     Ok(())
 }
 
-/// Drain the reply buffer onto the socket; on exit (channel closed by
-/// the service thread, or the write deadline fired) shut the socket
-/// down both ways, which also unblocks this connection's reader.
-fn writer_loop(mut stream: TcpStream, rx: &Receiver<String>) {
-    for line in rx {
-        if stream.write_all(line.as_bytes()).is_err() || stream.write_all(b"\n").is_err() {
+/// Drain the reply buffer onto the socket, one write per burst: the
+/// reply that woke the writer plus every further one already buffered
+/// (at most `burst_max` lines, each with its newline), so the acks and
+/// results of a batch leave in a few segments instead of two syscalls
+/// per line. On exit (channel closed by the service thread, or the
+/// write deadline fired) shut the socket down both ways, which also
+/// unblocks this connection's reader.
+fn writer_loop(mut stream: TcpStream, rx: &Receiver<String>, burst_max: usize) {
+    let mut burst = String::new();
+    while let Ok(first) = rx.recv() {
+        burst.clear();
+        for line in std::iter::once(first).chain(rx.try_iter()).take(burst_max) {
+            burst.push_str(&line);
+            burst.push('\n');
+        }
+        if stream.write_all(burst.as_bytes()).is_err() {
             break;
         }
     }

@@ -560,7 +560,7 @@ pub fn shutdown_reply(drained: u64) -> JsonValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::QueryId;
+    use crate::service::{ParentTree, QueryId};
     use std::sync::Arc;
 
     #[test]
@@ -784,7 +784,7 @@ mod tests {
             root: 9,
             batch_id: Some(1),
             status: QueryStatus::Served,
-            parents: Some(Arc::new(vec![0, 1])),
+            parents: Some(ParentTree::new(Arc::new(vec![vec![0, 1]]), 1, 0)),
             depth_histogram: vec![1, 1],
             visited: 2,
             engine_traversed_edges: 3,

@@ -87,6 +87,12 @@ impl ToJson for BatchRecord {
     }
 }
 
+/// Per-query records a report keeps: the most recent this many (up to
+/// twice as many between trims). A server's report must not grow with
+/// its lifetime; the totals are in the `submitted` / `served` /
+/// `quarantined` / `deadline_exceeded` counters.
+pub const QUERY_RECORDS_KEPT: usize = 4096;
+
 /// One completed query, as the report remembers it.
 #[derive(Clone, Debug)]
 pub struct QueryRecord {
@@ -176,7 +182,8 @@ pub struct ServeReport {
     pub occupancy_histogram: [u64; OCCUPANCY_BUCKETS],
     /// Every executed batch, in order.
     pub batches: Vec<BatchRecord>,
-    /// Every completed query, in completion order.
+    /// The most recent completed queries ([`QUERY_RECORDS_KEPT`]), in
+    /// completion order.
     pub queries: Vec<QueryRecord>,
     /// Total simulated seconds spent executing batches.
     pub batch_sim_seconds: f64,

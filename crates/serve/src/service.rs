@@ -60,11 +60,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sunbfs_common::{Edge, SplitMix64};
-use sunbfs_core::{validate, BatchOutput, BfsOutput, EngineError};
+use sunbfs_core::{validate, BatchOutput, BfsOutput, EngineError, UNREACHED_DEPTH};
 use sunbfs_mutate::UpdatePlan;
 use sunbfs_net::{all_ranks_ok, CorruptMode, FaultEvent, FaultKind};
 
-use crate::report::{BatchRecord, HealthTransition, QueryRecord, ServeReport};
+use crate::report::{BatchRecord, HealthTransition, QueryRecord, ServeReport, QUERY_RECORDS_KEPT};
 use crate::session::{GraphSession, Quarantine, SessionError};
 use crate::MAX_BATCH;
 
@@ -474,6 +474,60 @@ impl QueryStatus {
     }
 }
 
+/// Handle to one query's global parent array (`n` entries,
+/// [`sunbfs_common::INVALID_VERTEX`] where unreached): a batch's riders
+/// share the slot arrays the engine wrote — rank-ordered, vertex-major,
+/// `width` slots per vertex — and each handle names its root's slot, so
+/// serving a tree copies nothing and [`ParentTree::to_vec`] is paid by
+/// whoever wants the array. A handle pins its batch's parent slots
+/// (`n × width × 8` bytes) until the last handle of the batch drops:
+/// the TCP transport renders and drops every result before the next
+/// batch starts; an in-process caller that keeps one tree for long
+/// calls `to_vec()` and drops the handle.
+#[derive(Clone)]
+pub struct ParentTree {
+    blocks: Arc<Vec<Vec<u64>>>,
+    width: usize,
+    slot: usize,
+}
+
+impl ParentTree {
+    /// Slot `slot` of `blocks`. A contiguous array (fallback, repaired
+    /// result) is one block of width 1.
+    pub(crate) fn new(blocks: Arc<Vec<Vec<u64>>>, width: usize, slot: usize) -> Self {
+        ParentTree {
+            blocks,
+            width,
+            slot,
+        }
+    }
+
+    /// Entries of the parent array (the graph's vertex count).
+    pub fn len(&self) -> usize {
+        self.blocks.iter().map(|b| b.len() / self.width).sum()
+    }
+
+    /// True for a tree over no vertices.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The parent array, gathered out of the shared slots (O(n)).
+    pub fn to_vec(&self) -> Vec<u64> {
+        gather_slot(&self.blocks, self.width, self.slot, |p| p)
+    }
+}
+
+impl std::fmt::Debug for ParentTree {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ParentTree")
+            .field("len", &self.len())
+            .field("width", &self.width)
+            .field("slot", &self.slot)
+            .finish()
+    }
+}
+
 /// A completed query.
 #[derive(Clone, Debug)]
 pub struct QueryResult {
@@ -486,9 +540,8 @@ pub struct QueryResult {
     pub batch_id: Option<u64>,
     /// Served or quarantined.
     pub status: QueryStatus,
-    /// Handle to the assembled global parent array (`n` entries,
-    /// [`sunbfs_common::INVALID_VERTEX`] where unreached); `None` when quarantined.
-    pub parents: Option<Arc<Vec<u64>>>,
+    /// Handle to the global parent array; `None` unless served.
+    pub parents: Option<ParentTree>,
     /// Vertices at each BFS depth (index = depth; root at 0).
     pub depth_histogram: Vec<u64>,
     /// Vertices reached.
@@ -499,7 +552,10 @@ pub struct QueryResult {
     /// Simulated seconds the serving traversal took (the batch's time
     /// for batched riders; the per-root time on the fallback path).
     pub sim_latency_s: f64,
-    /// Wall-clock seconds the execution took on the host.
+    /// Wall-clock seconds the execution took on the host: the whole
+    /// batch, assembly included, for batched riders (its
+    /// [`BatchRecord::wall_seconds`]); the per-root run on the fallback
+    /// path.
     pub wall_latency_s: f64,
     /// True when this query was served by the per-root recovery path
     /// instead of the batch engine.
@@ -845,17 +901,29 @@ impl BfsService {
         });
         self.report.deadline_exceeded += out.len() as u64;
         for r in &out {
-            self.report.queries.push(QueryRecord {
-                id: r.id.0,
-                root: r.root,
-                batch_id: None,
-                status: r.status.label(),
-                sim_latency_s: 0.0,
-                wall_latency_s: 0.0,
-                via_fallback: false,
-            });
+            self.record(r);
         }
         out
+    }
+
+    /// Keep `r`'s record among the most recent [`QUERY_RECORDS_KEPT`]
+    /// (the older half goes when twice that many are held, so a
+    /// long-lived server's report stays bounded and pushes amortised
+    /// O(1)); the totals live in the report's counters.
+    fn record(&mut self, r: &QueryResult) {
+        let queries = &mut self.report.queries;
+        if queries.len() >= 2 * QUERY_RECORDS_KEPT {
+            queries.drain(..QUERY_RECORDS_KEPT);
+        }
+        queries.push(QueryRecord {
+            id: r.id.0,
+            root: r.root,
+            batch_id: r.batch_id,
+            status: r.status.label(),
+            sim_latency_s: r.sim_latency_s,
+            wall_latency_s: r.wall_latency_s,
+            via_fallback: r.via_fallback,
+        });
     }
 
     /// Snapshot of the service's observability report.
@@ -950,19 +1018,17 @@ impl BfsService {
         });
         let fallback = outs.is_err();
         let mut sim_seconds = 0.0f64;
-        let results: Vec<QueryResult> = match outs {
+        let mut results: Vec<QueryResult> = match outs {
             Ok(Ok(outs)) => {
                 sim_seconds = outs.iter().fold(0.0, |m, o| m.max(o.stats.sim_seconds));
-                let wall = wall0.elapsed().as_secs_f64();
-                self.assemble_batch(&batch, batch_id, outs, sim_seconds, wall)
+                self.assemble_batch(&batch, batch_id, outs, sim_seconds)
             }
             Ok(Err(e)) => {
-                let wall = wall0.elapsed().as_secs_f64();
                 let epoch = self.session.epoch();
                 let q = Quarantine::engine(e);
                 batch
                     .iter()
-                    .map(|p| quarantined_result(p, batch_id, q.clone(), wall, false, epoch))
+                    .map(|p| quarantined_result(p, batch_id, q.clone(), 0.0, false, epoch))
                     .collect()
             }
             // A rank died mid-batch: the batch's riders fall back to
@@ -979,6 +1045,13 @@ impl BfsService {
                 .collect(),
         };
         let wall_seconds = wall0.elapsed().as_secs_f64();
+        // A batched rider waited for its whole batch, assembly included;
+        // a fallback rider keeps the wall of its own recovery run.
+        if !fallback {
+            for r in &mut results {
+                r.wall_latency_s = wall_seconds;
+            }
+        }
         self.executed_queries += batch.len() as u64;
 
         // Optional sequential baseline over the same roots.
@@ -1018,86 +1091,114 @@ impl BfsService {
             seq_sim_seconds,
         });
         for r in &results {
-            self.report.queries.push(QueryRecord {
-                id: r.id.0,
-                root: r.root,
-                batch_id: Some(batch_id),
-                status: r.status.label(),
-                sim_latency_s: r.sim_latency_s,
-                wall_latency_s: r.wall_latency_s,
-                via_fallback: r.via_fallback,
-            });
+            self.record(r);
         }
         results
     }
 
-    /// Turn per-rank [`BatchOutput`]s into per-query results.
+    /// Turn per-rank [`BatchOutput`]s into per-query results. A served
+    /// batch costs its traversal: the slot arrays are taken apart by
+    /// value, every rider's tree is a handle onto the one shared set of
+    /// parent slots, and the depth census of all riders is one pass
+    /// over the depth slots. Only a resident delta makes a rider's
+    /// arrays contiguous, because repair needs them so.
     fn assemble_batch(
         &mut self,
         batch: &[Pending],
         batch_id: u64,
-        outs: Vec<BatchOutput>,
+        mut outs: Vec<BatchOutput>,
         sim_seconds: f64,
-        wall_seconds: f64,
     ) -> Vec<QueryResult> {
-        let nb = batch.len();
-        let rank_parents: Vec<&[u64]> = outs.iter().map(|o| &o.parents[..]).collect();
-        let rank_depths: Vec<&[u32]> = outs.iter().map(|o| &o.depths[..]).collect();
+        let width = batch.len();
+        // Replicated counters: rank 0 speaks for all.
+        let stats = std::mem::take(&mut outs[0].stats);
+        let (rank_parents, rank_depths): (Vec<_>, Vec<_>) =
+            outs.into_iter().map(|o| (o.parents, o.depths)).unzip();
+        let rank_parents = Arc::new(rank_parents);
+        let trees = (0..width).map(|b| ParentTree::new(Arc::clone(&rank_parents), width, b));
+        let riders: Vec<(ParentTree, Vec<u64>)> = if self.session.has_delta() {
+            trees
+                .enumerate()
+                .map(|(b, tree)| {
+                    let depths = gather_slot(&rank_depths, width, b, |d| match d {
+                        UNREACHED_DEPTH => u64::MAX,
+                        d => u64::from(d),
+                    });
+                    self.repair_and_count(tree.to_vec(), depths)
+                })
+                .collect()
+        } else {
+            // Iteration `k` stamps depth `k`, so the iteration count
+            // bounds every depth of the batch.
+            let histograms = depth_census(&rank_depths, width, stats.iterations.len());
+            // The engine tallied parent slots, this is a census of
+            // depth slots: two counts of the same trees.
+            debug_assert!(histograms
+                .iter()
+                .map(|h| h.iter().sum::<u64>())
+                .eq(stats.visited.iter().copied()));
+            trees.zip(histograms).collect()
+        };
         batch
             .iter()
-            .enumerate()
-            .map(|(b, p)| {
-                let parents = gather_slot(&rank_parents, nb, b, |p| p);
-                let depths = gather_slot(&rank_depths, nb, b, |d| match d {
-                    sunbfs_core::UNREACHED_DEPTH => u64::MAX,
-                    d => u64::from(d),
-                });
-                let edges = outs[0].stats.traversed_edges[b];
-                let latency = (sim_seconds, wall_seconds);
-                self.finish_result(p, batch_id, parents, depths, edges, latency, false)
+            .zip(riders)
+            .zip(stats.traversed_edges)
+            .map(|((p, (tree, histogram)), edges)| {
+                // The wall is the whole batch's: `execute_batch` stamps
+                // it once this assembly is inside it.
+                let latency = (sim_seconds, 0.0);
+                self.finish_result(p, batch_id, tree, histogram, edges, latency, false)
             })
             .collect()
     }
 
-    /// The tail every served result shares, whichever engine entry
-    /// point produced its tree. The engine ran against the base CSRs;
-    /// when a delta overlay is resident, the assembled tree is patched
-    /// by incremental repair into the exact union-graph answer before
-    /// it leaves. Then the depth census: histogram and visited count.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_result(
+    /// The step of every producer that holds a rider's arrays
+    /// contiguously (a batch over a resident delta, the fallback path).
+    /// The engine ran against the base CSRs; when a delta overlay is
+    /// resident, the tree is patched by incremental repair into the
+    /// exact union-graph answer. Then the depth census of what is left.
+    fn repair_and_count(
         &mut self,
-        p: &Pending,
-        batch_id: u64,
         mut parents: Vec<u64>,
         mut depths: Vec<u64>,
-        engine_traversed_edges: u64,
-        (sim_latency_s, wall_latency_s): (f64, f64),
-        via_fallback: bool,
-    ) -> QueryResult {
+    ) -> (ParentTree, Vec<u64>) {
         if self.session.has_delta() {
             let stats = self.session.repair_result(&mut parents, &mut depths);
             self.report.repaired_queries += 1;
             self.report.repaired_vertices += stats.improved;
         }
         let mut histogram: Vec<u64> = Vec::new();
-        let mut visited = 0u64;
         for &d in depths.iter().filter(|&&d| d != u64::MAX) {
-            visited += 1;
             let d = d as usize;
             if histogram.len() <= d {
                 histogram.resize(d + 1, 0);
             }
             histogram[d] += 1;
         }
+        (ParentTree::new(Arc::new(vec![parents]), 1, 0), histogram)
+    }
+
+    /// The tail every served result shares, whichever engine entry
+    /// point produced its tree and whichever census its histogram.
+    #[allow(clippy::too_many_arguments)]
+    fn finish_result(
+        &self,
+        p: &Pending,
+        batch_id: u64,
+        tree: ParentTree,
+        depth_histogram: Vec<u64>,
+        engine_traversed_edges: u64,
+        (sim_latency_s, wall_latency_s): (f64, f64),
+        via_fallback: bool,
+    ) -> QueryResult {
         QueryResult {
             id: p.id,
             root: p.root,
             batch_id: Some(batch_id),
             status: QueryStatus::Served,
-            parents: Some(Arc::new(parents)),
-            depth_histogram: histogram,
-            visited,
+            parents: Some(tree),
+            visited: depth_histogram.iter().sum(),
+            depth_histogram,
             engine_traversed_edges,
             sim_latency_s,
             wall_latency_s,
@@ -1137,9 +1238,10 @@ impl BfsService {
         // check of the recovery path.
         match validate::levels_from_parents(p.root, &parents) {
             Ok(depths) => {
+                let (tree, histogram) = self.repair_and_count(parents, depths);
                 let edges = outs[0].stats.traversed_edges;
                 let latency = (sim, wall_seconds);
-                self.finish_result(p, batch_id, parents, depths, edges, latency, true)
+                self.finish_result(p, batch_id, tree, histogram, edges, latency, true)
             }
             Err(e) => quarantined_result(
                 p,
@@ -1175,10 +1277,11 @@ impl BfsService {
 
 /// Global per-vertex array of root slot `b`, each entry passed through
 /// `map`, from per-rank vertex-major slot arrays of `width` roots:
-/// ranks own consecutive vertex blocks, so the rank slices concatenate
-/// in rank order.
+/// ranks own consecutive vertex blocks, so the rank arrays concatenate
+/// in rank order. One useful slot per `width`: whoever calls this pays
+/// for reading all of them.
 fn gather_slot<T: Copy, U>(
-    rank_slots: &[&[T]],
+    rank_slots: &[Vec<T>],
     width: usize,
     b: usize,
     map: impl Fn(T) -> U,
@@ -1189,6 +1292,37 @@ fn gather_slot<T: Copy, U>(
         out.extend(slots.chunks_exact(width).map(|vertex| map(vertex[b])));
     }
     out
+}
+
+/// Depth census of a whole batch in one pass over its depth slots:
+/// root `b`'s histogram (vertices per depth, its sum the visited count)
+/// is row `b` of a `width × (levels + 2)` table without its trailing
+/// zeros. `levels` bounds every stamped depth, so columns `0..=levels`
+/// are the histogram and the last column takes [`UNREACHED_DEPTH`] — a
+/// `min` and an add per slot.
+fn depth_census(rank_depths: &[Vec<u32>], width: usize, levels: usize) -> Vec<Vec<u64>> {
+    let cols = levels + 2;
+    let unreached = u32::try_from(cols - 1).expect("MAX_ITERATIONS fits u32");
+    let mut table = vec![0u64; width * cols];
+    for depths in rank_depths {
+        for vertex in depths.chunks_exact(width) {
+            for (row, &d) in table.chunks_exact_mut(cols).zip(vertex) {
+                debug_assert!(
+                    d < unreached || d == UNREACHED_DEPTH,
+                    "depth {d} > {levels}"
+                );
+                row[d.min(unreached) as usize] += 1;
+            }
+        }
+    }
+    table
+        .chunks_exact(cols)
+        .map(|row| {
+            let reached = &row[..=levels];
+            let deepest = reached.iter().rposition(|&count| count != 0);
+            reached[..deepest.map_or(0, |d| d + 1)].to_vec()
+        })
+        .collect()
 }
 
 fn quarantined_result(
@@ -1218,6 +1352,116 @@ fn quarantined_result(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SessionConfig;
+    use sunbfs_net::FaultPlan;
+
+    #[test]
+    fn parent_tree_gathers_its_slot_out_of_ragged_rank_blocks() {
+        for width in [1usize, 3, 64] {
+            // Vertices per rank, one rank owning none; slot `b` of
+            // global vertex `v` holds `v * 100 + b`.
+            let per_rank = [5usize, 0, 7, 2];
+            let n: usize = per_rank.iter().sum();
+            let mut next = 0u64;
+            let blocks: Vec<Vec<u64>> = per_rank
+                .iter()
+                .map(|&owned| {
+                    let block = (next..next + owned as u64)
+                        .flat_map(|v| (0..width as u64).map(move |b| v * 100 + b));
+                    next += owned as u64;
+                    block.collect()
+                })
+                .collect();
+            let blocks = Arc::new(blocks);
+            for slot in 0..width {
+                let tree = ParentTree::new(Arc::clone(&blocks), width, slot);
+                let mut want = Vec::new();
+                for v in 0..n {
+                    want.push(v as u64 * 100 + slot as u64);
+                }
+                assert_eq!(tree.len(), n, "width {width} slot {slot}");
+                assert!(!tree.is_empty());
+                assert_eq!(tree.to_vec(), want, "width {width} slot {slot}");
+            }
+        }
+        let none = ParentTree::new(Arc::new(vec![Vec::new()]), 1, 0);
+        assert!(none.is_empty() && none.to_vec().is_empty());
+        assert_eq!(
+            format!("{none:?}"),
+            "ParentTree { len: 0, width: 1, slot: 0 }"
+        );
+    }
+
+    /// The per-root loop the census table replaced: gather root `b`'s
+    /// depth slots, grow the histogram as depths appear.
+    fn census_by_resize(rank_depths: &[Vec<u32>], width: usize, b: usize) -> Vec<u64> {
+        let mut histogram: Vec<u64> = Vec::new();
+        for d in gather_slot(rank_depths, width, b, |d| d) {
+            if d == UNREACHED_DEPTH {
+                continue;
+            }
+            if histogram.len() <= d as usize {
+                histogram.resize(d as usize + 1, 0);
+            }
+            histogram[d as usize] += 1;
+        }
+        histogram
+    }
+
+    #[test]
+    fn census_table_matches_the_per_root_count_on_real_batches() {
+        for ranks in [4, 6] {
+            let session = GraphSession::load(SessionConfig::small(9, ranks), FaultPlan::none())
+                .expect("clean load");
+            let run = |roots: &[u64]| -> Vec<BatchOutput> {
+                session
+                    .run_batch(roots)
+                    .into_iter()
+                    .map(|rank| rank.expect("no rank failure").expect("terminates"))
+                    .collect()
+            };
+            // An isolated vertex and a well-connected one, found by
+            // what the engine reaches from the first 64 vertices.
+            let all: Vec<u64> = (0..64).collect();
+            let reach = run(&all).swap_remove(0).stats.visited;
+            let isolated = reach
+                .iter()
+                .position(|&v| v == 1)
+                .expect("an isolated vertex") as u64;
+            let hub = (0..64)
+                .max_by_key(|&v| reach[v as usize])
+                .expect("64 roots");
+            for width in [1usize, 8, 64] {
+                // Slot 0 the isolated root, the connected root twice.
+                let mut roots: Vec<u64> = (0..width as u64).collect();
+                roots[0] = isolated;
+                if width > 1 {
+                    roots[1] = hub;
+                    roots[width - 1] = hub;
+                }
+                let mut outs = run(&roots);
+                let stats = std::mem::take(&mut outs[0].stats);
+                let rank_depths: Vec<Vec<u32>> = outs.into_iter().map(|o| o.depths).collect();
+                let want: Vec<Vec<u64>> = (0..width)
+                    .map(|b| census_by_resize(&rank_depths, width, b))
+                    .collect();
+                assert_eq!(want[0], vec![1], "an isolated root reaches itself only");
+                let levels = stats.iterations.len();
+                let label = format!("{ranks} ranks, width {width}");
+                assert_eq!(depth_census(&rank_depths, width, levels), want, "{label}");
+                // The tightest bound a caller may pass: the deepest
+                // level of the batch lands in the last histogram column.
+                let deepest = want.iter().map(Vec::len).max().expect("width >= 1") - 1;
+                assert!(deepest <= levels, "{label}: iterations bound depths");
+                assert_eq!(depth_census(&rank_depths, width, deepest), want, "{label}");
+                let visited: Vec<u64> = want.iter().map(|h| h.iter().sum()).collect();
+                assert_eq!(visited, stats.visited, "{label}: census vs engine tally");
+                if width > 1 {
+                    assert_eq!(want[1], want[width - 1], "{label}: duplicated root");
+                }
+            }
+        }
+    }
 
     fn machine() -> HealthMachine {
         HealthMachine::new(HealthConfig {

@@ -4,7 +4,9 @@
 //! resident session.
 
 use sunbfs_net::{FaultEvent, FaultKind, FaultPlan};
-use sunbfs_serve::{BfsService, QueryStatus, RejectReason, ServeConfig, SessionConfig};
+use sunbfs_serve::{
+    BfsService, QueryStatus, RejectReason, ServeConfig, SessionConfig, QUERY_RECORDS_KEPT,
+};
 
 fn service(scale: u32, ranks: usize, cfg: ServeConfig) -> BfsService {
     let session =
@@ -144,6 +146,14 @@ fn drain_flushes_everything_without_waiting() {
             .collect::<Vec<_>>(),
         vec![3, 3, 1]
     );
+    // A rider waited for its whole batch, result assembly included: its
+    // wall latency is the batch record's wall, on the result and in the
+    // report alike.
+    for (r, record) in done.iter().zip(&report.queries) {
+        let batch = &report.batches[r.batch_id.expect("rode a batch") as usize];
+        assert_eq!(r.wall_latency_s, batch.wall_seconds);
+        assert_eq!(record.wall_latency_s, batch.wall_seconds);
+    }
 }
 
 #[test]
@@ -324,4 +334,29 @@ fn a_rank_panic_mid_batch_degrades_only_that_batch() {
         return;
     }
     panic!("no probed op_index fired during a batch — schedule changed?");
+}
+
+#[test]
+fn per_query_records_stay_bounded_on_a_long_lived_service() {
+    let mut svc = service(8, 4, ServeConfig::default());
+    let n = svc.session().num_vertices();
+    let total = 3 * QUERY_RECORDS_KEPT as u64;
+    for q in 0..total {
+        svc.submit(q % n).expect("admit");
+        if svc.queue_depth() == 64 {
+            assert_eq!(svc.drain().len(), 64);
+        }
+    }
+    let report = svc.report();
+    assert_eq!(report.submitted, total);
+    assert_eq!(report.served, total, "the totals count every query");
+    assert_eq!(report.batches.len() as u64, total / 64);
+    let kept = report.queries.len();
+    assert!(
+        (QUERY_RECORDS_KEPT..=2 * QUERY_RECORDS_KEPT).contains(&kept),
+        "{kept} records kept"
+    );
+    // The most recent ones, in completion order, up to the last query.
+    let first = total - kept as u64;
+    assert!(report.queries.iter().map(|q| q.id).eq(first..total));
 }

@@ -205,6 +205,67 @@ fn shutdown_drains_every_inflight_query_exactly_once() {
     assert_eq!(svc.report().current_queue_depth, 0);
 }
 
+/// Replies leave in bursts (one write for everything buffered): 300
+/// queries pipelined on one connection must still come back as 600
+/// separate lines, each a complete JSON object (`recv` refuses anything
+/// else), acks in send order, every query answered once.
+#[test]
+fn pipelined_replies_keep_their_framing_and_order() {
+    const QUERIES: u64 = 300;
+    let server = start(
+        8,
+        4,
+        ServeConfig {
+            queue_capacity: 512,
+            flush_deadline: 64,
+            ..ServeConfig::default()
+        },
+        NetConfig {
+            inflight_cap: 512,
+            ..NetConfig::default()
+        },
+    );
+    let mut c = connect(&server);
+    let root_of = |q: u64| (q * 7 + 3) % 256;
+    for q in 0..QUERIES {
+        c.send(&format!("{{\"cmd\":\"query\",\"root\":{}}}", root_of(q)))
+            .unwrap();
+    }
+    c.send(r#"{"cmd":"drain"}"#).unwrap();
+
+    let (mut acked, mut answered) = (Vec::new(), Vec::new());
+    loop {
+        let reply = c.recv().expect("a complete JSON line");
+        let id = reply.get("id").and_then(JsonValue::as_u64);
+        match reply_kind(&reply) {
+            "accepted" => {
+                let root = reply.get("root").and_then(JsonValue::as_u64);
+                assert_eq!(
+                    root,
+                    Some(root_of(acked.len() as u64)),
+                    "acks in send order"
+                );
+                acked.push(id.expect("an ack names its query"));
+            }
+            "result" => {
+                assert_eq!(str_field(&reply, "status"), "served");
+                answered.push(id.expect("a result names its query"));
+            }
+            "drained" => break,
+            other => panic!("unexpected {other} reply: {}", reply.render()),
+        }
+    }
+    assert_eq!(acked.len() as u64, QUERIES);
+    assert!(acked.windows(2).all(|w| w[0] < w[1]), "tickets ascend");
+    answered.sort_unstable();
+    assert_eq!(answered, acked, "every query answered exactly once");
+
+    server.shutdown();
+    let (_svc, summary) = server.join().expect_clean();
+    assert_eq!(summary.results_delivered, QUERIES);
+    assert_eq!(summary.results_dropped, 0);
+}
+
 #[test]
 fn connection_cap_refuses_excess_clients_with_a_typed_error() {
     let server = start(

@@ -121,6 +121,9 @@ fi
 echo "==> serve suite (hard timeout)"
 timeout 300 cargo test -q -p sunbfs-serve
 timeout 600 cargo test -q --test serve_equivalence --test serve_perf
+# Burst writes keep line framing: 300 pipelined round trips, in release
+# (slow in debug on a loaded box).
+timeout 300 cargo test -q --release -p sunbfs-serve --test tcp_serve pipelined_replies
 
 # Store suite: the paged codec round-trips byte-identically, every
 # flipped byte is a typed refusal, and a session opened from a file
@@ -180,7 +183,7 @@ grep -Eq '"reply":"error","detail":"load knob \\"scale\\" must be an unsigned in
 grep -Eq '"reply":"error","detail":"no graph loaded' "$SERVE_OUT"
 grep -Eq '"reply":"error","detail":"load knob \\"h_threshold\\"' "$SERVE_OUT"
 grep -Eq '"reply":"loaded"' "$SERVE_OUT"
-grep -Eq '"reply":"result".*"status":"served"' "$SERVE_OUT"
+grep -Eq '"reply":"result".*"status":"served".*"parents_len":[1-9]' "$SERVE_OUT"
 grep -Eq '"reply":"stats".*"batch_roots_per_sec"' "$SERVE_OUT"
 rm -f "$SERVE_OUT"
 

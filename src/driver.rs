@@ -10,7 +10,6 @@
 
 use std::fmt;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sunbfs_common::{pool, Edge, MachineConfig, TimeAccumulator};
@@ -513,7 +512,7 @@ struct RootRecord {
     attempts: u32,
     iterations_salvaged: u32,
     checkpoints_taken: u64,
-    result: Result<(RootRun, Arc<Vec<u64>>), Quarantine>,
+    result: Result<(RootRun, Vec<u64>), Quarantine>,
 }
 
 impl RootRecord {
@@ -523,7 +522,7 @@ impl RootRecord {
     fn from_traversal(root: u64, t: RootTraversal) -> Self {
         let result = t.result.map(|mut per_rank| {
             let parents = per_rank.iter().flat_map(|o| o.parents.iter().copied());
-            let parents: Arc<Vec<u64>> = Arc::new(parents.collect());
+            let parents: Vec<u64> = parents.collect();
             let mut times = TimeAccumulator::new();
             let mut comm = CommStats::new();
             let mut sim_seconds = 0.0f64;
@@ -558,7 +557,8 @@ impl RootRecord {
 
     /// The service drain's record: one query result. The service does
     /// its own retrying (per-rider fallback) and reports no per-level
-    /// series, so a rider is one attempt with empty `iterations`.
+    /// series, so a rider is one attempt with empty `iterations`. The
+    /// validator reads the whole tree, so the handle is gathered here.
     fn from_query(r: QueryResult) -> Self {
         let result = match (r.status, r.parents) {
             (QueryStatus::Quarantined(q), _) => Err(q),
@@ -571,7 +571,7 @@ impl RootRecord {
                     visited_vertices: r.visited,
                     ..RootRun::default()
                 },
-                parents,
+                parents.to_vec(),
             )),
             (QueryStatus::Served, None) => unreachable!("served queries carry a parent handle"),
             (QueryStatus::DeadlineExceeded { .. }, _) => {

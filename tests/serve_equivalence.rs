@@ -2,7 +2,9 @@
 //! threshold regimes, every root served by the bit-parallel
 //! multi-source batch must report exactly the depths the sequential
 //! single-source engine (and the host-side reference BFS) computes,
-//! and its parent tree must pass Graph 500 validation.
+//! and its parent tree must pass Graph 500 validation. With committed
+//! inserts still in the delta overlay, every served tree must be the
+//! union graph's.
 
 use sunbfs::common::MachineConfig;
 use sunbfs::core::{validate, EngineConfig};
@@ -10,6 +12,19 @@ use sunbfs::driver::pick_roots;
 use sunbfs::net::{FaultPlan, MeshShape};
 use sunbfs::part::Thresholds;
 use sunbfs::serve::{BfsService, GraphSession, QueryStatus, ServeConfig, SessionConfig};
+
+/// Vertices per depth (index = depth) of a level array.
+fn census(levels: &[u64]) -> Vec<u64> {
+    let mut histogram: Vec<u64> = Vec::new();
+    for &lvl in levels.iter().filter(|&&lvl| lvl != u64::MAX) {
+        let d = lvl as usize;
+        if histogram.len() <= d {
+            histogram.resize(d + 1, 0);
+        }
+        histogram[d] += 1;
+    }
+    histogram
+}
 
 fn sweep_case(scale: u32, ranks: usize, thresholds: Thresholds, num_roots: usize) {
     let label = format!("scale {scale}, {ranks} ranks, {thresholds:?}");
@@ -44,7 +59,11 @@ fn sweep_case(scale: u32, ranks: usize, thresholds: Thresholds, num_roots: usize
             r.root
         );
         assert!(!r.via_fallback, "{label}: fault-free run must stay batched");
-        let parents = r.parents.as_ref().expect("served result carries a tree");
+        let parents = &r
+            .parents
+            .as_ref()
+            .expect("served result carries a tree")
+            .to_vec();
 
         // Graph 500 validation of the batch-produced tree.
         validate::validate_parents(n, &edges, r.root, parents)
@@ -78,17 +97,7 @@ fn sweep_case(scale: u32, ranks: usize, thresholds: Thresholds, num_roots: usize
         );
 
         // The histogram the service reports is the depth census.
-        let mut want_hist: Vec<u64> = Vec::new();
-        for &lvl in &ref_levels {
-            if lvl == u64::MAX {
-                continue;
-            }
-            let d = lvl as usize;
-            if want_hist.len() <= d {
-                want_hist.resize(d + 1, 0);
-            }
-            want_hist[d] += 1;
-        }
+        let want_hist = census(&ref_levels);
         assert_eq!(
             r.depth_histogram, want_hist,
             "{label}: root {} histogram mismatch",
@@ -121,4 +130,45 @@ fn batch_matches_sequential_with_no_hubs() {
 #[test]
 fn batch_matches_sequential_with_all_hubs() {
     sweep_case(8, 6, Thresholds::all_hubs(1 << 20), 4);
+}
+
+/// The repair path: a committed, un-compacted update batch is resident,
+/// so every rider's arrays are materialised, repaired and counted.
+#[test]
+fn batches_over_a_resident_delta_serve_the_union_graph() {
+    let mut session =
+        GraphSession::load(SessionConfig::small(9, 4), FaultPlan::none()).expect("clean load");
+    let n = session.num_vertices();
+    let inserts = sunbfs::mutate::generate_batch(7, 0, 48, n);
+    session.apply_updates(&inserts).expect("commit");
+    assert!(session.has_delta(), "the inserts must stay in the overlay");
+    let mut svc = BfsService::new(session, ServeConfig::default());
+
+    let mut riders = 0u64;
+    for width in [1u64, 2, 64] {
+        for i in 0..width {
+            svc.submit((i * 37 + width) % n).expect("admit");
+        }
+        let results = svc.drain();
+        assert_eq!(results.len() as u64, width, "one batch of width {width}");
+        riders += width;
+        for r in &results {
+            let label = format!("width {width}, root {}", r.root);
+            assert!(matches!(r.status, QueryStatus::Served), "{label}");
+            assert!(!r.via_fallback, "{label}: fault-free run stays batched");
+            assert_eq!(r.epoch, 1, "{label}");
+            let parents = r.parents.as_ref().expect("served tree").to_vec();
+            let (_, union_levels) = svc.session().union_bfs(r.root);
+            assert_eq!(
+                validate::levels_from_parents(r.root, &parents).expect("a tree"),
+                union_levels,
+                "{label}: repaired tree is not the union graph's"
+            );
+            let want_hist = census(&union_levels);
+            assert_eq!(r.depth_histogram, want_hist, "{label}");
+            assert_eq!(r.visited, want_hist.iter().sum::<u64>(), "{label}");
+        }
+    }
+    assert!(svc.session().has_delta(), "nothing compacted meanwhile");
+    assert_eq!(svc.report().repaired_queries, riders);
 }
