@@ -8,9 +8,7 @@
 //! so speedup saturates quickly — context for why Graph 500 machines
 //! are compared at their *maximum* SCALE per size, not a fixed one.
 
-use sunbfs::driver::{run_benchmark, FaultSpec, RunConfig};
-use sunbfs_common::MachineConfig;
-use sunbfs_core::EngineConfig;
+use sunbfs::driver::{run_benchmark, RunConfig};
 use sunbfs_net::MeshShape;
 use sunbfs_part::Thresholds;
 
@@ -23,20 +21,10 @@ fn main() {
         let mesh = MeshShape::new(mesh_rows, 8);
         let cfg = RunConfig {
             scale,
-            edge_factor: 16,
             mesh,
             thresholds: Thresholds::new(2048, 256),
-            engine: EngineConfig::default(),
-            machine: MachineConfig::new_sunway(),
-            seed: 42,
             num_roots: roots,
-            validate: false,
-            faults: FaultSpec::NONE,
-            max_root_retries: 2,
-            serve_batch: false,
-            serve_baseline: false,
-            save_graph: None,
-            load_graph: None,
+            ..RunConfig::default()
         };
         let report = run_benchmark(&cfg).expect("benchmark must pass");
         let ranks = mesh.num_ranks();

@@ -12,10 +12,8 @@
 //! — the same normalization the paper uses (a communication-free single
 //! rank would make "ideal" meaningless).
 
-use sunbfs::driver::{run_benchmark, FaultSpec, RunConfig};
+use sunbfs::driver::{run_benchmark, RunConfig};
 use sunbfs_bench::{sweep_thresholds, weak_scaling_sweep};
-use sunbfs_common::MachineConfig;
-use sunbfs_core::EngineConfig;
 
 fn main() {
     let roots = 2;
@@ -25,20 +23,10 @@ fn main() {
     for (mesh, scale) in weak_scaling_sweep() {
         let cfg = RunConfig {
             scale,
-            edge_factor: 16,
             mesh,
             thresholds: sweep_thresholds(scale),
-            engine: EngineConfig::default(),
-            machine: MachineConfig::new_sunway(),
-            seed: 42,
             num_roots: roots,
-            validate: false,
-            faults: FaultSpec::NONE,
-            max_root_retries: 2,
-            serve_batch: false,
-            serve_baseline: false,
-            save_graph: None,
-            load_graph: None,
+            ..RunConfig::default()
         };
         let wall = std::time::Instant::now();
         let report = run_benchmark(&cfg).expect("benchmark must pass");

@@ -9,10 +9,8 @@
 //!
 //! This harness reruns the sweep and prints the stacked percentages.
 
-use sunbfs::driver::{run_benchmark, FaultSpec, RunConfig};
+use sunbfs::driver::{run_benchmark, RunConfig};
 use sunbfs_bench::{group_by_subgraph, print_percentages, sweep_thresholds, weak_scaling_sweep};
-use sunbfs_common::MachineConfig;
-use sunbfs_core::EngineConfig;
 
 fn main() {
     let sweep = weak_scaling_sweep();
@@ -25,20 +23,10 @@ fn main() {
         let ranks = mesh.num_ranks();
         let cfg = RunConfig {
             scale,
-            edge_factor: 16,
             mesh,
             thresholds: sweep_thresholds(scale),
-            engine: EngineConfig::default(),
-            machine: MachineConfig::new_sunway(),
-            seed: 42,
             num_roots: roots,
-            validate: false,
-            faults: FaultSpec::NONE,
-            max_root_retries: 2,
-            serve_batch: false,
-            serve_baseline: false,
-            save_graph: None,
-            load_graph: None,
+            ..RunConfig::default()
         };
         let report = run_benchmark(&cfg).expect("benchmark must pass");
         let groups = group_by_subgraph(&report.total_times());

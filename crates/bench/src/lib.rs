@@ -10,8 +10,8 @@
 //! must (and does) match the paper is the shape: orderings, ratios, and
 //! crossover positions. `EXPERIMENTS.md` records both sides.
 
-use sunbfs::driver::{run_benchmark, BenchmarkReport, FaultSpec, RunConfig};
-use sunbfs_common::{MachineConfig, TimeAccumulator};
+use sunbfs::driver::{run_benchmark, BenchmarkReport, RunConfig};
+use sunbfs_common::TimeAccumulator;
 use sunbfs_core::EngineConfig;
 use sunbfs_net::MeshShape;
 use sunbfs_part::Thresholds;
@@ -49,20 +49,11 @@ pub fn run_config(
 ) -> RunConfig {
     RunConfig {
         scale,
-        edge_factor: 16,
         mesh: MeshShape::near_square(ranks),
         thresholds,
         engine,
-        machine: MachineConfig::new_sunway(),
-        seed: 42,
         num_roots,
-        validate: false,
-        faults: FaultSpec::NONE,
-        max_root_retries: 2,
-        serve_batch: false,
-        serve_baseline: false,
-        save_graph: None,
-        load_graph: None,
+        ..RunConfig::default()
     }
 }
 

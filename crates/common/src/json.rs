@@ -3,7 +3,7 @@
 //! The build container has no crates.io access, so `serde_json` is not
 //! an option. The observability layer emits JSON through the value tree
 //! below; the `bfs_server` query service additionally *reads*
-//! newline-delimited JSON commands from stdin, covered by
+//! newline-delimited JSON commands off its connections, covered by
 //! [`JsonValue::parse`] (a small recursive-descent parser over the same
 //! tree).
 //!
@@ -472,6 +472,16 @@ impl From<Vec<JsonValue>> for JsonValue {
     }
 }
 
+/// An absent value renders as `null`, a present one as itself.
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(x: Option<T>) -> JsonValue {
+        match x {
+            Some(x) => x.into(),
+            None => JsonValue::Null,
+        }
+    }
+}
+
 /// Types that can serialize themselves into a [`JsonValue`].
 pub trait ToJson {
     /// Convert into a JSON value tree.
@@ -599,6 +609,18 @@ mod tests {
             .field("a", 2u64)
             .build();
         assert_eq!(v.render(), r#"{"z":1,"a":2}"#);
+    }
+
+    #[test]
+    fn options_render_as_null_or_the_value() {
+        assert_eq!(JsonValue::from(None::<u64>).render(), "null");
+        assert_eq!(JsonValue::from(Some(3u64)).render(), "3");
+        assert_eq!(JsonValue::from(Some("x")).render(), r#""x""#);
+        let v = JsonValue::object()
+            .field("some", Some(3u64))
+            .field("none", None::<&str>)
+            .build();
+        assert_eq!(v.render(), r#"{"some":3,"none":null}"#);
     }
 
     #[test]

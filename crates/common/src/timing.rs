@@ -32,13 +32,6 @@ impl SimTime {
         SimTime(bytes as f64 / bandwidth)
     }
 
-    /// Construct from an item count over a rate in items/second.
-    #[inline]
-    pub fn from_items(items: u64, rate: f64) -> Self {
-        debug_assert!(rate > 0.0);
-        SimTime(items as f64 / rate)
-    }
-
     /// The later of two instants.
     #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
@@ -171,9 +164,8 @@ mod tests {
     }
 
     #[test]
-    fn from_bytes_and_items() {
+    fn from_bytes_divides_by_bandwidth() {
         assert_eq!(SimTime::from_bytes(100, 50.0).as_secs(), 2.0);
-        assert_eq!(SimTime::from_items(30, 10.0).as_secs(), 3.0);
     }
 
     #[test]

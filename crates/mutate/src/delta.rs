@@ -83,7 +83,6 @@ pub struct DeltaPartition {
     eh_by_src: BTreeMap<u64, Vec<u64>>,
     el_by_hub: BTreeMap<u64, Vec<u64>>,
     el_by_local: BTreeMap<u64, Vec<u64>>,
-    h2l_by_hub: BTreeMap<u64, Vec<u64>>,
     h2l_by_local: BTreeMap<u64, Vec<u64>>,
     lh_by_hub: BTreeMap<u64, Vec<u64>>,
     lh_by_local: BTreeMap<u64, Vec<u64>>,
@@ -138,7 +137,6 @@ impl DeltaPartition {
             push_sorted(&mut self.el_by_local, l, h);
         }
         for &(h, l) in &upd.h2l {
-            push_sorted(&mut self.h2l_by_hub, h, l);
             push_sorted(&mut self.h2l_by_local, l, h);
         }
         for &(h, l) in &upd.lh {
@@ -172,11 +170,6 @@ impl DeltaPartition {
     /// Delta L→H neighbors of hub `h` (local vertices), sorted.
     pub fn lh_of_hub(&self, h: u64) -> &[u64] {
         self.lh_by_hub.get(&h).map_or(&[], Vec::as_slice)
-    }
-
-    /// Delta H→L copies of hub `h` (local vertices), sorted.
-    pub fn h2l_of_hub(&self, h: u64) -> &[u64] {
-        self.h2l_by_hub.get(&h).map_or(&[], Vec::as_slice)
     }
 
     /// Delta E↔L hubs of owned vertex `v` (hub ids), sorted.

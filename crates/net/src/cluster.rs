@@ -801,11 +801,6 @@ impl RankCtx {
         &self.acc
     }
 
-    /// Take the accumulated times (for returning from the rank closure).
-    pub fn take_accumulator(&mut self) -> TimeAccumulator {
-        std::mem::take(&mut self.acc)
-    }
-
     /// Read-only view of this rank's per-scope collective counters.
     pub fn comm_stats(&self) -> &CommStats {
         &self.comm
@@ -1317,11 +1312,6 @@ impl RankCtx {
     /// Max of a scalar across the scope.
     pub fn allreduce_max(&mut self, scope: Scope, op: &str, x: u64) -> u64 {
         self.allreduce_with(scope, op, vec![x], None, |a, b| *a = (*a).max(*b))[0]
-    }
-
-    /// Logical OR of a flag across the scope.
-    pub fn allreduce_any(&mut self, scope: Scope, op: &str, x: bool) -> bool {
-        self.allreduce_with(scope, op, vec![x as u8], None, |a, b| *a |= b)[0] != 0
     }
 
     fn scope_pos(&self, scope: Scope) -> usize {

@@ -184,12 +184,6 @@ impl HubDirectory {
         self.hubs[hub as usize].0
     }
 
-    /// Degree of hub `h`.
-    #[inline]
-    pub fn degree_of(&self, hub: u32) -> u32 {
-        self.hubs[hub as usize].1
-    }
-
     /// True when hub id `h` is in class E.
     #[inline]
     pub fn is_e(&self, hub: u32) -> bool {
@@ -218,11 +212,6 @@ impl HubDirectory {
     /// Hub ids whose destination state mesh row `row` owns, ascending.
     pub fn dest_hubs(&self, row: usize, rows: usize) -> impl Iterator<Item = u64> {
         (row as u64..self.num_hubs() as u64).step_by(rows)
-    }
-
-    /// Hub ids whose source state mesh column `col` owns, ascending.
-    pub fn src_hubs(&self, col: usize, cols: usize) -> impl Iterator<Item = u64> {
-        (col as u64..self.num_hubs() as u64).step_by(cols)
     }
 }
 

@@ -26,12 +26,13 @@
 //!   (`docs/FAULTS.md`), per-query deadline budgets, and a seeded
 //!   [`ChaosConfig`] that arms live faults for soak testing.
 //!
-//! The service is reachable over two transports sharing one wire
-//! protocol ([`proto`] — newline-delimited JSON with typed parse
-//! errors): the stdin loop of `examples/bfs_server.rs`, and the
+//! The service is reachable over one wire protocol ([`proto`] —
+//! newline-delimited JSON with typed parse errors) through the
 //! concurrent TCP server of [`net`] (accept loop with a connection
-//! cap, per-connection deadlines, one deterministic service thread,
-//! graceful drain-on-shutdown). [`loadgen`] is the wire client — a
+//! cap, per-connection deadlines, one deterministic service thread —
+//! the only place a request is interpreted — and graceful
+//! drain-on-shutdown); `examples/bfs_server.rs` is its command line.
+//! [`loadgen`] is the wire client — a
 //! blocking line client and the paced load generator — and [`soak`]
 //! runs the whole stack in-process under that load in three profiles
 //! (`load`, `chaos`, `update`), each writing one artifact section.

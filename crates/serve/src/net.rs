@@ -628,7 +628,7 @@ impl ServiceLoop {
                 self.send(
                     conn,
                     &proto::error_reply(
-                        "the TCP server loads its graph at startup; \"load\" is stdin-only",
+                        "the server loads its graph at startup; \"load\" is not a wire command",
                         "bad_request",
                     ),
                 );

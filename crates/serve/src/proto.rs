@@ -1,13 +1,12 @@
-//! The newline-delimited-JSON wire protocol shared by the stdin
-//! server and the TCP server.
+//! The newline-delimited-JSON wire protocol of the TCP server.
 //!
 //! One JSON object per line in each direction. Requests parse into a
 //! typed [`Request`]; anything malformed parses into a typed
-//! [`ProtoError`] instead of a stringly error, so both transports
-//! refuse bad input identically and tests can pin the failure class.
-//! Replies are built here too — one serializer per reply shape — so a
-//! `result` line from the stdin example and from the TCP service are
-//! byte-identical for the same [`QueryResult`].
+//! [`ProtoError`] instead of a stringly error, so bad input is refused
+//! the same way wherever it enters (the wire, `bfs_server`'s flags)
+//! and tests can pin the failure class. Replies are built here too —
+//! one serializer per reply shape — so the bytes of a `result` line
+//! depend on its [`QueryResult`] alone.
 //!
 //! Every reply carries a `"reply"` discriminator. Rejections carry the
 //! admission reason plus an optional `retry_after_ticks` backoff hint
@@ -33,8 +32,9 @@ pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 /// One parsed client request.
 #[derive(Clone, Debug)]
 pub enum Request {
-    /// Build (or open) the resident graph. Stdin-only: the TCP server
-    /// loads its graph at startup and refuses this over the wire.
+    /// Build (or open) the resident graph. A startup decision: it is
+    /// what `bfs_server` synthesizes from its flags to validate them,
+    /// and the server refuses it over the wire.
     Load(Box<LoadRequest>),
     /// Submit one root.
     Query {
@@ -388,13 +388,7 @@ pub fn rejected_reply(
         .field("root", root)
         .field("reason", reason)
         .field("detail", detail)
-        .field(
-            "retry_after_ticks",
-            match retry_after_ticks {
-                Some(t) => JsonValue::from(u64::from(t)),
-                None => JsonValue::Null,
-            },
-        )
+        .field("retry_after_ticks", retry_after_ticks)
         .build()
 }
 
@@ -416,13 +410,7 @@ pub fn result_reply(r: &QueryResult) -> JsonValue {
         .field("reply", "result")
         .field("id", r.id.0)
         .field("root", r.root)
-        .field(
-            "batch_id",
-            match r.batch_id {
-                Some(b) => JsonValue::from(b),
-                None => JsonValue::Null,
-            },
-        )
+        .field("batch_id", r.batch_id)
         .field("status", r.status.label())
         .field("visited", r.visited)
         .field(
@@ -518,7 +506,8 @@ pub fn drained_reply(queue_depth: usize) -> JsonValue {
         .build()
 }
 
-/// The acknowledgment for a successful `load`.
+/// What a load did — size, attempts, store activity — as
+/// `bfs_server` nests it in its `listening` line.
 pub fn loaded_reply(session: &GraphSession) -> JsonValue {
     let cfg = session.config();
     JsonValue::object()
@@ -529,13 +518,7 @@ pub fn loaded_reply(session: &GraphSession) -> JsonValue {
         .field("build_sim_seconds", session.build_sim_seconds)
         .field("load_sim_seconds", session.load_sim_seconds)
         .field("load_attempts", u64::from(session.load_attempts))
-        .field(
-            "store",
-            match &session.store {
-                Some(s) => s.to_json(),
-                None => JsonValue::Null,
-            },
-        )
+        .field("store", session.store.as_ref().map(ToJson::to_json))
         .build()
 }
 

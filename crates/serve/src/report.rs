@@ -76,13 +76,7 @@ impl ToJson for BatchRecord {
             .field("fallback", self.fallback)
             .field("served", self.served)
             .field("quarantined", self.quarantined)
-            .field(
-                "seq_sim_seconds",
-                match self.seq_sim_seconds {
-                    Some(s) => JsonValue::from(s),
-                    None => JsonValue::Null,
-                },
-            )
+            .field("seq_sim_seconds", self.seq_sim_seconds)
             .build()
     }
 }
@@ -118,13 +112,7 @@ impl ToJson for QueryRecord {
         JsonValue::object()
             .field("id", self.id)
             .field("root", self.root)
-            .field(
-                "batch_id",
-                match self.batch_id {
-                    Some(b) => JsonValue::from(b),
-                    None => JsonValue::Null,
-                },
-            )
+            .field("batch_id", self.batch_id)
             .field("status", self.status)
             .field("sim_latency_s", self.sim_latency_s)
             .field("wall_latency_s", self.wall_latency_s)
@@ -316,28 +304,10 @@ impl ServeReport {
             .field("fallback_batches", self.fallback_batches)
             .field("occupancy_histogram", occupancy)
             .field("batch_sim_seconds", self.batch_sim_seconds)
-            .field(
-                "sequential_sim_seconds",
-                match self.sequential_sim_seconds {
-                    Some(s) => JsonValue::from(s),
-                    None => JsonValue::Null,
-                },
-            )
+            .field("sequential_sim_seconds", self.sequential_sim_seconds)
             .field("batch_roots_per_sec", self.batch_roots_per_sec())
-            .field(
-                "sequential_roots_per_sec",
-                match self.sequential_roots_per_sec() {
-                    Some(s) => JsonValue::from(s),
-                    None => JsonValue::Null,
-                },
-            )
-            .field(
-                "speedup",
-                match self.speedup() {
-                    Some(s) => JsonValue::from(s),
-                    None => JsonValue::Null,
-                },
-            )
+            .field("sequential_roots_per_sec", self.sequential_roots_per_sec())
+            .field("speedup", self.speedup())
             .field("build_sim_seconds", self.build_sim_seconds)
             .field("load_sim_seconds", self.load_sim_seconds)
             .field("load_attempts", u64::from(self.load_attempts))

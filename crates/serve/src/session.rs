@@ -209,18 +209,14 @@ pub struct StoreActivity {
 
 impl ToJson for StoreActivity {
     fn to_json(&self) -> JsonValue {
-        let opt = |v: Option<f64>| match v {
-            Some(s) => JsonValue::from(s),
-            None => JsonValue::Null,
-        };
         JsonValue::object()
             .field("path", self.path.clone())
             .field("opened", self.opened)
             .field("saved", self.saved)
             .field("file_bytes", self.file_bytes)
             .field("pages", self.pages)
-            .field("cold_build_wall_seconds", opt(self.cold_build_wall_seconds))
-            .field("warm_open_wall_seconds", opt(self.warm_open_wall_seconds))
+            .field("cold_build_wall_seconds", self.cold_build_wall_seconds)
+            .field("warm_open_wall_seconds", self.warm_open_wall_seconds)
             .build()
     }
 }

@@ -55,7 +55,8 @@ fn roundtrip_query_stats_drain_and_shutdown_over_tcp() {
         Some(1)
     );
 
-    // `load` is a startup decision on the TCP transport.
+    // `load` is a startup decision: parsed, refused, and the
+    // connection goes on serving.
     c.send(r#"{"cmd":"load","scale":8}"#).unwrap();
     let err = c.recv().unwrap();
     assert_eq!(reply_kind(&err), "error");
@@ -63,6 +64,12 @@ fn roundtrip_query_stats_drain_and_shutdown_over_tcp() {
         err.get("kind").and_then(JsonValue::as_str),
         Some("bad_request")
     );
+    assert!(!str_field(&err, "detail").contains("stdin"), "got {err:?}");
+    c.send(r#"{"cmd":"query","root":2}"#).unwrap();
+    assert_eq!(reply_kind(&c.recv().unwrap()), "accepted");
+    let result = c.recv().unwrap();
+    assert_eq!(reply_kind(&result), "result");
+    assert_eq!(str_field(&result, "status"), "served");
 
     c.send(r#"{"cmd":"shutdown"}"#).unwrap();
     assert_eq!(reply_kind(&c.recv().unwrap()), "shutting_down");
@@ -71,11 +78,11 @@ fn roundtrip_query_stats_drain_and_shutdown_over_tcp() {
 
     let (svc, summary) = server.join().expect_clean();
     assert_eq!(summary.connections, 1);
-    assert_eq!(summary.accepted, 1);
-    assert_eq!(summary.results_delivered, 1);
+    assert_eq!(summary.accepted, 2);
+    assert_eq!(summary.results_delivered, 2);
     assert_eq!(summary.results_dropped, 0);
     assert_eq!(summary.protocol_errors, 0);
-    assert_eq!(svc.report().served, 1);
+    assert_eq!(svc.report().served, 2);
 }
 
 /// The tentpole acceptance test: sustained offered load at least 2× the

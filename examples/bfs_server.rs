@@ -1,19 +1,17 @@
-//! `bfs_server` — the BFS query service, over stdin or TCP.
+//! `bfs_server` — the BFS query service over TCP.
 //!
-//! Both transports speak the same newline-delimited-JSON protocol
-//! (`sunbfs::serve::proto`, documented in `docs/SERVE.md`): one JSON
-//! object per input line, one (or more) JSON objects per output line,
+//! The graph is built (or opened via `--path`) at startup, then served
+//! to many connections at once over the newline-delimited-JSON protocol
+//! of `sunbfs::serve::proto` (documented in `docs/SERVE.md`): one JSON
+//! object per request line, one (or more) JSON objects per reply line,
 //! every reply carrying a `"reply"` discriminator. Malformed input is
 //! a typed `{"reply":"error","detail":...,"kind":...}` refusal and
 //! never kills the server.
 //!
-//! **Stdin mode** (no arguments) — the single-client loop:
-//!
 //! ```text
-//! {"cmd":"load","scale":10,"ranks":4}          build the resident graph
 //! {"cmd":"query","root":5}                     submit one root, tick once
 //! {"cmd":"query","root":5,"deadline_ticks":3}  ... with a deadline budget
-//! {"cmd":"batch","roots":[1,2,3]}              submit many, drain
+//! {"cmd":"batch","roots":[1,2,3]}              submit many, tick once
 //! {"cmd":"update","edges":[[0,9],[3,7]]}       commit edge inserts, bump epoch
 //! {"cmd":"health"}                             health state + transitions
 //! {"cmd":"stats"}                              full ServeReport JSON
@@ -21,62 +19,52 @@
 //! {"cmd":"shutdown"}                           drain, reply, exit 0
 //! ```
 //!
-//! `load` knobs (all optional): `scale` (10), `ranks` (4),
-//! `edge_factor` (16), `e_threshold` (256), `h_threshold` (64),
-//! `seed` (42), `queue_capacity` (256), `batch_max` (64),
-//! `flush_deadline` (4), `baseline` (false), `path` (a `sunbfs-store`
-//! file to open instead of rebuilding). A mistyped knob is a typed
-//! refusal, never a silent fall-back to the default value. EOF on
-//! stdin exits 0.
-//!
-//! **TCP mode** (`--tcp ADDR`) — the concurrent server: the graph is
-//! built (or opened via `--path`) at startup, then served to many
-//! connections at once (`docs/SERVE.md`). `load` over the wire is
-//! refused. The process prints one `{"event":"listening",...}` line
-//! when ready and one `{"event":"shutdown",...}` line (transport
-//! summary + serve report) after a graceful drain.
+//! The process prints one `{"event":"listening",...}` line when ready —
+//! the bound address, the service knobs, and under `"loaded"` what the
+//! load did: vertices, load attempts, and whether `--path` opened the
+//! store file or built and saved it — and one `{"event":"shutdown",...}`
+//! line (transport summary + serve report) after a graceful drain.
 //!
 //! ```text
 //! cargo run --release --example bfs_server -- --tcp 127.0.0.1:0 \
 //!     --scale 14 --ranks 4 --queue-capacity 48 --flush-deadline 2
 //! ```
 //!
-//! Graph knobs mirror the `load` command (`--scale`, `--ranks`,
-//! `--edge-factor`, `--e-threshold`, `--h-threshold`, `--seed`,
-//! `--queue-capacity`, `--batch-max`, `--flush-deadline`,
-//! `--baseline`, `--path FILE`); transport knobs are `--max-conns`,
+//! Graph knobs are the protocol's `load` knobs, validated by the
+//! protocol's own `load` parser (`--scale` (10), `--ranks` (4),
+//! `--edge-factor` (16), `--e-threshold` (256), `--h-threshold` (64),
+//! `--seed` (42), `--queue-capacity` (256), `--batch-max` (64),
+//! `--flush-deadline` (4), `--baseline`, `--path FILE` — a
+//! `sunbfs-store` file to open instead of rebuilding): a mistyped knob
+//! is that parser's typed refusal, never a silent fall-back to the
+//! default value. Transport knobs are `--max-conns`,
 //! `--inflight-cap`, `--read-timeout-ms`, `--write-timeout-ms`,
 //! `--tick-ms`, `--shutdown-grace-ms`. Chaos knobs arm a seeded live
 //! fault schedule against the resident cluster (`docs/FAULTS.md`):
 //! `--chaos-every N` (one fault per N executed queries, 0 = off,
 //! forces an armed fault plan), `--chaos-seed N`,
-//! `--chaos-max-events N` (0 = unbounded). Unknown flags exit 2.
+//! `--chaos-max-events N` (0 = unbounded). Unknown flags, a refused
+//! knob and no arguments at all print the usage and exit 2.
 //!
 //! A panicked service or accept thread still produces the final
 //! `{"event":"shutdown",...}` line — with a `join_error` field — and
 //! exits 1 instead of taking the summary down with it.
 
-use std::io::BufRead;
 use std::time::Duration;
 
-use sunbfs::common::JsonValue;
+use sunbfs::common::{JsonValue, ToJson};
 use sunbfs::net::FaultPlan;
 use sunbfs::serve::proto::{self, LoadRequest, Request};
 use sunbfs::serve::{BfsService, ChaosConfig, GraphSession, NetConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        run_stdin();
-        return;
-    }
     match Cli::parse(&args) {
-        Ok(cli) => run_tcp(cli),
+        Ok(cli) => run(cli),
         Err(msg) => {
             eprintln!("bfs_server: {msg}");
-            eprintln!("usage: bfs_server                 (stdin mode)");
             eprintln!(
-                "       bfs_server --tcp ADDR [--scale N] [--ranks N] [--edge-factor N] \
+                "usage: bfs_server --tcp ADDR [--scale N] [--ranks N] [--edge-factor N] \
                  [--e-threshold N] [--h-threshold N] [--seed N] [--queue-capacity N] \
                  [--batch-max N] [--flush-deadline N] [--baseline] [--path FILE] \
                  [--max-conns N] [--inflight-cap N] [--read-timeout-ms N] \
@@ -109,168 +97,6 @@ fn build_session(load: &LoadRequest, armed: bool) -> Result<GraphSession, String
     session.map_err(|e| format!("load failed: {e}"))
 }
 
-// ---------------------------------------------------------------------------
-// stdin mode
-// ---------------------------------------------------------------------------
-
-fn run_stdin() {
-    let stdin = std::io::stdin();
-    let mut service: Option<BfsService> = None;
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (replies, done) = handle_line(&mut service, &line);
-        for reply in replies {
-            println!("{}", reply.render());
-        }
-        if done {
-            break;
-        }
-    }
-}
-
-fn no_graph() -> JsonValue {
-    proto::error_reply(
-        "no graph loaded (send {\"cmd\":\"load\"} first)",
-        "no_graph",
-    )
-}
-
-/// Dispatch one input line to its replies; `true` means shutdown.
-fn handle_line(service: &mut Option<BfsService>, line: &str) -> (Vec<JsonValue>, bool) {
-    let req = match proto::parse_request(line) {
-        Ok(r) => r,
-        Err(e) => return (vec![proto::proto_error_reply(&e)], false),
-    };
-    match req {
-        Request::Load(load) => {
-            let reply = match build_session(&load, false) {
-                Ok(session) => {
-                    let loaded = proto::loaded_reply(&session);
-                    *service = Some(BfsService::new(session, load.serve));
-                    loaded
-                }
-                Err(detail) => proto::error_reply(detail, "load_failed"),
-            };
-            (vec![reply], false)
-        }
-        Request::Query {
-            root,
-            deadline_ticks,
-        } => {
-            let Some(svc) = service.as_mut() else {
-                return (vec![no_graph()], false);
-            };
-            let mut replies = Vec::new();
-            match svc.submit_with_deadline(root, deadline_ticks) {
-                Ok(id) => {
-                    replies.push(proto::accepted_reply(id.0, root, svc.queue_depth()));
-                }
-                Err(reason) => return (vec![proto::rejection_reply(root, &reason)], false),
-            }
-            // One tick per submission: full batches flush immediately;
-            // partial batches age toward the deadline.
-            for r in svc.tick() {
-                replies.push(proto::result_reply(&r));
-            }
-            (replies, false)
-        }
-        Request::Batch {
-            roots,
-            deadline_ticks,
-        } => {
-            let Some(svc) = service.as_mut() else {
-                return (vec![no_graph()], false);
-            };
-            let mut replies = Vec::new();
-            for root in roots {
-                match svc.submit_with_deadline(root, deadline_ticks) {
-                    Ok(id) => {
-                        replies.push(proto::accepted_reply(id.0, root, svc.queue_depth()));
-                    }
-                    Err(reason) => replies.push(proto::rejection_reply(root, &reason)),
-                }
-            }
-            for r in svc.drain() {
-                replies.push(proto::result_reply(&r));
-            }
-            (replies, false)
-        }
-        Request::Update { edges } => {
-            let Some(svc) = service.as_mut() else {
-                return (vec![no_graph()], false);
-            };
-            let n = svc.session().num_vertices();
-            if let Some(&(u, v)) = edges.iter().find(|&&(u, v)| u >= n || v >= n) {
-                let detail = format!("edge ({u}, {v}) outside vertex range [0, {n})");
-                return (
-                    vec![proto::update_rejected_reply("invalid_vertex", &detail)],
-                    false,
-                );
-            }
-            let batch: Vec<sunbfs::common::Edge> = edges
-                .iter()
-                .map(|&(u, v)| sunbfs::common::Edge::new(u, v))
-                .collect();
-            let reply = match svc.apply_updates(&batch) {
-                Ok(epoch) => {
-                    proto::committed_reply(epoch, batch.len(), svc.session().compactions())
-                }
-                Err(e) => proto::update_rejected_reply("commit_failed", &e.to_string()),
-            };
-            (vec![reply], false)
-        }
-        Request::Health => {
-            let reply = match service {
-                Some(svc) => proto::health_reply(&svc.health_snapshot()),
-                None => no_graph(),
-            };
-            (vec![reply], false)
-        }
-        Request::Stats => {
-            let reply = match service {
-                Some(svc) => proto::stats_reply(&svc.report()),
-                None => no_graph(),
-            };
-            (vec![reply], false)
-        }
-        Request::Drain => {
-            let Some(svc) = service.as_mut() else {
-                return (vec![no_graph()], false);
-            };
-            let mut replies: Vec<JsonValue> = svc.drain().iter().map(proto::result_reply).collect();
-            replies.push(proto::drained_reply(svc.queue_depth()));
-            (replies, false)
-        }
-        Request::Shutdown => {
-            // Same contract as the TCP drain: acknowledge, flush every
-            // pending query, then the final shutdown line — and exit.
-            let mut replies = Vec::new();
-            let mut drained = 0u64;
-            if let Some(svc) = service.as_mut() {
-                replies.push(proto::shutting_down_reply(svc.queue_depth()));
-                for r in svc.drain() {
-                    replies.push(proto::result_reply(&r));
-                    drained += 1;
-                }
-            } else {
-                replies.push(proto::shutting_down_reply(0));
-            }
-            replies.push(proto::shutdown_reply(drained));
-            (replies, true)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TCP mode
-// ---------------------------------------------------------------------------
-
 struct Cli {
     addr: String,
     load: LoadRequest,
@@ -282,7 +108,9 @@ struct Cli {
 impl Cli {
     /// Strict flag parsing: unknown flags are an error (exit 2), and
     /// the graph knobs reuse the protocol's own `load` validation by
-    /// synthesizing a `{"cmd":"load",...}` line from the flags.
+    /// synthesizing a `{"cmd":"load",...}` line from the flags — a
+    /// non-numeric value travels as a string, so the refusal is the
+    /// protocol's typed one (`load knob "scale" must be …`).
     fn parse(args: &[String]) -> Result<Cli, String> {
         let mut addr: Option<String> = None;
         let mut load = JsonValue::object().field("cmd", "load");
@@ -308,7 +136,11 @@ impl Cli {
                 "--scale" | "--ranks" | "--edge-factor" | "--e-threshold" | "--h-threshold"
                 | "--seed" | "--queue-capacity" | "--batch-max" | "--flush-deadline" => {
                     let key = flag.trim_start_matches("--").replace('-', "_");
-                    load = load.field(&key, knob(flag, value(flag)?)?);
+                    let raw = value(flag)?;
+                    load = match raw.parse::<u64>() {
+                        Ok(n) => load.field(&key, n),
+                        Err(_) => load.field(&key, raw),
+                    };
                 }
                 "--max-conns" => net.max_connections = knob(flag, value(flag)?)? as usize,
                 "--inflight-cap" => net.inflight_cap = knob(flag, value(flag)?)? as usize,
@@ -334,7 +166,7 @@ impl Cli {
         if baseline {
             load = load.field("baseline", true);
         }
-        let addr = addr.ok_or("TCP mode needs --tcp ADDR")?;
+        let addr = addr.ok_or("--tcp ADDR is required")?;
         let line = load.build().render();
         match proto::parse_request(&line) {
             Ok(Request::Load(l)) => Ok(Cli {
@@ -349,7 +181,7 @@ impl Cli {
     }
 }
 
-fn run_tcp(cli: Cli) {
+fn run(cli: Cli) {
     let session = match build_session(&cli.load, cli.chaos.is_some()) {
         Ok(s) => s,
         Err(detail) => {
@@ -357,6 +189,7 @@ fn run_tcp(cli: Cli) {
             std::process::exit(1);
         }
     };
+    let loaded = proto::loaded_reply(&session);
     let mut service = BfsService::new(session, cli.load.serve);
     if let Some(chaos) = cli.chaos {
         service = service.with_chaos(chaos);
@@ -371,11 +204,10 @@ fn run_tcp(cli: Cli) {
     let listening = JsonValue::object()
         .field("event", "listening")
         .field("addr", server.local_addr().to_string())
-        .field("scale", u64::from(cli.load.session.scale))
-        .field("ranks", cli.load.session.mesh.num_ranks() as u64)
         .field("queue_capacity", cli.load.serve.queue_capacity as u64)
         .field("batch_max", cli.load.serve.batch_max as u64)
         .field("max_connections", cli.net.max_connections as u64)
+        .field("loaded", loaded)
         .build();
     println!("{}", listening.render());
     // Blocks until a client sends {"cmd":"shutdown"} (or the process is
@@ -384,30 +216,19 @@ fn run_tcp(cli: Cli) {
     // panicked, in which case it names the panic and the process
     // exits 1.
     let outcome = server.join();
-    use sunbfs::common::ToJson;
     let panicked = outcome.panicked();
     let join_error = outcome
         .service_join_error
         .as_deref()
-        .or(outcome.accept_join_error.as_deref())
-        .map(String::from);
+        .or(outcome.accept_join_error.as_deref());
     let farewell = JsonValue::object()
         .field("event", "shutdown")
         .field("net", outcome.summary.to_json())
         .field(
             "serve",
-            match &outcome.service {
-                Some(svc) => svc.report().to_json(),
-                None => JsonValue::Null,
-            },
+            outcome.service.as_ref().map(|svc| svc.report().to_json()),
         )
-        .field(
-            "join_error",
-            match join_error {
-                Some(e) => JsonValue::from(e),
-                None => JsonValue::Null,
-            },
-        )
+        .field("join_error", join_error)
         .build();
     println!("{}", farewell.render());
     if panicked {

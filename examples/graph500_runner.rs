@@ -18,9 +18,6 @@
 //! # --save-graph writes the built partition to a sunbfs-store file
 //! #   (docs/STORE.md); --load-graph opens one instead of rebuilding
 //! #   (building and saving it first when the file doesn't exist yet)
-//! # disable a technique:
-//! SUNBFS_NO_SUBITER=1 SUNBFS_NO_SEGMENT=1 cargo run --release \
-//!     --example graph500_runner -- 14 16
 //! # pick the direction-heuristic family (docs/KERNELS.md); anything
 //! # other than fixed|measured is a refusal (exit code 2):
 //! SUNBFS_DIRECTION=fixed cargo run --release \
@@ -123,12 +120,6 @@ fn main() {
     let num_roots = arg(4, 8) as usize;
 
     let mut engine = EngineConfig::default();
-    if std::env::var_os("SUNBFS_NO_SUBITER").is_some() {
-        engine.sub_iteration = false;
-    }
-    if std::env::var_os("SUNBFS_NO_SEGMENT").is_some() {
-        engine.segmenting = false;
-    }
     if let Some(value) = std::env::var_os("SUNBFS_DIRECTION") {
         let value = value.to_string_lossy().into_owned();
         engine.heuristic = DirectionHeuristic::parse(&value).unwrap_or_else(|| {
@@ -139,11 +130,9 @@ fn main() {
 
     let config = RunConfig {
         scale,
-        edge_factor: 16,
         mesh: MeshShape::near_square(ranks),
         thresholds: Thresholds::new(e_th, h_th),
         engine,
-        machine: sunbfs::common::MachineConfig::new_sunway(),
         seed,
         num_roots,
         // Full-edge-list validation is O(edges) on the driver; keep it
@@ -152,11 +141,11 @@ fn main() {
         // Injection comes from SUNBFS_FAULT_PLAN when set (see
         // docs/FAULTS.md); no seeded campaign by default.
         faults: FaultSpec::NONE,
-        max_root_retries: 2,
         serve_batch: batch,
         serve_baseline: baseline,
         save_graph,
         load_graph,
+        ..RunConfig::default()
     };
 
     println!("graph500 runner");

@@ -16,8 +16,7 @@
 //! ```
 
 use sunbfs::common::{MachineConfig, SimTime};
-use sunbfs::core::EngineConfig;
-use sunbfs::driver::{run_benchmark, FaultSpec, RunConfig};
+use sunbfs::driver::{run_benchmark, RunConfig};
 use sunbfs::net::MeshShape;
 use sunbfs::part::Thresholds;
 use sunbfs::sunway::kernels;
@@ -28,20 +27,11 @@ fn main() {
     // ---- (1) measure class structure on a real traversal ----
     let cal = RunConfig {
         scale: 18,
-        edge_factor: 16,
         mesh: MeshShape::new(2, 8),
         thresholds: Thresholds::new(2048, 256),
-        engine: EngineConfig::default(),
         machine,
-        seed: 42,
         num_roots: 2,
-        validate: false,
-        faults: FaultSpec::NONE,
-        max_root_retries: 2,
-        serve_batch: false,
-        serve_baseline: false,
-        save_graph: None,
-        load_graph: None,
+        ..RunConfig::default()
     };
     let report = run_benchmark(&cal).expect("calibration run must pass");
     let stats = &report.partition_stats;

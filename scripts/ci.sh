@@ -18,6 +18,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps
 echo "==> doc link check"
 ./scripts/check_docs.sh
 
+# The committed code inventory (ROADMAP item 5) is the script's output.
+echo "==> code inventory is fresh (docs/LOC.md)"
+./scripts/loc_report.sh | diff - docs/LOC.md
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -26,10 +30,14 @@ cargo test -q --workspace
 
 # The frozen benchmark (BENCHMARK.json, sunbfs_bench/) is a package of
 # its own compiled against this crate's public API: build and unit-test
-# it here so API drift fails CI, not the benchmark pipeline.
+# it here so API drift fails CI, not the benchmark pipeline. Its frozen
+# Cargo.lock still lists a workspace crate that has since been deleted;
+# without --locked cargo prunes that entry in the working tree, so put
+# the committed file back (the next benchmark PR refreshes it).
 echo "==> frozen benchmark builds and tests against the crate (offline)"
 cargo build --release --offline --manifest-path sunbfs_bench/Cargo.toml
 (cd sunbfs_bench && cargo test -q --offline)
+git checkout -- sunbfs_bench/Cargo.lock
 
 # Worker-pool determinism: SUNBFS_WORKERS must never change an output
 # byte (parents and depths identical to the serial path at every worker
@@ -164,49 +172,90 @@ if [ -z "$PLAIN_HMEAN" ] || [ "$COLD_HMEAN" != "$PLAIN_HMEAN" ] || [ "$WARM_HMEA
 fi
 rm -f "$STORE_FILE" "$PLAIN_JSON" "$COLD_JSON" "$WARM_JSON"
 
-# Smoke: the bfs_server stdin protocol answers with well-formed JSON —
-# a load acknowledgment, per-query results, and a stats reply carrying
-# the serve section. Mistyped load knobs must be typed refusals (never
-# a silent default-config build), so the malformed load comes first and
-# the server must still be graphless when the query arrives.
-echo "==> bfs_server stdin smoke"
+# bfs_server and soak are prebuilt once — for every server smoke and
+# soak below — so two processes never race for the cargo target-dir
+# lock.
+cargo build -q --release --example bfs_server --example soak
+BFS_SERVER=./target/release/examples/bfs_server
+
+# Run bfs_server with the given flags: it must exit 2 and say $1.
+must_refuse() {
+    local needle="$1" err rc=0
+    shift
+    err="$(timeout 60 "$BFS_SERVER" "$@" 2>&1 > /dev/null)" || rc=$?
+    if [ "$rc" -ne 2 ] || ! grep -Fq -- "$needle" <<< "$err"; then
+        echo "bfs_server $*: wanted exit 2 and '$needle', got exit $rc: $err"
+        exit 1
+    fi
+}
+
+# Launch bfs_server on an ephemeral port with the given flags, stdout to
+# $1; wait for its `listening` line and set SERVER_PID / SERVER_ADDR.
+start_server() {
+    local log="$1"
+    shift
+    timeout 600 "$BFS_SERVER" --tcp 127.0.0.1:0 "$@" > "$log" &
+    SERVER_PID=$!
+    for _ in $(seq 1 300); do
+        grep -q '"event":"listening"' "$log" 2> /dev/null && break
+        sleep 0.2
+    done
+    grep -q '"event":"listening"' "$log"
+    SERVER_ADDR=$(sed -n 's/.*"addr":"\([^"]*\)".*/\1/p' "$log" | head -1)
+}
+
+# One conversation with the server at $1 over bash's /dev/tcp (no nc
+# dependency): send the request lines, print every reply until the
+# server closes the connection — so the last request is a `shutdown`.
+tcp_talk() {
+    local addr="$1"
+    shift
+    exec 3<> "/dev/tcp/${addr%:*}/${addr##*:}"
+    printf '%s\n' "$@" >&3
+    timeout 120 cat <&3
+    exec 3>&-
+}
+
+# Smoke: mistyped graph knobs are the protocol's typed `load` refusals
+# (never a silent default-config build), and no arguments is the usage.
+echo "==> bfs_server flag refusals"
+must_refuse 'load knob "scale" must be an unsigned integer' --tcp 127.0.0.1:0 --scale x
+must_refuse 'load knob "h_threshold"' --tcp 127.0.0.1:0 --scale 9 --ranks 4 --h-threshold 512
+must_refuse 'usage: bfs_server --tcp ADDR'
+
+# Smoke: the wire protocol answers with well-formed JSON — per-query
+# results and a stats reply carrying the serve section.
+echo "==> bfs_server protocol smoke"
+SERVE_LOG="$(mktemp)"
 SERVE_OUT="$(mktemp)"
-printf '%s\n' \
-    '{"cmd":"load","scale":"9","ranks":4}' \
-    '{"cmd":"query","root":1}' \
-    '{"cmd":"load","scale":9,"ranks":4,"h_threshold":512}' \
-    '{"cmd":"load","scale":9,"ranks":4}' \
+start_server "$SERVE_LOG" --scale 9 --ranks 4
+tcp_talk "$SERVER_ADDR" \
     '{"cmd":"batch","roots":[1,2,3]}' \
     '{"cmd":"stats"}' \
-    | timeout 300 cargo run -q --release --example bfs_server > "$SERVE_OUT"
-grep -Eq '"reply":"error","detail":"load knob \\"scale\\" must be an unsigned integer' "$SERVE_OUT"
-grep -Eq '"reply":"error","detail":"no graph loaded' "$SERVE_OUT"
-grep -Eq '"reply":"error","detail":"load knob \\"h_threshold\\"' "$SERVE_OUT"
-grep -Eq '"reply":"loaded"' "$SERVE_OUT"
+    '{"cmd":"shutdown"}' > "$SERVE_OUT"
+wait "$SERVER_PID"
 grep -Eq '"reply":"result".*"status":"served".*"parents_len":[1-9]' "$SERVE_OUT"
 grep -Eq '"reply":"stats".*"batch_roots_per_sec"' "$SERVE_OUT"
-rm -f "$SERVE_OUT"
+rm -f "$SERVE_LOG" "$SERVE_OUT"
 
-# Smoke: the server's `path` knob — the first invocation builds and
-# saves, the second opens the same file instead of rebuilding.
+# Smoke: the server's `--path` knob — the first launch builds and
+# saves, the second opens the same file instead of rebuilding, and the
+# `listening` line says which.
 echo "==> bfs_server store-path smoke"
 SERVER_STORE="$(mktemp -u).sbfs"
-FIRST_OUT="$(mktemp)"
+FIRST_LOG="$(mktemp)"
+SECOND_LOG="$(mktemp)"
 SECOND_OUT="$(mktemp)"
-printf '%s\n' \
-    "{\"cmd\":\"load\",\"scale\":9,\"ranks\":4,\"path\":\"$SERVER_STORE\"}" \
-    '{"cmd":"query","root":1}' \
-    '{"cmd":"drain"}' \
-    | timeout 300 cargo run -q --release --example bfs_server > "$FIRST_OUT"
-printf '%s\n' \
-    "{\"cmd\":\"load\",\"scale\":9,\"ranks\":4,\"path\":\"$SERVER_STORE\"}" \
-    '{"cmd":"query","root":1}' \
-    '{"cmd":"drain"}' \
-    | timeout 300 cargo run -q --release --example bfs_server > "$SECOND_OUT"
-grep -Eq '"reply":"loaded".*"saved":true' "$FIRST_OUT"
-grep -Eq '"reply":"loaded".*"opened":true' "$SECOND_OUT"
+start_server "$FIRST_LOG" --scale 9 --ranks 4 --path "$SERVER_STORE"
+tcp_talk "$SERVER_ADDR" '{"cmd":"shutdown"}' > /dev/null
+wait "$SERVER_PID"
+start_server "$SECOND_LOG" --scale 9 --ranks 4 --path "$SERVER_STORE"
+tcp_talk "$SERVER_ADDR" '{"cmd":"query","root":1}' '{"cmd":"shutdown"}' > "$SECOND_OUT"
+wait "$SERVER_PID"
+grep -Eq '"event":"listening".*"saved":true' "$FIRST_LOG"
+grep -Eq '"event":"listening".*"opened":true' "$SECOND_LOG"
 grep -Eq '"reply":"result".*"status":"served"' "$SECOND_OUT"
-rm -f "$SERVER_STORE" "$FIRST_OUT" "$SECOND_OUT"
+rm -f "$SERVER_STORE" "$FIRST_LOG" "$SECOND_LOG" "$SECOND_OUT"
 
 # Smoke: sustained overload against the real TCP server. `soak load`
 # offers well beyond what a capacity-16 queue admits at SCALE 14, so the
@@ -214,25 +263,15 @@ rm -f "$SERVER_STORE" "$FIRST_OUT" "$SECOND_OUT"
 # invariant (soak exits nonzero on any lost/duplicated/unacked/
 # malformed reply), emit the committed schema-v10 serve_load artifact,
 # and the server must drain cleanly on shutdown with zero dropped
-# results. Both binaries are prebuilt once — for this and the two soaks
-# below — so the two processes never race for the cargo target-dir lock.
+# results.
 echo "==> TCP sustained-load smoke (bfs_server --tcp + soak load --addr)"
-cargo build -q --release --example bfs_server --example soak
 TCP_LOG="$(mktemp)"
-timeout 600 ./target/release/examples/bfs_server --tcp 127.0.0.1:0 \
-    --scale 14 --ranks 4 --queue-capacity 16 --batch-max 64 --flush-deadline 128 \
-    > "$TCP_LOG" &
-TCP_SERVER_PID=$!
-for _ in $(seq 1 300); do
-    grep -q '"event":"listening"' "$TCP_LOG" 2>/dev/null && break
-    sleep 0.2
-done
-grep -q '"event":"listening"' "$TCP_LOG"
-TCP_ADDR=$(sed -n 's/.*"addr":"\([^"]*\)".*/\1/p' "$TCP_LOG" | head -1)
-timeout 300 ./target/release/examples/soak load --addr "$TCP_ADDR" \
+start_server "$TCP_LOG" \
+    --scale 14 --ranks 4 --queue-capacity 16 --batch-max 64 --flush-deadline 128
+timeout 300 ./target/release/examples/soak load --addr "$SERVER_ADDR" \
     --conns 4 --qps 400 --duration 4 --root-max 16384 --seed 42 \
     --json SERVE_LOAD_14.json > /dev/null
-wait "$TCP_SERVER_PID"
+wait "$SERVER_PID"
 grep -Eq '"schema_version": *10' SERVE_LOAD_14.json
 grep -Eq '"protocol_errors": *0' SERVE_LOAD_14.json
 grep -Eq '"lost_replies": *0' SERVE_LOAD_14.json

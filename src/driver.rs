@@ -68,162 +68,46 @@ pub struct RunConfig {
     pub load_graph: Option<String>,
 }
 
-impl RunConfig {
-    /// Builder seeded with the defaults every call site shares
-    /// (Graph 500 edge factor, Sunway machine constants, seed 42, …) so
-    /// call sites only state what they change.
-    pub fn builder() -> RunConfigBuilder {
-        RunConfigBuilder::default()
+/// The defaults every call site shares (Graph 500 edge factor, Sunway
+/// machine constants, seed 42, …), so call sites state only what they
+/// change: `RunConfig { scale: 12, ..RunConfig::default() }`.
+impl Default for RunConfig {
+    fn default() -> Self {
+        RunConfig {
+            scale: 9,
+            edge_factor: 16,
+            mesh: MeshShape::near_square(4),
+            thresholds: Thresholds::new(256, 64),
+            engine: EngineConfig::default(),
+            machine: MachineConfig::new_sunway(),
+            seed: 42,
+            num_roots: 3,
+            validate: false,
+            faults: FaultSpec::NONE,
+            max_root_retries: 2,
+            serve_batch: false,
+            serve_baseline: false,
+            save_graph: None,
+            load_graph: None,
+        }
     }
+}
 
+impl RunConfig {
     /// A sensible laptop-scale configuration.
     pub fn small_test(scale: u32, ranks: usize) -> Self {
-        RunConfig::builder()
-            .scale(scale)
-            .ranks(ranks)
-            .num_roots(3)
-            .validate(true)
-            .build()
+        RunConfig {
+            scale,
+            mesh: MeshShape::near_square(ranks),
+            validate: true,
+            ..RunConfig::default()
+        }
     }
 
     fn rmat(&self) -> RmatParams {
         let mut p = RmatParams::graph500(self.scale, self.seed);
         p.edge_factor = self.edge_factor;
         p
-    }
-}
-
-/// Builder for [`RunConfig`] with every field defaulted, so adding a
-/// knob doesn't fan out to every literal construction site.
-#[derive(Clone, Debug)]
-pub struct RunConfigBuilder {
-    config: RunConfig,
-}
-
-impl Default for RunConfigBuilder {
-    fn default() -> Self {
-        RunConfigBuilder {
-            config: RunConfig {
-                scale: 9,
-                edge_factor: 16,
-                mesh: MeshShape::near_square(4),
-                thresholds: Thresholds::new(256, 64),
-                engine: EngineConfig::default(),
-                machine: MachineConfig::new_sunway(),
-                seed: 42,
-                num_roots: 3,
-                validate: false,
-                faults: FaultSpec::NONE,
-                max_root_retries: 2,
-                serve_batch: false,
-                serve_baseline: false,
-                save_graph: None,
-                load_graph: None,
-            },
-        }
-    }
-}
-
-impl RunConfigBuilder {
-    /// Graph 500 SCALE.
-    pub fn scale(mut self, scale: u32) -> Self {
-        self.config.scale = scale;
-        self
-    }
-
-    /// Edges per vertex.
-    pub fn edge_factor(mut self, edge_factor: u32) -> Self {
-        self.config.edge_factor = edge_factor;
-        self
-    }
-
-    /// Mesh from a rank count (near-square factorization).
-    pub fn ranks(mut self, ranks: usize) -> Self {
-        self.config.mesh = MeshShape::near_square(ranks);
-        self
-    }
-
-    /// Explicit mesh shape.
-    pub fn mesh(mut self, mesh: MeshShape) -> Self {
-        self.config.mesh = mesh;
-        self
-    }
-
-    /// E/H degree thresholds.
-    pub fn thresholds(mut self, thresholds: Thresholds) -> Self {
-        self.config.thresholds = thresholds;
-        self
-    }
-
-    /// Engine technique toggles.
-    pub fn engine(mut self, engine: EngineConfig) -> Self {
-        self.config.engine = engine;
-        self
-    }
-
-    /// Machine constants.
-    pub fn machine(mut self, machine: MachineConfig) -> Self {
-        self.config.machine = machine;
-        self
-    }
-
-    /// Generator seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Number of BFS roots.
-    pub fn num_roots(mut self, num_roots: usize) -> Self {
-        self.config.num_roots = num_roots;
-        self
-    }
-
-    /// Validate every traversal.
-    pub fn validate(mut self, validate: bool) -> Self {
-        self.config.validate = validate;
-        self
-    }
-
-    /// Fault-injection campaign.
-    pub fn faults(mut self, faults: FaultSpec) -> Self {
-        self.config.faults = faults;
-        self
-    }
-
-    /// Per-root retry budget.
-    pub fn max_root_retries(mut self, max_root_retries: u32) -> Self {
-        self.config.max_root_retries = max_root_retries;
-        self
-    }
-
-    /// Route roots through the serve layer's batch path.
-    pub fn serve_batch(mut self, serve_batch: bool) -> Self {
-        self.config.serve_batch = serve_batch;
-        self
-    }
-
-    /// Also measure the sequential baseline on the serve path.
-    pub fn serve_baseline(mut self, serve_baseline: bool) -> Self {
-        self.config.serve_baseline = serve_baseline;
-        self
-    }
-
-    /// Save the built partition to a persistent-store file.
-    pub fn save_graph(mut self, path: &str) -> Self {
-        self.config.save_graph = Some(path.to_string());
-        self
-    }
-
-    /// Open (or build-and-save) the partition from a store file.
-    pub fn load_graph(mut self, path: &str) -> Self {
-        self.config.load_graph = Some(path.to_string());
-        self
-    }
-
-    /// Finish.
-    pub fn build(self) -> RunConfig {
-        self.config
     }
 }
 

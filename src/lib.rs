@@ -16,8 +16,6 @@
 //! * [`sunway`] — the SW26010-Pro chip simulator (OCS-RMA, LDM segmenting),
 //! * [`sort`] — PARADIS in-place radix sort + PSRS global sort,
 //! * [`part`] — the 1.5D partitioner and its degenerate baselines,
-//! * [`framework`] — the §8 vertex-program framework
-//!   (BFS/SSSP/CC/PageRank over the same partition),
 //! * [`core`] — the BFS engine itself (single-source and the
 //!   bit-parallel multi-source batch variant),
 //! * [`store`] — the persistent partition store: a paged, checksummed
@@ -35,6 +33,10 @@
 //!   an engine error, a failed validation — is quarantined in the
 //!   report, never an `Err`.
 //!
+//! There is no general vertex-program framework (the paper's §8 future
+//! work): BFS is the boolean, monotone semiring the engine's lanes are
+//! built on, and programs with values and re-activation would fork it.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -50,7 +52,6 @@ pub mod metrics;
 
 pub use sunbfs_common as common;
 pub use sunbfs_core as core;
-pub use sunbfs_framework as framework;
 pub use sunbfs_mutate as mutate;
 pub use sunbfs_net as net;
 pub use sunbfs_part as part;

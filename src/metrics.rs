@@ -130,20 +130,8 @@ impl BenchmarkReport {
             )
             .field("faults", faults_json(&self.faults))
             .field("recovery", recovery_json(&self.recovery))
-            .field(
-                "serve",
-                match &self.serve {
-                    Some(s) => s.to_json(),
-                    None => JsonValue::Null,
-                },
-            )
-            .field(
-                "store",
-                match &self.store {
-                    Some(s) => s.to_json(),
-                    None => JsonValue::Null,
-                },
-            )
+            .field("serve", self.serve.as_ref().map(ToJson::to_json))
+            .field("store", self.store.as_ref().map(ToJson::to_json))
             .field("wall", wall_json(&self.wall))
             .build()
     }
@@ -254,20 +242,8 @@ fn config_json(c: &RunConfig) -> JsonValue {
         .field("max_root_retries", c.max_root_retries)
         .field("serve_batch", c.serve_batch)
         .field("serve_baseline", c.serve_baseline)
-        .field(
-            "save_graph",
-            match &c.save_graph {
-                Some(p) => JsonValue::from(p.as_str()),
-                None => JsonValue::Null,
-            },
-        )
-        .field(
-            "load_graph",
-            match &c.load_graph {
-                Some(p) => JsonValue::from(p.as_str()),
-                None => JsonValue::Null,
-            },
-        )
+        .field("save_graph", c.save_graph.as_deref())
+        .field("load_graph", c.load_graph.as_deref())
         .build()
 }
 
@@ -337,13 +313,9 @@ pub fn load_balance_histogram(stats: &[ComponentStats]) -> JsonValue {
         .iter()
         .enumerate()
         .map(|(i, &lo)| {
-            let hi: JsonValue = match LOAD_BALANCE_BIN_EDGES.get(i + 1) {
-                Some(&hi) => JsonValue::Float(hi),
-                None => JsonValue::Null,
-            };
             JsonValue::object()
                 .field("ratio_lo", lo)
-                .field("ratio_hi", hi)
+                .field("ratio_hi", LOAD_BALANCE_BIN_EDGES.get(i + 1).copied())
                 .field("ranks", counts[i])
                 .build()
         })

@@ -133,14 +133,11 @@ fn serve_json_schema_matches_golden_at_scale_9() {
     // histogram, per-batch and per-query records, baseline comparison);
     // the golden pins its skeleton. Two batches (batch_max 2, 3 roots)
     // so the partial-flush shape is exercised too.
-    let cfg = RunConfig::builder()
-        .scale(9)
-        .ranks(4)
-        .num_roots(3)
-        .validate(true)
-        .serve_batch(true)
-        .serve_baseline(true)
-        .build();
+    let cfg = RunConfig {
+        serve_batch: true,
+        serve_baseline: true,
+        ..RunConfig::small_test(9, 4)
+    };
     let report = run_benchmark(&cfg).expect("serve benchmark must pass");
     assert!(report.validated, "served trees must validate");
     let serve = report.serve.as_ref().expect("serve section present");
@@ -157,13 +154,20 @@ fn store_json_schema_matches_golden_at_scale_9() {
     let path =
         std::env::temp_dir().join(format!("sunbfs_store_golden_{}.sbfs", std::process::id()));
     let p = path.to_str().expect("utf-8 temp path");
-    let base = RunConfig::builder()
-        .scale(9)
-        .ranks(4)
-        .num_roots(2)
-        .validate(true);
-    run_benchmark(&base.clone().save_graph(p).build()).expect("cold run must pass");
-    let report = run_benchmark(&base.load_graph(p).build()).expect("warm run must pass");
+    let base = RunConfig {
+        num_roots: 2,
+        ..RunConfig::small_test(9, 4)
+    };
+    run_benchmark(&RunConfig {
+        save_graph: Some(p.to_string()),
+        ..base.clone()
+    })
+    .expect("cold run must pass");
+    let report = run_benchmark(&RunConfig {
+        load_graph: Some(p.to_string()),
+        ..base
+    })
+    .expect("warm run must pass");
     std::fs::remove_file(&path).ok();
     assert!(report.validated, "opened-session trees must validate");
     let store = report.store.as_ref().expect("store section present");

@@ -4,7 +4,7 @@
 
 use sunbfs::common::MachineConfig;
 use sunbfs::core::EngineConfig;
-use sunbfs::driver::{pick_roots, run_benchmark, FaultSpec, RunConfig};
+use sunbfs::driver::{pick_roots, run_benchmark, RunConfig};
 use sunbfs::net::MeshShape;
 use sunbfs::part::Thresholds;
 use sunbfs::rmat::RmatParams;
@@ -12,20 +12,12 @@ use sunbfs::rmat::RmatParams;
 fn base_config(scale: u32, ranks: usize) -> RunConfig {
     RunConfig {
         scale,
-        edge_factor: 16,
         mesh: MeshShape::near_square(ranks),
         thresholds: Thresholds::new(128, 32),
-        engine: EngineConfig::default(),
-        machine: MachineConfig::new_sunway(),
         seed: 4242,
         num_roots: 2,
         validate: true,
-        faults: FaultSpec::NONE,
-        max_root_retries: 2,
-        serve_batch: false,
-        serve_baseline: false,
-        save_graph: None,
-        load_graph: None,
+        ..RunConfig::default()
     }
 }
 

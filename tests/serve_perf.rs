@@ -9,17 +9,18 @@
 //! ample slack against cost-model tweaks.
 
 use sunbfs::driver::{run_benchmark, RunConfig};
+use sunbfs::net::MeshShape;
 
 #[test]
 fn batched_serving_doubles_sequential_roots_per_sec_at_scale_14() {
-    let cfg = RunConfig::builder()
-        .scale(14)
-        .ranks(16)
-        .num_roots(64)
-        .validate(false)
-        .serve_batch(true)
-        .serve_baseline(true)
-        .build();
+    let cfg = RunConfig {
+        scale: 14,
+        mesh: MeshShape::near_square(16),
+        num_roots: 64,
+        serve_batch: true,
+        serve_baseline: true,
+        ..RunConfig::default()
+    };
     let report = run_benchmark(&cfg).expect("serve benchmark must pass");
     assert_eq!(report.runs.len(), 64, "all 64 roots served");
 

@@ -167,17 +167,20 @@ fn open_refuses_a_damaged_file_at_every_page_boundary() {
 fn driver_save_then_load_reports_store_activity() {
     let path = temp_store("driver");
     let path_str = path.to_str().expect("utf-8 temp path").to_string();
-    let base = RunConfig::builder()
-        .scale(9)
-        .ranks(4)
-        .num_roots(2)
-        .validate(true);
+    let base = RunConfig {
+        num_roots: 2,
+        ..RunConfig::small_test(9, 4)
+    };
 
-    let plain = run_benchmark(&base.clone().build()).expect("plain run");
+    let plain = run_benchmark(&base).expect("plain run");
     assert!(plain.validated);
     assert!(plain.store.is_none() && plain.serve.is_none());
 
-    let cold = run_benchmark(&base.clone().save_graph(&path_str).build()).expect("cold run");
+    let cold = run_benchmark(&RunConfig {
+        save_graph: Some(path_str.clone()),
+        ..base.clone()
+    })
+    .expect("cold run");
     assert!(cold.validated);
     let store = cold
         .store
@@ -186,7 +189,11 @@ fn driver_save_then_load_reports_store_activity() {
     assert!(store.saved && !store.opened);
     assert!(store.cold_build_wall_seconds.is_some());
 
-    let warm = run_benchmark(&base.load_graph(&path_str).build()).expect("warm run");
+    let warm = run_benchmark(&RunConfig {
+        load_graph: Some(path_str),
+        ..base
+    })
+    .expect("warm run");
     std::fs::remove_file(&path).ok();
     assert!(warm.validated);
     let store = warm
