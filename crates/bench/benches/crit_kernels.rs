@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the hot kernels (wall-clock, not simulated
-//! time): the R-MAT generator, the PARADIS radix sort, the bitmap
-//! primitives, and the functional OCS-RMA bucketing pass.
+//! time): the R-MAT generator, the PARADIS radix sort and the CSR
+//! construction that calls it, the bitmap primitives, and the
+//! functional OCS-RMA bucketing pass.
 //!
 //! A minimal self-timed harness (median of [`SAMPLES`] runs after one
 //! warmup) replaces criterion: the build container has no crates.io
@@ -10,6 +11,7 @@
 use std::time::Instant;
 
 use sunbfs_common::{Bitmap, MachineConfig, SplitMix64};
+use sunbfs_part::Csr;
 use sunbfs_rmat::RmatParams;
 use sunbfs_sort::radix_sort_u64;
 use sunbfs_sunway::{ocs_sort_rma, OcsConfig};
@@ -51,6 +53,14 @@ fn main() {
         );
     }
 
+    // One rank's chunk of a 2x2 mesh, as `GraphSession::load` draws it.
+    let params = RmatParams::graph500(16, 42);
+    bench(
+        "rmat_generate_chunk/16 (1 of 4)",
+        Some(params.num_edges() / 4),
+        || sunbfs_rmat::generate_chunk(&params, 0, 4),
+    );
+
     for n in [1usize << 14, 1 << 18] {
         let mut rng = SplitMix64::new(7);
         let data: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
@@ -60,6 +70,22 @@ fn main() {
             v
         });
     }
+
+    // CSR construction at the two target widths a partition has: hub
+    // keys with vertex-id targets (long lists, three target bytes at
+    // SCALE 18) and vertex keys with hub-id targets (short lists, two
+    // bytes). PARADIS walks the bytes the largest target occupies.
+    let (hubs, vertices, m) = (1u64 << 12, 1u64 << 18, 1usize << 20);
+    let mut rng = SplitMix64::new(8);
+    let pairs: Vec<(u64, u64)> = (0..m)
+        .map(|_| (rng.next_below(hubs), rng.next_below(vertices)))
+        .collect();
+    bench("csr_from_pairs/vertex_targets", Some(m as u64), || {
+        Csr::from_pairs(0, hubs, pairs.iter().copied(), true)
+    });
+    bench("csr_from_pairs/hub_targets", Some(m as u64), || {
+        Csr::from_pairs(0, vertices, pairs.iter().map(|&(h, v)| (v, h)), true)
+    });
 
     let bits = 1u64 << 20;
     let mut bm = Bitmap::new(bits);

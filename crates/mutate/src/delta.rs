@@ -20,7 +20,7 @@
 //! union edge list, which rebuilds the directory with the promoted
 //! vertex in its new class.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use sunbfs_common::Edge;
 use sunbfs_net::{RankCtx, Scope};
@@ -260,39 +260,26 @@ pub fn route_update_batch(
     };
 
     for e in chunk.iter().filter(|e| !e.is_self_loop()) {
-        use VertexClass::*;
-        match (dir.class_of(e.u), dir.class_of(e.v)) {
-            (E | H, E | H) => {
-                let hu = dir.hub_id(e.u).expect("hub class implies a hub id");
-                let hv = dir.hub_id(e.v).expect("hub class implies a hub id");
+        let (hub, hub_v, l) = match (dir.hub_id(e.u), dir.hub_id(e.v)) {
+            (Some(hu), Some(hv)) => {
                 route_hub_pair(&mut eh_msgs, hu, hv);
                 route_hub_pair(&mut eh_msgs, hv, hu);
+                continue;
             }
-            (E, L) | (L, E) => {
-                let (hub_v, l) = if dir.class_of(e.u) == E {
-                    (e.u, e.v)
-                } else {
-                    (e.v, e.u)
-                };
-                let hub = dir.hub_id(hub_v).expect("hub class implies a hub id") as u64;
-                el_msgs[dist.owner(l)].push((hub, l));
-            }
-            (H, L) | (L, H) => {
-                let (hub_v, l) = if dir.class_of(e.u) == H {
-                    (e.u, e.v)
-                } else {
-                    (e.v, e.u)
-                };
-                let hub = dir.hub_id(hub_v).expect("hub class implies a hub id") as u64;
-                let inter =
-                    topo.rank_at(topo.row_of(dist.owner(l)), topo.col_of(dist.owner(hub_v)));
-                h2l_msgs[inter].push((hub, l));
-                lh_msgs[dist.owner(l)].push((hub, l));
-            }
-            (L, L) => {
+            (None, None) => {
                 l2l_msgs[dist.owner(e.u)].push((e.u, e.v));
                 l2l_msgs[dist.owner(e.v)].push((e.v, e.u));
+                continue;
             }
+            (Some(h), None) => (h, e.u, e.v),
+            (None, Some(h)) => (h, e.v, e.u),
+        };
+        if dir.is_e(hub) {
+            el_msgs[dist.owner(l)].push((hub as u64, l));
+        } else {
+            let inter = topo.rank_at(topo.row_of(dist.owner(l)), topo.col_of(dist.owner(hub_v)));
+            h2l_msgs[inter].push((hub as u64, l));
+            lh_msgs[dist.owner(l)].push((hub as u64, l));
         }
     }
 
@@ -316,30 +303,40 @@ pub fn route_update_batch(
     }
 }
 
-/// Reassemble the canonical undirected edge set stored across all base
-/// partitions: `(min, max)` pairs from every rank's EH, E↔L, L→H, and
-/// L↔L components (H→L copies are duplicates of L→H and are skipped).
+/// The canonical undirected edge set of a session, as the sorted array
+/// a set would iterate: `(min, max)` pairs from every rank's EH, E↔L,
+/// L→H and L↔L components (H→L copies are duplicates of L→H and are
+/// skipped) plus the committed-but-uncompacted `delta_log`, sorted
+/// ascending with duplicates removed — strictly increasing.
 ///
-/// This is the compaction input: unioned with the committed delta
-/// edges, a fresh `build_1p5d` over it must be byte-identical to the
-/// compacted partition.
-pub fn canonical_edge_set(parts: &[RankPartition]) -> BTreeSet<(u64, u64)> {
-    let mut out = BTreeSet::new();
+/// This is the compaction input: a fresh `build_1p5d` over it, chunked
+/// rank-strided, must be byte-identical to the compacted partition. The
+/// base components already hold each undirected edge at most twice (EH
+/// and L↔L store both orientations), so one `sort_unstable` + `dedup`
+/// over a flat array replaces a node-per-edge ordered set.
+pub fn canonical_edge_set(parts: &[RankPartition], delta_log: &[Edge]) -> Vec<(u64, u64)> {
     let dir = &parts[0].directory;
     let canon = |a: u64, b: u64| if a <= b { (a, b) } else { (b, a) };
+    let stored = |p: &RankPartition| {
+        p.eh_by_src.num_edges()
+            + p.el_by_hub.num_edges()
+            + p.lh_by_hub.num_edges()
+            + p.l2l.num_edges()
+    };
+    let capacity = parts.iter().map(stored).sum::<u64>() as usize + delta_log.len();
+    let mut out = Vec::with_capacity(capacity);
     for p in parts {
-        for (hs, hd) in p.eh_by_src.iter_edges() {
-            out.insert(canon(dir.vertex_of(hs as u32), dir.vertex_of(hd as u32)));
-        }
-        for (h, l) in p.el_by_hub.iter_edges() {
-            out.insert(canon(dir.vertex_of(h as u32), l));
-        }
-        for (h, l) in p.lh_by_hub.iter_edges() {
-            out.insert(canon(dir.vertex_of(h as u32), l));
-        }
-        for (u, v) in p.l2l.iter_edges() {
-            out.insert(canon(u, v));
-        }
+        out.extend(
+            p.eh_by_src
+                .iter_edges()
+                .map(|(hs, hd)| canon(dir.vertex_of(hs as u32), dir.vertex_of(hd as u32))),
+        );
+        let hub_side = p.el_by_hub.iter_edges().chain(p.lh_by_hub.iter_edges());
+        out.extend(hub_side.map(|(h, l)| canon(dir.vertex_of(h as u32), l)));
+        out.extend(p.l2l.iter_edges().map(|(u, v)| canon(u, v)));
     }
+    out.extend(delta_log.iter().map(|e| canon(e.u, e.v)));
+    out.sort_unstable();
+    out.dedup();
     out
 }

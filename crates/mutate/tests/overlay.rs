@@ -193,6 +193,33 @@ fn crossing_a_threshold_is_reported_as_a_promotion() {
     assert!(quiet.is_empty());
 }
 
+/// The ordered-set construction `canonical_edge_set` replaced, kept as
+/// its reference: insert every component edge, then the log.
+fn canonical_edge_set_reference(
+    parts: &[RankPartition],
+    delta_log: &[Edge],
+) -> BTreeSet<(u64, u64)> {
+    let mut out = BTreeSet::new();
+    let dir = &parts[0].directory;
+    let canon = |a: u64, b: u64| if a <= b { (a, b) } else { (b, a) };
+    for p in parts {
+        for (hs, hd) in p.eh_by_src.iter_edges() {
+            out.insert(canon(dir.vertex_of(hs as u32), dir.vertex_of(hd as u32)));
+        }
+        for (h, l) in p.el_by_hub.iter_edges() {
+            out.insert(canon(dir.vertex_of(h as u32), l));
+        }
+        for (h, l) in p.lh_by_hub.iter_edges() {
+            out.insert(canon(dir.vertex_of(h as u32), l));
+        }
+        for (u, v) in p.l2l.iter_edges() {
+            out.insert(canon(u, v));
+        }
+    }
+    out.extend(delta_log.iter().map(|e| (e.u, e.v)));
+    out
+}
+
 #[test]
 fn canonical_edge_set_matches_the_deduplicated_input() {
     let n = 256;
@@ -206,5 +233,34 @@ fn canonical_edge_set_matches_the_deduplicated_input() {
             (c.u, c.v)
         })
         .collect();
-    assert_eq!(canonical_edge_set(&parts), expect);
+    let got = canonical_edge_set(&parts, &[]);
+    assert!(got.windows(2).all(|w| w[0] < w[1]), "strictly increasing");
+    assert!(got.iter().copied().eq(expect.iter().copied()));
+    assert!(got
+        .iter()
+        .copied()
+        .eq(canonical_edge_set_reference(&parts, &[])));
+
+    // With a delta log (canonical and loop-free, as the session keeps
+    // it) holding new edges, edges the base already has and repeats:
+    // the same sequence the ordered set iterates, in every regime.
+    let log: Vec<Edge> = skewed_edges(n, 300, 9)
+        .iter()
+        .chain(&edges[..50])
+        .filter(|e| !e.is_self_loop())
+        .map(|e| e.canonical())
+        .collect();
+    for th in [
+        Thresholds::new(100, 20),
+        Thresholds::none(),
+        Thresholds::all_hubs(100),
+    ] {
+        let parts = build(2, 3, n, &edges, th);
+        let got = canonical_edge_set(&parts, &log);
+        assert!(got.windows(2).all(|w| w[0] < w[1]), "strictly increasing");
+        assert!(got
+            .iter()
+            .copied()
+            .eq(canonical_edge_set_reference(&parts, &log)));
+    }
 }

@@ -29,7 +29,7 @@ use sunbfs_common::{Edge, JsonValue, ToJson, VertexId};
 use sunbfs_net::{RankCtx, Scope, Topology};
 
 use crate::csr::Csr;
-use crate::directory::{HubDirectory, Thresholds, VertexClass};
+use crate::directory::{HubDirectory, Thresholds};
 use crate::distribution::VertexDistribution;
 
 /// Local (per-rank) edge counts of the six components — the quantity
@@ -188,104 +188,64 @@ pub fn build_1p5d(
         if e.is_self_loop() {
             continue;
         }
-        let cu = directory.class_of(e.u);
-        let cv = directory.class_of(e.v);
-        use VertexClass::*;
-        match (cu, cv) {
+        // One directory probe per endpoint: a hub id, or L.
+        let (hub, hub_v, l) = match (directory.hub_id(e.u), directory.hub_id(e.v)) {
             // Both hubs: both orientations, 2D-partitioned.
-            (E | H, E | H) => {
-                let hu = directory.hub_id(e.u).unwrap();
-                let hv = directory.hub_id(e.v).unwrap();
+            (Some(hu), Some(hv)) => {
                 route_hub_pair(&mut eh_msgs, hu, hv);
                 route_hub_pair(&mut eh_msgs, hv, hu);
-            }
-            // E ↔ L: stored once at L's owner.
-            (E, L) | (L, E) => {
-                let (hub_v, l) = if cu == E { (e.u, e.v) } else { (e.v, e.u) };
-                let hub = directory.hub_id(hub_v).unwrap() as u64;
-                el_msgs[dist.owner(l)].push((hub, l));
-            }
-            // H ↔ L: H→L copy at (row(owner(l)), col(owner(h))),
-            // L→H copy at owner(l).
-            (H, L) | (L, H) => {
-                let (hub_v, l) = if cu == H { (e.u, e.v) } else { (e.v, e.u) };
-                let hub = directory.hub_id(hub_v).unwrap() as u64;
-                let inter =
-                    topo.rank_at(topo.row_of(dist.owner(l)), topo.col_of(dist.owner(hub_v)));
-                h2l_msgs[inter].push((hub, l));
-                lh_msgs[dist.owner(l)].push((hub, l));
+                continue;
             }
             // L ↔ L: both orientations at their source owners.
-            (L, L) => {
+            (None, None) => {
                 l2l_msgs[dist.owner(e.u)].push((e.u, e.v));
                 l2l_msgs[dist.owner(e.v)].push((e.v, e.u));
+                continue;
             }
+            (Some(h), None) => (h, e.u, e.v),
+            (None, Some(h)) => (h, e.v, e.u),
+        };
+        if directory.is_e(hub) {
+            // E ↔ L: stored once at L's owner.
+            el_msgs[dist.owner(l)].push((hub as u64, l));
+        } else {
+            // H ↔ L: H→L copy at (row(owner(l)), col(owner(h))),
+            // L→H copy at owner(l).
+            let inter = topo.rank_at(topo.row_of(dist.owner(l)), topo.col_of(dist.owner(hub_v)));
+            h2l_msgs[inter].push((hub as u64, l));
+            lh_msgs[dist.owner(l)].push((hub as u64, l));
         }
     }
 
-    let eh_recv: Vec<(u64, u64)> = ctx
-        .alltoallv(Scope::World, "prep.alltoallv", eh_msgs)
-        .into_iter()
-        .flatten()
-        .collect();
-    let el_recv: Vec<(u64, u64)> = ctx
-        .alltoallv(Scope::World, "prep.alltoallv", el_msgs)
-        .into_iter()
-        .flatten()
-        .collect();
-    let h2l_recv: Vec<(u64, u64)> = ctx
-        .alltoallv(Scope::World, "prep.alltoallv", h2l_msgs)
-        .into_iter()
-        .flatten()
-        .collect();
-    let lh_recv: Vec<(u64, u64)> = ctx
-        .alltoallv(Scope::World, "prep.alltoallv", lh_msgs)
-        .into_iter()
-        .flatten()
-        .collect();
-    let l2l_recv: Vec<(u64, u64)> = ctx
-        .alltoallv(Scope::World, "prep.alltoallv", l2l_msgs)
-        .into_iter()
-        .flatten()
-        .collect();
+    // Each component's received buckets, joined once at exact capacity;
+    // both of its CSR orientations are built off that one buffer.
+    let mut exchange =
+        |msgs: Vec<Vec<(u64, u64)>>| ctx.alltoallv(Scope::World, "prep.alltoallv", msgs).concat();
+    let eh_recv = exchange(eh_msgs);
+    let el_recv = exchange(el_msgs);
+    let h2l_recv = exchange(h2l_msgs);
+    let lh_recv = exchange(lh_msgs);
+    let l2l_recv = exchange(l2l_msgs);
 
     // ---- (4) component CSRs --------------------------------------------
     let nh = directory.num_hubs() as u64;
     let my_row = topo.row_of(rank);
     let row_range = row_vertex_range(&dist, &topo, my_row);
     let my_count = my_range.end - my_range.start;
+    let row_count = row_range.end - row_range.start;
+    let flip = |&(a, b): &(u64, u64)| (b, a);
 
     // EH csrs are keyed over the full (small) hub-id space; only hubs in
     // this rank's cyclic column/row slice have entries.
-    let eh_by_src = Csr::from_pairs(0, nh, eh_recv.clone(), true);
-    let eh_by_dst = Csr::from_pairs(
-        0,
-        nh,
-        eh_recv.into_iter().map(|(s, d)| (d, s)).collect(),
-        true,
-    );
-    let el_by_hub = Csr::from_pairs(0, nh, el_recv.clone(), true);
-    let el_by_local = Csr::from_pairs(
-        my_range.start,
-        my_count,
-        el_recv.into_iter().map(|(h, l)| (l, h)).collect(),
-        true,
-    );
-    let h2l_by_hub = Csr::from_pairs(0, nh, h2l_recv.clone(), true);
-    let h2l_by_local = Csr::from_pairs(
-        row_range.start,
-        row_range.end - row_range.start,
-        h2l_recv.into_iter().map(|(h, l)| (l, h)).collect(),
-        true,
-    );
-    let lh_by_hub = Csr::from_pairs(0, nh, lh_recv.clone(), true);
-    let lh_by_local = Csr::from_pairs(
-        my_range.start,
-        my_count,
-        lh_recv.into_iter().map(|(h, l)| (l, h)).collect(),
-        true,
-    );
-    let l2l = Csr::from_pairs(my_range.start, my_count, l2l_recv, true);
+    let eh_by_src = Csr::from_pairs(0, nh, eh_recv.iter().copied(), true);
+    let eh_by_dst = Csr::from_pairs(0, nh, eh_recv.iter().map(flip), true);
+    let el_by_hub = Csr::from_pairs(0, nh, el_recv.iter().copied(), true);
+    let el_by_local = Csr::from_pairs(my_range.start, my_count, el_recv.iter().map(flip), true);
+    let h2l_by_hub = Csr::from_pairs(0, nh, h2l_recv.iter().copied(), true);
+    let h2l_by_local = Csr::from_pairs(row_range.start, row_count, h2l_recv.iter().map(flip), true);
+    let lh_by_hub = Csr::from_pairs(0, nh, lh_recv.iter().copied(), true);
+    let lh_by_local = Csr::from_pairs(my_range.start, my_count, lh_recv.iter().map(flip), true);
+    let l2l = Csr::from_pairs(my_range.start, my_count, l2l_recv.iter().copied(), true);
 
     let stats = ComponentStats {
         eh2eh: eh_by_src.num_edges(),

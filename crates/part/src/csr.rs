@@ -9,7 +9,14 @@
 //! PARADIS radix sort of each adjacency list's target ids (§5: "local
 //! sort implemented with PARADIS") — the preprocessing must stay
 //! in-place because on the real machine the edge list nearly fills
-//! main memory.
+//! main memory. PARADIS is an MSD sort that spends a histogram, a
+//! permutation and a repair scan on every byte level it is told the
+//! keys have, whether or not that byte ever varies; targets are hub ids
+//! (two bytes at most) or vertex ids (`⌈SCALE / 8⌉` bytes), so
+//! [`Csr::from_pairs`] learns the largest target while it scatters them
+//! and has PARADIS visit only the bytes that target occupies. The
+//! sorted lists are the same — the skipped high bytes are zero in every
+//! target.
 
 use sunbfs_common::Bitmap;
 
@@ -39,11 +46,21 @@ impl Csr {
     /// Build from `(key, target)` pairs. Keys outside the range panic.
     /// When `dedup` is set, duplicate `(key, target)` pairs collapse to
     /// one (the input edge list is a multigraph; adjacency is simple).
-    pub fn from_pairs(key_base: u64, num_keys: u64, pairs: Vec<(u64, u64)>, dedup: bool) -> Csr {
+    ///
+    /// The pairs are walked twice (count, then scatter), so they come
+    /// as a cloneable iterator: a received buffer serves both of a
+    /// component's orientations — `buf.iter().copied()` and
+    /// `buf.iter().map(|&(a, b)| (b, a))` — without being copied.
+    pub fn from_pairs<I>(key_base: u64, num_keys: u64, pairs: I, dedup: bool) -> Csr
+    where
+        I: IntoIterator<Item = (u64, u64)>,
+        I::IntoIter: Clone,
+    {
+        let pairs = pairs.into_iter();
         // Counting sort by key...
         let nk = num_keys as usize;
         let mut counts = vec![0u64; nk + 1];
-        for &(k, _) in &pairs {
+        for (k, _) in pairs.clone() {
             assert!(
                 k >= key_base && k < key_base + num_keys,
                 "key {k} outside [{key_base}, {})",
@@ -55,14 +72,18 @@ impl Csr {
             counts[i + 1] += counts[i];
         }
         let offsets = counts;
-        let mut targets = vec![0u64; pairs.len()];
+        let mut targets = vec![0u64; offsets[nk] as usize];
         let mut cursor = offsets.clone();
+        let mut max_target = 0u64;
         for (k, t) in pairs {
             let idx = (k - key_base) as usize;
             targets[cursor[idx] as usize] = t;
             cursor[idx] += 1;
+            max_target = max_target.max(t);
         }
-        // ...then in-place PARADIS radix sort per adjacency list.
+        // ...then in-place PARADIS radix sort per adjacency list, over
+        // the bytes the largest target has.
+        let key_bytes = (u64::BITS - max_target.leading_zeros()).div_ceil(8).max(1);
         let mut csr = Csr {
             key_base,
             offsets,
@@ -72,7 +93,7 @@ impl Csr {
         for k in 0..nk {
             let lo = csr.offsets[k] as usize;
             let hi = csr.offsets[k + 1] as usize;
-            sunbfs_sort::radix_sort_in_place(&mut csr.targets[lo..hi], &|t: &u64| *t, 1, 8);
+            sunbfs_sort::radix_sort_in_place(&mut csr.targets[lo..hi], &|t: &u64| *t, 1, key_bytes);
         }
         if dedup {
             csr.dedup_targets();
@@ -219,6 +240,79 @@ mod tests {
         assert_eq!(csr.neighbors(0), &[7]);
         assert_eq!(csr.neighbors(1), &[1, 2]);
         assert_eq!(csr.num_edges(), 3);
+    }
+
+    /// What `from_pairs` must equal: sort the pairs, dedup, read off
+    /// each key's run.
+    fn naive(key_base: u64, num_keys: u64, pairs: &[(u64, u64)], dedup: bool) -> Vec<Vec<u64>> {
+        let mut sorted = pairs.to_vec();
+        sorted.sort_unstable();
+        if dedup {
+            sorted.dedup();
+        }
+        let mut lists = vec![Vec::new(); num_keys as usize];
+        for (k, t) in sorted {
+            lists[(k - key_base) as usize].push(t);
+        }
+        lists
+    }
+
+    #[test]
+    fn every_target_width_matches_the_naive_reference() {
+        // One target space per PARADIS key width 1..=8 (the largest
+        // target decides it), `u64::MAX` itself, and no input at all.
+        // 3000 pairs over 8 keys: lists long enough to leave the
+        // comparison-sort fallback and take the radix levels.
+        let spaces = [
+            1u64 << 7,
+            1 << 15,
+            1 << 23,
+            1 << 31,
+            1 << 39,
+            1 << 47,
+            1 << 55,
+            u64::MAX,
+        ];
+        let (key_base, num_keys) = (100, 8);
+        for (width, &space) in spaces.iter().enumerate() {
+            let mut rng = sunbfs_common::SplitMix64::new(width as u64);
+            let mut pairs: Vec<(u64, u64)> = (0..3000)
+                .map(|_| {
+                    // Half the draws from a small pool, so `dedup` has
+                    // duplicates to collapse at every width.
+                    let t = match rng.next_below(2) {
+                        0 => space - 1 - rng.next_below(40.min(space)),
+                        _ => rng.next_below(space),
+                    };
+                    (key_base + rng.next_below(num_keys), t)
+                })
+                .collect();
+            if space == u64::MAX {
+                pairs.push((key_base, u64::MAX));
+            }
+            for dedup in [false, true] {
+                let csr = Csr::from_pairs(key_base, num_keys, pairs.iter().copied(), dedup);
+                let want = naive(key_base, num_keys, &pairs, dedup);
+                for (k, list) in want.iter().enumerate() {
+                    assert_eq!(
+                        csr.neighbors(key_base + k as u64),
+                        list.as_slice(),
+                        "{} target byte(s), dedup {dedup}, key {k}",
+                        width + 1
+                    );
+                }
+                // The transposed orientation off the same buffer.
+                if space <= 1 << 15 {
+                    let flipped: Vec<(u64, u64)> = pairs.iter().map(|&(k, t)| (t, k)).collect();
+                    let csr = Csr::from_pairs(0, space, pairs.iter().map(|&(k, t)| (t, k)), dedup);
+                    let want = naive(0, space, &flipped, dedup);
+                    assert!((0..space).all(|k| csr.neighbors(k) == want[k as usize]));
+                }
+            }
+        }
+        let empty = Csr::from_pairs(key_base, num_keys, std::iter::empty(), true);
+        assert_eq!(empty.num_edges(), 0);
+        assert_eq!(empty.offsets(), &[0u64; 9]);
     }
 
     #[test]

@@ -17,8 +17,57 @@
 //! ranges.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use sunbfs_common::VertexId;
+
+/// Hash of a vertex id for the reverse index: one multiply by an odd
+/// constant (every input bit reaches the product's high bits) and one
+/// rotate that brings those high bits down to where the table takes
+/// its bucket index — ids that differ only in their high bits
+/// (multiples of a large power of two) still spread. The build's
+/// routing loop probes the index twice per edge, which is what SipHash
+/// was too slow for; its flood resistance buys nothing here, because
+/// the keys are the hub table (vertices the degree census selected),
+/// not strings a peer chooses.
+///
+/// **Invariant:** the map is only ever probed (`get`), never iterated,
+/// so its internal order — the one thing a hasher could change about a
+/// directory — cannot reach any output.
+#[derive(Clone, Copy, Default)]
+struct VertexIdHasher(u64);
+
+impl Hasher for VertexIdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    /// Total over any byte string (eight bytes per round), though
+    /// `VertexId` keys only ever take [`Self::write_u64`].
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+type HubIndex = HashMap<VertexId, u32, BuildHasherDefault<VertexIdHasher>>;
+
+/// The reverse index of a hub table in hub-id order.
+fn index_hubs(hubs: &[(VertexId, u32)]) -> HubIndex {
+    hubs.iter()
+        .enumerate()
+        .map(|(i, (v, _))| (*v, i as u32))
+        .collect()
+}
 
 /// Degree thresholds selecting the three classes. `u32::MAX` disables a
 /// class (no vertex reaches it).
@@ -74,7 +123,8 @@ pub enum VertexClass {
 pub struct HubDirectory {
     num_e: u32,
     hubs: Vec<(VertexId, u32)>, // (original vertex, degree), indexed by hub id
-    hub_of: HashMap<VertexId, u32>,
+    /// Probed, never iterated (see [`VertexIdHasher`]).
+    hub_of: HubIndex,
 }
 
 impl HubDirectory {
@@ -93,15 +143,10 @@ impl HubDirectory {
                 .then(a.0.cmp(&b.0))
         });
         let num_e = heavy.iter().take_while(|(_, d)| *d >= thresholds.e).count() as u32;
-        let hub_of = heavy
-            .iter()
-            .enumerate()
-            .map(|(i, (v, _))| (*v, i as u32))
-            .collect();
         HubDirectory {
             num_e,
+            hub_of: index_hubs(&heavy),
             hubs: heavy,
-            hub_of,
         }
     }
 
@@ -116,15 +161,10 @@ impl HubDirectory {
             "num_e {num_e} exceeds hub count {}",
             hubs.len()
         );
-        let hub_of = hubs
-            .iter()
-            .enumerate()
-            .map(|(i, (v, _))| (*v, i as u32))
-            .collect();
         HubDirectory {
             num_e,
+            hub_of: index_hubs(&hubs),
             hubs,
-            hub_of,
         }
     }
 
@@ -140,7 +180,7 @@ impl HubDirectory {
         HubDirectory {
             num_e: 0,
             hubs: Vec::new(),
-            hub_of: HashMap::new(),
+            hub_of: HubIndex::default(),
         }
     }
 
@@ -252,6 +292,62 @@ mod tests {
             assert_eq!(d.hub_id(d.vertex_of(h)), Some(h));
         }
         assert_eq!(d.hub_id(42), None);
+    }
+
+    #[test]
+    fn lookup_roundtrips_on_ids_that_differ_only_in_high_bits() {
+        // Multiples of 2^20 (every low bit equal), the two ends of the
+        // id space, and a dense run: each hub resolves to itself, every
+        // neighbour of a hub that is not one misses.
+        let mut ids: Vec<u64> = (1..=2000u64).map(|i| i << 20).collect();
+        ids.extend([0, u64::MAX]);
+        ids.extend(5000..5200);
+        let heavy: Vec<(u64, u32)> = ids.iter().map(|&v| (v, 100)).collect();
+        for d in [
+            HubDirectory::build(heavy.clone(), Thresholds::new(1000, 10)),
+            HubDirectory::from_parts(0, heavy.clone()),
+        ] {
+            assert_eq!(d.num_hubs() as usize, ids.len());
+            for h in 0..d.num_hubs() {
+                assert_eq!(d.hub_id(d.vertex_of(h)), Some(h));
+            }
+            for &v in &ids {
+                for miss in [v.wrapping_add(1), v.wrapping_sub(1), v ^ (1 << 19)] {
+                    if !ids.contains(&miss) {
+                        assert_eq!(d.hub_id(miss), None, "{miss} is not a hub");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hasher_spreads_high_bit_ids_and_takes_any_bytes() {
+        use std::hash::Hash;
+        let hash = |v: u64| {
+            let mut h = VertexIdHasher::default();
+            v.hash(&mut h);
+            h.finish()
+        };
+        // The table indexes by the low bits and tags by the top seven:
+        // 4096 multiples of 2^20 must not pile into a few buckets.
+        let low: std::collections::HashSet<u64> =
+            (0..4096u64).map(|i| hash(i << 20) & 0xfff).collect();
+        assert!(
+            low.len() > 2000,
+            "only {} of 4096 low-bit buckets",
+            low.len()
+        );
+        // `write` is total: strings of any length hash, and differ.
+        let bytes = |b: &[u8]| {
+            let mut h = VertexIdHasher::default();
+            h.write(b);
+            h.finish()
+        };
+        assert_ne!(bytes(b"abc"), bytes(b"abd"));
+        assert_ne!(bytes(b"0123456789"), bytes(b"0123456780"));
+        assert_eq!(bytes(&7u64.to_le_bytes()), hash(7));
+        let _ = bytes(b"");
     }
 
     #[test]

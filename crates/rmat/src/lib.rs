@@ -88,27 +88,39 @@ impl RmatParams {
     }
 }
 
-/// Draw a single R-MAT edge by recursive quadrant descent.
+/// The quadrant boundaries `a`, `a + b`, `(a + b) + c` as integer cut
+/// points on the generator's 53-bit draw.
+///
+/// `SplitMix64::next_f64` is `k · 2⁻⁵³` for the integer `k =
+/// next_u64() >> 11`, an exact `f64`. Scaling a boundary `x` by `2⁵³`
+/// is exact too (a power of two only moves the exponent), so
+/// `k · 2⁻⁵³ < x  ⇔  k < x · 2⁵³  ⇔  k < ⌈x · 2⁵³⌉` for an integer
+/// `k`: comparing `k` with `cut(x)` decides exactly what the `f64`
+/// comparison decides, for dyadic and non-dyadic boundaries alike. The
+/// sums are formed in `f64` in the order the definition forms them.
+/// (`as u64` saturates: a boundary ≤ 0 or NaN is never undercut, one
+/// ≥ 1 always is — again what the `f64` comparison says.)
+fn quadrant_cuts(params: &RmatParams) -> [u64; 3] {
+    let cut = |x: f64| (x * (1u64 << 53) as f64).ceil() as u64;
+    let ab = params.a + params.b;
+    [cut(params.a), cut(ab), cut(ab + params.c)]
+}
+
+/// Draw a single R-MAT edge by recursive quadrant descent: per level
+/// one 53-bit draw picks top-left (no bit), top-right (column bit),
+/// bottom-left (row bit) or bottom-right (both) with probabilities
+/// `a`, `b`, `c`, `d`. The quadrant is unpredictable by construction,
+/// so the two bits are computed from the three comparisons instead of
+/// branched on.
 #[inline]
-fn rmat_edge(params: &RmatParams, rng: &mut SplitMix64) -> (u64, u64) {
+fn rmat_edge(scale: u32, [a, ab, abc]: [u64; 3], rng: &mut SplitMix64) -> (u64, u64) {
     let mut u = 0u64;
     let mut v = 0u64;
-    let ab = params.a + params.b;
-    let abc = ab + params.c;
-    for _ in 0..params.scale {
-        u <<= 1;
-        v <<= 1;
-        let r = rng.next_f64();
-        if r < params.a {
-            // top-left: neither bit set
-        } else if r < ab {
-            v |= 1; // top-right: column bit
-        } else if r < abc {
-            u |= 1; // bottom-left: row bit
-        } else {
-            u |= 1;
-            v |= 1; // bottom-right
-        }
+    for _ in 0..scale {
+        let k = rng.next_u64() >> 11;
+        let (past_a, past_ab, past_abc) = (k >= a, k >= ab, k >= abc);
+        u = (u << 1) | (past_a & past_ab) as u64;
+        v = (v << 1) | (past_a & (!past_ab | past_abc)) as u64;
     }
     (u, v)
 }
@@ -125,10 +137,11 @@ pub fn generate_range(params: &RmatParams, lo: u64, hi: u64) -> Vec<Edge> {
     assert!(lo <= hi);
     let root = SplitMix64::new(params.seed ^ 0x6261_7463_6867_656e);
     let scrambler = LabelScrambler::new(params.scale.max(1), params.seed);
+    let cuts = quadrant_cuts(params);
     let mut out = Vec::with_capacity((hi - lo) as usize);
     for i in lo..hi {
         let mut rng = root.split(i);
-        let (mut u, mut v) = rmat_edge(params, &mut rng);
+        let (mut u, mut v) = rmat_edge(params.scale, cuts, &mut rng);
         if params.scramble {
             u = scrambler.scramble(u);
             v = scrambler.scramble(v);
@@ -157,6 +170,65 @@ pub fn generate_chunk(params: &RmatParams, chunk_id: u64, num_chunks: u64) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The definition: one `f64` draw per level, branched on.
+    fn rmat_edge_f64(params: &RmatParams, rng: &mut SplitMix64) -> (u64, u64) {
+        let mut u = 0u64;
+        let mut v = 0u64;
+        let ab = params.a + params.b;
+        let abc = ab + params.c;
+        for _ in 0..params.scale {
+            u <<= 1;
+            v <<= 1;
+            let r = rng.next_f64();
+            if r < params.a {
+                // top-left: neither bit set
+            } else if r < ab {
+                v |= 1; // top-right: column bit
+            } else if r < abc {
+                u |= 1; // bottom-left: row bit
+            } else {
+                u |= 1;
+                v |= 1; // bottom-right
+            }
+        }
+        (u, v)
+    }
+
+    #[test]
+    fn integer_cut_points_equal_the_f64_definition() {
+        // Graph 500's quadrants at four scales, a skew whose boundaries
+        // are not dyadic in any sense (thirds and sevenths), and the
+        // degenerate corners: a boundary at 0, at 1, and a negative `b`
+        // that makes the boundaries non-monotone.
+        let mut cases: Vec<RmatParams> = [10, 16, 18, 22]
+            .into_iter()
+            .map(|scale| RmatParams::graph500(scale, 5))
+            .collect();
+        for (a, b, c) in [
+            (1.0 / 3.0, 2.0 / 7.0, 1.0 / 7.0),
+            (0.0, 0.5, 0.5),
+            (0.25, 0.25, 0.5),
+            (1.0, 0.0, 0.0),
+            (0.6, -0.2, 0.3),
+        ] {
+            cases.push(RmatParams {
+                a,
+                b,
+                c,
+                ..RmatParams::graph500(20, 9)
+            });
+        }
+        for params in &cases {
+            let root = SplitMix64::new(params.seed);
+            let cuts = quadrant_cuts(params);
+            for i in 0..300_000 {
+                let fast = rmat_edge(params.scale, cuts, &mut root.split(i));
+                let oracle = rmat_edge_f64(params, &mut root.split(i));
+                assert_eq!(fast, oracle, "edge {i} of {params:?}");
+            }
+        }
+    }
 
     #[test]
     fn determinism_full_vs_chunked() {

@@ -172,8 +172,13 @@ impl ToJson for NetSummary {
 
 /// Everything a connection or the listener can tell the service thread.
 enum Event {
-    /// A connection was accepted; `tx` is its reply buffer.
-    Connected { conn: u64, tx: SyncSender<String> },
+    /// A connection was accepted; `tx` is its reply buffer and `writer`
+    /// the thread draining it onto the socket.
+    Connected {
+        conn: u64,
+        tx: SyncSender<String>,
+        writer: JoinHandle<()>,
+    },
     /// One request line arrived (already parsed, maybe into an error).
     Request {
         conn: u64,
@@ -326,6 +331,7 @@ pub fn serve(service: BfsService, addr: &str, cfg: NetConfig) -> io::Result<TcpS
                 stop,
                 conns: HashMap::new(),
                 routes: HashMap::new(),
+                retired_writers: Vec::new(),
                 draining: false,
                 summary: NetSummary::default(),
             }
@@ -397,10 +403,20 @@ fn spawn_connection(
     write_half.set_write_timeout(Some(cfg.write_timeout))?;
     let reply_buffer = cfg.reply_buffer.max(1);
     let (reply_tx, reply_rx) = mpsc::sync_channel::<String>(reply_buffer);
+    // The service thread owns the writer's handle next to its sender:
+    // it joins every writer before it returns, so the process cannot
+    // exit ahead of a reply that was handed to one. (Should the send
+    // fail the service is gone, the event drops both, and the writer
+    // exits on its closed channel.)
+    let writer = std::thread::spawn(move || writer_loop(write_half, &reply_rx, reply_buffer));
+    let connected = Event::Connected {
+        conn,
+        tx: reply_tx,
+        writer,
+    };
     event_tx
-        .send(Event::Connected { conn, tx: reply_tx })
+        .send(connected)
         .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "service thread gone"))?;
-    std::thread::spawn(move || writer_loop(write_half, &reply_rx, reply_buffer));
     let event_tx = event_tx.clone();
     let live = Arc::clone(live);
     std::thread::spawn(move || {
@@ -515,6 +531,7 @@ fn reader_loop(stream: TcpStream, conn: u64, event_tx: &SyncSender<Event>) {
 struct ConnState {
     tx: SyncSender<String>,
     in_flight: usize,
+    writer: JoinHandle<()>,
 }
 
 /// The single thread that owns the [`BfsService`] and its clock.
@@ -525,6 +542,9 @@ struct ServiceLoop {
     conns: HashMap<u64, ConnState>,
     /// QueryId → connection, for routing results back.
     routes: HashMap<u64, u64>,
+    /// Writers of connections already removed whose thread may still be
+    /// inside a (deadline-bounded) socket write; joined at shutdown.
+    retired_writers: Vec<JoinHandle<()>>,
     draining: bool,
     summary: NetSummary,
 }
@@ -553,12 +573,17 @@ impl ServiceLoop {
     /// Handle one event; `true` means a client asked for shutdown.
     fn handle(&mut self, ev: Event) -> bool {
         match ev {
-            Event::Connected { conn, tx } => {
-                self.conns.insert(conn, ConnState { tx, in_flight: 0 });
+            Event::Connected { conn, tx, writer } => {
+                let state = ConnState {
+                    tx,
+                    in_flight: 0,
+                    writer,
+                };
+                self.conns.insert(conn, state);
                 false
             }
             Event::Disconnected { conn } => {
-                self.conns.remove(&conn);
+                self.remove_conn(conn);
                 false
             }
             Event::Request { conn, parsed } => {
@@ -751,9 +776,22 @@ impl ServiceLoop {
         match c.tx.try_send(reply.render()) {
             Ok(()) => true,
             Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-                self.conns.remove(&conn);
+                self.remove_conn(conn);
                 false
             }
+        }
+    }
+
+    /// Forget a connection: drop its reply sender, which ends its
+    /// writer as soon as the writer is out of its current socket write,
+    /// and keep the writer's handle for the join at shutdown. Joining
+    /// here could stall the service thread behind a slow client's write
+    /// deadline; writers that have already exited are reaped instead,
+    /// so the list holds only threads still inside that deadline.
+    fn remove_conn(&mut self, conn: u64) {
+        if let Some(c) = self.conns.remove(&conn) {
+            self.retired_writers.retain(|w| !w.is_finished());
+            self.retired_writers.push(c.writer);
         }
     }
 
@@ -782,11 +820,17 @@ impl ServiceLoop {
         self.summary.final_health = snap.state.to_string();
         self.summary.final_epoch = self.svc.session().epoch();
         let farewell = proto::shutdown_reply(self.summary.shutdown_drained).render();
-        for c in self.conns.values() {
+        // Dropping a reply sender lets its writer flush the buffer and
+        // close the socket; joining the writers (each bounded by
+        // `write_timeout`) means that by the time this thread returns —
+        // and the process may exit — every farewell is on its socket.
+        for (_, c) in self.conns.drain() {
             let _ = c.tx.try_send(farewell.clone());
+            self.retired_writers.push(c.writer);
         }
-        // Dropping the reply senders lets every writer flush its buffer
-        // and close its socket.
-        self.conns.clear();
+        for writer in self.retired_writers.drain(..) {
+            // A writer that panicked has nothing left to flush.
+            let _ = writer.join();
+        }
     }
 }

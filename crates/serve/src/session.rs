@@ -658,8 +658,9 @@ impl GraphSession {
     /// Merge the delta overlays into the base CSRs by rebuilding the
     /// 1.5D partition over the union edge list — byte-identical to a
     /// fresh build over that list, because both run the very same
-    /// `build_1p5d` over the very same deduplicated canonical edges in
-    /// the same rank-strided chunks.
+    /// `build_1p5d` over the very same sorted, deduplicated canonical
+    /// edge array (`canonical_edge_set`) in the same rank-strided
+    /// chunks: rank `r` takes elements `r, r + p, r + 2p, …`.
     ///
     /// # Errors
     /// [`SessionError::Load`] when the rebuild loses ranks; the session
@@ -667,20 +668,16 @@ impl GraphSession {
     pub fn compact(&mut self) -> Result<(), SessionError> {
         let n = self.num_vertices();
         let p = self.num_ranks();
-        let union_edges: Vec<Edge> = {
-            let mut set = canonical_edge_set(&self.parts);
-            set.extend(self.delta_log.iter().map(|e| (e.u, e.v)));
-            set.into_iter().map(|(u, v)| Edge::new(u, v)).collect()
-        };
+        let union_edges = canonical_edge_set(&self.parts, &self.delta_log);
         let thresholds = self.cfg.thresholds;
         let parts = {
             let union_edges = &union_edges;
             all_ranks_ok(self.cluster.run_fallible(move |ctx| {
                 let chunk: Vec<Edge> = union_edges
                     .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % p == ctx.rank())
-                    .map(|(_, e)| *e)
+                    .skip(ctx.rank())
+                    .step_by(p)
+                    .map(|&(u, v)| Edge::new(u, v))
                     .collect();
                 build_1p5d(ctx, n, &chunk, thresholds)
             }))

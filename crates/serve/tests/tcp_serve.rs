@@ -212,6 +212,51 @@ fn shutdown_drains_every_inflight_query_exactly_once() {
     assert_eq!(svc.report().current_queue_depth, 0);
 }
 
+/// The service thread joins every connection's writer before it
+/// returns, so once `join` is back each socket already holds its
+/// `shutdown` line and the close behind it: a read that refuses to wait
+/// gets both. (In process the detached-writer race mostly hid behind
+/// the accept thread's exit; ci.sh checks it where it bites, at process
+/// exit.)
+#[test]
+fn farewell_is_on_every_socket_when_join_returns() {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    let server = start(8, 4, ServeConfig::default(), NetConfig::default());
+    let addr = server.local_addr();
+    // Three connections, none reading a whole reply before `join`: one
+    // with a query in flight, one quiet, one that asks for the shutdown.
+    let mut socks: Vec<TcpStream> = (0..3).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    socks[0]
+        .write_all(b"{\"cmd\":\"query\",\"root\":1}\n")
+        .unwrap();
+    // A connection is owed a farewell once the service thread has seen
+    // its `Connected` event. The accept thread sends those in accept
+    // order, so the first reply byte on the last two sockets proves all
+    // three are registered before the shutdown is asked for.
+    socks[1].write_all(b"{\"cmd\":\"health\"}\n").unwrap();
+    socks[2].write_all(b"{\"cmd\":\"health\"}\n").unwrap();
+    for s in &mut socks[1..] {
+        let mut byte = [0u8; 1];
+        s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        s.read_exact(&mut byte).unwrap();
+    }
+    socks[2].write_all(b"{\"cmd\":\"shutdown\"}\n").unwrap();
+
+    let (_svc, summary) = server.join().expect_clean();
+    assert_eq!(summary.connections, 3);
+    for (i, s) in socks.iter_mut().enumerate() {
+        s.set_nonblocking(true).unwrap();
+        let mut text = String::new();
+        s.read_to_string(&mut text)
+            .unwrap_or_else(|e| panic!("connection {i}: no EOF on the socket yet ({e})"));
+        let last = text.lines().last().expect("at least the farewell");
+        let bye = JsonValue::parse(last).expect("farewell is JSON");
+        assert_eq!(reply_kind(&bye), "shutdown", "connection {i}: {text:?}");
+    }
+}
+
 /// Replies leave in bursts (one write for everything buffered): 300
 /// queries pipelined on one connection must still come back as 600
 /// separate lines, each a complete JSON object (`recv` refuses anything

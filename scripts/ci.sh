@@ -53,6 +53,15 @@ timeout 600 cargo test -q --release --test parallel_equivalence
 echo "==> heuristic equivalence suite (hard timeout)"
 timeout 600 cargo test -q --release --test heuristic_equivalence
 
+# Partition build reference: generate_chunk + build_1p5d pinned per
+# rank (arrays, prep.* collectives, simulated build seconds) at SCALE 12
+# over two meshes and three threshold regimes, and the integer R-MAT
+# draw against its f64 definition, 300 k edges per parameter set. In
+# release, the build the benchmark times.
+echo "==> partition build reference (release, hard timeout)"
+timeout 300 cargo test -q --release -p sunbfs-part --test build_reference
+timeout 300 cargo test -q --release -p sunbfs-rmat integer_cut_points_equal_the_f64_definition
+
 # OCS-RMA oracle: the shipped routing replay must equal the literal
 # producer-buffer / consumer-drain pass in bucket order and RMA counters
 # over 448 shapes. In release — the 10^6-item shapes are slow in debug.
@@ -237,6 +246,27 @@ wait "$SERVER_PID"
 grep -Eq '"reply":"result".*"status":"served".*"parents_len":[1-9]' "$SERVE_OUT"
 grep -Eq '"reply":"stats".*"batch_roots_per_sec"' "$SERVE_OUT"
 rm -f "$SERVE_LOG" "$SERVE_OUT"
+
+# Smoke: the farewell line survives process exit. The service thread
+# joins every connection's writer before it returns, so a client that
+# asks one query and then `shutdown` must read the final
+# `{"reply":"shutdown",...}` line every time — twelve fresh processes,
+# because the race this guards (a detached writer losing to `exit`)
+# showed in 2-5 of 12.
+echo "==> bfs_server farewell smoke (12 processes)"
+BYE_LOG="$(mktemp)"
+BYE_OUT="$(mktemp)"
+for i in $(seq 1 12); do
+    start_server "$BYE_LOG" --scale 9 --ranks 4
+    tcp_talk "$SERVER_ADDR" '{"cmd":"query","root":1}' '{"cmd":"shutdown"}' > "$BYE_OUT"
+    wait "$SERVER_PID"
+    if ! grep -q '"reply":"shutdown"' "$BYE_OUT"; then
+        echo "farewell smoke: conversation $i ended without the shutdown line:"
+        cat "$BYE_OUT"
+        exit 1
+    fi
+done
+rm -f "$BYE_LOG" "$BYE_OUT"
 
 # Smoke: the server's `--path` knob — the first launch builds and
 # saves, the second opens the same file instead of rebuilding, and the

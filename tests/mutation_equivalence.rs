@@ -6,8 +6,6 @@
 //! byte-identical to a fresh `build_1p5d` pass over the same
 //! deduplicated canonical union, pinned through `encode_store`.
 
-use std::collections::BTreeSet;
-
 use sunbfs::common::{pool, Edge};
 use sunbfs::core::validate_parents;
 use sunbfs::mutate::{canonical_edge_set, generate_batch};
@@ -21,9 +19,10 @@ use sunbfs::store::encode_store;
 /// Valid in every overlay state — after a compaction the log is empty
 /// and the base already holds the union.
 fn union_edges(session: &GraphSession) -> Vec<Edge> {
-    let mut set = canonical_edge_set(session.partitions());
-    set.extend(session.delta_log().iter().map(|e| (e.u, e.v)));
-    set.into_iter().map(|(u, v)| Edge::new(u, v)).collect()
+    canonical_edge_set(session.partitions(), session.delta_log())
+        .into_iter()
+        .map(|(u, v)| Edge::new(u, v))
+        .collect()
 }
 
 /// Sequential reference BFS depths over an explicit edge list.
@@ -69,7 +68,7 @@ fn assert_session_matches_reference(session: &GraphSession, label: &str) {
 fn promotion_fan(session: &GraphSession) -> (u64, Vec<Edge>) {
     let n = session.num_vertices();
     let mut degree = vec![0u64; n as usize];
-    for (u, v) in canonical_edge_set(session.partitions()) {
+    for (u, v) in canonical_edge_set(session.partitions(), &[]) {
         degree[u as usize] += 1;
         degree[v as usize] += 1;
     }
@@ -129,7 +128,7 @@ fn compaction_is_byte_identical_to_a_fresh_build_from_the_union() {
     let cfg = SessionConfig::small(9, 4);
     let mut session = GraphSession::load(cfg, FaultPlan::none()).expect("session builds");
     let n = session.num_vertices();
-    let base: BTreeSet<(u64, u64)> = canonical_edge_set(session.partitions());
+    let base = canonical_edge_set(session.partitions(), &[]);
 
     let batch = generate_batch(11, 0, 40, n);
     session.apply_updates(&batch).expect("commit");
@@ -144,6 +143,8 @@ fn compaction_is_byte_identical_to_a_fresh_build_from_the_union() {
         let c = e.canonical();
         (c.u, c.v)
     }));
+    expected.sort_unstable();
+    expected.dedup();
     let union: Vec<Edge> = expected.into_iter().map(|(u, v)| Edge::new(u, v)).collect();
     let p = cfg.mesh.num_ranks();
     let cluster = Cluster::new(cfg.mesh, cfg.machine);
