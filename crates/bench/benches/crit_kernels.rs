@@ -1,7 +1,7 @@
 //! Micro-benchmarks for the hot kernels (wall-clock, not simulated
 //! time): the R-MAT generator, the PARADIS radix sort and the CSR
-//! construction that calls it, the bitmap primitives, and the
-//! functional OCS-RMA bucketing pass.
+//! construction that calls it, the bitmap primitives, the functional
+//! OCS-RMA bucketing pass, and the Graph 500 validator's two passes.
 //!
 //! A minimal self-timed harness (median of [`SAMPLES`] runs after one
 //! warmup) replaces criterion: the build container has no crates.io
@@ -11,6 +11,7 @@
 use std::time::Instant;
 
 use sunbfs_common::{Bitmap, MachineConfig, SplitMix64};
+use sunbfs_core::validate;
 use sunbfs_part::Csr;
 use sunbfs_rmat::RmatParams;
 use sunbfs_sort::radix_sort_u64;
@@ -113,5 +114,27 @@ fn main() {
         ocs_sort_rma(&machine, &OcsConfig::default(), &items, 256, 6, |x| {
             (x & 0xff) as usize
         })
+    });
+
+    // The validator at SCALE 16: one root's checks, its distinct-edge
+    // count, and the per-graph census that replaces the count once a
+    // tree has validated (the dedup kernel with and without a filter).
+    let params = RmatParams::graph500(16, 42);
+    let (n, edges) = (params.num_vertices(), sunbfs_rmat::generate_edges(&params));
+    let root = edges
+        .iter()
+        .find(|e| !e.is_self_loop())
+        .expect("proper edge")
+        .u;
+    let (parents, _) = validate::reference_bfs(n, &edges, root);
+    let m = Some(edges.len() as u64);
+    bench("validate_parents/16", m, || {
+        validate::validate_parents(n, &edges, root, &parents)
+    });
+    bench("component_edges/16", m, || {
+        validate::component_edges(&edges, &parents)
+    });
+    bench("distinct_edges_census/16", m, || {
+        validate::DistinctEdges::new(n, &edges)
     });
 }

@@ -327,3 +327,41 @@ proptest! {
         );
     }
 }
+
+/// The per-graph census: for every root of two SCALE-10 graphs — every
+/// vertex, isolated ones and the two-vertex component included — the
+/// O(n) sum over a validated tree is `component_edges` of that tree.
+#[test]
+fn per_graph_census_equals_component_edges_for_every_root() {
+    for seed in [1, 2] {
+        let g = graph(10, seed);
+        let census = validate::DistinctEdges::new(g.n, &g.edges);
+        // Trees differ by root, reached sets only by component: one
+        // full comparison per component, the sum for every root.
+        let mut m_of_component: Vec<Option<u64>> = vec![None; g.n as usize];
+        for root in 0..g.n {
+            let (parents, _) = validate::reference_bfs(g.n, &g.edges, root);
+            let m = census.component_edges(&parents);
+            let smallest = parents.iter().position(|&p| p != INVALID_VERTEX).unwrap();
+            let want = *m_of_component[smallest].get_or_insert_with(|| {
+                assert_eq!(check(&g, root, &parents), Ok(()), "seed {seed} root {root}");
+                old_component_edges(&g.edges, &parents)
+            });
+            assert_eq!(m, want, "seed {seed} root {root}");
+        }
+    }
+}
+
+#[test]
+fn out_of_range_parent_is_reported_as_a_broken_chain() {
+    let g = graph(6, 3);
+    let (mut parents, _) = validate::reference_bfs(g.n, &g.edges, g.base);
+    parents[5] = g.n;
+    parents[9] = g.n + 7;
+    let broken = ValidationError::BrokenChain { vertex: 5 };
+    assert_eq!(
+        validate::validate_parents(g.n, &g.edges, g.base, &parents),
+        Err(broken.clone())
+    );
+    assert_eq!(validate::levels_from_parents(g.base, &parents), Err(broken));
+}

@@ -269,7 +269,10 @@ fn main() {
     println!("\nvalidated:            {}", report.validated);
     println!("mean GTEPS:           {:.3}", report.mean_gteps());
     println!("harmonic-mean GTEPS:  {:.3}", report.harmonic_mean_gteps());
-    println!("driver wall time:     {:.2?}", wall);
+    println!(
+        "driver wall time:     {:.2?} (load {:.3} s, traverse {:.3} s, validate {:.3} s)",
+        wall, report.wall.load_seconds, report.wall.traverse_seconds, report.wall.validate_seconds
+    );
 
     // Iteration-direction trace of the first root — the sub-iteration
     // optimization at work.

@@ -16,7 +16,8 @@
 #   * wall-clock smoke (SCALE 14 only): parallel must not lose to a
 #     serial (SUNBFS_WORKERS=1) reference on >= 4 cores, and must stay
 #     within a generous overhead bound (>= serial/3) everywhere.
-#   * schema smoke: every artifact carries the v10 wall section.
+#   * schema smoke: every artifact carries the v11 wall section, with its
+#     load / traverse / validate split.
 #
 # Knobs (env): BENCH_SCALES ("14 16 18"), BENCH_RANKS (4), BENCH_ROOTS
 # (4), BENCH_WORKERS (4), BENCH_TIMEOUT (600 s per run, hard).
@@ -39,6 +40,12 @@ eps_of() {
 hmean_of() {
     sed -n 's/.*"harmonic_mean_gteps": *\([0-9.eE+-]*\).*/\1/p' "$1" | head -1
 }
+# wall_of <key> <report>: one of the wall section's seconds, to the ms.
+# Every root carries a `validate_seconds` of its own; the wall section
+# is the last in the file, so the last match is the run's.
+wall_of() {
+    sed -n 's/.*"'"$1"'": *\([0-9.eE+-]*\).*/\1/p' "$2" | tail -1 | xargs printf '%.3f'
+}
 
 echo "==> bench trajectory: SCALES='$SCALES' ranks=$RANKS roots=$ROOTS workers=$WORKERS"
 cargo build -q --release --example graph500_runner
@@ -56,14 +63,18 @@ for SCALE in $SCALES; do
         cargo run -q --release --example graph500_runner -- \
         "$SCALE" "$RANKS" 256 64 "$ROOTS" --json > /dev/null
     BENCH_JSON="$(ls BENCH_"$SCALE"_*.json | head -1)"
-    echo "    wrote $BENCH_JSON ($(hmean_of "$BENCH_JSON") harmonic-mean GTEPS)"
+    echo "    wrote $BENCH_JSON ($(hmean_of "$BENCH_JSON") harmonic-mean GTEPS;" \
+        "load $(wall_of load_seconds "$BENCH_JSON") s," \
+        "traverse $(wall_of traverse_seconds "$BENCH_JSON") s," \
+        "validate $(wall_of validate_seconds "$BENCH_JSON") s)"
 
     # --- schema smoke: wall section present and sane ------------------
-    grep -Eq '"schema_version": *10' "$BENCH_JSON"
+    grep -Eq '"schema_version": *11' "$BENCH_JSON"
     grep -q '"wall":' "$BENCH_JSON"
     grep -q '"available_parallelism":' "$BENCH_JSON"
     grep -Eq '"workers": *'"$WORKERS" "$BENCH_JSON"
     grep -Eq '"edges_per_second": *[0-9]' "$BENCH_JSON"
+    grep -Eq '"validate_root_seconds":' "$BENCH_JSON"
     grep -Eq '"harmonic_mean_gteps": *[0-9]' "$BENCH_JSON"
 done
 

@@ -62,6 +62,15 @@ echo "==> partition build reference (release, hard timeout)"
 timeout 300 cargo test -q --release -p sunbfs-part --test build_reference
 timeout 300 cargo test -q --release -p sunbfs-rmat integer_cut_points_equal_the_f64_definition
 
+# Validator reference: validate_parents, component_edges,
+# levels_from_parents and reference_bfs against their first-written
+# definitions (HashSet membership, sort + dedup, Vec<Vec<_>> adjacency)
+# kept in the test, value for value and first error included, and the
+# per-graph census against component_edges for every root of two
+# SCALE-10 graphs. In release, the build the benchmark times.
+echo "==> validator reference (release, hard timeout)"
+timeout 300 cargo test -q --release -p sunbfs-core --test validate_reference
+
 # OCS-RMA oracle: the shipped routing replay must equal the literal
 # producer-buffer / consumer-drain pass in bucket order and RMA counters
 # over 448 shapes. In release — the 10^6-item shapes are slow in debug.
@@ -103,8 +112,26 @@ SUNBFS_FAULT_PLAN="corrupt@1:0:bitflip" timeout 300 \
     > /dev/null
 grep -Eq '"retransmits": *[1-9]' "$SMOKE_JSON"
 grep -Eq '"op": *"heur.totals"' "$SMOKE_JSON"
-grep -Eq '"schema_version": *10' "$SMOKE_JSON"
+grep -Eq '"schema_version": *11' "$SMOKE_JSON"
 rm -f "$SMOKE_JSON"
+
+# Smoke: a spec-count validated run. All 64 roots of a SCALE-16 graph
+# are traversed *and* validated inside a minute — validation is one
+# pass over the edge list per root (docs/PERF.md, rule 6); a validator
+# that hashes or sorts the edge list per root does not fit — and the
+# report says where the wall seconds went.
+echo "==> spec-count validated run (release, hard timeout)"
+SPEC_JSON="$(mktemp)"
+timeout 60 cargo run -q --release --example graph500_runner -- 16 4 256 64 64 \
+    --json "$SPEC_JSON" > /dev/null
+grep -Eq '"validated": *true' "$SPEC_JSON"
+grep -Eq '"validate_root_seconds":' "$SPEC_JSON"
+SPEC_ROOTS=$(grep -c '"engine_traversed_edges":' "$SPEC_JSON")
+if [ "$SPEC_ROOTS" -ne 64 ]; then
+    echo "spec-count smoke: $SPEC_ROOTS entries in roots, wanted 64"
+    exit 1
+fi
+rm -f "$SPEC_JSON"
 
 # Smoke: the SUNBFS_DIRECTION runner override — both heuristic families
 # run (and stamp the config they used into the report); a mistyped
@@ -167,7 +194,7 @@ timeout 600 cargo run -q --release --example graph500_runner -- 14 16 256 64 2 \
     --json "$WARM_JSON" --load-graph "$STORE_FILE" > /dev/null
 grep -Eq '"saved": *true' "$COLD_JSON"
 grep -Eq '"opened": *true' "$WARM_JSON"
-grep -Eq '"schema_version": *10' "$WARM_JSON"
+grep -Eq '"schema_version": *11' "$WARM_JSON"
 COLD_S=$(grep -o '"cold_build_wall_seconds": *[0-9.e-]*' "$COLD_JSON" | grep -o '[0-9.e-]*$')
 WARM_S=$(grep -o '"warm_open_wall_seconds": *[0-9.e-]*' "$WARM_JSON" | grep -o '[0-9.e-]*$')
 awk -v cold="$COLD_S" -v warm="$WARM_S" \
@@ -291,7 +318,7 @@ rm -f "$SERVER_STORE" "$FIRST_LOG" "$SECOND_LOG" "$SECOND_OUT"
 # offers well beyond what a capacity-16 queue admits at SCALE 14, so the
 # run must produce queue-full rejections while keeping every accounting
 # invariant (soak exits nonzero on any lost/duplicated/unacked/
-# malformed reply), emit the committed schema-v10 serve_load artifact,
+# malformed reply), emit the committed schema-v11 serve_load artifact,
 # and the server must drain cleanly on shutdown with zero dropped
 # results.
 echo "==> TCP sustained-load smoke (bfs_server --tcp + soak load --addr)"
@@ -302,7 +329,7 @@ timeout 300 ./target/release/examples/soak load --addr "$SERVER_ADDR" \
     --conns 4 --qps 400 --duration 4 --root-max 16384 --seed 42 \
     --json SERVE_LOAD_14.json > /dev/null
 wait "$SERVER_PID"
-grep -Eq '"schema_version": *10' SERVE_LOAD_14.json
+grep -Eq '"schema_version": *11' SERVE_LOAD_14.json
 grep -Eq '"protocol_errors": *0' SERVE_LOAD_14.json
 grep -Eq '"lost_replies": *0' SERVE_LOAD_14.json
 grep -Eq '"duplicate_replies": *0' SERVE_LOAD_14.json
@@ -318,14 +345,14 @@ rm -f "$TCP_LOG"
 # hint-honoring retries) stay connected; a side connection polls the
 # `health` state machine. The soak must end with zero protocol losses,
 # availability at or above the gate, the service recovered to healthy
-# within the tick budget, and the committed schema-v10 serve_chaos
+# within the tick budget, and the committed schema-v11 serve_chaos
 # artifact well-formed (soak exits nonzero on any gate failure).
 echo "==> chaos soak smoke (SCALE 14, hard timeout)"
 timeout 600 ./target/release/examples/soak chaos \
     --scale 14 --ranks 8 --conns 4 --qps 300 --duration 4 --seed 42 \
     --chaos-every 48 --chaos-max-events 4 --deadline-ticks 400 --retry-max 3 \
     --availability-gate 0.90 --json SERVE_CHAOS_14.json > /dev/null
-grep -Eq '"schema_version": *10' SERVE_CHAOS_14.json
+grep -Eq '"schema_version": *11' SERVE_CHAOS_14.json
 grep -Eq '"passed": *true' SERVE_CHAOS_14.json
 grep -Eq '"recovered": *true' SERVE_CHAOS_14.json
 grep -Eq '"final_health": *"healthy"' SERVE_CHAOS_14.json
@@ -340,13 +367,13 @@ grep -Eq '"chaos_injected": *[1-9]' SERVE_CHAOS_14.json
 # batches are interleaved into paced TCP load with a seeded update plan
 # armed, and the epoch stamped on every reply must never regress on a
 # connection (the torn-read proxy) through a clean drain. soak exits
-# nonzero on any gate failure and regenerates the committed schema-v10
+# nonzero on any gate failure and regenerates the committed schema-v11
 # UPDATE_14.json artifact.
 echo "==> update soak smoke (SCALE 14, hard timeout)"
 timeout 600 ./target/release/examples/soak update \
     --scale 14 --ranks 4 --rounds 6 --batch 64 --seed 42 \
     --json UPDATE_14.json > /dev/null
-grep -Eq '"schema_version": *10' UPDATE_14.json
+grep -Eq '"schema_version": *11' UPDATE_14.json
 grep -Eq '"passed": *true' UPDATE_14.json
 grep -Eq '"equivalence_violations": *0' UPDATE_14.json
 grep -Eq '"torn_reads": *0' UPDATE_14.json
@@ -356,7 +383,7 @@ grep -Eq '"updates_committed": *[1-9]' UPDATE_14.json
 # Perf trajectory: regenerate the committed GTEPS curve — one
 # BENCH_<scale>_<rows>x<cols>.json per scale in the 14/16/18 sweep —
 # gate the fresh SCALE-14 harmonic mean against the committed baseline,
-# and smoke-check the schema-v10 wall-clock section plus the
+# and smoke-check the schema-v11 wall-clock section plus the
 # parallel-vs-serial throughput bound (strict only on >= 4 cores; see
 # the script header and docs/PERF.md).
 echo "==> bench trajectory (hard timeout inside)"

@@ -12,8 +12,9 @@ use std::fmt;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use sunbfs_common::{pool, Edge, MachineConfig, TimeAccumulator};
-use sunbfs_core::{validate, EngineConfig, IterationStats};
+use sunbfs_common::{json_record, pool, Edge, MachineConfig, TimeAccumulator};
+use sunbfs_core::validate::{self, DistinctEdges};
+use sunbfs_core::{EngineConfig, IterationStats};
 use sunbfs_net::{CommStats, FaultPlan, FaultRecord, MeshShape, RetransmitRecord};
 use sunbfs_part::{ComponentStats, Thresholds};
 use sunbfs_rmat::RmatParams;
@@ -252,6 +253,46 @@ pub struct RootRun {
     pub times: TimeAccumulator,
     /// Collective call counts and byte volumes summed over ranks.
     pub comm: CommStats,
+    /// Host wall-clock seconds this root's validation took (the spec's
+    /// checks plus its `m`); `0.0` when validation did not run.
+    pub validate_seconds: f64,
+}
+
+json_record! {
+    /// Minimum, quartiles and maximum of a sample, as the Graph 500
+    /// output block prints them (all zero for an empty sample).
+    #[derive(Debug, Default, PartialEq)]
+    pub struct Quartiles {
+        /// Smallest value.
+        pub min: f64,
+        /// First quartile.
+        pub q1: f64,
+        /// Median.
+        pub median: f64,
+        /// Third quartile.
+        pub q3: f64,
+        /// Largest value.
+        pub max: f64,
+    }
+}
+
+impl Quartiles {
+    /// The reference code's `get_statistics`: each quartile is the mean
+    /// of the two order statistics around its position.
+    pub fn of(mut xs: Vec<f64>) -> Self {
+        let Some(last) = xs.len().checked_sub(1) else {
+            return Quartiles::default();
+        };
+        xs.sort_by(f64::total_cmp);
+        let n = xs.len();
+        Quartiles {
+            min: xs[0],
+            q1: (xs[last / 4] + xs[n / 4]) * 0.5,
+            median: (xs[last / 2] + xs[n / 2]) * 0.5,
+            q3: (xs[last - last / 4] + xs[last - n / 4]) * 0.5,
+            max: xs[last],
+        }
+    }
 }
 
 /// Host wall-clock accounting of one benchmark run — real elapsed time
@@ -270,10 +311,19 @@ pub struct WallClockReport {
     /// Wall-clock seconds of the whole benchmark (generation,
     /// partitioning, traversals, validation, reporting).
     pub total_seconds: f64,
-    /// Wall-clock seconds inside the SPMD phases (the one partition
-    /// build or store open, plus the BFS traversals) — the part the
-    /// worker pool accelerates.
+    /// Wall-clock seconds inside the SPMD phases (`load_seconds` +
+    /// `traverse_seconds`) — the part the worker pool accelerates.
     pub bfs_seconds: f64,
+    /// Wall-clock seconds of the one partition build or store open.
+    pub load_seconds: f64,
+    /// Wall-clock seconds of the BFS traversals, all roots together.
+    pub traverse_seconds: f64,
+    /// Wall-clock seconds of validation: materialising the edge list on
+    /// the driver, the per-graph duplicate-edge census, and every
+    /// root's checks (`0.0` when validation did not run).
+    pub validate_seconds: f64,
+    /// Spread of the surviving roots' `validate_seconds`.
+    pub validate_root_seconds: Quartiles,
     /// Traversed edges summed over surviving roots (numerator of
     /// `edges_per_second`).
     pub traversed_edges: u64,
@@ -283,8 +333,15 @@ pub struct WallClockReport {
 }
 
 impl WallClockReport {
-    fn new(total_seconds: f64, bfs_seconds: f64, runs: &[RootRun]) -> Self {
+    fn new(
+        total_seconds: f64,
+        load_seconds: f64,
+        traverse_seconds: f64,
+        validate_seconds: f64,
+        runs: &[RootRun],
+    ) -> Self {
         let traversed_edges: u64 = runs.iter().map(|r| r.traversed_edges).sum();
+        let bfs_seconds = load_seconds + traverse_seconds;
         WallClockReport {
             workers: pool::workers() as u64,
             available_parallelism: std::thread::available_parallelism()
@@ -292,6 +349,10 @@ impl WallClockReport {
                 .unwrap_or(1),
             total_seconds,
             bfs_seconds,
+            load_seconds,
+            traverse_seconds,
+            validate_seconds,
+            validate_root_seconds: Quartiles::of(runs.iter().map(|r| r.validate_seconds).collect()),
             traversed_edges,
             edges_per_second: if bfs_seconds > 0.0 {
                 traversed_edges as f64 / bfs_seconds
@@ -427,6 +488,7 @@ impl RootRecord {
                 iterations: stats.iterations,
                 times,
                 comm,
+                validate_seconds: 0.0,
             };
             (run, parents)
         });
@@ -536,7 +598,7 @@ pub fn run_benchmark_with_sleeper(
         Some(path) => GraphSession::open_or_build(Path::new(path), session_cfg, FaultPlan::none())?,
         None => GraphSession::load(session_cfg, FaultPlan::none()).map_err(SessionError::Load)?,
     };
-    let mut bfs_seconds = load_start.elapsed().as_secs_f64();
+    let load_seconds = load_start.elapsed().as_secs_f64();
     if let Some(path) = &config.save_graph {
         // open_or_build may already have written this exact file on its
         // build branch — don't pay the encode twice.
@@ -592,14 +654,20 @@ pub fn run_benchmark_with_sleeper(
             .collect();
         session
     };
-    bfs_seconds += traversals_start.elapsed().as_secs_f64();
+    let traverse_seconds = traversals_start.elapsed().as_secs_f64();
 
     // Validation and aggregation. A validation failure quarantines the
-    // root rather than aborting: the report stays complete.
+    // root rather than aborting: the report stays complete. Which input
+    // entries are duplicates is the same for every root, so that half
+    // of the TEPS edge count is taken once, here.
     let n = session.num_vertices();
-    let full_edges: Option<Vec<Edge>> = config
-        .validate
-        .then(|| sunbfs_rmat::generate_edges(&config.rmat()));
+    let validate_start = Instant::now();
+    let oracle: Option<(Vec<Edge>, DistinctEdges)> = config.validate.then(|| {
+        let edges = sunbfs_rmat::generate_edges(&config.rmat());
+        let distinct = DistinctEdges::new(n, &edges);
+        (edges, distinct)
+    });
+    let mut validate_seconds = validate_start.elapsed().as_secs_f64();
     let mut runs = Vec::with_capacity(records.len());
     let mut faults = FaultReport {
         injected: session.cluster().fault_log(),
@@ -614,14 +682,24 @@ pub fn run_benchmark_with_sleeper(
             // Spec-conformant TEPS `m`: duplicate generator edges count
             // once. Only computable with the full edge list on the
             // driver, so the engine's estimate stands when not validating.
-            if let Some(edges) = &full_edges {
-                validate::validate_parents(n, edges, run.root, &parents).map_err(|e| {
-                    Quarantine {
-                        label: "validation",
-                        detail: format!("{e:?}"),
-                    }
+            if let Some((edges, distinct)) = &oracle {
+                let started = Instant::now();
+                let verdict = validate::validate_parents(n, edges, run.root, &parents);
+                if verdict.is_ok() {
+                    run.traversed_edges = distinct.component_edges(&parents);
+                }
+                run.validate_seconds = started.elapsed().as_secs_f64();
+                validate_seconds += run.validate_seconds;
+                verdict.map_err(|e| Quarantine {
+                    label: "validation",
+                    detail: format!("{e:?}"),
                 })?;
-                run.traversed_edges = validate::component_edges(edges, &parents);
+                debug_assert_eq!(
+                    run.traversed_edges,
+                    validate::component_edges(edges, &parents),
+                    "root {}",
+                    run.root
+                );
             }
             if run.sim_seconds > 0.0 {
                 run.gteps = run.traversed_edges as f64 / run.sim_seconds / 1e9;
@@ -645,12 +723,18 @@ pub fn run_benchmark_with_sleeper(
             }),
         }
     }
-    let wall = WallClockReport::new(wall_start.elapsed().as_secs_f64(), bfs_seconds, &runs);
+    let wall = WallClockReport::new(
+        wall_start.elapsed().as_secs_f64(),
+        load_seconds,
+        traverse_seconds,
+        validate_seconds,
+        &runs,
+    );
     Ok(BenchmarkReport {
         config: config.clone(),
         partition_stats: session.partition_stats.clone(),
         runs,
-        validated: full_edges.is_some() && !faults.degraded(),
+        validated: oracle.is_some() && !faults.degraded(),
         faults,
         recovery,
         serve,

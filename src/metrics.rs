@@ -96,7 +96,15 @@ use crate::driver::{
 /// `direction_heuristic` (`"fixed"` | `"measured"`), `alpha_measured`,
 /// and `beta_measured`. Traversal results are byte-identical to v9
 /// under `direction_heuristic: "fixed"`.
-pub const SCHEMA_VERSION: u64 = 10;
+///
+/// v11: a validated run's wall seconds, attributed. `wall` gained
+/// `load_seconds` / `traverse_seconds` (their sum is still
+/// `bfs_seconds`), `validate_seconds` and `validate_root_seconds`
+/// (`min` / `q1` / `median` / `q3` / `max` over roots, as the Graph 500
+/// output block prints them); every `roots[]` entry gained
+/// `validate_seconds`; and the optional `serve` / `store` sections are
+/// omitted when the run had none, where v10 rendered `null`.
+pub const SCHEMA_VERSION: u64 = 11;
 
 /// The one envelope every soak artifact is written in:
 /// `{"schema_version":N,"<section>":{...}}`, the section named by the
@@ -116,7 +124,7 @@ pub const LOAD_BALANCE_BIN_EDGES: [f64; 9] = [0.0, 0.5, 0.75, 0.9, 1.0, 1.1, 1.2
 impl BenchmarkReport {
     /// The complete run as one JSON record.
     pub fn to_json(&self) -> JsonValue {
-        JsonValue::object()
+        let mut doc = JsonValue::object()
             .field("schema_version", SCHEMA_VERSION)
             .field("config", config_json(&self.config))
             .field("validated", self.validated)
@@ -129,11 +137,14 @@ impl BenchmarkReport {
                 JsonValue::Array(self.runs.iter().map(root_run_json).collect()),
             )
             .field("faults", faults_json(&self.faults))
-            .field("recovery", recovery_json(&self.recovery))
-            .field("serve", self.serve.as_ref().map(ToJson::to_json))
-            .field("store", self.store.as_ref().map(ToJson::to_json))
-            .field("wall", wall_json(&self.wall))
-            .build()
+            .field("recovery", recovery_json(&self.recovery));
+        if let Some(serve) = &self.serve {
+            doc = doc.field("serve", serve.to_json());
+        }
+        if let Some(store) = &self.store {
+            doc = doc.field("store", store.to_json());
+        }
+        doc.field("wall", wall_json(&self.wall)).build()
     }
 }
 
@@ -146,6 +157,10 @@ fn wall_json(w: &WallClockReport) -> JsonValue {
         .field("available_parallelism", w.available_parallelism)
         .field("total_seconds", w.total_seconds)
         .field("bfs_seconds", w.bfs_seconds)
+        .field("load_seconds", w.load_seconds)
+        .field("traverse_seconds", w.traverse_seconds)
+        .field("validate_seconds", w.validate_seconds)
+        .field("validate_root_seconds", w.validate_root_seconds)
         .field("traversed_edges", w.traversed_edges)
         .field("edges_per_second", w.edges_per_second)
         .build()
@@ -358,6 +373,7 @@ fn root_run_json(run: &RootRun) -> JsonValue {
         .field("engine_traversed_edges", run.engine_traversed_edges)
         .field("visited_vertices", run.visited_vertices)
         .field("gteps", run.gteps)
+        .field("validate_seconds", run.validate_seconds)
         .field("times", grouped_times(&run.times))
         .field("comm", run.comm.to_json())
         .field("kernel_totals", kernels)

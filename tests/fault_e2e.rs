@@ -49,7 +49,7 @@ fn quarantined_root_still_yields_schema_valid_degraded_json() {
 
     // The JSON report is complete and carries the fault section.
     let js = report.to_json().render();
-    assert!(js.contains("\"schema_version\":10"), "got {js}");
+    assert!(js.contains("\"schema_version\":11"), "got {js}");
     assert!(js.contains("\"degraded\":true"));
     assert!(js.contains("\"total_retries\":0"));
     assert!(js.contains("\"reason\":\"rank_failure\""));
@@ -247,11 +247,15 @@ proptest! {
             ra.faults.injected.len(),
             rb.faults.injected.len()
         );
-        // Everything but the host-measured `wall` section (schema v5)
-        // must be byte-identical; wall-clock timings are the one part
-        // of the report that legitimately varies between runs.
+        // Everything but the host-measured parts — the `wall` section
+        // (schema v5) and each root's `validate_seconds` (v11) — must be
+        // byte-identical; wall-clock timings are the one part of the
+        // report that legitimately varies between runs.
         ra.wall = Default::default();
         rb.wall = Default::default();
+        for run in ra.runs.iter_mut().chain(&mut rb.runs) {
+            run.validate_seconds = 0.0;
+        }
         prop_assert_eq!(ra.to_json().render(), rb.to_json().render());
     }
 }

@@ -176,14 +176,14 @@ fn store_json_schema_matches_golden_at_scale_9() {
 }
 
 #[test]
-fn classic_path_reports_a_null_serve_section() {
+fn classic_path_omits_the_serve_and_store_sections() {
     let report = run_benchmark(&RunConfig::small_test(9, 4)).expect("benchmark must pass");
     assert!(report.serve.is_none());
     assert!(report.store.is_none());
     let js = report.to_json().render();
-    assert!(js.contains("\"serve\":null"));
-    assert!(js.contains("\"store\":null"));
-    assert!(js.contains("\"schema_version\":10"));
+    assert!(!js.contains("\"serve\":"));
+    assert!(!js.contains("\"store\":"));
+    assert!(js.contains("\"schema_version\":11"));
     assert!(js.contains("\"serve_batch\":false"));
     assert!(js.contains("\"serve_baseline\":false"));
     assert!(js.contains("\"save_graph\":null"));

@@ -44,7 +44,7 @@ fn batched_serving_doubles_sequential_roots_per_sec_at_scale_14() {
 
     // The comparison is part of the exported metrics JSON.
     let js = report.to_json().render();
-    assert!(js.contains("\"schema_version\":10"));
+    assert!(js.contains("\"schema_version\":11"));
     for key in [
         "\"serve\":",
         "\"batch_roots_per_sec\":",
