@@ -1645,12 +1645,13 @@ mod tests {
         assert_eq!(eh_pull_seconds(1024, false), off_chip);
     }
 
-    /// SCALE-8 R-MAT partitions of a 2x2 mesh, in rank order.
-    fn partitions(thresholds: Thresholds) -> Vec<RankPartition> {
+    /// SCALE-8 R-MAT partitions of `shape`, in rank order.
+    fn partitions(shape: MeshShape, thresholds: Thresholds) -> Vec<RankPartition> {
         let params = RmatParams::graph500(8, 42);
         let n = params.num_vertices();
-        Cluster::new(MeshShape::new(2, 2), MachineConfig::new_sunway()).run(|ctx| {
-            let chunk = sunbfs_rmat::generate_chunk(&params, ctx.rank() as u64, 4);
+        let p = shape.num_ranks() as u64;
+        Cluster::new(shape, MachineConfig::new_sunway()).run(|ctx| {
+            let chunk = sunbfs_rmat::generate_chunk(&params, ctx.rank() as u64, p);
             build_1p5d(ctx, n, &chunk, thresholds)
         })
     }
@@ -1724,7 +1725,7 @@ mod tests {
     fn hub_walk_totals_and_assembly_match_per_vertex_lookups() {
         let mixed = Thresholds::new(64, 16);
         for thresholds in [mixed, Thresholds::all_hubs(1 << 20), Thresholds::none()] {
-            let parts = partitions(thresholds);
+            let parts = partitions(MeshShape::new(2, 2), thresholds);
             if thresholds == mixed {
                 // The case worth testing: both hub classes, spread over
                 // ranks, beside isolated L vertices.
@@ -1772,10 +1773,199 @@ mod tests {
                     let hubs = (&hub_parents[..], &hub_depths[..]);
                     let want =
                         assemble_by_lookup(part, width, &l_parents, &l_depths, hubs.0, hubs.1);
+                    let literal = assemble_by_table_walk(
+                        part,
+                        width,
+                        (l_parents.clone(), l_depths.clone()),
+                        hubs,
+                    );
+                    assert_eq!(literal, want, "the two oracles, width {width}");
                     let got = assemble_owned(part, width, l_parents, l_depths, hubs.0, hubs.1);
                     assert_eq!(got, want, "width {width}, depths {keep_depths}");
                 }
             }
+        }
+    }
+
+    /// [`owned_hubs`] by definition: the replicated hub table filtered
+    /// by the owned range.
+    fn owned_hubs_by_table_walk(part: &RankPartition) -> Vec<(usize, usize)> {
+        let range = part.owned_range();
+        let hubs = part.directory.hubs().iter().enumerate();
+        hubs.filter(|(_, (v, _))| range.contains(v))
+            .map(|(h, (v, _))| (h, (v - range.start) as usize))
+            .collect()
+    }
+
+    /// [`owned_class_totals`] by definition: everything counts as L,
+    /// then each owned hub of the table walk moves over.
+    fn class_totals_by_table_walk(part: &RankPartition) -> (u64, [u64; 3]) {
+        let degrees = &part.owned_degrees;
+        let num_e = part.directory.num_e() as usize;
+        let mut l_connected = degrees.iter().filter(|&&d| d > 0).count() as u64;
+        let mut class_mass = [0, 0, degrees.iter().map(|&d| d as u64).sum()];
+        for (h, li) in owned_hubs_by_table_walk(part) {
+            let d = degrees[li] as u64;
+            l_connected -= (d > 0) as u64;
+            class_mass[2] -= d;
+            class_mass[if h < num_e { 0 } else { 1 }] += d;
+        }
+        (l_connected, class_mass)
+    }
+
+    /// [`assemble_owned`] by definition: the owned hubs of the table
+    /// walk patched in, then one `tallies[b] += hit` and one
+    /// `tallies[width + b] += hit * deg` per slot.
+    fn assemble_by_table_walk(
+        part: &RankPartition,
+        width: usize,
+        (mut parents, mut depths): (Vec<u64>, Vec<u32>),
+        (hub_parents, hub_depths): (&[u64], &[u32]),
+    ) -> (Vec<u64>, Vec<u32>, Vec<u64>) {
+        for (h, li) in owned_hubs_by_table_walk(part) {
+            let (from, to) = (h * width..(h + 1) * width, li * width..(li + 1) * width);
+            parents[to.clone()].copy_from_slice(&hub_parents[from.clone()]);
+            if !depths.is_empty() {
+                depths[to].copy_from_slice(&hub_depths[from]);
+            }
+        }
+        let mut tallies = vec![0u64; 2 * width];
+        for (slots, &deg) in parents.chunks_exact(width).zip(&part.owned_degrees) {
+            for (b, &p) in slots.iter().enumerate() {
+                let hit = (p != INVALID_VERTEX) as u64;
+                tallies[b] += hit;
+                tallies[width + b] += hit * deg as u64;
+            }
+        }
+        (parents, depths, tallies)
+    }
+
+    /// [`Engine::local_frontier_mass`] by definition: ask the directory
+    /// for every active hub's vertex and test it against the owned
+    /// range.
+    fn frontier_mass_by_vertex_lookup<L: Lane>(
+        part: &RankPartition,
+        hub_set: &Bitmap,
+        l_mass: u64,
+    ) -> [u64; 3] {
+        let dir = &part.directory;
+        let range = part.owned_range();
+        let num_e = dir.num_e() as u64;
+        let mut mass = [0u64; 3];
+        L::for_each_active(hub_set, 0, dir.num_hubs() as u64, |h, m| {
+            let v = dir.vertex_of(h as u32);
+            if range.contains(&v) {
+                let d = part.owned_degrees[(v - range.start) as usize] as u64;
+                mass[if h < num_e { 0 } else { 1 }] += d * L::weight(m);
+            }
+        });
+        mass[2] = l_mass;
+        mass
+    }
+
+    /// What the engine reads of a partition per root — its owned hubs,
+    /// its class totals, the owned mass of a hub frontier — against the
+    /// definitions above, on every rank of `cluster`.
+    fn check_partition_reads(cluster: &Cluster, parts: &[RankPartition], what: &str) {
+        let nh = parts[0].directory.num_hubs() as usize;
+        let mut owned_anywhere = 0;
+        for part in parts {
+            let at = format!("{what}, rank {}", part.rank);
+            let owned: Vec<(usize, usize)> = owned_hubs(part).collect();
+            assert_eq!(owned, owned_hubs_by_table_walk(part), "{at}");
+            assert_eq!(
+                owned_class_totals(part),
+                class_totals_by_table_walk(part),
+                "{at}"
+            );
+            assert_eq!(
+                owned_class_totals(part),
+                class_totals_by_lookup(part),
+                "{at}"
+            );
+            owned_anywhere += owned.len();
+        }
+        assert_eq!(owned_anywhere, nh, "{what}: every hub has one owner");
+        let cfg = EngineConfig::default();
+        cluster.run(|ctx| {
+            let part = &parts[ctx.rank()];
+            let at = format!("{what}, rank {}", part.rank);
+            let mut rng = SplitMix64::new(ctx.rank() as u64);
+            let bits = Engine::new(ctx, part, cfg, Bit);
+            let words = Engine::new(ctx, part, cfg, Word::new(5));
+            for _ in 0..4 {
+                let (mut bit_set, mut word_set) =
+                    (Bit::new_set(nh as u64), Word::new_set(nh as u64));
+                for h in 0..nh as u64 {
+                    if rng.next_below(3) == 0 {
+                        Bit::insert(&mut bit_set, h, ());
+                        Word::insert(&mut word_set, h, 1 + rng.next_below(31));
+                    }
+                }
+                assert_eq!(
+                    bits.local_frontier_mass(&bit_set, 7),
+                    frontier_mass_by_vertex_lookup::<Bit>(part, &bit_set, 7),
+                    "{at}"
+                );
+                assert_eq!(
+                    words.local_frontier_mass(&word_set, 9),
+                    frontier_mass_by_vertex_lookup::<Word>(part, &word_set, 9),
+                    "{at}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn partition_reads_match_the_hub_table_walk_however_the_partition_was_born() {
+        use sunbfs_serve::{GraphSession, SessionConfig};
+        let machine = MachineConfig::new_sunway();
+        let mixed = Thresholds::new(64, 16);
+        for shape in [MeshShape::new(2, 2), MeshShape::new(2, 3)] {
+            // Built. On 2x3 a rank owns ⌈256/6⌉ = 43 vertices: neither
+            // the blocks nor the row bases are word-aligned.
+            for thresholds in [mixed, Thresholds::all_hubs(1 << 20), Thresholds::none()] {
+                let parts = partitions(shape, thresholds);
+                let what = format!("built {shape:?} {thresholds:?}");
+                check_partition_reads(&Cluster::new(shape, machine), &parts, &what);
+            }
+
+            // Round-tripped through the store.
+            let cfg = SessionConfig {
+                mesh: shape,
+                thresholds: mixed,
+                ..SessionConfig::small(8, shape.num_ranks())
+            };
+            let mut session =
+                GraphSession::load(cfg, sunbfs_net::FaultPlan::none()).expect("loads");
+            let bytes = sunbfs_store::encode_store(&cfg.store_header(), session.partitions());
+            let (_, reopened, _) =
+                sunbfs_store::read_store(&mut std::io::Cursor::new(&bytes)).expect("decodes");
+            check_partition_reads(session.cluster(), &reopened, &format!("reopened {shape:?}"));
+
+            // Updated and compacted: a star around a vertex without an
+            // edge promotes it, which compacts — the hub table is a
+            // fresh build's over the deduplicated union.
+            let isolated = session
+                .partitions()
+                .iter()
+                .flat_map(|p| p.owned_range().zip(&p.owned_degrees))
+                .find(|(_, &d)| d == 0)
+                .expect("an isolated vertex")
+                .0;
+            let star: Vec<sunbfs_common::Edge> = (0..40)
+                .map(|k| sunbfs_common::Edge::new(isolated, (isolated + 1 + k) % 256))
+                .collect();
+            session.apply_updates(&star).expect("commits");
+            session.compact().expect("compacts");
+            assert!(session.compactions() >= 1 && !session.has_delta());
+            let compacted = session.partitions();
+            assert!(compacted[0].directory.hub_id(isolated).is_some());
+            check_partition_reads(
+                session.cluster(),
+                compacted,
+                &format!("compacted {shape:?}"),
+            );
         }
     }
 

@@ -589,6 +589,75 @@ mod tests {
         assert_eq!(row.words(), &[0, 0, 7, 9, 0]);
     }
 
+    /// [`Bit::splice`] by definition: one `row.set` per member bit below
+    /// `len`.
+    fn splice_bit_by_bit(row: &mut Bitmap, base: u64, words: &[u64], len: u64) {
+        for bit in 0..len {
+            if (words[(bit / 64) as usize] >> (bit % 64)) & 1 == 1 {
+                row.set(base + bit);
+            }
+        }
+    }
+
+    #[test]
+    fn bit_splice_is_the_bit_by_bit_or_at_every_alignment() {
+        let mut rng = SplitMix64::new(24);
+        let mut draw = |words: usize| -> Vec<u64> {
+            // A third of the words empty, a third full: carries across
+            // word boundaries and no-op words both occur.
+            let word = |rng: &mut SplitMix64| match rng.next_below(3) {
+                0 => 0,
+                1 => u64::MAX,
+                _ => rng.next_u64(),
+            };
+            (0..words).map(|_| word(&mut rng)).collect()
+        };
+        for base in [0, 1, 63, 64, 65, 64 * 5 + 17] {
+            for len in [1, 17, 63, 64, 65, 127, 128, 200, 1000] {
+                // The row ends with the member, so a word written past
+                // the member's last one is out of bounds; it already
+                // holds bits the splice must keep; the member's final
+                // word carries junk above `len` that must not arrive.
+                let mut want = Bit::new_set(base + len);
+                let held = draw(want.num_words());
+                splice_bit_by_bit(&mut want, 0, &held, base + len);
+                let mut got = want.clone();
+                let member = draw(len.div_ceil(64) as usize);
+                splice_bit_by_bit(&mut want, base, &member, len);
+                Bit::splice(&mut got, base, &member, len);
+                assert_eq!(got, want, "base {base}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn bit_splice_tiles_a_row_from_unaligned_members() {
+        // A 2x3 mesh's row: three members of ⌈n/6⌉ = 43 vertices, then
+        // a row whose members end on word boundaries.
+        let mut rng = SplitMix64::new(25);
+        for member_len in [43u64, 64, 683] {
+            let members: Vec<Vec<u64>> = (0..3)
+                .map(|_| {
+                    let mut set = Bit::new_set(member_len);
+                    for i in 0..member_len {
+                        if rng.next_below(2) == 0 {
+                            set.set(i);
+                        }
+                    }
+                    set.words().to_vec()
+                })
+                .collect();
+            let (mut got, mut want) = (Bit::new_set(3 * member_len), Bit::new_set(3 * member_len));
+            for (pos, words) in members.iter().enumerate() {
+                Bit::splice(&mut got, pos as u64 * member_len, words, member_len);
+                splice_bit_by_bit(&mut want, pos as u64 * member_len, words, member_len);
+            }
+            assert_eq!(got, want, "members of {member_len}");
+            let ones: u64 = members.iter().map(|w| wide::count_ones(w)).sum();
+            assert_eq!(got.count_ones(), ones);
+        }
+    }
+
     #[test]
     fn word_stamps_every_root_of_the_mask() {
         let lane = Word::new(4);
