@@ -1,7 +1,8 @@
 //! Micro-benchmarks for the hot kernels (wall-clock, not simulated
 //! time): the R-MAT generator, the PARADIS radix sort and the CSR
-//! construction that calls it, the bitmap primitives, the functional
-//! OCS-RMA bucketing pass, and the Graph 500 validator's two passes.
+//! construction that calls it, the bitmap primitives, a root's
+//! per-slot and per-run fixed costs, the functional OCS-RMA bucketing
+//! pass, and the Graph 500 validator's two passes.
 //!
 //! A minimal self-timed harness (median of [`SAMPLES`] runs after one
 //! warmup) replaces criterion: the build container has no crates.io
@@ -10,8 +11,11 @@
 
 use std::time::Instant;
 
-use sunbfs_common::{Bitmap, MachineConfig, SplitMix64};
+use sunbfs_common::bitmap::wide;
+use sunbfs_common::{Bitmap, MachineConfig, SplitMix64, INVALID_VERTEX};
+use sunbfs_core::engine::reach_tallies;
 use sunbfs_core::validate;
+use sunbfs_net::{Cluster, MeshShape};
 use sunbfs_part::Csr;
 use sunbfs_rmat::RmatParams;
 use sunbfs_sort::radix_sort_u64;
@@ -107,7 +111,49 @@ fn main() {
         x
     });
 
+    // What a root pays per owned slot and per row bit (docs/PERF.md,
+    // rule 7): the output tally over a SCALE-18 2x2 rank's 65,536
+    // vertices at both lane widths, and a row member of as many bits
+    // spliced into the row set at a word-aligned and an unaligned base.
+    let slots = 1usize << 16;
+    let mut rng = SplitMix64::new(10);
+    let degrees: Vec<u32> = (0..slots).map(|_| rng.next_below(64) as u32).collect();
+    for width in [1usize, 64] {
+        let parents: Vec<u64> = (0..slots * width)
+            .map(|_| match rng.next_below(3) {
+                0 => INVALID_VERTEX,
+                _ => rng.next_below(1 << 18),
+            })
+            .collect();
+        let label = format!("reach_tallies/w{width}");
+        bench(&label, Some(parents.len() as u64), || {
+            reach_tallies(&parents, &degrees, width)
+        });
+    }
+    let member: Vec<u64> = (0..slots / 64).map(|_| rng.next_u64()).collect();
+    let mut row = vec![0u64; 4 * slots / 64];
+    for (label, base) in [("aligned", slots as u64), ("unaligned", slots as u64 + 17)] {
+        bench(
+            &format!("or_shifted_64k/{label}"),
+            Some(slots as u64),
+            || {
+                wide::or_shifted(&mut row, base, &member, slots as u64);
+                row[row.len() / 2]
+            },
+        );
+    }
+
+    // What a root pays around its traversal: a `Cluster::run` of
+    // nothing on the benchmark's mesh — three spawns, three joins —
+    // a thousand times per sample, so the row reads in µs per run.
     let machine = MachineConfig::new_sunway();
+    let cluster = Cluster::new(MeshShape::new(2, 2), machine);
+    bench("cluster_run_noop/2x2 x1000", None, || {
+        for _ in 0..1000 {
+            cluster.run(|_| ());
+        }
+    });
+
     let mut rng = SplitMix64::new(11);
     let items: Vec<u64> = (0..1usize << 18).map(|_| rng.next_u64()).collect();
     bench("ocs_rma_bucket_256_6cg", Some(items.len() as u64), || {

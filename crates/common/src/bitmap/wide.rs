@@ -84,6 +84,37 @@ pub fn or_assign(dst: &mut [u64], src: &[u64]) {
     }
 }
 
+/// `dst` bits `[base, base + bits) |=` the first `bits` bits of `src`:
+/// a member set spliced into a wider one at its offset. One word OR per
+/// source word when `base` is word-aligned, a shifted OR with a carried
+/// high part when it is not; `src` bits at or above `bits` do not
+/// arrive, and no word past the interval's last is touched.
+///
+/// # Panics
+/// Panics when `src` holds fewer than `bits` bits or the interval ends
+/// past `dst`.
+pub fn or_shifted(dst: &mut [u64], base: u64, src: &[u64], bits: u64) {
+    let (mut at, shift) = ((base / 64) as usize, base % 64);
+    let full = (bits / 64) as usize;
+    let tail = (!bits.is_multiple_of(64)).then(|| src[full] & ((1 << (bits % 64)) - 1));
+    if shift == 0 {
+        or_assign(&mut dst[at..at + full], &src[..full]);
+        if let Some(word) = tail {
+            dst[at + full] |= word;
+        }
+        return;
+    }
+    let mut carry = 0;
+    for word in src[..full].iter().copied().chain(tail) {
+        dst[at] |= word << shift | carry;
+        carry = word >> (64 - shift);
+        at += 1;
+    }
+    if carry != 0 {
+        dst[at] |= carry;
+    }
+}
+
 /// `dst[i] &= !src[i]` over paired slices, unrolled over 4-word blocks.
 ///
 /// # Panics
@@ -372,6 +403,25 @@ mod tests {
             and_not_assign(&mut wide_an, &src);
             let scalar_an: Vec<u64> = base.iter().zip(&src).map(|(d, s)| d & !s).collect();
             assert_eq!(wide_an, scalar_an, "and_not len={len}");
+        }
+    }
+
+    #[test]
+    fn or_shifted_matches_the_bit_by_bit_or() {
+        // Aligned and unaligned bases, whole-word and ragged lengths;
+        // `dst` ends with the interval, holds bits already, and the
+        // source's last word has junk above `bits`.
+        for base in [0u64, 1, 63, 64, 65, 209] {
+            for bits in [1u64, 63, 64, 65, 130, 256] {
+                let src = soup(bits.div_ceil(64) as usize, base + bits);
+                let mut want = soup((base + bits).div_ceil(64) as usize, 5);
+                let mut got = want.clone();
+                for bit in (0..bits).filter(|b| src[(b / 64) as usize] >> (b % 64) & 1 == 1) {
+                    want[((base + bit) / 64) as usize] |= 1 << ((base + bit) % 64);
+                }
+                or_shifted(&mut got, base, &src, bits);
+                assert_eq!(got, want, "base {base}, bits {bits}");
+            }
         }
     }
 

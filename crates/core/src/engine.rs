@@ -189,32 +189,19 @@ fn range_bucket(offset: u64, span: u64, ranges: u64) -> usize {
 }
 
 /// The hubs this rank owns, as `(hub id, local offset)` in hub-id
-/// order: one walk of the replicated hub table — |E∪H| steps and no
-/// hashing, where asking the directory about every owned vertex is
-/// n/p lookups. Nothing a root pays for may be the latter.
+/// order — read off the partition's index: which hubs a rank owns is a
+/// property of the partition, and nothing a root pays for may depend
+/// only on that.
 fn owned_hubs(part: &RankPartition) -> impl Iterator<Item = (usize, usize)> + '_ {
-    let range = part.owned_range();
-    let start = range.start;
-    let hubs = part.directory.hubs().iter().enumerate();
-    hubs.filter(move |(_, (v, _))| range.contains(v))
-        .map(move |(h, (v, _))| (h, (v - start) as usize))
+    let hubs = part.owned_hubs.hubs.iter();
+    hubs.map(|&(h, li)| (h as usize, li as usize))
 }
 
 /// Connected (degree > 0) L vertices of the owned slice — the heuristic
 /// denominator for the L class — and its degree mass per class
-/// (E, H, L): everything counts as L, then each owned hub moves over.
+/// (E, H, L).
 fn owned_class_totals(part: &RankPartition) -> (u64, [u64; 3]) {
-    let degrees = &part.owned_degrees;
-    let num_e = part.directory.num_e() as usize;
-    let mut l_connected = degrees.iter().filter(|&&d| d > 0).count() as u64;
-    let mut class_mass = [0, 0, degrees.iter().map(|&d| d as u64).sum()];
-    for (h, li) in owned_hubs(part) {
-        let d = degrees[li] as u64;
-        l_connected -= (d > 0) as u64;
-        class_mass[2] -= d;
-        class_mass[if h < num_e { 0 } else { 1 }] += d;
-    }
-    (l_connected, class_mass)
+    (part.owned_hubs.l_connected, part.owned_hubs.class_mass)
 }
 
 /// Assemble a rank's output: the owned `(vertex, root)` parent and
@@ -250,16 +237,36 @@ fn assemble_owned(
             depths[to].copy_from_slice(&hub_depths[from]);
         }
     }
+    let tallies = reach_tallies(&parents, &part.owned_degrees, width);
+    (parents, depths, tallies)
+}
+
+/// TEPS tallies `[visited_0.., degree_sum_0..]` of vertex-major parent
+/// slots, `width` per vertex of `degrees`.
+pub fn reach_tallies(parents: &[u64], degrees: &[u32], width: usize) -> Vec<u64> {
+    // Reached or not is a coin flip per slot: add, don't branch.
+    let hit = |p: u64| (p != INVALID_VERTEX) as u64;
+    if width == 1 {
+        // One slot per vertex: two accumulators the compiler keeps in
+        // (vector) registers, 0.5 ns a slot. The form below goes
+        // through memory for them, 2.9 ns a slot at this width
+        // (`crit_kernels`, `reach_tallies/w1`).
+        let (mut visited, mut mass) = (0, 0);
+        for (&p, &deg) in parents.iter().zip(degrees) {
+            visited += hit(p);
+            mass += hit(p) * deg as u64;
+        }
+        return vec![visited, mass];
+    }
     let mut tallies = vec![0u64; 2 * width];
-    for (slots, &deg) in parents.chunks_exact(width).zip(&part.owned_degrees) {
-        for (b, &p) in slots.iter().enumerate() {
-            // Reached or not is a coin flip per slot: add, don't branch.
-            let hit = (p != INVALID_VERTEX) as u64;
-            tallies[b] += hit;
-            tallies[width + b] += hit * deg as u64;
+    let (visited, mass) = tallies.split_at_mut(width);
+    for (slots, &deg) in parents.chunks_exact(width).zip(degrees) {
+        for ((&p, v), m) in slots.iter().zip(visited.iter_mut()).zip(mass.iter_mut()) {
+            *v += hit(p);
+            *m += hit(p) * deg as u64;
         }
     }
-    (parents, depths, tallies)
+    tallies
 }
 
 /// Yield of one pool-chunked scan: its `(dest, parent, mask)` messages
@@ -558,19 +565,17 @@ impl<'a, L: Lane> Engine<'a, L> {
     /// slice only — hub degrees are not replicated — so summing across
     /// ranks yields the global mass).
     fn local_frontier_mass(&self, hub_set: &Bitmap, l_mass: u64) -> [u64; 3] {
-        let dir = &self.part.directory;
-        let range = self.part.owned_range();
-        let num_e = dir.num_e() as u64;
-        let mut mass = [0u64; 3];
-        L::for_each_active(hub_set, 0, dir.num_hubs() as u64, |h, m| {
-            let v = dir.vertex_of(h as u32);
-            if range.contains(&v) {
-                let d = self.part.owned_degrees[(v - range.start) as usize] as u64;
-                mass[if h < num_e { 0 } else { 1 }] += d * L::weight(m);
-            }
-        });
-        mass[2] = l_mass;
-        mass
+        let (dir, owned) = (&self.part.directory, &self.part.owned_hubs);
+        let class_mass = |hubs: Range<u64>| {
+            let mut mass = 0;
+            let visit = |h: u64, m| mass += owned.degree_of[h as usize] as u64 * L::weight(m);
+            let (start, end) = (hubs.start, hubs.end);
+            self.lane
+                .for_each_active_outside(hub_set, &owned.elsewhere, start, end, visit);
+            mass
+        };
+        let (num_e, num_hubs) = (dir.num_e() as u64, dir.num_hubs() as u64);
+        [class_mass(0..num_e), class_mass(num_e..num_hubs), l_mass]
     }
 
     /// This rank's degree mass of an owned L set by a full walk of it:

@@ -109,6 +109,24 @@ pub(crate) trait Lane: Copy + Send + Sync {
         });
     }
 
+    /// Visit `(vertex, mask)` of every active vertex of `set` in
+    /// `[start, end)` that is not set in `without` (one bit per
+    /// vertex), ascending.
+    fn for_each_active_outside(
+        &self,
+        set: &Bitmap,
+        without: &Bitmap,
+        start: u64,
+        end: u64,
+        mut f: impl FnMut(u64, Self::Mask),
+    ) {
+        Self::for_each_active(set, start, end, |i, m| {
+            if !without.get(i) {
+                f(i, m);
+            }
+        });
+    }
+
     /// Stage the hub frontier for the EH2EH pull (§4.3) and return the
     /// probe of the staged copy — [`Lane::hit`] with `src` bound.
     /// `on_chip` says the activeness vector fits the LDM budget and
@@ -249,6 +267,20 @@ impl Lane for Bit {
         }
     }
 
+    #[inline]
+    fn for_each_active_outside(
+        &self,
+        set: &Bitmap,
+        without: &Bitmap,
+        start: u64,
+        end: u64,
+        f: impl FnMut(u64, ()),
+    ) {
+        // `!without & set`, 64 vertices a step: the wanting walk with
+        // the frontier as its mask.
+        self.for_each_wanting(without, None, set, start, end, f);
+    }
+
     /// CG-aware segmenting: the activeness bits live in a
     /// [`SegmentedBitvec`] distributed over the CPE LDMs when they fit;
     /// otherwise the pull falls back to GLD probes of the bitmap.
@@ -268,10 +300,9 @@ impl Lane for Bit {
     }
 
     fn splice(row: &mut Bitmap, base: u64, words: &[u64], len: u64) {
-        // Member intervals are not word-aligned in the row's bitmap.
-        wide::for_each_one(words, len, 0, words.len(), |bit| {
-            row.set(base + bit);
-        });
+        // A member's base is word-aligned on a power-of-two mesh and
+        // anywhere on the others.
+        wide::or_shifted(row.words_mut(), base, words, len);
     }
 
     #[inline]

@@ -461,11 +461,13 @@ impl Cluster {
         log
     }
 
-    /// Run `f` once per rank (one OS thread each) and return one
-    /// `Result` per rank, in rank order: `Ok` with the closure's value
-    /// for ranks that completed, `Err` with a typed [`RankFailure`] for
-    /// ranks that unwound (injected faults, SPMD violations, poisoned
-    /// barriers, plain panics).
+    /// Run `f` once per rank (one OS thread each; rank 0's is the
+    /// caller's) and return one `Result` per rank, in rank order: `Ok`
+    /// with the closure's value for ranks that completed, `Err` with a
+    /// typed [`RankFailure`] for ranks that unwound (injected faults,
+    /// SPMD violations, poisoned barriers, plain panics) — rank 0
+    /// included: its panic is caught like any other and never unwinds
+    /// into the caller.
     ///
     /// The cluster is healed on entry (barriers unpoisoned, rendezvous
     /// slots cleared), so a failed run can be retried on the same
@@ -476,44 +478,41 @@ impl Cluster {
         F: Fn(&mut RankCtx) -> T + Sync,
     {
         self.shared.reset_for_run();
-        let n = self.shared.topo.num_ranks();
-        let results: Mutex<Vec<Option<Result<T, RankFailure>>>> =
-            Mutex::new((0..n).map(|_| None).collect());
+        let run_rank = |rank: usize| {
+            let mut ctx = RankCtx::new(rank, Arc::clone(&self.shared));
+            catch_unwind(AssertUnwindSafe(|| f(&mut ctx))).map_err(|p| {
+                let failure = RankFailure::from_panic(rank, p);
+                // Collateral teardown poisons nothing itself: its root
+                // cause does — possibly later, when the victim of a
+                // planned panic reaches the collective the others
+                // already stopped at.
+                if failure.is_root_cause() {
+                    self.shared.poison_all();
+                }
+                failure
+            })
+        };
+        // Ranks 1..p get a thread each and the caller runs rank 0
+        // inside the same scope: one spawn fewer per run, and the
+        // first collective does not wait for a caller that is still
+        // spawning.
         std::thread::scope(|s| {
-            for rank in 0..n {
-                let shared = Arc::clone(&self.shared);
-                let f = &f;
-                let results = &results;
-                s.spawn(move || {
-                    let mut ctx = RankCtx::new(rank, shared);
-                    let outcome = match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
-                        Ok(v) => Ok(v),
-                        Err(p) => {
-                            let failure = RankFailure::from_panic(rank, p);
-                            // Collateral teardown poisons nothing itself:
-                            // its root cause does — possibly later, when
-                            // the victim of a planned panic reaches the
-                            // collective the others already stopped at.
-                            if failure.is_root_cause() {
-                                ctx.shared.poison_all();
-                            }
-                            Err(failure)
-                        }
-                    };
-                    lock_ignore_poison(results)[rank] = Some(outcome);
-                });
-            }
-        });
-        results
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .into_iter()
-            .map(|v| v.expect("rank produced no result"))
-            .collect()
+            let run_rank = &run_rank;
+            let spawned: Vec<_> = (1..self.shared.topo.num_ranks())
+                .map(|rank| s.spawn(move || run_rank(rank)))
+                .collect();
+            let mut results = vec![run_rank(0)];
+            results.extend(spawned.into_iter().map(|handle| {
+                handle
+                    .join()
+                    .expect("a rank thread catches its closure's panic")
+            }));
+            results
+        })
     }
 
-    /// Run `f` once per rank (one OS thread each) and return the per-rank
-    /// results in rank order.
+    /// Run `f` once per rank (one OS thread each; rank 0's is the
+    /// caller's) and return the per-rank results in rank order.
     ///
     /// # Panics
     /// If any rank fails, panics after the whole cluster has been torn
@@ -1586,7 +1585,7 @@ mod tests {
         let c = small_cluster(2, 2);
         let r = catch_unwind(AssertUnwindSafe(|| {
             c.run(|ctx| {
-                if ctx.rank() == 1 || ctx.rank() == 3 {
+                if ctx.rank() == 0 || ctx.rank() == 3 {
                     panic!("boom on rank {}", ctx.rank());
                 }
                 ctx.barrier(Scope::World);
@@ -1597,9 +1596,110 @@ mod tests {
             .downcast_ref::<String>()
             .expect("aggregate panic is a String")
             .clone();
-        // Both root causes are named, not just the lowest rank.
-        assert!(msg.contains("rank 1: panic: boom on rank 1"), "got: {msg}");
-        assert!(msg.contains("rank 3: panic: boom on rank 3"), "got: {msg}");
+        // Both root causes are named — the caller's own rank 0 like any
+        // other — and come before the collateral teardown.
+        let at = |needle: &str| {
+            msg.find(needle)
+                .unwrap_or_else(|| panic!("no '{needle}': {msg}"))
+        };
+        assert!(msg.starts_with("4 of 4 ranks failed"), "got: {msg}");
+        assert!(at("rank 0: panic: boom on rank 0") < at("rank 3: panic: boom on rank 3"));
+        assert!(at("rank 3: panic") < at("rank 1: barrier poisoned (collateral)"));
+    }
+
+    #[test]
+    fn rank_zero_runs_on_the_calling_thread_and_only_rank_zero() {
+        let caller = std::thread::current().id();
+        // On a 1x1 mesh that is every rank: nothing is spawned.
+        for (rows, cols) in [(1, 1), (2, 2)] {
+            let on_caller =
+                small_cluster(rows, cols).run(|_| std::thread::current().id() == caller);
+            let want: Vec<bool> = (0..rows * cols).map(|rank| rank == 0).collect();
+            assert_eq!(on_caller, want);
+        }
+    }
+
+    #[test]
+    fn a_failing_rank_zero_is_a_typed_result_not_an_unwinding_caller() {
+        use crate::fault::{FaultEvent, FaultKind};
+        // A plain panic on the caller's thread is caught there: slot 0
+        // says why, and the others were released by the poison it set.
+        let results = small_cluster(2, 2).run_fallible(|ctx| {
+            if ctx.rank() == 0 {
+                panic!("rank 0 dies");
+            }
+            ctx.barrier(Scope::World);
+        });
+        assert!(matches!(
+            &results[0],
+            Err(RankFailure { rank: 0, kind: FailureKind::Panic { message } })
+                if message.contains("rank 0 dies")
+        ));
+        for (rank, result) in results.iter().enumerate().skip(1) {
+            let failure = result.as_ref().expect_err("released by poison");
+            assert_eq!((failure.rank, failure.is_root_cause()), (rank, false));
+        }
+        // A planned fault at rank 0 likewise; the healed cluster then
+        // runs rank 0 on this thread again.
+        let plan = FaultPlan::from_events(vec![FaultEvent {
+            rank: 0,
+            op_index: 0,
+            kind: FaultKind::Panic,
+        }]);
+        let c = Cluster::with_faults(MeshShape::new(2, 2), MachineConfig::new_sunway(), plan);
+        let work = |ctx: &mut RankCtx| ctx.allreduce_sum(Scope::World, "sum", 1);
+        let results = c.run_fallible(work);
+        assert!(matches!(
+            &results[0],
+            Err(RankFailure {
+                rank: 0,
+                kind: FailureKind::Injected { op_index: 0, .. }
+            })
+        ));
+        assert_eq!(
+            all_ranks_ok(c.run_fallible(work)).expect("retry"),
+            vec![4; 4]
+        );
+    }
+
+    #[test]
+    fn a_panic_elsewhere_releases_the_caller_from_its_barrier() {
+        // Rank 0 — this thread — waits in a barrier rank 2 never
+        // reaches: the poison path must hand it back, not hang it.
+        let results = small_cluster(2, 2).run_fallible(|ctx| {
+            if ctx.rank() == 2 {
+                panic!("dead rank");
+            }
+            ctx.barrier(Scope::World);
+        });
+        assert!(matches!(
+            &results[0],
+            Err(RankFailure {
+                rank: 0,
+                kind: FailureKind::BarrierPoisoned
+            })
+        ));
+        assert!(results[2].as_ref().is_err_and(|f| f.is_root_cause()));
+    }
+
+    #[test]
+    fn a_run_started_from_a_spawned_thread_works() {
+        // What a service thread does for every batch: its own (2 MiB)
+        // stack is rank 0's.
+        let c = small_cluster(2, 2);
+        let service = std::thread::Builder::new().stack_size(2 << 20);
+        let sums = service
+            .spawn(move || {
+                c.run(|ctx| {
+                    let mine = vec![vec![ctx.rank() as u64; 1 << 14]; 4];
+                    let got = ctx.alltoallv(Scope::World, "a", mine);
+                    got.iter().flatten().sum::<u64>()
+                })
+            })
+            .expect("spawns")
+            .join()
+            .expect("the run completes");
+        assert_eq!(sums, vec![(1 + 2 + 3) << 14; 4]);
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //!
 //! Self loops never affect a BFS and are dropped here.
 
-use sunbfs_common::{Edge, JsonValue, ToJson, VertexId};
+use std::ops::Range;
+
+use sunbfs_common::{Bitmap, Edge, JsonValue, ToJson, VertexId};
 use sunbfs_net::{RankCtx, Scope, Topology};
 
 use crate::csr::Csr;
@@ -71,6 +73,67 @@ impl ToJson for ComponentStats {
     }
 }
 
+/// What a rank owns of the replicated hub table. It depends only on the
+/// partition, so it is computed where a [`RankPartition`] is born
+/// ([`OwnedHubs::index`]) and no traversal walks the table for it; it
+/// is derived from `rank`, `dist`, `directory` and `owned_degrees`, so
+/// the store does not encode it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct OwnedHubs {
+    /// `(hub id, local offset)` of the hubs this rank owns, in hub-id
+    /// order.
+    pub hubs: Vec<(u32, u32)>,
+    /// Degree of hub `h` if this rank owns it, 0 if another does;
+    /// indexed by hub id.
+    pub degree_of: Vec<u32>,
+    /// The hubs another rank owns, one bit per hub id: what a walk over
+    /// a hub frontier masks out to visit this rank's share only.
+    pub elsewhere: Bitmap,
+    /// Owned L vertices with an edge — this rank's share of the L
+    /// class's heuristic denominator.
+    pub l_connected: u64,
+    /// Degree mass of the owned slice per class (E, H, L).
+    pub class_mass: [u64; 3],
+}
+
+impl OwnedHubs {
+    /// Index the hubs of `directory` inside `owned`, the interval
+    /// `owned_degrees` covers: one walk of the hub table, two passes
+    /// over the degrees.
+    pub fn index(owned: Range<u64>, directory: &HubDirectory, owned_degrees: &[u32]) -> Self {
+        let num_e = directory.num_e() as usize;
+        let num_hubs = directory.num_hubs() as usize;
+        let mut index = OwnedHubs {
+            hubs: Vec::new(),
+            degree_of: vec![0; num_hubs],
+            elsewhere: Bitmap::new(num_hubs as u64),
+            l_connected: 0,
+            class_mass: [0; 3],
+        };
+        let mut hubs_connected = 0;
+        for (h, &(v, _)) in directory.hubs().iter().enumerate() {
+            if !owned.contains(&v) {
+                index.elsewhere.set(h as u64);
+                continue;
+            }
+            let li = u32::try_from(v - owned.start).expect("a rank's slice has u32 offsets");
+            let d = owned_degrees[li as usize];
+            index.hubs.push((h as u32, li));
+            index.degree_of[h] = d;
+            hubs_connected += (d > 0) as u64;
+            index.class_mass[(h >= num_e) as usize] += d as u64;
+        }
+        // Everything that is not an owned hub is L. Saturating: a hub
+        // table naming a vertex twice (no build makes one, a crafted
+        // store file can) must not reach an overflow panic.
+        let connected = owned_degrees.iter().filter(|&&d| d > 0).count() as u64;
+        let mass: u64 = owned_degrees.iter().map(|&d| d as u64).sum();
+        index.l_connected = connected.saturating_sub(hubs_connected);
+        index.class_mass[2] = mass.saturating_sub(index.class_mass[0] + index.class_mass[1]);
+        index
+    }
+}
+
 /// One rank's share of the 1.5D-partitioned graph.
 #[derive(Clone, Debug)]
 pub struct RankPartition {
@@ -82,6 +145,9 @@ pub struct RankPartition {
     pub directory: HubDirectory,
     /// Exact degrees of the vertices this rank owns.
     pub owned_degrees: Vec<u32>,
+    /// This rank's share of the hub table ([`OwnedHubs::index`] of the
+    /// fields above).
+    pub owned_hubs: OwnedHubs,
     /// EH2EH block, push orientation: src hubs in this column's source
     /// range → dst hub ids.
     pub eh_by_src: Csr,
@@ -259,6 +325,7 @@ pub fn build_1p5d(
     RankPartition {
         rank,
         dist,
+        owned_hubs: OwnedHubs::index(my_range, &directory, &owned_degrees),
         directory,
         owned_degrees,
         eh_by_src,

@@ -13,6 +13,11 @@ pub struct VertexDistribution {
     n: u64,
     p: usize,
     chunk: u64,
+    /// `log2(chunk)` when `chunk` is a power of two — every
+    /// power-of-two `n` over a power-of-two mesh — so that
+    /// [`Self::owner`], which routes every L message, shifts instead of
+    /// dividing by a runtime value.
+    chunk_shift: Option<u32>,
 }
 
 impl VertexDistribution {
@@ -20,10 +25,12 @@ impl VertexDistribution {
     pub fn new(n: u64, p: usize) -> Self {
         assert!(p > 0);
         assert!(n > 0, "empty vertex set");
+        let chunk = n.div_ceil(p as u64);
         VertexDistribution {
             n,
             p,
-            chunk: n.div_ceil(p as u64),
+            chunk,
+            chunk_shift: chunk.is_power_of_two().then(|| chunk.trailing_zeros()),
         }
     }
 
@@ -43,7 +50,11 @@ impl VertexDistribution {
     #[inline]
     pub fn owner(&self, v: u64) -> usize {
         debug_assert!(v < self.n);
-        ((v / self.chunk) as usize).min(self.p - 1)
+        let block = match self.chunk_shift {
+            Some(shift) => v >> shift,
+            None => v / self.chunk,
+        };
+        (block as usize).min(self.p - 1)
     }
 
     /// The interval rank `r` owns (possibly empty for trailing ranks).
@@ -75,7 +86,18 @@ mod tests {
 
     #[test]
     fn ranges_partition_the_vertex_set() {
-        for (n, p) in [(100u64, 7usize), (64, 8), (10, 16), (1, 1), (1000, 3)] {
+        // Shifted blocks (64/8, 1/1, 10/16, and 1021/8: an odd `n`
+        // whose block of 128 leaves the last rank short), divided ones,
+        // and 9/8: blocks of 2, the last three ranks empty.
+        for (n, p) in [
+            (100u64, 7usize),
+            (64, 8),
+            (10, 16),
+            (1, 1),
+            (1000, 3),
+            (1021, 8),
+            (9, 8),
+        ] {
             let d = VertexDistribution::new(n, p);
             let mut covered = 0u64;
             for r in 0..p {

@@ -24,7 +24,7 @@ pub mod csr;
 pub mod directory;
 pub mod distribution;
 
-pub use builder::{build_1p5d, row_vertex_range, ComponentStats, RankPartition};
+pub use builder::{build_1p5d, row_vertex_range, ComponentStats, OwnedHubs, RankPartition};
 pub use csr::Csr;
 pub use directory::{HubDirectory, Thresholds, VertexClass};
 pub use distribution::VertexDistribution;

@@ -52,7 +52,9 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use sunbfs_net::fnv1a;
-use sunbfs_part::{ComponentStats, Csr, HubDirectory, RankPartition, VertexDistribution};
+use sunbfs_part::{
+    ComponentStats, Csr, HubDirectory, OwnedHubs, RankPartition, VertexDistribution,
+};
 
 /// File magic: "SBFSTORE" little-endian.
 const FILE_MAGIC: u64 = u64::from_le_bytes(*b"SBFSTORE");
@@ -671,9 +673,11 @@ fn decode_rank(
             what: "trailing garbage after rank stream",
         });
     }
+    let owned = dist.range_of(expect_rank as usize);
     Ok(RankPartition {
         rank: expect_rank as usize,
         dist,
+        owned_hubs: OwnedHubs::index(owned, &directory, &owned_degrees),
         directory,
         owned_degrees,
         eh_by_src,
@@ -839,11 +843,13 @@ mod tests {
         let dist = VertexDistribution::new(16, 2);
         let directory = HubDirectory::build(vec![(3, 300), (7, 80)], Thresholds::new(256, 64));
         let parts = (0..2)
-            .map(|rank| RankPartition {
+            .map(|rank| (rank, vec![rank as u32; 8]))
+            .map(|(rank, owned_degrees)| RankPartition {
                 rank,
                 dist,
                 directory: directory.clone(),
-                owned_degrees: vec![rank as u32; 8],
+                owned_hubs: OwnedHubs::index(dist.range_of(rank), &directory, &owned_degrees),
+                owned_degrees,
                 eh_by_src: Csr::from_pairs(0, 2, vec![(0, 1), (1, 0)], true),
                 eh_by_dst: Csr::from_pairs(0, 2, vec![(1, 0), (0, 1)], true),
                 el_by_hub: Csr::from_pairs(0, 2, vec![(0, 9)], false),
