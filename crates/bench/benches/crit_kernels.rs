@@ -2,7 +2,8 @@
 //! time): the R-MAT generator, the PARADIS radix sort and the CSR
 //! construction that calls it, the bitmap primitives, a root's
 //! per-slot and per-run fixed costs, the functional OCS-RMA bucketing
-//! pass, and the Graph 500 validator's two passes.
+//! pass, the Graph 500 validator's two passes, and the request-line
+//! JSON parser.
 //!
 //! A minimal self-timed harness (median of [`SAMPLES`] runs after one
 //! warmup) replaces criterion: the build container has no crates.io
@@ -12,7 +13,7 @@
 use std::time::Instant;
 
 use sunbfs_common::bitmap::wide;
-use sunbfs_common::{Bitmap, MachineConfig, SplitMix64, INVALID_VERTEX};
+use sunbfs_common::{Bitmap, JsonValue, MachineConfig, SplitMix64, INVALID_VERTEX};
 use sunbfs_core::engine::reach_tallies;
 use sunbfs_core::validate;
 use sunbfs_net::{Cluster, MeshShape};
@@ -182,5 +183,20 @@ fn main() {
     });
     bench("distinct_edges_census/16", m, || {
         validate::DistinctEdges::new(n, &edges)
+    });
+
+    // What a connection's reader pays per request line: a plain query,
+    // and one carrying a string just under the 64 KiB request cap
+    // (bytes per second; each run between escapes is copied once).
+    let query = r#"{"cmd":"query","root":12345}"#;
+    bench("json_parse/query_line", Some(query.len() as u64), || {
+        JsonValue::parse(query)
+    });
+    let padded = format!(
+        r#"{{"cmd":"query","root":1,"pad":"{}"}}"#,
+        "a".repeat(64 * 1024 - 64)
+    );
+    bench("json_parse/64k_string", Some(padded.len() as u64), || {
+        JsonValue::parse(&padded)
     });
 }

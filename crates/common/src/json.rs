@@ -62,11 +62,10 @@ impl JsonValue {
     /// Returns a human-readable message naming the byte offset of the
     /// first offending character.
     pub fn parse(input: &str) -> Result<JsonValue, String> {
-        let bytes = input.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(input, &mut pos, 0)?;
+        skip_ws(input.as_bytes(), &mut pos);
+        if pos != input.len() {
             return Err(format!("trailing content at byte {pos}"));
         }
         Ok(value)
@@ -205,19 +204,20 @@ fn expect_literal(
 /// of returning a typed error.
 pub const MAX_PARSE_DEPTH: usize = 96;
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+fn parse_value(input: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     if depth >= MAX_PARSE_DEPTH {
         return Err(format!(
             "nesting deeper than {MAX_PARSE_DEPTH} at byte {pos}"
         ));
     }
+    let bytes = input.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect_literal(bytes, pos, "null", JsonValue::Null),
         Some(b't') => expect_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => expect_literal(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(JsonValue::Str),
+        Some(b'"') => parse_string(input, pos).map(JsonValue::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -227,7 +227,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue,
                 return Ok(JsonValue::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
+                items.push(parse_value(input, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -249,13 +249,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue,
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(input, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
                     return Err(format!("expected `:` at byte {pos}"));
                 }
                 *pos += 1;
-                fields.push((key, parse_value(bytes, pos, depth + 1)?));
+                fields.push((key, parse_value(input, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -302,58 +302,57 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         .map_err(|_| format!("malformed number `{text}` at byte {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(input: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = input.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}"));
     }
     *pos += 1;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| format!("truncated \\u escape at byte {pos}"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {pos}"))?;
-                        // Surrogates are not paired up — commands never
-                        // carry them; reject instead of mis-decoding.
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("non-scalar \\u escape at byte {pos}"))?,
-                        );
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through unchanged; input is a &str so it is valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        // Copy everything up to the next quote or backslash in one go:
+        // both are ASCII, so the run ends on a char boundary of `input`.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or_else(|| "unterminated string".to_string())?;
+        out.push_str(&input[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                // Exactly four ASCII hex digits (no sign, no shorter run).
+                let code = bytes
+                    .get(*pos + 1..*pos + 5)
+                    .ok_or_else(|| format!("truncated \\u escape at byte {pos}"))?
+                    .iter()
+                    .try_fold(0u32, |code, &h| {
+                        Some(code * 16 + char::from(h).to_digit(16)?)
+                    })
+                    .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
+                // Surrogates are not paired up — commands never carry
+                // them; reject instead of mis-decoding.
+                out.push(
+                    char::from_u32(code)
+                        .ok_or_else(|| format!("non-scalar \\u escape at byte {pos}"))?,
+                );
+                *pos += 4;
+            }
+            _ => return Err(format!("bad escape at byte {pos}")),
+        }
+        *pos += 1;
     }
 }
 
@@ -418,51 +417,48 @@ impl From<JsonObject> for JsonValue {
     }
 }
 
-impl From<bool> for JsonValue {
-    fn from(b: bool) -> JsonValue {
-        JsonValue::Bool(b)
-    }
+/// Types that can serialize themselves into a [`JsonValue`].
+pub trait ToJson {
+    /// Convert into a JSON value tree.
+    fn to_json(&self) -> JsonValue;
 }
 
-impl From<u32> for JsonValue {
-    fn from(x: u32) -> JsonValue {
-        JsonValue::UInt(x as u64)
-    }
+/// A scalar converts `Into<JsonValue>` (for the object builder) and
+/// renders through [`ToJson`] (for `json_record!` fields) alike.
+macro_rules! scalar {
+    ($($t:ty => |$x:ident| $v:expr;)*) => {$(
+        impl From<$t> for JsonValue {
+            fn from($x: $t) -> JsonValue {
+                $v
+            }
+        }
+        impl ToJson for $t {
+            fn to_json(&self) -> JsonValue {
+                JsonValue::from(*self)
+            }
+        }
+    )*};
 }
 
-impl From<u64> for JsonValue {
-    fn from(x: u64) -> JsonValue {
-        JsonValue::UInt(x)
-    }
-}
-
-impl From<usize> for JsonValue {
-    fn from(x: usize) -> JsonValue {
-        JsonValue::UInt(x as u64)
-    }
-}
-
-impl From<i64> for JsonValue {
-    fn from(x: i64) -> JsonValue {
-        JsonValue::Int(x)
-    }
-}
-
-impl From<f64> for JsonValue {
-    fn from(x: f64) -> JsonValue {
-        JsonValue::Float(x)
-    }
-}
-
-impl From<&str> for JsonValue {
-    fn from(s: &str) -> JsonValue {
-        JsonValue::Str(s.to_string())
-    }
+scalar! {
+    bool => |b| JsonValue::Bool(b);
+    u32 => |x| JsonValue::UInt(u64::from(x));
+    u64 => |x| JsonValue::UInt(x);
+    usize => |x| JsonValue::UInt(x as u64);
+    i64 => |x| JsonValue::Int(x);
+    f64 => |x| JsonValue::Float(x);
+    &str => |s| JsonValue::Str(s.to_string());
 }
 
 impl From<String> for JsonValue {
     fn from(s: String) -> JsonValue {
         JsonValue::Str(s)
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Str(self.clone())
     }
 }
 
@@ -475,44 +471,39 @@ impl From<Vec<JsonValue>> for JsonValue {
 /// An absent value renders as `null`, a present one as itself.
 impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
     fn from(x: Option<T>) -> JsonValue {
-        match x {
-            Some(x) => x.into(),
-            None => JsonValue::Null,
-        }
+        x.map_or(JsonValue::Null, Into::into)
     }
 }
 
-/// Types that can serialize themselves into a [`JsonValue`].
-pub trait ToJson {
-    /// Convert into a JSON value tree.
-    fn to_json(&self) -> JsonValue;
+/// An absent value renders as `null`, a present one as itself.
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> JsonValue {
+        self.as_ref().map_or(JsonValue::Null, ToJson::to_json)
+    }
 }
 
-/// Declare a report struct whose JSON form is its fields, in
-/// declaration order, under their own names — so the struct and its
-/// `to_json` cannot drift apart. Every field type must be `Copy` and
-/// convert `Into<JsonValue>`; the struct itself gets both, so records
-/// nest.
+/// Declare a plain record: a struct whose JSON form is an object of its
+/// fields, in declaration order, under their own names — so the struct
+/// and its `to_json` cannot drift apart, and a record's keys are decided
+/// in one place. Every field renders by reference through [`ToJson`]
+/// (scalars, `&str`, `String`, `Option<T>`, `Vec<T>`, nested records);
+/// the macro adds no derives, and has no rename, skip or computed-key
+/// syntax — a record whose keys are not exactly its fields keeps a
+/// hand-written `to_json`.
 #[macro_export]
 macro_rules! json_record {
     ($(#[$meta:meta])* pub struct $name:ident {
         $($(#[$fmeta:meta])* pub $field:ident: $ty:ty,)*
     }) => {
         $(#[$meta])*
-        #[derive(Clone, Copy)]
         pub struct $name {
             $($(#[$fmeta])* pub $field: $ty,)*
         }
         impl $crate::ToJson for $name {
             fn to_json(&self) -> $crate::JsonValue {
                 $crate::JsonValue::object()
-                    $(.field(stringify!($field), self.$field))*
+                    $(.field(stringify!($field), $crate::ToJson::to_json(&self.$field)))*
                     .build()
-            }
-        }
-        impl From<$name> for $crate::JsonValue {
-            fn from(record: $name) -> $crate::JsonValue {
-                $crate::ToJson::to_json(&record)
             }
         }
     };
@@ -553,7 +544,7 @@ mod tests {
 
     json_record! {
         /// A nested record.
-        #[derive(Debug, Default)]
+        #[derive(Clone, Copy, Debug, Default)]
         pub struct Inner {
             /// A float.
             pub ratio: f64,
@@ -561,12 +552,30 @@ mod tests {
     }
     json_record! {
         /// An outer record.
-        #[derive(Debug, Default)]
+        #[derive(Clone, Copy, Debug, Default)]
         pub struct Outer {
             /// A counter.
             pub count: u64,
             /// A nested record.
             pub inner: Inner,
+        }
+    }
+    json_record! {
+        /// A record of borrowed, owned, optional and narrow fields.
+        #[derive(Debug)]
+        pub struct Mixed {
+            /// A label.
+            pub label: &'static str,
+            /// An owned string.
+            pub name: String,
+            /// An optional float.
+            pub when: Option<f64>,
+            /// A width.
+            pub width: usize,
+            /// A tick.
+            pub tick: u32,
+            /// Nested records.
+            pub inners: Vec<Inner>,
         }
     }
 
@@ -580,6 +589,23 @@ mod tests {
             outer.to_json().render(),
             r#"{"count":3,"inner":{"ratio":0.5}}"#
         );
+        let mut mixed = Mixed {
+            label: "a\"b",
+            name: String::new(),
+            when: Some(2.0),
+            width: 3,
+            tick: 4,
+            inners: vec![Inner { ratio: 1.0 }],
+        };
+        let v = mixed.to_json();
+        assert_eq!(
+            v.render(),
+            r#"{"label":"a\"b","name":"","when":2.0,"width":3,"tick":4,"inners":[{"ratio":1.0}]}"#
+        );
+        assert_eq!(v.get("width"), Some(&JsonValue::UInt(3)));
+        assert_eq!(v.get("tick"), Some(&JsonValue::UInt(4)));
+        mixed.when = None;
+        assert_eq!(mixed.to_json().get("when"), Some(&JsonValue::Null));
     }
 
     #[test]
@@ -650,6 +676,8 @@ mod tests {
             .field("f", 0.5f64)
             .field("flag", true)
             .field("nothing", JsonValue::Null)
+            .field("text", "é\"中\\😀\n")
+            .field("中😀", "ü")
             .build();
         assert_eq!(JsonValue::parse(&v.render()).unwrap(), v);
         assert_eq!(JsonValue::parse(&v.render_pretty()).unwrap(), v);
@@ -672,8 +700,18 @@ mod tests {
 
     #[test]
     fn parse_string_escapes() {
-        let v = JsonValue::parse(r#""a\"b\\c\nA""#).unwrap();
-        assert_eq!(v.as_str(), Some("a\"b\\c\nA"));
+        for (text, want) in [
+            (r#""a\"b\\c\nA""#, "a\"b\\c\nA"),
+            // 2-, 3- and 4-byte characters beside escapes, at either end.
+            (r#""é\"中\\😀""#, "é\"中\\😀"),
+            (r#""\n😀ü\t中\u0041""#, "\n😀ü\t中A"),
+            (r#""\u00e9é""#, "\u{e9}é"),
+            ("\"😀\"", "😀"),
+            (r#""""#, ""),
+        ] {
+            let v = JsonValue::parse(text).unwrap();
+            assert_eq!(v.as_str(), Some(want), "{text}");
+        }
     }
 
     #[test]
@@ -688,6 +726,9 @@ mod tests {
             r#"{"a":1} x"#,
             "\"unterminated",
             r#""\q""#,
+            r#""\u+041""#,
+            r#""\u00g1""#,
+            r#""\u12""#,
             "nul",
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");

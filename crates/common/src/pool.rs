@@ -32,8 +32,6 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use crate::{JsonValue, ToJson};
-
 /// Upper bound on chunks handed out per configured worker: more chunks
 /// than workers gives the pool slack to balance uneven ranges, while
 /// the cap keeps per-chunk merge overhead bounded.
@@ -76,19 +74,21 @@ pub fn set_workers(n: usize) {
     WORKER_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// Per-call accounting of how a kernel's work was split and staffed —
-/// the raw material for the per-kernel worker-scaling stats surfaced
-/// in `IterationStats` / JSON schema v5.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Pool invocations (one per kernel scan routed through the pool).
-    pub invocations: u64,
-    /// Total chunks the invocations were split into (equals
-    /// `invocations` when running serially).
-    pub chunks: u64,
-    /// Helper threads dispatched across the invocations; 0 means every
-    /// chunk ran inline on the rank thread (the serial path).
-    pub helpers: u64,
+crate::json_record! {
+    /// Per-call accounting of how a kernel's work was split and staffed —
+    /// the raw material for the per-kernel worker-scaling stats surfaced
+    /// in `IterationStats` / JSON schema v5.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct PoolStats {
+        /// Pool invocations (one per kernel scan routed through the pool).
+        pub invocations: u64,
+        /// Total chunks the invocations were split into (equals
+        /// `invocations` when running serially).
+        pub chunks: u64,
+        /// Helper threads dispatched across the invocations; 0 means every
+        /// chunk ran inline on the rank thread (the serial path).
+        pub helpers: u64,
+    }
 }
 
 impl PoolStats {
@@ -97,16 +97,6 @@ impl PoolStats {
         self.invocations += other.invocations;
         self.chunks += other.chunks;
         self.helpers += other.helpers;
-    }
-}
-
-impl ToJson for PoolStats {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("invocations", self.invocations)
-            .field("chunks", self.chunks)
-            .field("helpers", self.helpers)
-            .build()
     }
 }
 

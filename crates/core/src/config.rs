@@ -24,6 +24,8 @@
 //!   hysteresis (the previous direction breaks ties). The masses come
 //!   from the degree sums the engine already tracks per sub-iteration.
 
+use sunbfs_common::{JsonValue, ToJson};
+
 /// Traversal direction of one sub-iteration.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Direction {
@@ -33,6 +35,15 @@ pub enum Direction {
     /// Bottom-up: scan unvisited destinations, probe sources; early
     /// exit on first hit.
     Pull,
+}
+
+impl ToJson for Direction {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::from(match self {
+            Direction::Push => "push",
+            Direction::Pull => "pull",
+        })
+    }
 }
 
 /// The six subgraph components in their §4.2 execution order

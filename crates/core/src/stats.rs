@@ -1,61 +1,42 @@
 //! Per-run statistics: everything the evaluation figures read.
 
-use sunbfs_common::{JsonValue, PoolStats, TimeAccumulator, ToJson};
+use sunbfs_common::{json_record, JsonValue, PoolStats, TimeAccumulator, ToJson};
 use sunbfs_net::CommStats;
 use sunbfs_sunway::KernelReport;
 
 use crate::config::{Component, Direction};
 
-/// Counters of one sub-iteration (one subgraph component's expansion
-/// inside one BFS iteration). The component itself is implied by the
-/// slot index in [`IterationStats::subs`] ([`Component::ALL`] order).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SubIterationStats {
-    /// Direction this component actually executed.
-    pub direction: Direction,
-    /// True when the decision was refreshed mid-iteration from the
-    /// piggybacked visited count (H2L/L2L under sub-iteration
-    /// optimization), rather than taken from the iteration-start
-    /// heuristics.
-    pub refreshed: bool,
-    /// Measured frontier edge mass `m_f` the direction decision saw:
-    /// the global degree-sum of the deciding class's frontier. Zero
-    /// under the fixed heuristic (schema v10;
-    /// [`crate::config::DirectionHeuristic`]).
-    pub frontier_edges: u64,
-    /// Measured unexplored edge mass `m_u` the decision saw: the global
-    /// degree-sum of the destination class's unvisited vertices. Zero
-    /// under the fixed heuristic (schema v10).
-    pub unexplored_edges: u64,
-    /// Edges scanned by this component on this rank.
-    pub scanned_edges: u64,
-    /// Aggregated OCS on-chip kernel work (bucketing sorts) this
-    /// component ran on this rank: times summed, counters summed.
-    pub kernel: KernelReport,
-    /// Worker-pool activity for this component's scans on this rank:
-    /// how the scan was chunked and how many helper threads staffed it
-    /// (the schema-v5 worker-scaling surface).
-    pub pool: PoolStats,
-}
-
-impl ToJson for SubIterationStats {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("direction", direction_name(self.direction))
-            .field("refreshed", self.refreshed)
-            .field("frontier_edges", self.frontier_edges)
-            .field("unexplored_edges", self.unexplored_edges)
-            .field("scanned_edges", self.scanned_edges)
-            .field("kernel", self.kernel.to_json())
-            .field("pool", self.pool.to_json())
-            .build()
-    }
-}
-
-fn direction_name(d: Direction) -> &'static str {
-    match d {
-        Direction::Push => "push",
-        Direction::Pull => "pull",
+json_record! {
+    /// Counters of one sub-iteration (one subgraph component's expansion
+    /// inside one BFS iteration). The component itself is implied by the
+    /// slot index in [`IterationStats::subs`] ([`Component::ALL`] order).
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct SubIterationStats {
+        /// Direction this component actually executed.
+        pub direction: Direction,
+        /// True when the decision was refreshed mid-iteration from the
+        /// piggybacked visited count (H2L/L2L under sub-iteration
+        /// optimization), rather than taken from the iteration-start
+        /// heuristics.
+        pub refreshed: bool,
+        /// Measured frontier edge mass `m_f` the direction decision saw:
+        /// the global degree-sum of the deciding class's frontier. Zero
+        /// under the fixed heuristic (schema v10;
+        /// [`crate::config::DirectionHeuristic`]).
+        pub frontier_edges: u64,
+        /// Measured unexplored edge mass `m_u` the decision saw: the global
+        /// degree-sum of the destination class's unvisited vertices. Zero
+        /// under the fixed heuristic (schema v10).
+        pub unexplored_edges: u64,
+        /// Edges scanned by this component on this rank.
+        pub scanned_edges: u64,
+        /// Aggregated OCS on-chip kernel work (bucketing sorts) this
+        /// component ran on this rank: times summed, counters summed.
+        pub kernel: KernelReport,
+        /// Worker-pool activity for this component's scans on this rank:
+        /// how the scan was chunked and how many helper threads staffed it
+        /// (the schema-v5 worker-scaling surface).
+        pub pool: PoolStats,
     }
 }
 

@@ -35,7 +35,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use sunbfs_common::{Bitmap, JsonValue, MachineConfig, SimTime, TimeAccumulator, ToJson};
+use sunbfs_common::{
+    json_record, Bitmap, JsonValue, MachineConfig, SimTime, TimeAccumulator, ToJson,
+};
 
 use crate::barrier::{BarrierPoisoned, PoisonBarrier};
 use crate::cost::{self, Scope};
@@ -277,33 +279,23 @@ struct CorruptPayloadEscalation {
     attempts: u32,
 }
 
-/// One healed retransmission of a corrupted deposit: the exchange
-/// layer detected a frame mismatch on `from`'s deposit for
-/// `(scope, op, op_index)` and re-deposited a pristine copy on
-/// retransmit round `attempt` (1-based).
-#[derive(Clone, Debug)]
-pub struct RetransmitRecord {
-    /// Rank whose deposit was corrupt and got retransmitted.
-    pub from: usize,
-    /// Scope of the collective.
-    pub scope: Scope,
-    /// Op tag of the collective.
-    pub op: String,
-    /// Collective call index on `from`.
-    pub op_index: u64,
-    /// 1-based retransmit round this redeposit happened in.
-    pub attempt: u32,
-}
-
-impl ToJson for RetransmitRecord {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("from", self.from)
-            .field("scope", scope_label(self.scope))
-            .field("op", self.op.as_str())
-            .field("op_index", self.op_index)
-            .field("attempt", self.attempt)
-            .build()
+json_record! {
+    /// One healed retransmission of a corrupted deposit: the exchange
+    /// layer detected a frame mismatch on `from`'s deposit for
+    /// `(scope, op, op_index)` and re-deposited a pristine copy on
+    /// retransmit round `attempt` (1-based).
+    #[derive(Clone, Debug)]
+    pub struct RetransmitRecord {
+        /// Rank whose deposit was corrupt and got retransmitted.
+        pub from: usize,
+        /// Scope of the collective.
+        pub scope: Scope,
+        /// Op tag of the collective.
+        pub op: String,
+        /// Collective call index on `from`.
+        pub op_index: u64,
+        /// 1-based retransmit round this redeposit happened in.
+        pub attempt: u32,
     }
 }
 
@@ -558,14 +550,16 @@ pub fn all_ranks_ok<T>(results: Vec<Result<T, RankFailure>>) -> Result<Vec<T>, V
     }
 }
 
-/// Invocation count and payload bytes of one `(scope, op)` collective
-/// category on one rank.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CommOpStats {
-    /// Number of collective calls.
-    pub count: u64,
-    /// Bytes this rank contributed across those calls.
-    pub bytes: u64,
+json_record! {
+    /// Invocation count and payload bytes of one `(scope, op)` collective
+    /// category on one rank.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct CommOpStats {
+        /// Number of collective calls.
+        pub count: u64,
+        /// Bytes this rank contributed across those calls.
+        pub bytes: u64,
+    }
 }
 
 /// Per-scope collective call counts and byte volumes on one rank.
@@ -662,12 +656,7 @@ impl ToJson for CommStats {
     fn to_json(&self) -> JsonValue {
         JsonValue::Object(
             self.entries()
-                .map(|(k, v)| {
-                    let o = JsonValue::object()
-                        .field("count", v.count)
-                        .field("bytes", v.bytes);
-                    (k.to_string(), o.build())
-                })
+                .map(|(k, v)| (k.to_string(), v.to_json()))
                 .collect(),
         )
     }
@@ -695,6 +684,12 @@ pub(crate) fn scope_label(scope: Scope) -> &'static str {
         Scope::World => "world",
         Scope::Row => "row",
         Scope::Col => "col",
+    }
+}
+
+impl ToJson for Scope {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::from(scope_label(*self))
     }
 }
 

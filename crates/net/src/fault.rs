@@ -44,7 +44,7 @@
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use sunbfs_common::{JsonValue, SplitMix64, ToJson};
+use sunbfs_common::{json_record, JsonValue, SplitMix64, ToJson};
 
 use crate::cost::Scope;
 
@@ -104,23 +104,25 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// Seeded, `Copy` recipe for generating a [`FaultPlan`] — the form a
-/// run configuration carries. All counts zero means "no faults".
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FaultSpec {
-    /// Seed of the deterministic event-placement stream.
-    pub seed: u64,
-    /// Number of injected rank panics.
-    pub panics: u32,
-    /// Number of injected straggler delays.
-    pub stragglers: u32,
-    /// Number of injected payload corruptions.
-    pub corruptions: u32,
-    /// Simulated seconds each straggler is delayed.
-    pub straggler_secs: f64,
-    /// Collective-index horizon events are scattered over (`op_index`
-    /// is drawn from `[0, horizon)`; `0` is treated as `1`).
-    pub horizon: u64,
+json_record! {
+    /// Seeded, `Copy` recipe for generating a [`FaultPlan`] — the form a
+    /// run configuration carries. All counts zero means "no faults".
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct FaultSpec {
+        /// Seed of the deterministic event-placement stream.
+        pub seed: u64,
+        /// Number of injected rank panics.
+        pub panics: u32,
+        /// Number of injected straggler delays.
+        pub stragglers: u32,
+        /// Number of injected payload corruptions.
+        pub corruptions: u32,
+        /// Simulated seconds each straggler is delayed.
+        pub straggler_secs: f64,
+        /// Collective-index horizon events are scattered over (`op_index`
+        /// is drawn from `[0, horizon)`; `0` is treated as `1`).
+        pub horizon: u64,
+    }
 }
 
 impl FaultSpec {
@@ -481,7 +483,7 @@ impl ToJson for FaultRecord {
         JsonValue::object()
             .field("rank", self.rank)
             .field("op_index", self.op_index)
-            .field("scope", crate::cluster::scope_label(self.scope))
+            .field("scope", self.scope.to_json())
             .field("op", self.op.as_str())
             .field("kind", self.kind.label())
             .field("secs", secs)

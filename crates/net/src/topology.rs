@@ -7,13 +7,17 @@
 //! (§3.2). This module provides the rank ↔ (row, col) arithmetic and
 //! the supernode mapping used by the cost model.
 
-/// Shape of the virtual process mesh.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MeshShape {
-    /// Number of rows (`R`); each row is one supernode.
-    pub rows: usize,
-    /// Number of columns (`C`); nodes within a row share a supernode.
-    pub cols: usize,
+use sunbfs_common::json_record;
+
+json_record! {
+    /// Shape of the virtual process mesh.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct MeshShape {
+        /// Number of rows (`R`); each row is one supernode.
+        pub rows: usize,
+        /// Number of columns (`C`); nodes within a row share a supernode.
+        pub cols: usize,
+    }
 }
 
 impl MeshShape {

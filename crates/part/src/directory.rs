@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use sunbfs_common::VertexId;
+use sunbfs_common::{json_record, VertexId};
 
 /// Hash of a vertex id for the reverse index: one multiply by an odd
 /// constant (every input bit reaches the product's high bits) and one
@@ -69,14 +69,16 @@ fn index_hubs(hubs: &[(VertexId, u32)]) -> HubIndex {
         .collect()
 }
 
-/// Degree thresholds selecting the three classes. `u32::MAX` disables a
-/// class (no vertex reaches it).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Thresholds {
-    /// Degree at or above which a vertex is Extremely heavy.
-    pub e: u32,
-    /// Degree at or above which a vertex is Heavy (must be ≤ `e`).
-    pub h: u32,
+json_record! {
+    /// Degree thresholds selecting the three classes. `u32::MAX` disables a
+    /// class (no vertex reaches it).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct Thresholds {
+        /// Degree at or above which a vertex is Extremely heavy.
+        pub e: u32,
+        /// Degree at or above which a vertex is Heavy (must be ≤ `e`).
+        pub h: u32,
+    }
 }
 
 impl Thresholds {

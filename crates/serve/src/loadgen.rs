@@ -156,7 +156,7 @@ impl Default for LoadgenConfig {
 
 json_record! {
     /// End-to-end latency distribution (accepted → result), milliseconds.
-    #[derive(Debug, Default)]
+    #[derive(Clone, Copy, Debug, Default)]
     pub struct LatencySummary {
         /// Samples (== queries that went accepted → result).
         pub count: u64,
@@ -201,7 +201,7 @@ impl LatencySummary {
 json_record! {
     /// What one load run saw, end to end. Renders as the `serve_load`
     /// JSON section.
-    #[derive(Debug, Default)]
+    #[derive(Clone, Copy, Debug, Default)]
     pub struct LoadgenReport {
         /// Connections opened.
         pub connections: u64,

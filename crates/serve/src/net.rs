@@ -39,7 +39,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sunbfs_common::{Edge, JsonValue, ToJson};
+use sunbfs_common::{json_record, Edge, JsonValue};
 
 use crate::proto::{self, ProtoError, Request, MAX_REQUEST_BYTES};
 use crate::service::{BfsService, QueryResult, QueryStatus, RejectReason};
@@ -90,83 +90,57 @@ impl Default for NetConfig {
     }
 }
 
-/// What the transport saw over its lifetime, returned by
-/// [`TcpServer::join`] next to the service's own
-/// [`ServeReport`](crate::report::ServeReport).
-#[derive(Clone, Debug, Default)]
-pub struct NetSummary {
-    /// Connections accepted (readers spawned).
-    pub connections: u64,
-    /// Connections refused at the `max_connections` cap.
-    pub refused_connections: u64,
-    /// Request lines received (well-formed or not).
-    pub requests: u64,
-    /// Lines refused with a typed [`ProtoError`].
-    pub protocol_errors: u64,
-    /// Queries admitted into the service queue.
-    pub accepted: u64,
-    /// Queries rejected by the service ([`RejectReason`](crate::service::RejectReason)).
-    pub rejected: u64,
-    /// Queries rejected at the per-connection in-flight cap.
-    pub rejected_backlog: u64,
-    /// Queries rejected because shutdown was already draining.
-    pub rejected_shutdown: u64,
-    /// Queries rejected by the health circuit breaker
-    /// (`service_degraded`; also counted in `rejected`).
-    pub rejected_degraded: u64,
-    /// Results delivered to their connection's reply buffer.
-    pub results_delivered: u64,
-    /// Results whose connection was gone (or slow) at delivery time.
-    pub results_dropped: u64,
-    /// Of the routed results, queries that were served.
-    pub results_served: u64,
-    /// Of the routed results, queries quarantined after recovery.
-    pub results_quarantined: u64,
-    /// Of the routed results, queries evicted past their deadline.
-    pub results_deadline_exceeded: u64,
-    /// Queries still pending at shutdown that the final drain flushed.
-    pub shutdown_drained: u64,
-    /// Health transitions the service recorded over this lifetime.
-    pub health_transitions: u64,
-    /// Health state label at shutdown (empty when the service thread
-    /// panicked before it could report).
-    pub final_health: String,
-    /// Update batches committed over the wire.
-    pub updates_committed: u64,
-    /// Edges across every committed wire update.
-    pub update_edges: u64,
-    /// Update requests refused (draining, out-of-range vertex, or a
-    /// failed commit).
-    pub updates_rejected: u64,
-    /// Session epoch at shutdown (0 = the graph was never mutated).
-    pub final_epoch: u64,
-}
-
-impl ToJson for NetSummary {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("connections", self.connections)
-            .field("refused_connections", self.refused_connections)
-            .field("requests", self.requests)
-            .field("protocol_errors", self.protocol_errors)
-            .field("accepted", self.accepted)
-            .field("rejected", self.rejected)
-            .field("rejected_backlog", self.rejected_backlog)
-            .field("rejected_shutdown", self.rejected_shutdown)
-            .field("rejected_degraded", self.rejected_degraded)
-            .field("results_delivered", self.results_delivered)
-            .field("results_dropped", self.results_dropped)
-            .field("results_served", self.results_served)
-            .field("results_quarantined", self.results_quarantined)
-            .field("results_deadline_exceeded", self.results_deadline_exceeded)
-            .field("shutdown_drained", self.shutdown_drained)
-            .field("health_transitions", self.health_transitions)
-            .field("final_health", self.final_health.as_str())
-            .field("updates_committed", self.updates_committed)
-            .field("update_edges", self.update_edges)
-            .field("updates_rejected", self.updates_rejected)
-            .field("final_epoch", self.final_epoch)
-            .build()
+json_record! {
+    /// What the transport saw over its lifetime, returned by
+    /// [`TcpServer::join`] next to the service's own
+    /// [`ServeReport`](crate::report::ServeReport).
+    #[derive(Clone, Debug, Default)]
+    pub struct NetSummary {
+        /// Connections accepted (readers spawned).
+        pub connections: u64,
+        /// Connections refused at the `max_connections` cap.
+        pub refused_connections: u64,
+        /// Request lines received (well-formed or not).
+        pub requests: u64,
+        /// Lines refused with a typed [`ProtoError`].
+        pub protocol_errors: u64,
+        /// Queries admitted into the service queue.
+        pub accepted: u64,
+        /// Queries rejected by the service ([`RejectReason`](crate::service::RejectReason)).
+        pub rejected: u64,
+        /// Queries rejected at the per-connection in-flight cap.
+        pub rejected_backlog: u64,
+        /// Queries rejected because shutdown was already draining.
+        pub rejected_shutdown: u64,
+        /// Queries rejected by the health circuit breaker
+        /// (`service_degraded`; also counted in `rejected`).
+        pub rejected_degraded: u64,
+        /// Results delivered to their connection's reply buffer.
+        pub results_delivered: u64,
+        /// Results whose connection was gone (or slow) at delivery time.
+        pub results_dropped: u64,
+        /// Of the routed results, queries that were served.
+        pub results_served: u64,
+        /// Of the routed results, queries quarantined after recovery.
+        pub results_quarantined: u64,
+        /// Of the routed results, queries evicted past their deadline.
+        pub results_deadline_exceeded: u64,
+        /// Queries still pending at shutdown that the final drain flushed.
+        pub shutdown_drained: u64,
+        /// Health transitions the service recorded over this lifetime.
+        pub health_transitions: u64,
+        /// Health state label at shutdown (empty when the service thread
+        /// panicked before it could report).
+        pub final_health: String,
+        /// Update batches committed over the wire.
+        pub updates_committed: u64,
+        /// Edges across every committed wire update.
+        pub update_edges: u64,
+        /// Update requests refused (draining, out-of-range vertex, or a
+        /// failed commit).
+        pub updates_rejected: u64,
+        /// Session epoch at shutdown (0 = the graph was never mutated).
+        pub final_epoch: u64,
     }
 }
 

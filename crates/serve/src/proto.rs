@@ -471,23 +471,15 @@ pub fn update_rejected_reply(reason: &str, detail: &str) -> JsonValue {
         .build()
 }
 
-/// The `health` reply: current state, tick clock, per-class counters,
-/// and the full transition history.
+/// The `health` reply: the `reply` tag, then the snapshot's fields —
+/// current state, tick clock, per-class counters, and the full
+/// transition history.
 pub fn health_reply(h: &HealthSnapshot) -> JsonValue {
-    JsonValue::object()
-        .field("reply", "health")
-        .field("state", h.state)
-        .field("ticks", h.ticks)
-        .field("queue_depth", h.queue_depth as u64)
-        .field("served", h.served)
-        .field("quarantined", h.quarantined)
-        .field("deadline_exceeded", h.deadline_exceeded)
-        .field("rejected_degraded", h.rejected_degraded)
-        .field(
-            "transitions",
-            JsonValue::Array(h.transitions.iter().map(|t| t.to_json()).collect()),
-        )
-        .build()
+    let JsonValue::Object(mut fields) = h.to_json() else {
+        unreachable!("a record renders as an object");
+    };
+    fields.insert(0, ("reply".to_string(), "health".into()));
+    JsonValue::Object(fields)
 }
 
 /// The `stats` reply wrapping the full [`ServeReport`].

@@ -1,30 +1,21 @@
 //! Service observability: everything the metrics JSON `serve` section
 //! (`docs/METRICS.md`) reports about one service lifetime.
 
-use sunbfs_common::{JsonValue, ToJson};
+use sunbfs_common::{json_record, JsonValue, ToJson};
 
-/// One health state change (`docs/FAULTS.md`), as the report and the
-/// `health` reply carry it.
-#[derive(Clone, Debug)]
-pub struct HealthTransition {
-    /// State label left (`healthy`/`degraded`/`quarantined`/`recovering`).
-    pub from: &'static str,
-    /// State label entered.
-    pub to: &'static str,
-    /// Service tick when the transition happened.
-    pub at_tick: u64,
-    /// Why (human-readable, e.g. `"2/4 window batches failed"`).
-    pub reason: String,
-}
-
-impl ToJson for HealthTransition {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("from", self.from)
-            .field("to", self.to)
-            .field("at_tick", self.at_tick)
-            .field("reason", self.reason.as_str())
-            .build()
+json_record! {
+    /// One health state change (`docs/FAULTS.md`), as the report and the
+    /// `health` reply carry it.
+    #[derive(Clone, Debug)]
+    pub struct HealthTransition {
+        /// State label left (`healthy`/`degraded`/`quarantined`/`recovering`).
+        pub from: &'static str,
+        /// State label entered.
+        pub to: &'static str,
+        /// Service tick when the transition happened.
+        pub at_tick: u64,
+        /// Why (human-readable, e.g. `"2/4 window batches failed"`).
+        pub reason: String,
     }
 }
 
@@ -43,41 +34,28 @@ pub fn occupancy_bucket(occ: usize) -> usize {
 pub const OCCUPANCY_LABELS: [&str; OCCUPANCY_BUCKETS] =
     ["1", "2-3", "4-7", "8-15", "16-31", "32-63", "64"];
 
-/// One executed batch.
-#[derive(Clone, Debug)]
-pub struct BatchRecord {
-    /// Sequence number (0-based, formation order).
-    pub batch_id: u64,
-    /// Queries that rode in this batch.
-    pub occupancy: usize,
-    /// Simulated seconds the batch took (max over ranks for the batched
-    /// path; summed per-root times on the fallback path).
-    pub sim_seconds: f64,
-    /// Wall-clock seconds the execution took on the host.
-    pub wall_seconds: f64,
-    /// True when a lost rank degraded this batch to per-root recovery.
-    pub fallback: bool,
-    /// Riders served.
-    pub served: u64,
-    /// Riders quarantined.
-    pub quarantined: u64,
-    /// Simulated seconds the same roots took sequentially (present only
-    /// when the service measures baselines).
-    pub seq_sim_seconds: Option<f64>,
-}
-
-impl ToJson for BatchRecord {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("batch_id", self.batch_id)
-            .field("occupancy", self.occupancy as u64)
-            .field("sim_seconds", self.sim_seconds)
-            .field("wall_seconds", self.wall_seconds)
-            .field("fallback", self.fallback)
-            .field("served", self.served)
-            .field("quarantined", self.quarantined)
-            .field("seq_sim_seconds", self.seq_sim_seconds)
-            .build()
+json_record! {
+    /// One executed batch.
+    #[derive(Clone, Debug)]
+    pub struct BatchRecord {
+        /// Sequence number (0-based, formation order).
+        pub batch_id: u64,
+        /// Queries that rode in this batch.
+        pub occupancy: usize,
+        /// Simulated seconds the batch took (max over ranks for the batched
+        /// path; summed per-root times on the fallback path).
+        pub sim_seconds: f64,
+        /// Wall-clock seconds the execution took on the host.
+        pub wall_seconds: f64,
+        /// True when a lost rank degraded this batch to per-root recovery.
+        pub fallback: bool,
+        /// Riders served.
+        pub served: u64,
+        /// Riders quarantined.
+        pub quarantined: u64,
+        /// Simulated seconds the same roots took sequentially (present only
+        /// when the service measures baselines).
+        pub seq_sim_seconds: Option<f64>,
     }
 }
 
@@ -87,37 +65,25 @@ impl ToJson for BatchRecord {
 /// `quarantined` / `deadline_exceeded` counters.
 pub const QUERY_RECORDS_KEPT: usize = 4096;
 
-/// One completed query, as the report remembers it.
-#[derive(Clone, Debug)]
-pub struct QueryRecord {
-    /// The query's ticket number.
-    pub id: u64,
-    /// The root vertex.
-    pub root: u64,
-    /// The batch it rode in (`None` for queries evicted before forming
-    /// one, e.g. `deadline_exceeded`).
-    pub batch_id: Option<u64>,
-    /// `served`, `quarantined`, or `deadline_exceeded`.
-    pub status: &'static str,
-    /// Simulated seconds the serving traversal took.
-    pub sim_latency_s: f64,
-    /// Wall-clock seconds the execution took on the host.
-    pub wall_latency_s: f64,
-    /// True when served by per-root recovery instead of the batch.
-    pub via_fallback: bool,
-}
-
-impl ToJson for QueryRecord {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("id", self.id)
-            .field("root", self.root)
-            .field("batch_id", self.batch_id)
-            .field("status", self.status)
-            .field("sim_latency_s", self.sim_latency_s)
-            .field("wall_latency_s", self.wall_latency_s)
-            .field("via_fallback", self.via_fallback)
-            .build()
+json_record! {
+    /// One completed query, as the report remembers it.
+    #[derive(Clone, Debug)]
+    pub struct QueryRecord {
+        /// The query's ticket number.
+        pub id: u64,
+        /// The root vertex.
+        pub root: u64,
+        /// The batch it rode in (`None` for queries evicted before forming
+        /// one, e.g. `deadline_exceeded`).
+        pub batch_id: Option<u64>,
+        /// `served`, `quarantined`, or `deadline_exceeded`.
+        pub status: &'static str,
+        /// Simulated seconds the serving traversal took.
+        pub sim_latency_s: f64,
+        /// Wall-clock seconds the execution took on the host.
+        pub wall_latency_s: f64,
+        /// True when served by per-root recovery instead of the batch.
+        pub via_fallback: bool,
     }
 }
 
@@ -286,15 +252,7 @@ impl ServeReport {
                     self.health
                 },
             )
-            .field(
-                "health_transitions",
-                JsonValue::Array(
-                    self.health_transitions
-                        .iter()
-                        .map(|t| t.to_json())
-                        .collect(),
-                ),
-            )
+            .field("health_transitions", self.health_transitions.to_json())
             .field("chaos_injected", self.chaos_injected)
             .field("chaos_panics", self.chaos_panics)
             .field("chaos_stragglers", self.chaos_stragglers)
@@ -327,14 +285,8 @@ impl ToJson for ServeReport {
         let JsonValue::Object(mut fields) = self.to_summary_json() else {
             unreachable!("summary is always an object");
         };
-        fields.push((
-            "batches".to_string(),
-            JsonValue::Array(self.batches.iter().map(|b| b.to_json()).collect()),
-        ));
-        fields.push((
-            "queries".to_string(),
-            JsonValue::Array(self.queries.iter().map(|q| q.to_json()).collect()),
-        ));
+        fields.push(("batches".to_string(), self.batches.to_json()));
+        fields.push(("queries".to_string(), self.queries.to_json()));
         JsonValue::Object(fields)
     }
 }

@@ -59,7 +59,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-use sunbfs_common::{Edge, SplitMix64};
+use sunbfs_common::{json_record, Edge, SplitMix64};
 use sunbfs_core::{validate, BatchOutput, BfsOutput, EngineError, UNREACHED_DEPTH};
 use sunbfs_mutate::UpdatePlan;
 use sunbfs_net::{all_ranks_ok, CorruptMode, FaultEvent, FaultKind};
@@ -575,26 +575,28 @@ struct Pending {
     deadline_ticks: Option<u32>,
 }
 
-/// A point-in-time view of the service's health, for the `health`
-/// request of both transports.
-#[derive(Clone, Debug)]
-pub struct HealthSnapshot {
-    /// Current state's stable label.
-    pub state: &'static str,
-    /// Service ticks elapsed.
-    pub ticks: u64,
-    /// Every health transition so far, in order.
-    pub transitions: Vec<HealthTransition>,
-    /// Pending (admitted, not yet executed) queries.
-    pub queue_depth: usize,
-    /// Queries served.
-    pub served: u64,
-    /// Queries quarantined.
-    pub quarantined: u64,
-    /// Queries evicted at their deadline.
-    pub deadline_exceeded: u64,
-    /// Submissions shed by the open breaker.
-    pub rejected_degraded: u64,
+json_record! {
+    /// A point-in-time view of the service's health: the `health` reply
+    /// is its fields behind the `reply` tag.
+    #[derive(Clone, Debug)]
+    pub struct HealthSnapshot {
+        /// Current state's stable label.
+        pub state: &'static str,
+        /// Service ticks elapsed.
+        pub ticks: u64,
+        /// Pending (admitted, not yet executed) queries.
+        pub queue_depth: usize,
+        /// Queries served.
+        pub served: u64,
+        /// Queries quarantined.
+        pub quarantined: u64,
+        /// Queries evicted at their deadline.
+        pub deadline_exceeded: u64,
+        /// Submissions shed by the open breaker.
+        pub rejected_degraded: u64,
+        /// Every health transition so far, in order.
+        pub transitions: Vec<HealthTransition>,
+    }
 }
 
 /// The BFS query service over one resident [`GraphSession`].
@@ -766,12 +768,12 @@ impl BfsService {
         HealthSnapshot {
             state: self.health.state().label(),
             ticks: self.ticks,
-            transitions: self.health.transitions().to_vec(),
             queue_depth: self.pending.len(),
             served: self.report.served,
             quarantined: self.report.quarantined,
             deadline_exceeded: self.report.deadline_exceeded,
             rejected_degraded: self.report.rejected_degraded,
+            transitions: self.health.transitions().to_vec(),
         }
     }
 

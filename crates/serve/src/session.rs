@@ -38,7 +38,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use sunbfs_common::{Edge, JsonValue, MachineConfig, ToJson};
+use sunbfs_common::{json_record, Edge, MachineConfig};
 use sunbfs_core::{
     run_bfs_batch, run_bfs_recoverable, BatchOutput, BfsOutput, CheckpointStore, EngineConfig,
     EngineError,
@@ -185,39 +185,27 @@ impl From<StoreError> for SessionError {
     }
 }
 
-/// What the persistent partition store did for this session — the
-/// record behind the metrics JSON `store` section.
-#[derive(Clone, Debug)]
-pub struct StoreActivity {
-    /// The store file involved.
-    pub path: String,
-    /// True when the resident partition was decoded from the file.
-    pub opened: bool,
-    /// True when the resident partition was written to the file.
-    pub saved: bool,
-    /// Store file size in bytes.
-    pub file_bytes: u64,
-    /// Store file size in pages.
-    pub pages: u64,
-    /// Wall seconds the fresh generate + partition build took (present
-    /// only when this session built, i.e. the cold path).
-    pub cold_build_wall_seconds: Option<f64>,
-    /// Wall seconds the file open + decode took (present only when
-    /// this session opened, i.e. the warm path).
-    pub warm_open_wall_seconds: Option<f64>,
-}
-
-impl ToJson for StoreActivity {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("path", self.path.clone())
-            .field("opened", self.opened)
-            .field("saved", self.saved)
-            .field("file_bytes", self.file_bytes)
-            .field("pages", self.pages)
-            .field("cold_build_wall_seconds", self.cold_build_wall_seconds)
-            .field("warm_open_wall_seconds", self.warm_open_wall_seconds)
-            .build()
+json_record! {
+    /// What the persistent partition store did for this session — the
+    /// record behind the metrics JSON `store` section.
+    #[derive(Clone, Debug)]
+    pub struct StoreActivity {
+        /// The store file involved.
+        pub path: String,
+        /// True when the resident partition was decoded from the file.
+        pub opened: bool,
+        /// True when the resident partition was written to the file.
+        pub saved: bool,
+        /// Store file size in bytes.
+        pub file_bytes: u64,
+        /// Store file size in pages.
+        pub pages: u64,
+        /// Wall seconds the fresh generate + partition build took (present
+        /// only when this session built, i.e. the cold path).
+        pub cold_build_wall_seconds: Option<f64>,
+        /// Wall seconds the file open + decode took (present only when
+        /// this session opened, i.e. the warm path).
+        pub warm_open_wall_seconds: Option<f64>,
     }
 }
 

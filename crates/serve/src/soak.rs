@@ -228,12 +228,7 @@ impl SoakReport {
             .field("final_health", self.final_health.as_str())
             .field("recovered", self.recovered())
             .field("server_panicked", self.join_error.is_some())
-            .field(
-                "join_error",
-                self.join_error
-                    .as_deref()
-                    .map_or(JsonValue::Null, JsonValue::from),
-            )
+            .field("join_error", self.join_error.as_deref())
             .field("passed", self.passed())
             .field("load", self.load.to_json())
             // Aggregates only: a soak records thousands of queries, and

@@ -283,7 +283,7 @@ fn main() {
     let rendered = soak_artifact(&report).render_pretty();
     println!("{rendered}");
     if let Some(path) = &cli.json_path {
-        if let Err(e) = std::fs::write(path, format!("{rendered}\n")) {
+        if let Err(e) = std::fs::write(path, &rendered) {
             eprintln!("soak {name}: writing {path} failed: {e}");
             std::process::exit(1);
         }

@@ -164,19 +164,21 @@ pub struct QuarantinedRoot {
     pub reason: Quarantine,
 }
 
-/// Per-root bookkeeping of the retry loop, in root order.
-#[derive(Clone, Debug)]
-pub struct RootOutcome {
-    /// The root vertex.
-    pub root: u64,
-    /// Traversal attempts spent on this root (1 = clean first run).
-    pub attempts: u32,
-    /// True when the root ended up quarantined.
-    pub quarantined: bool,
-    /// BFS iterations the final attempt resumed from a checkpoint
-    /// instead of re-running (0 = the root restarted from scratch, or
-    /// never needed a retry).
-    pub iterations_salvaged: u32,
+json_record! {
+    /// Per-root bookkeeping of the retry loop, in root order.
+    #[derive(Clone, Debug)]
+    pub struct RootOutcome {
+        /// The root vertex.
+        pub root: u64,
+        /// Traversal attempts spent on this root (1 = clean first run).
+        pub attempts: u32,
+        /// True when the root ended up quarantined.
+        pub quarantined: bool,
+        /// BFS iterations the final attempt resumed from a checkpoint
+        /// instead of re-running (0 = the root restarted from scratch, or
+        /// never needed a retry).
+        pub iterations_salvaged: u32,
+    }
 }
 
 /// Self-healing observability attached to every [`BenchmarkReport`]:
@@ -261,7 +263,7 @@ pub struct RootRun {
 json_record! {
     /// Minimum, quartiles and maximum of a sample, as the Graph 500
     /// output block prints them (all zero for an empty sample).
-    #[derive(Debug, Default, PartialEq)]
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
     pub struct Quartiles {
         /// Smallest value.
         pub min: f64,
@@ -295,41 +297,43 @@ impl Quartiles {
     }
 }
 
-/// Host wall-clock accounting of one benchmark run — real elapsed time
-/// on the machine running the simulation, as opposed to the simulated
-/// `SimTime` every other number is measured in. This is the worker-pool
-/// scaling surface: `SUNBFS_WORKERS` cannot change any simulated
-/// metric (determinism contract), so its win shows up here.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WallClockReport {
-    /// Worker-pool size the run executed with (`SUNBFS_WORKERS`).
-    pub workers: u64,
-    /// Hardware threads the host reported
-    /// ([`std::thread::available_parallelism`]); scaling beyond this is
-    /// not physically possible.
-    pub available_parallelism: u64,
-    /// Wall-clock seconds of the whole benchmark (generation,
-    /// partitioning, traversals, validation, reporting).
-    pub total_seconds: f64,
-    /// Wall-clock seconds inside the SPMD phases (`load_seconds` +
-    /// `traverse_seconds`) — the part the worker pool accelerates.
-    pub bfs_seconds: f64,
-    /// Wall-clock seconds of the one partition build or store open.
-    pub load_seconds: f64,
-    /// Wall-clock seconds of the BFS traversals, all roots together.
-    pub traverse_seconds: f64,
-    /// Wall-clock seconds of validation: materialising the edge list on
-    /// the driver, the per-graph duplicate-edge census, and every
-    /// root's checks (`0.0` when validation did not run).
-    pub validate_seconds: f64,
-    /// Spread of the surviving roots' `validate_seconds`.
-    pub validate_root_seconds: Quartiles,
-    /// Traversed edges summed over surviving roots (numerator of
-    /// `edges_per_second`).
-    pub traversed_edges: u64,
-    /// Real traversed-edges-per-second over `bfs_seconds` — the
-    /// wall-clock throughput `scripts/bench_trajectory.sh` tracks.
-    pub edges_per_second: f64,
+json_record! {
+    /// Host wall-clock accounting of one benchmark run — real elapsed time
+    /// on the machine running the simulation, as opposed to the simulated
+    /// `SimTime` every other number is measured in. This is the worker-pool
+    /// scaling surface: `SUNBFS_WORKERS` cannot change any simulated
+    /// metric (determinism contract), so its win shows up here.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct WallClockReport {
+        /// Worker-pool size the run executed with (`SUNBFS_WORKERS`).
+        pub workers: u64,
+        /// Hardware threads the host reported
+        /// ([`std::thread::available_parallelism`]); scaling beyond this is
+        /// not physically possible.
+        pub available_parallelism: u64,
+        /// Wall-clock seconds of the whole benchmark (generation,
+        /// partitioning, traversals, validation, reporting).
+        pub total_seconds: f64,
+        /// Wall-clock seconds inside the SPMD phases (`load_seconds` +
+        /// `traverse_seconds`) — the part the worker pool accelerates.
+        pub bfs_seconds: f64,
+        /// Wall-clock seconds of the one partition build or store open.
+        pub load_seconds: f64,
+        /// Wall-clock seconds of the BFS traversals, all roots together.
+        pub traverse_seconds: f64,
+        /// Wall-clock seconds of validation: materialising the edge list on
+        /// the driver, the per-graph duplicate-edge census, and every
+        /// root's checks (`0.0` when validation did not run).
+        pub validate_seconds: f64,
+        /// Spread of the surviving roots' `validate_seconds`.
+        pub validate_root_seconds: Quartiles,
+        /// Traversed edges summed over surviving roots (numerator of
+        /// `edges_per_second`).
+        pub traversed_edges: u64,
+        /// Real traversed-edges-per-second over `bfs_seconds` — the
+        /// wall-clock throughput `scripts/bench_trajectory.sh` tracks.
+        pub edges_per_second: f64,
+    }
 }
 
 impl WallClockReport {

@@ -18,9 +18,7 @@ use sunbfs_sunway::KernelReport;
 
 use sunbfs_serve::SoakReport;
 
-use crate::driver::{
-    BenchmarkReport, FaultReport, RecoveryReport, RootRun, RunConfig, WallClockReport,
-};
+use crate::driver::{BenchmarkReport, FaultReport, RecoveryReport, RootRun, RunConfig};
 
 /// Bump when the JSON layout changes shape (adding fields is a bump
 /// too: the golden test pins the exact skeleton).
@@ -144,26 +142,8 @@ impl BenchmarkReport {
         if let Some(store) = &self.store {
             doc = doc.field("store", store.to_json());
         }
-        doc.field("wall", wall_json(&self.wall)).build()
+        doc.field("wall", self.wall.to_json()).build()
     }
-}
-
-/// The host wall-clock section: real elapsed time and real
-/// traversed-edges/sec. The only section `SUNBFS_WORKERS` is allowed to
-/// change — every simulated number is worker-count invariant.
-fn wall_json(w: &WallClockReport) -> JsonValue {
-    JsonValue::object()
-        .field("workers", w.workers)
-        .field("available_parallelism", w.available_parallelism)
-        .field("total_seconds", w.total_seconds)
-        .field("bfs_seconds", w.bfs_seconds)
-        .field("load_seconds", w.load_seconds)
-        .field("traverse_seconds", w.traverse_seconds)
-        .field("validate_seconds", w.validate_seconds)
-        .field("validate_root_seconds", w.validate_root_seconds)
-        .field("traversed_edges", w.traversed_edges)
-        .field("edges_per_second", w.edges_per_second)
-        .build()
 }
 
 /// The self-healing section: what the exchange layer retransmitted and
@@ -181,18 +161,6 @@ fn recovery_json(r: &RecoveryReport) -> JsonValue {
 /// The fault/retry/quarantine section: everything an operator needs to
 /// decide whether a degraded run's numbers are still usable.
 fn faults_json(f: &FaultReport) -> JsonValue {
-    let outcomes = f
-        .outcomes
-        .iter()
-        .map(|o| {
-            JsonValue::object()
-                .field("root", o.root)
-                .field("attempts", o.attempts as u64)
-                .field("quarantined", o.quarantined)
-                .field("iterations_salvaged", o.iterations_salvaged as u64)
-                .build()
-        })
-        .collect();
     let quarantined = f
         .quarantined
         .iter()
@@ -208,7 +176,7 @@ fn faults_json(f: &FaultReport) -> JsonValue {
         .field("degraded", f.degraded())
         .field("total_retries", f.total_retries)
         .field("injected", f.injected.to_json())
-        .field("roots", JsonValue::Array(outcomes))
+        .field("roots", f.outcomes.to_json())
         .field("quarantined", JsonValue::Array(quarantined))
         .build()
 }
@@ -217,18 +185,8 @@ fn config_json(c: &RunConfig) -> JsonValue {
     JsonValue::object()
         .field("scale", c.scale)
         .field("edge_factor", c.edge_factor)
-        .field(
-            "mesh",
-            JsonValue::object()
-                .field("rows", c.mesh.rows)
-                .field("cols", c.mesh.cols),
-        )
-        .field(
-            "thresholds",
-            JsonValue::object()
-                .field("e", c.thresholds.e)
-                .field("h", c.thresholds.h),
-        )
+        .field("mesh", c.mesh.to_json())
+        .field("thresholds", c.thresholds.to_json())
         .field(
             "engine",
             JsonValue::object()
@@ -244,16 +202,7 @@ fn config_json(c: &RunConfig) -> JsonValue {
         .field("seed", c.seed)
         .field("num_roots", c.num_roots)
         .field("validate", c.validate)
-        .field(
-            "faults",
-            JsonValue::object()
-                .field("seed", c.faults.seed)
-                .field("panics", c.faults.panics)
-                .field("stragglers", c.faults.stragglers)
-                .field("corruptions", c.faults.corruptions)
-                .field("straggler_secs", c.faults.straggler_secs)
-                .field("horizon", c.faults.horizon),
-        )
+        .field("faults", c.faults.to_json())
         .field("max_root_retries", c.max_root_retries)
         .field("serve_batch", c.serve_batch)
         .field("serve_baseline", c.serve_baseline)
