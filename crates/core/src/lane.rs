@@ -44,9 +44,8 @@ pub(crate) const SCAN_GRAIN_WORDS: u64 = 4;
 pub(crate) trait Lane: Copy + Send + Sync {
     /// Which of the traversal's roots an element carries.
     type Mask: Copy + Send + Sync;
-    /// Wire form of a `(dest, parent, mask)` message. The exchange
-    /// layer's frame registry is keyed by this concrete type.
-    type Msg: Copy + Send + Sync + 'static;
+    /// Wire form of a `(dest, parent, mask)` message.
+    type Msg: sunbfs_net::Wire;
     /// Bits one vertex occupies in a set.
     const STRIDE: u64;
     /// Vertices per chunking unit of a push scan.

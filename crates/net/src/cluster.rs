@@ -41,11 +41,9 @@ use sunbfs_common::{
 
 use crate::barrier::{BarrierPoisoned, PoisonBarrier};
 use crate::cost::{self, Scope};
-use crate::fault::{corrupt_any_preserving, FaultKind, FaultPlan, FaultRecord, InjectedFault};
-use crate::frame::{clone_any, fnv1a, frame_any, Frame};
+use crate::fault::{FaultKind, FaultPlan, FaultRecord, InjectedFault};
+use crate::frame::{fnv1a, Frame, Payload, Wire};
 use crate::topology::{MeshShape, Topology};
-
-type Payload = Arc<dyn Any + Send + Sync>;
 
 /// How many times a corrupted deposit is retransmitted before the
 /// exchange gives up and escalates to a [`FailureKind::CorruptPayload`]
@@ -72,9 +70,9 @@ struct Deposit {
     volumes: Option<Vec<u64>>,
     /// Length + checksum of the *pristine* payload, computed by the
     /// sender before the fault-injection hook ran (`None` on the
-    /// fault-free fast path and for unframed payload types).
+    /// fault-free fast path).
     frame: Option<Frame>,
-    payload: Payload,
+    payload: Arc<dyn Any + Send + Sync>,
 }
 
 /// One rendezvous buffer of a scope: what each member deposits for one
@@ -846,16 +844,16 @@ impl RankCtx {
     /// timestamp. When a corruption was applied, returns the pristine
     /// pre-corruption payload so the exchange can retransmit it after
     /// the checksum catches the damage.
-    fn inject_fault(
+    fn inject_fault<T: Payload>(
         &mut self,
         scope: Scope,
         op: &str,
         op_index: u64,
-        payload: &mut (dyn Any + Send + Sync),
-    ) -> Option<Payload> {
+        payload: &mut T,
+    ) -> Option<T> {
         let kind = self.shared.plan.fire(self.rank, op_index)?;
         let mut applied = true;
-        let mut pristine: Option<Payload> = None;
+        let mut pristine = None;
         match kind {
             FaultKind::Straggler { secs } => {
                 // Simulated delay: every peer of this collective will
@@ -867,9 +865,9 @@ impl RankCtx {
                 std::thread::sleep(std::time::Duration::from_secs_f64(secs.min(0.005)));
             }
             FaultKind::Corrupt { mode } => {
-                let (did, kept) = corrupt_any_preserving(payload, mode);
-                applied = did;
-                pristine = kept.map(|b| -> Payload { Arc::from(b) });
+                let kept = payload.clone();
+                applied = payload.corrupt(mode);
+                pristine = applied.then_some(kept);
             }
             FaultKind::Panic => {}
         }
@@ -909,7 +907,7 @@ impl RankCtx {
     /// barrier, [`Self::heal_corrupt_deposits`], collect, barrier — so
     /// a heal round always works on slots no member has moved past.
     #[allow(clippy::type_complexity)]
-    fn exchange<T: Send + Sync + 'static>(
+    fn exchange<T: Payload>(
         &mut self,
         scope: Scope,
         op: &str,
@@ -931,7 +929,7 @@ impl RankCtx {
         // is only paid when a fault plan is live: the fault-free fast
         // path deposits unframed and skips verification entirely.
         let framing = self.framing;
-        let frame = if framing { frame_any(&payload) } else { None };
+        let frame = framing.then(|| payload.frame());
         let pristine = if framing {
             self.inject_fault(scope, op, op_index, &mut payload)
         } else {
@@ -1003,9 +1001,7 @@ impl RankCtx {
                 drop(slot);
                 self.violate(scope, op, Some(member), SpmdViolationKind::TagMismatch);
             }
-            let Ok(typed) =
-                Arc::downcast::<T>(Arc::clone(&dep.payload) as Arc<dyn Any + Send + Sync>)
-            else {
+            let Ok(typed) = Arc::downcast::<T>(Arc::clone(&dep.payload)) else {
                 drop(slot);
                 self.violate(
                     scope,
@@ -1040,7 +1036,7 @@ impl RankCtx {
     /// and unwinds all members with a typed escalation blaming the
     /// corrupt sender.
     #[allow(clippy::too_many_arguments)]
-    fn heal_corrupt_deposits(
+    fn heal_corrupt_deposits<T: Payload>(
         &mut self,
         ss: &ScopeShared,
         slots: &[Mutex<Option<Deposit>>],
@@ -1052,18 +1048,19 @@ impl RankCtx {
         bytes: u64,
         frame: Option<Frame>,
         volumes: &Option<Vec<u64>>,
-        pristine: &Option<Payload>,
+        pristine: &Option<T>,
     ) {
         let n = ss.members.len();
         let corrupt_positions = || -> Vec<usize> {
             (0..n)
                 .filter(|&p| {
                     let slot = lock_ignore_poison(&slots[p]);
-                    slot.as_ref().is_some_and(|dep| match dep.frame {
-                        Some(f) => frame_any(dep.payload.as_ref()) != Some(f),
-                        // Unframed deposits (e.g. barriers) are
-                        // unverifiable — and uncorruptible.
-                        None => false,
+                    // A deposit of another type is left for collect to
+                    // report as a `PayloadTypeMismatch`.
+                    slot.as_ref().is_some_and(|dep| {
+                        dep.payload
+                            .downcast_ref::<T>()
+                            .is_some_and(|p| Some(p.frame()) != dep.frame)
                     })
                 })
                 .collect()
@@ -1107,16 +1104,14 @@ impl RankCtx {
             self.pending_retransmit +=
                 cost::allgatherv_cost(&self.shared.machine, scope, &heal_volumes);
             if corrupt.contains(&pos) {
-                let pristine = pristine
-                    .as_ref()
+                let mut fresh = pristine
+                    .clone()
                     .expect("a corrupted deposit always has a pristine copy");
-                let mut fresh =
-                    clone_any(pristine.as_ref()).expect("framed payload types are clonable");
                 // Re-run injection on the fresh copy: a duplicate plan
                 // event at the same (rank, op_index) re-corrupts the
                 // retransmission too — the persistent-fault model that
                 // can exhaust the budget.
-                let _ = self.inject_fault(scope, op, op_index, fresh.as_mut());
+                let _ = self.inject_fault(scope, op, op_index, &mut fresh);
                 lock_ignore_poison(&self.shared.retransmit_log).push(RetransmitRecord {
                     from: self.rank,
                     scope,
@@ -1129,7 +1124,7 @@ impl RankCtx {
                     bytes,
                     volumes: volumes.clone(),
                     frame,
-                    payload: Arc::from(fresh),
+                    payload: Arc::new(fresh),
                 });
             }
             // Re-deposit barrier: re-depositors must finish before
@@ -1163,7 +1158,7 @@ impl RankCtx {
 
     /// Irregular all-to-all: `send[p]` goes to scope member `p`; returns
     /// what every member sent to this rank, in member order.
-    pub fn alltoallv<T: Clone + Send + Sync + 'static>(
+    pub fn alltoallv<T: Wire>(
         &mut self,
         scope: Scope,
         category: &str,
@@ -1193,7 +1188,7 @@ impl RankCtx {
 
     /// All-gather: every member contributes a vector; returns all
     /// vectors in member order.
-    pub fn allgatherv<T: Clone + Send + Sync + 'static>(
+    pub fn allgatherv<T: Wire>(
         &mut self,
         scope: Scope,
         category: &str,
@@ -1224,7 +1219,7 @@ impl RankCtx {
         combine: F,
     ) -> Vec<T>
     where
-        T: Clone + Send + Sync + 'static,
+        T: Wire,
         F: Fn(&mut T, &T),
     {
         self.allreduce_with_indexed(scope, op, mine, charged_bytes, |_, a, b| combine(a, b))
@@ -1243,7 +1238,7 @@ impl RankCtx {
         combine: F,
     ) -> Vec<T>
     where
-        T: Clone + Send + Sync + 'static,
+        T: Wire,
         F: Fn(usize, &mut T, &T),
     {
         let n = self.scope_size(scope);
@@ -1467,9 +1462,10 @@ mod tests {
                     }
                     1 => {
                         // Each member sends `(sender, k, receiver)`.
-                        let send = members.iter().map(|&d| vec![(stamp(me), d)]).collect();
+                        let route = |m: usize, d: usize| (m as u64, k, d as u64);
+                        let send = members.iter().map(|&d| vec![route(me, d)]).collect();
                         let got = ctx.alltoallv(scope, "route", send);
-                        let want: Vec<_> = members.iter().map(|&m| vec![(stamp(m), me)]).collect();
+                        let want: Vec<_> = members.iter().map(|&m| vec![route(m, me)]).collect();
                         assert_eq!(got, want, "alltoallv {k}");
                     }
                     _ => {

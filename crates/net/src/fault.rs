@@ -41,7 +41,6 @@
 //! ([`FaultPlan::parse`]), a seeded [`FaultSpec`] carried by the run
 //! configuration ([`FaultPlan::generate`]), or none.
 
-use std::any::Any;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use sunbfs_common::{json_record, JsonValue, SplitMix64, ToJson};
@@ -469,8 +468,9 @@ pub struct FaultRecord {
     pub kind: FaultKind,
     /// The rank's simulated clock when it fired.
     pub sim_seconds: f64,
-    /// Whether the fault had an effect (a corruption of an
-    /// un-corruptible payload type is logged but not applied).
+    /// Whether the fault had an effect: a corruption is logged but not
+    /// applied only when the payload had nothing to damage (a barrier,
+    /// an empty vector).
     pub applied: bool,
 }
 
@@ -491,70 +491,6 @@ impl ToJson for FaultRecord {
             .field("sim_seconds", self.sim_seconds)
             .build()
     }
-}
-
-/// Best-effort payload corruption through `Any`: the collectives are
-/// generic, so corruption knows the concrete payload types the engine
-/// actually ships (scalar/bitmap words, byte/word vectors, the
-/// single-source `(dest, parent)` pairs and the batch `(dest, parent,
-/// mask)` triples, and alltoallv send sets of the same). Returns
-/// whether anything changed.
-///
-/// Invariant: every type this function can damage is covered by
-/// `crate::frame::frame_any`, so no applied corruption can evade the
-/// exchange layer's checksum verification.
-pub(crate) fn corrupt_any(payload: &mut (dyn Any + Send + Sync), mode: CorruptMode) -> bool {
-    /// Flip the first element's lowest bit, or drop the last element.
-    fn flat<T>(v: &mut Vec<T>, mode: CorruptMode, flip: impl FnOnce(&mut T)) -> bool {
-        match mode {
-            CorruptMode::BitFlip => v.first_mut().map(flip).is_some(),
-            CorruptMode::Truncate => v.pop().is_some(),
-        }
-    }
-    /// [`flat`] on the first non-empty destination of a send set.
-    fn nested<T>(vv: &mut [Vec<T>], mode: CorruptMode, flip: impl FnOnce(&mut T)) -> bool {
-        vv.iter_mut()
-            .find(|inner| !inner.is_empty())
-            .is_some_and(|inner| flat(inner, mode, flip))
-    }
-    if let Some(v) = payload.downcast_mut::<Vec<u64>>() {
-        return flat(v, mode, |x| *x ^= 1);
-    }
-    if let Some(v) = payload.downcast_mut::<Vec<u32>>() {
-        return flat(v, mode, |x| *x ^= 1);
-    }
-    if let Some(v) = payload.downcast_mut::<Vec<u8>>() {
-        return flat(v, mode, |x| *x ^= 1);
-    }
-    if let Some(v) = payload.downcast_mut::<Vec<(u64, u64)>>() {
-        return flat(v, mode, |x| x.0 ^= 1);
-    }
-    if let Some(v) = payload.downcast_mut::<Vec<(u64, u64, u64)>>() {
-        return flat(v, mode, |x| x.0 ^= 1);
-    }
-    if let Some(vv) = payload.downcast_mut::<Vec<Vec<u64>>>() {
-        return nested(vv, mode, |x| *x ^= 1);
-    }
-    if let Some(vv) = payload.downcast_mut::<Vec<Vec<(u64, u64)>>>() {
-        return nested(vv, mode, |x| x.0 ^= 1);
-    }
-    if let Some(vv) = payload.downcast_mut::<Vec<Vec<(u64, u64, u64)>>>() {
-        return nested(vv, mode, |x| x.0 ^= 1);
-    }
-    false
-}
-
-/// [`corrupt_any`] that also hands back a pristine deep copy of the
-/// payload when (and only when) the corruption was applied — the copy
-/// the exchange layer retransmits after the checksum catches the
-/// damage.
-pub(crate) fn corrupt_any_preserving(
-    payload: &mut (dyn Any + Send + Sync),
-    mode: CorruptMode,
-) -> (bool, Option<Box<dyn Any + Send + Sync>>) {
-    let pristine = crate::frame::clone_any(payload);
-    let applied = corrupt_any(payload, mode);
-    (applied, if applied { pristine } else { None })
 }
 
 #[cfg(test)]
@@ -740,48 +676,5 @@ mod tests {
             })
         );
         assert_eq!(p.fire(0, 3), None);
-    }
-
-    #[test]
-    fn corrupt_preserving_returns_pristine_copy_only_when_applied() {
-        let mut v = vec![8u64, 9];
-        let (applied, pristine) = corrupt_any_preserving(&mut v, CorruptMode::BitFlip);
-        assert!(applied);
-        assert_eq!(v, vec![9, 9]);
-        let pristine = pristine.expect("applied corruption keeps a pristine copy");
-        assert_eq!(pristine.downcast_ref::<Vec<u64>>().unwrap(), &vec![8, 9]);
-
-        let mut unit = ();
-        let (applied, pristine) = corrupt_any_preserving(&mut unit, CorruptMode::BitFlip);
-        assert!(!applied);
-        assert!(pristine.is_none());
-    }
-
-    #[test]
-    fn corrupt_any_handles_pair_payloads() {
-        let mut pairs = vec![(8u64, 5u64), (2, 3)];
-        assert!(corrupt_any(&mut pairs, CorruptMode::BitFlip));
-        assert_eq!(pairs[0], (9, 5));
-        assert!(corrupt_any(&mut pairs, CorruptMode::Truncate));
-        assert_eq!(pairs.len(), 1);
-        let mut nested = vec![vec![], vec![(4u64, 7u64)]];
-        assert!(corrupt_any(&mut nested, CorruptMode::BitFlip));
-        assert_eq!(nested[1][0], (5, 7));
-    }
-
-    #[test]
-    fn corrupt_any_handles_known_types_and_skips_unknown() {
-        let mut v = vec![8u64, 9];
-        assert!(corrupt_any(&mut v, CorruptMode::BitFlip));
-        assert_eq!(v, vec![9, 9]);
-        assert!(corrupt_any(&mut v, CorruptMode::Truncate));
-        assert_eq!(v, vec![9]);
-        let mut vv = vec![vec![], vec![4u64]];
-        assert!(corrupt_any(&mut vv, CorruptMode::BitFlip));
-        assert_eq!(vv[1], vec![5]);
-        let mut unit = ();
-        assert!(!corrupt_any(&mut unit, CorruptMode::BitFlip));
-        let mut empty: Vec<u64> = Vec::new();
-        assert!(!corrupt_any(&mut empty, CorruptMode::Truncate));
     }
 }

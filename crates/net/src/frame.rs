@@ -11,15 +11,15 @@
 //! `exchange()` instead of letting flipped bits reach the algorithm
 //! or surface as an end-of-run validation failure.
 //!
-//! Framing is typed through `Any` exactly like
-//! [`crate::fault`]'s corruption hook: every payload type the
-//! corruption hook can damage MUST be frameable here, otherwise a
-//! corruption would go undetected again. The checksum for nested
-//! vectors covers the inner lengths as well as the elements, so
-//! moving an element between destinations (same bytes, different
-//! boundaries) is still caught.
+//! Which types can go on the wire is decided here, once: a collective
+//! carries vectors (or per-destination vectors) of [`Wire`] elements,
+//! and every such payload can be framed, cloned for retransmit and
+//! damaged by the corruption hook — a type that cannot be framed cannot
+//! be sent at all. The checksum for nested vectors covers the inner
+//! lengths as well as the elements, so moving an element between
+//! destinations (same bytes, different boundaries) is still caught.
 
-use std::any::Any;
+use crate::fault::CorruptMode;
 
 /// 64-bit FNV-1a over a byte slice (offset basis / prime per the
 /// reference parameters). Shared by exchange tags, payload frames,
@@ -32,22 +32,23 @@ pub fn fnv1a(data: &[u8]) -> u64 {
 }
 
 /// Streaming FNV-1a, so frames hash element-by-element without
-/// materialising a byte buffer.
-struct Fnv1a(u64);
+/// materialising a byte buffer; what a [`Wire`] element feeds.
+pub struct Fnv1a(u64);
 
 impl Fnv1a {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fnv1a(0xcbf2_9ce4_8422_2325)
     }
 
-    fn update(&mut self, bytes: &[u8]) {
+    /// Hash `bytes` in.
+    pub fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
         }
     }
 
-    fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         self.0
     }
 }
@@ -61,218 +62,188 @@ pub struct Frame {
     pub checksum: u64,
 }
 
-/// Elements the framing (and cloning) registry understands.
-trait FrameElem: Copy {
-    const SIZE: u64;
+/// An element a collective can carry: its fields feed the frame
+/// checksum, and a bit flip damages its first field.
+pub trait Wire: Copy + Send + Sync + 'static {
+    /// Hash the fields in, little-endian, in order.
     fn feed(&self, h: &mut Fnv1a);
+    /// XOR the low bit of the first field.
+    fn flip(&mut self);
 }
 
-impl FrameElem for u8 {
-    const SIZE: u64 = 1;
-    fn feed(&self, h: &mut Fnv1a) {
-        h.update(&[*self]);
-    }
-}
-
-impl FrameElem for u32 {
-    const SIZE: u64 = 4;
-    fn feed(&self, h: &mut Fnv1a) {
-        h.update(&self.to_le_bytes());
-    }
-}
-
-impl FrameElem for u64 {
-    const SIZE: u64 = 8;
-    fn feed(&self, h: &mut Fnv1a) {
-        h.update(&self.to_le_bytes());
-    }
-}
-
-impl FrameElem for (u64, u64) {
-    const SIZE: u64 = 16;
-    fn feed(&self, h: &mut Fnv1a) {
-        h.update(&self.0.to_le_bytes());
-        h.update(&self.1.to_le_bytes());
-    }
-}
-
-impl FrameElem for (u64, u64, u64) {
-    const SIZE: u64 = 24;
-    fn feed(&self, h: &mut Fnv1a) {
-        h.update(&self.0.to_le_bytes());
-        h.update(&self.1.to_le_bytes());
-        h.update(&self.2.to_le_bytes());
-    }
-}
-
-fn frame_flat<T: FrameElem>(v: &[T]) -> Frame {
-    let mut h = Fnv1a::new();
-    for e in v {
-        e.feed(&mut h);
-    }
-    Frame {
-        bytes: v.len() as u64 * T::SIZE,
-        checksum: h.finish(),
-    }
-}
-
-fn frame_nested<T: FrameElem>(vv: &[Vec<T>]) -> Frame {
-    let mut h = Fnv1a::new();
-    let mut bytes = 0u64;
-    for v in vv {
-        // Inner lengths are part of the checksum: an element sliding
-        // between destinations keeps the flat byte stream identical.
-        h.update(&(v.len() as u64).to_le_bytes());
-        for e in v {
-            e.feed(&mut h);
+macro_rules! wire_uint {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn feed(&self, h: &mut Fnv1a) {
+                h.update(&self.to_le_bytes());
+            }
+            fn flip(&mut self) {
+                *self ^= 1;
+            }
         }
-        bytes += v.len() as u64 * T::SIZE;
+    )*};
+}
+wire_uint!(u8, u32, u64);
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn feed(&self, h: &mut Fnv1a) {
+        self.0.feed(h);
+        self.1.feed(h);
     }
-    Frame {
-        bytes,
-        checksum: h.finish(),
+    fn flip(&mut self) {
+        self.0.flip();
     }
 }
 
-/// Derive the frame of a payload whose concrete type the registry
-/// knows; `None` for unframed types (e.g. the barrier's `()` — which
-/// the corruption hook cannot damage either).
-pub(crate) fn frame_any(payload: &(dyn Any + Send + Sync)) -> Option<Frame> {
-    if let Some(v) = payload.downcast_ref::<Vec<u64>>() {
-        return Some(frame_flat(v));
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn feed(&self, h: &mut Fnv1a) {
+        self.0.feed(h);
+        self.1.feed(h);
+        self.2.feed(h);
     }
-    if let Some(v) = payload.downcast_ref::<Vec<u32>>() {
-        return Some(frame_flat(v));
+    fn flip(&mut self) {
+        self.0.flip();
     }
-    if let Some(v) = payload.downcast_ref::<Vec<u8>>() {
-        return Some(frame_flat(v));
-    }
-    if let Some(v) = payload.downcast_ref::<Vec<(u64, u64)>>() {
-        return Some(frame_flat(v));
-    }
-    if let Some(v) = payload.downcast_ref::<Vec<(u64, u64, u64)>>() {
-        return Some(frame_flat(v));
-    }
-    if let Some(vv) = payload.downcast_ref::<Vec<Vec<u64>>>() {
-        return Some(frame_nested(vv));
-    }
-    if let Some(vv) = payload.downcast_ref::<Vec<Vec<(u64, u64)>>>() {
-        return Some(frame_nested(vv));
-    }
-    if let Some(vv) = payload.downcast_ref::<Vec<Vec<(u64, u64, u64)>>>() {
-        return Some(frame_nested(vv));
-    }
-    None
 }
 
-/// Deep-clone a payload of a registry-known type, for keeping a
-/// pristine copy across the injection hook and for re-depositing on
-/// retransmit (the collectives have no `T: Clone` bound at this
-/// layer, so cloning goes through the same `Any` registry).
-pub(crate) fn clone_any(payload: &(dyn Any + Send + Sync)) -> Option<Box<dyn Any + Send + Sync>> {
-    if let Some(v) = payload.downcast_ref::<Vec<u64>>() {
-        return Some(Box::new(v.clone()));
+/// What one rank deposits for a collective: nothing (a barrier), a
+/// vector of elements, or one vector per destination.
+pub(crate) trait Payload: Clone + Send + Sync + 'static {
+    /// Length + checksum of the payload as it is now.
+    fn frame(&self) -> Frame;
+    /// Damage the payload in place (flip the first element's low bit,
+    /// or drop the last element); false when there was nothing to
+    /// damage.
+    fn corrupt(&mut self, mode: CorruptMode) -> bool;
+}
+
+impl Payload for () {
+    fn frame(&self) -> Frame {
+        Frame {
+            bytes: 0,
+            checksum: fnv1a(&[]),
+        }
     }
-    if let Some(v) = payload.downcast_ref::<Vec<u32>>() {
-        return Some(Box::new(v.clone()));
+    fn corrupt(&mut self, _: CorruptMode) -> bool {
+        false
     }
-    if let Some(v) = payload.downcast_ref::<Vec<u8>>() {
-        return Some(Box::new(v.clone()));
+}
+
+impl<T: Wire> Payload for Vec<T> {
+    fn frame(&self) -> Frame {
+        let mut h = Fnv1a::new();
+        self.iter().for_each(|e| e.feed(&mut h));
+        Frame {
+            bytes: std::mem::size_of_val(self.as_slice()) as u64,
+            checksum: h.finish(),
+        }
     }
-    if let Some(v) = payload.downcast_ref::<Vec<(u64, u64)>>() {
-        return Some(Box::new(v.clone()));
+    fn corrupt(&mut self, mode: CorruptMode) -> bool {
+        match mode {
+            CorruptMode::BitFlip => self.first_mut().map(T::flip).is_some(),
+            CorruptMode::Truncate => self.pop().is_some(),
+        }
     }
-    if let Some(v) = payload.downcast_ref::<Vec<(u64, u64, u64)>>() {
-        return Some(Box::new(v.clone()));
+}
+
+impl<T: Wire> Payload for Vec<Vec<T>> {
+    fn frame(&self) -> Frame {
+        let mut h = Fnv1a::new();
+        let mut bytes = 0u64;
+        for v in self {
+            // Inner lengths are part of the checksum: an element sliding
+            // between destinations keeps the flat byte stream identical.
+            h.update(&(v.len() as u64).to_le_bytes());
+            v.iter().for_each(|e| e.feed(&mut h));
+            bytes += std::mem::size_of_val(v.as_slice()) as u64;
+        }
+        Frame {
+            bytes,
+            checksum: h.finish(),
+        }
     }
-    if let Some(vv) = payload.downcast_ref::<Vec<Vec<u64>>>() {
-        return Some(Box::new(vv.clone()));
+    /// Damages the first non-empty destination.
+    fn corrupt(&mut self, mode: CorruptMode) -> bool {
+        self.iter_mut()
+            .find(|v| !v.is_empty())
+            .is_some_and(|v| v.corrupt(mode))
     }
-    if let Some(vv) = payload.downcast_ref::<Vec<Vec<(u64, u64)>>>() {
-        return Some(Box::new(vv.clone()));
-    }
-    if let Some(vv) = payload.downcast_ref::<Vec<Vec<(u64, u64, u64)>>>() {
-        return Some(Box::new(vv.clone()));
-    }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{corrupt_any, CorruptMode};
 
     #[test]
     fn frame_detects_bitflip_and_truncation() {
         let v = vec![8u64, 9, 10];
-        let clean = frame_any(&v).expect("u64 vec is framed");
+        let clean = v.frame();
         assert_eq!(clean.bytes, 24);
 
         let mut flipped = v.clone();
-        assert!(corrupt_any(&mut flipped, CorruptMode::BitFlip));
-        let f = frame_any(&flipped).unwrap();
+        assert!(flipped.corrupt(CorruptMode::BitFlip));
+        assert_eq!(flipped, vec![9, 9, 10]);
+        let f = flipped.frame();
         assert_eq!(f.bytes, clean.bytes, "bitflip keeps the length");
         assert_ne!(f.checksum, clean.checksum, "bitflip trips the checksum");
 
         let mut cut = v.clone();
-        assert!(corrupt_any(&mut cut, CorruptMode::Truncate));
-        let f = frame_any(&cut).unwrap();
-        assert_ne!(f.bytes, clean.bytes, "truncation trips the length");
+        assert!(cut.corrupt(CorruptMode::Truncate));
+        assert_eq!(cut, vec![8, 9]);
+        assert_ne!(
+            cut.frame().bytes,
+            clean.bytes,
+            "truncation trips the length"
+        );
+    }
+
+    /// The invariant the healing protocol rests on, over every impl: a
+    /// corruption of a non-empty payload is applied and changes its
+    /// frame ...
+    fn damage_is_visible<P: Payload>(payload: P) {
+        for mode in [CorruptMode::BitFlip, CorruptMode::Truncate] {
+            let mut p = payload.clone();
+            assert!(p.corrupt(mode), "{mode:?} damages a non-empty payload");
+            assert_ne!(p.frame(), payload.frame(), "{mode:?} must be visible");
+        }
+    }
+
+    /// ... and one of an empty payload is not applied and leaves the
+    /// frame alone.
+    fn nothing_to_damage<P: Payload>(payload: P) {
+        for mode in [CorruptMode::BitFlip, CorruptMode::Truncate] {
+            let mut p = payload.clone();
+            assert!(!p.corrupt(mode), "{mode:?} finds nothing to damage");
+            assert_eq!(p.frame(), payload.frame());
+        }
+    }
+
+    /// `a`, `b` as a flat vector and as a send set whose first
+    /// destination is empty; and both shapes empty.
+    fn element_shape<T: Wire>(a: T, b: T) {
+        damage_is_visible(vec![a, b]);
+        damage_is_visible(vec![vec![], vec![a, b]]);
+        nothing_to_damage(Vec::<T>::new());
+        nothing_to_damage(vec![Vec::<T>::new(); 2]);
     }
 
     #[test]
-    fn every_corruptible_type_is_framed() {
-        // The invariant the healing protocol rests on: anything
-        // `corrupt_any` can damage, `frame_any` can verify.
-        let mut u64s = vec![1u64, 2];
-        let mut u32s = vec![1u32, 2];
-        let mut u8s = vec![1u8, 2];
-        let mut pairs = vec![(1u64, 2u64)];
-        let mut nested = vec![vec![3u64]];
-        let mut triples = vec![(1u64, 2u64, 3u64)];
-        let mut nested_pairs = vec![vec![(3u64, 4u64)]];
-        let mut nested_triples = vec![vec![], vec![(3u64, 4u64, 5u64)]];
-        let payloads: [&mut (dyn Any + Send + Sync); 8] = [
-            &mut u64s,
-            &mut u32s,
-            &mut u8s,
-            &mut pairs,
-            &mut triples,
-            &mut nested,
-            &mut nested_pairs,
-            &mut nested_triples,
-        ];
-        for p in payloads {
-            let before = frame_any(&*p).expect("type must be framed");
-            assert!(clone_any(&*p).is_some(), "type must be retransmittable");
-            assert!(corrupt_any(&mut *p, CorruptMode::BitFlip));
-            assert_ne!(frame_any(&*p), Some(before), "corruption must be visible");
-        }
+    fn every_payload_corruption_is_visible_in_its_frame() {
+        element_shape(1u8, 2);
+        element_shape(1u32, 2);
+        element_shape(1u64, 2);
+        element_shape((1u64, 2u64), (3, 4));
+        element_shape((1u64, 2u32), (3, 4));
+        element_shape((1u64, 2u64, 3u64), (4, 5, 6));
+        nothing_to_damage(());
     }
 
     #[test]
     fn nested_frame_covers_destination_boundaries() {
         // Same flat bytes, different destination split: must differ.
-        let a = vec![vec![7u64], vec![]];
-        let b = vec![vec![], vec![7u64]];
-        let fa = frame_any(&a).unwrap();
-        let fb = frame_any(&b).unwrap();
+        let fa = vec![vec![7u64], vec![]].frame();
+        let fb = vec![vec![], vec![7u64]].frame();
         assert_eq!(fa.bytes, fb.bytes);
         assert_ne!(fa.checksum, fb.checksum);
-    }
-
-    #[test]
-    fn unit_payload_is_unframed_and_unclonable() {
-        let unit = ();
-        assert_eq!(frame_any(&unit), None);
-        assert!(clone_any(&unit).is_none());
-    }
-
-    #[test]
-    fn clone_any_round_trips() {
-        let v = vec![vec![1u64, 2], vec![3]];
-        let cloned = clone_any(&v).expect("nested vec is clonable");
-        let back = cloned.downcast_ref::<Vec<Vec<u64>>>().unwrap();
-        assert_eq!(back, &v);
     }
 }

@@ -27,7 +27,9 @@
 //! whole process down — the substrate for the driver's per-root
 //! retry/quarantine loop.
 //!
-//! Exchanges are self-healing: with a live fault plan every deposit
+//! Exchanges are self-healing: a collective carries vectors (or
+//! per-destination vectors) of [`Wire`] elements, so every payload it
+//! accepts can be framed, and with a live fault plan every deposit
 //! carries a length + FNV-1a checksum [`frame::Frame`]; a mismatch
 //! after the deposit barrier triggers bounded in-place retransmission
 //! of just the corrupted deposit (logged in
@@ -53,5 +55,5 @@ pub use cost::Scope;
 pub use fault::{
     CorruptMode, FaultEvent, FaultKind, FaultPlan, FaultRecord, FaultSpec, InjectedFault,
 };
-pub use frame::{fnv1a, Frame};
+pub use frame::{fnv1a, Fnv1a, Frame, Wire};
 pub use topology::{MeshShape, Topology};

@@ -11,7 +11,7 @@
 //! model or layout change (the failure message prints the rows).
 
 use sunbfs_common::MachineConfig;
-use sunbfs_net::{fnv1a, Cluster, MeshShape};
+use sunbfs_net::{fnv1a, Cluster, FaultPlan, MeshShape};
 use sunbfs_part::{build_1p5d, Csr, RankPartition, Thresholds};
 use sunbfs_rmat::{generate_chunk, RmatParams};
 
@@ -198,4 +198,45 @@ fn every_pinned_build_is_byte_identical() {
         }
     }
     assert!(moved.is_empty(), "the build moved.\n{}", moved.join("\n"));
+}
+
+/// The hub-degree gather (`prep.allgather`, collective 1 of every
+/// build) ships `(vertex, degree)` pairs. A corruption aimed at a rank
+/// that owns a hub — so its share of the gather is not empty — is
+/// applied, caught by the frame, healed by one retransmit, and every
+/// rank builds the fault-free partition.
+#[test]
+fn a_corrupted_hub_degree_gather_is_healed() {
+    let params = RmatParams::graph500(12, 1);
+    let (n, thresholds) = (params.num_vertices(), Thresholds::new(256, 64));
+    let mesh = MeshShape::new(2, 2);
+    // Per rank: the partition's fingerprint and the owner of every hub.
+    let build = |cluster: &Cluster| -> Vec<(u64, Vec<usize>)> {
+        cluster.run(|ctx| {
+            let chunk = generate_chunk(&params, ctx.rank() as u64, 4);
+            let part = build_1p5d(ctx, n, &chunk, thresholds);
+            let hubs = part.directory.hubs();
+            let owners = hubs.iter().map(|&(v, _)| part.dist.owner(v)).collect();
+            (fingerprint(&part), owners)
+        })
+    };
+    let clean = build(&Cluster::new(mesh, MachineConfig::new_sunway()));
+    let fingerprints =
+        |ranks: &[(u64, Vec<usize>)]| -> Vec<u64> { ranks.iter().map(|(f, _)| *f).collect() };
+    let target = *clean[0].1.iter().max().expect("the graph has hubs");
+    for mode in ["bitflip", "truncate"] {
+        let label = format!("corrupt@{target}:1:{mode}");
+        let plan = FaultPlan::parse(&label).expect("a valid plan");
+        let cluster = Cluster::with_faults(mesh, MachineConfig::new_sunway(), plan);
+        let healed = build(&cluster);
+        let log = cluster.fault_log();
+        assert_eq!(log.len(), 1, "{label}");
+        assert_eq!(log[0].op, "prep.allgather", "{label}");
+        assert!(
+            log[0].applied,
+            "{label}: the gathered pairs must be corruptible"
+        );
+        assert_eq!(cluster.retransmit_log().len(), 1, "{label}");
+        assert_eq!(fingerprints(&healed), fingerprints(&clean), "{label}");
+    }
 }

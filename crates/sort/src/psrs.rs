@@ -19,7 +19,7 @@
 
 use crate::paradis;
 use sunbfs_common::SimTime;
-use sunbfs_net::{RankCtx, Scope};
+use sunbfs_net::{RankCtx, Scope, Wire};
 
 /// Approximate node-local sort rate used for time accounting: an
 /// 8-byte-key radix pass is DMA-bound, so we charge `key_bytes` streaming
@@ -42,7 +42,7 @@ pub fn psrs_sort_by_key<T, K>(
     key_bytes: u32,
 ) -> Vec<T>
 where
-    T: Copy + Send + Sync + 'static,
+    T: Wire,
     K: Fn(&T) -> u64 + Sync,
 {
     let p = ctx.nranks();

@@ -175,7 +175,7 @@ fn batch_traversal_heals_a_corrupted_triple_exchange() {
         }
         return;
     }
-    panic!("no corruption landed on a batch alltoallv: triples are not in the registry");
+    panic!("no corruption landed on a batch alltoallv: the triples were never damaged");
 }
 
 #[test]
