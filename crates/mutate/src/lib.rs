@@ -4,17 +4,14 @@
 //! turns it into a **living graph** without giving up determinism or the
 //! byte-identity contracts the rest of the workspace pins:
 //!
-//! * [`DeltaPartition`] ([`delta`]) — a per-rank insert overlay bucketed
-//!   by the same E/H/L degree classes and the same six components as the
-//!   base CSRs. Batched edge inserts are routed to their storage ranks
-//!   through the existing exchange machinery ([`route_update_batch`]
-//!   mirrors `build_1p5d` step 3, SPMD-consistent and deterministic),
-//!   and every routing pass reports **class promotions** — owned
-//!   vertices whose effective degree crossed `h_threshold` /
+//! * [`Delta`] ([`delta`]) — the inserts committed since the last
+//!   compaction: the canonical commit log and the undirected adjacency
+//!   it adds, one per session. Inserting a batch reports **class
+//!   promotions** — endpoints whose degree crossed `h_threshold` /
 //!   `e_threshold` — so the session can compact before the replicated
 //!   hub directory goes stale.
 //! * [`UnionAdjacency`] ([`union`]) — a read-only adjacency view over
-//!   base CSRs plus deltas, usable because the simulated cluster keeps
+//!   base CSRs plus the delta, usable because the simulated cluster keeps
 //!   every rank's partition in one address space. It backs both the
 //!   sequential reference traversal ([`UnionAdjacency::full_bfs`]) and
 //!   the repair pass.
@@ -39,7 +36,7 @@ pub mod plan;
 pub mod repair;
 pub mod union;
 
-pub use delta::{canonical_edge_set, route_update_batch, DeltaPartition, DeltaUpdate};
+pub use delta::{canonical_edge_set, Delta};
 pub use plan::{generate_batch, UpdateEvent, UpdatePlan};
 pub use repair::{repair_in_place, RepairStats};
 pub use union::UnionAdjacency;

@@ -164,7 +164,7 @@ impl UpdatePlan {
 
 /// The deterministic insert batch for event `index` of a plan with
 /// `seed`: `edges` pairs drawn uniformly below `root_max` (self loops
-/// redrawn once, then kept — the routing pass skips them anyway).
+/// redrawn once, then kept — a commit skips them anyway).
 pub fn generate_batch(seed: u64, index: u64, edges: u64, root_max: u64) -> Vec<Edge> {
     let mut rng = SplitMix64::new(seed ^ (index + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let max = root_max.max(2);

@@ -1,16 +1,18 @@
-//! Read-only adjacency over base CSRs plus per-rank delta overlays.
+//! Read-only adjacency over base CSRs plus a session's [`Delta`].
 //!
 //! The simulated cluster keeps every rank's partition resident in one
 //! address space, so a sequential pass can read any rank's components
 //! directly. [`UnionAdjacency`] exploits that to answer "all neighbors
 //! of `v` in the *mutated* graph" without materializing anything:
 //!
-//! * a **hub** vertex's neighbors live scattered across the mesh — its
-//!   EH entries on the 2D grid, its E↔L entries at each local's owner,
-//!   its L→H copies likewise — so every rank's `_by_hub` sides (base
-//!   and delta) are scanned;
-//! * a **light** vertex's neighbors all live at its owner: the E↔L,
-//!   L→H, and L↔L `_by_local` sides of that one rank (base and delta).
+//! * a **hub** vertex's base neighbors live scattered across the mesh —
+//!   its EH entries on the 2D grid, its E↔L entries at each local's
+//!   owner, its L→H copies likewise — so every rank's `_by_hub` sides
+//!   are scanned;
+//! * a **light** vertex's base neighbors all live at its owner: the
+//!   E↔L, L→H, and L↔L `_by_local` sides of that one rank;
+//! * either way, its inserted neighbors are one [`Delta::neighbors`]
+//!   lookup.
 //!
 //! H→L copies are skipped — they duplicate the L→H entries (same edges,
 //! routed to the intermediate rank for the pull direction).
@@ -21,39 +23,27 @@
 
 use sunbfs_part::RankPartition;
 
-use crate::delta::DeltaPartition;
+use crate::delta::Delta;
 
 /// Unreached sentinel in depth arrays (mirrors the engine's global
 /// convention: `u64::MAX` depth, `INVALID_VERTEX` parent).
 pub const UNREACHED: u64 = u64::MAX;
 
-/// Adjacency view over `parts` with the `deltas` overlays applied.
-///
-/// `deltas` may be empty (pure base view); otherwise it must be one
-/// overlay per rank.
+/// Adjacency view over `parts` with `delta`'s inserts applied.
 pub struct UnionAdjacency<'a> {
     parts: &'a [RankPartition],
-    deltas: &'a [DeltaPartition],
+    delta: &'a Delta,
 }
 
 impl<'a> UnionAdjacency<'a> {
-    /// View over base partitions plus their delta overlays.
+    /// View over base partitions plus the inserts in `delta` (pass
+    /// `&Delta::default()` for the base graph alone).
     ///
     /// # Panics
-    /// When `parts` is empty or `deltas` is neither empty nor one per
-    /// rank.
-    pub fn new(parts: &'a [RankPartition], deltas: &'a [DeltaPartition]) -> Self {
+    /// When `parts` is empty.
+    pub fn new(parts: &'a [RankPartition], delta: &'a Delta) -> Self {
         assert!(!parts.is_empty(), "union adjacency over zero ranks");
-        assert!(
-            deltas.is_empty() || deltas.len() == parts.len(),
-            "deltas must be empty or one per rank"
-        );
-        UnionAdjacency { parts, deltas }
-    }
-
-    /// Pure base view (no overlays).
-    pub fn base(parts: &'a [RankPartition]) -> Self {
-        UnionAdjacency::new(parts, &[])
+        UnionAdjacency { parts, delta }
     }
 
     /// Global vertex count.
@@ -71,7 +61,7 @@ impl<'a> UnionAdjacency<'a> {
         match dir.hub_id(v) {
             Some(h) => {
                 let h = h as u64;
-                for (r, p) in self.parts.iter().enumerate() {
+                for p in self.parts {
                     for &d in p.eh_by_src.neighbors(h) {
                         out.push(dir.vertex_of(d as u32));
                     }
@@ -79,21 +69,10 @@ impl<'a> UnionAdjacency<'a> {
                     out.extend_from_slice(p.lh_by_hub.neighbors(h));
                     scanned +=
                         p.eh_by_src.degree(h) + p.el_by_hub.degree(h) + p.lh_by_hub.degree(h);
-                    if let Some(delta) = self.deltas.get(r) {
-                        for &d in delta.eh_of(h) {
-                            out.push(dir.vertex_of(d as u32));
-                        }
-                        out.extend_from_slice(delta.el_of_hub(h));
-                        out.extend_from_slice(delta.lh_of_hub(h));
-                        scanned += (delta.eh_of(h).len()
-                            + delta.el_of_hub(h).len()
-                            + delta.lh_of_hub(h).len()) as u64;
-                    }
                 }
             }
             None => {
-                let r = self.parts[0].dist.owner(v);
-                let p = &self.parts[r];
+                let p = &self.parts[self.parts[0].dist.owner(v)];
                 for &h in p.el_by_local.neighbors(v) {
                     out.push(dir.vertex_of(h as u32));
                 }
@@ -102,20 +81,11 @@ impl<'a> UnionAdjacency<'a> {
                 }
                 out.extend_from_slice(p.l2l.neighbors(v));
                 scanned += p.el_by_local.degree(v) + p.lh_by_local.degree(v) + p.l2l.degree(v);
-                if let Some(delta) = self.deltas.get(r) {
-                    for &h in delta.el_of_local(v) {
-                        out.push(dir.vertex_of(h as u32));
-                    }
-                    for &h in delta.lh_of_local(v) {
-                        out.push(dir.vertex_of(h as u32));
-                    }
-                    out.extend_from_slice(delta.l2l_of(v));
-                    scanned += (delta.el_of_local(v).len()
-                        + delta.lh_of_local(v).len()
-                        + delta.l2l_of(v).len()) as u64;
-                }
             }
         }
+        let inserted = self.delta.neighbors(v);
+        out.extend_from_slice(inserted);
+        scanned += inserted.len() as u64;
         out.sort_unstable();
         out.dedup();
         scanned

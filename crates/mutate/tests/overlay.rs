@@ -1,17 +1,15 @@
-//! Delta-overlay correctness on small deterministic graphs: routed
-//! inserts land in the right components, the union adjacency sees
-//! exactly base ∪ delta, incremental repair is depth-identical to a
-//! full recompute, and crossing a degree threshold is reported as a
+//! Delta correctness on small deterministic graphs: the union
+//! adjacency sees exactly base ∪ delta, the delta weighs each insert by
+//! what a build stores for it, incremental repair is depth-identical to
+//! a full recompute, and crossing a degree threshold is reported as a
 //! promotion.
 
 use std::collections::BTreeSet;
 
 use sunbfs_common::{Edge, MachineConfig, SplitMix64};
-use sunbfs_mutate::{
-    canonical_edge_set, repair_in_place, route_update_batch, DeltaPartition, UnionAdjacency,
-};
+use sunbfs_mutate::{canonical_edge_set, repair_in_place, Delta, UnionAdjacency};
 use sunbfs_net::{Cluster, MeshShape};
-use sunbfs_part::{build_1p5d, RankPartition, Thresholds};
+use sunbfs_part::{build_1p5d, RankPartition, Thresholds, VertexClass};
 
 fn skewed_edges(n: u64, m: usize, seed: u64) -> Vec<Edge> {
     let mut rng = SplitMix64::new(seed);
@@ -41,28 +39,11 @@ fn build(rows: usize, cols: usize, n: u64, edges: &[Edge], th: Thresholds) -> Ve
     })
 }
 
-/// Route `batch` over a fresh cluster of the same mesh and merge into
-/// per-rank overlays, returning the overlays and any promotions.
-fn route(
-    rows: usize,
-    cols: usize,
-    parts: &[RankPartition],
-    th: Thresholds,
-    batch: &[Edge],
-) -> (Vec<DeltaPartition>, Vec<u64>) {
-    let cluster = Cluster::new(MeshShape::new(rows, cols), MachineConfig::new_sunway());
-    let mut deltas: Vec<DeltaPartition> = (0..parts.len()).map(DeltaPartition::new).collect();
-    let updates = {
-        let deltas = &deltas;
-        cluster
-            .run(|ctx| route_update_batch(ctx, &parts[ctx.rank()], &deltas[ctx.rank()], th, batch))
-    };
-    let mut promoted = Vec::new();
-    for upd in &updates {
-        promoted.extend_from_slice(&upd.promoted);
-        deltas[upd.rank].merge(upd);
-    }
-    (deltas, promoted)
+/// `batch` committed into a fresh delta over `parts`.
+fn delta_of(parts: &[RankPartition], th: Thresholds, batch: &[Edge]) -> Delta {
+    let mut delta = Delta::default();
+    delta.insert(batch, parts, th);
+    delta
 }
 
 fn sequential_depths(n: u64, edges: &[Edge], root: u64) -> Vec<u64> {
@@ -88,25 +69,49 @@ fn sequential_depths(n: u64, edges: &[Edge], root: u64) -> Vec<u64> {
 #[test]
 fn union_adjacency_sees_exactly_base_plus_delta() {
     let n = 256;
-    let th = Thresholds::new(100, 20);
+    let th = Thresholds::new(100, 12);
     let base = skewed_edges(n, 1500, 1);
     let parts = build(2, 2, n, &base, th);
-    // Inserts spanning every component pairing: hub-hub, hub-light,
-    // light-light, plus a self loop that must be ignored.
+    let dir = &parts[0].directory;
+    let of_class = |c: VertexClass| (0..n).filter(move |&v| dir.class_of(v) == c);
+    let e: Vec<u64> = of_class(VertexClass::E).take(2).collect();
+    let h: Vec<u64> = of_class(VertexClass::H).take(2).collect();
+    let l: Vec<u64> = of_class(VertexClass::L).skip(50).take(3).collect();
+    assert!(
+        e.len() == 2 && h.len() == 2 && l.len() == 3,
+        "every class present"
+    );
+    // Every class pairing, a repeat of one, and a self loop that must
+    // be ignored; only the E–L edges weigh one entry.
     let batch = vec![
-        Edge::new(0, 1),
-        Edge::new(0, 200),
-        Edge::new(1, 201),
-        Edge::new(202, 203),
-        Edge::new(204, 204),
-        Edge::new(205, 0),
+        Edge::new(e[0], e[1]),
+        Edge::new(e[0], h[0]),
+        Edge::new(l[0], e[1]),
+        Edge::new(h[0], h[1]),
+        Edge::new(h[1], l[1]),
+        Edge::new(l[1], l[2]),
+        Edge::new(l[2], l[1]),
+        Edge::new(l[0], l[0]),
     ];
-    let (deltas, _) = route(2, 2, &parts, th, &batch);
-    let adj = UnionAdjacency::new(&parts, &deltas);
+    let delta = delta_of(&parts, th, &batch);
+    assert_eq!(delta.entries(), 2 + 2 + 1 + 2 + 2 + 2 + 2);
+    assert_eq!(delta.log().len(), 7, "the self loop is not logged");
+    assert_eq!(delta.neighbors(l[1]), &[h[1].min(l[2]), h[1].max(l[2])]);
+    let adj = UnionAdjacency::new(&parts, &delta);
 
     let mut union_edges: Vec<Edge> = base.clone();
     union_edges.extend_from_slice(&batch);
-    for root in [0, 200, 203, 77] {
+    let mut reference = vec![BTreeSet::new(); n as usize];
+    for e in union_edges.iter().filter(|e| !e.is_self_loop()) {
+        reference[e.u as usize].insert(e.v);
+        reference[e.v as usize].insert(e.u);
+    }
+    let mut nbrs = Vec::new();
+    for v in 0..n {
+        adj.neighbors_into(v, &mut nbrs);
+        assert!(nbrs.iter().eq(&reference[v as usize]), "neighbors of {v}");
+    }
+    for root in [e[0], h[1], l[2], 77] {
         let (_, depths) = adj.full_bfs(root);
         assert_eq!(
             depths,
@@ -126,9 +131,10 @@ fn repair_is_depth_identical_to_full_recompute() {
     let batch: Vec<Edge> = (0..64)
         .map(|_| Edge::new(rng.next_below(n), rng.next_below(n)))
         .collect();
-    let (deltas, _) = route(2, 3, &parts, th, &batch);
-    let adj = UnionAdjacency::new(&parts, &deltas);
-    let base_adj = UnionAdjacency::base(&parts);
+    let delta = delta_of(&parts, th, &batch);
+    let adj = UnionAdjacency::new(&parts, &delta);
+    let empty = Delta::default();
+    let base_adj = UnionAdjacency::new(&parts, &empty);
 
     for root in [0, 5, 300, 499] {
         let (mut parents, mut depths) = base_adj.full_bfs(root);
@@ -159,9 +165,10 @@ fn repair_of_an_irrelevant_insert_touches_nothing() {
         .find(|e| !e.is_self_loop())
         .copied()
         .expect("some edge");
-    let (deltas, _) = route(1, 2, &parts, th, &[already]);
-    let adj = UnionAdjacency::new(&parts, &deltas);
-    let (mut parents, mut depths) = UnionAdjacency::base(&parts).full_bfs(0);
+    let delta = delta_of(&parts, th, &[already]);
+    let adj = UnionAdjacency::new(&parts, &delta);
+    let empty = Delta::default();
+    let (mut parents, mut depths) = UnionAdjacency::new(&parts, &empty).full_bfs(0);
     let before = depths.clone();
     let stats = repair_in_place(&adj, &[already], &mut parents, &mut depths);
     assert_eq!(stats.seeds, 0);
@@ -173,24 +180,47 @@ fn repair_of_an_irrelevant_insert_touches_nothing() {
 fn crossing_a_threshold_is_reported_as_a_promotion() {
     let n = 64;
     let th = Thresholds::new(16, 8);
-    // A near-regular graph: vertex 7 one edge short of the H threshold.
+    // A near-regular graph: vertex 7 one edge short of the H threshold,
+    // vertex 6 two short, vertex 5 one short of the E threshold.
     let mut base = Vec::new();
     for i in 0..7u64 {
         base.push(Edge::new(7, 32 + i));
+    }
+    for i in 0..6u64 {
+        base.push(Edge::new(6, 32 + i));
+    }
+    for i in 0..15u64 {
+        base.push(Edge::new(5, 40 + i));
     }
     for i in 0..40u64 {
         base.push(Edge::new(8 + (i % 20), 40 + (i % 20)));
     }
     let parts = build(2, 2, n, &base, th);
-    assert!(
-        parts[0].directory.hub_id(7).is_none(),
-        "vertex 7 must start light for the promotion to be observable"
+    let dir = &parts[0].directory;
+    assert_eq!(
+        [7, 6, 5].map(|v| dir.class_of(v)),
+        [VertexClass::L, VertexClass::L, VertexClass::H],
+        "the promotions must start below their thresholds"
     );
-    let (_, promoted) = route(2, 2, &parts, th, &[Edge::new(7, 60)]);
-    assert_eq!(promoted, vec![7], "vertex 7 crossed h_threshold");
+    let promotes = |batch: &[Edge]| Delta::default().insert(batch, &parts, th);
+    assert!(
+        promotes(&[Edge::new(7, 60)]),
+        "vertex 7 crossed h_threshold"
+    );
+    assert!(
+        promotes(&[Edge::new(5, 61)]),
+        "vertex 5 crossed e_threshold"
+    );
     // A batch that does not cross any boundary reports none.
-    let (_, quiet) = route(2, 2, &parts, th, &[Edge::new(50, 51)]);
-    assert!(quiet.is_empty());
+    assert!(!promotes(&[Edge::new(50, 51)]));
+
+    // Added degree counts duplicates, across commits: the same edge
+    // twice takes vertex 6 from 6 to 8, though it adds one neighbor.
+    let mut delta = Delta::default();
+    assert!(!delta.insert(&[Edge::new(6, 60)], &parts, th), "6 is at 7");
+    assert!(delta.insert(&[Edge::new(60, 6)], &parts, th), "6 is at 8");
+    assert_eq!(delta.neighbors(6), &[60]);
+    assert_eq!(delta.entries(), 4);
 }
 
 /// The ordered-set construction `canonical_edge_set` replaced, kept as

@@ -31,7 +31,7 @@ use sunbfs_common::{Bitmap, Edge, JsonValue, ToJson, VertexId};
 use sunbfs_net::{RankCtx, Scope, Topology};
 
 use crate::csr::Csr;
-use crate::directory::{HubDirectory, Thresholds};
+use crate::directory::{HubDirectory, Thresholds, VertexClass};
 use crate::distribution::VertexDistribution;
 
 /// Local (per-rank) edge counts of the six components — the quantity
@@ -231,7 +231,7 @@ pub fn build_1p5d(
     let local_heavy: Vec<(VertexId, u32)> = owned_degrees
         .iter()
         .enumerate()
-        .filter(|(_, &d)| d >= thresholds.h)
+        .filter(|(_, &d)| thresholds.class_of_degree(u64::from(d)) != VertexClass::L)
         .map(|(i, &d)| (my_range.start + i as u64, d))
         .collect();
     let gathered = ctx.allgatherv(Scope::World, "prep.allgather", local_heavy);

@@ -107,6 +107,20 @@ impl Thresholds {
     pub fn all_hubs(e: u32) -> Self {
         Thresholds { e, h: 1 }
     }
+
+    /// The class of a vertex of degree `deg`: the one definition the
+    /// build's hub filter, [`HubDirectory::build`] and the update
+    /// path's promotion check share.
+    #[inline]
+    pub fn class_of_degree(self, deg: u64) -> VertexClass {
+        if deg >= u64::from(self.e) {
+            VertexClass::E
+        } else if deg >= u64::from(self.h) {
+            VertexClass::H
+        } else {
+            VertexClass::L
+        }
+    }
 }
 
 /// Vertex class under a [`Thresholds`] setting.
@@ -136,15 +150,14 @@ impl HubDirectory {
     /// all ranks derive identical hub ids.
     pub fn build(mut heavy: Vec<(VertexId, u32)>, thresholds: Thresholds) -> Self {
         // E-first, then by (degree desc, vertex asc) — deterministic.
+        let is_e = |d: u32| thresholds.class_of_degree(u64::from(d)) == VertexClass::E;
         heavy.sort_unstable_by(|a, b| {
-            let class_a = a.1 >= thresholds.e;
-            let class_b = b.1 >= thresholds.e;
-            class_b
-                .cmp(&class_a)
+            is_e(b.1)
+                .cmp(&is_e(a.1))
                 .then(b.1.cmp(&a.1))
                 .then(a.0.cmp(&b.0))
         });
-        let num_e = heavy.iter().take_while(|(_, d)| *d >= thresholds.e).count() as u32;
+        let num_e = heavy.iter().take_while(|(_, d)| is_e(*d)).count() as u32;
         HubDirectory {
             num_e,
             hub_of: index_hubs(&heavy),

@@ -44,7 +44,7 @@
 //! commit through [`GraphSession::apply_updates`] /
 //! [`BfsService::apply_updates`] — or the wire's `update` command —
 //! bumping a monotone epoch that stamps every reply. Committed inserts
-//! sit in a per-rank delta overlay (`sunbfs-mutate`), query results
+//! sit in the session's delta (`sunbfs-mutate`), query results
 //! are patched by incremental BFS repair, and the delta compacts back
 //! into the base CSRs on promotion or size triggers.
 

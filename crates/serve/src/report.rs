@@ -164,7 +164,7 @@ pub struct ServeReport {
     /// Delta-into-base compactions the session performed.
     pub compactions: u64,
     /// Served queries whose result was patched by incremental repair
-    /// (a non-empty delta overlay was resident at execution time).
+    /// (a non-empty delta was resident at execution time).
     pub repaired_queries: u64,
     /// Vertices whose depth the repair passes improved, summed over
     /// all repaired queries.

@@ -48,8 +48,8 @@
 //! ([`BfsService::apply_updates`], `docs/UPDATES.md`): update batches
 //! commit only on the single service thread *between* query batches,
 //! bump the session epoch, and every reply is stamped with the epoch
-//! its snapshot was taken at. While committed inserts sit in the delta
-//! overlay, the batch engine still runs against the base CSRs and each
+//! its snapshot was taken at. While committed inserts sit in the
+//! session's delta, the batch engine still runs against the base CSRs and each
 //! assembled result is patched by incremental repair into the exact
 //! union-graph answer. A seeded [`UpdatePlan`] (`SUNBFS_UPDATE_PLAN`)
 //! fires scripted update batches at executed-query milestones, the
@@ -700,8 +700,8 @@ impl BfsService {
     /// observe a half-applied update.
     ///
     /// # Errors
-    /// [`SessionError`] when the routing pass or a triggered
-    /// compaction loses ranks; the session keeps its pre-commit state.
+    /// [`SessionError`] when a triggered compaction loses ranks; the
+    /// session keeps its pre-commit state.
     pub fn apply_updates(&mut self, edges: &[Edge]) -> Result<u64, SessionError> {
         match self.session.apply_updates(edges) {
             Ok(epoch) => {
@@ -720,7 +720,7 @@ impl BfsService {
 
     /// Fire every due scripted update (at most once each), charged by
     /// executed-query count. A commit that fails (chaos can kill the
-    /// routing pass too) is counted and skipped — the plan's fire-once
+    /// compaction it triggers) is counted and skipped — the plan's fire-once
     /// semantics are not re-armed, matching the fault plan's shape.
     fn fire_update_plan(&mut self) {
         let Some(plan) = self.update_plan.clone() else {
@@ -1156,7 +1156,7 @@ impl BfsService {
 
     /// The step of every producer that holds a rider's arrays
     /// contiguously (a batch over a resident delta, the fallback path).
-    /// The engine ran against the base CSRs; when a delta overlay is
+    /// The engine ran against the base CSRs; when a delta is
     /// resident, the tree is patched by incremental repair into the
     /// exact union-graph answer. Then the depth census of what is left.
     fn repair_and_count(

@@ -23,11 +23,13 @@
 //! wall seconds.
 //!
 //! The graph is no longer frozen either: [`GraphSession::apply_updates`]
-//! commits a batched edge-insert through the `sunbfs-mutate` overlay
-//! machinery and bumps the session **epoch** (a monotone count of
-//! committed batches). Updates are only ever applied by the single
-//! service thread between query batches, so every query runs against a
-//! consistent snapshot and is stamped with the epoch it saw. Cached
+//! commits a batched edge-insert into the session's `sunbfs-mutate`
+//! [`Delta`] and bumps the session **epoch** (a monotone count of
+//! committed batches). A commit is all-or-nothing: when the compaction
+//! it triggers loses a rank, the delta and the epoch stay as they were.
+//! Updates are only ever applied by the single service thread between
+//! query batches, so every query runs against a consistent snapshot
+//! and is stamped with the epoch it saw. Cached
 //! base-graph results are patched by incremental repair
 //! ([`GraphSession::repair_result`]); a delta that grows past
 //! [`DELTA_COMPACT_THRESHOLD`] entries — or any degree-class promotion
@@ -43,10 +45,7 @@ use sunbfs_core::{
     run_bfs_batch, run_bfs_recoverable, BatchOutput, BfsOutput, CheckpointStore, EngineConfig,
     EngineError,
 };
-use sunbfs_mutate::{
-    canonical_edge_set, repair_in_place, route_update_batch, DeltaPartition, RepairStats,
-    UnionAdjacency,
-};
+use sunbfs_mutate::{canonical_edge_set, repair_in_place, Delta, RepairStats, UnionAdjacency};
 use sunbfs_net::{all_ranks_ok, Cluster, FaultPlan, MeshShape, RankFailure};
 use sunbfs_part::{build_1p5d, ComponentStats, RankPartition, Thresholds, VertexDistribution};
 use sunbfs_rmat::RmatParams;
@@ -144,8 +143,7 @@ impl std::fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-/// The error of a one-attempt SPMD pass (update routing, compaction)
-/// that lost ranks.
+/// The error of a one-attempt SPMD pass (a compaction) that lost ranks.
 fn lost_ranks(failures: Vec<RankFailure>) -> SessionError {
     SessionError::Load(LoadError {
         attempts: 1,
@@ -266,20 +264,14 @@ pub struct GraphSession {
     pub store: Option<StoreActivity>,
     /// Wall seconds the fresh build took (None when opened from file).
     build_wall_seconds: Option<f64>,
-    /// Per-rank delta overlays holding committed-but-uncompacted edges.
-    deltas: Vec<DeltaPartition>,
-    /// Every committed insert since the last compaction, canonical and
-    /// loop-free, in commit order — the seed set for incremental repair
-    /// and the delta half of the compaction union.
-    delta_log: Vec<Edge>,
+    /// Every committed insert since the last compaction: the seed set
+    /// for incremental repair and the delta half of the compaction
+    /// union.
+    delta: Delta,
     /// Monotone count of committed update batches.
     epoch: u64,
     /// Compactions performed over the session's lifetime.
     compactions: u64,
-}
-
-fn fresh_deltas(num_ranks: usize) -> Vec<DeltaPartition> {
-    (0..num_ranks).map(DeltaPartition::new).collect()
 }
 
 impl GraphSession {
@@ -336,8 +328,7 @@ impl GraphSession {
                         load_attempts: attempts,
                         store: None,
                         build_wall_seconds: Some(wall0.elapsed().as_secs_f64()),
-                        deltas: fresh_deltas(p as usize),
-                        delta_log: Vec::new(),
+                        delta: Delta::default(),
                         epoch: 0,
                         compactions: 0,
                     });
@@ -411,7 +402,6 @@ impl GraphSession {
     ) -> GraphSession {
         let cluster = Cluster::with_faults(cfg.mesh, cfg.machine, plan);
         let partition_stats = parts.iter().map(|p| p.stats).collect();
-        let num_ranks = cfg.mesh.num_ranks();
         GraphSession {
             cfg,
             cluster,
@@ -430,8 +420,7 @@ impl GraphSession {
                 warm_open_wall_seconds: Some(warm_open_wall_seconds),
             }),
             build_wall_seconds: None,
-            deltas: fresh_deltas(num_ranks),
-            delta_log: Vec::new(),
+            delta: Delta::default(),
             epoch,
             compactions: 0,
         }
@@ -555,15 +544,16 @@ impl GraphSession {
         &self.parts
     }
 
-    /// Every rank's delta overlay (empty right after a compaction).
-    pub fn deltas(&self) -> &[DeltaPartition] {
-        &self.deltas
+    /// The inserts committed since the last compaction (empty right
+    /// after one).
+    pub fn delta(&self) -> &Delta {
+        &self.delta
     }
 
     /// Committed-but-uncompacted inserts, canonical and in commit
     /// order — the seed set incremental repair re-expands from.
     pub fn delta_log(&self) -> &[Edge] {
-        &self.delta_log
+        self.delta.log()
     }
 
     /// Monotone count of committed update batches.
@@ -576,30 +566,30 @@ impl GraphSession {
         self.compactions
     }
 
-    /// True when committed updates are still resident in the overlay.
+    /// True when committed updates are still resident in the delta.
     pub fn has_delta(&self) -> bool {
-        self.deltas.iter().any(|d| !d.is_empty())
+        !self.delta.is_empty()
     }
 
-    /// Total adjacency entries across every rank's delta overlay.
+    /// Component entries the delta stands for ([`Delta::entries`]).
     pub fn delta_entries(&self) -> u64 {
-        self.deltas.iter().map(|d| d.entries()).sum()
+        self.delta.entries()
     }
 
     /// Commit one batched edge-insert and bump the epoch.
     ///
-    /// The batch is routed through the same exchange machinery as the
-    /// original build (`route_update_batch` under one SPMD pass), so
-    /// every rank derives an identical view of the new degrees and
-    /// classes. The merge into the resident overlays happens only after
-    /// *all* ranks succeeded — a lost rank leaves the session exactly
-    /// as it was (no torn commit) and surfaces as a typed error.
+    /// The batch goes into a copy of the session's [`Delta`] on the
+    /// calling thread; no collective runs for it. When the batch
+    /// promotes a vertex across a degree-class threshold — or the delta
+    /// reaches [`DELTA_COMPACT_THRESHOLD`] entries — the commit
+    /// finishes with a [`Self::compact`]: hub ids are assigned in
+    /// global degree-sorted order, so the base should describe the
+    /// class layout of the real degrees.
     ///
-    /// When the batch promotes a vertex across a degree-class threshold
-    /// — or the overlay crosses [`DELTA_COMPACT_THRESHOLD`] — the
-    /// commit finishes with an immediate [`Self::compact`]: hub ids are
-    /// assigned in global degree-sorted order, so an overlay past a
-    /// promotion would describe the wrong class layout.
+    /// The commit is all-or-nothing: the copy replaces the session's
+    /// delta only once that compaction succeeded, so a lost rank leaves
+    /// the delta, the base partition and the epoch exactly as they were
+    /// and surfaces as a typed error.
     ///
     /// Callers serialize commits against queries (the service applies
     /// updates only between query batches on its single service
@@ -607,43 +597,23 @@ impl GraphSession {
     /// consistent snapshot.
     ///
     /// # Errors
-    /// [`SessionError::Load`] when the routing pass or the triggered
-    /// compaction loses ranks.
+    /// [`SessionError::Load`] when the triggered compaction loses
+    /// ranks.
     pub fn apply_updates(&mut self, batch: &[Edge]) -> Result<u64, SessionError> {
-        let thresholds = self.cfg.thresholds;
-        let updates = {
-            let parts = &self.parts;
-            let deltas = &self.deltas;
-            all_ranks_ok(self.cluster.run_fallible(move |ctx| {
-                route_update_batch(
-                    ctx,
-                    &parts[ctx.rank()],
-                    &deltas[ctx.rank()],
-                    thresholds,
-                    batch,
-                )
-            }))
-            .map_err(lost_ranks)?
-        };
-        let mut promoted = false;
-        for update in &updates {
-            promoted |= !update.promoted.is_empty();
-            self.deltas[update.rank].merge(update);
+        let mut delta = self.delta.clone();
+        let promoted = delta.insert(batch, &self.parts, self.cfg.thresholds);
+        let prior = std::mem::replace(&mut self.delta, delta);
+        if promoted || self.delta.entries() >= DELTA_COMPACT_THRESHOLD {
+            if let Err(e) = self.compact() {
+                self.delta = prior;
+                return Err(e);
+            }
         }
-        self.delta_log.extend(
-            batch
-                .iter()
-                .filter(|e| !e.is_self_loop())
-                .map(|e| e.canonical()),
-        );
         self.epoch += 1;
-        if promoted || self.delta_entries() >= DELTA_COMPACT_THRESHOLD {
-            self.compact()?;
-        }
         Ok(self.epoch)
     }
 
-    /// Merge the delta overlays into the base CSRs by rebuilding the
+    /// Merge the delta into the base CSRs by rebuilding the
     /// 1.5D partition over the union edge list — byte-identical to a
     /// fresh build over that list, because both run the very same
     /// `build_1p5d` over the very same sorted, deduplicated canonical
@@ -656,7 +626,7 @@ impl GraphSession {
     pub fn compact(&mut self) -> Result<(), SessionError> {
         let n = self.num_vertices();
         let p = self.num_ranks();
-        let union_edges = canonical_edge_set(&self.parts, &self.delta_log);
+        let union_edges = canonical_edge_set(&self.parts, self.delta.log());
         let thresholds = self.cfg.thresholds;
         let parts = {
             let union_edges = &union_edges;
@@ -673,10 +643,7 @@ impl GraphSession {
         };
         self.partition_stats = parts.iter().map(|part| part.stats).collect();
         self.parts = parts;
-        for d in &mut self.deltas {
-            d.clear();
-        }
-        self.delta_log.clear();
+        self.delta = Delta::default();
         self.compactions += 1;
         Ok(())
     }
@@ -685,16 +652,16 @@ impl GraphSession {
     /// resident delta: re-expand only from insert endpoints whose depth
     /// improves, mutating `parents`/`depths` in place into the exact
     /// answer over the union graph. A no-op (zero seeds) when the
-    /// overlay is empty.
+    /// delta is empty.
     pub fn repair_result(&self, parents: &mut [u64], depths: &mut [u64]) -> RepairStats {
-        let adj = UnionAdjacency::new(&self.parts, &self.deltas);
-        repair_in_place(&adj, &self.delta_log, parents, depths)
+        let adj = UnionAdjacency::new(&self.parts, &self.delta);
+        repair_in_place(&adj, self.delta.log(), parents, depths)
     }
 
     /// Sequential reference BFS over the union graph (base + delta) —
     /// the oracle the repair path is validated against.
     pub fn union_bfs(&self, root: u64) -> (Vec<u64>, Vec<u64>) {
-        UnionAdjacency::new(&self.parts, &self.deltas).full_bfs(root)
+        UnionAdjacency::new(&self.parts, &self.delta).full_bfs(root)
     }
 
     /// One bit-parallel multi-source traversal over the resident
@@ -1017,6 +984,41 @@ mod tests {
         // Post-compaction queries still serve and agree with the oracle.
         let (_, d) = session.union_bfs(hub);
         assert_eq!(d[hub as usize], 0);
+    }
+
+    #[test]
+    fn a_commit_whose_compaction_loses_a_rank_rolls_back() {
+        let mut session =
+            GraphSession::load(SessionConfig::small(8, 4), FaultPlan::none()).expect("clean load");
+        let n = session.num_vertices();
+        let fan: Vec<Edge> = (0..80u64).map(|i| Edge::new(3, (10 + i * 3) % n)).collect();
+        let header = session.config().store_header();
+        let store_bytes = |s: &GraphSession| sunbfs_store::encode_store(&header, s.partitions());
+        let (bytes, bfs) = (store_bytes(&session), session.union_bfs(0));
+
+        // Op 6 is the last `prep.alltoallv` of the build the promoting
+        // fan's compaction runs.
+        session.cluster().fault_plan().inject([FaultEvent {
+            rank: 1,
+            op_index: 6,
+            kind: FaultKind::Panic,
+        }]);
+        assert!(session.apply_updates(&fan).is_err(), "rank 1 was lost");
+        assert_eq!(session.epoch(), 0, "a failed commit bumps no epoch");
+        assert!(session.delta_log().is_empty());
+        assert_eq!(session.delta_entries(), 0);
+        assert!(!session.has_delta());
+        assert!(
+            store_bytes(&session) == bytes,
+            "the base partition is untouched"
+        );
+        assert_eq!(session.union_bfs(0), bfs, "the graph is unchanged");
+
+        // The fault fired once; the same commit now goes through.
+        session
+            .apply_updates(&fan)
+            .expect("the healed cluster commits");
+        assert_eq!((session.epoch(), session.compactions()), (1, 1));
     }
 
     #[test]

@@ -307,7 +307,7 @@ fn repair_vs_recompute(cfg: &SoakConfig) -> io::Result<RepairTiming> {
     let mut cache: Vec<(u64, Vec<u64>, Vec<u64>)> = (0..cfg.repair.roots)
         .map(|_| {
             let root = rng.next_below(n);
-            let adj = UnionAdjacency::new(session.partitions(), session.deltas());
+            let adj = UnionAdjacency::new(session.partitions(), session.delta());
             let (parents, depths) = adj.full_bfs(root);
             (root, parents, depths)
         })
@@ -327,7 +327,7 @@ fn repair_vs_recompute(cfg: &SoakConfig) -> io::Result<RepairTiming> {
         // The union view after this commit — identical whether the
         // round's edges still sit in the delta or a promotion /
         // threshold trigger already compacted them into the base.
-        let adj = UnionAdjacency::new(session.partitions(), session.deltas());
+        let adj = UnionAdjacency::new(session.partitions(), session.delta());
         for (root, parents, depths) in &mut cache {
             let t0 = Instant::now();
             let stats = repair_in_place(&adj, &batch, parents, depths);

@@ -62,6 +62,17 @@ echo "==> partition build reference (release, hard timeout)"
 timeout 300 cargo test -q --release -p sunbfs-part --test build_reference
 timeout 300 cargo test -q --release -p sunbfs-rmat integer_cut_points_equal_the_f64_definition
 
+# Mutation reference: the pinned commit schedule (delta entry weights,
+# when a promotion or the size threshold compacts, repair statistics and
+# result fingerprints) over two meshes and three threshold regimes, the
+# all-or-nothing commit when its compaction loses a rank, union-view
+# equivalence, and the delta's own adjacency and promotion tests. In
+# release, the build the benchmark times.
+echo "==> mutation reference (release, hard timeout)"
+timeout 300 cargo test -q --release --test mutation_equivalence
+timeout 300 cargo test -q --release -p sunbfs-serve --lib a_commit_whose_compaction_loses_a_rank_rolls_back
+timeout 300 cargo test -q --release -p sunbfs-mutate --test overlay
+
 # Validator reference: validate_parents, component_edges,
 # levels_from_parents and reference_bfs against their first-written
 # definitions (HashSet membership, sort + dedup, Vec<Vec<_>> adjacency)

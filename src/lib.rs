@@ -21,8 +21,9 @@
 //! * [`store`] — the persistent partition store: a paged, checksummed
 //!   on-disk format so a restart opens the graph file instead of
 //!   regenerating and repartitioning it (`docs/STORE.md`),
-//! * [`mutate`] — live graph mutations: the per-rank delta overlay,
-//!   epoch-versioned edge-insert batches, incremental BFS repair, and
+//! * [`mutate`] — live graph mutations: one delta per session (the
+//!   commit log and the adjacency it adds) for epoch-versioned
+//!   edge-insert batches, incremental BFS repair, and
 //!   delta-into-base compaction (`docs/UPDATES.md`),
 //! * [`serve`] — the session-persistent partition (build or open once,
 //!   traverse many) and the BFS query service on top of it: a bounded
