@@ -315,6 +315,61 @@ mod tests {
         assert_eq!(empty.offsets(), &[0u64; 9]);
     }
 
+    /// The first-written dedup, kept as the oracle: walk each sorted
+    /// list and push every target that differs from its predecessor
+    /// into a second array.
+    fn copy_dedup(offsets: &[u64], targets: &[u64]) -> (Vec<u64>, Vec<u64>) {
+        let mut new_targets = Vec::with_capacity(targets.len());
+        let mut new_offsets = vec![0u64; offsets.len()];
+        for k in 0..offsets.len() - 1 {
+            let mut prev: Option<u64> = None;
+            for &t in &targets[offsets[k] as usize..offsets[k + 1] as usize] {
+                if prev != Some(t) {
+                    new_targets.push(t);
+                    prev = Some(t);
+                }
+            }
+            new_offsets[k + 1] = new_targets.len() as u64;
+        }
+        (new_offsets, new_targets)
+    }
+
+    #[test]
+    fn dedup_equals_the_copying_oracle_on_random_multigraphs() {
+        // Per seed: 16 keys, some with no pairs, some whose every pair
+        // is the same target, the rest drawn from a small target pool
+        // so runs of duplicates are common; plus no pairs at all.
+        for seed in 0..64u64 {
+            let mut rng = sunbfs_common::SplitMix64::new(seed);
+            let num_keys = 16u64;
+            let mut pairs = Vec::new();
+            for k in 0..num_keys {
+                let len = rng.next_below(40);
+                match k % 4 {
+                    0 => {}
+                    1 => pairs.extend((0..len).map(|_| (k, 5))),
+                    _ => pairs.extend((0..len).map(|_| (k, rng.next_below(1 + seed)))),
+                }
+            }
+            // Interleave the keys, as a received buffer does.
+            let mut order: Vec<usize> = (0..pairs.len()).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            let pairs: Vec<(u64, u64)> = order.iter().map(|&i| pairs[i]).collect();
+            let raw = Csr::from_pairs(0, num_keys, pairs.iter().copied(), false);
+            let (offsets, targets) = copy_dedup(raw.offsets(), raw.targets());
+            let csr = Csr::from_pairs(0, num_keys, pairs.iter().copied(), true);
+            assert_eq!(csr.offsets(), offsets.as_slice(), "seed {seed}");
+            assert_eq!(csr.targets(), targets.as_slice(), "seed {seed}");
+        }
+        let empty = Csr::from_pairs(0, 4, std::iter::empty(), true);
+        assert_eq!(
+            (empty.offsets().to_vec(), empty.targets().to_vec()),
+            copy_dedup(&[0; 5], &[])
+        );
+    }
+
     #[test]
     fn empty_component() {
         let csr = Csr::from_pairs(5, 3, vec![], true);

@@ -10,8 +10,8 @@
 //! loop must leave every row as it is; regenerate only for a deliberate
 //! model or layout change (the failure message prints the rows).
 
-use sunbfs_common::MachineConfig;
-use sunbfs_net::{fnv1a, Cluster, FaultPlan, MeshShape};
+use sunbfs_common::{Edge, MachineConfig};
+use sunbfs_net::{fnv1a, Cluster, FaultPlan, MeshShape, RankCtx};
 use sunbfs_part::{build_1p5d, Csr, RankPartition, Thresholds};
 use sunbfs_rmat::{generate_chunk, RmatParams};
 
@@ -66,7 +66,34 @@ fn fingerprint(part: &RankPartition) -> u64 {
     fnv1a(&bytes)
 }
 
-fn build_pins(rows: usize, cols: usize, thresholds: Thresholds) -> Vec<RankPin> {
+/// How a rank hands its generated chunk to the build.
+#[derive(Clone, Copy, Debug)]
+enum Handover {
+    /// `build_1p5d(ctx, n, &chunk, t)`: the caller keeps the chunk.
+    Borrowed,
+    /// The chunk is given away with the call.
+    Owned,
+}
+
+fn build(
+    ctx: &mut RankCtx,
+    n: u64,
+    chunk: Vec<Edge>,
+    thresholds: Thresholds,
+    handover: Handover,
+) -> RankPartition {
+    match handover {
+        Handover::Borrowed => build_1p5d(ctx, n, &chunk, thresholds),
+        Handover::Owned => build_1p5d(ctx, n, &chunk, thresholds),
+    }
+}
+
+fn build_pins(
+    rows: usize,
+    cols: usize,
+    thresholds: Thresholds,
+    handover: Handover,
+) -> Vec<RankPin> {
     let params = RmatParams::graph500(12, 1);
     let n = params.num_vertices();
     let p = (rows * cols) as u64;
@@ -74,7 +101,7 @@ fn build_pins(rows: usize, cols: usize, thresholds: Thresholds) -> Vec<RankPin> 
     cluster.run(|ctx| {
         let t0 = ctx.now();
         let chunk = generate_chunk(&params, ctx.rank() as u64, p);
-        let part = build_1p5d(ctx, n, &chunk, thresholds);
+        let part = build(ctx, n, chunk, thresholds, handover);
         let sim_bits = (ctx.now() - t0).as_secs().to_bits();
         let prep = ctx.comm_stats().total_with_prefix("world/prep.");
         RankPin {
@@ -183,7 +210,7 @@ fn reference() -> Vec<(&'static str, usize, usize, Thresholds, Vec<RankPin>)> {
 fn every_pinned_build_is_byte_identical() {
     let mut moved = Vec::new();
     for (label, rows, cols, thresholds, want) in reference() {
-        let got = build_pins(rows, cols, thresholds);
+        let got = build_pins(rows, cols, thresholds, Handover::Borrowed);
         if got != want {
             let rendered: Vec<String> = got
                 .iter()
@@ -198,6 +225,21 @@ fn every_pinned_build_is_byte_identical() {
         }
     }
     assert!(moved.is_empty(), "the build moved.\n{}", moved.join("\n"));
+}
+
+/// A build that is given its chunk equals one that borrows it, in every
+/// pinned configuration: arrays, `prep.*` traffic and simulated time.
+#[test]
+fn an_owned_chunk_builds_what_a_borrowed_chunk_builds() {
+    for (label, rows, cols, thresholds, want) in reference() {
+        let owned = build_pins(rows, cols, thresholds, Handover::Owned);
+        assert_eq!(owned, want, "{label}: owned chunk");
+        assert_eq!(
+            owned,
+            build_pins(rows, cols, thresholds, Handover::Borrowed),
+            "{label}"
+        );
+    }
 }
 
 /// The hub-degree gather (`prep.allgather`, collective 1 of every
