@@ -169,7 +169,8 @@ fn hub_sync_collective(
     counters: &[u64],
 ) -> (Vec<u64>, Vec<u64>) {
     let nwords = words.len();
-    let mut payload = words.to_vec();
+    let mut payload = Vec::with_capacity(nwords + counters.len());
+    payload.extend_from_slice(words);
     payload.extend_from_slice(counters);
     let combine = move |i: usize, a: &mut u64, b: &u64| if i < nwords { *a |= b } else { *a += b };
     let payload = ctx.allreduce_with_indexed(Scope::Row, op, payload, None, combine);
@@ -1352,8 +1353,7 @@ impl<'a, L: Lane> Engine<'a, L> {
         );
         ctx.charge(cost_category, report.time);
         self.note_kernel(&report);
-        let received = ctx.alltoallv(Scope::Row, comm_op, buckets);
-        let msgs: Vec<L::Msg> = received.into_iter().flatten().collect();
+        let msgs = ctx.alltoallv(Scope::Row, comm_op, buckets).concat();
         self.apply_l_messages(ctx, msgs, cost_category);
     }
 
@@ -1454,11 +1454,9 @@ impl<'a, L: Lane> Engine<'a, L> {
                 );
                 ctx.charge(category, rep1.time);
                 self.note_kernel(&rep1);
-                let forwarded: Vec<L::Msg> = ctx
+                let forwarded = ctx
                     .alltoallv(Scope::Col, ALLTOALLV_L2L, col_buckets)
-                    .into_iter()
-                    .flatten()
-                    .collect();
+                    .concat();
                 // Hop 2: the forwarding node sorts by final destination
                 // and exchanges along its row.
                 self.exchange_and_apply_row(ctx, forwarded, ALLTOALLV_L2L, category);
@@ -1507,8 +1505,7 @@ impl<'a, L: Lane> Engine<'a, L> {
                     }
                 }
                 costing::charge_apply(ctx, category, checked);
-                let confirmed = ctx.alltoallv(Scope::World, ALLTOALLV_L2L, replies);
-                let msgs: Vec<L::Msg> = confirmed.into_iter().flatten().collect();
+                let msgs = ctx.alltoallv(Scope::World, ALLTOALLV_L2L, replies).concat();
                 self.apply_l_messages(ctx, msgs, category);
             }
         }

@@ -42,7 +42,7 @@ use sunbfs_common::{
 use crate::barrier::{BarrierPoisoned, PoisonBarrier};
 use crate::cost::{self, Scope};
 use crate::fault::{FaultKind, FaultPlan, FaultRecord, InjectedFault};
-use crate::frame::{fnv1a, Frame, Payload, Wire};
+use crate::frame::{fnv1a, Frame, Parts, Payload, Wire};
 use crate::topology::{MeshShape, Topology};
 
 /// How many times a corrupted deposit is retransmitted before the
@@ -112,6 +112,11 @@ impl ScopeShared {
     /// Clear all rendezvous state (only sound with no threads running).
     fn reset(&self) {
         self.barrier.reset();
+        self.clear_slots();
+    }
+
+    /// Drop every deposit and entry clock.
+    fn clear_slots(&self) {
         for buffer in &self.buffers {
             for s in &buffer.slots {
                 *lock_ignore_poison(s) = None;
@@ -143,11 +148,14 @@ struct ClusterShared {
 }
 
 impl ClusterShared {
+    fn scopes(&self) -> impl Iterator<Item = &ScopeShared> {
+        std::iter::once(&self.world)
+            .chain(&self.rows)
+            .chain(&self.cols)
+    }
+
     fn poison_all(&self) {
-        self.world.barrier.poison();
-        for s in self.rows.iter().chain(self.cols.iter()) {
-            s.barrier.poison();
-        }
+        self.scopes().for_each(|s| s.barrier.poison());
     }
 
     /// Heal barriers and clear rendezvous state between runs so a
@@ -157,10 +165,7 @@ impl ClusterShared {
     fn reset_for_run(&self) {
         let panic_op = self.plan.next_panic_op().unwrap_or(u64::MAX);
         self.panic_op.store(panic_op, Ordering::Release);
-        self.world.reset();
-        for s in self.rows.iter().chain(self.cols.iter()) {
-            s.reset();
-        }
+        self.scopes().for_each(ScopeShared::reset);
     }
 }
 
@@ -461,7 +466,9 @@ impl Cluster {
     ///
     /// The cluster is healed on entry (barriers unpoisoned, rendezvous
     /// slots cleared), so a failed run can be retried on the same
-    /// cluster — consumed fault-plan events will not re-fire.
+    /// cluster — consumed fault-plan events will not re-fire. The slots
+    /// are cleared again once every rank has joined, so no payload of a
+    /// run outlives it.
     pub fn run_fallible<T, F>(&self, f: F) -> Vec<Result<T, RankFailure>>
     where
         T: Send,
@@ -486,7 +493,7 @@ impl Cluster {
         // inside the same scope: one spawn fewer per run, and the
         // first collective does not wait for a caller that is still
         // spawning.
-        std::thread::scope(|s| {
+        let results = std::thread::scope(|s| {
             let run_rank = &run_rank;
             let spawned: Vec<_> = (1..self.shared.topo.num_ranks())
                 .map(|rank| s.spawn(move || run_rank(rank)))
@@ -498,7 +505,9 @@ impl Cluster {
                     .expect("a rank thread catches its closure's panic")
             }));
             results
-        })
+        });
+        self.shared.scopes().for_each(ScopeShared::clear_slots);
+        results
     }
 
     /// Run `f` once per rank (one OS thread each; rank 0's is the
@@ -1157,7 +1166,9 @@ impl RankCtx {
     }
 
     /// Irregular all-to-all: `send[p]` goes to scope member `p`; returns
-    /// what every member sent to this rank, in member order.
+    /// what every member sent to this rank, in member order. Each part is
+    /// moved to its receiver, never copied: the receiver takes it out of
+    /// the sender's deposit after the collect.
     pub fn alltoallv<T: Wire>(
         &mut self,
         scope: Scope,
@@ -1175,7 +1186,7 @@ impl RankCtx {
         let bytes: u64 = volumes.iter().sum();
         let my_pos = self.scope_pos(scope);
         let (payloads, _, all_volumes, max_entry) =
-            self.exchange(scope, category, send, bytes, Some(volumes));
+            self.exchange(scope, category, Parts::from(send), bytes, Some(volumes));
         let cost = cost::alltoallv_cost(
             &self.shared.machine,
             &self.shared.topo,
@@ -1183,7 +1194,7 @@ impl RankCtx {
             &all_volumes,
         );
         self.settle(category, max_entry, cost);
-        payloads.iter().map(|p| p[my_pos].clone()).collect()
+        payloads.iter().map(|p| p.take(my_pos)).collect()
     }
 
     /// All-gather: every member contributes a vector; returns all
@@ -1725,6 +1736,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn every_slot_is_empty(c: &Cluster) -> bool {
+        c.shared.scopes().all(|s| {
+            s.buffers
+                .iter()
+                .flat_map(|b| &b.slots)
+                .all(|slot| lock_ignore_poison(slot).is_none())
+        })
+    }
+
+    #[test]
+    fn alltoallv_moves_every_part_out_of_its_deposit() {
+        // Once every member has received (the barrier after), each
+        // sender's deposit in the scope's buffer 0 is an empty husk.
+        let c = small_cluster(2, 2);
+        let husks = c.run(|ctx| {
+            let send = (0..4).map(|d| vec![d as u64; 1000]).collect();
+            let got = ctx.alltoallv(Scope::World, "a2a", send);
+            ctx.barrier(Scope::World);
+            let slot = lock_ignore_poison(&ctx.shared.world.buffers[0].slots[ctx.rank()]);
+            let dep = slot.as_ref().expect("a deposit until the run ends");
+            let parts = dep
+                .payload
+                .downcast_ref::<Parts<u64>>()
+                .expect("a send set");
+            (got.concat().len(), dep.bytes, parts.frame().bytes)
+        });
+        assert_eq!(husks, vec![(4000, 32_000, 0); 4]);
+    }
+
+    #[test]
+    fn no_deposit_outlives_its_run() {
+        // Every scope's last two collectives leave deposits behind; a
+        // failing run leaves the deposits made before its failure.
+        let program = |ctx: &mut RankCtx, fail: bool| {
+            let n = ctx.nranks();
+            for k in 0..3u64 {
+                let send = (0..n).map(|d| vec![k, d as u64]).collect();
+                ctx.alltoallv(Scope::World, "a2a", send);
+                ctx.allgatherv(Scope::Row, "row", vec![k; 4]);
+                ctx.allreduce_sum(Scope::Col, "col", k);
+            }
+            if fail && ctx.rank() == 1 {
+                panic!("dead rank");
+            }
+            ctx.barrier(Scope::World);
+        };
+        let c = small_cluster(2, 2);
+        c.run(|ctx| program(ctx, false));
+        assert!(every_slot_is_empty(&c), "after a clean run");
+        let results = c.run_fallible(|ctx| program(ctx, true));
+        assert!(results[1].is_err());
+        assert!(every_slot_is_empty(&c), "after a rank failure");
+
+        // The framed path, and a planned panic mid-run.
+        let plan = FaultPlan::parse("panic@2:4").expect("a valid plan");
+        let c = Cluster::with_faults(MeshShape::new(2, 2), MachineConfig::new_sunway(), plan);
+        assert!(all_ranks_ok(c.run_fallible(|ctx| program(ctx, false))).is_err());
+        assert!(every_slot_is_empty(&c), "after an injected failure");
+        c.run(|ctx| program(ctx, false));
+        assert!(every_slot_is_empty(&c), "after a framed clean run");
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! lengths as well as the elements, so moving an element between
 //! destinations (same bytes, different boundaries) is still caught.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use crate::fault::CorruptMode;
 
 /// 64-bit FNV-1a over a byte slice (offset basis / prime per the
@@ -107,7 +109,7 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
 }
 
 /// What one rank deposits for a collective: nothing (a barrier), a
-/// vector of elements, or one vector per destination.
+/// vector of elements, or one vector per destination ([`Parts`]).
 pub(crate) trait Payload: Clone + Send + Sync + 'static {
     /// Length + checksum of the payload as it is now.
     fn frame(&self) -> Frame;
@@ -146,11 +148,47 @@ impl<T: Wire> Payload for Vec<T> {
     }
 }
 
-impl<T: Wire> Payload for Vec<Vec<T>> {
+/// An `alltoallv` send set at the rendezvous: one part per destination,
+/// each behind its own lock so its receiver can take it out of the
+/// shared deposit after the collect instead of copying it — the part
+/// then exists once, at its receiver, and the deposit keeps an empty
+/// husk.
+pub(crate) struct Parts<T>(Vec<Mutex<Vec<T>>>);
+
+impl<T> Parts<T> {
+    fn part(&self, dest: usize) -> MutexGuard<'_, Vec<T>> {
+        // A part's lock is never held across a panic.
+        self.0[dest].lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Move out the part for destination `dest`.
+    pub(crate) fn take(&self, dest: usize) -> Vec<T> {
+        std::mem::take(&mut *self.part(dest))
+    }
+}
+
+impl<T> From<Vec<Vec<T>>> for Parts<T> {
+    fn from(send: Vec<Vec<T>>) -> Self {
+        Parts(send.into_iter().map(Mutex::new).collect())
+    }
+}
+
+impl<T: Clone> Clone for Parts<T> {
+    fn clone(&self) -> Self {
+        Parts(
+            (0..self.0.len())
+                .map(|d| Mutex::new(self.part(d).clone()))
+                .collect(),
+        )
+    }
+}
+
+impl<T: Wire> Payload for Parts<T> {
     fn frame(&self) -> Frame {
         let mut h = Fnv1a::new();
         let mut bytes = 0u64;
-        for v in self {
+        for d in 0..self.0.len() {
+            let v = self.part(d);
             // Inner lengths are part of the checksum: an element sliding
             // between destinations keeps the flat byte stream identical.
             h.update(&(v.len() as u64).to_le_bytes());
@@ -164,7 +202,9 @@ impl<T: Wire> Payload for Vec<Vec<T>> {
     }
     /// Damages the first non-empty destination.
     fn corrupt(&mut self, mode: CorruptMode) -> bool {
-        self.iter_mut()
+        self.0
+            .iter_mut()
+            .map(|m| m.get_mut().unwrap_or_else(PoisonError::into_inner))
             .find(|v| !v.is_empty())
             .is_some_and(|v| v.corrupt(mode))
     }
@@ -222,9 +262,9 @@ mod tests {
     /// destination is empty; and both shapes empty.
     fn element_shape<T: Wire>(a: T, b: T) {
         damage_is_visible(vec![a, b]);
-        damage_is_visible(vec![vec![], vec![a, b]]);
+        damage_is_visible(Parts::from(vec![vec![], vec![a, b]]));
         nothing_to_damage(Vec::<T>::new());
-        nothing_to_damage(vec![Vec::<T>::new(); 2]);
+        nothing_to_damage(Parts::from(vec![Vec::<T>::new(); 2]));
     }
 
     #[test]
@@ -241,8 +281,8 @@ mod tests {
     #[test]
     fn nested_frame_covers_destination_boundaries() {
         // Same flat bytes, different destination split: must differ.
-        let fa = vec![vec![7u64], vec![]].frame();
-        let fb = vec![vec![], vec![7u64]].frame();
+        let fa = Parts::from(vec![vec![7u64], vec![]]).frame();
+        let fb = Parts::from(vec![vec![], vec![7u64]]).frame();
         assert_eq!(fa.bytes, fb.bytes);
         assert_ne!(fa.checksum, fb.checksum);
     }

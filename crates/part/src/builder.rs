@@ -24,7 +24,14 @@
 //!    destination for pull) with multigraph deduplication.
 //!
 //! Self loops never affect a BFS and are dropped here.
+//!
+//! Node memory bounds the build at scale, so every routed edge is held
+//! once: a chunk handed over by value is dropped as soon as it is
+//! routed, `alltoallv` moves each part to its receiver, and each
+//! component is indexed right after its own exchange, reading the
+//! received parts in place, before the next component is exchanged.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use sunbfs_common::{Bitmap, Edge, JsonValue, ToJson, VertexId};
@@ -201,12 +208,15 @@ pub fn row_vertex_range(
 ///
 /// SPMD: every rank calls this with the same `n` and `thresholds` and
 /// its own `edges` chunk; the union of chunks is the global multigraph.
-pub fn build_1p5d(
+/// A chunk passed by value (`Vec<Edge>`) is freed once its edges are
+/// routed; a borrowed one (`&chunk`) stays with the caller.
+pub fn build_1p5d<'a>(
     ctx: &mut RankCtx,
     n: u64,
-    edges: &[Edge],
+    edges: impl Into<Cow<'a, [Edge]>>,
     thresholds: Thresholds,
 ) -> RankPartition {
+    let edges = edges.into();
     let topo = ctx.topology();
     let p = ctx.nranks();
     let rank = ctx.rank();
@@ -214,7 +224,7 @@ pub fn build_1p5d(
 
     // ---- (1) exact degrees at owners ----------------------------------
     let mut endpoint_msgs: Vec<Vec<VertexId>> = vec![Vec::new(); p];
-    for e in edges {
+    for e in edges.iter() {
         endpoint_msgs[dist.owner(e.u)].push(e.u);
         endpoint_msgs[dist.owner(e.v)].push(e.v);
     }
@@ -250,7 +260,7 @@ pub fn build_1p5d(
         eh_msgs[dest].push((hs as u64, hd as u64));
     };
 
-    for e in edges {
+    for e in edges.iter() {
         if e.is_self_loop() {
             continue;
         }
@@ -283,35 +293,39 @@ pub fn build_1p5d(
         }
     }
 
-    // Each component's received buckets, joined once at exact capacity;
-    // both of its CSR orientations are built off that one buffer.
-    let mut exchange =
-        |msgs: Vec<Vec<(u64, u64)>>| ctx.alltoallv(Scope::World, "prep.alltoallv", msgs).concat();
-    let eh_recv = exchange(eh_msgs);
-    let el_recv = exchange(el_msgs);
-    let h2l_recv = exchange(h2l_msgs);
-    let lh_recv = exchange(lh_msgs);
-    let l2l_recv = exchange(l2l_msgs);
+    drop(edges);
 
     // ---- (4) component CSRs --------------------------------------------
+    // One component at a time: exchange, index both orientations off
+    // the received parts, drop the parts.
     let nh = directory.num_hubs() as u64;
     let my_row = topo.row_of(rank);
     let row_range = row_vertex_range(&dist, &topo, my_row);
     let my_count = my_range.end - my_range.start;
     let row_count = row_range.end - row_range.start;
     let flip = |&(a, b): &(u64, u64)| (b, a);
-
+    let mut index = |msgs: Vec<Vec<(u64, u64)>>, by_first: (u64, u64), by_second: (u64, u64)| {
+        let parts = ctx.alltoallv(Scope::World, "prep.alltoallv", msgs);
+        let pairs = parts.iter().flatten();
+        (
+            Csr::from_pairs(by_first.0, by_first.1, pairs.clone().copied(), true),
+            Csr::from_pairs(by_second.0, by_second.1, pairs.map(flip), true),
+        )
+    };
     // EH csrs are keyed over the full (small) hub-id space; only hubs in
     // this rank's cyclic column/row slice have entries.
-    let eh_by_src = Csr::from_pairs(0, nh, eh_recv.iter().copied(), true);
-    let eh_by_dst = Csr::from_pairs(0, nh, eh_recv.iter().map(flip), true);
-    let el_by_hub = Csr::from_pairs(0, nh, el_recv.iter().copied(), true);
-    let el_by_local = Csr::from_pairs(my_range.start, my_count, el_recv.iter().map(flip), true);
-    let h2l_by_hub = Csr::from_pairs(0, nh, h2l_recv.iter().copied(), true);
-    let h2l_by_local = Csr::from_pairs(row_range.start, row_count, h2l_recv.iter().map(flip), true);
-    let lh_by_hub = Csr::from_pairs(0, nh, lh_recv.iter().copied(), true);
-    let lh_by_local = Csr::from_pairs(my_range.start, my_count, lh_recv.iter().map(flip), true);
-    let l2l = Csr::from_pairs(my_range.start, my_count, l2l_recv.iter().copied(), true);
+    let hub_keys = (0, nh);
+    let (eh_by_src, eh_by_dst) = index(eh_msgs, hub_keys, hub_keys);
+    let (el_by_hub, el_by_local) = index(el_msgs, hub_keys, (my_range.start, my_count));
+    let (h2l_by_hub, h2l_by_local) = index(h2l_msgs, hub_keys, (row_range.start, row_count));
+    let (lh_by_hub, lh_by_local) = index(lh_msgs, hub_keys, (my_range.start, my_count));
+    let l2l_parts = ctx.alltoallv(Scope::World, "prep.alltoallv", l2l_msgs);
+    let l2l = Csr::from_pairs(
+        my_range.start,
+        my_count,
+        l2l_parts.iter().flatten().copied(),
+        true,
+    );
 
     let stats = ComponentStats {
         eh2eh: eh_by_src.num_edges(),

@@ -102,24 +102,27 @@ impl Csr {
         csr
     }
 
+    /// Collapse runs of equal targets in every sorted list, in place: a
+    /// write cursor trails the read cursor over `targets`, and the
+    /// array is cut to what was written (its tail returned to the
+    /// allocator, not kept resident as spare capacity).
     fn dedup_targets(&mut self) {
-        let nk = self.num_keys();
-        let mut new_targets = Vec::with_capacity(self.targets.len());
-        let mut new_offsets = vec![0u64; nk + 1];
-        for k in 0..nk {
-            let lo = self.offsets[k] as usize;
+        let mut write = 0usize;
+        let mut lo = 0usize;
+        for k in 0..self.num_keys() {
             let hi = self.offsets[k + 1] as usize;
-            let mut prev: Option<u64> = None;
-            for &t in &self.targets[lo..hi] {
-                if prev != Some(t) {
-                    new_targets.push(t);
-                    prev = Some(t);
+            for read in lo..hi {
+                let t = self.targets[read];
+                if read == lo || t != self.targets[write - 1] {
+                    self.targets[write] = t;
+                    write += 1;
                 }
             }
-            new_offsets[k + 1] = new_targets.len() as u64;
+            lo = hi;
+            self.offsets[k + 1] = write as u64;
         }
-        self.offsets = new_offsets;
-        self.targets = new_targets;
+        self.targets.truncate(write);
+        self.targets.shrink_to_fit();
     }
 
     /// Rebuild a CSR from its raw arrays (the persistent-store decode

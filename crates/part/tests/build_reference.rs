@@ -84,7 +84,7 @@ fn build(
 ) -> RankPartition {
     match handover {
         Handover::Borrowed => build_1p5d(ctx, n, &chunk, thresholds),
-        Handover::Owned => build_1p5d(ctx, n, &chunk, thresholds),
+        Handover::Owned => build_1p5d(ctx, n, chunk, thresholds),
     }
 }
 

@@ -296,7 +296,7 @@ impl GraphSession {
             let outcome = all_ranks_ok(cluster.run_fallible(|ctx| {
                 let t0 = ctx.now();
                 let chunk = sunbfs_rmat::generate_chunk(&params, ctx.rank() as u64, p);
-                let part = build_1p5d(ctx, n, &chunk, cfg.thresholds);
+                let part = build_1p5d(ctx, n, chunk, cfg.thresholds);
                 ((ctx.now() - t0).as_secs(), part)
             }));
             // Every attempt's simulated cost counts — a failed attempt
@@ -637,7 +637,7 @@ impl GraphSession {
                     .step_by(p)
                     .map(|&(u, v)| Edge::new(u, v))
                     .collect();
-                build_1p5d(ctx, n, &chunk, thresholds)
+                build_1p5d(ctx, n, chunk, thresholds)
             }))
             .map_err(lost_ranks)?
         };

@@ -62,6 +62,13 @@ echo "==> partition build reference (release, hard timeout)"
 timeout 300 cargo test -q --release -p sunbfs-part --test build_reference
 timeout 300 cargo test -q --release -p sunbfs-rmat integer_cut_points_equal_the_f64_definition
 
+# Partition build memory: loading a SCALE-16 session may raise the
+# process's peak resident set by at most 2.75x the partition it leaves
+# resident — each routed edge held about once (docs/PERF.md, "Rule 8,
+# measured"). A binary of its own, so no other test moves the peak.
+echo "==> partition build memory gate (release, hard timeout)"
+timeout 300 cargo test -q --release --test build_memory
+
 # Mutation reference: the pinned commit schedule (delta entry weights,
 # when a promotion or the size threshold compacts, repair statistics and
 # result fingerprints) over two meshes and three threshold regimes, the
