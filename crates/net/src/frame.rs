@@ -155,15 +155,15 @@ impl<T: Wire> Payload for Vec<T> {
 /// husk.
 pub(crate) struct Parts<T>(Vec<Mutex<Vec<T>>>);
 
-impl<T> Parts<T> {
-    fn part(&self, dest: usize) -> MutexGuard<'_, Vec<T>> {
-        // A part's lock is never held across a panic.
-        self.0[dest].lock().unwrap_or_else(PoisonError::into_inner)
-    }
+/// Lock one part; a part's lock is never held across a panic.
+fn lock<T>(part: &Mutex<Vec<T>>) -> MutexGuard<'_, Vec<T>> {
+    part.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
+impl<T> Parts<T> {
     /// Move out the part for destination `dest`.
     pub(crate) fn take(&self, dest: usize) -> Vec<T> {
-        std::mem::take(&mut *self.part(dest))
+        std::mem::take(&mut *lock(&self.0[dest]))
     }
 }
 
@@ -175,11 +175,7 @@ impl<T> From<Vec<Vec<T>>> for Parts<T> {
 
 impl<T: Clone> Clone for Parts<T> {
     fn clone(&self) -> Self {
-        Parts(
-            (0..self.0.len())
-                .map(|d| Mutex::new(self.part(d).clone()))
-                .collect(),
-        )
+        Parts(self.0.iter().map(|m| Mutex::new(lock(m).clone())).collect())
     }
 }
 
@@ -187,8 +183,8 @@ impl<T: Wire> Payload for Parts<T> {
     fn frame(&self) -> Frame {
         let mut h = Fnv1a::new();
         let mut bytes = 0u64;
-        for d in 0..self.0.len() {
-            let v = self.part(d);
+        for part in &self.0 {
+            let v = lock(part);
             // Inner lengths are part of the checksum: an element sliding
             // between destinations keeps the flat byte stream identical.
             h.update(&(v.len() as u64).to_le_bytes());
