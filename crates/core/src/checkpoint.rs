@@ -10,9 +10,11 @@
 //!   owner-local L class, the delegate-local parent buffers, and the
 //!   loop-carried global counters.
 //! * Snapshots are stored *encoded*: a fixed-layout little-endian `u64`
-//!   stream sealed with a trailing FNV-1a checksum. [`decode`] refuses
-//!   anything damaged, so a resume never starts from corrupt state —
-//!   "last verified checkpoint" is literal.
+//!   stream sealed with a trailing FNV-1a checksum, written and read
+//!   with the sealed word-stream codec in `sunbfs_net::frame` (the one
+//!   every partition-store stream uses). [`decode`] refuses anything
+//!   damaged, so a resume never starts from corrupt state — "last
+//!   verified checkpoint" is literal.
 //! * [`CheckpointStore`] holds one slot per rank. Saves are rank-local
 //!   (no extra collectives: the engine saves right after its closing
 //!   iteration allreduce, and faults unwind *at* collectives, so every
@@ -33,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use sunbfs_common::{Bitmap, TimeAccumulator};
-use sunbfs_net::{fnv1a, CommStats};
+use sunbfs_net::{CommStats, Damage, WordReader, WordWriter};
 
 use crate::config::Direction;
 use crate::stats::IterationStats;
@@ -109,7 +111,7 @@ fn unpack_dirs(word: u64) -> Option<[Direction; 6]> {
 impl CheckpointState {
     /// Serialize to the checksummed envelope.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut w = WordWriter::default();
         for x in [
             MAGIC,
             VERSION,
@@ -125,7 +127,7 @@ impl CheckpointState {
             self.visited_mass[2],
             pack_dirs(&self.prev_dirs),
         ] {
-            out.extend_from_slice(&x.to_le_bytes());
+            w.put(x);
         }
         for bm in [
             &self.hub_curr,
@@ -133,54 +135,41 @@ impl CheckpointState {
             &self.l_curr,
             &self.l_visited,
         ] {
-            encode_bitmap(&mut out, bm);
+            w.put(bm.len());
+            w.put_slice(bm.words());
         }
-        for v in [&self.hub_parent, &self.l_parent] {
-            encode_vec(&mut out, v);
-        }
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        w.put_slice(&self.hub_parent);
+        w.put_slice(&self.l_parent);
+        w.seal()
     }
 
     /// Parse and verify an envelope; `None` on any damage — bad magic
     /// or version, inconsistent lengths, trailing garbage, or a
     /// checksum mismatch.
     pub fn decode(bytes: &[u8]) -> Option<CheckpointState> {
-        // Verify the seal first: the checksum covers everything before
-        // its own 8 bytes.
-        if bytes.len() < 8 {
-            return None;
+        Self::read(bytes).ok()
+    }
+
+    fn read(bytes: &[u8]) -> Result<CheckpointState, Damage> {
+        let mut r = WordReader::unseal(bytes, "checkpoint seal")?;
+        if r.word()? != MAGIC || r.word()? != VERSION {
+            return Err(Damage::Corrupt("checkpoint magic or version"));
         }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let checksum = u64::from_le_bytes(tail.try_into().ok()?);
-        if fnv1a(body) != checksum {
-            return None;
-        }
-        let mut r = Reader {
-            bytes: body,
-            pos: 0,
-        };
-        if r.u64()? != MAGIC || r.u64()? != VERSION {
-            return None;
-        }
-        let iter = u32::try_from(r.u64()?).ok()?;
-        let active_l = r.u64()?;
-        let visited_l = r.u64()?;
-        let sim_seconds = f64::from_bits(r.u64()?);
-        let frontier_mass = [r.u64()?, r.u64()?, r.u64()?];
-        let visited_mass = [r.u64()?, r.u64()?, r.u64()?];
-        let prev_dirs = unpack_dirs(r.u64()?)?;
-        let hub_curr = decode_bitmap(&mut r)?;
-        let hub_visited = decode_bitmap(&mut r)?;
-        let l_curr = decode_bitmap(&mut r)?;
-        let l_visited = decode_bitmap(&mut r)?;
-        let hub_parent = decode_vec(&mut r)?;
-        let l_parent = decode_vec(&mut r)?;
-        if r.pos != body.len() {
-            return None; // trailing garbage is damage too
-        }
-        Some(CheckpointState {
+        let iter = u32::try_from(r.word()?).map_err(|_| Damage::Corrupt("iteration"))?;
+        let active_l = r.word()?;
+        let visited_l = r.word()?;
+        let sim_seconds = f64::from_bits(r.word()?);
+        let frontier_mass = [r.word()?, r.word()?, r.word()?];
+        let visited_mass = [r.word()?, r.word()?, r.word()?];
+        let prev_dirs = unpack_dirs(r.word()?).ok_or(Damage::Corrupt("direction word"))?;
+        let hub_curr = read_bitmap(&mut r)?;
+        let hub_visited = read_bitmap(&mut r)?;
+        let l_curr = read_bitmap(&mut r)?;
+        let l_visited = read_bitmap(&mut r)?;
+        let hub_parent = r.slice("hub parent length")?;
+        let l_parent = r.slice("L parent length")?;
+        r.end("trailing words")?;
+        Ok(CheckpointState {
             iter,
             active_l,
             visited_l,
@@ -198,65 +187,17 @@ impl CheckpointState {
     }
 }
 
-fn encode_bitmap(out: &mut Vec<u8>, bm: &Bitmap) {
-    out.extend_from_slice(&bm.len().to_le_bytes());
-    out.extend_from_slice(&(bm.words().len() as u64).to_le_bytes());
-    for w in bm.words() {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-}
-
-fn decode_bitmap(r: &mut Reader<'_>) -> Option<Bitmap> {
-    let bits = r.u64()?;
-    let nwords = r.u64()?;
-    // Internal-consistency and allocation guards BEFORE `Bitmap::new`:
-    // a corrupted length must not become a multi-gigabyte allocation.
-    if nwords != bits.div_ceil(64) || nwords > r.remaining() / 8 {
-        return None;
+/// A bitmap's bit count, then its words as a slice (whose length must
+/// match the bit count).
+fn read_bitmap(r: &mut WordReader<'_>) -> Result<Bitmap, Damage> {
+    let bits = r.word()?;
+    let words = r.slice("bitmap length")?;
+    if words.len() as u64 != bits.div_ceil(64) {
+        return Err(Damage::Corrupt("bitmap length"));
     }
     let mut bm = Bitmap::new(bits);
-    for w in bm.words_mut() {
-        *w = r.u64()?;
-    }
-    Some(bm)
-}
-
-fn encode_vec(out: &mut Vec<u8>, v: &[u64]) {
-    out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn decode_vec(r: &mut Reader<'_>) -> Option<Vec<u64>> {
-    let len = r.u64()?;
-    if len > r.remaining() / 8 {
-        return None; // allocation guard
-    }
-    let mut v = Vec::with_capacity(len as usize);
-    for _ in 0..len {
-        v.push(r.u64()?);
-    }
-    Some(v)
-}
-
-/// Bounds-checked little-endian cursor.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn u64(&mut self) -> Option<u64> {
-        let end = self.pos.checked_add(8)?;
-        let chunk = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        Some(u64::from_le_bytes(chunk.try_into().ok()?))
-    }
-
-    fn remaining(&self) -> u64 {
-        (self.bytes.len() - self.pos) as u64
-    }
+    bm.words_mut().copy_from_slice(&words);
+    Ok(bm)
 }
 
 /// The statistics a resumed run inherits from the checkpointed

@@ -41,7 +41,7 @@ use sunbfs_common::{
 
 use crate::barrier::{BarrierPoisoned, PoisonBarrier};
 use crate::cost::{self, Scope};
-use crate::fault::{FaultKind, FaultPlan, FaultRecord, InjectedFault};
+use crate::fault::{FaultKind, FaultPlan, FaultRecord};
 use crate::frame::{fnv1a, Frame, Parts, Payload, Wire};
 use crate::topology::{MeshShape, Topology};
 
@@ -197,9 +197,10 @@ impl SpmdViolationKind {
 }
 
 /// A typed SPMD-contract violation: which rank detected it, in which
-/// collective, and which scope member is at fault. Raised as the unwind
-/// payload (after poisoning every barrier) so `run_fallible` can hand
-/// the driver a structured error instead of a stringly panic.
+/// collective, and which scope member is at fault. Raised inside
+/// [`FailureKind::Violation`] (after poisoning every barrier) so
+/// `run_fallible` can hand the driver a structured error instead of a
+/// stringly panic.
 #[derive(Clone, Debug)]
 pub struct SpmdViolation {
     /// Rank that *detected* the violation.
@@ -232,7 +233,9 @@ impl std::fmt::Display for SpmdViolation {
     }
 }
 
-/// Why one rank failed, classified from its unwind payload.
+/// Why one rank failed. The runtime unwinds with this value itself
+/// (`Injected`, `Violation`, `CorruptPayload`); collateral teardown and
+/// plain panics are classified from their own payloads.
 #[derive(Clone, Debug)]
 pub enum FailureKind {
     /// A planned [`FaultKind::Panic`] fired on this rank.
@@ -269,19 +272,6 @@ pub enum FailureKind {
     },
 }
 
-/// The typed unwind payload raised when a corrupted deposit survives
-/// the retransmit budget: every scope member sees the identical slot
-/// state, so all of them unwind with the same escalation (and the
-/// same blamed sender).
-#[derive(Clone, Debug)]
-struct CorruptPayloadEscalation {
-    from: usize,
-    scope: Scope,
-    op: String,
-    op_index: u64,
-    attempts: u32,
-}
-
 json_record! {
     /// One healed retransmission of a corrupted deposit: the exchange
     /// layer detected a frame mismatch on `from`'s deposit for
@@ -312,34 +302,20 @@ pub struct RankFailure {
 }
 
 impl RankFailure {
+    /// Classify a rank's unwind: the runtime raises a [`FailureKind`]
+    /// itself, a poisoned barrier its own [`BarrierPoisoned`], and
+    /// anything else is a plain panic.
     fn from_panic(rank: usize, payload: Box<dyn Any + Send>) -> Self {
-        let kind = if let Some(inj) = payload.downcast_ref::<InjectedFault>() {
-            FailureKind::Injected {
-                op_index: inj.op_index,
-                op: inj.op.clone(),
-            }
-        } else if let Some(v) = payload.downcast_ref::<SpmdViolation>() {
-            FailureKind::Violation(v.clone())
-        } else if payload.downcast_ref::<BarrierPoisoned>().is_some() {
-            FailureKind::BarrierPoisoned
-        } else if let Some(c) = payload.downcast_ref::<CorruptPayloadEscalation>() {
-            FailureKind::CorruptPayload {
-                from: c.from,
-                scope: c.scope,
-                op: c.op.clone(),
-                op_index: c.op_index,
-                attempts: c.attempts,
-            }
-        } else if let Some(s) = payload.downcast_ref::<&str>() {
-            FailureKind::Panic {
-                message: (*s).to_string(),
-            }
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            FailureKind::Panic { message: s.clone() }
-        } else {
-            FailureKind::Panic {
-                message: "opaque panic payload".to_string(),
-            }
+        let kind = match payload.downcast::<FailureKind>() {
+            Ok(kind) => *kind,
+            Err(p) if p.is::<BarrierPoisoned>() => FailureKind::BarrierPoisoned,
+            Err(p) => FailureKind::Panic {
+                message: match (p.downcast_ref::<&str>(), p.downcast_ref::<String>()) {
+                    (Some(s), _) => s.to_string(),
+                    (_, Some(s)) => s.clone(),
+                    _ => "opaque panic payload".to_string(),
+                },
+            },
         };
         RankFailure { rank, kind }
     }
@@ -837,13 +813,13 @@ impl RankCtx {
         kind: SpmdViolationKind,
     ) -> ! {
         self.shared.poison_all();
-        std::panic::panic_any(SpmdViolation {
+        std::panic::panic_any(FailureKind::Violation(SpmdViolation {
             rank: self.rank,
             offender,
             scope,
             op: op.to_string(),
             kind,
-        });
+        }));
     }
 
     /// Consult the fault plan for this collective call; mutates the
@@ -891,8 +867,7 @@ impl RankCtx {
         });
         if matches!(kind, FaultKind::Panic) {
             self.shared.poison_all();
-            std::panic::panic_any(InjectedFault {
-                rank: self.rank,
+            std::panic::panic_any(FailureKind::Injected {
                 op_index,
                 op: op.to_string(),
             });
@@ -1091,7 +1066,7 @@ impl RankCtx {
                 // slots, so all unwind together blaming the same rank.
                 let from = ss.members[corrupt[0]];
                 self.shared.poison_all();
-                std::panic::panic_any(CorruptPayloadEscalation {
+                std::panic::panic_any(FailureKind::CorruptPayload {
                     from,
                     scope,
                     op: op.to_string(),
@@ -1278,22 +1253,17 @@ impl RankCtx {
                 combine(i, a, b);
             }
         }
+        // A ring all-reduce is a reduce-scatter then an allgather, one
+        // half of the cost each. The op name stays a suffix so callers
+        // can group the same totals per comm type (Figure 11) *and* per
+        // algorithm phase (Figure 10).
         let half = cost::allreduce_half_cost(&self.shared.machine, scope, n, bytes);
-        let heal = std::mem::replace(&mut self.pending_retransmit, SimTime::ZERO);
-        let skew = max_entry - self.clock;
-        if skew.as_secs() > 0.0 {
-            self.acc.add("comm.imbalance", skew);
-        }
-        if heal.as_secs() > 0.0 {
-            self.acc.add("comm.retransmit", heal);
-        }
-        // Keep the op name as a suffix so callers can group the same
-        // totals per comm type (Figure 11) *and* per algorithm phase
-        // (Figure 10).
-        for prefix in ["comm.reduce_scatter.", "comm.allgather."] {
-            with_joined(&[prefix, op], |category| self.acc.add(category, half));
-        }
-        self.clock = max_entry + heal + half + half;
+        with_joined(&["comm.reduce_scatter.", op], |category| {
+            self.settle(category, max_entry, half)
+        });
+        with_joined(&["comm.allgather.", op], |category| {
+            self.charge(category, half)
+        });
         result
     }
 
@@ -1792,7 +1762,7 @@ mod tests {
         assert!(every_slot_is_empty(&c), "after a rank failure");
 
         // The framed path, and a planned panic mid-run.
-        let plan = FaultPlan::parse("panic@2:4").expect("a valid plan");
+        let plan = FaultPlan::from_events(FaultPlan::parse("panic@2:4").expect("a valid plan"));
         let c = Cluster::with_faults(MeshShape::new(2, 2), MachineConfig::new_sunway(), plan);
         assert!(all_ranks_ok(c.run_fallible(|ctx| program(ctx, false))).is_err());
         assert!(every_slot_is_empty(&c), "after an injected failure");

@@ -9,9 +9,9 @@
 //! Three fault kinds model the three failure classes:
 //!
 //! * [`FaultKind::Panic`] — the rank dies on entry to the collective
-//!   (node loss). The runtime converts it into a typed
-//!   [`InjectedFault`] unwind that poisons all barriers, so the rest of
-//!   the cluster tears down instead of deadlocking.
+//!   (node loss). The runtime unwinds with a typed
+//!   [`crate::FailureKind::Injected`] after poisoning all barriers, so
+//!   the rest of the cluster tears down instead of deadlocking.
 //! * [`FaultKind::Straggler`] — the rank is delayed before the
 //!   collective. The delay is charged to the rank's *simulated* clock
 //!   (so every other rank records it as `comm.imbalance` skew, exactly
@@ -22,26 +22,30 @@
 //!   framing (checksum verification + bounded retransmit) rather than
 //!   sailing through to the Graph 500 validator.
 //!
-//! Every planned event fires **at most once per cluster lifetime**
+//! Every event fires **at most once per cluster lifetime**
 //! (transient-fault model): a retry of the same SPMD run on the same
 //! [`crate::Cluster`] will not re-hit a consumed fault, which is what
 //! makes bounded retry-with-backoff in the driver meaningful.
 //!
 //! Duplicate `(rank, op_index)` events are legal and meaningful: each
 //! occurrence is an independent transient event, consumed one per
-//! [`FaultPlan::fire`] call in listed order. Listing the same
+//! [`FaultPlan::fire`] call in queue order. Listing the same
 //! corruption N times therefore models a *persistent* fault — each
 //! retransmission of the deposit re-fires the next duplicate, so N−1
 //! retransmit attempts are defeated before the exchange either heals
 //! (N ≤ its retransmit budget) or escalates to a typed
 //! `CorruptPayload` failure.
 //!
-//! Plans come from three places, in driver precedence order:
+//! Event lists come from three places, in driver precedence order:
 //! explicit events in the `SUNBFS_FAULT_PLAN` environment variable
-//! ([`FaultPlan::parse`]), a seeded [`FaultSpec`] carried by the run
-//! configuration ([`FaultPlan::generate`]), or none.
+//! ([`FaultPlan::from_env`], which refuses a rank outside the mesh), a
+//! seeded [`FaultSpec`] carried by the run configuration
+//! ([`FaultPlan::generate`]), or none. [`FaultPlan::from_events`]
+//! queues a list for a new cluster; [`FaultPlan::inject`] queues one on
+//! a live cluster.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use sunbfs_common::{json_record, JsonValue, SplitMix64, ToJson};
 
@@ -147,31 +151,28 @@ impl Default for FaultSpec {
     }
 }
 
-/// A deterministic schedule of fault injections, with per-event
-/// fired-once bookkeeping (transient-fault model).
+/// A deterministic schedule of fault injections: one queue of pending
+/// events, each consumed by the first [`FaultPlan::fire`] that matches
+/// it (transient-fault model).
 ///
-/// Besides the static schedule fixed at construction, a plan can be
-/// **armed** for live injection ([`FaultPlan::armed`]): events added
-/// later through [`FaultPlan::inject`] — by a chaos harness, against a
-/// cluster that is already serving — fire exactly once each, like
-/// planned ones. Arming matters for safety: the exchange layer decides
-/// per collective whether payload framing is active by asking
-/// [`FaultPlan::is_empty`], and every rank of one SPMD run must see
-/// the same answer. An armed plan reports non-empty from the start, so
-/// injection can race a run without desynchronizing the ranks; on an
-/// unarmed plan, `inject` must only be called between runs.
+/// The queue starts as the events the plan was built from; events
+/// added later through [`FaultPlan::inject`] — by the driver after a
+/// load, or by a chaos harness against a cluster that is already
+/// serving — join its tail, so they fire after any earlier event at the
+/// same `(rank, op_index)`. The exchange layer decides per run whether
+/// payload framing is active by asking [`FaultPlan::is_empty`], and
+/// every rank of one SPMD run must see the same answer: a plan
+/// [`armed`](FaultPlan::armed) for live injection reports non-empty
+/// from the start, so injection can race a run without desynchronizing
+/// the ranks; on an unarmed plan, `inject` must only be called between
+/// runs.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
-    events: Vec<FaultEvent>,
-    fired: Vec<AtomicBool>,
-    /// Live-injected events, each consumed by its first matching fire.
-    injected: std::sync::Mutex<Vec<FaultEvent>>,
-    /// Events ever injected (never decremented: once live injection has
-    /// happened — or was armed for — framing stays on for the cluster's
-    /// lifetime, keeping the per-exchange `is_empty` check stable).
-    injected_ever: std::sync::atomic::AtomicU64,
-    /// Pre-declares live injection so `is_empty` is false from birth.
-    armed: bool,
+    /// Events not yet fired, in fire order.
+    pending: Mutex<Vec<FaultEvent>>,
+    /// Set by a non-empty plan, by [`FaultPlan::armed`] or by the first
+    /// non-empty injection, and never cleared.
+    live: AtomicBool,
 }
 
 impl FaultPlan {
@@ -185,31 +186,28 @@ impl FaultPlan {
     /// framing on and [`FaultPlan::inject`] is safe at any time.
     pub fn armed() -> Self {
         FaultPlan {
-            armed: true,
+            live: AtomicBool::new(true),
             ..FaultPlan::default()
         }
     }
 
     /// A plan firing exactly `events`.
     pub fn from_events(events: Vec<FaultEvent>) -> Self {
-        let fired = events.iter().map(|_| AtomicBool::new(false)).collect();
-        FaultPlan {
-            events,
-            fired,
-            ..FaultPlan::default()
-        }
+        let plan = FaultPlan::none();
+        plan.inject(events);
+        plan
     }
 
     /// Deterministically place `spec`'s events over `nranks` ranks and
     /// the spec's collective-index horizon. Identical `(spec, nranks)`
     /// always yields the identical schedule.
-    pub fn generate(spec: &FaultSpec, nranks: usize) -> Self {
+    pub fn generate(spec: &FaultSpec, nranks: usize) -> Vec<FaultEvent> {
+        let mut events = Vec::new();
         if spec.is_none() || nranks == 0 {
-            return FaultPlan::none();
+            return events;
         }
         let mut rng = SplitMix64::new(spec.seed ^ 0xFA_07_1E_C7);
         let horizon = spec.horizon.max(1);
-        let mut events = Vec::new();
         let mut place = |kind: FaultKind, count: u32, events: &mut Vec<FaultEvent>| {
             for _ in 0..count {
                 events.push(FaultEvent {
@@ -235,18 +233,19 @@ impl FaultPlan {
             };
             place(FaultKind::Corrupt { mode }, 1, &mut events);
         }
-        FaultPlan::from_events(events)
+        events
     }
 
     /// Parse an explicit event list:
     /// `panic@<rank>:<idx>;straggle@<rank>:<idx>:<secs>;corrupt@<rank>:<idx>:<bitflip|truncate>`
-    /// (events separated by `;`, whitespace ignored).
+    /// (events separated by `;`, whitespace ignored). A straggler delay
+    /// must be a finite number of seconds ≥ 0.
     ///
     /// Duplicate `(rank, op_index)` specs are accepted, not rejected:
     /// each occurrence fires once, in listed order (see [`Self::fire`]).
     /// `corrupt@0:3:bitflip;corrupt@0:3:bitflip` is the grammar for a
     /// persistent corruption that also defeats the first retransmit.
-    pub fn parse(s: &str) -> Result<FaultPlan, String> {
+    pub fn parse(s: &str) -> Result<Vec<FaultEvent>, String> {
         let mut events = Vec::new();
         for part in s.split(';') {
             let part = part.trim();
@@ -285,7 +284,11 @@ impl FaultPlan {
                     let secs = fields[2]
                         .trim()
                         .parse::<f64>()
-                        .map_err(|_| format!("fault event '{part}' has a bad delay"))?;
+                        .ok()
+                        .filter(|s| s.is_finite() && *s >= 0.0)
+                        .ok_or_else(|| {
+                            format!("fault event '{part}' needs a delay of finite seconds >= 0")
+                        })?;
                     FaultKind::Straggler { secs }
                 }
                 "corrupt" => {
@@ -309,78 +312,66 @@ impl FaultPlan {
                 kind,
             });
         }
-        Ok(FaultPlan::from_events(events))
+        Ok(events)
     }
 
-    /// Read `SUNBFS_FAULT_PLAN` from the environment; `Ok(None)` when
-    /// unset, `Err` when set but unparsable.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        match std::env::var("SUNBFS_FAULT_PLAN") {
-            Ok(s) => FaultPlan::parse(&s).map(Some),
-            Err(_) => Ok(None),
+    /// Read `SUNBFS_FAULT_PLAN` from the environment for a cluster of
+    /// `nranks` ranks; `Ok(None)` when unset, `Err` when set but
+    /// unparsable or naming a rank outside the mesh (such an event
+    /// could never fire, yet its panic would stop every run).
+    pub fn from_env(nranks: usize) -> Result<Option<Vec<FaultEvent>>, String> {
+        let Ok(s) = std::env::var("SUNBFS_FAULT_PLAN") else {
+            return Ok(None);
+        };
+        let events = FaultPlan::parse(&s)?;
+        if let Some(e) = events.iter().find(|e| e.rank >= nranks) {
+            return Err(format!(
+                "fault event on rank {} at collective {} is outside the {nranks}-rank mesh",
+                e.rank, e.op_index
+            ));
         }
+        Ok(Some(events))
     }
 
-    /// The planned events (fired or not). Live-injected events are not
-    /// listed here — see [`FaultPlan::injected_ever`].
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// True when no events are planned, none were ever injected, and
-    /// the plan is not armed for live injection. The exchange layer
-    /// keys payload framing off this, so it is monotone: once false,
-    /// false forever.
+    /// True when the plan never held an event and is not armed for
+    /// live injection. The exchange layer keys payload framing off
+    /// this, so it is monotone: once false, false forever.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && !self.armed && self.injected_ever.load(Ordering::Acquire) == 0
+        !self.live.load(Ordering::Acquire)
     }
 
-    /// Arm `events` on a live plan: each fires exactly once at its
-    /// `(rank, op_index)`, like a planned event, then is consumed.
+    /// Append `events` to the queue: each fires exactly once at its
+    /// `(rank, op_index)`, after every event already queued there.
     ///
     /// Safe at any time on an [`armed`](FaultPlan::armed) plan (or once
     /// anything was already planned/injected). On a plan that is still
     /// empty and unarmed, call only between SPMD runs — the first
-    /// injection flips [`FaultPlan::is_empty`], and every rank of one
-    /// run must agree on it.
+    /// non-empty injection flips [`FaultPlan::is_empty`], and every
+    /// rank of one run must agree on it.
     pub fn inject(&self, events: impl IntoIterator<Item = FaultEvent>) {
-        let mut pending = self.injected.lock().expect("fault plan lock poisoned");
-        let before = pending.len();
+        let mut pending = self.pending();
         pending.extend(events);
-        let added = (pending.len() - before) as u64;
-        self.injected_ever.fetch_add(added, Ordering::AcqRel);
+        if !pending.is_empty() {
+            self.live.store(true, Ordering::Release);
+        }
     }
 
-    /// Live-injected events not yet consumed by a fire.
-    pub fn injected_pending(&self) -> usize {
-        self.injected
-            .lock()
-            .expect("fault plan lock poisoned")
-            .len()
-    }
-
-    /// Events ever live-injected (fired or not).
-    pub fn injected_ever(&self) -> u64 {
-        self.injected_ever.load(Ordering::Acquire)
+    fn pending(&self) -> MutexGuard<'_, Vec<FaultEvent>> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The collective index at which a run started now meets its first
-    /// planned panic: the smallest `op_index` of a `(rank, op_index)`
+    /// pending panic: the smallest `op_index` of a `(rank, op_index)`
     /// pair whose next [`Self::fire`] returns [`FaultKind::Panic`].
     /// The cluster snapshots it per run so that *every* rank stops at
     /// that collective, not just the ranks sharing the victim's scope.
     pub fn next_panic_op(&self) -> Option<u64> {
-        let injected = self.injected.lock().expect("fault plan lock poisoned");
-        let planned = self.events.iter().zip(&self.fired);
-        let pending = planned
-            .filter(|(_, fired)| !fired.load(Ordering::Acquire))
-            .map(|(e, _)| e)
-            .chain(injected.iter());
-        // `fire` hands out one event per call, in listed order: only the
+        let pending = self.pending();
+        // `fire` hands out one event per call, in queue order: only the
         // first pending event of a pair is the one its next fire returns.
         let mut pairs: Vec<(usize, u64)> = Vec::new();
         let mut next: Option<u64> = None;
-        for e in pending {
+        for e in pending.iter() {
             if pairs.contains(&(e.rank, e.op_index)) {
                 continue;
             }
@@ -392,64 +383,21 @@ impl FaultPlan {
         next
     }
 
-    /// Consume and return the first unfired event matching
+    /// Consume and return the first pending event matching
     /// `(rank, op_index)`. Each event fires at most once per plan (and
     /// the plan lives as long as its cluster), so retried runs observe
     /// a transient fault exactly once.
     ///
-    /// Duplicate `(rank, op_index)` events each fire once, in listed
+    /// Duplicate `(rank, op_index)` events each fire once, in queue
     /// order — one `fire` call consumes exactly one. The exchange
     /// layer's retransmit path calls `fire` again for the replacement
     /// deposit, so duplicates are the mechanism for persistent faults.
     pub fn fire(&self, rank: usize, op_index: u64) -> Option<FaultKind> {
-        for (e, fired) in self.events.iter().zip(&self.fired) {
-            if e.rank == rank
-                && e.op_index == op_index
-                && fired
-                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                return Some(e.kind);
-            }
-        }
-        // Live-injected events: consumed (removed) on fire, so each is
-        // a transient fault exactly like a planned one. The lock is
-        // only contended when a plan is non-empty, i.e. when framing
-        // overhead is already being paid.
-        if self.injected_ever.load(Ordering::Acquire) > 0 {
-            let mut pending = self.injected.lock().expect("fault plan lock poisoned");
-            if let Some(i) = pending
-                .iter()
-                .position(|e| e.rank == rank && e.op_index == op_index)
-            {
-                return Some(pending.remove(i).kind);
-            }
-        }
-        None
-    }
-}
-
-/// The typed unwind payload of an injected [`FaultKind::Panic`]:
-/// [`crate::Cluster::run_fallible`] downcasts it back into a
-/// [`crate::RankFailure`] so the driver sees a structured failure, not
-/// a stringly panic.
-#[derive(Clone, Debug)]
-pub struct InjectedFault {
-    /// Rank that was killed.
-    pub rank: usize,
-    /// Collective call index at which it died.
-    pub op_index: u64,
-    /// Op tag of the collective it died entering.
-    pub op: String,
-}
-
-impl std::fmt::Display for InjectedFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "injected panic on rank {} at collective {} ('{}')",
-            self.rank, self.op_index, self.op
-        )
+        let mut pending = self.pending();
+        let i = pending
+            .iter()
+            .position(|e| e.rank == rank && e.op_index == op_index)?;
+        Some(pending.remove(i).kind)
     }
 }
 
@@ -497,6 +445,10 @@ impl ToJson for FaultRecord {
 mod tests {
     use super::*;
 
+    fn plan(s: &str) -> FaultPlan {
+        FaultPlan::from_events(FaultPlan::parse(s).expect("a valid plan"))
+    }
+
     #[test]
     fn generate_is_deterministic_and_respects_counts() {
         let spec = FaultSpec {
@@ -509,11 +461,11 @@ mod tests {
         };
         let a = FaultPlan::generate(&spec, 8);
         let b = FaultPlan::generate(&spec, 8);
-        assert_eq!(a.events(), b.events());
-        assert_eq!(a.events().len(), 6);
-        assert!(a.events().iter().all(|e| e.rank < 8 && e.op_index < 10));
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 6);
+        assert!(a.iter().all(|e| e.rank < 8 && e.op_index < 10));
         let c = FaultPlan::generate(&FaultSpec { seed: 8, ..spec }, 8);
-        assert_ne!(a.events(), c.events(), "seed must matter");
+        assert_ne!(a, c, "seed must matter");
         assert!(FaultPlan::generate(&FaultSpec::NONE, 8).is_empty());
     }
 
@@ -521,8 +473,8 @@ mod tests {
     fn parse_accepts_all_verbs_and_rejects_garbage() {
         let p = FaultPlan::parse("panic@1:5; straggle@0:3:0.002 ;corrupt@2:4:bitflip").unwrap();
         assert_eq!(
-            p.events(),
-            &[
+            p,
+            [
                 FaultEvent {
                     rank: 1,
                     op_index: 5,
@@ -550,8 +502,26 @@ mod tests {
     }
 
     #[test]
+    fn parse_refuses_a_negative_delay() {
+        let err = FaultPlan::parse("straggle@0:0:-1").unwrap_err();
+        assert!(err.contains("finite seconds >= 0"), "{err}");
+        assert_eq!(
+            FaultPlan::parse("straggle@0:0:0").unwrap()[0].kind,
+            FaultKind::Straggler { secs: 0.0 }
+        );
+    }
+
+    #[test]
+    fn parse_refuses_a_non_finite_delay() {
+        for plan in ["straggle@0:0:NaN", "straggle@0:0:inf"] {
+            let err = FaultPlan::parse(plan).unwrap_err();
+            assert!(err.contains("finite seconds >= 0"), "{err}");
+        }
+    }
+
+    #[test]
     fn events_fire_exactly_once() {
-        let p = FaultPlan::parse("panic@1:5").unwrap();
+        let p = plan("panic@1:5");
         assert_eq!(p.fire(0, 5), None);
         assert_eq!(p.fire(1, 4), None);
         assert_eq!(p.fire(1, 5), Some(FaultKind::Panic));
@@ -564,9 +534,11 @@ mod tests {
 
     #[test]
     fn duplicate_specs_fire_once_each_in_listed_order() {
-        let p = FaultPlan::parse("corrupt@0:3:bitflip; corrupt@0:3:truncate; corrupt@0:3:bitflip")
-            .expect("duplicates are accepted, not rejected");
-        assert_eq!(p.events().len(), 3);
+        let events =
+            FaultPlan::parse("corrupt@0:3:bitflip; corrupt@0:3:truncate; corrupt@0:3:bitflip")
+                .expect("duplicates are accepted, not rejected");
+        assert_eq!(events.len(), 3);
+        let p = FaultPlan::from_events(events);
         assert_eq!(
             p.fire(0, 3),
             Some(FaultKind::Corrupt {
@@ -629,12 +601,11 @@ mod tests {
             op_index: 3,
             kind: FaultKind::Panic,
         }]);
-        assert_eq!(p.injected_pending(), 1);
+        assert_eq!(p.next_panic_op(), Some(3), "the injected event is pending");
         assert_eq!(p.fire(1, 2), None);
         assert_eq!(p.fire(1, 3), Some(FaultKind::Panic));
         assert_eq!(p.fire(1, 3), None, "injected events are transient too");
-        assert_eq!(p.injected_pending(), 0);
-        assert_eq!(p.injected_ever(), 1);
+        assert_eq!(p.next_panic_op(), None, "and consumed once fired");
         assert!(!p.is_empty(), "is_empty is monotone once armed/injected");
     }
 
@@ -654,7 +625,7 @@ mod tests {
 
     #[test]
     fn static_events_outrank_injected_duplicates() {
-        let p = FaultPlan::parse("corrupt@0:3:truncate").unwrap();
+        let p = plan("corrupt@0:3:truncate");
         p.inject([FaultEvent {
             rank: 0,
             op_index: 3,

@@ -18,6 +18,11 @@
 //! be sent at all. The checksum for nested vectors covers the inner
 //! lengths as well as the elements, so moving an element between
 //! destinations (same bytes, different boundaries) is still caught.
+//!
+//! The same checksum seals data at rest: [`WordWriter`] and
+//! [`WordReader`] are the one codec for a stream of little-endian `u64`
+//! words with a trailing FNV-1a seal over its bytes — the layout of a
+//! checkpoint envelope and of every partition-store stream.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -52,6 +57,100 @@ impl Fnv1a {
 
     pub(crate) fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+/// Why a sealed word stream was refused.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Damage {
+    /// The bytes end before a word, or cannot even hold the seal.
+    Short,
+    /// The invariant named here failed: the seal, a declared length
+    /// longer than the words left, or words left over at the end.
+    Corrupt(&'static str),
+}
+
+/// A sealed word stream under construction.
+#[derive(Default)]
+pub struct WordWriter {
+    buf: Vec<u8>,
+}
+
+impl WordWriter {
+    /// Append one word.
+    pub fn put(&mut self, x: u64) {
+        self.buf.extend_from_slice(&x.to_le_bytes());
+    }
+
+    /// Append `xs` behind its length.
+    pub fn put_slice(&mut self, xs: &[u64]) {
+        self.put(xs.len() as u64);
+        xs.iter().for_each(|&x| self.put(x));
+    }
+
+    /// Append the FNV-1a seal of everything put so far; the stream's
+    /// bytes.
+    pub fn seal(mut self) -> Vec<u8> {
+        let checksum = fnv1a(&self.buf);
+        self.put(checksum);
+        self.buf
+    }
+}
+
+/// A bounds-checked cursor over the body of a sealed word stream.
+pub struct WordReader<'a> {
+    body: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> WordReader<'a> {
+    /// Verify `stream`'s trailing seal (`what` names it when it fails)
+    /// and read its body from the start.
+    pub fn unseal(stream: &'a [u8], what: &'static str) -> Result<Self, Damage> {
+        let split = stream.len().checked_sub(8).ok_or(Damage::Short)?;
+        let (body, seal) = stream.split_at(split);
+        if fnv1a(body).to_le_bytes() != seal {
+            return Err(Damage::Corrupt(what));
+        }
+        Ok(WordReader { body, pos: 0 })
+    }
+
+    /// The next word.
+    pub fn word(&mut self) -> Result<u64, Damage> {
+        let bytes = self.body.get(self.pos..self.pos + 8).ok_or(Damage::Short)?;
+        self.pos += 8;
+        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+    }
+
+    /// Whole words left in the body.
+    pub fn remaining(&self) -> u64 {
+        ((self.body.len() - self.pos) / 8) as u64
+    }
+
+    /// The next length-prefixed slice. The declared length (`what`
+    /// names it) must fit in the words left, so a damaged one cannot
+    /// become a huge allocation.
+    pub fn slice(&mut self, what: &'static str) -> Result<Vec<u64>, Damage> {
+        let len = self.word()?;
+        if len > self.remaining() {
+            return Err(Damage::Corrupt(what));
+        }
+        let end = self.pos + len as usize * 8;
+        let words = self.body[self.pos..end].chunks_exact(8);
+        self.pos = end;
+        Ok(words
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
+            .collect())
+    }
+
+    /// Require that the body was read to its end (`what` names the
+    /// leftover).
+    pub fn end(&self, what: &'static str) -> Result<(), Damage> {
+        if self.pos == self.body.len() {
+            Ok(())
+        } else {
+            Err(Damage::Corrupt(what))
+        }
     }
 }
 
@@ -272,6 +371,40 @@ mod tests {
         element_shape((1u64, 2u32), (3, 4));
         element_shape((1u64, 2u64, 3u64), (4, 5, 6));
         nothing_to_damage(());
+    }
+
+    #[test]
+    fn sealed_words_round_trip_and_name_their_damage() {
+        let mut w = WordWriter::default();
+        w.put(7);
+        w.put_slice(&[1, 2, 3]);
+        let stream = w.seal();
+        assert_eq!(stream.len(), 6 * 8, "word, length, three words, seal");
+        let mut r = WordReader::unseal(&stream, "seal").unwrap();
+        assert_eq!(r.word(), Ok(7));
+        assert_eq!(r.slice("length"), Ok(vec![1, 2, 3]));
+        assert_eq!(r.end("tail"), Ok(()));
+        assert_eq!(r.word(), Err(Damage::Short));
+
+        assert_eq!(
+            WordReader::unseal(&stream[..7], "seal").err(),
+            Some(Damage::Short)
+        );
+        let mut flipped = stream.clone();
+        flipped[8] ^= 1;
+        assert_eq!(
+            WordReader::unseal(&flipped, "seal").err(),
+            Some(Damage::Corrupt("seal"))
+        );
+        // A sealed stream whose declared length outruns its words.
+        let mut w = WordWriter::default();
+        w.put(2);
+        w.put(9);
+        let stream = w.seal();
+        let mut r = WordReader::unseal(&stream, "seal").unwrap();
+        assert_eq!(r.slice("length"), Err(Damage::Corrupt("length")));
+        let r = WordReader::unseal(&stream, "seal").unwrap();
+        assert_eq!(r.end("tail"), Err(Damage::Corrupt("tail")));
     }
 
     #[test]

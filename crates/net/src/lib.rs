@@ -52,8 +52,6 @@ pub use cluster::{
     RetransmitRecord, SpmdViolation, SpmdViolationKind,
 };
 pub use cost::Scope;
-pub use fault::{
-    CorruptMode, FaultEvent, FaultKind, FaultPlan, FaultRecord, FaultSpec, InjectedFault,
-};
-pub use frame::{fnv1a, Fnv1a, Frame, Wire};
+pub use fault::{CorruptMode, FaultEvent, FaultKind, FaultPlan, FaultRecord, FaultSpec};
+pub use frame::{fnv1a, Damage, Fnv1a, Frame, Wire, WordReader, WordWriter};
 pub use topology::{MeshShape, Topology};

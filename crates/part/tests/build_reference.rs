@@ -268,7 +268,7 @@ fn a_corrupted_hub_degree_gather_is_healed() {
     let target = *clean[0].1.iter().max().expect("the graph has hubs");
     for mode in ["bitflip", "truncate"] {
         let label = format!("corrupt@{target}:1:{mode}");
-        let plan = FaultPlan::parse(&label).expect("a valid plan");
+        let plan = FaultPlan::from_events(FaultPlan::parse(&label).expect("a valid plan"));
         let cluster = Cluster::with_faults(mesh, MachineConfig::new_sunway(), plan);
         let healed = build(&cluster);
         let log = cluster.fault_log();

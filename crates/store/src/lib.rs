@@ -10,13 +10,15 @@
 //!
 //! The file is a sequence of fixed-size [`PAGE_SIZE`] pages. Each page
 //! carries [`PAGE_PAYLOAD`] payload bytes sealed with a trailing
-//! FNV-1a checksum of the payload — the same seal discipline as the
-//! `CheckpointState` u64-LE codec in `crates/core/src/checkpoint.rs`,
-//! applied per page so damage is localized to a page number.
+//! FNV-1a checksum of the payload, so damage is localized to a page
+//! number.
 //!
 //! Logical content is organized as *streams* of little-endian `u64`
 //! words, each stream itself sealed with a trailing FNV-1a checksum
-//! (over its own bytes) and laid out over whole pages:
+//! (over its own bytes) and laid out over whole pages. A stream is
+//! written and read with the sealed word-stream codec in
+//! `sunbfs_net::frame` ([`WordWriter`] / [`WordReader`]) — the one a
+//! `CheckpointState` envelope uses too:
 //!
 //! * **Stream 0 — header**, starting at page 0: file magic, format
 //!   version, page size, the graph identity (scale, edge_factor,
@@ -51,7 +53,7 @@
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use sunbfs_net::fnv1a;
+use sunbfs_net::{fnv1a, Damage, WordReader, WordWriter};
 use sunbfs_part::{
     ComponentStats, Csr, HubDirectory, OwnedHubs, RankPartition, VertexDistribution,
 };
@@ -150,6 +152,17 @@ impl std::fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
+
+/// A damaged word stream: running out of words is truncation, any
+/// other damage the corruption it names.
+impl From<Damage> for StoreError {
+    fn from(d: Damage) -> Self {
+        match d {
+            Damage::Short => StoreError::Truncated,
+            Damage::Corrupt(what) => StoreError::Corrupt { what },
+        }
+    }
+}
 
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
@@ -255,35 +268,6 @@ fn pages_for(len: u64) -> u64 {
     len.div_ceil(PAGE_PAYLOAD as u64).max(1)
 }
 
-/// A u64-LE stream under construction, sealed on finish.
-struct StreamWriter {
-    buf: Vec<u8>,
-}
-
-impl StreamWriter {
-    fn new() -> Self {
-        StreamWriter { buf: Vec::new() }
-    }
-
-    fn put(&mut self, x: u64) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-
-    fn put_slice(&mut self, xs: &[u64]) {
-        self.put(xs.len() as u64);
-        for &x in xs {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-
-    /// Append the trailing FNV-1a seal and return the stream bytes.
-    fn seal(mut self) -> Vec<u8> {
-        let checksum = fnv1a(&self.buf);
-        self.buf.extend_from_slice(&checksum.to_le_bytes());
-        self.buf
-    }
-}
-
 /// Append `stream` to `out` as whole sealed pages (zero-padded tail).
 fn paginate(stream: &[u8], out: &mut Vec<u8>) {
     let mut chunks = stream.chunks(PAGE_PAYLOAD).peekable();
@@ -303,7 +287,7 @@ fn paginate(stream: &[u8], out: &mut Vec<u8>) {
     }
 }
 
-fn encode_csr(w: &mut StreamWriter, csr: &Csr) {
+fn encode_csr(w: &mut WordWriter, csr: &Csr) {
     w.put(csr.key_base());
     w.put_slice(csr.offsets());
     w.put_slice(csr.targets());
@@ -311,7 +295,7 @@ fn encode_csr(w: &mut StreamWriter, csr: &Csr) {
 
 /// One rank's sealed stream.
 fn encode_rank(part: &RankPartition) -> Vec<u8> {
-    let mut w = StreamWriter::new();
+    let mut w = WordWriter::default();
     w.put(RANK_MAGIC);
     w.put(part.rank as u64);
     w.put(part.dist.num_vertices());
@@ -372,7 +356,7 @@ pub fn encode_store(header: &StoreHeader, parts: &[RankPartition]) -> Vec<u8> {
     // directory can be laid out before the header is written.
     let header_bytes = (HEADER_FIXED_WORDS + 2 * header.num_ranks + 1) * 8;
     let mut next_page = pages_for(header_bytes);
-    let mut w = StreamWriter::new();
+    let mut w = WordWriter::default();
     for x in [
         FILE_MAGIC,
         STORE_VERSION,
@@ -457,55 +441,6 @@ pub fn save_file(
     })
 }
 
-/// Bounds-checked little-endian cursor over a sealed stream's body.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        let end = self
-            .pos
-            .checked_add(8)
-            .ok_or(StoreError::Corrupt { what: "overflow" })?;
-        let chunk = self.bytes.get(self.pos..end).ok_or(StoreError::Truncated)?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(chunk.try_into().unwrap()))
-    }
-
-    fn remaining_words(&self) -> u64 {
-        ((self.bytes.len() - self.pos) / 8) as u64
-    }
-
-    /// A length-prefixed u64 slice, allocation-guarded: the declared
-    /// length must fit in the words actually left in the stream.
-    fn u64_vec(&mut self, what: &'static str) -> Result<Vec<u64>, StoreError> {
-        let len = self.u64()?;
-        if len > self.remaining_words() {
-            return Err(StoreError::Corrupt { what });
-        }
-        let mut v = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            v.push(self.u64()?);
-        }
-        Ok(v)
-    }
-}
-
-/// Verify a stream's trailing seal and return its body.
-fn unseal<'a>(stream: &'a [u8], what: &'static str) -> Result<&'a [u8], StoreError> {
-    if stream.len() < 8 {
-        return Err(StoreError::Truncated);
-    }
-    let (body, tail) = stream.split_at(stream.len() - 8);
-    let checksum = u64::from_le_bytes(tail.try_into().unwrap());
-    if fnv1a(body) != checksum {
-        return Err(StoreError::Corrupt { what });
-    }
-    Ok(body)
-}
-
 /// Sequential page reader over any seekable byte source.
 struct PageSource<'a, R: Read + Seek> {
     src: &'a mut R,
@@ -552,9 +487,9 @@ impl<R: Read + Seek> PageSource<'_, R> {
     }
 }
 
-fn decode_csr(r: &mut Reader<'_>) -> Result<Csr, StoreError> {
-    let key_base = r.u64()?;
-    let offsets = r.u64_vec("csr offsets length")?;
+fn decode_csr(r: &mut WordReader<'_>) -> Result<Csr, StoreError> {
+    let key_base = r.word()?;
+    let offsets = r.slice("csr offsets length")?;
     if offsets.is_empty() || offsets[0] != 0 {
         return Err(StoreError::Corrupt {
             what: "csr offsets must start at 0",
@@ -565,7 +500,7 @@ fn decode_csr(r: &mut Reader<'_>) -> Result<Csr, StoreError> {
             what: "csr offsets must be non-decreasing",
         });
     }
-    let targets = r.u64_vec("csr targets length")?;
+    let targets = r.slice("csr targets length")?;
     if *offsets.last().unwrap() != targets.len() as u64 {
         return Err(StoreError::Corrupt {
             what: "csr edge count disagrees with offsets",
@@ -574,27 +509,25 @@ fn decode_csr(r: &mut Reader<'_>) -> Result<Csr, StoreError> {
     Ok(Csr::from_raw(key_base, offsets, targets))
 }
 
-/// Decode one rank stream's body into its partition, cross-checking
-/// it against the file header and the expected rank index.
+/// Unseal one rank stream and decode it into its partition,
+/// cross-checking it against the file header and the expected rank
+/// index.
 fn decode_rank(
-    body: &[u8],
+    stream: &[u8],
     expect_rank: u64,
     header: &StoreHeader,
 ) -> Result<RankPartition, StoreError> {
-    let mut r = Reader {
-        bytes: body,
-        pos: 0,
-    };
-    if r.u64()? != RANK_MAGIC {
+    let mut r = WordReader::unseal(stream, "rank stream checksum")?;
+    if r.word()? != RANK_MAGIC {
         return Err(StoreError::Corrupt { what: "rank magic" });
     }
-    if r.u64()? != expect_rank {
+    if r.word()? != expect_rank {
         return Err(StoreError::Corrupt {
             what: "rank index disagrees with directory order",
         });
     }
-    let n = r.u64()?;
-    let p = r.u64()?;
+    let n = r.word()?;
+    let p = r.word()?;
     if header.scale >= 64 || n != 1u64 << header.scale {
         return Err(StoreError::Corrupt {
             what: "vertex count disagrees with scale",
@@ -607,23 +540,20 @@ fn decode_rank(
     }
     let dist = VertexDistribution::new(n, p as usize);
 
-    let num_e = r.u64()?;
-    let num_hubs = r.u64()?;
+    let num_e = r.word()?;
+    let num_hubs = r.word()?;
     if num_e > num_hubs || num_hubs > u64::from(u32::MAX) {
         return Err(StoreError::Corrupt { what: "hub counts" });
     }
-    if num_hubs
-        .checked_mul(2)
-        .is_none_or(|w| w > r.remaining_words())
-    {
+    if num_hubs.checked_mul(2).is_none_or(|w| w > r.remaining()) {
         return Err(StoreError::Corrupt {
             what: "hub table length",
         });
     }
     let mut hubs = Vec::with_capacity(num_hubs as usize);
     for _ in 0..num_hubs {
-        let v = r.u64()?;
-        let d = r.u64()?;
+        let v = r.word()?;
+        let d = r.word()?;
         if v >= n {
             return Err(StoreError::Corrupt {
                 what: "hub vertex out of range",
@@ -636,15 +566,15 @@ fn decode_rank(
     }
     let directory = HubDirectory::from_parts(num_e as u32, hubs);
 
-    let deg_len = r.u64()?;
-    if deg_len != dist.local_count(expect_rank as usize) || deg_len > r.remaining_words() {
+    let deg_len = r.word()?;
+    if deg_len != dist.local_count(expect_rank as usize) || deg_len > r.remaining() {
         return Err(StoreError::Corrupt {
             what: "owned degree table length",
         });
     }
     let mut owned_degrees = Vec::with_capacity(deg_len as usize);
     for _ in 0..deg_len {
-        let d = u32::try_from(r.u64()?).map_err(|_| StoreError::Corrupt {
+        let d = u32::try_from(r.word()?).map_err(|_| StoreError::Corrupt {
             what: "owned degree exceeds u32",
         })?;
         owned_degrees.push(d);
@@ -661,18 +591,14 @@ fn decode_rank(
     let l2l = decode_csr(&mut r)?;
 
     let stats = ComponentStats {
-        eh2eh: r.u64()?,
-        e2l: r.u64()?,
-        l2e: r.u64()?,
-        h2l: r.u64()?,
-        l2h: r.u64()?,
-        l2l: r.u64()?,
+        eh2eh: r.word()?,
+        e2l: r.word()?,
+        l2e: r.word()?,
+        h2l: r.word()?,
+        l2h: r.word()?,
+        l2l: r.word()?,
     };
-    if r.pos != body.len() {
-        return Err(StoreError::Corrupt {
-            what: "trailing garbage after rank stream",
-        });
-    }
+    r.end("trailing garbage after rank stream")?;
     let owned = dist.range_of(expect_rank as usize);
     Ok(RankPartition {
         rank: expect_rank as usize,
@@ -741,24 +667,20 @@ pub fn read_store<R: Read + Seek>(
     }
 
     let header_stream = pages.stream(0, header_bytes)?;
-    let body = unseal(&header_stream, "header stream checksum")?;
-    let mut r = Reader {
-        bytes: body,
-        pos: 0,
-    };
+    let mut r = WordReader::unseal(&header_stream, "header stream checksum")?;
     for _ in 0..3 {
-        r.u64()?; // magic, version, page size — verified above
+        r.word()?; // magic, version, page size — verified above
     }
     let header = StoreHeader {
-        scale: r.u64()?,
-        edge_factor: r.u64()?,
-        mesh_rows: r.u64()?,
-        mesh_cols: r.u64()?,
-        e_threshold: r.u64()?,
-        h_threshold: r.u64()?,
-        seed: r.u64()?,
-        num_ranks: r.u64()?,
-        epoch: r.u64()?,
+        scale: r.word()?,
+        edge_factor: r.word()?,
+        mesh_rows: r.word()?,
+        mesh_cols: r.word()?,
+        e_threshold: r.word()?,
+        h_threshold: r.word()?,
+        seed: r.word()?,
+        num_ranks: r.word()?,
+        epoch: r.word()?,
     };
     if header.scale >= 64 {
         return Err(StoreError::Corrupt {
@@ -779,8 +701,8 @@ pub fn read_store<R: Read + Seek>(
     }
     let mut directory = Vec::with_capacity(num_ranks as usize);
     for _ in 0..num_ranks {
-        let first_page = r.u64()?;
-        let byte_len = r.u64()?;
+        let first_page = r.word()?;
+        let byte_len = r.word()?;
         if first_page < pages_for(header_bytes) || byte_len < 8 {
             return Err(StoreError::Corrupt {
                 what: "page directory entry",
@@ -788,17 +710,12 @@ pub fn read_store<R: Read + Seek>(
         }
         directory.push((first_page, byte_len));
     }
-    if r.pos != body.len() {
-        return Err(StoreError::Corrupt {
-            what: "trailing garbage after header",
-        });
-    }
+    r.end("trailing garbage after header")?;
 
     let mut parts = Vec::with_capacity(num_ranks as usize);
     for (i, &(first_page, byte_len)) in directory.iter().enumerate() {
         let stream = pages.stream(first_page, byte_len)?;
-        let body = unseal(&stream, "rank stream checksum")?;
-        parts.push(decode_rank(body, i as u64, &header)?);
+        parts.push(decode_rank(&stream, i as u64, &header)?);
     }
     let info = StoreInfo {
         file_bytes,

@@ -81,15 +81,12 @@ fn main() {
 /// an absent env plan becomes [`FaultPlan::armed`] so live chaos can
 /// inject faults later without desyncing payload framing.
 fn build_session(load: &LoadRequest, armed: bool) -> Result<GraphSession, String> {
-    let plan = FaultPlan::from_env()
-        .map_err(|e| format!("bad SUNBFS_FAULT_PLAN: {e}"))?
-        .unwrap_or_else(|| {
-            if armed {
-                FaultPlan::armed()
-            } else {
-                FaultPlan::none()
-            }
-        });
+    let plan = match FaultPlan::from_env(load.session.mesh.num_ranks()) {
+        Err(e) => return Err(format!("bad SUNBFS_FAULT_PLAN: {e}")),
+        Ok(Some(events)) => FaultPlan::from_events(events),
+        Ok(None) if armed => FaultPlan::armed(),
+        Ok(None) => FaultPlan::none(),
+    };
     let session = match &load.path {
         Some(path) => GraphSession::open_or_build(std::path::Path::new(path), load.session, plan),
         None => GraphSession::load(load.session, plan).map_err(Into::into),

@@ -123,7 +123,7 @@ timeout 600 cargo test -q --test checkpoint_resume --test recovery_env
 # The campaign addresses traversal collectives (docs/FAULTS.md): op 0 is
 # the engine's setup allreduce (`heur.totals`), which always carries a
 # payload — whatever the root, scale or direction heuristic.
-echo "==> fault-plan smoke (graph500_runner --json)"
+echo "==> fault-plan smoke and refusals (graph500_runner)"
 SMOKE_JSON="$(mktemp)"
 SUNBFS_FAULT_PLAN="corrupt@1:0:bitflip" timeout 300 \
     cargo run -q --release --example graph500_runner -- 9 4 256 64 1 --json "$SMOKE_JSON" \
@@ -132,6 +132,25 @@ grep -Eq '"retransmits": *[1-9]' "$SMOKE_JSON"
 grep -Eq '"op": *"heur.totals"' "$SMOKE_JSON"
 grep -Eq '"schema_version": *11' "$SMOKE_JSON"
 rm -f "$SMOKE_JSON"
+
+# Plans that parse but could not act as written are refused before the
+# load, naming the variable on stderr: a negative straggler delay (it
+# panicked the straggling rank) and an event on a rank outside the 2x2
+# mesh (its pending panic stopped every root). bfs_server refuses the
+# same two further down.
+must_refuse_plan() {
+    local plan="$1" err rc=0
+    shift
+    err="$(SUNBFS_FAULT_PLAN="$plan" timeout 300 "$@" 2>&1 > /dev/null)" || rc=$?
+    if [ "$rc" -eq 0 ] || ! grep -Fq SUNBFS_FAULT_PLAN <<< "$err"; then
+        echo "SUNBFS_FAULT_PLAN='$plan' $*: wanted a refusal naming the variable, got exit $rc: $err"
+        exit 1
+    fi
+}
+cargo build -q --release --example graph500_runner
+for PLAN in "straggle@0:0:-1" "panic@9:0"; do
+    must_refuse_plan "$PLAN" ./target/release/examples/graph500_runner 9 4 256 64 1
+done
 
 # Smoke: a spec-count validated run. All 64 roots of a SCALE-16 graph
 # are traversed *and* validated inside a minute — validation is one
@@ -272,10 +291,13 @@ tcp_talk() {
 
 # Smoke: mistyped graph knobs are the protocol's typed `load` refusals
 # (never a silent default-config build), and no arguments is the usage.
-echo "==> bfs_server flag refusals"
+echo "==> bfs_server flag and fault-plan refusals"
 must_refuse 'load knob "scale" must be an unsigned integer' --tcp 127.0.0.1:0 --scale x
 must_refuse 'load knob "h_threshold"' --tcp 127.0.0.1:0 --scale 9 --ranks 4 --h-threshold 512
 must_refuse 'usage: bfs_server --tcp ADDR'
+for PLAN in "straggle@0:0:-1" "panic@9:0"; do
+    must_refuse_plan "$PLAN" "$BFS_SERVER" --tcp 127.0.0.1:0 --scale 9 --ranks 4
+done
 
 # Smoke: the wire protocol answers with well-formed JSON — per-query
 # results and a stats reply carrying the serve section.

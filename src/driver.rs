@@ -120,7 +120,8 @@ pub enum DriverError {
     /// The generator probe found no vertex with nonzero degree to use
     /// as a BFS root (degenerate graph or probe window).
     NoConnectedRoot,
-    /// The `SUNBFS_FAULT_PLAN` environment variable did not parse.
+    /// The `SUNBFS_FAULT_PLAN` environment variable did not parse or
+    /// names a rank outside the mesh.
     InvalidFaultPlan(String),
     /// The resident graph session could not be built, opened or saved.
     SessionLoad(String),
@@ -566,8 +567,9 @@ impl RootRecord {
 /// # Errors
 /// Returns [`DriverError::NoConnectedRoot`] when no usable root exists,
 /// [`DriverError::InvalidFaultPlan`] when `SUNBFS_FAULT_PLAN` is set but
-/// unparseable, and [`DriverError::SessionLoad`] when the session cannot
-/// be built, opened or saved. Per-root failures never surface here.
+/// unparseable or names a rank outside the mesh, and
+/// [`DriverError::SessionLoad`] when the session cannot be built, opened
+/// or saved. Per-root failures never surface here.
 pub fn run_benchmark(config: &RunConfig) -> Result<BenchmarkReport, DriverError> {
     run_benchmark_with_sleeper(config, &mut std::thread::sleep)
 }
@@ -581,10 +583,11 @@ pub fn run_benchmark_with_sleeper(
 ) -> Result<BenchmarkReport, DriverError> {
     let wall_start = Instant::now();
     let roots = pick_roots(&config.rmat(), config.num_roots)?;
-    let plan = match FaultPlan::from_env() {
+    let nranks = config.mesh.num_ranks();
+    let campaign = match FaultPlan::from_env(nranks) {
         Err(e) => return Err(DriverError::InvalidFaultPlan(e)),
-        Ok(Some(plan)) => plan,
-        Ok(None) => FaultPlan::generate(&config.faults, config.mesh.num_ranks()),
+        Ok(Some(events)) => events,
+        Ok(None) => FaultPlan::generate(&config.faults, nranks),
     };
 
     let session_cfg = SessionConfig {
@@ -617,10 +620,7 @@ pub fn run_benchmark_with_sleeper(
     // Armed between runs, after the load: the campaign's `op_index`
     // addresses traversal collectives (an empty campaign arms nothing
     // and leaves payload framing off).
-    session
-        .cluster()
-        .fault_plan()
-        .inject(plan.events().iter().copied());
+    session.cluster().fault_plan().inject(campaign);
 
     // `serve_batch` only swaps how the per-root records are produced:
     // a service drain instead of the per-root loop.

@@ -236,7 +236,7 @@ proptest! {
         };
         let a = FaultPlan::generate(&spec, 4);
         let b = FaultPlan::generate(&spec, 4);
-        prop_assert_eq!(a.events(), b.events());
+        prop_assert_eq!(a, b);
 
         let mut cfg = RunConfig::small_test(8, 4);
         cfg.faults = spec;
