@@ -1144,8 +1144,9 @@ impl<'a, L: Lane> Engine<'a, L> {
                 // segment per core group, their activeness kept in LDM —
                 // if the per-CG share fits the budget (half of each
                 // CPE's scratchpad, leaving room for adjacency staging);
-                // otherwise every probe is a GLD round trip. The charge
-                // follows what the scan executed.
+                // otherwise every probe is a GLD round trip. The host
+                // probes `hub.curr` in place either way; only the charge
+                // follows where the bits would live.
                 let machine = *ctx.machine();
                 let cgs = machine.cgs_per_node;
                 let on_chip = self.cfg.segmenting
@@ -1154,7 +1155,6 @@ impl<'a, L: Lane> Engine<'a, L> {
                         machine.cpes_per_cg,
                         machine.ldm_bytes / 2,
                     );
-                let probe = L::stage(&self.hub.curr, on_chip, machine.cpes_per_cg);
                 // This column's source slice is cyclic; its k-th source
                 // (slot s/cols) maps to core group slot*cgs/slots.
                 let slots = nh.div_ceil(cols).max(1);
@@ -1170,7 +1170,8 @@ impl<'a, L: Lane> Engine<'a, L> {
                     0
                 };
                 let all = self.lane.all();
-                let (hub_seen, hub_update) = (&self.hub.seen, &self.hub_update);
+                let (hub_curr, hub_seen, hub_update) =
+                    (&self.hub.curr, &self.hub.seen, &self.hub_update);
                 let (parts, pstats) = pool::run_ranges(n_dst, SCAN_GRAIN_ITEMS, |_, r| {
                     let mut edges = 0u64;
                     let mut probes = vec![0u64; cgs];
@@ -1183,7 +1184,7 @@ impl<'a, L: Lane> Engine<'a, L> {
                         for &s in part.eh_by_dst.neighbors(dst) {
                             edges += 1;
                             probes[seg_of(s)] += 1;
-                            if let Some((got, done)) = probe(s, &mut want) {
+                            if let Some((got, done)) = L::hit(hub_curr, s, &mut want) {
                                 out.push(L::pack(dst, dir.vertex_of(s as u32), got));
                                 if done {
                                     break; // early exit

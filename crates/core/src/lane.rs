@@ -16,7 +16,6 @@
 //! | active walk | `wide::for_each_one` | `wide::for_each_nonzero_word` |
 //! | wanting walk | `!(seen \| update) & live` per 64 vertices | `full & !seen & !update` at each set bit of `live` |
 //! | push chunks | 4-word blocks of the bitmap | 256 vertices |
-//! | EH2EH pull source | `SegmentedBitvec` when it fits LDM | the word vector |
 //! | result slots | parent per vertex | parent + depth per `(vertex, root)` |
 //!
 //! Both lanes keep their sets in a [`Bitmap`] whose word vector *is*
@@ -27,7 +26,6 @@
 
 use sunbfs_common::bitmap::wide;
 use sunbfs_common::Bitmap;
-use sunbfs_sunway::SegmentedBitvec;
 
 use crate::batch::{MAX_BATCH_ROOTS, UNREACHED_DEPTH};
 
@@ -125,16 +123,6 @@ pub(crate) trait Lane: Copy + Send + Sync {
             }
         });
     }
-
-    /// Stage the hub frontier for the EH2EH pull (§4.3) and return the
-    /// probe of the staged copy — [`Lane::hit`] with `src` bound.
-    /// `on_chip` says the activeness vector fits the LDM budget and
-    /// segmenting is enabled.
-    fn stage<'a>(
-        curr: &'a Bitmap,
-        on_chip: bool,
-        cpes_per_cg: usize,
-    ) -> impl Fn(u64, &mut Self::Mask) -> Option<(Self::Mask, bool)> + Sync + 'a;
 
     /// Copy a row member's gathered set (`words`, `len` vertices) into
     /// the row-wide set at vertex offset `base`.
@@ -280,24 +268,6 @@ impl Lane for Bit {
         self.for_each_wanting(without, None, set, start, end, f);
     }
 
-    /// CG-aware segmenting: the activeness bits live in a
-    /// [`SegmentedBitvec`] distributed over the CPE LDMs when they fit;
-    /// otherwise the pull falls back to GLD probes of the bitmap.
-    fn stage<'a>(
-        curr: &'a Bitmap,
-        on_chip: bool,
-        cpes_per_cg: usize,
-    ) -> impl Fn(u64, &mut ()) -> Option<((), bool)> + Sync + 'a {
-        let segments = on_chip.then(|| SegmentedBitvec::from_bitmap(curr, cpes_per_cg));
-        move |s, _| {
-            let active = match &segments {
-                Some(segments) => segments.get(s),
-                None => curr.get(s),
-            };
-            active.then_some(((), true))
-        }
-    }
-
     fn splice(row: &mut Bitmap, base: u64, words: &[u64], len: u64) {
         // A member's base is word-aligned on a power-of-two mesh and
         // anywhere on the others.
@@ -413,15 +383,6 @@ impl Lane for Word {
         wide::for_each_nonzero_word(set.words(), start as usize, end as usize, |i, w| {
             f(i as u64, w)
         });
-    }
-
-    /// The activeness structure is one word per hub, probed in place.
-    fn stage<'a>(
-        curr: &'a Bitmap,
-        _: bool,
-        _: usize,
-    ) -> impl Fn(u64, &mut u64) -> Option<(u64, bool)> + Sync + 'a {
-        move |s, want| Self::hit(curr, s, want)
     }
 
     fn splice(row: &mut Bitmap, base: u64, words: &[u64], _: u64) {
