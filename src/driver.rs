@@ -120,6 +120,8 @@ pub enum DriverError {
     /// The generator probe found no vertex with nonzero degree to use
     /// as a BFS root (degenerate graph or probe window).
     NoConnectedRoot,
+    /// Zero roots were asked for: there would be no traversal to time.
+    NoRootsRequested,
     /// The `SUNBFS_FAULT_PLAN` environment variable did not parse or
     /// names a rank outside the mesh.
     InvalidFaultPlan(String),
@@ -136,6 +138,7 @@ impl fmt::Display for DriverError {
                     "could not find any connected root in the generator probe"
                 )
             }
+            DriverError::NoRootsRequested => write!(f, "num_roots must be at least 1"),
             DriverError::InvalidFaultPlan(e) => {
                 write!(f, "invalid SUNBFS_FAULT_PLAN: {e}")
             }
@@ -425,12 +428,16 @@ impl BenchmarkReport {
 /// from the generator's first edge chunk.
 ///
 /// # Errors
-/// Returns [`DriverError::NoConnectedRoot`] when the probe window
-/// contains only self-loops (degenerate graph).
+/// Returns [`DriverError::NoRootsRequested`] when `k` is 0 and
+/// [`DriverError::NoConnectedRoot`] when the probe window contains only
+/// self-loops (degenerate graph).
 pub fn pick_roots(params: &RmatParams, k: usize) -> Result<Vec<u64>, DriverError> {
-    let probe =
-        sunbfs_rmat::generate_range(params, 0, (k as u64 * 64 + 64).min(params.num_edges()));
-    let mut roots = Vec::with_capacity(k);
+    if k == 0 {
+        return Err(DriverError::NoRootsRequested);
+    }
+    let window = (k as u64).saturating_mul(64).saturating_add(64);
+    let probe = sunbfs_rmat::generate_range(params, 0, window.min(params.num_edges()));
+    let mut roots = Vec::new();
     for e in &probe {
         if e.is_self_loop() {
             continue;
@@ -565,7 +572,8 @@ impl RootRecord {
 /// costs traversals, never a rebuild.
 ///
 /// # Errors
-/// Returns [`DriverError::NoConnectedRoot`] when no usable root exists,
+/// Returns [`DriverError::NoRootsRequested`] when `num_roots` is 0,
+/// [`DriverError::NoConnectedRoot`] when no usable root exists,
 /// [`DriverError::InvalidFaultPlan`] when `SUNBFS_FAULT_PLAN` is set but
 /// unparseable or names a rank outside the mesh, and
 /// [`DriverError::SessionLoad`] when the session cannot be built, opened
@@ -807,6 +815,7 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), 8, "roots must be distinct");
+        assert_eq!(pick_roots(&params, 0), Err(DriverError::NoRootsRequested));
         let deg =
             sunbfs_rmat::degrees(params.num_vertices(), &sunbfs_rmat::generate_edges(&params));
         for r in roots {
