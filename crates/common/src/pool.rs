@@ -67,7 +67,7 @@ pub fn workers() -> usize {
 
 /// Override the worker count for this process, taking precedence over
 /// `SUNBFS_WORKERS`. Passing 0 clears the override. Intended for tests
-/// (e.g. the `tests/parallel_equivalence.rs` sweep) and embedding
+/// (e.g. the `tests/differential.rs` sweep) and embedding
 /// applications; the override applies to pool calls that *start* after
 /// it is set.
 pub fn set_workers(n: usize) {

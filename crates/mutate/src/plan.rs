@@ -1,10 +1,12 @@
 //! Seeded, fire-once update schedules (`SUNBFS_UPDATE_PLAN`).
 //!
-//! Mirrors the `FaultPlan` machinery in `sunbfs-net`: a plan parsed
-//! once from a compact grammar, with each event consumed exactly once
-//! via an atomic compare-exchange, so a schedule threaded through a
-//! soak or a test commits the same insert batches at the same points in
-//! the query stream on every run.
+//! A plan is parsed once from a compact grammar and each event fires
+//! exactly once — one atomic compare-exchange per event, on a flag
+//! every clone shares — so a schedule threaded through a soak or a test
+//! commits the same insert batches at the same points in the query
+//! stream on every run. (`FaultPlan` in `sunbfs-net` is built
+//! differently: one queue of pending events, consumed under a lock and
+//! never cloned.)
 //!
 //! Grammar — `;`-separated events:
 //!
@@ -32,8 +34,8 @@ pub struct UpdateEvent {
 
 /// A parsed, fire-once update schedule.
 ///
-/// Cloning shares the fire state (like `FaultPlan`): an event fired
-/// through any clone stays fired everywhere.
+/// Cloning shares the fire state: an event fired through any clone
+/// stays fired everywhere.
 #[derive(Clone, Debug, Default)]
 pub struct UpdatePlan {
     seed: u64,
