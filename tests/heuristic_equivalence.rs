@@ -1,7 +1,7 @@
 //! Direction-heuristic equivalence, lane goldens and wide-kernel
 //! correctness.
 //!
-//! Five contracts (docs/KERNELS.md):
+//! Six contracts (docs/KERNELS.md):
 //!
 //! 1. `DirectionHeuristic::Fixed` reproduces the pre-vectorization
 //!    engine exactly — parents and the per-iteration direction schedule
@@ -20,6 +20,9 @@
 //! 5. A width-1 batch *is* the single-source traversal: same parents,
 //!    same per-iteration directions, same scanned edges, on every
 //!    mesh × threshold × heuristic corner.
+//! 6. The vanilla schedule (`sub_iteration: false`, the Figure 15
+//!    baseline: one direction per iteration) is pinned under `Fixed`
+//!    and `Measured` — parents and the direction trace.
 
 use std::borrow::Cow;
 
@@ -84,10 +87,9 @@ fn trace_of(directions: impl Iterator<Item = [Direction; 6]>) -> String {
         .join(".")
 }
 
-fn run_pass(mesh: MeshShape, root: u64, heuristic: DirectionHeuristic) -> Pass {
-    let cfg = engine_cfg(heuristic);
+fn run_pass(mesh: MeshShape, root: u64, cfg: &EngineConfig) -> Pass {
     let outs = on_cluster(mesh, Thresholds::new(128, 32), |ctx, part| {
-        run_bfs(ctx, part, root, &cfg).expect("BFS terminates")
+        run_bfs(ctx, part, root, cfg).expect("BFS terminates")
     });
     let parents = outs
         .iter()
@@ -136,7 +138,11 @@ fn graph() -> (RmatParams, Vec<Edge>, u64) {
 fn fixed_heuristic_matches_pre_vectorization_golden() {
     let (params, edges, root) = graph();
     pool::set_workers(1);
-    let pass = run_pass(MeshShape::new(2, 2), root, DirectionHeuristic::Fixed);
+    let pass = run_pass(
+        MeshShape::new(2, 2),
+        root,
+        &engine_cfg(DirectionHeuristic::Fixed),
+    );
     pool::set_workers(0);
 
     validate_parents(params.num_vertices(), &edges, root, &pass.parents)
@@ -155,6 +161,48 @@ fn fixed_heuristic_matches_pre_vectorization_golden() {
     assert_eq!(pass.mass_sum, (0, 0), "fixed mode must not report masses");
 }
 
+/// Contract 6: the vanilla schedule. `EngineConfig::baseline()` turns
+/// sub-iteration direction optimization off, so every iteration takes
+/// one direction for all six components: the global density threshold
+/// decides it under `Fixed`, the summed measured masses under
+/// `Measured`. Pinned at the contract-1 configuration (SCALE 10, seed
+/// 42, 2x2 mesh, thresholds 128/32).
+#[test]
+fn vanilla_schedule_matches_its_golden() {
+    let (params, edges, root) = graph();
+    for (heuristic, want_parents, want_trace) in [
+        (
+            DirectionHeuristic::Fixed,
+            0xc5fd30036b33b73b,
+            "pppppp.PPPPPP.PPPPPP.pppppp",
+        ),
+        (
+            DirectionHeuristic::Measured,
+            0xc5fd30036b33b73b,
+            "pppppp.PPPPPP.PPPPPP.pppppp",
+        ),
+    ] {
+        let cfg = EngineConfig {
+            heuristic,
+            ..EngineConfig::baseline()
+        };
+        pool::set_workers(1);
+        let pass = run_pass(MeshShape::new(2, 2), root, &cfg);
+        pool::set_workers(0);
+        validate_parents(params.num_vertices(), &edges, root, &pass.parents)
+            .expect("vanilla parents validate");
+        assert_eq!(
+            fingerprint(&pass.parents),
+            want_parents,
+            "{heuristic:?}: parent golden"
+        );
+        assert_eq!(
+            pass.trace, want_trace,
+            "{heuristic:?}: direction-schedule golden"
+        );
+    }
+}
+
 /// Contract 2: the measured heuristic (the default) is Graph 500 valid
 /// on both mesh shapes, produces the canonical depth per vertex on
 /// each (so depths agree across meshes), and is byte-identical across
@@ -167,7 +215,7 @@ fn measured_heuristic_validates_across_meshes_and_workers() {
 
     for mesh in [MeshShape::new(2, 2), MeshShape::new(2, 3)] {
         pool::set_workers(1);
-        let serial = run_pass(mesh, root, DirectionHeuristic::Measured);
+        let serial = run_pass(mesh, root, &engine_cfg(DirectionHeuristic::Measured));
         validate_parents(n, &edges, root, &serial.parents).expect("measured parents validate");
         assert!(
             serial.mass_sum.0 > 0 && serial.mass_sum.1 > 0,
@@ -186,7 +234,7 @@ fn measured_heuristic_validates_across_meshes_and_workers() {
         }
 
         pool::set_workers(4);
-        let parallel = run_pass(mesh, root, DirectionHeuristic::Measured);
+        let parallel = run_pass(mesh, root, &engine_cfg(DirectionHeuristic::Measured));
         pool::set_workers(0);
         assert!(
             parallel.parents == serial.parents,
