@@ -56,15 +56,6 @@ impl LogHistogram {
         self.counts[b] += 1;
     }
 
-    /// Record a sample `n` times.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        let b = self.bucket_of(value);
-        if b >= self.counts.len() {
-            self.counts.resize(b + 1, 0);
-        }
-        self.counts[b] += n;
-    }
-
     /// `(lower_bound, count)` pairs for every non-empty trailing-trimmed bucket.
     pub fn buckets(&self) -> Vec<(u64, u64)> {
         self.counts
@@ -115,7 +106,9 @@ mod tests {
         let mut h = LogHistogram::decades();
         h.record(5);
         h.record(50);
-        h.record_n(500, 3);
+        for _ in 0..3 {
+            h.record(500);
+        }
         assert_eq!(h.total(), 5);
         let b = h.buckets();
         assert_eq!(b[0], (1, 1));

@@ -85,13 +85,6 @@ impl MachineConfig {
         self.cgs_per_node * self.cpes_per_cg
     }
 
-    /// DMA bandwidth available to one core group when `active_cgs` core
-    /// groups stream concurrently.
-    #[inline]
-    pub fn dma_bandwidth_per_cg(&self, active_cgs: usize) -> f64 {
-        self.dma_bandwidth / active_cgs.max(1) as f64
-    }
-
     /// Uplink capacity of one supernode toward the top-level fat tree,
     /// bytes/second.
     #[inline]
@@ -129,13 +122,6 @@ mod tests {
             m.rma_latency < m.gld_latency / 4.0,
             "RMA must be much faster than GLD"
         );
-    }
-
-    #[test]
-    fn dma_share_divides() {
-        let m = MachineConfig::new_sunway();
-        assert_eq!(m.dma_bandwidth_per_cg(6), m.dma_bandwidth / 6.0);
-        assert_eq!(m.dma_bandwidth_per_cg(0), m.dma_bandwidth);
     }
 
     #[test]

@@ -15,16 +15,39 @@
 //! Two *heuristic families* drive those decisions (see
 //! [`DirectionHeuristic`] and `docs/KERNELS.md`):
 //!
-//! * **fixed** — the original count-ratio thresholds (`alpha_local` /
-//!   `beta_crossing`), kept byte-identical for reproducibility;
+//! * **fixed** — the original count-ratio thresholds ([`ALPHA_LOCAL`] /
+//!   [`BETA_CROSSING`]), kept byte-identical for reproducibility;
 //! * **measured** — the Beamer/Buluç direction-optimizing heuristic on
 //!   *measured degree masses*: switch to pull when the frontier's edge
 //!   mass `m_f` exceeds the unexplored edge mass `m_u / α`, switch back
 //!   to push when the frontier shrinks below `n / β` vertices, with
 //!   hysteresis (the previous direction breaks ties). The masses come
 //!   from the degree sums the engine already tracks per sub-iteration.
+//!
+//! The thresholds are constants, tuned once for the machine as the
+//! paper tunes its per-class thresholds (§4.2).
 
 use sunbfs_common::{JsonValue, ToJson};
+
+/// Fixed heuristic: a node-local component pulls when its source active
+/// ratio exceeds this.
+pub const ALPHA_LOCAL: f64 = 0.03;
+/// Fixed heuristic: a crossing component pulls when
+/// `unvisited_dst_ratio < BETA_CROSSING * active_src_ratio`.
+pub const BETA_CROSSING: f64 = 1.0;
+/// Fixed heuristic, vanilla mode: the whole iteration pulls when the
+/// global active ratio exceeds this.
+pub const VANILLA_ALPHA: f64 = 0.03;
+/// Measured heuristic: enter pull when
+/// `frontier_edge_mass * ALPHA_MEASURED > unexplored_edge_mass`
+/// (Beamer's α; tuned on the simulated Sunway cost model, where
+/// collectives dominate and later pull entry wins; Beamer's
+/// shared-memory value is 14).
+pub const ALPHA_MEASURED: f64 = 3.0;
+/// Measured heuristic: return to push when the class frontier holds
+/// fewer than `total / BETA_MEASURED` vertices (Beamer's β; tuned like
+/// [`ALPHA_MEASURED`], Beamer's value is 24).
+pub const BETA_MEASURED: f64 = 6.0;
 
 /// Traversal direction of one sub-iteration.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -86,24 +109,18 @@ impl Component {
             Component::L2L => "L2L",
         }
     }
-
-    /// True for components whose edges never cross ranks at traversal
-    /// time (their direction heuristic uses the source ratio only).
-    pub fn is_node_local(self) -> bool {
-        matches!(self, Component::Eh2Eh | Component::E2L | Component::L2E)
-    }
 }
 
 /// Which family of push/pull decision rules the engine runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DirectionHeuristic {
-    /// Fixed count-ratio thresholds (`alpha_local` / `beta_crossing`):
+    /// Fixed count-ratio thresholds ([`ALPHA_LOCAL`] / [`BETA_CROSSING`]):
     /// reproduces the pre-measured direction schedule exactly, byte for
     /// byte — collectives, payloads, parents, and depths included.
     Fixed,
     /// Measured-degree heuristics with hysteresis ([`choose_measured`]):
     /// frontier edge mass vs. unexplored edge mass per vertex class,
-    /// using `alpha_measured` / `beta_measured`. The default.
+    /// using [`ALPHA_MEASURED`] / [`BETA_MEASURED`]. The default.
     #[default]
     Measured,
 }
@@ -131,46 +148,23 @@ impl DirectionHeuristic {
 /// the ablation benches (Figure 15) toggle them off one at a time.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Source-active-ratio threshold above which node-local components
-    /// switch to pull (fixed heuristic).
-    pub alpha_local: f64,
-    /// Crossing components pull when
-    /// `unvisited_dst_ratio < beta * active_src_ratio` (fixed heuristic).
-    pub beta_crossing: f64,
     /// Per-component direction selection (§4.2). When off, one global
     /// direction per iteration (vanilla direction optimization — the
     /// Figure 15 baseline).
     pub sub_iteration: bool,
-    /// Global active-ratio threshold used by the vanilla mode.
-    pub vanilla_alpha: f64,
     /// CG-aware core-subgraph segmenting for the EH2EH pull (§4.3).
     /// When off, probes cost GLD main-memory latency instead of RMA.
     pub segmenting: bool,
     /// Which decision family is in force ([`DirectionHeuristic`]).
     pub heuristic: DirectionHeuristic,
-    /// Measured heuristic: enter pull when
-    /// `frontier_edge_mass > unexplored_edge_mass / alpha_measured`
-    /// (Beamer's α; default 3 — tuned on the simulated Sunway cost
-    /// model, where collectives dominate and later pull entry wins;
-    /// Beamer's shared-memory value is 14).
-    pub alpha_measured: f64,
-    /// Measured heuristic: return to push when the class frontier holds
-    /// fewer than `total / beta_measured` vertices (Beamer's β;
-    /// default 6 — tuned like `alpha_measured`, Beamer's value is 24).
-    pub beta_measured: f64,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            alpha_local: 0.03,
-            beta_crossing: 1.0,
             sub_iteration: true,
-            vanilla_alpha: 0.03,
             segmenting: true,
             heuristic: DirectionHeuristic::default(),
-            alpha_measured: 3.0,
-            beta_measured: 6.0,
         }
     }
 }
@@ -197,11 +191,11 @@ impl EngineConfig {
 }
 
 /// Direction for a node-local component from its source activity.
-pub fn choose_local(cfg: &EngineConfig, active_src: u64, total_src: u64) -> Direction {
+pub fn choose_local(active_src: u64, total_src: u64) -> Direction {
     if total_src == 0 {
         return Direction::Push;
     }
-    if active_src as f64 / total_src as f64 > cfg.alpha_local {
+    if active_src as f64 / total_src as f64 > ALPHA_LOCAL {
         Direction::Pull
     } else {
         Direction::Push
@@ -211,7 +205,6 @@ pub fn choose_local(cfg: &EngineConfig, active_src: u64, total_src: u64) -> Dire
 /// Direction for a node-crossing component by comparing the expected
 /// message counts of the two directions.
 pub fn choose_crossing(
-    cfg: &EngineConfig,
     active_src: u64,
     total_src: u64,
     unvisited_dst: u64,
@@ -222,7 +215,7 @@ pub fn choose_crossing(
     }
     let active_ratio = active_src as f64 / total_src as f64;
     let unvisited_ratio = unvisited_dst as f64 / total_dst as f64;
-    if unvisited_ratio < cfg.beta_crossing * active_ratio {
+    if unvisited_ratio < BETA_CROSSING * active_ratio {
         Direction::Pull
     } else {
         Direction::Push
@@ -234,16 +227,15 @@ pub fn choose_crossing(
 ///
 /// * in **push**, switch to pull when the frontier's measured edge mass
 ///   exceeds the unexplored edge mass scaled by α:
-///   `m_f > m_u / alpha_measured`;
+///   `m_f > m_u / ALPHA_MEASURED`;
 /// * in **pull**, return to push when the class frontier has shrunk
-///   below `total / beta_measured` vertices.
+///   below `total / BETA_MEASURED` vertices.
 ///
 /// `frontier_edges` / `unexplored_edges` are global degree-mass sums
 /// for the deciding class (`m_f` / `m_u`); `active` / `total` are its
 /// frontier and class vertex counts. An empty class or empty frontier
 /// always pushes (the scan is a no-op either way).
 pub fn choose_measured(
-    cfg: &EngineConfig,
     prev: Direction,
     frontier_edges: u64,
     unexplored_edges: u64,
@@ -255,14 +247,14 @@ pub fn choose_measured(
     }
     match prev {
         Direction::Push => {
-            if frontier_edges as f64 * cfg.alpha_measured > unexplored_edges as f64 {
+            if frontier_edges as f64 * ALPHA_MEASURED > unexplored_edges as f64 {
                 Direction::Pull
             } else {
                 Direction::Push
             }
         }
         Direction::Pull => {
-            if (active as f64) < total as f64 / cfg.beta_measured {
+            if (active as f64) < total as f64 / BETA_MEASURED {
                 Direction::Push
             } else {
                 Direction::Pull
@@ -279,62 +271,55 @@ mod tests {
     fn components_ordered_by_degree_level() {
         assert_eq!(Component::ALL[0], Component::Eh2Eh);
         assert_eq!(Component::ALL[5], Component::L2L);
-        assert!(Component::Eh2Eh.is_node_local());
-        assert!(Component::L2E.is_node_local());
-        assert!(!Component::H2L.is_node_local());
-        assert!(!Component::L2L.is_node_local());
     }
 
     #[test]
     fn local_heuristic_switches_on_density() {
-        let cfg = EngineConfig::default();
-        assert_eq!(choose_local(&cfg, 1, 1000), Direction::Push);
-        assert_eq!(choose_local(&cfg, 500, 1000), Direction::Pull);
-        assert_eq!(choose_local(&cfg, 0, 0), Direction::Push);
+        assert_eq!(choose_local(1, 1000), Direction::Push);
+        assert_eq!(choose_local(500, 1000), Direction::Pull);
+        assert_eq!(choose_local(0, 0), Direction::Push);
     }
 
     #[test]
     fn crossing_heuristic_compares_ratios() {
-        let cfg = EngineConfig::default();
         // Sparse frontier, nearly everything unvisited → push.
-        assert_eq!(choose_crossing(&cfg, 10, 1000, 990, 1000), Direction::Push);
+        assert_eq!(choose_crossing(10, 1000, 990, 1000), Direction::Push);
         // Dense frontier, few unvisited → pull.
-        assert_eq!(choose_crossing(&cfg, 600, 1000, 50, 1000), Direction::Pull);
+        assert_eq!(choose_crossing(600, 1000, 50, 1000), Direction::Pull);
         // Empty classes never pull.
-        assert_eq!(choose_crossing(&cfg, 0, 0, 5, 10), Direction::Push);
+        assert_eq!(choose_crossing(0, 0, 5, 10), Direction::Push);
     }
 
     #[test]
     fn measured_heuristic_enters_and_exits_pull_with_hysteresis() {
-        let cfg = EngineConfig::default();
         // Push holds while the frontier mass is small relative to m_u/α.
         assert_eq!(
-            choose_measured(&cfg, Direction::Push, 10, 10_000, 5, 1000),
+            choose_measured(Direction::Push, 10, 10_000, 5, 1000),
             Direction::Push
         );
         // m_f·α > m_u → enter pull.
         assert_eq!(
-            choose_measured(&cfg, Direction::Push, 4000, 10_000, 200, 1000),
+            choose_measured(Direction::Push, 4000, 10_000, 200, 1000),
             Direction::Pull
         );
         // In pull, a still-large frontier stays pull even if masses
         // dropped (hysteresis: the push rule is not re-evaluated).
         assert_eq!(
-            choose_measured(&cfg, Direction::Pull, 1, 10_000, 500, 1000),
+            choose_measured(Direction::Pull, 1, 10_000, 500, 1000),
             Direction::Pull
         );
         // Frontier below n/β → back to push.
         assert_eq!(
-            choose_measured(&cfg, Direction::Pull, 1000, 10, 10, 1000),
+            choose_measured(Direction::Pull, 1000, 10, 10, 1000),
             Direction::Push
         );
         // Empty class or empty frontier never pulls.
         assert_eq!(
-            choose_measured(&cfg, Direction::Pull, 9, 9, 5, 0),
+            choose_measured(Direction::Pull, 9, 9, 5, 0),
             Direction::Push
         );
         assert_eq!(
-            choose_measured(&cfg, Direction::Push, 9, 0, 0, 100),
+            choose_measured(Direction::Push, 9, 0, 0, 100),
             Direction::Push
         );
     }

@@ -43,6 +43,7 @@ use crate::batch::{BatchOutput, BatchRunStats, UNREACHED_DEPTH};
 use crate::checkpoint::{CheckpointState, CheckpointStore, ResumeStats};
 use crate::config::{
     choose_crossing, choose_local, choose_measured, Direction, DirectionHeuristic, EngineConfig,
+    VANILLA_ALPHA,
 };
 use crate::costing;
 use crate::lane::{Bit, Lane, SCAN_GRAIN_ITEMS};
@@ -746,15 +747,15 @@ impl<'a, L: Lane> Engine<'a, L> {
                     let (fm_h, fm_l) = (self.frontier_mass[1], self.frontier_mass[2]);
                     self.sub_masses[3] = (fm_h, um_l);
                     self.sub_masses[5] = (fm_l, um_l);
-                    let (cfg, prev) = (&self.cfg, &self.prev_dirs);
+                    let prev = &self.prev_dirs;
                     (
-                        choose_measured(cfg, prev[3], fm_h, um_l, st.active_h, num_h),
-                        choose_measured(cfg, prev[5], fm_l, um_l, st.active_l, total_l),
+                        choose_measured(prev[3], fm_h, um_l, st.active_h, num_h),
+                        choose_measured(prev[5], fm_l, um_l, st.active_l, total_l),
                     )
                 } else {
                     (
-                        choose_crossing(&self.cfg, st.active_h, num_h, unvisited_l, total_l),
-                        choose_crossing(&self.cfg, st.active_l, total_l, unvisited_l, total_l),
+                        choose_crossing(st.active_h, num_h, unvisited_l, total_l),
+                        choose_crossing(st.active_l, total_l, unvisited_l, total_l),
                     )
                 }
             } else {
@@ -958,7 +959,7 @@ impl<'a, L: Lane> Engine<'a, L> {
                 let m_f = fm[0] + fm[1] + fm[2];
                 let m_u = um[0] + um[1] + um[2];
                 let active = st.active_e + st.active_h + st.active_l;
-                let d = choose_measured(&cfg, self.prev_dirs[0], m_f, m_u, active, nh + total_l);
+                let d = choose_measured(self.prev_dirs[0], m_f, m_u, active, nh + total_l);
                 self.sub_masses = [(m_f, m_u); 6];
                 return [d; 6];
             }
@@ -974,7 +975,7 @@ impl<'a, L: Lane> Engine<'a, L> {
             ];
             let mut dirs = [Direction::Push; 6];
             for (i, &(m_f, m_u, active, total)) in pairs.iter().enumerate() {
-                dirs[i] = choose_measured(&cfg, self.prev_dirs[i], m_f, m_u, active, total);
+                dirs[i] = choose_measured(self.prev_dirs[i], m_f, m_u, active, total);
                 self.sub_masses[i] = (m_f, m_u);
             }
             return dirs;
@@ -984,7 +985,7 @@ impl<'a, L: Lane> Engine<'a, L> {
             // iteration from the global frontier density.
             let active = st.active_e + st.active_h + st.active_l;
             let total = nh + total_l;
-            let d = if total > 0 && active as f64 / total as f64 > cfg.vanilla_alpha {
+            let d = if total > 0 && active as f64 / total as f64 > VANILLA_ALPHA {
                 Direction::Pull
             } else {
                 Direction::Push
@@ -995,17 +996,17 @@ impl<'a, L: Lane> Engine<'a, L> {
         let unvisited_h = num_h - self.hub_class_counts(&self.hub.seen).1;
         [
             // EH2EH: node-local, source class E∪H.
-            choose_local(&cfg, st.active_e + st.active_h, nh),
+            choose_local(st.active_e + st.active_h, nh),
             // E2L: node-local, source class E.
-            choose_local(&cfg, st.active_e, num_e),
+            choose_local(st.active_e, num_e),
             // L2E: node-local, source class L.
-            choose_local(&cfg, st.active_l, total_l),
+            choose_local(st.active_l, total_l),
             // H2L: crossing, H → L.
-            choose_crossing(&cfg, st.active_h, num_h, unvisited_l, total_l),
+            choose_crossing(st.active_h, num_h, unvisited_l, total_l),
             // L2H: crossing, L → H.
-            choose_crossing(&cfg, st.active_l, total_l, unvisited_h, num_h),
+            choose_crossing(st.active_l, total_l, unvisited_h, num_h),
             // L2L: crossing, L → L.
-            choose_crossing(&cfg, st.active_l, total_l, unvisited_l, total_l),
+            choose_crossing(st.active_l, total_l, unvisited_l, total_l),
         ]
     }
 

@@ -35,9 +35,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use sunbfs_common::{
-    json_record, Bitmap, JsonValue, MachineConfig, SimTime, TimeAccumulator, ToJson,
-};
+use sunbfs_common::{json_record, JsonValue, MachineConfig, SimTime, TimeAccumulator, ToJson};
 
 use crate::barrier::{BarrierPoisoned, PoisonBarrier};
 use crate::cost::{self, Scope};
@@ -1267,13 +1265,6 @@ impl RankCtx {
         result
     }
 
-    /// OR-combine a bitmap across the scope in place.
-    pub fn allreduce_or_bitmap(&mut self, scope: Scope, op: &str, bm: &mut Bitmap) {
-        let words = bm.words().to_vec();
-        let reduced = self.allreduce_with(scope, op, words, None, |a, b| *a |= b);
-        bm.words_mut().copy_from_slice(&reduced);
-    }
-
     /// Sum a scalar across the scope.
     pub fn allreduce_sum(&mut self, scope: Scope, op: &str, x: u64) -> u64 {
         self.allreduce_with(scope, op, vec![x], None, |a, b| *a += b)[0]
@@ -1355,18 +1346,6 @@ mod tests {
         for recv in out {
             assert_eq!(recv, vec![vec![0], vec![1, 1], vec![2, 2, 2]]);
         }
-    }
-
-    #[test]
-    fn allreduce_or_bitmap_unions_across_ranks() {
-        let c = small_cluster(2, 2);
-        let out = c.run(|ctx| {
-            let mut bm = Bitmap::new(256);
-            bm.set(ctx.rank() as u64 * 64);
-            ctx.allreduce_or_bitmap(Scope::World, "orbits", &mut bm);
-            bm.count_ones()
-        });
-        assert_eq!(out, vec![4, 4, 4, 4]);
     }
 
     #[test]

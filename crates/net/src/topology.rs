@@ -110,17 +110,6 @@ impl Topology {
     pub fn supernode_size(&self) -> usize {
         self.shape.cols
     }
-
-    /// The forwarding rank for a message from `src` to `dst` in the
-    /// hierarchical L2L alltoallv (§4.4 "Forwarding in global
-    /// messaging"): the intersection of the source's column and the
-    /// destination's row, so the first hop is column-wise (one
-    /// inter-supernode transfer) and the second is row-wise
-    /// (intra-supernode).
-    #[inline]
-    pub fn forwarding_rank(&self, src: usize, dst: usize) -> usize {
-        self.rank_at(self.row_of(dst), self.col_of(src))
-    }
 }
 
 #[cfg(test)]
@@ -158,18 +147,6 @@ mod tests {
             assert_eq!(s.num_ranks(), n);
             assert!(s.rows <= s.cols);
         }
-    }
-
-    #[test]
-    fn forwarding_rank_is_column_then_row() {
-        let t = Topology::new(MeshShape::new(3, 3));
-        let src = t.rank_at(0, 1);
-        let dst = t.rank_at(2, 2);
-        let f = t.forwarding_rank(src, dst);
-        // Forwarder shares the source's column...
-        assert_eq!(t.col_of(f), t.col_of(src));
-        // ...and the destination's row (supernode).
-        assert_eq!(t.row_of(f), t.row_of(dst));
     }
 
     #[test]

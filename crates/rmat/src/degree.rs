@@ -46,11 +46,6 @@ pub fn degree_frequencies(degs: &[u32]) -> Vec<(u32, u64)> {
     out
 }
 
-/// Number of vertices whose degree is at least `threshold`.
-pub fn count_at_least(degs: &[u32], threshold: u32) -> u64 {
-    degs.iter().filter(|&&d| d >= threshold).count() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,16 +69,5 @@ mod tests {
         let d = [3u32, 1, 3, 0, 1, 3];
         let f = degree_frequencies(&d);
         assert_eq!(f, vec![(1, 2), (3, 3)]);
-    }
-
-    #[test]
-    fn count_at_least_is_monotone() {
-        let d = [1u32, 2, 4, 8, 16];
-        assert_eq!(count_at_least(&d, 1), 5);
-        assert_eq!(count_at_least(&d, 4), 3);
-        assert_eq!(count_at_least(&d, 17), 0);
-        for t in 0..20 {
-            assert!(count_at_least(&d, t) >= count_at_least(&d, t + 1));
-        }
     }
 }

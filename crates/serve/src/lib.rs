@@ -67,8 +67,8 @@ pub use report::{
     QUERY_RECORDS_KEPT,
 };
 pub use service::{
-    BfsService, ChaosConfig, HealthConfig, HealthMachine, HealthSnapshot, HealthState, ParentTree,
-    QueryId, QueryResult, QueryStatus, RejectReason, ServeConfig,
+    BfsService, ChaosConfig, HealthMachine, HealthSnapshot, HealthState, ParentTree, QueryId,
+    QueryResult, QueryStatus, RejectReason, ServeConfig,
 };
 pub use session::{
     GraphSession, LoadError, Quarantine, RootTraversal, SessionConfig, SessionError, StoreActivity,

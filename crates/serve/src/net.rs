@@ -49,6 +49,11 @@ use crate::service::{BfsService, QueryResult, QueryStatus, RejectReason};
 /// which stalls their sockets — backpressure by TCP itself.
 const EVENT_QUEUE: usize = 1024;
 
+/// Per-connection reply buffer (lines); a full buffer marks the client
+/// slow and disconnects it. Also the most lines one socket write
+/// carries.
+const REPLY_BUFFER: usize = 1024;
+
 /// Transport knobs. [`ServeConfig`](crate::service::ServeConfig) governs
 /// admission and batch formation; this governs everything socket-side.
 #[derive(Clone, Copy, Debug)]
@@ -71,9 +76,6 @@ pub struct NetConfig {
     /// Shutdown quiet window: in-transit events are still absorbed
     /// until the channel has been silent this long.
     pub shutdown_grace: Duration,
-    /// Per-connection reply buffer (lines); a full buffer marks the
-    /// client slow and disconnects it.
-    pub reply_buffer: usize,
 }
 
 impl Default for NetConfig {
@@ -85,7 +87,6 @@ impl Default for NetConfig {
             write_timeout: Duration::from_secs(5),
             tick_interval: Duration::from_millis(10),
             shutdown_grace: Duration::from_millis(200),
-            reply_buffer: 1024,
         }
     }
 }
@@ -375,14 +376,13 @@ fn spawn_connection(
     stream.set_read_timeout(Some(cfg.read_timeout))?;
     let write_half = stream.try_clone()?;
     write_half.set_write_timeout(Some(cfg.write_timeout))?;
-    let reply_buffer = cfg.reply_buffer.max(1);
-    let (reply_tx, reply_rx) = mpsc::sync_channel::<String>(reply_buffer);
+    let (reply_tx, reply_rx) = mpsc::sync_channel::<String>(REPLY_BUFFER);
     // The service thread owns the writer's handle next to its sender:
     // it joins every writer before it returns, so the process cannot
     // exit ahead of a reply that was handed to one. (Should the send
     // fail the service is gone, the event drops both, and the writer
     // exits on its closed channel.)
-    let writer = std::thread::spawn(move || writer_loop(write_half, &reply_rx, reply_buffer));
+    let writer = std::thread::spawn(move || writer_loop(write_half, &reply_rx));
     let connected = Event::Connected {
         conn,
         tx: reply_tx,
@@ -403,16 +403,19 @@ fn spawn_connection(
 
 /// Drain the reply buffer onto the socket, one write per burst: the
 /// reply that woke the writer plus every further one already buffered
-/// (at most `burst_max` lines, each with its newline), so the acks and
-/// results of a batch leave in a few segments instead of two syscalls
-/// per line. On exit (channel closed by the service thread, or the
+/// (at most [`REPLY_BUFFER`] lines, each with its newline), so the
+/// acks and results of a batch leave in a few segments instead of two
+/// syscalls per line. On exit (channel closed by the service thread, or the
 /// write deadline fired) shut the socket down both ways, which also
 /// unblocks this connection's reader.
-fn writer_loop(mut stream: TcpStream, rx: &Receiver<String>, burst_max: usize) {
+fn writer_loop(mut stream: TcpStream, rx: &Receiver<String>) {
     let mut burst = String::new();
     while let Ok(first) = rx.recv() {
         burst.clear();
-        for line in std::iter::once(first).chain(rx.try_iter()).take(burst_max) {
+        for line in std::iter::once(first)
+            .chain(rx.try_iter())
+            .take(REPLY_BUFFER)
+        {
             burst.push_str(&line);
             burst.push('\n');
         }

@@ -17,9 +17,7 @@ use sunbfs_common::{JsonValue, ToJson};
 use sunbfs_part::Thresholds;
 
 use crate::report::ServeReport;
-use crate::service::{
-    HealthConfig, HealthSnapshot, QueryResult, QueryStatus, RejectReason, ServeConfig,
-};
+use crate::service::{HealthSnapshot, QueryResult, QueryStatus, RejectReason, ServeConfig};
 use crate::session::{GraphSession, SessionConfig};
 
 /// Hard cap on one request line. A line that exceeds it is refused
@@ -354,7 +352,6 @@ fn parse_load(cmd: &JsonValue) -> Result<LoadRequest, ProtoError> {
         flush_deadline: knob(cmd, "flush_deadline", 4, 0, u64::from(u32::MAX))? as u32,
         max_root_retries: 2,
         measure_baseline: bool_knob(cmd, "baseline", false)?,
-        health: HealthConfig::default(),
     };
     Ok(LoadRequest {
         session,

@@ -84,8 +84,6 @@ pub struct ServeConfig {
     /// path and record the comparison (costs one extra SPMD pass per
     /// batch; for benchmarking, not serving).
     pub measure_baseline: bool,
-    /// Health state machine thresholds (`docs/FAULTS.md`).
-    pub health: HealthConfig,
 }
 
 impl Default for ServeConfig {
@@ -96,43 +94,29 @@ impl Default for ServeConfig {
             flush_deadline: 4,
             max_root_retries: 2,
             measure_baseline: false,
-            health: HealthConfig::default(),
         }
     }
 }
 
-/// Thresholds of the service health state machine
-/// (`Healthy → Degraded → Quarantined → Recovering`, `docs/FAULTS.md`).
-#[derive(Clone, Copy, Debug)]
-pub struct HealthConfig {
-    /// Sliding window of recent batches over which failures are judged.
-    pub window: usize,
-    /// Failed batches within the window that trip the circuit breaker
-    /// (`Degraded → Quarantined`).
-    pub quarantine_failures: u32,
-    /// Quiet ticks a quarantined service waits before the recovery
-    /// probe half-opens the breaker (`Quarantined → Recovering`).
-    pub probe_after_ticks: u32,
-    /// Consecutive clean batches that close the loop
-    /// (`Recovering → Healthy`).
-    pub recovery_batches: u32,
-}
+// Thresholds of the service health state machine
+// (`Healthy → Degraded → Quarantined → Recovering`, `docs/FAULTS.md`).
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            window: 8,
-            quarantine_failures: 3,
-            probe_after_ticks: 16,
-            recovery_batches: 2,
-        }
-    }
-}
+/// Sliding window of recent batches over which failures are judged.
+const HEALTH_WINDOW: usize = 8;
+/// Failed batches within the window that trip the circuit breaker
+/// (`Degraded → Quarantined`).
+const QUARANTINE_FAILURES: u32 = 3;
+/// Quiet ticks a quarantined service waits before the recovery probe
+/// half-opens the breaker (`Quarantined → Recovering`).
+const PROBE_AFTER_TICKS: u32 = 16;
+/// Consecutive clean batches that close the loop (`Recovering → Healthy`).
+const RECOVERY_BATCHES: u32 = 2;
 
 /// The service's health, as a closed state machine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum HealthState {
     /// No recent batch failures; full admission.
+    #[default]
     Healthy,
     /// At least one recent batch degraded (fallback or quarantine);
     /// admission stays open while the window is watched.
@@ -160,11 +144,11 @@ impl HealthState {
 
 /// The health state machine: batch outcomes and ticks in, transitions
 /// out. Pure bookkeeping — no clock, no I/O — so tests can script it.
-#[derive(Debug)]
+/// [`Default`] is a healthy machine.
+#[derive(Debug, Default)]
 pub struct HealthMachine {
-    cfg: HealthConfig,
     state: HealthState,
-    /// Outcomes of the last `cfg.window` batches (true = failed).
+    /// Outcomes of the last [`HEALTH_WINDOW`] batches (true = failed).
     window: VecDeque<bool>,
     consecutive_clean: u32,
     /// Tick of the most recent failure while quarantined (the probe
@@ -174,23 +158,6 @@ pub struct HealthMachine {
 }
 
 impl HealthMachine {
-    /// A healthy machine with `cfg` thresholds.
-    pub fn new(cfg: HealthConfig) -> Self {
-        HealthMachine {
-            cfg: HealthConfig {
-                window: cfg.window.max(1),
-                quarantine_failures: cfg.quarantine_failures.max(1),
-                probe_after_ticks: cfg.probe_after_ticks.max(1),
-                recovery_batches: cfg.recovery_batches.max(1),
-            },
-            state: HealthState::Healthy,
-            window: VecDeque::new(),
-            consecutive_clean: 0,
-            quarantined_at: 0,
-            transitions: Vec::new(),
-        }
-    }
-
     /// Current state.
     pub fn state(&self) -> HealthState {
         self.state
@@ -219,7 +186,7 @@ impl HealthMachine {
     /// recovery or quarantined a rider) at tick `now`.
     pub fn on_batch(&mut self, failed: bool, now: u64) {
         self.window.push_back(failed);
-        while self.window.len() > self.cfg.window {
+        while self.window.len() > HEALTH_WINDOW {
             self.window.pop_front();
         }
         if failed {
@@ -238,7 +205,7 @@ impl HealthMachine {
                 }
             }
             HealthState::Degraded => {
-                if self.window_failures() >= self.cfg.quarantine_failures {
+                if self.window_failures() >= QUARANTINE_FAILURES {
                     self.quarantined_at = now;
                     self.goto(
                         HealthState::Quarantined,
@@ -261,7 +228,7 @@ impl HealthMachine {
                         now,
                         "batch failed during recovery".into(),
                     );
-                } else if self.consecutive_clean >= self.cfg.recovery_batches {
+                } else if self.consecutive_clean >= RECOVERY_BATCHES {
                     self.window.clear();
                     self.goto(
                         HealthState::Healthy,
@@ -283,17 +250,14 @@ impl HealthMachine {
     /// Advance the probe timer to tick `now`.
     pub fn on_tick(&mut self, now: u64) {
         if self.state == HealthState::Quarantined
-            && now.saturating_sub(self.quarantined_at) >= u64::from(self.cfg.probe_after_ticks)
+            && now.saturating_sub(self.quarantined_at) >= u64::from(PROBE_AFTER_TICKS)
         {
             self.window.clear();
             self.consecutive_clean = 0;
             self.goto(
                 HealthState::Recovering,
                 now,
-                format!(
-                    "recovery probe after {} quiet ticks",
-                    self.cfg.probe_after_ticks
-                ),
+                format!("recovery probe after {PROBE_AFTER_TICKS} quiet ticks"),
             );
         }
     }
@@ -305,7 +269,7 @@ impl HealthMachine {
             return None;
         }
         let waited = now.saturating_sub(self.quarantined_at);
-        let left = u64::from(self.cfg.probe_after_ticks).saturating_sub(waited);
+        let left = u64::from(PROBE_AFTER_TICKS).saturating_sub(waited);
         Some(left.clamp(1, u64::from(u32::MAX)) as u32)
     }
 }
@@ -322,11 +286,6 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// Arm one fault per this many executed queries.
     pub every_queries: u64,
-    /// Collective-index horizon faults are placed in (`op_index` drawn
-    /// from `[0, horizon)`; small values fire early in the next batch).
-    pub horizon: u64,
-    /// Simulated seconds each armed straggler delays its rank.
-    pub straggler_secs: f64,
     /// Stop arming after this many events (0 = unbounded). A bounded
     /// schedule leaves a clean tail so soaks can watch recovery close.
     pub max_events: u64,
@@ -337,12 +296,17 @@ impl Default for ChaosConfig {
         ChaosConfig {
             seed: 42,
             every_queries: 64,
-            horizon: 48,
-            straggler_secs: 0.05,
             max_events: 0,
         }
     }
 }
+
+/// Collective-index horizon chaos faults are placed in (`op_index`
+/// drawn from `[0, CHAOS_HORIZON)`, so they fire early in the next
+/// batch).
+const CHAOS_HORIZON: u64 = 48;
+/// Simulated seconds each armed chaos straggler delays its rank.
+const CHAOS_STRAGGLER_SECS: f64 = 0.05;
 
 /// Live-chaos bookkeeping between batches.
 #[derive(Debug)]
@@ -635,7 +599,7 @@ impl BfsService {
         };
         BfsService {
             session,
-            health: HealthMachine::new(cfg.health),
+            health: HealthMachine::default(),
             cfg,
             pending: VecDeque::new(),
             age: 0,
@@ -662,7 +626,6 @@ impl BfsService {
             rng: SplitMix64::new(chaos.seed ^ 0xC4A0_5C4A_05C4_A05C),
             cfg: ChaosConfig {
                 every_queries: chaos.every_queries.max(1),
-                horizon: chaos.horizon.max(1),
                 ..chaos
             },
             since: 0,
@@ -961,7 +924,7 @@ impl BfsService {
                 continue;
             }
             let rank = chaos.rng.next_below(num_ranks as u64) as usize;
-            let op_index = chaos.rng.next_below(chaos.cfg.horizon);
+            let op_index = chaos.rng.next_below(CHAOS_HORIZON);
             let kind = match chaos.injected % 4 {
                 0 => {
                     chaos.panics += 1;
@@ -970,7 +933,7 @@ impl BfsService {
                 1 => {
                     chaos.stragglers += 1;
                     FaultKind::Straggler {
-                        secs: chaos.cfg.straggler_secs,
+                        secs: CHAOS_STRAGGLER_SECS,
                     }
                 }
                 2 => {
@@ -1465,18 +1428,13 @@ mod tests {
         }
     }
 
-    fn machine() -> HealthMachine {
-        HealthMachine::new(HealthConfig {
-            window: 4,
-            quarantine_failures: 2,
-            probe_after_ticks: 5,
-            recovery_batches: 2,
-        })
-    }
+    // The health tests script the shipped thresholds: a window of 8
+    // batches, 3 failures to quarantine, the probe after 16 quiet
+    // ticks, 2 clean batches to recover.
 
     #[test]
     fn clean_batches_keep_the_machine_healthy() {
-        let mut m = machine();
+        let mut m = HealthMachine::default();
         for t in 1..10 {
             m.on_batch(false, t);
             m.on_tick(t);
@@ -1488,7 +1446,7 @@ mod tests {
 
     #[test]
     fn failure_degrades_and_clean_batches_recover() {
-        let mut m = machine();
+        let mut m = HealthMachine::default();
         m.on_batch(true, 1);
         assert_eq!(m.state(), HealthState::Degraded);
         m.on_batch(false, 2);
@@ -1509,26 +1467,32 @@ mod tests {
 
     #[test]
     fn window_failures_quarantine_and_probe_half_opens() {
-        let mut m = machine();
+        let mut m = HealthMachine::default();
         m.on_batch(true, 1);
         m.on_batch(true, 2);
-        assert_eq!(m.state(), HealthState::Quarantined, "2 of 4 failed");
+        assert_eq!(m.state(), HealthState::Degraded, "2 of 8 failed");
+        m.on_batch(true, 3);
+        assert_eq!(m.state(), HealthState::Quarantined, "3 of 8 failed");
         // Shedding with a hint counting down to the probe.
-        assert_eq!(m.shed(2), Some(5));
-        assert_eq!(m.shed(4), Some(3));
-        m.on_tick(6);
-        assert_eq!(m.state(), HealthState::Quarantined, "4 ticks is not yet 5");
-        m.on_tick(7);
-        assert_eq!(m.state(), HealthState::Recovering, "probe after 5 ticks");
-        assert_eq!(m.shed(7), None);
-        m.on_batch(false, 7);
-        m.on_batch(false, 8);
+        assert_eq!(m.shed(3), Some(16));
+        assert_eq!(m.shed(5), Some(14));
+        m.on_tick(18);
+        assert_eq!(
+            m.state(),
+            HealthState::Quarantined,
+            "15 ticks is not yet 16"
+        );
+        m.on_tick(19);
+        assert_eq!(m.state(), HealthState::Recovering, "probe after 16 ticks");
+        assert_eq!(m.shed(19), None);
+        m.on_batch(false, 19);
+        m.on_batch(false, 20);
         assert_eq!(m.state(), HealthState::Healthy);
     }
 
     #[test]
     fn failure_during_recovery_reopens_the_breaker() {
-        let mut m = machine();
+        let mut m = HealthMachine::default();
         m.on_batch(true, 1);
         m.on_batch(false, 2);
         assert_eq!(m.state(), HealthState::Recovering);
@@ -1536,17 +1500,18 @@ mod tests {
         assert_eq!(m.state(), HealthState::Quarantined);
         // A failing pre-quarantine batch re-arms the probe timer.
         m.on_batch(true, 6);
-        m.on_tick(8);
+        m.on_tick(19);
         assert_eq!(m.state(), HealthState::Quarantined, "timer re-armed at 6");
-        m.on_tick(11);
+        m.on_tick(22);
         assert_eq!(m.state(), HealthState::Recovering);
     }
 
     #[test]
     fn shed_hint_is_always_at_least_one_tick() {
-        let mut m = machine();
-        m.on_batch(true, 1);
-        m.on_batch(true, 1);
+        let mut m = HealthMachine::default();
+        for _ in 0..3 {
+            m.on_batch(true, 1);
+        }
         assert_eq!(m.state(), HealthState::Quarantined);
         // Even past the nominal probe time, the hint floors at 1.
         assert_eq!(m.shed(100), Some(1));

@@ -127,8 +127,6 @@ fn every_soak_profile_passes_its_gate_with_exactly_once_accounting() {
         chaos: ChaosConfig {
             seed: 7,
             every_queries: 24,
-            horizon: 48,
-            straggler_secs: 0.01,
             max_events: 3,
         },
         availability_gate: 0.90,

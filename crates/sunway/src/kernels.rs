@@ -45,21 +45,10 @@ pub struct KernelReport {
 }
 
 impl KernelReport {
-    /// Merge another report, taking the max of times (parallel
-    /// composition) and summing the counters.
-    pub fn join_parallel(&mut self, other: &KernelReport) {
-        self.time = self.time.max(other.time);
-        self.add_counters(other);
-    }
-
     /// Merge another report, adding times (sequential composition) and
     /// summing the counters.
     pub fn join_serial(&mut self, other: &KernelReport) {
         self.time += other.time;
-        self.add_counters(other);
-    }
-
-    fn add_counters(&mut self, other: &KernelReport) {
         self.dma_bytes += other.dma_bytes;
         self.rma_bytes += other.rma_bytes;
         self.rma_ops += other.rma_ops;
@@ -288,13 +277,10 @@ mod tests {
             dma_bytes: 5,
             ..Default::default()
         };
-        let mut par = a;
-        par.join_parallel(&b);
-        assert_eq!(par.time.as_secs(), 2.0);
-        assert_eq!(par.dma_bytes, 15);
         let mut ser = a;
         ser.join_serial(&b);
         assert_eq!(ser.time.as_secs(), 3.0);
+        assert_eq!(ser.dma_bytes, 15);
     }
 
     #[test]

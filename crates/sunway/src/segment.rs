@@ -19,7 +19,7 @@
 //! stored per-CPE exactly as the mapping dictates) and exposes the
 //! access-cost classification the BFS engine charges.
 
-use sunbfs_common::{Bitmap, MachineConfig};
+use sunbfs_common::Bitmap;
 
 /// Bits per LDM line (1024 bytes).
 pub const BITS_PER_LINE: u64 = 1024 * 8;
@@ -138,15 +138,6 @@ impl SegmentedBitvec {
     pub fn get(&self, bit: u64) -> bool {
         self.get_from(0, bit).0
     }
-
-    /// Expected cost in seconds of one random probe from a uniformly
-    /// chosen CPE: mostly an RMA get, occasionally LDM-local.
-    pub fn expected_probe_cost(&self, machine: &MachineConfig) -> f64 {
-        let remote_fraction = 1.0 - 1.0 / self.cpes as f64;
-        // Local LDM access is a couple of cycles; fold it into the
-        // scalar-work constant rather than double-charging here.
-        remote_fraction * machine.rma_latency
-    }
 }
 
 #[cfg(test)]
@@ -234,13 +225,5 @@ mod tests {
         // A 12.5 MB undivided column vector does NOT fit a 256 KB LDM
         // budget on one CPE — the reason segmenting exists.
         assert!(!SegmentedBitvec::fits_budget(100_000_000, 1, 256 * 1024));
-    }
-
-    #[test]
-    fn probe_cost_is_mostly_rma() {
-        let m = MachineConfig::new_sunway();
-        let s = SegmentedBitvec::new(1 << 20, 64);
-        let c = s.expected_probe_cost(&m);
-        assert!(c > 0.9 * m.rma_latency && c < m.rma_latency);
     }
 }

@@ -12,16 +12,24 @@
 //! ```text
 //! cargo run --release --example chip_playground -- [mib]
 //! ```
+//!
+//! `mib` (default 32) must be an integer in 1..=1024; anything else is
+//! refused by name, exit code 2.
 
 use sunbfs::common::{MachineConfig, SplitMix64};
 use sunbfs::sunway::kernels;
 use sunbfs::sunway::{ocs_sort_mpe, ocs_sort_rma, OcsConfig, SegmentedBitvec};
 
 fn main() {
-    let mib: usize = std::env::args()
+    let mib = std::env::args()
         .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(32);
+        .map_or(32, |s| match s.parse::<usize>() {
+            Ok(mib @ 1..=1024) => mib,
+            _ => {
+                eprintln!("error: knob \"mib\" must be an integer in 1..=1024, got {s:?}");
+                std::process::exit(2);
+            }
+        });
     let machine = MachineConfig::new_sunway();
     let n = mib * 1024 * 1024 / 8;
     let mut rng = SplitMix64::new(7);

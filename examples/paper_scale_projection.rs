@@ -29,7 +29,6 @@ fn main() {
         scale: 18,
         mesh: MeshShape::new(2, 8),
         thresholds: Thresholds::new(2048, 256),
-        machine,
         num_roots: 2,
         ..RunConfig::default()
     };

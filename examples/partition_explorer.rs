@@ -10,23 +10,37 @@
 //! ```text
 //! cargo run --release --example partition_explorer -- [scale] [ranks]
 //! ```
+//!
+//! Defaults: SCALE 14 on 16 ranks. The knobs take the ranges
+//! `bfs_server`'s `load` accepts (scale 1..=40, ranks 1..=65536); a
+//! non-integer or out-of-range knob is refused by name, exit code 2.
 
-use sunbfs::common::MachineConfig;
-use sunbfs::net::{Cluster, MeshShape};
+use sunbfs::net::Cluster;
 use sunbfs::part::{build_1p5d, ComponentStats, Thresholds};
-use sunbfs::rmat::{self, RmatParams};
+use sunbfs::rmat;
+use sunbfs::serve::proto::sized_session;
 
-fn arg(n: usize, default: u64) -> u64 {
-    std::env::args()
-        .nth(n)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+fn refuse(detail: String) -> ! {
+    eprintln!("error: {detail}");
+    std::process::exit(2);
+}
+
+/// Positional knob `n`, or `default` when it is absent.
+fn knob(name: &str, n: usize, default: u64) -> u64 {
+    std::env::args().nth(n).map_or(default, |s| {
+        s.parse().unwrap_or_else(|_| {
+            refuse(format!(
+                "knob {name:?} must be an unsigned integer, got {s:?}"
+            ))
+        })
+    })
 }
 
 fn main() {
-    let scale = arg(1, 14) as u32;
-    let ranks = arg(2, 16) as usize;
-    let params = RmatParams::graph500(scale, 42);
+    let sized = sized_session(knob("scale", 1, 14), knob("ranks", 2, 16), 256, 64);
+    let cfg = sized.unwrap_or_else(|e| refuse(e));
+    let (scale, ranks) = (cfg.scale, cfg.mesh.num_ranks());
+    let params = cfg.rmat();
     let n = params.num_vertices();
 
     // ---- degree distribution (Figure 2 at laptop scale) ----
@@ -58,8 +72,7 @@ fn main() {
         ("2D (|L|=0)", Thresholds::all_hubs(1 << 24)),
     ];
 
-    let mesh = MeshShape::near_square(ranks);
-    let cluster = Cluster::new(mesh, MachineConfig::new_sunway());
+    let cluster = Cluster::new(cfg.mesh, cfg.machine);
     for (name, th) in settings {
         let stats: Vec<(u32, u32, ComponentStats)> = cluster.run(|ctx| {
             let chunk = rmat::generate_chunk(&params, ctx.rank() as u64, ranks as u64);

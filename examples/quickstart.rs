@@ -9,7 +9,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use sunbfs::driver::{run_benchmark, RunConfig};
+use sunbfs::driver::{run_benchmark, RunConfig, EDGE_FACTOR};
 
 fn main() {
     let config = RunConfig::small_test(12, 4);
@@ -17,7 +17,7 @@ fn main() {
         "sunbfs quickstart: SCALE {} ({} vertices, {} edges) on a {}x{} mesh",
         config.scale,
         1u64 << config.scale,
-        (config.edge_factor as u64) << config.scale,
+        u64::from(EDGE_FACTOR) << config.scale,
         config.mesh.rows,
         config.mesh.cols,
     );

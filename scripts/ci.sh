@@ -186,6 +186,19 @@ must_refuse 'knob "scale"' "$RUNNER" 70 4 256 64 1
 must_refuse 'knob "scale"' "$RUNNER" 4294967305 4 256 64 1
 must_refuse 'knob "num_roots"' "$RUNNER" 9 4 256 64 0
 
+# The two exploration examples refuse their knobs the same way: a
+# non-integer or out-of-range knob is exit 2 naming it, never a panic,
+# an abort on a huge allocation or a silently different run.
+echo "==> partition_explorer and chip_playground knob refusals"
+cargo build -q --release --example partition_explorer --example chip_playground
+EXPLORER=./target/release/examples/partition_explorer
+CHIP=./target/release/examples/chip_playground
+must_refuse 'knob "ranks"' "$EXPLORER" 9 0
+must_refuse 'knob "scale"' "$EXPLORER" 70 4
+must_refuse 'knob "scale"' "$EXPLORER" x 4
+must_refuse 'knob "mib"' "$CHIP" x
+must_refuse 'knob "mib"' "$CHIP" 0
+
 # Smoke: a spec-count validated run. All 64 roots of a SCALE-16 graph
 # are traversed *and* validated inside a minute — validation is one
 # pass over the edge list per root (docs/PERF.md, rule 6); a validator

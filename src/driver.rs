@@ -23,21 +23,21 @@ use sunbfs_serve::{
     ServeReport, SessionConfig, SessionError, StoreActivity,
 };
 
-/// Everything one benchmark run needs.
+/// Edges per vertex of every benchmark graph (the Graph 500 spec's 16).
+pub const EDGE_FACTOR: u32 = 16;
+
+/// Everything one benchmark run needs. The machine is always
+/// [`MachineConfig::new_sunway`].
 #[derive(Clone, Debug)]
 pub struct RunConfig {
-    /// Graph 500 SCALE (`2^scale` vertices, `16 · 2^scale` edges).
+    /// Graph 500 SCALE (`2^scale` vertices, `EDGE_FACTOR · 2^scale` edges).
     pub scale: u32,
-    /// Edges per vertex (spec: 16).
-    pub edge_factor: u32,
     /// Mesh of simulated ranks (rows map to supernodes).
     pub mesh: MeshShape,
     /// E/H degree thresholds.
     pub thresholds: Thresholds,
     /// Engine technique toggles.
     pub engine: EngineConfig,
-    /// Machine constants.
-    pub machine: MachineConfig,
     /// Generator seed.
     pub seed: u64,
     /// Number of BFS roots to run.
@@ -69,18 +69,16 @@ pub struct RunConfig {
     pub load_graph: Option<String>,
 }
 
-/// The defaults every call site shares (Graph 500 edge factor, Sunway
-/// machine constants, seed 42, …), so call sites state only what they
-/// change: `RunConfig { scale: 12, ..RunConfig::default() }`.
+/// The defaults every call site shares (2x2 mesh, 256/64 thresholds,
+/// seed 42, …), so call sites state only what they change:
+/// `RunConfig { scale: 12, ..RunConfig::default() }`.
 impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
             scale: 9,
-            edge_factor: 16,
             mesh: MeshShape::near_square(4),
             thresholds: Thresholds::new(256, 64),
             engine: EngineConfig::default(),
-            machine: MachineConfig::new_sunway(),
             seed: 42,
             num_roots: 3,
             validate: false,
@@ -103,12 +101,6 @@ impl RunConfig {
             validate: true,
             ..RunConfig::default()
         }
-    }
-
-    fn rmat(&self) -> RmatParams {
-        let mut p = RmatParams::graph500(self.scale, self.seed);
-        p.edge_factor = self.edge_factor;
-        p
     }
 }
 
@@ -590,23 +582,23 @@ pub fn run_benchmark_with_sleeper(
     sleep: &mut dyn FnMut(Duration),
 ) -> Result<BenchmarkReport, DriverError> {
     let wall_start = Instant::now();
-    let roots = pick_roots(&config.rmat(), config.num_roots)?;
+    let session_cfg = SessionConfig {
+        scale: config.scale,
+        edge_factor: EDGE_FACTOR,
+        mesh: config.mesh,
+        thresholds: config.thresholds,
+        engine: config.engine,
+        machine: MachineConfig::new_sunway(),
+        seed: config.seed,
+        max_load_attempts: 1 + config.max_root_retries,
+    };
+    let params = session_cfg.rmat();
+    let roots = pick_roots(&params, config.num_roots)?;
     let nranks = config.mesh.num_ranks();
     let campaign = match FaultPlan::from_env(nranks) {
         Err(e) => return Err(DriverError::InvalidFaultPlan(e)),
         Ok(Some(events)) => events,
         Ok(None) => FaultPlan::generate(&config.faults, nranks),
-    };
-
-    let session_cfg = SessionConfig {
-        scale: config.scale,
-        edge_factor: config.edge_factor,
-        mesh: config.mesh,
-        thresholds: config.thresholds,
-        engine: config.engine,
-        machine: config.machine,
-        seed: config.seed,
-        max_load_attempts: 1 + config.max_root_retries,
     };
     let load_start = Instant::now();
     let mut session = match &config.load_graph {
@@ -675,7 +667,7 @@ pub fn run_benchmark_with_sleeper(
     let n = session.num_vertices();
     let validate_start = Instant::now();
     let oracle: Option<(Vec<Edge>, DistinctEdges)> = config.validate.then(|| {
-        let edges = sunbfs_rmat::generate_edges(&config.rmat());
+        let edges = sunbfs_rmat::generate_edges(&params);
         let distinct = DistinctEdges::new(n, &edges);
         (edges, distinct)
     });

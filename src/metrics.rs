@@ -11,14 +11,16 @@ use std::io::Write as _;
 use std::path::Path;
 
 use sunbfs_common::{JsonValue, TimeAccumulator, ToJson};
-use sunbfs_core::IterationStats;
+use sunbfs_core::{config, IterationStats};
 use sunbfs_net::MeshShape;
 use sunbfs_part::ComponentStats;
 use sunbfs_sunway::KernelReport;
 
 use sunbfs_serve::SoakReport;
 
-use crate::driver::{BenchmarkReport, FaultReport, RecoveryReport, RootRun, RunConfig};
+use crate::driver::{
+    BenchmarkReport, FaultReport, RecoveryReport, RootRun, RunConfig, EDGE_FACTOR,
+};
 
 /// Bump when the JSON layout changes shape (adding fields is a bump
 /// too: the golden test pins the exact skeleton).
@@ -184,20 +186,20 @@ fn faults_json(f: &FaultReport) -> JsonValue {
 fn config_json(c: &RunConfig) -> JsonValue {
     JsonValue::object()
         .field("scale", c.scale)
-        .field("edge_factor", c.edge_factor)
+        .field("edge_factor", EDGE_FACTOR)
         .field("mesh", c.mesh.to_json())
         .field("thresholds", c.thresholds.to_json())
         .field(
             "engine",
             JsonValue::object()
-                .field("alpha_local", c.engine.alpha_local)
-                .field("beta_crossing", c.engine.beta_crossing)
+                .field("alpha_local", config::ALPHA_LOCAL)
+                .field("beta_crossing", config::BETA_CROSSING)
                 .field("sub_iteration", c.engine.sub_iteration)
-                .field("vanilla_alpha", c.engine.vanilla_alpha)
+                .field("vanilla_alpha", config::VANILLA_ALPHA)
                 .field("segmenting", c.engine.segmenting)
                 .field("direction_heuristic", c.engine.heuristic.name())
-                .field("alpha_measured", c.engine.alpha_measured)
-                .field("beta_measured", c.engine.beta_measured),
+                .field("alpha_measured", config::ALPHA_MEASURED)
+                .field("beta_measured", config::BETA_MEASURED),
         )
         .field("seed", c.seed)
         .field("num_roots", c.num_roots)

@@ -180,7 +180,6 @@ impl Scenario {
                 heuristic: self.heuristic,
                 sub_iteration: self.sub_iteration,
                 segmenting: self.segmenting,
-                ..EngineConfig::default()
             },
             seed: self.graph_seed,
             ..SessionConfig::small(self.scale, 1)
