@@ -263,11 +263,6 @@ impl HubDirectory {
     pub fn src_col(&self, hub: u32, cols: usize) -> usize {
         hub as usize % cols
     }
-
-    /// Hub ids whose destination state mesh row `row` owns, ascending.
-    pub fn dest_hubs(&self, row: usize, rows: usize) -> impl Iterator<Item = u64> {
-        (row as u64..self.num_hubs() as u64).step_by(rows)
-    }
 }
 
 #[cfg(test)]
@@ -376,11 +371,15 @@ mod tests {
 
     #[test]
     fn cyclic_hub_placement_partitions_hub_space() {
+        // Hub ids whose destination state mesh row `row` owns, ascending.
+        let dest_hubs = |d: &HubDirectory, row: usize, rows: usize| {
+            (row as u64..d.num_hubs() as u64).step_by(rows)
+        };
         let d = sample_directory();
         for parts in 1..=6 {
             let mut seen = vec![false; d.num_hubs() as usize];
             for i in 0..parts {
-                for h in d.dest_hubs(i, parts) {
+                for h in dest_hubs(&d, i, parts) {
                     assert_eq!(d.dest_row(h as u32, parts), i);
                     assert!(!seen[h as usize], "hub {h} assigned twice");
                     seen[h as usize] = true;

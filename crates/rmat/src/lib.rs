@@ -20,10 +20,8 @@
 //! degree information, as the specification requires.
 
 pub mod degree;
-pub mod social;
 
 pub use degree::{degree_frequencies, degree_histogram, degrees};
-pub use social::{generate_social, SocialParams};
 
 use sunbfs_common::{Edge, GlobalGraphHeader, LabelScrambler, SplitMix64};
 

@@ -18,7 +18,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps
 echo "==> doc link check"
 ./scripts/check_docs.sh
 
-# The committed code inventory (ROADMAP item 5) is the script's output.
+# The committed code inventory is the script's output.
 echo "==> code inventory is fresh (docs/LOC.md)"
 ./scripts/loc_report.sh | diff - docs/LOC.md
 
@@ -50,8 +50,9 @@ echo "==> differential sweep (release, hard timeout)"
 timeout 600 cargo test -q --release --test differential
 
 # Worker-pool determinism: SUNBFS_WORKERS must never change an output
-# byte (parents and depths identical to the serial path at every worker
-# count) — the contract that makes the parallel kernels trustworthy.
+# byte — the differential harness's scenarios pinned at SCALE 12 on 2x2
+# and 2x3, single-source and a 64-root batch at 2, 4 and 7 workers,
+# each byte-identical to its serial twin, which the oracle checks.
 echo "==> worker-pool equivalence sweep (hard timeout)"
 timeout 600 cargo test -q --release --test parallel_equivalence
 
@@ -243,10 +244,12 @@ if [ "$DIR_RC" -ne 2 ]; then
 fi
 
 # Serve suite: admission control, batch formation, fault containment,
-# batch-vs-sequential equivalence, and the >=2x roots/sec acceptance
-# bar. Hard timeout for the same
-# reason as the fault suites — a stuck queue or hung batch is a
-# regression.
+# batch-vs-sequential equivalence (the differential harness's scenarios
+# pinned per mesh and threshold regime: one batch and the per-root loop,
+# both through the oracle, and batches of width 1, 2 and 64 over a
+# resident delta), and the >=2x roots/sec acceptance bar. Hard timeout
+# for the same reason as the fault suites — a stuck queue or hung batch
+# is a regression.
 echo "==> serve suite (hard timeout)"
 timeout 300 cargo test -q -p sunbfs-serve
 timeout 600 cargo test -q --test serve_equivalence --test serve_perf
@@ -305,6 +308,9 @@ BFS_SERVER=./target/release/examples/bfs_server
 start_server() {
     local log="$1"
     shift
+    # Empty a reused log before the launch, so the poll below cannot
+    # read the previous server's line.
+    : > "$log"
     timeout 600 "$BFS_SERVER" --tcp 127.0.0.1:0 "$@" > "$log" &
     SERVER_PID=$!
     for _ in $(seq 1 300); do

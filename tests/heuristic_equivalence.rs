@@ -24,8 +24,11 @@
 //!    baseline: one direction per iteration) is pinned under `Fixed`
 //!    and `Measured` — parents and the direction trace.
 
+mod common;
+
 use std::borrow::Cow;
 
+use common::Scenario;
 use proptest::prelude::*;
 use sunbfs::common::bitmap::wide;
 use sunbfs::common::{pool, Edge, MachineConfig};
@@ -137,6 +140,7 @@ fn graph() -> (RmatParams, Vec<Edge>, u64) {
 #[test]
 fn fixed_heuristic_matches_pre_vectorization_golden() {
     let (params, edges, root) = graph();
+    let _pool = common::pool_lock();
     pool::set_workers(1);
     let pass = run_pass(
         MeshShape::new(2, 2),
@@ -170,6 +174,7 @@ fn fixed_heuristic_matches_pre_vectorization_golden() {
 #[test]
 fn vanilla_schedule_matches_its_golden() {
     let (params, edges, root) = graph();
+    let _pool = common::pool_lock();
     for (heuristic, want_parents, want_trace) in [
         (
             DirectionHeuristic::Fixed,
@@ -204,49 +209,17 @@ fn vanilla_schedule_matches_its_golden() {
 }
 
 /// Contract 2: the measured heuristic (the default) is Graph 500 valid
-/// on both mesh shapes, produces the canonical depth per vertex on
-/// each (so depths agree across meshes), and is byte-identical across
-/// worker counts {1, 4} within a mesh.
+/// on both mesh shapes with the reference BFS's depths on each (so
+/// depths agree across meshes), surfaces its edge masses, and serves
+/// parents and direction trace byte-identical across worker counts
+/// {1, 4} within a mesh.
 #[test]
 fn measured_heuristic_validates_across_meshes_and_workers() {
-    let (params, edges, root) = graph();
-    let n = params.num_vertices();
-    let mut reference_levels: Option<Vec<u64>> = None;
-
-    for mesh in [MeshShape::new(2, 2), MeshShape::new(2, 3)] {
-        pool::set_workers(1);
-        let serial = run_pass(mesh, root, &engine_cfg(DirectionHeuristic::Measured));
-        validate_parents(n, &edges, root, &serial.parents).expect("measured parents validate");
-        assert!(
-            serial.mass_sum.0 > 0 && serial.mass_sum.1 > 0,
-            "measured mode must surface edge masses in SubIterationStats"
-        );
-
-        // Depths are the cross-mesh invariant.
-        let levels = levels_from_parents(root, &serial.parents).expect("a tree");
-        match &reference_levels {
-            None => reference_levels = Some(levels),
-            Some(reference) => assert_eq!(
-                &levels, reference,
-                "depths differ between meshes on {}x{}",
-                mesh.rows, mesh.cols
-            ),
-        }
-
-        pool::set_workers(4);
-        let parallel = run_pass(mesh, root, &engine_cfg(DirectionHeuristic::Measured));
-        pool::set_workers(0);
-        assert!(
-            parallel.parents == serial.parents,
-            "measured parents differ at 4 workers on {}x{}",
-            mesh.rows,
-            mesh.cols
-        );
-        assert_eq!(
-            parallel.trace, serial.trace,
-            "schedule must be worker-invariant"
-        );
-    }
+    // `pinned` runs the default engine, whose heuristic is `Measured`.
+    let meshes =
+        [(2, 2), (2, 3)].map(|mesh| Scenario::pinned(SCALE, mesh, Thresholds::new(128, 32), SEED));
+    let scenarios = meshes.map(|s| [1, 4].map(|workers| Scenario { workers, ..s }));
+    common::run(scenarios.as_flattened());
 }
 
 /// What contract 4 pins of one traversal: everything a lane refactor

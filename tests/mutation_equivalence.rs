@@ -6,41 +6,15 @@
 //! byte-identical to a fresh `build_1p5d` pass over the same
 //! deduplicated canonical union, pinned through `encode_store`.
 
+mod common;
+
+use common::{Commit, Scenario};
 use sunbfs::common::{pool, Edge};
-use sunbfs::core::validate::{reference_bfs, validate_parents};
 use sunbfs::mutate::{canonical_edge_set, generate_batch};
 use sunbfs::net::{fnv1a, Cluster, FaultPlan};
 use sunbfs::part::{build_1p5d, Thresholds};
 use sunbfs::serve::{GraphSession, SessionConfig};
 use sunbfs::store::encode_store;
-
-/// The session's resident edge multiset as one deduplicated canonical
-/// list: base CSR edges plus whatever still sits in the delta log.
-/// Valid in every overlay state — after a compaction the log is empty
-/// and the base already holds the union.
-fn union_edges(session: &GraphSession) -> Vec<Edge> {
-    canonical_edge_set(session.partitions(), session.delta_log())
-        .into_iter()
-        .map(|(u, v)| Edge::new(u, v))
-        .collect()
-}
-
-/// Depth identity and full Graph 500 validation of the session's
-/// union-view BFS against the sequential reference, for several roots.
-fn assert_session_matches_reference(session: &GraphSession, label: &str) {
-    let n = session.num_vertices();
-    let edges = union_edges(session);
-    for root in [0, n / 2, n - 1] {
-        let (parents, depths) = session.union_bfs(root);
-        assert_eq!(
-            depths,
-            reference_bfs(n, &edges, root).1,
-            "{label}: depths from root {root} diverge from the fresh union reference"
-        );
-        validate_parents(n, &edges, root, &parents)
-            .unwrap_or_else(|e| panic!("{label}: Graph 500 validation from {root}: {e:?}"));
-    }
-}
 
 /// A fan of inserts onto the lightest vertex that is guaranteed to push
 /// it across `h_threshold`, whatever its starting degree below it was.
@@ -61,48 +35,26 @@ fn promotion_fan(session: &GraphSession) -> (u64, Vec<Edge>) {
     (hub, fan)
 }
 
+/// A quiet batch that stays in the overlay, then a promoting fan whose
+/// commit compacts: epochs 1 then 2, `union_bfs` and every served tree
+/// against the generator's edges plus both batches, on 2x2 and 2x3
+/// meshes, each under a serial and a parallel worker pool — the update
+/// path must be worker-count invariant like the build it reuses.
 #[test]
 fn mutated_bfs_is_depth_identical_across_meshes_and_workers() {
-    // 2x2 and 2x3 meshes (near_square(4) / near_square(6)), each under
-    // a serial and a parallel worker pool: the update path must be
-    // worker-count invariant like the build it reuses.
-    for ranks in [4usize, 6] {
-        for workers in [1usize, 4] {
-            pool::set_workers(workers);
-            let label = format!("ranks {ranks} workers {workers}");
-            let cfg = SessionConfig::small(10, ranks);
-            let mut session = GraphSession::load(cfg, FaultPlan::none()).expect("session builds");
-            let n = session.num_vertices();
-
-            // Round 1: a seeded random batch, normally staying in the
-            // overlay (pre-compaction serving path).
-            let batch = generate_batch(7, 0, 48, n);
-            let epoch = session.apply_updates(&batch).expect("commit");
-            assert_eq!(epoch, 1, "{label}: first commit is epoch 1");
-            assert_session_matches_reference(&session, &format!("{label} pre-compaction"));
-
-            // Round 2: a promotion-forcing fan — the commit must
-            // compact immediately and still stay depth-identical.
-            let (hub, fan) = promotion_fan(&session);
-            let compactions_before = session.compactions();
-            session.apply_updates(&fan).expect("promoting commit");
-            assert!(
-                session.compactions() > compactions_before,
-                "{label}: the fan onto {hub} must promote and force a compaction"
-            );
-            assert!(
-                !session.has_delta(),
-                "{label}: compaction drains the overlay"
-            );
-            assert_session_matches_reference(&session, &format!("{label} post-compaction"));
-            assert_eq!(session.epoch(), 2, "{label}: epochs survive compaction");
-        }
-    }
-    pool::set_workers(0); // restore the default (auto) pool
+    let meshes = [(2, 2), (2, 3)].map(|mesh| Scenario {
+        seed: 7,
+        roots: 3,
+        updates: &[Commit::Quiet, Commit::Fan],
+        ..Scenario::pinned(10, mesh, Thresholds::new(256, 64), 42)
+    });
+    let scenarios = meshes.map(|s| [1, 4].map(|workers| Scenario { workers, ..s }));
+    common::run(scenarios.as_flattened());
 }
 
 #[test]
 fn compaction_is_byte_identical_to_a_fresh_build_from_the_union() {
+    let _pool = common::pool_lock();
     pool::set_workers(0);
     let cfg = SessionConfig::small(9, 4);
     let mut session = GraphSession::load(cfg, FaultPlan::none()).expect("session builds");
@@ -317,6 +269,7 @@ const PINNED: &[Pin] = &[
 
 #[test]
 fn commit_schedule_outcomes_are_pinned() {
+    let _pool = common::pool_lock();
     pool::set_workers(0);
     let mut got = Vec::new();
     for ranks in [4usize, 6] {

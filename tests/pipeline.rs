@@ -2,12 +2,15 @@
 //! to end — generator → partitioner → engine → validator — across mesh
 //! shapes, threshold regimes, technique toggles, and multiple roots.
 
-use sunbfs::common::MachineConfig;
+mod common;
+
+use common::Scenario;
+use sunbfs::common::{Edge, MachineConfig, SplitMix64};
 use sunbfs::core::EngineConfig;
 use sunbfs::driver::{pick_roots, run_benchmark, RunConfig};
 use sunbfs::net::MeshShape;
 use sunbfs::part::Thresholds;
-use sunbfs::rmat::RmatParams;
+use sunbfs::rmat::{degrees, RmatParams};
 
 fn base_config(scale: u32, ranks: usize) -> RunConfig {
     RunConfig {
@@ -57,67 +60,45 @@ fn every_roots_end_op_counts_from_its_own_first_collective() {
     }
 }
 
-#[test]
-fn every_mesh_shape_validates() {
-    for (rows, cols) in [(1usize, 1usize), (1, 6), (6, 1), (2, 3), (3, 3)] {
-        let mut cfg = base_config(10, rows * cols);
-        cfg.mesh = MeshShape::new(rows, cols);
-        cfg.num_roots = 1;
-        let report = run_benchmark(&cfg).expect("benchmark must pass");
-        assert!(report.validated, "mesh {rows}x{cols} failed validation");
-    }
+/// One root through the per-root loop and `run_benchmark` on
+/// `base_config`'s graph: thresholds 128/32, seed 4242.
+fn scenario(scale: u32, mesh: (usize, usize)) -> Scenario {
+    Scenario::pinned(scale, mesh, Thresholds::new(128, 32), 4242)
 }
 
 #[test]
+fn every_mesh_shape_validates() {
+    common::run(&[(1, 1), (1, 6), (6, 1), (2, 3), (3, 3)].map(|mesh| scenario(10, mesh)));
+}
+
+/// Every combination visits the reference census of one root, so they
+/// agree on reachability.
+#[test]
 fn all_technique_combinations_validate_and_agree() {
-    let mut reference_visits: Option<u64> = None;
-    for sub_iteration in [false, true] {
-        for segmenting in [false, true] {
-            let mut cfg = base_config(11, 4);
-            cfg.engine = EngineConfig {
-                sub_iteration,
-                segmenting,
-                ..Default::default()
-            };
-            cfg.num_roots = 1;
-            let report = run_benchmark(&cfg).expect("benchmark must pass");
-            assert!(report.validated);
-            let v = report.runs[0].visited_vertices;
-            match reference_visits {
-                None => reference_visits = Some(v),
-                Some(expect) => assert_eq!(v, expect, "technique toggles changed reachability"),
-            }
-        }
-    }
+    let toggles = [(false, false), (false, true), (true, false), (true, true)];
+    common::run(&toggles.map(|(sub_iteration, segmenting)| Scenario {
+        sub_iteration,
+        segmenting,
+        ..scenario(11, (2, 2))
+    }));
 }
 
 #[test]
 fn threshold_regimes_all_validate() {
-    for th in [
+    let base = scenario(10, (2, 2));
+    let regimes = [
         Thresholds::none(),
         Thresholds::heavy_only(64),
         Thresholds::new(256, 16),
         Thresholds::all_hubs(1 << 20),
-    ] {
-        let mut cfg = base_config(10, 4);
-        cfg.thresholds = th;
-        cfg.num_roots = 1;
-        let report = run_benchmark(&cfg).expect("benchmark must pass");
-        assert!(report.validated, "thresholds {th:?} failed");
-    }
+    ];
+    common::run(&regimes.map(|thresholds| Scenario { thresholds, ..base }));
 }
 
 #[test]
 fn seeds_change_the_graph_but_not_correctness() {
-    for seed in [1u64, 99, 123456789] {
-        let mut cfg = base_config(10, 4);
-        cfg.seed = seed;
-        cfg.num_roots = 1;
-        assert!(
-            run_benchmark(&cfg).expect("benchmark must pass").validated,
-            "seed {seed} failed"
-        );
-    }
+    let base = scenario(10, (2, 2));
+    common::run(&[1, 99, 123456789].map(|graph_seed| Scenario { graph_seed, ..base }));
 }
 
 #[test]
@@ -155,25 +136,62 @@ fn simulated_times_scale_with_problem_size() {
     );
 }
 
+/// A preferential-attachment multigraph (§8: the partitioning targets
+/// any skew-heavy graph, not just R-MAT): each of `n` vertices after
+/// the first two attaches `m` times to targets drawn in proportion to
+/// their current degree, by sampling the endpoint list. Sequential by
+/// nature, so ranks take slices of the full list.
+fn generate_social(n: u64, m: u64, seed: u64) -> Vec<Edge> {
+    let mut rng = SplitMix64::new(seed ^ 0x50c1a1);
+    let mut edges = Vec::with_capacity((n * m) as usize);
+    // Endpoint pool: every occurrence is one unit of degree.
+    let mut pool: Vec<u64> = vec![0, 1];
+    edges.push(Edge::new(0, 1));
+    for t in 2..n {
+        for _ in 0..m {
+            let target = pool[rng.next_below(pool.len() as u64) as usize];
+            edges.push(Edge::new(t, target));
+            pool.push(target);
+            pool.push(t);
+        }
+    }
+    edges
+}
+
+#[test]
+fn social_generator_is_deterministic_connected_and_heavy_tailed() {
+    assert_eq!(generate_social(1000, 4, 7).len(), 1 + (1000 - 2) * 4);
+    assert_eq!(generate_social(500, 4, 7), generate_social(500, 4, 7));
+    let edges = generate_social(2000, 4, 7);
+    assert!(edges.iter().all(|e| e.u < 2000 && e.v < 2000));
+    // One connected component: every vertex has degree ≥ 1.
+    let deg = degrees(2000, &edges);
+    assert!(
+        deg.iter().all(|&d| d > 0),
+        "PA graphs have no isolated vertices"
+    );
+    let deg = degrees(5000, &generate_social(5000, 4, 7));
+    let max = *deg.iter().max().unwrap() as f64;
+    let mean = deg.iter().map(|&d| d as f64).sum::<f64>() / deg.len() as f64;
+    assert!(max / mean > 20.0, "max/mean {} too flat", max / mean);
+    // Early vertices dominate (the rich get richer).
+    let early: u64 = deg[..50].iter().map(|&d| d as u64).sum();
+    let late: u64 = deg[deg.len() - 50..].iter().map(|&d| d as u64).sum();
+    assert!(early > late * 5, "early {early} vs late {late}");
+}
+
 #[test]
 fn social_graph_traverses_and_validates() {
-    // §8: the partitioning targets any skew-heavy graph, not just
-    // R-MAT. Run the whole pipeline on a preferential-attachment graph.
+    // Run the whole pipeline on a preferential-attachment graph.
     use sunbfs::core::{run_bfs, validate_parents};
     use sunbfs::net::Cluster;
     use sunbfs::part::build_1p5d;
-    use sunbfs::rmat::{generate_social, SocialParams};
 
-    let params = SocialParams {
-        num_vertices: 4096,
-        edges_per_vertex: 8,
-        seed: 11,
-    };
-    let edges = generate_social(&params);
-    let n = params.num_vertices;
+    let n = 4096;
+    let edges = generate_social(n, 8, 11);
     let cluster = Cluster::new(MeshShape::new(3, 3), MachineConfig::new_sunway());
     let outputs = cluster.run(|ctx| {
-        let chunk: Vec<sunbfs::common::Edge> = edges
+        let chunk: Vec<Edge> = edges
             .iter()
             .enumerate()
             .filter(|(i, _)| i % 9 == ctx.rank())

@@ -4,17 +4,15 @@
 //! metrics JSON, and any damage to the file must surface as a typed
 //! refusal — never a silently different graph.
 
+mod common;
+
 use std::path::PathBuf;
 
-use sunbfs::common::MachineConfig;
-use sunbfs::core::{validate, EngineConfig};
-use sunbfs::driver::{pick_roots, run_benchmark, RunConfig};
-use sunbfs::net::{FaultPlan, MeshShape};
+use common::Scenario;
+use sunbfs::driver::{run_benchmark, RunConfig};
+use sunbfs::net::FaultPlan;
 use sunbfs::part::Thresholds;
-use sunbfs::rmat::RmatParams;
-use sunbfs::serve::{
-    BfsService, GraphSession, ServeConfig, SessionConfig, SessionError, StoreError,
-};
+use sunbfs::serve::{GraphSession, SessionConfig, SessionError, StoreError};
 
 const SCALE: u32 = 10;
 const RANKS: usize = 4;
@@ -22,14 +20,9 @@ const SEED: u64 = 4242;
 
 fn session_cfg(seed: u64) -> SessionConfig {
     SessionConfig {
-        scale: SCALE,
-        edge_factor: 16,
-        mesh: MeshShape::near_square(RANKS),
-        thresholds: Thresholds::new(256, 64),
-        engine: EngineConfig::default(),
-        machine: MachineConfig::new_sunway(),
         seed,
         max_load_attempts: 1,
+        ..SessionConfig::small(SCALE, RANKS)
     }
 }
 
@@ -40,61 +33,19 @@ fn temp_store(tag: &str) -> PathBuf {
     ))
 }
 
-/// Serve `roots` through a fresh service over `session` and return
-/// `(root, parents, depth_histogram)` per query, in submission order.
-fn serve_all(session: GraphSession, roots: &[u64]) -> Vec<(u64, Vec<u64>, Vec<u64>)> {
-    let mut service = BfsService::new(
-        session,
-        ServeConfig {
-            queue_capacity: roots.len().max(1),
-            ..ServeConfig::default()
-        },
-    );
-    for &root in roots {
-        service.submit(root).expect("in-range root");
-    }
-    let mut results = service.drain();
-    results.sort_by_key(|r| r.id);
-    results
-        .into_iter()
-        .map(|r| {
-            let parents = r.parents.expect("served query carries parents");
-            (r.root, parents.to_vec(), r.depth_histogram.clone())
-        })
-        .collect()
-}
-
 /// The acceptance criterion: a session opened from the store file
 /// serves byte-identical parents and depth histograms to the session
-/// that built the graph, and the fresh results Graph 500-validate.
+/// that built the graph (its twin), and the built session's results
+/// pass the harness's oracle — one batch of the default width.
 #[test]
 fn opened_session_serves_byte_identical_results() {
-    let path = temp_store("identity");
-    let roots = pick_roots(&RmatParams::graph500(SCALE, SEED), 4).expect("connected roots");
-
-    let mut built = GraphSession::load(session_cfg(SEED), FaultPlan::none()).expect("build");
-    let info = built.save(&path).expect("save");
-    assert_eq!(info.file_bytes, info.pages * 4096);
-    let fresh = serve_all(built, &roots);
-
-    // Every fresh parent array is a valid BFS tree of the real graph.
-    let edges = sunbfs::rmat::generate_edges(&RmatParams::graph500(SCALE, SEED));
-    for (root, parents, _) in &fresh {
-        validate::validate_parents(1 << SCALE, &edges, *root, parents)
-            .expect("fresh results must Graph 500-validate");
-    }
-
-    let opened = GraphSession::open(&path, session_cfg(SEED), FaultPlan::none())
-        .unwrap_or_else(|e| panic!("open failed: {e}"));
-    std::fs::remove_file(&path).ok();
-    let warm = serve_all(opened, &roots);
-
-    assert_eq!(fresh.len(), warm.len());
-    for ((root_a, parents_a, hist_a), (root_b, parents_b, hist_b)) in fresh.iter().zip(&warm) {
-        assert_eq!(root_a, root_b);
-        assert_eq!(parents_a, parents_b, "parents differ for root {root_a}");
-        assert_eq!(hist_a, hist_b, "depth histogram differs for root {root_a}");
-    }
+    let built = Scenario::pinned(SCALE, (2, 2), Thresholds::new(256, 64), SEED);
+    common::run(&[Scenario {
+        width: 64,
+        roots: 4,
+        store: true,
+        ..built
+    }]);
 }
 
 /// An opened session reports zero build cost and `opened` store
