@@ -10,13 +10,14 @@
 //! access, and medians over ten runs are plenty for the shape-level
 //! statements these numbers back.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use sunbfs_common::bitmap::wide;
 use sunbfs_common::{Bitmap, JsonValue, MachineConfig, SplitMix64, INVALID_VERTEX};
 use sunbfs_core::engine::reach_tallies;
 use sunbfs_core::validate;
-use sunbfs_net::{Cluster, MeshShape};
+use sunbfs_net::{Cluster, MeshShape, RankCtx};
 use sunbfs_part::Csr;
 use sunbfs_rmat::RmatParams;
 use sunbfs_sort::radix_sort_u64;
@@ -152,6 +153,14 @@ fn main() {
     bench("cluster_run_noop/2x2 x1000", None, || {
         for _ in 0..1000 {
             cluster.run(|_| ());
+        }
+    });
+    // The same run on the cluster's resident rank threads: three jobs
+    // sent and three results received instead.
+    let noop = Arc::new(|_: &mut RankCtx| ());
+    bench("resident_run_noop/2x2 x1000", None, || {
+        for _ in 0..1000 {
+            cluster.run_resident(Arc::clone(&noop));
         }
     });
 

@@ -16,7 +16,7 @@
 //!    order**, reproducing the serial iteration order exactly. Whether
 //!    a helper thread actually ran a chunk can never change the output.
 //! 2. **No oversubscription.** Every simulated rank is already an OS
-//!    thread ([`std::thread::scope`] in the cluster driver). Helper
+//!    thread (spawned per run or resident, in the cluster runtime). Helper
 //!    threads draw from one *process-global* permit budget of
 //!    `SUNBFS_WORKERS - 1`, so the whole simulated cluster never runs
 //!    more than `SUNBFS_WORKERS` kernel threads at once. Acquisition

@@ -1,8 +1,13 @@
 //! SPMD cluster runtime.
 //!
-//! [`Cluster::run`] executes one closure per simulated rank, each on its
-//! own OS thread, exactly as an MPI program would run one process per
-//! node. Ranks communicate **only** through the collectives on
+//! [`Cluster::run`] executes one closure per simulated rank, each on an
+//! OS thread of its own, exactly as an MPI program would run one
+//! process per node: rank 0 on the caller's thread, ranks 1..p on
+//! threads spawned for the run. [`Cluster::run_resident`] runs `'static`
+//! jobs on ranks 1..p's *resident* threads instead — spawned by the
+//! cluster's first such job, fed over a channel and joined when the
+//! cluster drops — the long-lived ranks of the paper's 64-root loop.
+//! Ranks communicate **only** through the collectives on
 //! [`RankCtx`]; all payload bytes really cross thread boundaries via a
 //! rendezvous exchange, so the functional result of a run is a genuine
 //! distributed computation, not a shared-memory shortcut.
@@ -33,7 +38,8 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 
 use sunbfs_common::{json_record, JsonValue, MachineConfig, SimTime, TimeAccumulator, ToJson};
 
@@ -136,7 +142,7 @@ struct ClusterShared {
     plan: FaultPlan,
     /// [`FaultPlan::next_panic_op`] as of the start of the current run
     /// (`u64::MAX` when no panic is pending): stored between runs, with
-    /// no rank thread alive, and read by the rank threads spawned after.
+    /// no rank running, and read by the ranks the run then starts.
     panic_op: AtomicU64,
     /// Every fault that actually fired, across all runs of this cluster.
     fault_log: Mutex<Vec<FaultRecord>>,
@@ -158,12 +164,73 @@ impl ClusterShared {
 
     /// Heal barriers and clear rendezvous state between runs so a
     /// cluster that lost a rank can host a retry. Only sound when no
-    /// rank threads are running — `run_fallible` joins all threads
-    /// before returning, so its entry point is safe.
+    /// rank is running — both launchers collect every rank's result
+    /// before returning, so their entry points are safe.
     fn reset_for_run(&self) {
         let panic_op = self.plan.next_panic_op().unwrap_or(u64::MAX);
         self.panic_op.store(panic_op, Ordering::Release);
         self.scopes().for_each(ScopeShared::reset);
+    }
+
+    /// One rank's part of a run, whichever thread it is on: `f` under
+    /// `catch_unwind`, an unwind classified into a [`RankFailure`].
+    fn run_rank<T, F>(self: &Arc<Self>, rank: usize, f: &F) -> Result<T, RankFailure>
+    where
+        F: Fn(&mut RankCtx) -> T + ?Sized,
+    {
+        let mut ctx = RankCtx::new(rank, Arc::clone(self));
+        catch_unwind(AssertUnwindSafe(|| f(&mut ctx))).map_err(|p| {
+            let failure = RankFailure::from_panic(rank, p);
+            // Collateral teardown poisons nothing itself: its root
+            // cause does — possibly later, when the victim of a
+            // planned panic reaches the collective the others
+            // already stopped at.
+            if failure.is_root_cause() {
+                self.poison_all();
+            }
+            failure
+        })
+    }
+}
+
+/// One rank's part of a resident run, sent to its worker.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// A resident rank thread: the queue it takes jobs from, and its handle
+/// (`None` when the spawn failed — the queue is then closed, and a job
+/// sent to it fails that rank with a typed [`RankFailure`]).
+struct Worker {
+    jobs: mpsc::Sender<Job>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Worker {
+    /// Start rank `rank`'s thread with its first job in hand, so the
+    /// scheduler places it as it places any new thread, not as the
+    /// wakee of a queue.
+    fn spawn(rank: usize, shared: &Arc<ClusterShared>, first: Job) -> Worker {
+        let (jobs, queue) = mpsc::channel::<Job>();
+        let thread = std::thread::Builder::new()
+            .name(format!("rank {rank}"))
+            .spawn({
+                let shared = Arc::clone(shared);
+                move || {
+                    for job in std::iter::once(first).chain(queue) {
+                        // The rank body catches the closure's panic;
+                        // what still unwinds (a panic payload that
+                        // panics on drop) loses this job's result, which
+                        // the launcher reports. The peers must not wait
+                        // for it.
+                        if catch_unwind(AssertUnwindSafe(job)).is_err() {
+                            shared.poison_all();
+                        }
+                    }
+                }
+            })
+            // A failed spawn takes the first job down with it.
+            .map_err(|_| shared.poison_all())
+            .ok();
+        Worker { jobs, thread }
     }
 }
 
@@ -318,6 +385,15 @@ impl RankFailure {
         RankFailure { rank, kind }
     }
 
+    /// The failure of a rank whose resident thread returned no result.
+    fn no_result(rank: usize) -> Self {
+        let message = "the rank's resident thread returned no result".to_string();
+        RankFailure {
+            rank,
+            kind: FailureKind::Panic { message },
+        }
+    }
+
     /// True when this failure is a root cause rather than collateral
     /// teardown of a failure elsewhere.
     pub fn is_root_cause(&self) -> bool {
@@ -362,6 +438,26 @@ impl std::fmt::Display for RankFailure {
 /// A simulated cluster: an `R × C` mesh of ranks plus machine constants.
 pub struct Cluster {
     shared: Arc<ClusterShared>,
+    /// Ranks 1..p's resident threads, spawned by the first
+    /// [`Cluster::run_resident`] and joined when the cluster drops.
+    workers: OnceLock<Vec<Worker>>,
+}
+
+impl Drop for Cluster {
+    fn drop(&mut self) {
+        // Close every queue first, then join: each worker leaves its
+        // loop once its queue is closed and empty.
+        let threads: Vec<_> = self
+            .workers
+            .take()
+            .unwrap_or_default()
+            .into_iter()
+            .filter_map(|worker| worker.thread)
+            .collect();
+        for thread in threads {
+            let _ = thread.join();
+        }
+    }
 }
 
 impl Cluster {
@@ -395,6 +491,7 @@ impl Cluster {
                 fault_log: Mutex::new(Vec::new()),
                 retransmit_log: Mutex::new(Vec::new()),
             }),
+            workers: OnceLock::new(),
         }
     }
 
@@ -430,13 +527,15 @@ impl Cluster {
         log
     }
 
-    /// Run `f` once per rank (one OS thread each; rank 0's is the
-    /// caller's) and return one `Result` per rank, in rank order: `Ok`
+    /// Run `f` once per rank — rank 0 on the caller's thread, ranks
+    /// 1..p on a thread each, spawned for this run and joined before it
+    /// returns — and return one `Result` per rank, in rank order: `Ok`
     /// with the closure's value for ranks that completed, `Err` with a
     /// typed [`RankFailure`] for ranks that unwound (injected faults,
     /// SPMD violations, poisoned barriers, plain panics) — rank 0
     /// included: its panic is caught like any other and never unwinds
-    /// into the caller.
+    /// into the caller. [`Self::run_resident`] is the same run on the
+    /// cluster's resident threads, for closures that own what they use.
     ///
     /// The cluster is healed on entry (barriers unpoisoned, rendezvous
     /// slots cleared), so a failed run can be retried on the same
@@ -449,30 +548,16 @@ impl Cluster {
         F: Fn(&mut RankCtx) -> T + Sync,
     {
         self.shared.reset_for_run();
-        let run_rank = |rank: usize| {
-            let mut ctx = RankCtx::new(rank, Arc::clone(&self.shared));
-            catch_unwind(AssertUnwindSafe(|| f(&mut ctx))).map_err(|p| {
-                let failure = RankFailure::from_panic(rank, p);
-                // Collateral teardown poisons nothing itself: its root
-                // cause does — possibly later, when the victim of a
-                // planned panic reaches the collective the others
-                // already stopped at.
-                if failure.is_root_cause() {
-                    self.shared.poison_all();
-                }
-                failure
-            })
-        };
+        let (shared, f) = (&self.shared, &f);
         // Ranks 1..p get a thread each and the caller runs rank 0
         // inside the same scope: one spawn fewer per run, and the
         // first collective does not wait for a caller that is still
         // spawning.
         let results = std::thread::scope(|s| {
-            let run_rank = &run_rank;
-            let spawned: Vec<_> = (1..self.shared.topo.num_ranks())
-                .map(|rank| s.spawn(move || run_rank(rank)))
+            let spawned: Vec<_> = (1..shared.topo.num_ranks())
+                .map(|rank| s.spawn(move || shared.run_rank(rank, f)))
                 .collect();
-            let mut results = vec![run_rank(0)];
+            let mut results = vec![shared.run_rank(0, f)];
             results.extend(spawned.into_iter().map(|handle| {
                 handle
                     .join()
@@ -484,8 +569,64 @@ impl Cluster {
         results
     }
 
-    /// Run `f` once per rank (one OS thread each; rank 0's is the
-    /// caller's) and return the per-rank results in rank order.
+    /// [`Self::run_fallible`] for a job that owns what it uses: rank 0
+    /// runs on the caller's thread, ranks 1..p on the cluster's resident
+    /// threads — rank `r` always on the same one — which the first such
+    /// run spawns and the cluster's drop joins, so a loop of runs spawns
+    /// nothing after its first. Same per-rank results, same healing on
+    /// entry and slot clearing on exit; the two launchers may take
+    /// turns on one cluster.
+    ///
+    /// A rank whose result never comes back — its thread could not be
+    /// spawned, or its job unwound past the rank body — is a typed
+    /// [`FailureKind::Panic`] for that rank, and every barrier is
+    /// poisoned so no peer waits for it.
+    pub fn run_resident<T, F>(&self, f: Arc<F>) -> Vec<Result<T, RankFailure>>
+    where
+        T: Send + 'static,
+        F: Fn(&mut RankCtx) -> T + Send + Sync + 'static,
+    {
+        let p = self.shared.topo.num_ranks();
+        self.shared.reset_for_run();
+        let (done, results) = mpsc::channel();
+        let jobs = (1..p).map(|rank| {
+            let (shared, f, done) = (Arc::clone(&self.shared), Arc::clone(&f), done.clone());
+            Box::new(move || {
+                let _ = done.send((rank, shared.run_rank(rank, &*f)));
+            }) as Job
+        });
+        match self.workers.get() {
+            Some(workers) => {
+                for (worker, job) in workers.iter().zip(jobs) {
+                    if worker.jobs.send(job).is_err() {
+                        self.shared.poison_all();
+                    }
+                }
+            }
+            None => {
+                let workers = (1..).zip(jobs);
+                let workers = workers.map(|(rank, job)| Worker::spawn(rank, &self.shared, job));
+                let _ = self.workers.set(workers.collect());
+            }
+        }
+        // Every job holds a sender: the receive loop below ends once
+        // each has sent its result or been dropped without one.
+        drop(done);
+        let mut out: Vec<_> = (0..p).map(|_| None).collect();
+        out[0] = Some(self.shared.run_rank(0, &*f));
+        for (rank, result) in results {
+            out[rank] = Some(result);
+        }
+        self.shared.scopes().for_each(ScopeShared::clear_slots);
+        let no_result = |rank| Err(RankFailure::no_result(rank));
+        (0..)
+            .zip(out)
+            .map(|(rank, r)| r.unwrap_or_else(|| no_result(rank)))
+            .collect()
+    }
+
+    /// Run `f` once per rank ([`Self::run_fallible`]'s threads) and
+    /// return the per-rank results in rank order.
     ///
     /// # Panics
     /// If any rank fails, panics after the whole cluster has been torn
@@ -1567,6 +1708,146 @@ mod tests {
                 small_cluster(rows, cols).run(|_| std::thread::current().id() == caller);
             let want: Vec<bool> = (0..rows * cols).map(|rank| rank == 0).collect();
             assert_eq!(on_caller, want);
+        }
+    }
+
+    /// Which thread each rank of a resident run ran on.
+    fn resident_threads(c: &Cluster) -> Vec<std::thread::ThreadId> {
+        let job = Arc::new(|ctx: &mut RankCtx| {
+            ctx.barrier(Scope::World);
+            std::thread::current().id()
+        });
+        all_ranks_ok(c.run_resident(job)).expect("a clean run")
+    }
+
+    #[test]
+    fn resident_ranks_keep_their_threads_and_rank_zero_the_callers() {
+        let c = small_cluster(2, 2);
+        let first = resident_threads(&c);
+        assert_eq!(first[0], std::thread::current().id());
+        for i in 1..first.len() {
+            assert!(!first[..i].contains(&first[i]), "a thread per rank");
+        }
+        let sum = Arc::new(|ctx: &mut RankCtx| {
+            let sum = ctx.allreduce_sum(Scope::World, "sum", ctx.rank() as u64);
+            (std::thread::current().id(), sum)
+        });
+        for _ in 0..200 {
+            let ranks = all_ranks_ok(c.run_resident(Arc::clone(&sum))).expect("a clean run");
+            assert_eq!(ranks, first.iter().map(|&t| (t, 6)).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_one_rank_cluster_spawns_no_resident_thread() {
+        let c = small_cluster(1, 1);
+        assert_eq!(resident_threads(&c), vec![std::thread::current().id()]);
+        assert_eq!(c.workers.get().map(Vec::len), Some(0));
+    }
+
+    #[test]
+    fn a_dropped_cluster_has_joined_its_resident_threads() {
+        // A thread's thread-locals are destroyed as it exits: once the
+        // drop returns, all three rank threads' have been.
+        static EXITED: AtomicU64 = AtomicU64::new(0);
+        struct OnExit;
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local!(static MARK: OnExit = const { OnExit });
+        let c = small_cluster(2, 2);
+        let touch = Arc::new(|ctx: &mut RankCtx| {
+            if ctx.rank() > 0 {
+                MARK.with(|_| {});
+            }
+        });
+        all_ranks_ok(c.run_resident(touch)).expect("a clean run");
+        assert_eq!(EXITED.load(Ordering::SeqCst), 0, "alive until the drop");
+        drop(c);
+        assert_eq!(EXITED.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn a_resident_failure_is_typed_like_run_fallible_and_the_next_job_runs() {
+        let plan = || FaultPlan::from_events(FaultPlan::parse("panic@2:1").expect("a valid plan"));
+        let cluster =
+            || Cluster::with_faults(MeshShape::new(2, 2), MachineConfig::new_sunway(), plan());
+        let work = |ctx: &mut RankCtx| {
+            ctx.barrier(Scope::World);
+            ctx.allreduce_sum(Scope::Row, "rowsum", 1)
+        };
+        let kinds = |failures: &[RankFailure]| -> Vec<_> {
+            let kind = |f: &RankFailure| std::mem::discriminant(&f.kind);
+            failures.iter().map(|f| (f.rank, kind(f))).collect()
+        };
+        let (borrowed, resident) = (cluster(), cluster());
+        let threads = resident_threads(&resident);
+        let want = all_ranks_ok(borrowed.run_fallible(work)).expect_err("rank 2 dies");
+        let got = all_ranks_ok(resident.run_resident(Arc::new(work))).expect_err("rank 2 dies");
+        assert_eq!(kinds(&got), kinds(&want));
+        assert_eq!(got.len(), 4);
+        for f in &got {
+            let cause = matches!(f.kind, FailureKind::Injected { op_index: 1, .. });
+            let collateral = matches!(f.kind, FailureKind::BarrierPoisoned);
+            assert_eq!((cause, collateral), (f.rank == 2, f.rank != 2));
+        }
+        assert_eq!(resident_threads(&resident), threads);
+        let sums = resident.run_resident(Arc::new(work));
+        assert_eq!(all_ranks_ok(sums).expect("the plan is spent"), vec![2; 4]);
+    }
+
+    #[test]
+    fn a_resident_rank_that_returns_no_result_is_a_typed_failure() {
+        // A panic payload that panics again when the rank body drops
+        // it unwinds past the body: the job's result is lost, and the
+        // worker survives it.
+        struct Bomb;
+        impl Drop for Bomb {
+            fn drop(&mut self) {
+                panic!("dropped a bomb");
+            }
+        }
+        let c = small_cluster(2, 2);
+        let threads = resident_threads(&c);
+        let results = c.run_resident(Arc::new(|ctx: &mut RankCtx| {
+            if ctx.rank() == 2 {
+                std::panic::panic_any(Bomb);
+            }
+            ctx.barrier(Scope::World);
+        }));
+        for (rank, result) in results.iter().enumerate() {
+            let failure = result.as_ref().expect_err("rank 2 took the run down");
+            assert_eq!((failure.rank, failure.is_root_cause()), (rank, rank == 2));
+        }
+        assert!(matches!(
+            &results[2],
+            Err(RankFailure { kind: FailureKind::Panic { message }, .. })
+                if message.contains("no result")
+        ));
+        assert_eq!(resident_threads(&c), threads);
+    }
+
+    #[test]
+    fn the_two_launchers_take_turns_on_one_cluster() {
+        let c = small_cluster(2, 3);
+        let work = |ctx: &mut RankCtx| {
+            let send = (0..ctx.nranks())
+                .map(|d| vec![ctx.rank() as u64, d as u64])
+                .collect();
+            let got = ctx.alltoallv(Scope::World, "a2a", send);
+            got.concat().iter().sum::<u64>() + ctx.allreduce_sum(Scope::Col, "col", 1)
+        };
+        let want = c.run(work);
+        let shared = Arc::new(work);
+        for _ in 0..10 {
+            assert_eq!(
+                all_ranks_ok(c.run_resident(Arc::clone(&shared))).expect("resident"),
+                want
+            );
+            assert!(every_slot_is_empty(&c));
+            assert_eq!(c.run(work), want);
         }
     }
 

@@ -38,6 +38,7 @@
 //! (`docs/UPDATES.md`).
 
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
 
 use sunbfs_common::{json_record, Edge, MachineConfig};
@@ -46,7 +47,7 @@ use sunbfs_core::{
     EngineError,
 };
 use sunbfs_mutate::{canonical_edge_set, repair_in_place, Delta, RepairStats, UnionAdjacency};
-use sunbfs_net::{all_ranks_ok, Cluster, FaultPlan, MeshShape, RankFailure};
+use sunbfs_net::{all_ranks_ok, Cluster, FaultPlan, MeshShape, RankCtx, RankFailure};
 use sunbfs_part::{build_1p5d, ComponentStats, RankPartition, Thresholds, VertexDistribution};
 use sunbfs_rmat::RmatParams;
 use sunbfs_store::{StoreError, StoreHeader, StoreInfo};
@@ -242,11 +243,15 @@ pub struct RootTraversal {
 }
 
 /// A resident graph: one cluster plus every rank's partition, built
-/// once and borrowed by each query run.
+/// once and shared with each query run. Every run that can own what it
+/// uses — the build, a compaction, a single-source root — goes to the
+/// cluster's resident rank threads ([`Cluster::run_resident`]), so a
+/// loop of roots spawns no thread; a batch borrows its roots and runs
+/// on threads spawned for it.
 pub struct GraphSession {
     cfg: SessionConfig,
     cluster: Cluster,
-    parts: Vec<RankPartition>,
+    parts: Arc<[RankPartition]>,
     /// Per-rank component sizes of the resident partition.
     pub partition_stats: Vec<ComponentStats>,
     /// Simulated seconds the (successful) build took, max over ranks.
@@ -290,15 +295,18 @@ impl GraphSession {
         let budget = cfg.max_load_attempts.max(1);
         let mut attempts = 0;
         let mut load_sim_seconds = 0.0;
+        // The build runs on the threads that will run the roots.
+        let thresholds = cfg.thresholds;
+        let build = Arc::new(move |ctx: &mut RankCtx| {
+            let t0 = ctx.now();
+            let chunk = sunbfs_rmat::generate_chunk(&params, ctx.rank() as u64, p);
+            let part = build_1p5d(ctx, n, chunk, thresholds);
+            ((ctx.now() - t0).as_secs(), part)
+        });
         loop {
             attempts += 1;
             let faults_before = cluster.fault_log().len();
-            let outcome = all_ranks_ok(cluster.run_fallible(|ctx| {
-                let t0 = ctx.now();
-                let chunk = sunbfs_rmat::generate_chunk(&params, ctx.rank() as u64, p);
-                let part = build_1p5d(ctx, n, chunk, cfg.thresholds);
-                ((ctx.now() - t0).as_secs(), part)
-            }));
+            let outcome = all_ranks_ok(cluster.run_resident(Arc::clone(&build)));
             // Every attempt's simulated cost counts — a failed attempt
             // still burned build time before unwinding, and hiding it
             // would make a `load_attempts = 3` session look as cheap
@@ -316,7 +324,7 @@ impl GraphSession {
             load_sim_seconds += attempt_sim_seconds;
             match outcome {
                 Ok(oks) => {
-                    let parts: Vec<RankPartition> = oks.into_iter().map(|(_, p)| p).collect();
+                    let parts: Arc<[RankPartition]> = oks.into_iter().map(|(_, p)| p).collect();
                     let partition_stats = parts.iter().map(|p| p.stats).collect();
                     return Ok(GraphSession {
                         cfg,
@@ -405,7 +413,7 @@ impl GraphSession {
         GraphSession {
             cfg,
             cluster,
-            parts,
+            parts: parts.into(),
             partition_stats,
             build_sim_seconds: 0.0,
             load_sim_seconds: 0.0,
@@ -626,11 +634,10 @@ impl GraphSession {
     pub fn compact(&mut self) -> Result<(), SessionError> {
         let n = self.num_vertices();
         let p = self.num_ranks();
-        let union_edges = canonical_edge_set(&self.parts, self.delta.log());
+        let union_edges = Arc::new(canonical_edge_set(&self.parts, self.delta.log()));
         let thresholds = self.cfg.thresholds;
-        let parts = {
-            let union_edges = &union_edges;
-            all_ranks_ok(self.cluster.run_fallible(move |ctx| {
+        let parts: Vec<RankPartition> = all_ranks_ok(self.cluster.run_resident(Arc::new(
+            move |ctx: &mut RankCtx| {
                 let chunk: Vec<Edge> = union_edges
                     .iter()
                     .skip(ctx.rank())
@@ -638,11 +645,11 @@ impl GraphSession {
                     .map(|&(u, v)| Edge::new(u, v))
                     .collect();
                 build_1p5d(ctx, n, chunk, thresholds)
-            }))
-            .map_err(lost_ranks)?
-        };
+            },
+        )))
+        .map_err(lost_ranks)?;
         self.partition_stats = parts.iter().map(|part| part.stats).collect();
-        self.parts = parts;
+        self.parts = parts.into();
         self.delta = Delta::default();
         self.compactions += 1;
         Ok(())
@@ -690,13 +697,15 @@ impl GraphSession {
     fn traverse(
         &self,
         root: u64,
-        checkpoints: Option<&CheckpointStore>,
+        checkpoints: Option<Arc<CheckpointStore>>,
     ) -> Vec<Result<Result<BfsOutput, EngineError>, RankFailure>> {
-        let parts = &self.parts;
+        let parts = Arc::clone(&self.parts);
         let engine = self.cfg.engine;
-        self.cluster.run_fallible(move |ctx| {
-            run_bfs_recoverable(ctx, &parts[ctx.rank()], root, &engine, checkpoints)
-        })
+        self.cluster
+            .run_resident(Arc::new(move |ctx: &mut RankCtx| {
+                let checkpoints = checkpoints.as_deref();
+                run_bfs_recoverable(ctx, &parts[ctx.rank()], root, &engine, checkpoints)
+            }))
     }
 
     /// One root, recoverably: single-source traversals on the resident
@@ -717,18 +726,18 @@ impl GraphSession {
         max_retries: u32,
         on_retry: &mut dyn FnMut(u32),
     ) -> RootTraversal {
-        let store =
-            (!self.cluster.fault_plan().is_empty()).then(|| CheckpointStore::new(self.num_ranks()));
+        let store = (!self.cluster.fault_plan().is_empty())
+            .then(|| Arc::new(CheckpointStore::new(self.num_ranks())));
         let mut attempts = 0u32;
         let mut iterations_salvaged = 0;
         let result = loop {
             attempts += 1;
             // What this attempt inherits: the iterations it will NOT
             // re-run. Zero on the first attempt (empty store).
-            if let Some(resumable) = store.as_ref().and_then(CheckpointStore::common_iter) {
+            if let Some(resumable) = store.as_deref().and_then(CheckpointStore::common_iter) {
                 iterations_salvaged = resumable;
             }
-            match all_ranks_ok(self.traverse(root, store.as_ref())) {
+            match all_ranks_ok(self.traverse(root, store.clone())) {
                 // Engine errors are replicated: either every rank
                 // returned the same `Err`, or every rank has an output.
                 Ok(outs) => {
