@@ -25,7 +25,7 @@ use sunbfs_net::{CommStats, RankCtx};
 use sunbfs_part::RankPartition;
 
 use crate::config::EngineConfig;
-use crate::engine::{Engine, EngineError};
+use crate::engine::{Engine, EngineError, EngineScratch};
 use crate::lane::Word;
 use crate::stats::IterationStats;
 
@@ -102,12 +102,32 @@ pub fn run_bfs_batch(
     roots: &[u64],
     cfg: &EngineConfig,
 ) -> Result<BatchOutput, EngineError> {
-    assert!(
-        !roots.is_empty() && roots.len() <= MAX_BATCH_ROOTS,
-        "batch width must be 1..={MAX_BATCH_ROOTS}, got {}",
-        roots.len()
-    );
-    Engine::new(ctx, part, *cfg, Word::new(roots.len())).run(ctx, roots, None)
+    EngineScratch::default().run_batch(ctx, part, roots, cfg)
+}
+
+impl EngineScratch {
+    /// [`run_bfs_batch`] with its message buffers drawn from, and given
+    /// back to, this scratch.
+    ///
+    /// # Errors
+    /// As [`run_bfs_batch`].
+    ///
+    /// # Panics
+    /// As [`run_bfs_batch`].
+    pub fn run_batch(
+        &mut self,
+        ctx: &mut RankCtx,
+        part: &RankPartition,
+        roots: &[u64],
+        cfg: &EngineConfig,
+    ) -> Result<BatchOutput, EngineError> {
+        assert!(
+            !roots.is_empty() && roots.len() <= MAX_BATCH_ROOTS,
+            "batch width must be 1..={MAX_BATCH_ROOTS}, got {}",
+            roots.len()
+        );
+        Engine::new(ctx, part, *cfg, Word::new(roots.len()), self).run(ctx, roots, None)
+    }
 }
 
 #[cfg(test)]

@@ -29,8 +29,22 @@
 //! word per vertex. Heuristic inputs count `(vertex, root)` *pairs* against
 //! denominators scaled by the lane width — for a batch, the decision
 //! uses the mean frontier density across its roots.
+//!
+//! A scan's message list is the one buffer a traversal grows as it
+//! goes. Its capacity outlives the traversal in the rank's
+//! [`EngineScratch`]: every scan takes its output buffer from there and
+//! every consumer gives the buffer back, emptied, once the messages are
+//! applied or bucketed. The scratch holds spare capacity only, at most
+//! two message buffers per lane — never a bitmap, a result slot or
+//! anything a run reads — so a scratch left behind by a run that
+//! panicked is as good as a fresh one. Whoever runs a rank's traversals
+//! owns its scratch: a `GraphSession` keeps one per rank for the
+//! session's life; [`run_bfs`], [`run_bfs_recoverable`] and
+//! [`crate::batch::run_bfs_batch`] each run over a scratch of their
+//! own.
 
 use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use sunbfs_common::bitmap::wide;
 use sunbfs_common::{pool, Bitmap, PoolStats, TimeAccumulator, INVALID_VERTEX};
@@ -141,19 +155,91 @@ pub fn run_bfs_recoverable(
     cfg: &EngineConfig,
     checkpoints: Option<&CheckpointStore>,
 ) -> Result<BfsOutput, EngineError> {
-    // A single-source traversal is the width-1 view of a batch.
-    let run = Engine::new(ctx, part, *cfg, Bit).run(ctx, &[root], checkpoints)?;
-    Ok(BfsOutput {
-        parents: run.parents,
-        stats: BfsRunStats {
-            iterations: run.stats.iterations,
-            traversed_edges: run.stats.traversed_edges[0],
-            visited_vertices: run.stats.visited[0],
-            sim_seconds: run.stats.sim_seconds,
-            times: run.stats.times,
-            comm: run.stats.comm,
-        },
-    })
+    EngineScratch::default().run_bfs(ctx, part, root, cfg, checkpoints)
+}
+
+/// Spare message buffers a scratch keeps per lane. Two cover a
+/// single-worker traversal (an L2L push gives back its own list and
+/// then the forwarded one); a cap of 8 put `peak_rss_mb` up by about
+/// 12 % on the served workloads (docs/PERF.md, "Rule 10, measured").
+const SPARE_BUFFERS: usize = 2;
+
+/// What one rank keeps from one traversal to the next: spare message
+/// buffers, so a root does not grow, copy and free its scans' message
+/// lists again (see the module docs). It holds capacity only — emptied
+/// buffers, at most [`SPARE_BUFFERS`] per lane — so any scratch, fresh,
+/// reused or left by a run that panicked, yields the same traversal.
+#[derive(Debug, Default)]
+pub struct EngineScratch {
+    pub(crate) bit: Vec<Vec<(u64, u64)>>,
+    pub(crate) word: Vec<Vec<(u64, u64, u64)>>,
+}
+
+impl EngineScratch {
+    /// Bytes of message capacity kept for the next traversal.
+    pub fn retained_bytes(&self) -> usize {
+        fn bytes<M>(spares: &[Vec<M>]) -> usize {
+            spares.iter().map(|b| b.capacity() * size_of::<M>()).sum()
+        }
+        bytes(&self.bit) + bytes(&self.word)
+    }
+
+    /// [`run_bfs_recoverable`] with its message buffers drawn from, and
+    /// given back to, this scratch.
+    pub fn run_bfs(
+        &mut self,
+        ctx: &mut RankCtx,
+        part: &RankPartition,
+        root: u64,
+        cfg: &EngineConfig,
+        checkpoints: Option<&CheckpointStore>,
+    ) -> Result<BfsOutput, EngineError> {
+        // A single-source traversal is the width-1 view of a batch.
+        let run = Engine::new(ctx, part, *cfg, Bit, self).run(ctx, &[root], checkpoints)?;
+        Ok(BfsOutput {
+            parents: run.parents,
+            stats: BfsRunStats {
+                iterations: run.stats.iterations,
+                traversed_edges: run.stats.traversed_edges[0],
+                visited_vertices: run.stats.visited[0],
+                sim_seconds: run.stats.sim_seconds,
+                times: run.stats.times,
+                comm: run.stats.comm,
+            },
+        })
+    }
+}
+
+/// One traversal's hold on a lane's spare buffers, shared by the pool
+/// chunks of a scan. Every update leaves the list whole, so a lock that
+/// a panicking chunk poisoned is taken over as it stands.
+struct Spares<'s, M>(Mutex<&'s mut Vec<Vec<M>>>);
+
+impl<'s, M> Spares<'s, M> {
+    fn lock(&self) -> MutexGuard<'_, &'s mut Vec<Vec<M>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The roomiest spare buffer, or a new one.
+    fn take(&self) -> Vec<M> {
+        let mut spares = self.lock();
+        let roomiest = (0..spares.len()).max_by_key(|&i| spares[i].capacity());
+        roomiest.map_or_else(Vec::new, |i| spares.swap_remove(i))
+    }
+
+    /// Keep `buf`'s capacity, emptied, for a later scan; with
+    /// [`SPARE_BUFFERS`] already kept, keep the roomiest of them.
+    fn give(&self, mut buf: Vec<M>) {
+        buf.clear();
+        let mut spares = self.lock();
+        if spares.len() < SPARE_BUFFERS {
+            spares.push(buf);
+        } else if let Some(least) = spares.iter_mut().min_by_key(|b| b.capacity()) {
+            if least.capacity() < buf.capacity() {
+                *least = buf;
+            }
+        }
+    }
 }
 
 /// Row-then-column allreduce of hub set words with summed counters
@@ -282,13 +368,18 @@ struct Scan<M> {
 
 impl<M> Scan<M> {
     /// Concatenate per-chunk `(edges, messages)` results in chunk order
-    /// — which replays the serial scan exactly (`pool::run_ranges`).
-    fn merge(parts: Vec<(u64, Vec<M>)>, pool: PoolStats) -> Self {
+    /// — which replays the serial scan exactly (`pool::run_ranges`) —
+    /// into the first chunk's buffer, giving the others back.
+    fn merge(parts: Vec<(u64, Vec<M>)>, pool: PoolStats, spares: &Spares<M>) -> Self
+    where
+        M: Copy,
+    {
         let mut parts = parts.into_iter();
         let (mut edges, mut msgs) = parts.next().unwrap_or_default();
         for (e, out) in parts {
             edges += e;
-            msgs.extend(out);
+            msgs.extend_from_slice(&out);
+            spares.give(out);
         }
         Scan { msgs, edges, pool }
     }
@@ -303,6 +394,7 @@ impl<M> Scan<M> {
 /// chunk order is the serial scan; first-writer-wins application of
 /// that list is therefore worker-count invariant.
 fn push_scan<L: Lane>(
+    spares: &Spares<L::Msg>,
     set: &Bitmap,
     span: Range<u64>,
     adj: &Csr,
@@ -315,7 +407,7 @@ fn push_scan<L: Lane>(
         let start = ((base + r.start) * L::PUSH_UNIT).max(span.start);
         let end = ((base + r.end) * L::PUSH_UNIT).min(span.end);
         let mut edges = 0u64;
-        let mut out: Vec<L::Msg> = Vec::new();
+        let mut out = spares.take();
         L::for_each_active(set, start, end, |i, m| {
             let k = key(i);
             if adj.degree(k) == 0 {
@@ -329,7 +421,7 @@ fn push_scan<L: Lane>(
         });
         (edges, out)
     });
-    Scan::merge(parts, pool)
+    Scan::merge(parts, pool, spares)
 }
 
 /// Bottom-up scan: every vertex of `span` still wanting roots (per
@@ -347,6 +439,7 @@ fn push_scan<L: Lane>(
 #[allow(clippy::too_many_arguments)]
 fn pull_scan<L: Lane>(
     lane: L,
+    spares: &Spares<L::Msg>,
     seen: &Bitmap,
     update: Option<&Bitmap>,
     span: Range<u64>,
@@ -358,7 +451,7 @@ fn pull_scan<L: Lane>(
 ) -> Scan<L::Msg> {
     let (parts, pool) = pool::run_ranges(span.end - span.start, SCAN_GRAIN_ITEMS, |_, r| {
         let mut edges = 0u64;
-        let mut out: Vec<L::Msg> = Vec::new();
+        let mut out = spares.take();
         let (start, end) = (span.start + r.start, span.start + r.end);
         lane.for_each_wanting(seen, update, adj.nonempty(), start, end, |i, mut want| {
             let k = key(i);
@@ -376,7 +469,7 @@ fn pull_scan<L: Lane>(
         });
         (edges, out)
     });
-    Scan::merge(parts, pool)
+    Scan::merge(parts, pool, spares)
 }
 
 /// Traversal state of one vertex class on one rank: frontier, seen and
@@ -425,6 +518,8 @@ pub(crate) struct Engine<'a, L: Lane> {
     lane: L,
     part: &'a RankPartition,
     cfg: EngineConfig,
+    /// The rank scratch's spare buffers for this lane's messages.
+    spares: Spares<'a, L::Msg>,
     /// Replicated hub state (index: hub id); parents are
     /// delegate-local until the end-of-run reduction.
     hub: ClassState,
@@ -479,6 +574,7 @@ impl<'a, L: Lane> Engine<'a, L> {
         part: &'a RankPartition,
         cfg: EngineConfig,
         lane: L,
+        scratch: &'a mut EngineScratch,
     ) -> Self {
         let nh = part.directory.num_hubs() as u64;
         let range = part.owned_range();
@@ -512,6 +608,7 @@ impl<'a, L: Lane> Engine<'a, L> {
             lane,
             part,
             cfg,
+            spares: Spares(Mutex::new(L::spares(scratch))),
             hub: ClassState::new(&lane, nh),
             hub_update: L::new_set(nh),
             l: ClassState::new(&lane, local_n),
@@ -1063,13 +1160,14 @@ impl<'a, L: Lane> Engine<'a, L> {
     /// hub sync).
     fn discover_hubs(&mut self, msgs: Vec<L::Msg>) {
         let depth = self.iter;
-        for msg in msgs {
+        for &msg in &msgs {
             let (h, parent, m) = L::unpack(msg);
             if let Some(new) = L::fresh(m, &self.hub.seen, Some(&self.hub_update), h) {
                 L::insert(&mut self.hub_update, h, new);
                 self.hub.stamp(&self.lane, h, new, parent, depth);
             }
         }
+        self.spares.give(msgs);
     }
 
     /// Record discoveries at locally owned L vertices; `base` is
@@ -1119,10 +1217,11 @@ impl<'a, L: Lane> Engine<'a, L> {
                 let max_chunk = balance::max_chunk_edges(&degrees, ctx.machine().cpes_per_node());
                 // Pool-chunked over frontier sources; chunk-order merge
                 // replays the serial first-writer-wins discovery order.
+                let spares = &self.spares;
                 let (parts, pstats) =
                     pool::run_ranges(frontier.len() as u64, SCAN_GRAIN_ITEMS, |_, r| {
                         let mut edges = 0u64;
-                        let mut out: Vec<L::Msg> = Vec::new();
+                        let mut out = spares.take();
                         for &(s, m) in &frontier[r.start as usize..r.end as usize] {
                             let parent = dir.vertex_of(s as u32);
                             for &dst in part.eh_by_src.neighbors(s) {
@@ -1138,7 +1237,7 @@ impl<'a, L: Lane> Engine<'a, L> {
                     max_chunk,
                     frontier.len() as u64,
                 );
-                Scan::merge(parts, pstats)
+                Scan::merge(parts, pstats, spares)
             }
             Direction::Pull => {
                 // CG-aware segmenting (§4.3): sources split into one
@@ -1171,12 +1270,16 @@ impl<'a, L: Lane> Engine<'a, L> {
                     0
                 };
                 let all = self.lane.all();
-                let (hub_curr, hub_seen, hub_update) =
-                    (&self.hub.curr, &self.hub.seen, &self.hub_update);
+                let (hub_curr, hub_seen, hub_update, spares) = (
+                    &self.hub.curr,
+                    &self.hub.seen,
+                    &self.hub_update,
+                    &self.spares,
+                );
                 let (parts, pstats) = pool::run_ranges(n_dst, SCAN_GRAIN_ITEMS, |_, r| {
                     let mut edges = 0u64;
                     let mut probes = vec![0u64; cgs];
-                    let mut out: Vec<L::Msg> = Vec::new();
+                    let mut out = spares.take();
                     for k in r {
                         let dst = my_row + k * rows;
                         let Some(mut want) = L::fresh(all, hub_seen, Some(hub_update), dst) else {
@@ -1202,7 +1305,7 @@ impl<'a, L: Lane> Engine<'a, L> {
                     }
                     chunk
                 });
-                let scan = Scan::merge(parts.collect(), pstats);
+                let scan = Scan::merge(parts.collect(), pstats, spares);
                 costing::charge_eh_pull(ctx, self.category(d), scan.edges, &probes, on_chip);
                 scan
             }
@@ -1225,7 +1328,8 @@ impl<'a, L: Lane> Engine<'a, L> {
         let scan = self.hubs_to_l(d, 0..num_e, by_hub, by_local, &self.l.seen, range.start);
         costing::charge_scan(ctx, self.category(d), scan.edges);
         self.note_scan(scan.edges, scan.pool);
-        self.discover_locals(scan.msgs, range.start);
+        self.discover_locals(scan.msgs.iter().copied(), range.start);
+        self.spares.give(scan.msgs);
     }
 
     // ---------------------------------------------------------------
@@ -1258,9 +1362,12 @@ impl<'a, L: Lane> Engine<'a, L> {
         let dir = &self.part.directory;
         let vertex = |h: u64| dir.vertex_of(h as u32);
         match d {
-            Direction::Push => push_scan::<L>(&self.hub.curr, hubs, by_hub, |h| h, vertex),
+            Direction::Push => {
+                push_scan::<L>(&self.spares, &self.hub.curr, hubs, by_hub, |h| h, vertex)
+            }
             Direction::Pull => pull_scan(
                 self.lane,
+                &self.spares,
                 seen,
                 None,
                 0..seen.len() / L::STRIDE,
@@ -1289,6 +1396,7 @@ impl<'a, L: Lane> Engine<'a, L> {
         let range = self.part.owned_range();
         let scan = match d {
             Direction::Push => push_scan::<L>(
+                &self.spares,
                 &self.l.curr,
                 0..range.end - range.start,
                 by_local,
@@ -1297,6 +1405,7 @@ impl<'a, L: Lane> Engine<'a, L> {
             ),
             Direction::Pull => pull_scan(
                 self.lane,
+                &self.spares,
                 &self.hub.seen,
                 Some(&self.hub_update),
                 hubs,
@@ -1334,7 +1443,8 @@ impl<'a, L: Lane> Engine<'a, L> {
     }
 
     /// Bucket `(dest L, parent, mask)` messages by destination column
-    /// with OCS-RMA, exchange them intra-row, and apply at the owners.
+    /// with OCS-RMA, exchange them intra-row, and apply at the owners;
+    /// `msgs`' buffer goes back to the spares once bucketed.
     fn exchange_and_apply_row(
         &mut self,
         ctx: &mut RankCtx,
@@ -1353,6 +1463,7 @@ impl<'a, L: Lane> Engine<'a, L> {
             machine.cgs_per_node,
             |&msg| topo.col_of(dist.owner(L::unpack(msg).0)),
         );
+        self.spares.give(msgs);
         ctx.charge(cost_category, report.time);
         self.note_kernel(&report);
         let msgs = ctx.alltoallv(Scope::Row, comm_op, buckets).concat();
@@ -1435,6 +1546,7 @@ impl<'a, L: Lane> Engine<'a, L> {
                 // Generate (dest, parent, mask) messages from the
                 // frontier.
                 let scan = push_scan::<L>(
+                    &self.spares,
                     &self.l.curr,
                     0..local_n,
                     &part.l2l,
@@ -1454,6 +1566,7 @@ impl<'a, L: Lane> Engine<'a, L> {
                     machine.cgs_per_node,
                     |msg| topo.row_of(dest_owner(msg)),
                 );
+                self.spares.give(scan.msgs);
                 ctx.charge(category, rep1.time);
                 self.note_kernel(&rep1);
                 let forwarded = ctx
@@ -1895,8 +2008,9 @@ mod tests {
             let part = &parts[ctx.rank()];
             let at = format!("{what}, rank {}", part.rank);
             let mut rng = SplitMix64::new(ctx.rank() as u64);
-            let bits = Engine::new(ctx, part, cfg, Bit);
-            let words = Engine::new(ctx, part, cfg, Word::new(5));
+            let (mut bit_scratch, mut word_scratch) = Default::default();
+            let bits = Engine::new(ctx, part, cfg, Bit, &mut bit_scratch);
+            let words = Engine::new(ctx, part, cfg, Word::new(5), &mut word_scratch);
             for _ in 0..4 {
                 let (mut bit_set, mut word_set) =
                     (Bit::new_set(nh as u64), Word::new_set(nh as u64));
@@ -2049,9 +2163,13 @@ mod tests {
             let ranks = Cluster::new(shape, MachineConfig::new_sunway()).run(|ctx| {
                 let chunk = sunbfs_rmat::generate_chunk(&params, ctx.rank() as u64, nranks);
                 let part = build_1p5d(ctx, n, &chunk, Thresholds::new(64, 16));
+                let mut scratch = EngineScratch::default();
                 let mut run = |roots: &[u64]| match roots.len() {
-                    1 => Engine::new(ctx, &part, cfg, Bit).run(ctx, roots, None),
-                    nb => Engine::new(ctx, &part, cfg, Word::new(nb)).run(ctx, roots, None),
+                    1 => Engine::new(ctx, &part, cfg, Bit, &mut scratch).run(ctx, roots, None),
+                    nb => {
+                        let lane = Word::new(nb);
+                        Engine::new(ctx, &part, cfg, lane, &mut scratch).run(ctx, roots, None)
+                    }
                 };
                 let outs = [run(&roots8[..1]), run(&roots8), run(&roots64)];
                 (part, outs.map(|out| out.expect("terminates")))

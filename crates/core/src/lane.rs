@@ -28,6 +28,7 @@ use sunbfs_common::bitmap::wide;
 use sunbfs_common::Bitmap;
 
 use crate::batch::{MAX_BATCH_ROOTS, UNREACHED_DEPTH};
+use crate::engine::EngineScratch;
 
 /// Vertices per pool chunk of the pull scans (and of the [`Word`]
 /// lane's push scans).
@@ -154,6 +155,9 @@ pub(crate) trait Lane: Copy + Send + Sync {
     /// the same iteration, so hub depths stay replicated without a
     /// reduction of their own.
     fn stamp_hub_depths(&self, depths: &mut [u32], global: &[u64], seen: &Bitmap, depth: u32);
+
+    /// This lane's spare message buffers in a rank's scratch.
+    fn spares(scratch: &mut EngineScratch) -> &mut Vec<Vec<Self::Msg>>;
 }
 
 /// Single-source lane: packed bit sets, `(dest, parent)` messages.
@@ -294,6 +298,10 @@ impl Lane for Bit {
     }
 
     fn stamp_hub_depths(&self, _: &mut [u32], _: &[u64], _: &Bitmap, _: u32) {}
+
+    fn spares(scratch: &mut EngineScratch) -> &mut Vec<Vec<Self::Msg>> {
+        &mut scratch.bit
+    }
 }
 
 /// Batch lane: one frontier word per vertex, bit `b` = root `b`;
@@ -429,6 +437,10 @@ impl Lane for Word {
                 depths[h * self.nb + b] = depth;
             }
         });
+    }
+
+    fn spares(scratch: &mut EngineScratch) -> &mut Vec<Vec<Self::Msg>> {
+        &mut scratch.word
     }
 }
 

@@ -40,6 +40,6 @@ pub mod validate;
 pub use batch::{run_bfs_batch, BatchOutput, BatchRunStats, MAX_BATCH_ROOTS, UNREACHED_DEPTH};
 pub use checkpoint::{CheckpointState, CheckpointStore, ResumeStats};
 pub use config::{choose_measured, Component, Direction, DirectionHeuristic, EngineConfig};
-pub use engine::{run_bfs, run_bfs_recoverable, BfsOutput, EngineError};
+pub use engine::{run_bfs, run_bfs_recoverable, BfsOutput, EngineError, EngineScratch};
 pub use stats::{BfsRunStats, IterationStats, SubIterationStats};
 pub use validate::{reference_bfs, validate_parents, ValidationError};

@@ -38,13 +38,12 @@
 //! (`docs/UPDATES.md`).
 
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use sunbfs_common::{json_record, Edge, MachineConfig};
 use sunbfs_core::{
-    run_bfs_batch, run_bfs_recoverable, BatchOutput, BfsOutput, CheckpointStore, EngineConfig,
-    EngineError,
+    BatchOutput, BfsOutput, CheckpointStore, EngineConfig, EngineError, EngineScratch,
 };
 use sunbfs_mutate::{canonical_edge_set, repair_in_place, Delta, RepairStats, UnionAdjacency};
 use sunbfs_net::{all_ranks_ok, Cluster, FaultPlan, MeshShape, RankCtx, RankFailure};
@@ -143,6 +142,25 @@ impl std::fmt::Display for LoadError {
 }
 
 impl std::error::Error for LoadError {}
+
+/// A fresh engine scratch for every rank of `cfg`'s mesh.
+fn new_scratch(cfg: &SessionConfig) -> Arc<[Mutex<EngineScratch>]> {
+    (0..cfg.mesh.num_ranks())
+        .map(|_| Mutex::default())
+        .collect()
+}
+
+/// The calling rank's engine scratch, held for one traversal. A rank
+/// that panicked mid-traversal poisons its lock; the scratch holds only
+/// emptied spare buffers, so the next traversal takes it as it stands.
+fn rank_scratch<'s>(
+    scratch: &'s [Mutex<EngineScratch>],
+    ctx: &RankCtx,
+) -> MutexGuard<'s, EngineScratch> {
+    scratch[ctx.rank()]
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The error of a one-attempt SPMD pass (a compaction) that lost ranks.
 fn lost_ranks(failures: Vec<RankFailure>) -> SessionError {
@@ -247,11 +265,15 @@ pub struct RootTraversal {
 /// uses — the build, a compaction, a single-source root — goes to the
 /// cluster's resident rank threads ([`Cluster::run_resident`]), so a
 /// loop of roots spawns no thread; a batch borrows its roots and runs
-/// on threads spawned for it.
+/// on threads spawned for it. Both kinds of traversal draw their scan
+/// buffers from the session's per-rank [`EngineScratch`].
 pub struct GraphSession {
     cfg: SessionConfig,
     cluster: Cluster,
     parts: Arc<[RankPartition]>,
+    /// One engine scratch per rank. A cluster runs one job at a time,
+    /// so each rank's lock is taken once per traversal, uncontended.
+    scratch: Arc<[Mutex<EngineScratch>]>,
     /// Per-rank component sizes of the resident partition.
     pub partition_stats: Vec<ComponentStats>,
     /// Simulated seconds the (successful) build took, max over ranks.
@@ -330,6 +352,7 @@ impl GraphSession {
                         cfg,
                         cluster,
                         parts,
+                        scratch: new_scratch(&cfg),
                         partition_stats,
                         build_sim_seconds: attempt_sim_seconds,
                         load_sim_seconds,
@@ -414,6 +437,7 @@ impl GraphSession {
             cfg,
             cluster,
             parts: parts.into(),
+            scratch: new_scratch(&cfg),
             partition_stats,
             build_sim_seconds: 0.0,
             load_sim_seconds: 0.0,
@@ -679,10 +703,12 @@ impl GraphSession {
         &self,
         roots: &[u64],
     ) -> Vec<Result<Result<BatchOutput, EngineError>, RankFailure>> {
-        let parts = &self.parts;
+        let (parts, scratch) = (&self.parts, &self.scratch);
         let engine = self.cfg.engine;
-        self.cluster
-            .run_fallible(move |ctx| run_bfs_batch(ctx, &parts[ctx.rank()], roots, &engine))
+        self.cluster.run_fallible(move |ctx| {
+            let part = &parts[ctx.rank()];
+            rank_scratch(scratch, ctx).run_batch(ctx, part, roots, &engine)
+        })
     }
 
     /// One single-source traversal, one attempt, no checkpoints (the
@@ -699,12 +725,12 @@ impl GraphSession {
         root: u64,
         checkpoints: Option<Arc<CheckpointStore>>,
     ) -> Vec<Result<Result<BfsOutput, EngineError>, RankFailure>> {
-        let parts = Arc::clone(&self.parts);
+        let (parts, scratch) = (Arc::clone(&self.parts), Arc::clone(&self.scratch));
         let engine = self.cfg.engine;
         self.cluster
             .run_resident(Arc::new(move |ctx: &mut RankCtx| {
-                let checkpoints = checkpoints.as_deref();
-                run_bfs_recoverable(ctx, &parts[ctx.rank()], root, &engine, checkpoints)
+                let (part, checkpoints) = (&parts[ctx.rank()], checkpoints.as_deref());
+                rank_scratch(&scratch, ctx).run_bfs(ctx, part, root, &engine, checkpoints)
             }))
     }
 
@@ -873,6 +899,65 @@ mod tests {
         let q = lost.result.expect_err("budget exhausted");
         assert_eq!((lost.attempts, q.label), (1, "rank_failure"));
         assert!(q.detail.contains("rank 1: injected panic"), "{q:?}");
+    }
+
+    #[test]
+    fn a_reused_or_poisoned_scratch_carries_nothing_into_a_run() {
+        let cfg = SessionConfig::small(10, 4);
+        let load = || GraphSession::load(cfg, FaultPlan::none()).expect("clean load");
+        // Every rank's output rendered whole: parents, depths and every
+        // statistic, byte for byte.
+        let root = |s: &GraphSession, r: u64| {
+            let result = s.run_root(r, 0, &mut |_| {}).result;
+            format!("{:?}", result.expect("root served"))
+        };
+        let batch = |s: &GraphSession, roots: &[u64]| format!("{:?}", s.run_batch(roots));
+        let session = load();
+        let (a, b, n) = (1, 2, session.num_vertices());
+        let x: Vec<u64> = (0..64).map(|i| i * 13 % n).collect();
+        let reused = [
+            root(&session, a),
+            root(&session, b),
+            root(&session, a),
+            batch(&session, &x),
+            root(&session, b),
+            batch(&session, &x),
+        ];
+        let fresh = [
+            root(&load(), a),
+            root(&load(), b),
+            root(&load(), a),
+            batch(&load(), &x),
+            root(&load(), b),
+            batch(&load(), &x),
+        ];
+        for (i, (got, want)) in reused.iter().zip(&fresh).enumerate() {
+            assert!(
+                got == want,
+                "run {i} on a reused scratch differs from a fresh one"
+            );
+        }
+        let kept = |rank: usize| {
+            let scratch = session.scratch[rank].lock();
+            scratch
+                .unwrap_or_else(PoisonError::into_inner)
+                .retained_bytes()
+        };
+        assert!(kept(1) > 0, "the scratch kept no buffer between runs");
+
+        // Rank 1 panics mid-batch, holding its scratch lock.
+        session.cluster().fault_plan().inject([FaultEvent {
+            rank: 1,
+            op_index: 5,
+            kind: FaultKind::Panic,
+        }]);
+        assert!(
+            session.run_batch(&x).iter().any(Result::is_err),
+            "rank 1 was lost"
+        );
+        assert!(session.scratch[1].is_poisoned());
+        assert!(batch(&session, &x) == fresh[3], "batch after the panic");
+        assert!(root(&session, b) == fresh[1], "root after the panic");
     }
 
     fn temp_store(tag: &str) -> std::path::PathBuf {

@@ -18,6 +18,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps
 echo "==> doc link check"
 ./scripts/check_docs.sh
 
+# The parent/change pairs driver is a tool for perf changes, not a
+# gate; only its syntax is checked here.
+echo "==> scripts/bench_pairs.sh parses"
+bash -n scripts/bench_pairs.sh
+
 # The committed code inventory is the script's output.
 echo "==> code inventory is fresh (docs/LOC.md)"
 ./scripts/loc_report.sh | diff - docs/LOC.md
