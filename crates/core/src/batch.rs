@@ -1,13 +1,13 @@
 //! Bit-parallel multi-source BFS over the 1.5D partition.
 //!
-//! The serving layer's batch entry point: up to 64 roots traverse the
-//! graph in **one** pass of the schedule in [`crate::engine`],
-//! instantiated with the `Word` lane. Every vertex carries a `u64`
-//! *frontier word* whose bit `b` says "root `b`'s frontier contains
-//! this vertex", so one adjacency scan discovers for all roots at once
-//! (`new = mask & !seen`) and the per-iteration fixed costs (hub syncs,
-//! heuristic allreduces, set sweeps) amortize across the whole batch —
-//! the classic MS-BFS idea applied to the paper's
+//! The serving layer's batch entry point, [`EngineScratch::run_batch`]:
+//! up to 64 roots traverse the graph in **one** pass of the schedule in
+//! [`crate::engine`], instantiated with the `Word` lane. Every vertex
+//! carries a `u64` *frontier word* whose bit `b` says "root `b`'s
+//! frontier contains this vertex", so one adjacency scan discovers for
+//! all roots at once (`new = mask & !seen`) and the per-iteration fixed
+//! costs (hub syncs, heuristic allreduces, set sweeps) amortize across
+//! the whole batch — the classic MS-BFS idea applied to the paper's
 //! EH2EH/E2L/L2E/H2L/L2H/L2L decomposition. Hub syncs ship `nh` words
 //! instead of `nh` bits (same collective count, so the latency
 //! amortization survives) and crossing pushes travel as `(dest, parent,
@@ -83,37 +83,22 @@ impl BatchOutput {
     }
 }
 
-/// Run one bit-parallel multi-source BFS over this rank's partition.
-///
-/// SPMD: all ranks call with identical `roots` (1..=64 of them, order
-/// significant — bit `b` is `roots[b]`) and `cfg`. Duplicate roots are
-/// legal: each bit traverses independently.
-///
-/// # Errors
-/// [`EngineError::NonTermination`] if any root's frontier fails to
-/// drain within the iteration cap (replicated state: every rank returns
-/// it together).
-///
-/// # Panics
-/// If `roots` is empty or wider than [`MAX_BATCH_ROOTS`].
-pub fn run_bfs_batch(
-    ctx: &mut RankCtx,
-    part: &RankPartition,
-    roots: &[u64],
-    cfg: &EngineConfig,
-) -> Result<BatchOutput, EngineError> {
-    EngineScratch::default().run_batch(ctx, part, roots, cfg)
-}
-
 impl EngineScratch {
-    /// [`run_bfs_batch`] with its message buffers drawn from, and given
-    /// back to, this scratch.
+    /// Run one bit-parallel multi-source BFS over this rank's partition,
+    /// with its message buffers drawn from, and given back to, this
+    /// scratch.
+    ///
+    /// SPMD: all ranks call with identical `roots` (1..=64 of them, order
+    /// significant — bit `b` is `roots[b]`) and `cfg`. Duplicate roots
+    /// are legal: each bit traverses independently.
     ///
     /// # Errors
-    /// As [`run_bfs_batch`].
+    /// [`EngineError::NonTermination`] if any root's frontier fails to
+    /// drain within the iteration cap (replicated state: every rank
+    /// returns it together).
     ///
     /// # Panics
-    /// As [`run_bfs_batch`].
+    /// If `roots` is empty or wider than [`MAX_BATCH_ROOTS`].
     pub fn run_batch(
         &mut self,
         ctx: &mut RankCtx,
@@ -151,7 +136,9 @@ mod tests {
         let outs = cluster.run(|ctx| {
             let chunk = sunbfs_rmat::generate_chunk(&params, ctx.rank() as u64, ranks as u64);
             let part = build_1p5d(ctx, n, &chunk, thresholds);
-            run_bfs_batch(ctx, &part, roots, &cfg).expect("batch terminates")
+            EngineScratch::default()
+                .run_batch(ctx, &part, roots, &cfg)
+                .expect("batch terminates")
         });
         // Assemble global per-root parent/depth arrays from the
         // rank-owned block slices.
@@ -215,7 +202,8 @@ mod tests {
         cluster.run(|ctx| {
             let chunk = sunbfs_rmat::generate_chunk(&params, 0, 1);
             let part = build_1p5d(ctx, n, &chunk, Thresholds::new(64, 16));
-            let _ = run_bfs_batch(ctx, &part, &roots, &EngineConfig::default());
+            let _ =
+                EngineScratch::default().run_batch(ctx, &part, &roots, &EngineConfig::default());
         });
     }
 }

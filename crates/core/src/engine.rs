@@ -24,11 +24,12 @@
 //! before later ones run, so nothing already activated gets pulled.
 //!
 //! The schedule is written once, generic over the frontier element
-//! (the crate-private `lane` module): [`run_bfs`] instantiates it with
-//! one bit per vertex, [`crate::batch::run_bfs_batch`] with one 64-root
-//! word per vertex. Heuristic inputs count `(vertex, root)` *pairs* against
-//! denominators scaled by the lane width — for a batch, the decision
-//! uses the mean frontier density across its roots.
+//! (the crate-private `lane` module): [`EngineScratch::run_bfs`]
+//! instantiates it with one bit per vertex, [`EngineScratch::run_batch`]
+//! with one 64-root word per vertex — one entry point per lane.
+//! Heuristic inputs count `(vertex, root)` *pairs* against denominators
+//! scaled by the lane width — for a batch, the decision uses the mean
+//! frontier density across its roots.
 //!
 //! A scan's message list is the one buffer a traversal grows as it
 //! goes. Its capacity outlives the traversal in the rank's
@@ -39,9 +40,8 @@
 //! anything a run reads — so a scratch left behind by a run that
 //! panicked is as good as a fresh one. Whoever runs a rank's traversals
 //! owns its scratch: a `GraphSession` keeps one per rank for the
-//! session's life; [`run_bfs`], [`run_bfs_recoverable`] and
-//! [`crate::batch::run_bfs_batch`] each run over a scratch of their
-//! own.
+//! session's life, and a one-off traversal runs over
+//! `EngineScratch::default()`.
 
 use std::ops::Range;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -125,39 +125,6 @@ pub struct BfsOutput {
     pub stats: BfsRunStats,
 }
 
-/// Run one BFS from `root` over this rank's partition.
-///
-/// SPMD: all ranks call with identical `root` and `cfg`.
-pub fn run_bfs(
-    ctx: &mut RankCtx,
-    part: &RankPartition,
-    root: u64,
-    cfg: &EngineConfig,
-) -> Result<BfsOutput, EngineError> {
-    run_bfs_recoverable(ctx, part, root, cfg, None)
-}
-
-/// [`run_bfs`] with iteration-level checkpointing: when `checkpoints`
-/// is given, the engine snapshots its loop state into the store after
-/// every completed iteration, and — if the store already holds a
-/// verified checkpoint common to all ranks (a previous attempt of the
-/// *same* root died mid-traversal) — resumes from it instead of
-/// restarting at the root, charging the resumed segment on top of the
-/// checkpointed simulated time so the run's statistics read like one
-/// continuous traversal.
-///
-/// SPMD: all ranks call with identical `root`, `cfg`, and a store
-/// shared across the cluster's ranks.
-pub fn run_bfs_recoverable(
-    ctx: &mut RankCtx,
-    part: &RankPartition,
-    root: u64,
-    cfg: &EngineConfig,
-    checkpoints: Option<&CheckpointStore>,
-) -> Result<BfsOutput, EngineError> {
-    EngineScratch::default().run_bfs(ctx, part, root, cfg, checkpoints)
-}
-
 /// Spare message buffers a scratch keeps per lane. Two cover a
 /// single-worker traversal (an L2L push gives back its own list and
 /// then the forwarded one); a cap of 8 put `peak_rss_mb` up by about
@@ -184,8 +151,19 @@ impl EngineScratch {
         bytes(&self.bit) + bytes(&self.word)
     }
 
-    /// [`run_bfs_recoverable`] with its message buffers drawn from, and
-    /// given back to, this scratch.
+    /// Run one BFS from `root` over this rank's partition, with its
+    /// message buffers drawn from, and given back to, this scratch.
+    ///
+    /// With `checkpoints`, the engine snapshots its loop state into the
+    /// store after every completed iteration, and — if the store already
+    /// holds a verified checkpoint common to all ranks (a previous
+    /// attempt of the *same* root died mid-traversal) — resumes from it
+    /// instead of restarting at the root, charging the resumed segment
+    /// on top of the checkpointed simulated time so the run's statistics
+    /// read like one continuous traversal.
+    ///
+    /// SPMD: all ranks call with identical `root`, `cfg`, and (when
+    /// given) a store shared across the cluster's ranks.
     pub fn run_bfs(
         &mut self,
         ctx: &mut RankCtx,
@@ -1742,7 +1720,9 @@ mod tests {
         let outs = Cluster::new(MeshShape::new(2, 2), machine).run(|ctx| {
             let chunk = sunbfs_rmat::generate_chunk(&params, ctx.rank() as u64, 4);
             let part = build_1p5d(ctx, n, &chunk, Thresholds::all_hubs(1 << 20));
-            run_bfs(ctx, &part, 1, &cfg).expect("terminates")
+            EngineScratch::default()
+                .run_bfs(ctx, &part, 1, &cfg, None)
+                .expect("terminates")
         });
         outs[0].stats.times.get("sub.EH2EH.pull").as_secs()
     }

@@ -18,12 +18,13 @@
 //! * **iteration-level checkpoint/resume** ([`checkpoint`]) — every
 //!   completed iteration snapshots the loop state so a faulted root
 //!   resumes from its last verified checkpoint instead of restarting
-//!   ([`run_bfs_recoverable`]).
+//!   (the `checkpoints` store of [`EngineScratch::run_bfs`]).
 //!
-//! Entry point: [`run_bfs`], called SPMD from every rank of a
-//! [`sunbfs_net::Cluster`] with the rank's [`sunbfs_part::RankPartition`];
-//! [`run_bfs_batch`] runs the same schedule for up to 64 roots in one
-//! pass (one engine, two frontier element types).
+//! Entry points, one per lane, on the rank's [`EngineScratch`]:
+//! [`EngineScratch::run_bfs`], called SPMD from every rank of a
+//! [`sunbfs_net::Cluster`] with the rank's [`sunbfs_part::RankPartition`],
+//! and [`EngineScratch::run_batch`], which runs the same schedule for up
+//! to 64 roots in one pass (one engine, two frontier element types).
 
 #![warn(missing_docs)]
 
@@ -37,9 +38,9 @@ mod lane;
 pub mod stats;
 pub mod validate;
 
-pub use batch::{run_bfs_batch, BatchOutput, BatchRunStats, MAX_BATCH_ROOTS, UNREACHED_DEPTH};
+pub use batch::{BatchOutput, BatchRunStats, MAX_BATCH_ROOTS, UNREACHED_DEPTH};
 pub use checkpoint::{CheckpointState, CheckpointStore, ResumeStats};
 pub use config::{choose_measured, Component, Direction, DirectionHeuristic, EngineConfig};
-pub use engine::{run_bfs, run_bfs_recoverable, BfsOutput, EngineError, EngineScratch};
+pub use engine::{BfsOutput, EngineError, EngineScratch};
 pub use stats::{BfsRunStats, IterationStats, SubIterationStats};
 pub use validate::{reference_bfs, validate_parents, ValidationError};

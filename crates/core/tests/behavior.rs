@@ -4,7 +4,7 @@
 //! and the delayed parent reduction matches per-iteration semantics.
 
 use sunbfs_common::{MachineConfig, SplitMix64};
-use sunbfs_core::{run_bfs, Direction, EngineConfig};
+use sunbfs_core::{Direction, EngineConfig, EngineScratch};
 use sunbfs_net::{Cluster, MeshShape};
 use sunbfs_part::{build_1p5d, Thresholds};
 use sunbfs_rmat::RmatParams;
@@ -26,7 +26,9 @@ fn rmat_outputs(
     cluster.run(|ctx| {
         let chunk = sunbfs_rmat::generate_chunk(&params, ctx.rank() as u64, ranks as u64);
         let part = build_1p5d(ctx, n, &chunk, th);
-        run_bfs(ctx, &part, root, &cfg).expect("BFS must terminate")
+        EngineScratch::default()
+            .run_bfs(ctx, &part, root, &cfg, None)
+            .expect("BFS must terminate")
     })
 }
 
@@ -139,7 +141,9 @@ fn gteps_counts_only_component_edges() {
             .map(|(_, e)| *e)
             .collect();
         let part = build_1p5d(ctx, n, &chunk, Thresholds::new(64, 16));
-        run_bfs(ctx, &part, 0, &EngineConfig::default()).expect("BFS must terminate")
+        EngineScratch::default()
+            .run_bfs(ctx, &part, 0, &EngineConfig::default(), None)
+            .expect("BFS must terminate")
     });
     let traversed = outs[0].stats.traversed_edges;
     let total = edges.len() as u64;

@@ -7,7 +7,7 @@ use sunbfs_common::{Edge, MachineConfig, SplitMix64};
 use sunbfs_core::validate::{
     component_edges, levels_from_parents, reference_bfs, validate_parents,
 };
-use sunbfs_core::{run_bfs, EngineConfig};
+use sunbfs_core::{EngineConfig, EngineScratch};
 use sunbfs_net::{Cluster, MeshShape};
 use sunbfs_part::{build_1p5d, Thresholds};
 
@@ -62,7 +62,9 @@ fn check(
             .map(|(_, e)| *e)
             .collect();
         let part = build_1p5d(ctx, n, &chunk, th);
-        run_bfs(ctx, &part, root, cfg).expect("BFS must terminate")
+        EngineScratch::default()
+            .run_bfs(ctx, &part, root, cfg, None)
+            .expect("BFS must terminate")
     });
 
     // Stitch the global parent array in rank order.
@@ -252,7 +254,9 @@ fn isolated_root_terminates_immediately() {
             .map(|(_, e)| *e)
             .collect();
         let part = build_1p5d(ctx, n, &chunk, Thresholds::new(100, 20));
-        run_bfs(ctx, &part, 63, &EngineConfig::default()).expect("BFS must terminate")
+        EngineScratch::default()
+            .run_bfs(ctx, &part, 63, &EngineConfig::default(), None)
+            .expect("BFS must terminate")
     });
     assert_eq!(outputs[0].stats.visited_vertices, 1);
     let parents: Vec<u64> = outputs
@@ -294,7 +298,9 @@ fn teps_counts(n: u64, edges: &[Edge], root: u64) -> (u64, u64) {
             .map(|(_, e)| *e)
             .collect();
         let part = build_1p5d(ctx, n, &chunk, Thresholds::new(64, 16));
-        run_bfs(ctx, &part, root, &EngineConfig::default()).expect("BFS must terminate")
+        EngineScratch::default()
+            .run_bfs(ctx, &part, root, &EngineConfig::default(), None)
+            .expect("BFS must terminate")
     });
     let parents: Vec<u64> = outputs
         .iter()

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use sunbfs_common::{Edge, MachineConfig};
 use sunbfs_core::validate::{levels_from_parents, reference_bfs, validate_parents};
-use sunbfs_core::{run_bfs, EngineConfig};
+use sunbfs_core::{EngineConfig, EngineScratch};
 use sunbfs_net::{Cluster, MeshShape};
 use sunbfs_part::{build_1p5d, Thresholds};
 
@@ -30,7 +30,9 @@ fn bfs_levels(
             .map(|(_, e)| *e)
             .collect();
         let part = build_1p5d(ctx, n, &chunk, th);
-        run_bfs(ctx, &part, root, cfg).expect("BFS must terminate")
+        EngineScratch::default()
+            .run_bfs(ctx, &part, root, cfg, None)
+            .expect("BFS must terminate")
     });
     let parents: Vec<u64> = outputs
         .iter()

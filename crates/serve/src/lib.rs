@@ -12,11 +12,11 @@
 //!   and [opened](GraphSession::open) from the `sunbfs-store` paged
 //!   file format (`docs/STORE.md`), so a restart pays file-open time
 //!   instead of rebuild time ([`GraphSession::open_or_build`]).
-//! * [`run_bfs_batch`](sunbfs_core::run_bfs_batch) (in `sunbfs-core`) —
-//!   the **bit-parallel multi-source engine**: up to 64 roots share one
-//!   traversal, packed as a `u64` frontier word per vertex, so the
-//!   per-iteration fixed costs (hub syncs, heuristic collectives,
-//!   bitmap sweeps) amortize across the batch.
+//! * [`EngineScratch::run_batch`](sunbfs_core::EngineScratch::run_batch)
+//!   (in `sunbfs-core`) — the **bit-parallel multi-source engine**: up
+//!   to 64 roots share one traversal, packed as a `u64` frontier word
+//!   per vertex, so the per-iteration fixed costs (hub syncs, heuristic
+//!   collectives, bitmap sweeps) amortize across the batch.
 //! * [`BfsService`] ([`service`]) — the **service mechanics**: bounded
 //!   admission queue with typed rejections (backpressure), deadline-
 //!   driven batch formation, per-query typed results (parent-array

@@ -27,6 +27,21 @@ bash -n scripts/bench_pairs.sh
 echo "==> code inventory is fresh (docs/LOC.md)"
 ./scripts/loc_report.sh | diff - docs/LOC.md
 
+# Root tests traverse the way users do: on a session from the shared
+# harness (`Scenario::load` in tests/common), checked by `common::run`.
+# Only three files build partitions by hand: heuristic_equivalence's
+# lane goldens (their `sim` column was captured with the rank clocks
+# where a build leaves them), pipeline's social graph (not R-MAT, so no
+# session builds it) and mutation_equivalence's fresh-build oracle for
+# compaction (it must not be the session's).
+echo "==> root tests build no partition of their own"
+OWN_LOOPS=$(grep -l build_1p5d tests/*.rs \
+    | grep -vxE 'tests/(heuristic_equivalence|pipeline|mutation_equivalence)\.rs' || true)
+if [ -n "$OWN_LOOPS" ]; then
+    echo "build_1p5d in" $OWN_LOOPS "- take the session from Scenario::load (tests/common)"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -4,13 +4,11 @@
 //! parent array byte-identical to the fault-free run.
 
 use proptest::prelude::*;
-use sunbfs::common::{Bitmap, MachineConfig};
-use sunbfs::core::{
-    run_bfs_recoverable, CheckpointState, CheckpointStore, Direction, EngineConfig, IterationStats,
-};
-use sunbfs::net::{Cluster, FaultEvent, FaultKind, FaultPlan, MeshShape, RankFailure};
-use sunbfs::part::{build_1p5d, Thresholds};
-use sunbfs::rmat::RmatParams;
+use sunbfs::common::Bitmap;
+use sunbfs::core::{BfsOutput, CheckpointState, Direction, IterationStats};
+use sunbfs::driver::pick_roots;
+use sunbfs::net::FaultPlan;
+use sunbfs::serve::{GraphSession, SessionConfig};
 
 fn bitmap_from_words(words: &[u64]) -> Bitmap {
     let mut b = Bitmap::new(words.len() as u64 * 64);
@@ -74,60 +72,39 @@ proptest! {
 /// directions and each component's measured `(m_f, m_u)` masses.
 type Decisions = ([Direction; 6], [(u64, u64); 6]);
 
-/// This rank's parent array plus the per-iteration `end_op` and
-/// decision series.
-type RankOutcome = Result<(Vec<u64>, Vec<u64>, Vec<Decisions>), RankFailure>;
-
-/// One full SPMD traversal on `cluster`: generate, partition, BFS with
-/// optional checkpointing. Returns per-rank `(parents, end_ops,
-/// decisions)`.
-fn traverse(
-    cluster: &Cluster,
-    params: &RmatParams,
-    root: u64,
-    store: Option<&CheckpointStore>,
-) -> Vec<RankOutcome> {
-    let n = params.num_vertices();
-    let nranks = cluster.topology().num_ranks() as u64;
-    cluster.run_fallible(|ctx| {
-        let chunk = sunbfs::rmat::generate_chunk(params, ctx.rank() as u64, nranks);
-        let part = build_1p5d(ctx, n, &chunk, Thresholds::new(256, 64));
-        drop(chunk);
-        let out = run_bfs_recoverable(ctx, &part, root, &EngineConfig::default(), store)
-            .expect("engine must terminate");
-        let iterations = &out.stats.iterations;
-        let end_ops = iterations.iter().map(|it| it.end_op).collect();
-        let masses = |it: &IterationStats| it.subs.map(|s| (s.frontier_edges, s.unexplored_edges));
-        let decisions = iterations.iter().map(|it| (it.directions, masses(it)));
-        (out.parents, end_ops, decisions.collect())
-    })
+fn decisions(out: &BfsOutput) -> Vec<Decisions> {
+    let masses = |it: &IterationStats| it.subs.map(|s| (s.frontier_edges, s.unexplored_edges));
+    let iterations = out.stats.iterations.iter();
+    iterations.map(|it| (it.directions, masses(it))).collect()
 }
 
-fn concat_parents(results: &[RankOutcome]) -> Vec<u64> {
-    results
-        .iter()
-        .flat_map(|r| r.as_ref().expect("all ranks ok").0.iter().copied())
+fn parents(outs: &[BfsOutput]) -> Vec<u64> {
+    outs.iter()
+        .flat_map(|o| o.parents.iter().copied())
         .collect()
 }
 
-/// Kill one rank at every iteration boundary in turn. Each kill must
-/// leave a store whose common checkpoint is exactly the last completed
-/// iteration, and the resumed run must reproduce the fault-free parent
-/// array bit for bit.
+/// Kill one rank at every iteration boundary in turn, on one session.
+/// Each kill must cost `run_root` exactly one retry that resumes from
+/// the last completed iteration, and the resumed run must reproduce the
+/// fault-free parent array bit for bit.
 #[test]
 fn resume_from_every_iteration_boundary_reproduces_parents() {
-    let params = RmatParams::graph500(9, 42);
-    let shape = MeshShape::new(2, 2);
-    let machine = MachineConfig::new_sunway();
-    let root = sunbfs::driver::pick_roots(&params, 1).expect("connected root")[0];
+    let session = GraphSession::load(SessionConfig::small(9, 4), FaultPlan::none()).expect("load");
+    let root = pick_roots(&session.config().rmat(), 1).expect("connected root")[0];
 
-    let clean_cluster = Cluster::new(shape, machine);
-    let clean = traverse(&clean_cluster, &params, root, None);
-    let reference = concat_parents(&clean);
-    let end_ops = clean[0].as_ref().expect("clean run ok").1.clone();
-    let decisions = clean[0].as_ref().expect("clean run ok").2.clone();
+    let clean = session.run_root(root, 0, &mut |_| {}).result;
+    let clean = clean.expect("a fault-free run");
+    let reference = parents(&clean);
+    let end_ops: Vec<u64> = clean[0]
+        .stats
+        .iterations
+        .iter()
+        .map(|it| it.end_op)
+        .collect();
+    let decided = decisions(&clean[0]);
     assert!(
-        decisions.iter().any(|(_, masses)| masses[5].1 > 0),
+        decided.iter().any(|(_, masses)| masses[5].1 > 0),
         "the default heuristic must be deciding from measured masses"
     );
     assert!(
@@ -139,32 +116,28 @@ fn resume_from_every_iteration_boundary_reproduces_parents() {
     for (idx, &boundary) in end_ops.iter().enumerate() {
         // `end_op` is the op index of the first collective *after*
         // iteration idx+1 completed — a panic there fires after every
-        // rank saved that iteration's checkpoint.
-        let plan = FaultPlan::from_events(vec![FaultEvent {
-            rank: 1,
-            op_index: boundary,
-            kind: FaultKind::Panic,
-        }]);
-        let cluster = Cluster::with_faults(shape, machine, plan);
-        let store = CheckpointStore::new(4);
-
-        let faulted = traverse(&cluster, &params, root, Some(&store));
-        assert!(
-            faulted.iter().any(|r| r.is_err()),
-            "boundary {boundary}: injected panic must kill the run"
+        // rank saved that iteration's checkpoint. The event fires once
+        // (transient-fault model), so the retry resumes and completes.
+        let plan = format!("panic@1:{boundary}");
+        session
+            .cluster()
+            .fault_plan()
+            .inject(FaultPlan::parse(&plan).expect("a plan"));
+        let mut retries = Vec::new();
+        let run = session.run_root(root, 1, &mut |attempts| retries.push(attempts));
+        assert_eq!(
+            (run.attempts, retries),
+            (2, vec![1]),
+            "boundary {boundary}: one retry"
         );
         assert_eq!(
-            store.common_iter(),
-            Some(idx as u32 + 1),
+            run.iterations_salvaged,
+            idx as u32 + 1,
             "boundary {boundary}: all ranks must agree on the last completed iteration"
         );
-
-        // The event already fired (transient-fault model): the retry on
-        // the same cluster resumes from the checkpoint and completes.
-        let resumed = traverse(&cluster, &params, root, Some(&store));
-        assert!(resumed.iter().all(Result::is_ok));
+        let resumed = run.result.expect("the retry completes");
         assert_eq!(
-            concat_parents(&resumed),
+            parents(&resumed),
             reference,
             "boundary {boundary}: resumed parents must be byte-identical to the fault-free run"
         );
@@ -174,8 +147,8 @@ fn resume_from_every_iteration_boundary_reproduces_parents() {
         // next iteration on.
         for rank in &resumed {
             assert_eq!(
-                rank.as_ref().expect("rank ok").2,
-                decisions,
+                decisions(rank),
+                decided,
                 "boundary {boundary}: resumed masses and directions must be the uninterrupted run's"
             );
         }

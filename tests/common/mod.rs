@@ -18,7 +18,11 @@
 //! the per-root twin serves for them.
 //!
 //! `tests/differential.rs` draws scenarios from seeds; the per-feature
-//! tests pin theirs with [`Scenario::pinned`].
+//! tests pin theirs with [`Scenario::pinned`] and compare what [`run`]
+//! returns — each root's parent [`fingerprint`] and direction
+//! [`trace`] — with their goldens. A test that needs a session of its
+//! own takes it from [`Scenario::load`] rather than building a
+//! partition by hand.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -84,8 +88,13 @@ pub struct Scenario {
     pub workers: usize,
     /// Batch width of a `BfsService` path; 0 is the per-root loop.
     pub width: usize,
-    /// How many of `pick_roots`' roots are served.
+    /// How many roots are served.
     pub roots: usize,
+    /// Serve the `roots` lowest-id vertices of nonzero degree instead
+    /// of `pick_roots`' roots: the roots the heuristic goldens were
+    /// captured at. `run_benchmark` serves only `pick_roots`' roots, so
+    /// such a scenario does not run it.
+    pub lowest_roots: bool,
     pub store: bool,
     pub updates: &'static [Commit],
     pub fault: Fault,
@@ -115,6 +124,7 @@ impl Scenario {
             workers: 1,
             width: 0,
             roots: 1,
+            lowest_roots: false,
             store: false,
             updates: &[],
             fault: Fault::None,
@@ -130,6 +140,23 @@ impl Scenario {
             fault: Fault::None,
             ..*self
         }
+    }
+
+    /// The scenario's session, built fault-free; the caller sets the
+    /// pool's workers.
+    pub fn load(&self) -> GraphSession {
+        GraphSession::load(self.session_config(), FaultPlan::none()).expect("load")
+    }
+
+    /// The roots the scenario serves, in order.
+    pub fn roots(&self) -> Vec<u64> {
+        let params = self.session_config().rmat();
+        if !self.lowest_roots {
+            return pick_roots(&params, self.roots).expect("roots");
+        }
+        let degree = degrees(params.num_vertices(), &generate_edges(&params));
+        let connected = (0..params.num_vertices()).filter(|&v| degree[v as usize] > 0);
+        connected.take(self.roots).collect()
     }
 
     fn session_config(&self) -> SessionConfig {
@@ -250,7 +277,7 @@ fn serve(s: &Scenario, base: &[Edge], commits: &[Vec<Edge>], roots: &[u64]) -> V
     pool::set_workers(s.workers);
     let cfg = s.session_config();
     let n = cfg.rmat().num_vertices();
-    let mut session = GraphSession::load(cfg, FaultPlan::none()).expect("load");
+    let mut session = s.load();
     if s.store {
         let path = store_path(s);
         let info = session.save(&path).expect("save");
@@ -406,15 +433,25 @@ fn benchmark(s: &Scenario, roots: &[u64], served: &[Served]) {
     }
 }
 
-/// Run each scenario, in order and under the pool lock. Its twin is
-/// served and checked first, and kept while the next scenarios share
-/// it; a scenario that is not its own twin must serve exactly what the
-/// twin served. A per-root scenario also runs its roots through
+/// What [`run`] served for one root: the [`fingerprint`] of its parents
+/// and its direction [`trace`] (empty on a batch path).
+#[derive(Debug, PartialEq)]
+pub struct Outcome {
+    pub parents: u64,
+    pub trace: String,
+}
+
+/// Run each scenario, in order and under the pool lock, and return what
+/// each served for each of its roots. Its twin is served and checked
+/// first, and kept while the next scenarios share it; a scenario that
+/// is not its own twin must serve exactly what the twin served. A
+/// per-root scenario of `pick_roots`' roots also runs them through
 /// `run_benchmark`. Every scenario is printed before it runs, so a
 /// failure shows the scenario that failed.
-pub fn run(scenarios: &[Scenario]) {
+pub fn run(scenarios: &[Scenario]) -> Vec<Vec<Outcome>> {
     let mut twin: Option<(Scenario, Vec<Served>)> = None;
     let mut benchmarked = None;
+    let mut outcomes = Vec::new();
     for s in scenarios {
         let _pool = pool_lock();
         let label = format!("{s:?}");
@@ -424,7 +461,7 @@ pub fn run(scenarios: &[Scenario]) {
         let base = generate_edges(&params);
         let commits = s.commits(n, &base);
         let edges = [base.clone(), commits.concat()].concat();
-        let roots = pick_roots(&params, s.roots).expect("roots");
+        let roots = s.roots();
         assert_eq!(roots.len(), s.roots, "{label}: too few connected roots");
         // Serve and check `picked` of the roots.
         let checked = |t: &Scenario, picked: &[usize]| {
@@ -441,8 +478,9 @@ pub fn run(scenarios: &[Scenario]) {
             twin = Some((s.twin(), checked(&s.twin(), &all)));
         }
         let want = &twin.as_ref().expect("a twin").1;
+        let mut served = want.clone();
         if *s != s.twin() {
-            let served = serve(s, &base, &commits, &roots);
+            served = serve(s, &base, &commits, &roots);
             let (fell, kept): (Vec<usize>, Vec<usize>) =
                 (0..roots.len()).partition(|&i| served[i].4);
             for i in kept {
@@ -463,13 +501,46 @@ pub fn run(scenarios: &[Scenario]) {
         }
         // The driver's per-root loop is the same at every worker count.
         let serial = Scenario { workers: 1, ..*s };
-        if s.width == 0 && benchmarked != Some(serial) {
+        if s.width == 0 && !s.lowest_roots && benchmarked != Some(serial) {
             benchmark(s, &roots, want);
             benchmarked = Some(serial);
         }
         std::fs::remove_file(store_path(s)).ok();
         pool::set_workers(0);
+        let outcome = |(parents, _, _, directions, _): &Served| Outcome {
+            parents: fingerprint(parents),
+            trace: trace(directions.iter().copied()),
+        };
+        outcomes.push(served.iter().map(outcome).collect());
     }
+    outcomes
+}
+
+/// [`fnv1a`] over the little-endian words: the fingerprint the goldens
+/// of parent arrays are kept in.
+pub fn fingerprint(words: &[u64]) -> u64 {
+    fnv1a(words.iter().flat_map(|w| w.to_le_bytes()))
+}
+
+/// FNV-1a with the reference offset basis and prime. Not
+/// `sunbfs::net::fnv1a`: that one multiplies by `0x1000_0000_01b3`,
+/// not the reference `0x100_0000_01b3`, so it cannot reproduce the
+/// goldens of `heuristic_equivalence`.
+pub fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// One char per component per iteration, 'P' for pull and 'p' for
+/// push, iterations joined with '.': how the goldens keep a direction
+/// trace.
+pub fn trace(directions: impl Iterator<Item = [Direction; 6]>) -> String {
+    let iteration = |dirs: [Direction; 6]| -> String {
+        let letter = |d: Direction| if d == Direction::Pull { 'P' } else { 'p' };
+        dirs.into_iter().map(letter).collect()
+    };
+    directions.map(iteration).collect::<Vec<_>>().join(".")
 }
 
 /// Vertices per depth (index = depth) of a depth array; `u64::MAX`

@@ -6,12 +6,12 @@
 use std::time::Duration;
 
 use proptest::prelude::*;
-use sunbfs::common::MachineConfig;
-use sunbfs::core::{reference_bfs, run_bfs_batch, EngineConfig, UNREACHED_DEPTH};
+use sunbfs::core::{reference_bfs, BatchOutput, UNREACHED_DEPTH};
 use sunbfs::driver::{run_benchmark, run_benchmark_with_sleeper, FaultSpec, RunConfig};
-use sunbfs::part::{build_1p5d, Thresholds};
-use sunbfs::rmat::{degrees, generate_chunk, generate_edges, RmatParams};
-use sunbfs_net::{Cluster, CorruptMode, FaultEvent, FaultKind, FaultPlan, MeshShape};
+use sunbfs::part::Thresholds;
+use sunbfs::rmat::{degrees, generate_edges};
+use sunbfs::serve::{GraphSession, SessionConfig};
+use sunbfs_net::{CorruptMode, FaultEvent, FaultKind, FaultPlan};
 
 /// A campaign guaranteed to hit root 0's first attempt: one panic at
 /// collective index 0 — the first collective of the first traversal
@@ -128,37 +128,44 @@ fn batch_traversal_heals_a_corrupted_triple_exchange() {
     // The batch engine ships `(dest, parent, mask)` triples; a bitflip
     // planted on one of its `alltoallv` send sets must be applied,
     // caught by the frame and healed by retransmit, leaving every depth
-    // equal to the serial reference. Probe op indices until the event
-    // lands on such an exchange (earlier indices hit the partition
-    // build or hub syncs and heal the same way, unasserted).
-    let params = RmatParams::graph500(7, 42);
-    let n = params.num_vertices();
-    let edges = generate_edges(&params);
+    // equal to the serial reference. Probe op indices of one session's
+    // batch until the event lands on such an exchange (earlier indices
+    // hit hub syncs or heuristic collectives and heal the same way,
+    // unasserted).
+    let cfg = SessionConfig {
+        thresholds: Thresholds::new(64, 16),
+        ..SessionConfig::small(7, 4)
+    };
+    let session = GraphSession::load(cfg, FaultPlan::none()).expect("load");
+    let n = session.num_vertices();
+    let edges = generate_edges(&cfg.rmat());
     let degs = degrees(n, &edges);
     let roots: Vec<u64> = (0..n).filter(|&v| degs[v as usize] > 0).take(3).collect();
-    for op_index in 0..400 {
-        let plan = FaultPlan::from_events(vec![FaultEvent {
+    let batch = || -> Vec<BatchOutput> {
+        let outs = session.run_batch(&roots).into_iter();
+        outs.map(|o| o.expect("no rank lost").expect("terminates"))
+            .collect()
+    };
+    // An event past the batch's last collective would never fire.
+    let ops = batch()[3].stats.comm.total_with_prefix("").count;
+    let cluster = session.cluster();
+    for op_index in 0..ops {
+        let retransmits = cluster.retransmit_log().len();
+        cluster.fault_plan().inject([FaultEvent {
             rank: 3,
             op_index,
             kind: FaultKind::Corrupt {
                 mode: CorruptMode::BitFlip,
             },
         }]);
-        let cluster = Cluster::with_faults(MeshShape::new(2, 2), MachineConfig::new_sunway(), plan);
-        let outs = cluster.run(|ctx| {
-            let chunk = generate_chunk(&params, ctx.rank() as u64, 4);
-            let part = build_1p5d(ctx, n, &chunk, Thresholds::new(64, 16));
-            run_bfs_batch(ctx, &part, &roots, &EngineConfig::default()).expect("terminates")
-        });
-        let hit_triples = cluster
-            .fault_log()
-            .iter()
-            .any(|f| f.applied && f.op.starts_with("comm.alltoallv"));
-        if !hit_triples {
+        let outs = batch();
+        let log = cluster.fault_log();
+        let fired = log.iter().find(|f| f.op_index == op_index).expect("fired");
+        if !(fired.applied && fired.op.starts_with("comm.alltoallv")) {
             continue;
         }
         assert_eq!(
-            cluster.retransmit_log().len(),
+            cluster.retransmit_log().len() - retransmits,
             1,
             "healed by one retransmit"
         );

@@ -28,141 +28,66 @@ mod common;
 
 use std::borrow::Cow;
 
-use common::Scenario;
+use common::{fingerprint, fnv1a, trace, Outcome, Scenario};
 use proptest::prelude::*;
 use sunbfs::common::bitmap::wide;
-use sunbfs::common::{pool, Edge, MachineConfig};
+use sunbfs::common::MachineConfig;
 use sunbfs::core::validate::levels_from_parents;
 use sunbfs::core::{
-    run_bfs, run_bfs_batch, validate_parents, BatchOutput, BfsOutput, Direction,
-    DirectionHeuristic, EngineConfig, UNREACHED_DEPTH,
+    BatchOutput, BfsOutput, DirectionHeuristic, EngineConfig, EngineError, EngineScratch,
+    UNREACHED_DEPTH,
 };
-use sunbfs::net::{Cluster, CommStats, MeshShape, RankCtx};
+use sunbfs::net::{Cluster, CommStats, MeshShape, RankCtx, RankFailure};
 use sunbfs::part::{build_1p5d, RankPartition, Thresholds};
-use sunbfs::rmat::{degrees, generate_chunk, generate_edges, RmatParams};
+use sunbfs::rmat::{generate_chunk, RmatParams};
+
+use DirectionHeuristic::{Fixed, Measured};
 
 const SCALE: u32 = 10;
 const SEED: u64 = 42;
 
-/// Global parent array plus the first root's direction trace.
-struct Pass {
-    parents: Vec<u64>,
-    /// [`trace_of`] the first rank's iterations.
-    trace: String,
-    /// Measured masses seen by the schedule: `(frontier, unexplored)`
-    /// summed over every sub-iteration.
-    mass_sum: (u64, u64),
-}
-
-/// Build the SCALE-10 partition on `mesh` and run `body` SPMD over it.
-fn on_cluster<T: Send>(
-    mesh: MeshShape,
+/// The SCALE-10, seed-42 graph on `mesh` under `thresholds` and
+/// `heuristic`, serving its `roots` lowest connected vertices: the
+/// roots every golden here was captured at.
+fn scenario(
+    mesh: (usize, usize),
     thresholds: Thresholds,
-    body: impl Fn(&mut RankCtx, &RankPartition) -> T + Sync,
-) -> Vec<T> {
-    let params = RmatParams::graph500(SCALE, SEED);
-    let n = params.num_vertices();
-    let ranks = (mesh.rows * mesh.cols) as u64;
-    Cluster::new(mesh, MachineConfig::new_sunway()).run(|ctx| {
-        let chunk = generate_chunk(&params, ctx.rank() as u64, ranks);
-        let part = build_1p5d(ctx, n, &chunk, thresholds);
-        body(ctx, &part)
-    })
-}
-
-fn engine_cfg(heuristic: DirectionHeuristic) -> EngineConfig {
-    EngineConfig {
+    heuristic: DirectionHeuristic,
+    roots: usize,
+) -> Scenario {
+    Scenario {
         heuristic,
-        ..EngineConfig::default()
+        roots,
+        lowest_roots: true,
+        ..Scenario::pinned(SCALE, mesh, thresholds, SEED)
     }
 }
 
-/// One char per component per iteration: 'P' = pull, 'p' = push,
-/// iterations joined with '.'.
-fn trace_of(directions: impl Iterator<Item = [Direction; 6]>) -> String {
-    directions
-        .map(|dirs| {
-            dirs.iter()
-                .map(|d| if *d == Direction::Pull { 'P' } else { 'p' })
-                .collect::<String>()
-        })
-        .collect::<Vec<_>>()
-        .join(".")
-}
-
-fn run_pass(mesh: MeshShape, root: u64, cfg: &EngineConfig) -> Pass {
-    let outs = on_cluster(mesh, Thresholds::new(128, 32), |ctx, part| {
-        run_bfs(ctx, part, root, cfg).expect("BFS terminates")
-    });
-    let parents = outs
-        .iter()
-        .flat_map(|o| o.parents.iter().copied())
-        .collect();
-    let trace = trace_of(outs[0].stats.iterations.iter().map(|it| it.directions));
-    let mut mass_sum = (0u64, 0u64);
-    for it in &outs[0].stats.iterations {
-        for s in &it.subs {
-            mass_sum.0 += s.frontier_edges;
-            mass_sum.1 += s.unexplored_edges;
-        }
-    }
-    Pass {
-        parents,
-        trace,
-        mass_sum,
-    }
-}
-
-/// FNV-1a over the little-endian parent words — the golden fingerprint
-/// format (stable across platforms, cheap to recompute).
-fn fingerprint(parents: &[u64]) -> u64 {
-    fnv1a(parents.iter().flat_map(|p| p.to_le_bytes()))
-}
-
-/// Reference-parameter FNV-1a over a byte stream.
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    bytes.fold(0xcbf29ce484222325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100000001b3)
-    })
-}
-
-fn graph() -> (RmatParams, Vec<Edge>, u64) {
-    let params = RmatParams::graph500(SCALE, SEED);
-    let edges = generate_edges(&params);
-    (params, edges, connected_roots(1)[0])
+/// Every rank's output of a session traversal that lost no rank.
+fn all_ok<T>(outs: Vec<Result<Result<T, EngineError>, RankFailure>>) -> Vec<T> {
+    let ok = |out: Result<Result<T, _>, _>| out.expect("no rank lost").expect("terminates");
+    outs.into_iter().map(ok).collect()
 }
 
 /// Contract 1: the `fixed` heuristic is the pre-v10 engine, bit for
 /// bit. The fingerprint and direction trace below were captured from
 /// the scalar fixed-threshold engine at this exact configuration
 /// (SCALE 10, seed 42, 2x2 mesh, thresholds 128/32); the vectorized
-/// scans must keep reproducing them.
+/// scans must keep reproducing them. The harness validates the tree
+/// and checks that fixed mode reports no edge masses, so fixed-mode
+/// reports stay shape-compatible with v9 ones.
 #[test]
 fn fixed_heuristic_matches_pre_vectorization_golden() {
-    let (params, edges, root) = graph();
-    let _pool = common::pool_lock();
-    pool::set_workers(1);
-    let pass = run_pass(
-        MeshShape::new(2, 2),
-        root,
-        &engine_cfg(DirectionHeuristic::Fixed),
-    );
-    pool::set_workers(0);
-
-    validate_parents(params.num_vertices(), &edges, root, &pass.parents)
-        .expect("fixed parents validate");
+    let fixed = scenario((2, 2), Thresholds::new(128, 32), Fixed, 1);
+    let want = Outcome {
+        parents: 0xc5fd30036b33b73b,
+        trace: "pppppp.PPPPPP.ppPPPP.ppppPP".into(),
+    };
     assert_eq!(
-        fingerprint(&pass.parents),
-        0xc5fd30036b33b73b,
-        "parent golden"
+        common::run(&[fixed])[0],
+        [want],
+        "parent and schedule golden"
     );
-    assert_eq!(
-        pass.trace, "pppppp.PPPPPP.ppPPPP.ppppPP",
-        "direction-schedule golden"
-    );
-    // Fixed mode never computes edge masses: the v10 stats fields stay
-    // zero, so fixed-mode reports are shape-compatible with v9 ones.
-    assert_eq!(pass.mass_sum, (0, 0), "fixed mode must not report masses");
 }
 
 /// Contract 6: the vanilla schedule. `EngineConfig::baseline()` turns
@@ -173,38 +98,22 @@ fn fixed_heuristic_matches_pre_vectorization_golden() {
 /// 42, 2x2 mesh, thresholds 128/32).
 #[test]
 fn vanilla_schedule_matches_its_golden() {
-    let (params, edges, root) = graph();
-    let _pool = common::pool_lock();
-    for (heuristic, want_parents, want_trace) in [
-        (
-            DirectionHeuristic::Fixed,
-            0xc5fd30036b33b73b,
-            "pppppp.PPPPPP.PPPPPP.pppppp",
-        ),
-        (
-            DirectionHeuristic::Measured,
-            0xc5fd30036b33b73b,
-            "pppppp.PPPPPP.PPPPPP.pppppp",
-        ),
-    ] {
-        let cfg = EngineConfig {
-            heuristic,
-            ..EngineConfig::baseline()
+    let rows = [
+        (Fixed, 0xc5fd30036b33b73b, "pppppp.PPPPPP.PPPPPP.pppppp"),
+        (Measured, 0xc5fd30036b33b73b, "pppppp.PPPPPP.PPPPPP.pppppp"),
+    ];
+    let baseline = EngineConfig::baseline();
+    let scenarios = rows.map(|(heuristic, ..)| Scenario {
+        sub_iteration: baseline.sub_iteration,
+        segmenting: baseline.segmenting,
+        ..scenario((2, 2), Thresholds::new(128, 32), heuristic, 1)
+    });
+    for ((heuristic, parents, trace), got) in rows.into_iter().zip(common::run(&scenarios)) {
+        let want = Outcome {
+            parents,
+            trace: trace.into(),
         };
-        pool::set_workers(1);
-        let pass = run_pass(MeshShape::new(2, 2), root, &cfg);
-        pool::set_workers(0);
-        validate_parents(params.num_vertices(), &edges, root, &pass.parents)
-            .expect("vanilla parents validate");
-        assert_eq!(
-            fingerprint(&pass.parents),
-            want_parents,
-            "{heuristic:?}: parent golden"
-        );
-        assert_eq!(
-            pass.trace, want_trace,
-            "{heuristic:?}: direction-schedule golden"
-        );
+        assert_eq!(got, [want], "{heuristic:?}: parent and schedule golden");
     }
 }
 
@@ -226,13 +135,13 @@ fn measured_heuristic_validates_across_meshes_and_workers() {
 /// could move. Fingerprints fold all ranks in rank order.
 #[derive(Debug, PartialEq, Eq)]
 struct LanePrint {
-    /// FNV-1a of the per-rank parent slots.
+    /// [`fingerprint`] of the per-rank parent slots.
     parents: u64,
-    /// FNV-1a of the per-rank depth slots (batch only; 0 for single).
+    /// [`fnv1a`] of the per-rank depth slots (batch only; 0 for single).
     depths: u64,
-    /// [`trace_of`] the first rank's iterations.
+    /// [`trace`] of the first rank's iterations.
     trace: Cow<'static, str>,
-    /// FNV-1a of every rank's `sim_seconds.to_bits()`.
+    /// [`fingerprint`] of every rank's `sim_seconds.to_bits()`.
     sim: u64,
     /// Collective calls, summed over ranks.
     collectives: u64,
@@ -267,7 +176,7 @@ fn single_print(outs: &[BfsOutput]) -> LanePrint {
             .flat_map(|o| o.parents.iter().copied())
             .collect(),
         Vec::new(),
-        trace_of(outs[0].stats.iterations.iter().map(|it| it.directions)),
+        trace(outs[0].stats.iterations.iter().map(|it| it.directions)),
         outs.iter().map(|o| o.stats.sim_seconds).collect(),
         outs.iter().map(|o| &o.stats.comm).collect(),
     )
@@ -279,21 +188,10 @@ fn batch_print(outs: &[BatchOutput]) -> LanePrint {
             .flat_map(|o| o.parents.iter().copied())
             .collect(),
         outs.iter().flat_map(|o| o.depths.iter().copied()).collect(),
-        trace_of(outs[0].stats.iterations.iter().map(|it| it.directions)),
+        trace(outs[0].stats.iterations.iter().map(|it| it.directions)),
         outs.iter().map(|o| o.stats.sim_seconds).collect(),
         outs.iter().map(|o| &o.stats.comm).collect(),
     )
-}
-
-/// First `k` connected (degree > 0) vertices — the batch roots; the
-/// first one is the single-source root.
-fn connected_roots(k: usize) -> Vec<u64> {
-    let params = RmatParams::graph500(SCALE, SEED);
-    let degs = degrees(params.num_vertices(), &generate_edges(&params));
-    (0..params.num_vertices())
-        .filter(|&v| degs[v as usize] > 0)
-        .take(k)
-        .collect()
 }
 
 /// Contract 4: both lanes, byte for byte. Captured at the last commit
@@ -301,23 +199,43 @@ fn connected_roots(k: usize) -> Vec<u64> {
 /// at SCALE 10, seed 42, thresholds 128/32; rows are single-source
 /// `Measured`, then batch widths 1, 8, 64 under `Fixed`, then under
 /// `Measured`, per mesh.
+///
+/// Each row runs twice. Its own loop builds the partition on a fresh
+/// cluster and calls the engine's entry point, so the traversal starts
+/// its rank clocks where the build left them — where the `sim` column
+/// was captured. A session's traversal starts them at zero, so the same
+/// row served through `GraphSession::run_single` / `run_batch` must
+/// match every column but `sim`: the session path is the engine path on
+/// both lanes.
 #[test]
 fn lane_goldens_pin_single_source_and_batch_bytes() {
-    use DirectionHeuristic::{Fixed, Measured};
-    let roots = connected_roots(64);
     let thresholds = Thresholds::new(128, 32);
-    let mut got = Vec::new();
-    for mesh in [MeshShape::new(2, 2), MeshShape::new(2, 3)] {
-        let cfg = engine_cfg(Measured);
-        got.push(single_print(&on_cluster(mesh, thresholds, |ctx, part| {
-            run_bfs(ctx, part, roots[0], &cfg).expect("BFS terminates")
-        })));
-        for heuristic in [Fixed, Measured] {
-            let cfg = engine_cfg(heuristic);
-            for width in [1, 8, 64] {
-                got.push(batch_print(&on_cluster(mesh, thresholds, |ctx, part| {
-                    run_bfs_batch(ctx, part, &roots[..width], &cfg).expect("batch terminates")
-                })));
+    let roots = scenario((2, 2), thresholds, Measured, 64).roots();
+    let (mut got, mut served) = (Vec::new(), Vec::new());
+    for mesh in [(2, 2), (2, 3)] {
+        let [fixed, measured] =
+            [Fixed, Measured].map(|h| scenario(mesh, thresholds, h, roots.len()).load());
+        // Batch widths per heuristic, in row order; 0 is the single source.
+        let rows = [
+            (&measured, &[0][..]),
+            (&fixed, &[1, 8, 64]),
+            (&measured, &[1, 8, 64]),
+        ];
+        for (session, widths) in rows {
+            let cfg = session.config().engine;
+            for &width in widths {
+                if width == 0 {
+                    got.push(single_print(&own_loop(mesh, thresholds, |ctx, part| {
+                        EngineScratch::default().run_bfs(ctx, part, roots[0], &cfg, None)
+                    })));
+                    served.push(single_print(&all_ok(session.run_single(roots[0]))));
+                } else {
+                    let batch = &roots[..width];
+                    got.push(batch_print(&own_loop(mesh, thresholds, |ctx, part| {
+                        EngineScratch::default().run_batch(ctx, part, batch, &cfg)
+                    })));
+                    served.push(batch_print(&all_ok(session.run_batch(batch))));
+                }
             }
         }
     }
@@ -325,6 +243,30 @@ fn lane_goldens_pin_single_source_and_batch_bytes() {
         assert_eq!(got, want, "lane golden row {i}");
     }
     assert_eq!(got.len(), LANE_GOLDENS.len());
+    for (i, (mut through_session, want)) in served.into_iter().zip(LANE_GOLDENS).enumerate() {
+        through_session.sim = want.sim;
+        assert_eq!(
+            &through_session, want,
+            "lane golden row {i} through a session"
+        );
+    }
+}
+
+/// Contract 4's own loop: build the SCALE-10 partition on a fresh
+/// `mesh` cluster and run `lane` over it on every rank.
+fn own_loop<T: Send>(
+    mesh: (usize, usize),
+    thresholds: Thresholds,
+    lane: impl Fn(&mut RankCtx, &RankPartition) -> Result<T, EngineError> + Sync,
+) -> Vec<T> {
+    let params = RmatParams::graph500(SCALE, SEED);
+    let (n, p) = (params.num_vertices(), (mesh.0 * mesh.1) as u64);
+    let cluster = Cluster::new(MeshShape::new(mesh.0, mesh.1), MachineConfig::new_sunway());
+    cluster.run(|ctx| {
+        let chunk = generate_chunk(&params, ctx.rank() as u64, p);
+        let part = build_1p5d(ctx, n, &chunk, thresholds);
+        lane(ctx, &part).expect("terminates")
+    })
 }
 
 const LANE_GOLDENS: &[LanePrint] = &[
@@ -445,43 +387,33 @@ const LANE_GOLDENS: &[LanePrint] = &[
 /// Contract 5: a width-1 batch is the single-source traversal. Over
 /// five mesh × threshold corners (including the no-hub and all-hub
 /// degenerations and the 1×1 mesh) × both heuristics × six roots, the
-/// two entry points agree on every per-iteration direction vector and
-/// every rank's per-iteration scanned edges, the batch's depths are the
-/// levels of the single-source tree, and the parent slots are equal —
-/// except where the lanes' message sizes reorder an OCS bucket: the
-/// on-chip sort's buffer capacity is per message byte, so under the
-/// heaviest L2L pull traffic (no hubs, `Fixed`, roots 2 and 3) 16-byte
-/// pairs and 24-byte triples flush in a different order and
-/// first-writer-wins keeps a different — equally valid — parent.
+/// two lanes of one session agree on every per-iteration direction
+/// vector and every rank's per-iteration scanned edges, the batch's
+/// depths are the levels of the single-source tree, and the parent
+/// slots are equal — except where the lanes' message sizes reorder an
+/// OCS bucket: the on-chip sort's buffer capacity is per message byte,
+/// so under the heaviest L2L pull traffic (no hubs, `Fixed`, roots 2
+/// and 3) 16-byte pairs and 24-byte triples flush in a different order
+/// and first-writer-wins keeps a different — equally valid — parent.
 #[test]
 fn width_one_batch_is_the_single_source_traversal() {
     const NO_HUBS: usize = 3;
-    let roots = connected_roots(6);
     let corners = [
-        (MeshShape::new(2, 2), Thresholds::new(128, 32)),
-        (MeshShape::new(2, 3), Thresholds::new(256, 64)),
-        (MeshShape::new(1, 1), Thresholds::new(128, 32)),
-        (MeshShape::new(2, 2), Thresholds::none()),
-        (MeshShape::new(2, 3), Thresholds::all_hubs(1 << 20)),
+        ((2, 2), Thresholds::new(128, 32)),
+        ((2, 3), Thresholds::new(256, 64)),
+        ((1, 1), Thresholds::new(128, 32)),
+        ((2, 2), Thresholds::none()),
+        ((2, 3), Thresholds::all_hubs(1 << 20)),
     ];
+    let roots = scenario(corners[0].0, corners[0].1, Fixed, 6).roots();
     for (corner, (mesh, thresholds)) in corners.into_iter().enumerate() {
-        for heuristic in [DirectionHeuristic::Fixed, DirectionHeuristic::Measured] {
-            let cfg = engine_cfg(heuristic);
-            let outs = on_cluster(mesh, thresholds, |ctx, part| {
-                roots
-                    .iter()
-                    .map(|&root| {
-                        let single = run_bfs(ctx, part, root, &cfg).expect("BFS terminates");
-                        let batch =
-                            run_bfs_batch(ctx, part, &[root], &cfg).expect("batch terminates");
-                        (single, batch)
-                    })
-                    .collect::<Vec<_>>()
-            });
-            for (r, &root) in roots.iter().enumerate() {
+        for heuristic in [Fixed, Measured] {
+            let session = scenario(mesh, thresholds, heuristic, roots.len()).load();
+            for &root in &roots {
                 let label = format!("{mesh:?} {thresholds:?} {heuristic:?} root {root}");
-                for rank in &outs {
-                    let (single, batch) = &rank[r];
+                let single = all_ok(session.run_single(root));
+                let batch = all_ok(session.run_batch(&[root]));
+                for (single, batch) in single.iter().zip(&batch) {
                     let single_iters = single.stats.iterations.iter();
                     let batch_iters = batch.stats.iterations.iter();
                     assert!(
@@ -491,17 +423,17 @@ fn width_one_batch_is_the_single_source_traversal() {
                         "{label}: per-iteration directions / scanned edges differ"
                     );
                 }
-                let single_parents: Vec<u64> = outs
+                let single_parents: Vec<u64> = single
                     .iter()
-                    .flat_map(|rank| rank[r].0.parents.iter().copied())
+                    .flat_map(|o| o.parents.iter().copied())
                     .collect();
-                let batch_parents: Vec<u64> = outs
+                let batch_parents: Vec<u64> = batch
                     .iter()
-                    .flat_map(|rank| rank[r].1.parents.iter().copied())
+                    .flat_map(|o| o.parents.iter().copied())
                     .collect();
-                let depths: Vec<u64> = outs
+                let depths: Vec<u64> = batch
                     .iter()
-                    .flat_map(|rank| rank[r].1.depths.iter())
+                    .flat_map(|o| o.depths.iter())
                     .map(|&d| match d {
                         UNREACHED_DEPTH => u64::MAX,
                         d => u64::from(d),
@@ -512,9 +444,7 @@ fn width_one_batch_is_the_single_source_traversal() {
                     levels(&single_parents) == Some(depths.clone()),
                     "{label}: batch depths are not the single-source levels"
                 );
-                let reordered = corner == NO_HUBS
-                    && heuristic == DirectionHeuristic::Fixed
-                    && (root == 2 || root == 3);
+                let reordered = corner == NO_HUBS && heuristic == Fixed && (root == 2 || root == 3);
                 assert_eq!(
                     single_parents != batch_parents,
                     reordered,

@@ -183,7 +183,7 @@ fn social_generator_is_deterministic_connected_and_heavy_tailed() {
 #[test]
 fn social_graph_traverses_and_validates() {
     // Run the whole pipeline on a preferential-attachment graph.
-    use sunbfs::core::{run_bfs, validate_parents};
+    use sunbfs::core::{validate_parents, EngineScratch};
     use sunbfs::net::Cluster;
     use sunbfs::part::build_1p5d;
 
@@ -198,7 +198,9 @@ fn social_graph_traverses_and_validates() {
             .map(|(_, e)| *e)
             .collect();
         let part = build_1p5d(ctx, n, &chunk, Thresholds::new(512, 64));
-        run_bfs(ctx, &part, 0, &EngineConfig::default()).expect("BFS must terminate")
+        EngineScratch::default()
+            .run_bfs(ctx, &part, 0, &EngineConfig::default(), None)
+            .expect("BFS must terminate")
     });
     let parents: Vec<u64> = outputs
         .iter()
