@@ -152,6 +152,18 @@ struct ClusterShared {
 }
 
 impl ClusterShared {
+    /// `rank`'s view of `scope`: the scope's shared state, the rank's
+    /// position among its members and the index of its sequence
+    /// counter in [`RankCtx`]'s `seqs`.
+    fn scope_of(&self, rank: usize, scope: Scope) -> (&ScopeShared, usize, usize) {
+        let topo = &self.topo;
+        match scope {
+            Scope::World => (&self.world, rank, 0),
+            Scope::Row => (&self.rows[topo.row_of(rank)], topo.col_of(rank), 1),
+            Scope::Col => (&self.cols[topo.col_of(rank)], topo.row_of(rank), 2),
+        }
+    }
+
     fn scopes(&self) -> impl Iterator<Item = &ScopeShared> {
         std::iter::once(&self.world)
             .chain(&self.rows)
@@ -927,18 +939,9 @@ impl RankCtx {
         std::mem::take(&mut self.comm)
     }
 
-    fn scope_shared(&self, scope: Scope) -> (&ScopeShared, usize, usize) {
-        // (shared, my position, seq index)
-        match scope {
-            Scope::World => (&self.shared.world, self.rank, 0),
-            Scope::Row => (&self.shared.rows[self.row()], self.col(), 1),
-            Scope::Col => (&self.shared.cols[self.col()], self.row(), 2),
-        }
-    }
-
     /// Number of ranks in `scope`.
     pub fn scope_size(&self, scope: Scope) -> usize {
-        self.scope_shared(scope).0.members.len()
+        self.scope_members(scope).len()
     }
 
     /// Poison every barrier and unwind with a typed [`SpmdViolation`]
@@ -1038,11 +1041,8 @@ impl RankCtx {
         bytes: u64,
         volumes: Option<Vec<u64>>,
     ) -> (Vec<Arc<T>>, Vec<u64>, Vec<Vec<u64>>, SimTime) {
-        let (pos, seq_idx) = match scope {
-            Scope::World => (self.rank, 0),
-            Scope::Row => (self.col(), 1),
-            Scope::Col => (self.row(), 2),
-        };
+        let shared = Arc::clone(&self.shared);
+        let (ss, pos, seq_idx) = shared.scope_of(self.rank, scope);
         let seq = self.seqs[seq_idx];
         self.seqs[seq_idx] += 1;
         let op_index = self.op_index;
@@ -1070,12 +1070,6 @@ impl RankCtx {
         let retrans_volumes = if framing { volumes.clone() } else { None };
         self.comm.record(scope, op, bytes);
         let tag = seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ fnv1a(op.as_bytes());
-        let shared = Arc::clone(&self.shared);
-        let ss = match scope {
-            Scope::World => &shared.world,
-            Scope::Row => &shared.rows[self.row()],
-            Scope::Col => &shared.cols[self.col()],
-        };
         let n = ss.members.len();
         debug_assert_eq!(ss.members[pos], self.rank);
         // `seq` is equal on every member (the SPMD contract), so all of
@@ -1298,7 +1292,7 @@ impl RankCtx {
         let item = std::mem::size_of::<T>() as u64;
         let volumes: Vec<u64> = send.iter().map(|v| v.len() as u64 * item).collect();
         let bytes: u64 = volumes.iter().sum();
-        let my_pos = self.scope_pos(scope);
+        let my_pos = self.shared.scope_of(self.rank, scope).1;
         let (payloads, _, all_volumes, max_entry) =
             self.exchange(scope, category, Parts::from(send), bytes, Some(volumes));
         let cost = cost::alltoallv_cost(
@@ -1416,16 +1410,8 @@ impl RankCtx {
         self.allreduce_with(scope, op, vec![x], None, |a, b| *a = (*a).max(*b))[0]
     }
 
-    fn scope_pos(&self, scope: Scope) -> usize {
-        match scope {
-            Scope::World => self.rank,
-            Scope::Row => self.col(),
-            Scope::Col => self.row(),
-        }
-    }
-
     fn scope_members(&self, scope: Scope) -> &[usize] {
-        &self.scope_shared(scope).0.members
+        &self.shared.scope_of(self.rank, scope).0.members
     }
 }
 

@@ -28,9 +28,11 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::fault::CorruptMode;
 
-/// 64-bit FNV-1a over a byte slice (offset basis / prime per the
-/// reference parameters). Shared by exchange tags, payload frames,
-/// and checkpoint envelopes.
+/// 64-bit FNV-1a over a byte slice: the reference offset basis
+/// `0xcbf2_9ce4_8422_2325`, but multiplier `0x1000_0000_01b3`, not the
+/// reference prime `0x100_0000_01b3`. Exchange tags, payload frames,
+/// checkpoint envelopes and every partition-store seal depend on this
+/// constant, so it stays: changing it changes the store bytes.
 #[inline]
 pub fn fnv1a(data: &[u8]) -> u64 {
     let mut h = Fnv1a::new();

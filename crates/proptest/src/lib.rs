@@ -65,7 +65,11 @@ impl TestRng {
     }
 }
 
-/// FNV-1a — stable test-name hashing for seed derivation.
+/// FNV-1a — stable test-name hashing for seed derivation: the
+/// reference offset basis `0xcbf2_9ce4_8422_2325`, but multiplier
+/// `0x1000_0000_01b3`, not the reference prime `0x100_0000_01b3` (the
+/// same constant `sunbfs-net`'s frame tags, checkpoint and store seals
+/// use). Every proptest seed depends on it, so it stays.
 pub fn fnv1a(data: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in data {

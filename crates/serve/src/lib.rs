@@ -32,6 +32,9 @@
 //! cap, per-connection deadlines, one deterministic service thread —
 //! the only place a request is interpreted — and graceful
 //! drain-on-shutdown); `examples/bfs_server.rs` is its command line.
+//! The protocol carries only serving verbs: the graph is sized and
+//! built (or opened) at startup, from that command line, which
+//! `sunbfs::cli` validates like every other binary's.
 //! [`loadgen`] is the wire client — a
 //! blocking line client and the paced load generator — and [`soak`]
 //! runs the whole stack in-process under that load in three profiles
@@ -61,7 +64,7 @@ pub const MAX_BATCH: usize = sunbfs_core::MAX_BATCH_ROOTS;
 
 pub use loadgen::{run_loadgen, LatencySummary, LineClient, LoadgenConfig, LoadgenReport, Target};
 pub use net::{serve, JoinOutcome, NetConfig, NetSummary, TcpServer};
-pub use proto::{parse_request, LoadRequest, ProtoError, Request, MAX_REQUEST_BYTES};
+pub use proto::{parse_request, ProtoError, Request, MAX_REQUEST_BYTES};
 pub use report::{
     occupancy_bucket, BatchRecord, HealthTransition, QueryRecord, ServeReport, OCCUPANCY_LABELS,
     QUERY_RECORDS_KEPT,

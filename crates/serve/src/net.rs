@@ -626,16 +626,6 @@ impl ServiceLoop {
                 self.send(conn, &reply);
                 true
             }
-            Request::Load(_) => {
-                self.send(
-                    conn,
-                    &proto::error_reply(
-                        "the server loads its graph at startup; \"load\" is not a wire command",
-                        "bad_request",
-                    ),
-                );
-                false
-            }
         }
     }
 

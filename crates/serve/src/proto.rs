@@ -2,11 +2,10 @@
 //!
 //! One JSON object per line in each direction. Requests parse into a
 //! typed [`Request`]; anything malformed parses into a typed
-//! [`ProtoError`] instead of a stringly error, so bad input is refused
-//! the same way wherever it enters (the wire, `bfs_server`'s flags)
-//! and tests can pin the failure class. Replies are built here too —
-//! one serializer per reply shape — so the bytes of a `result` line
-//! depend on its [`QueryResult`] alone.
+//! [`ProtoError`] instead of a stringly error, so tests can pin the
+//! failure class. Replies are built here too — one serializer per reply
+//! shape — so the bytes of a `result` line depend on its
+//! [`QueryResult`] alone.
 //!
 //! Every reply carries a `"reply"` discriminator. Rejections carry the
 //! admission reason plus an optional `retry_after_ticks` backoff hint
@@ -14,24 +13,20 @@
 //! stable `kind` label after the human-readable `detail`.
 
 use sunbfs_common::{JsonValue, ToJson};
-use sunbfs_part::Thresholds;
 
 use crate::report::ServeReport;
-use crate::service::{HealthSnapshot, QueryResult, QueryStatus, RejectReason, ServeConfig};
-use crate::session::{GraphSession, SessionConfig};
+use crate::service::{HealthSnapshot, QueryResult, QueryStatus, RejectReason};
+use crate::session::GraphSession;
 
 /// Hard cap on one request line. A line that exceeds it is refused
 /// with [`ProtoError::Oversized`] — and, over TCP, disconnected,
 /// because the line framing can no longer be trusted.
 pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
-/// One parsed client request.
+/// One parsed client request. The graph is not among them: the server
+/// builds (or opens) it at startup, from its command line.
 #[derive(Clone, Debug)]
 pub enum Request {
-    /// Build (or open) the resident graph. A startup decision: it is
-    /// what `bfs_server` synthesizes from its flags to validate them,
-    /// and the server refuses it over the wire.
-    Load(Box<LoadRequest>),
     /// Submit one root.
     Query {
         /// The requested BFS root.
@@ -62,18 +57,6 @@ pub enum Request {
     /// Graceful shutdown: stop accepting, drain in-flight, flush
     /// replies, exit.
     Shutdown,
-}
-
-/// A validated `load` command: both configs plus the optional store
-/// path.
-#[derive(Clone, Debug)]
-pub struct LoadRequest {
-    /// The graph to materialize.
-    pub session: SessionConfig,
-    /// The service knobs to run with.
-    pub serve: ServeConfig,
-    /// A `sunbfs-store` file to open instead of rebuilding.
-    pub path: Option<String>,
 }
 
 /// Why a request line was refused, as a closed set of classes.
@@ -159,7 +142,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     }
     let cmd = JsonValue::parse(line).map_err(|detail| ProtoError::BadJson { detail })?;
     match cmd.get("cmd").and_then(JsonValue::as_str) {
-        Some("load") => parse_load(&cmd).map(|l| Request::Load(Box::new(l))),
         Some("query") => match cmd.get("root").and_then(JsonValue::as_u64) {
             Some(root) => Ok(Request::Query {
                 root,
@@ -232,57 +214,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     }
 }
 
-/// A numeric knob with a default and an inclusive range. A knob that is
-/// present but mistyped (not an unsigned integer) or out of range is a
-/// refusal, not a silent fall-back — `{"scale":"14"}` must never run a
-/// default-scale build.
-fn knob(cmd: &JsonValue, key: &str, default: u64, min: u64, max: u64) -> Result<u64, ProtoError> {
-    match cmd.get(key) {
-        None => Ok(default),
-        Some(v) => match v.as_u64() {
-            Some(n) => in_range(key, n, min, max).map_err(load_refusal),
-            None => Err(ProtoError::BadRequest {
-                detail: format!(
-                    "load knob {key:?} must be an unsigned integer, got {}",
-                    v.render()
-                ),
-            }),
-        },
-    }
-}
-
-fn in_range(key: &str, n: u64, min: u64, max: u64) -> Result<u64, String> {
-    let refusal = || format!("knob {key:?} must be in {min}..={max}, got {n}");
-    (min..=max).contains(&n).then_some(n).ok_or_else(refusal)
-}
-
-fn load_refusal(detail: String) -> ProtoError {
-    let detail = format!("load {detail}");
-    ProtoError::BadRequest { detail }
-}
-
-/// The session a graph's size knobs ask for, checked in the one place
-/// every entry point sizes a session: the `load` command,
-/// `graph500_runner`'s positional knobs and `soak`'s `--scale` and
-/// `--ranks`. An out-of-range knob is refused by name (`knob "scale"
-/// must be in 1..=40, got 70`); the rest is [`SessionConfig::small`].
-pub fn sized_session(scale: u64, ranks: u64, e: u64, h: u64) -> Result<SessionConfig, String> {
-    let scale = in_range("scale", scale, 1, 40)?;
-    let ranks = in_range("ranks", ranks, 1, 1 << 16)?;
-    let e = in_range("e_threshold", e, 0, u64::from(u32::MAX))?;
-    let h = in_range("h_threshold", h, 0, u64::from(u32::MAX))?;
-    if h > e {
-        // Thresholds::new panics on h > e; refuse before constructing.
-        return Err(format!(
-            "knob \"h_threshold\" ({h}) must not exceed \"e_threshold\" ({e})"
-        ));
-    }
-    Ok(SessionConfig {
-        thresholds: Thresholds::new(e as u32, h as u32),
-        ..SessionConfig::small(scale as u32, ranks as usize)
-    })
-}
-
 /// The optional `deadline_ticks` budget on a `query`/`batch`. Absent
 /// means no deadline; present but mistyped or out of `u32` range is a
 /// refusal, like every other knob.
@@ -302,62 +233,6 @@ fn deadline_knob(cmd: &JsonValue) -> Result<Option<u32>, ProtoError> {
             }),
         },
     }
-}
-
-/// A boolean knob with a default; mistyped values are refused.
-fn bool_knob(cmd: &JsonValue, key: &str, default: bool) -> Result<bool, ProtoError> {
-    match cmd.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_bool().ok_or_else(|| ProtoError::BadRequest {
-            detail: format!("load knob {key:?} must be a boolean, got {}", v.render()),
-        }),
-    }
-}
-
-/// The optional `path` knob: a store file to open instead of rebuilding.
-fn path_knob(cmd: &JsonValue) -> Result<Option<String>, ProtoError> {
-    match (cmd.get("path"), ()) {
-        (None, ()) => Ok(None),
-        (Some(v), ()) => {
-            v.as_str()
-                .map(|s| Some(s.to_string()))
-                .ok_or_else(|| ProtoError::BadRequest {
-                    detail: format!("load knob \"path\" must be a string, got {}", v.render()),
-                })
-        }
-    }
-}
-
-/// Validate every `load` knob into the two configs plus the optional
-/// store path. Any mistyped field refuses the whole command.
-fn parse_load(cmd: &JsonValue) -> Result<LoadRequest, ProtoError> {
-    let any = |key, default| knob(cmd, key, default, 0, u64::MAX);
-    let (scale, ranks) = (any("scale", 10)?, any("ranks", 4)?);
-    let (e, h) = (any("e_threshold", 256)?, any("h_threshold", 64)?);
-    let sized = sized_session(scale, ranks, e, h).map_err(load_refusal)?;
-    let session = SessionConfig {
-        edge_factor: knob(cmd, "edge_factor", 16, 1, u64::from(u32::MAX))? as u32,
-        seed: knob(cmd, "seed", 42, 0, u64::MAX)?,
-        ..sized
-    };
-    let serve = ServeConfig {
-        queue_capacity: knob(cmd, "queue_capacity", 256, 1, 1 << 20)? as usize,
-        batch_max: knob(
-            cmd,
-            "batch_max",
-            crate::MAX_BATCH as u64,
-            1,
-            crate::MAX_BATCH as u64,
-        )? as usize,
-        flush_deadline: knob(cmd, "flush_deadline", 4, 0, u64::from(u32::MAX))? as u32,
-        max_root_retries: 2,
-        measure_baseline: bool_knob(cmd, "baseline", false)?,
-    };
-    Ok(LoadRequest {
-        session,
-        serve,
-        path: path_knob(cmd)?,
-    })
 }
 
 /// A generic `{"reply":"error","detail":...,"kind":...}` refusal.
@@ -590,15 +465,6 @@ mod tests {
             parse_request(r#"{"cmd":"shutdown"}"#),
             Ok(Request::Shutdown)
         ));
-        match parse_request(r#"{"cmd":"load","scale":9,"ranks":4,"batch_max":8}"#) {
-            Ok(Request::Load(l)) => {
-                assert_eq!(l.session.scale, 9);
-                assert_eq!(l.session.mesh.num_ranks(), 4);
-                assert_eq!(l.serve.batch_max, 8);
-                assert!(l.path.is_none());
-            }
-            other => panic!("expected load, got {other:?}"),
-        }
     }
 
     #[test]
@@ -691,14 +557,6 @@ mod tests {
             (r#"{"cmd":"query","root":"5"}"#, "numeric \"root\""),
             (r#"{"cmd":"batch"}"#, "\"roots\" array"),
             (r#"{"cmd":"batch","roots":[1,"2"]}"#, "non-numeric root"),
-            (r#"{"cmd":"load","scale":"9"}"#, "unsigned integer"),
-            (r#"{"cmd":"load","scale":99}"#, "must be in 1..=40"),
-            (
-                r#"{"cmd":"load","ranks":0}"#,
-                "\"ranks\" must be in 1..=65536",
-            ),
-            (r#"{"cmd":"load","baseline":1}"#, "must be a boolean"),
-            (r#"{"cmd":"load","path":7}"#, "must be a string"),
             (
                 r#"{"cmd":"query","root":1,"deadline_ticks":"4"}"#,
                 "unsigned integer",
@@ -706,10 +564,6 @@ mod tests {
             (
                 r#"{"cmd":"batch","roots":[1],"deadline_ticks":4294967296}"#,
                 "must fit in u32",
-            ),
-            (
-                r#"{"cmd":"load","e_threshold":8,"h_threshold":16}"#,
-                "must not exceed",
             ),
         ] {
             match parse_request(line) {

@@ -55,14 +55,14 @@ fn roundtrip_query_stats_drain_and_shutdown_over_tcp() {
         Some(1)
     );
 
-    // `load` is a startup decision: parsed, refused, and the
-    // connection goes on serving.
+    // The graph is sized at startup: `load` is an unknown verb of the
+    // wire, refused, and the connection goes on serving.
     c.send(r#"{"cmd":"load","scale":8}"#).unwrap();
     let err = c.recv().unwrap();
     assert_eq!(reply_kind(&err), "error");
     assert_eq!(
         err.get("kind").and_then(JsonValue::as_str),
-        Some("bad_request")
+        Some("unknown_cmd")
     );
     assert!(!str_field(&err, "detail").contains("stdin"), "got {err:?}");
     c.send(r#"{"cmd":"query","root":2}"#).unwrap();
@@ -81,7 +81,8 @@ fn roundtrip_query_stats_drain_and_shutdown_over_tcp() {
     assert_eq!(summary.accepted, 2);
     assert_eq!(summary.results_delivered, 2);
     assert_eq!(summary.results_dropped, 0);
-    assert_eq!(summary.protocol_errors, 0);
+    // The `load` line, like any unknown verb.
+    assert_eq!(summary.protocol_errors, 1);
     assert_eq!(svc.report().served, 2);
 }
 

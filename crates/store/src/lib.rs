@@ -41,7 +41,9 @@
 //! whole number of pages, any page whose seal fails, any stream whose
 //! seal fails, a directory entry pointing outside the file, and any
 //! structural inconsistency (CSR offsets that are not monotone, a
-//! degree table whose length disagrees with the distribution, …). All
+//! degree table whose length disagrees with the distribution, a CSR
+//! keyed over or pointing outside the vertex or hub space it
+//! addresses, …). All
 //! length fields are guarded against the remaining input *before*
 //! allocation, so a corrupted length can never become a
 //! multi-gigabyte allocation.
@@ -51,11 +53,13 @@
 #![warn(missing_docs)]
 
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::Path;
 
-use sunbfs_net::{fnv1a, Damage, WordReader, WordWriter};
+use sunbfs_net::{fnv1a, Damage, MeshShape, Topology, WordReader, WordWriter};
 use sunbfs_part::{
-    ComponentStats, Csr, HubDirectory, OwnedHubs, RankPartition, VertexDistribution,
+    row_vertex_range, ComponentStats, Csr, HubDirectory, OwnedHubs, RankPartition,
+    VertexDistribution,
 };
 
 /// File magic: "SBFSTORE" little-endian.
@@ -509,6 +513,23 @@ fn decode_csr(r: &mut WordReader<'_>) -> Result<Csr, StoreError> {
     Ok(Csr::from_raw(key_base, offsets, targets))
 }
 
+/// Refuse a CSR that is not keyed over exactly `keys` or that names a
+/// target outside `targets`. The seals cannot catch such a file (the
+/// encoder seals whatever it is given), and the engine indexes its
+/// per-vertex and per-hub arrays by these numbers unchecked.
+fn check_csr(
+    csr: &Csr,
+    keys: &Range<u64>,
+    targets: &Range<u64>,
+    what: &'static str,
+) -> Result<(), StoreError> {
+    let keyed = csr.key_base() == keys.start && csr.num_keys() as u64 == keys.end - keys.start;
+    if !keyed || csr.targets().iter().any(|t| !targets.contains(t)) {
+        return Err(StoreError::Corrupt { what });
+    }
+    Ok(())
+}
+
 /// Unseal one rank stream and decode it into its partition,
 /// cross-checking it against the file header and the expected rank
 /// index.
@@ -600,6 +621,25 @@ fn decode_rank(
     };
     r.end("trailing garbage after rank stream")?;
     let owned = dist.range_of(expect_rank as usize);
+    // The header's mesh checks out against the rank count, so both of
+    // its sides are nonzero.
+    let mesh = MeshShape::new(header.mesh_rows as usize, header.mesh_cols as usize);
+    let topo = Topology::new(mesh);
+    let rows = row_vertex_range(&dist, &topo, topo.row_of(expect_rank as usize));
+    let (hubs, all) = (0..num_hubs, 0..n);
+    for (csr, keys, targets, what) in [
+        (&eh_by_src, &hubs, &hubs, "eh_by_src keys or targets"),
+        (&eh_by_dst, &hubs, &hubs, "eh_by_dst keys or targets"),
+        (&el_by_hub, &hubs, &owned, "el_by_hub keys or targets"),
+        (&el_by_local, &owned, &hubs, "el_by_local keys or targets"),
+        (&h2l_by_hub, &hubs, &rows, "h2l_by_hub keys or targets"),
+        (&h2l_by_local, &rows, &hubs, "h2l_by_local keys or targets"),
+        (&lh_by_hub, &hubs, &owned, "lh_by_hub keys or targets"),
+        (&lh_by_local, &owned, &hubs, "lh_by_local keys or targets"),
+        (&l2l, &owned, &all, "l2l keys or targets"),
+    ] {
+        check_csr(csr, keys, targets, what)?;
+    }
     Ok(RankPartition {
         rank: expect_rank as usize,
         dist,
@@ -743,8 +783,9 @@ mod tests {
     use std::io::Cursor;
     use sunbfs_part::Thresholds;
 
-    /// A tiny hand-built two-rank session (not a real partition — the
-    /// codec only cares about structure).
+    /// A tiny hand-built two-rank session: not a build's output, but
+    /// every CSR keyed over and pointing into the spaces a real
+    /// partition's are, which the decoder checks.
     fn sample() -> (StoreHeader, Vec<RankPartition>) {
         let header = StoreHeader {
             scale: 4,
@@ -769,10 +810,11 @@ mod tests {
                 owned_degrees,
                 eh_by_src: Csr::from_pairs(0, 2, vec![(0, 1), (1, 0)], true),
                 eh_by_dst: Csr::from_pairs(0, 2, vec![(1, 0), (0, 1)], true),
-                el_by_hub: Csr::from_pairs(0, 2, vec![(0, 9)], false),
+                el_by_hub: Csr::from_pairs(0, 2, vec![(0, 8 * rank as u64 + 1)], false),
                 el_by_local: Csr::from_pairs(8 * rank as u64, 8, vec![], false),
                 h2l_by_hub: Csr::from_pairs(0, 2, vec![(1, 12)], false),
-                h2l_by_local: Csr::from_pairs(8 * rank as u64, 8, vec![], false),
+                // Keyed over the whole 1x2 mesh row, vertices 0..16.
+                h2l_by_local: Csr::from_pairs(0, 16, vec![], false),
                 lh_by_hub: Csr::from_pairs(0, 2, vec![], false),
                 lh_by_local: Csr::from_pairs(8 * rank as u64, 8, vec![], false),
                 l2l: Csr::from_pairs(8 * rank as u64, 8, vec![], false),
@@ -895,6 +937,28 @@ mod tests {
             read_store(&mut Cursor::new(&bytes)),
             Err(StoreError::Corrupt { .. }) | Err(StoreError::Truncated)
         ));
+    }
+
+    #[test]
+    fn csrs_outside_their_spaces_are_refused_though_sealed() {
+        let (header, parts) = sample();
+        // An L target outside rank 0's owned slice 0..8: the first E2L
+        // push would index past the rank's parent array.
+        let mut stray = parts.clone();
+        stray[0].el_by_hub = Csr::from_pairs(0, 2, vec![(0, 9)], false);
+        // An L2L CSR keyed over rank 1's slice instead of rank 0's.
+        let mut shifted = parts;
+        shifted[0].l2l = Csr::from_pairs(8, 8, vec![], false);
+        for (parts, what) in [
+            (stray, "el_by_hub keys or targets"),
+            (shifted, "l2l keys or targets"),
+        ] {
+            let bytes = encode_store(&header, &parts);
+            assert_eq!(
+                read_store(&mut Cursor::new(&bytes)).unwrap_err(),
+                StoreError::Corrupt { what }
+            );
+        }
     }
 
     #[test]

@@ -30,16 +30,17 @@
 //!     --scale 14 --ranks 4 --queue-capacity 48 --flush-deadline 2
 //! ```
 //!
-//! Graph knobs are the protocol's `load` knobs, validated by the
-//! protocol's own `load` parser (`--scale` (10), `--ranks` (4),
-//! `--edge-factor` (16), `--e-threshold` (256), `--h-threshold` (64),
-//! `--seed` (42), `--queue-capacity` (256), `--batch-max` (64),
+//! Graph knobs size the graph once, at startup, through the knob
+//! reader every binary shares (`sunbfs::cli`): `--scale` (10, 1..=40),
+//! `--ranks` (4, 1..=65536), `--edge-factor` (16), `--e-threshold`
+//! (256), `--h-threshold` (64, at most the E threshold), `--seed` (42),
+//! `--queue-capacity` (256, 1..=2^20), `--batch-max` (64, 1..=64),
 //! `--flush-deadline` (4), `--baseline`, `--path FILE` — a
-//! `sunbfs-store` file to open instead of rebuilding): a mistyped knob
-//! is that parser's typed refusal, never a silent fall-back to the
-//! default value. Transport knobs are `--max-conns`,
-//! `--inflight-cap`, `--read-timeout-ms`, `--write-timeout-ms`,
-//! `--tick-ms`, `--shutdown-grace-ms`. Chaos knobs arm a seeded live
+//! `sunbfs-store` file to open instead of rebuilding. A mistyped or
+//! out-of-range knob is refused by name (`knob "scale" must be …`),
+//! never a silent fall-back to the default value. Transport knobs are
+//! `--max-conns`, `--inflight-cap`, `--read-timeout-ms`,
+//! `--write-timeout-ms`, `--tick-ms`, `--shutdown-grace-ms`. Chaos knobs arm a seeded live
 //! fault schedule against the resident cluster (`docs/FAULTS.md`):
 //! `--chaos-every N` (one fault per N executed queries, 0 = off,
 //! forces an armed fault plan), `--chaos-seed N`,
@@ -52,134 +53,114 @@
 
 use std::time::Duration;
 
+use sunbfs::cli::{self, Flags, U32, U64};
 use sunbfs::common::{JsonValue, ToJson};
 use sunbfs::net::FaultPlan;
-use sunbfs::serve::proto::{self, LoadRequest, Request};
-use sunbfs::serve::{BfsService, ChaosConfig, GraphSession, NetConfig};
+use sunbfs::serve::{
+    proto, BfsService, ChaosConfig, GraphSession, NetConfig, ServeConfig, SessionConfig, MAX_BATCH,
+};
+
+const USAGE: &str = "usage: bfs_server --tcp ADDR [--scale N] [--ranks N] [--edge-factor N] \
+    [--e-threshold N] [--h-threshold N] [--seed N] [--queue-capacity N] [--batch-max N] \
+    [--flush-deadline N] [--baseline] [--path FILE] [--max-conns N] [--inflight-cap N] \
+    [--read-timeout-ms N] [--write-timeout-ms N] [--tick-ms N] [--shutdown-grace-ms N] \
+    [--chaos-every N] [--chaos-seed N] [--chaos-max-events N]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match Cli::parse(&args) {
         Ok(cli) => run(cli),
-        Err(msg) => {
-            eprintln!("bfs_server: {msg}");
-            eprintln!(
-                "usage: bfs_server --tcp ADDR [--scale N] [--ranks N] [--edge-factor N] \
-                 [--e-threshold N] [--h-threshold N] [--seed N] [--queue-capacity N] \
-                 [--batch-max N] [--flush-deadline N] [--baseline] [--path FILE] \
-                 [--max-conns N] [--inflight-cap N] [--read-timeout-ms N] \
-                 [--write-timeout-ms N] [--tick-ms N] [--shutdown-grace-ms N] \
-                 [--chaos-every N] [--chaos-seed N] [--chaos-max-events N]"
-            );
-            std::process::exit(2);
-        }
+        Err(msg) => cli::refuse(format_args!("{msg}\n{USAGE}")),
     }
 }
 
-/// Build the resident session from a validated load request, honoring
-/// `SUNBFS_FAULT_PLAN` like the benchmark driver does. With `armed`,
-/// an absent env plan becomes [`FaultPlan::armed`] so live chaos can
+/// Build the resident session the command line asks for, honoring
+/// `SUNBFS_FAULT_PLAN` like the benchmark driver does. With live chaos
+/// armed, an absent env plan becomes [`FaultPlan::armed`] so chaos can
 /// inject faults later without desyncing payload framing.
-fn build_session(load: &LoadRequest, armed: bool) -> Result<GraphSession, String> {
-    let plan = match FaultPlan::from_env(load.session.mesh.num_ranks()) {
+fn build_session(cli: &Cli) -> Result<GraphSession, String> {
+    let plan = match FaultPlan::from_env(cli.session.mesh.num_ranks()) {
         Err(e) => return Err(format!("bad SUNBFS_FAULT_PLAN: {e}")),
         Ok(Some(events)) => FaultPlan::from_events(events),
-        Ok(None) if armed => FaultPlan::armed(),
+        Ok(None) if cli.chaos.is_some() => FaultPlan::armed(),
         Ok(None) => FaultPlan::none(),
     };
-    let session = match &load.path {
-        Some(path) => GraphSession::open_or_build(std::path::Path::new(path), load.session, plan),
-        None => GraphSession::load(load.session, plan).map_err(Into::into),
+    let session = match &cli.path {
+        Some(path) => GraphSession::open_or_build(std::path::Path::new(path), cli.session, plan),
+        None => GraphSession::load(cli.session, plan).map_err(Into::into),
     };
     session.map_err(|e| format!("load failed: {e}"))
 }
 
 struct Cli {
     addr: String,
-    load: LoadRequest,
+    /// The graph to materialize.
+    session: SessionConfig,
+    serve: ServeConfig,
+    /// A `sunbfs-store` file to open instead of rebuilding.
+    path: Option<String>,
     net: NetConfig,
     /// Seeded live-fault schedule (`--chaos-every` > 0 turns it on).
     chaos: Option<ChaosConfig>,
 }
 
 impl Cli {
-    /// Strict flag parsing: unknown flags are an error (exit 2), and
-    /// the graph knobs reuse the protocol's own `load` validation by
-    /// synthesizing a `{"cmd":"load",...}` line from the flags — a
-    /// non-numeric value travels as a string, so the refusal is the
-    /// protocol's typed one (`load knob "scale" must be …`).
+    /// Strict flag parsing: an unknown flag, a flag without its value
+    /// and a refused knob are errors (exit 2).
     fn parse(args: &[String]) -> Result<Cli, String> {
-        let mut addr: Option<String> = None;
-        let mut load = JsonValue::object().field("cmd", "load");
-        let mut baseline = false;
+        let (mut addr, mut path) = (None, None);
+        let (mut scale, mut ranks, mut e, mut h) = (10, 4, 256, 64);
+        let (mut edge_factor, mut seed) = (16, 42);
+        let mut serve = ServeConfig::default();
         let mut net = NetConfig::default();
         let mut chaos = ChaosConfig::default();
-        let mut chaos_on = false;
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| -> Result<String, String> {
-                it.next()
-                    .map(String::from)
-                    .ok_or_else(|| format!("flag {name} needs a value"))
-            };
-            let knob = |name: &str, raw: String| -> Result<u64, String> {
-                raw.parse::<u64>()
-                    .map_err(|_| format!("flag {name} needs an unsigned integer, got {raw:?}"))
-            };
-            match flag.as_str() {
-                "--tcp" => addr = Some(value("--tcp")?),
-                "--baseline" => baseline = true,
-                "--path" => load = load.field("path", value("--path")?),
-                "--scale" | "--ranks" | "--edge-factor" | "--e-threshold" | "--h-threshold"
-                | "--seed" | "--queue-capacity" | "--batch-max" | "--flush-deadline" => {
-                    let key = flag.trim_start_matches("--").replace('-', "_");
-                    let raw = value(flag)?;
-                    load = match raw.parse::<u64>() {
-                        Ok(n) => load.field(&key, n),
-                        Err(_) => load.field(&key, raw),
-                    };
-                }
-                "--max-conns" => net.max_connections = knob(flag, value(flag)?)? as usize,
-                "--inflight-cap" => net.inflight_cap = knob(flag, value(flag)?)? as usize,
-                "--read-timeout-ms" => {
-                    net.read_timeout = Duration::from_millis(knob(flag, value(flag)?)?);
-                }
-                "--write-timeout-ms" => {
-                    net.write_timeout = Duration::from_millis(knob(flag, value(flag)?)?);
-                }
-                "--tick-ms" => net.tick_interval = Duration::from_millis(knob(flag, value(flag)?)?),
-                "--shutdown-grace-ms" => {
-                    net.shutdown_grace = Duration::from_millis(knob(flag, value(flag)?)?);
-                }
-                "--chaos-every" => {
-                    chaos.every_queries = knob(flag, value(flag)?)?;
-                    chaos_on = chaos.every_queries > 0;
-                }
-                "--chaos-seed" => chaos.seed = knob(flag, value(flag)?)?,
-                "--chaos-max-events" => chaos.max_events = knob(flag, value(flag)?)?,
+        let ms = Duration::from_millis;
+        let mut flags = Flags::new(args);
+        while let Some(flag) = flags.next() {
+            match flag {
+                "--tcp" => addr = Some(flags.value()?.to_string()),
+                "--baseline" => serve.measure_baseline = true,
+                "--path" => path = Some(flags.value()?.to_string()),
+                "--scale" => scale = flags.num(U64)?,
+                "--ranks" => ranks = flags.num(U64)?,
+                "--e-threshold" => e = flags.num(U64)?,
+                "--h-threshold" => h = flags.num(U64)?,
+                "--edge-factor" => edge_factor = flags.num(1..=u64::from(u32::MAX))? as u32,
+                "--seed" => seed = flags.num(U64)?,
+                "--queue-capacity" => serve.queue_capacity = flags.num(1..=1 << 20)? as usize,
+                "--batch-max" => serve.batch_max = flags.num(1..=MAX_BATCH as u64)? as usize,
+                "--flush-deadline" => serve.flush_deadline = flags.num(U32)? as u32,
+                "--max-conns" => net.max_connections = flags.num(U64)? as usize,
+                "--inflight-cap" => net.inflight_cap = flags.num(U64)? as usize,
+                "--read-timeout-ms" => net.read_timeout = ms(flags.num(U64)?),
+                "--write-timeout-ms" => net.write_timeout = ms(flags.num(U64)?),
+                "--tick-ms" => net.tick_interval = ms(flags.num(U64)?),
+                "--shutdown-grace-ms" => net.shutdown_grace = ms(flags.num(U64)?),
+                "--chaos-every" => chaos.every_queries = flags.num(U64)?,
+                "--chaos-seed" => chaos.seed = flags.num(U64)?,
+                "--chaos-max-events" => chaos.max_events = flags.num(U64)?,
                 other => return Err(format!("unknown flag {other:?}")),
             }
         }
-        if baseline {
-            load = load.field("baseline", true);
-        }
         let addr = addr.ok_or("--tcp ADDR is required")?;
-        let line = load.build().render();
-        match proto::parse_request(&line) {
-            Ok(Request::Load(l)) => Ok(Cli {
-                addr,
-                load: *l,
-                net,
-                chaos: chaos_on.then_some(chaos),
-            }),
-            Ok(_) => unreachable!("synthesized line is a load command"),
-            Err(e) => Err(e.to_string()),
-        }
+        let sized = cli::sized_session(scale, ranks, e, h)?;
+        Ok(Cli {
+            addr,
+            session: SessionConfig {
+                edge_factor,
+                seed,
+                ..sized
+            },
+            serve,
+            path,
+            net,
+            chaos: (chaos.every_queries > 0).then_some(chaos),
+        })
     }
 }
 
 fn run(cli: Cli) {
-    let session = match build_session(&cli.load, cli.chaos.is_some()) {
+    let session = match build_session(&cli) {
         Ok(s) => s,
         Err(detail) => {
             eprintln!("bfs_server: {detail}");
@@ -187,7 +168,7 @@ fn run(cli: Cli) {
         }
     };
     let loaded = proto::loaded_reply(&session);
-    let mut service = BfsService::new(session, cli.load.serve);
+    let mut service = BfsService::new(session, cli.serve);
     if let Some(chaos) = cli.chaos {
         service = service.with_chaos(chaos);
     }
@@ -201,8 +182,8 @@ fn run(cli: Cli) {
     let listening = JsonValue::object()
         .field("event", "listening")
         .field("addr", server.local_addr().to_string())
-        .field("queue_capacity", cli.load.serve.queue_capacity as u64)
-        .field("batch_max", cli.load.serve.batch_max as u64)
+        .field("queue_capacity", cli.serve.queue_capacity as u64)
+        .field("batch_max", cli.serve.batch_max as u64)
         .field("max_connections", cli.net.max_connections as u64)
         .field("loaded", loaded)
         .build();

@@ -14,22 +14,15 @@
 //! ```
 //!
 //! `mib` (default 32) must be an integer in 1..=1024; anything else is
-//! refused by name, exit code 2.
+//! refused by name (`sunbfs::cli`), exit code 2.
 
+use sunbfs::cli;
 use sunbfs::common::{MachineConfig, SplitMix64};
 use sunbfs::sunway::kernels;
 use sunbfs::sunway::{ocs_sort_mpe, ocs_sort_rma, OcsConfig, SegmentedBitvec};
 
 fn main() {
-    let mib = std::env::args()
-        .nth(1)
-        .map_or(32, |s| match s.parse::<usize>() {
-            Ok(mib @ 1..=1024) => mib,
-            _ => {
-                eprintln!("error: knob \"mib\" must be an integer in 1..=1024, got {s:?}");
-                std::process::exit(2);
-            }
-        });
+    let mib = cli::positional(1, "mib", 32, 1..=1024) as usize;
     let machine = MachineConfig::new_sunway();
     let n = mib * 1024 * 1024 / 8;
     let mut rng = SplitMix64::new(7);

@@ -26,16 +26,25 @@
 //!
 //! Unknown `--flags` are an error (exit code 2), not a warning: a typo
 //! like `--jsno` silently producing a default run is worse than a
-//! refusal. So is a positional knob outside the range `bfs_server`'s
-//! `load` accepts (scale 1..=40, ranks 1..=65536, thresholds in `u32`
-//! with h <= e) or zero roots: the refusal names the knob.
+//! refusal. So is a knob the shared reader (`sunbfs::cli`) refuses —
+//! a non-integer, scale outside 1..=40, ranks outside 1..=65536,
+//! thresholds outside `u32` or h > e — or zero roots: the refusal names
+//! the knob.
 
+use sunbfs::cli::{self, Flags, U64};
 use sunbfs::core::{DirectionHeuristic, EngineConfig};
 use sunbfs::driver::{run_benchmark, FaultSpec, RunConfig};
 use sunbfs::metrics;
-use sunbfs::serve::proto::sized_session;
+
+const USAGE: &str = "usage: graph500_runner [scale] [ranks] [e_threshold] [h_threshold] \
+    [num_roots] [--json [path]] [--seed <u64>] [--batch [--baseline]] \
+    [--save-graph <path>] [--load-graph <path>]";
+
+/// The positional knobs, in order.
+const POSITIONAL: [&str; 5] = ["scale", "ranks", "e_threshold", "h_threshold", "num_roots"];
 
 /// Parsed command line: positional knobs plus flags.
+#[derive(Default)]
 struct Args {
     positional: Vec<u64>,
     /// `--json [path]`; `Some(None)` means "default filename".
@@ -48,62 +57,33 @@ struct Args {
 }
 
 /// Split flags out of the argument list, leaving the positional knobs
-/// in place. Unknown flags (or a malformed `--seed`) terminate the
-/// process with exit code 2.
-fn parse_args() -> Args {
+/// in place.
+fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed = Args {
-        positional: Vec::new(),
-        json: None,
         seed: 42,
-        batch: false,
-        baseline: false,
-        save_graph: None,
-        load_graph: None,
+        ..Args::default()
     };
-    let path_flag = |args: &mut std::iter::Peekable<std::iter::Skip<std::env::Args>>,
-                     flag: &str| {
-        args.next().unwrap_or_else(|| {
-            eprintln!("error: {flag} requires a path");
-            std::process::exit(2);
-        })
-    };
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            parsed.json = Some(args.next_if(|p| !p.starts_with("--")));
-        } else if a == "--seed" {
-            let value = args.next().unwrap_or_default();
-            parsed.seed = value.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("error: --seed requires a u64 value, got {value:?}");
-                std::process::exit(2);
-            });
-        } else if a == "--batch" {
-            parsed.batch = true;
-        } else if a == "--baseline" {
-            parsed.baseline = true;
-        } else if a == "--save-graph" {
-            parsed.save_graph = Some(path_flag(&mut args, "--save-graph"));
-        } else if a == "--load-graph" {
-            parsed.load_graph = Some(path_flag(&mut args, "--load-graph"));
-        } else if a.starts_with("--") {
-            eprintln!("error: unknown flag {a}");
-            eprintln!(
-                "usage: graph500_runner [scale] [ranks] [e_threshold] [h_threshold] \
-                 [num_roots] [--json [path]] [--seed <u64>] [--batch [--baseline]] \
-                 [--save-graph <path>] [--load-graph <path>]"
-            );
-            std::process::exit(2);
-        } else if let Ok(v) = a.parse::<u64>() {
-            parsed.positional.push(v);
-        } else {
-            eprintln!("error: unrecognized argument {a:?} (positional knobs are integers)");
-            std::process::exit(2);
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--json" => parsed.json = Some(flags.value_if_any().map(String::from)),
+            "--seed" => parsed.seed = flags.num(U64)?,
+            "--batch" => parsed.batch = true,
+            "--baseline" => parsed.baseline = true,
+            "--save-graph" => parsed.save_graph = Some(flags.value()?.to_string()),
+            "--load-graph" => parsed.load_graph = Some(flags.value()?.to_string()),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}\n{USAGE}")),
+            raw => {
+                let name = POSITIONAL.get(parsed.positional.len()).unwrap_or(&"unused");
+                parsed.positional.push(cli::knob(name, raw, U64)?);
+            }
         }
     }
-    parsed
+    Ok(parsed)
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let Args {
         positional,
         json,
@@ -112,18 +92,13 @@ fn main() {
         baseline,
         save_graph,
         load_graph,
-    } = parse_args();
+    } = parse_args(&args).unwrap_or_else(|e| cli::refuse(e));
     let arg = |n: usize, default: u64| positional.get(n).copied().unwrap_or(default);
-    let refuse = |detail: String| -> ! {
-        eprintln!("error: {detail}");
-        std::process::exit(2);
-    };
-    // The ranges the server's `load` command enforces, from one check.
-    let sized = sized_session(arg(0, 14), arg(1, 16), arg(2, 256), arg(3, 64));
-    let sized = sized.unwrap_or_else(|e| refuse(e));
+    let sized = cli::sized_session(arg(0, 14), arg(1, 16), arg(2, 256), arg(3, 64));
+    let sized = sized.unwrap_or_else(|e| cli::refuse(e));
     let (scale, mesh, thresholds) = (sized.scale, sized.mesh, sized.thresholds);
     let num_roots = match arg(4, 8) {
-        0 => refuse("knob \"num_roots\" must be at least 1, got 0".into()),
+        0 => cli::refuse("knob \"num_roots\" must be at least 1, got 0"),
         k => usize::try_from(k).unwrap_or(usize::MAX),
     };
 
@@ -131,8 +106,9 @@ fn main() {
     if let Some(value) = std::env::var_os("SUNBFS_DIRECTION") {
         let value = value.to_string_lossy().into_owned();
         engine.heuristic = DirectionHeuristic::parse(&value).unwrap_or_else(|| {
-            eprintln!("error: SUNBFS_DIRECTION must be \"fixed\" or \"measured\", got {value:?}");
-            std::process::exit(2);
+            cli::refuse(format_args!(
+                "SUNBFS_DIRECTION must be \"fixed\" or \"measured\", got {value:?}"
+            ))
         });
     }
 

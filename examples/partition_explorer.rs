@@ -11,34 +11,19 @@
 //! cargo run --release --example partition_explorer -- [scale] [ranks]
 //! ```
 //!
-//! Defaults: SCALE 14 on 16 ranks. The knobs take the ranges
-//! `bfs_server`'s `load` accepts (scale 1..=40, ranks 1..=65536); a
-//! non-integer or out-of-range knob is refused by name, exit code 2.
+//! Defaults: SCALE 14 on 16 ranks. The knobs go through the reader
+//! every binary shares (`sunbfs::cli`: scale 1..=40, ranks 1..=65536);
+//! a non-integer or out-of-range knob is refused by name, exit code 2.
 
+use sunbfs::cli::{self, U64};
 use sunbfs::net::Cluster;
 use sunbfs::part::{build_1p5d, ComponentStats, Thresholds};
 use sunbfs::rmat;
-use sunbfs::serve::proto::sized_session;
-
-fn refuse(detail: String) -> ! {
-    eprintln!("error: {detail}");
-    std::process::exit(2);
-}
-
-/// Positional knob `n`, or `default` when it is absent.
-fn knob(name: &str, n: usize, default: u64) -> u64 {
-    std::env::args().nth(n).map_or(default, |s| {
-        s.parse().unwrap_or_else(|_| {
-            refuse(format!(
-                "knob {name:?} must be an unsigned integer, got {s:?}"
-            ))
-        })
-    })
-}
 
 fn main() {
-    let sized = sized_session(knob("scale", 1, 14), knob("ranks", 2, 16), 256, 64);
-    let cfg = sized.unwrap_or_else(|e| refuse(e));
+    let scale = cli::positional(1, "scale", 14, U64);
+    let cfg = cli::sized_session(scale, cli::positional(2, "ranks", 16, U64), 256, 64);
+    let cfg = cfg.unwrap_or_else(|e| cli::refuse(e));
     let (scale, ranks) = (cfg.scale, cfg.mesh.num_ranks());
     let params = cfg.rmat();
     let n = params.num_vertices();

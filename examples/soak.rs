@@ -30,15 +30,15 @@
 //!
 //! Exit status: 0 when the profile's gate held
 //! (`SoakReport::passed`), 1 on a gate failure or a connect/bind
-//! error, 2 on an unknown profile or flag or a knob out of the range
-//! `bfs_server` accepts (`--scale 70`) — so CI can gate on the process
-//! status alone.
+//! error, 2 on an unknown profile or flag or a knob the shared reader
+//! (`sunbfs::cli`) refuses (`--scale 70`) — so CI can gate on the
+//! process status alone.
 
 use std::time::Duration;
 
+use sunbfs::cli::{self, Flags, U32, U64};
 use sunbfs::metrics::soak_artifact;
 use sunbfs::mutate::UpdatePlan;
-use sunbfs::serve::proto::sized_session;
 use sunbfs::serve::{
     recovery_episodes, run_loadgen, run_soak, ChaosConfig, LineClient, LoadgenConfig, NetConfig,
     Profile, RepairRounds, ServeConfig, SessionConfig, SoakConfig, SoakReport, Target,
@@ -125,51 +125,42 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     let (mut scale, mut ranks) = (None, None);
     let (mut addr, mut root_max, mut tick_ms, mut shutdown) = (None, None, None, true);
     let mut json_path = None;
-    let mut it = args[1..].iter();
-    while let Some(arg) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {arg} needs a value"))
-        };
-        let mut knob = || {
-            let raw = value()?;
-            raw.parse::<u64>()
-                .map_err(|_| format!("flag {arg} needs an unsigned integer, got {raw:?}"))
-        };
-        let narrow = |n: u64| u32::try_from(n).map_err(|_| format!("flag {arg}: {n} exceeds u32"));
-        match arg.as_str() {
-            "--scale" => scale = Some(knob()?),
-            "--ranks" => ranks = Some(knob()?),
-            "--conns" => cfg.load.connections = knob()? as usize,
-            "--qps" => cfg.load.qps = knob()?.max(1),
-            "--duration" => cfg.load.duration = Duration::from_secs(knob()?),
+    let mut flags = Flags::new(&args[1..]);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--scale" => scale = Some(flags.num(U64)?),
+            "--ranks" => ranks = Some(flags.num(U64)?),
+            "--conns" => cfg.load.connections = flags.num(U64)? as usize,
+            "--qps" => cfg.load.qps = flags.num(U64)?.max(1),
+            "--duration" => cfg.load.duration = Duration::from_secs(flags.num(U64)?),
             "--seed" => {
-                cfg.load.seed = knob()?;
+                cfg.load.seed = flags.num(U64)?;
                 cfg.chaos.seed = cfg.load.seed;
             }
-            "--settle-secs" => cfg.load.settle_timeout = Duration::from_secs(knob()?),
-            "--deadline-ticks" => cfg.load.deadline_ticks = Some(narrow(knob()?)?),
-            "--retry-max" => cfg.load.retry_max = narrow(knob()?)?,
-            "--update-every" => cfg.load.update_every = knob()?,
-            "--update-batch" => cfg.load.update_batch = knob()?.max(1) as usize,
-            "--json" => json_path = Some(value()?),
-            "--addr" if profile == Load => addr = Some(value()?),
-            "--root-max" if profile == Load => root_max = Some(knob()?),
-            "--tick-hint-ms" if profile == Load => tick_ms = Some(knob()?.max(1)),
+            "--settle-secs" => cfg.load.settle_timeout = Duration::from_secs(flags.num(U64)?),
+            "--deadline-ticks" => cfg.load.deadline_ticks = Some(flags.num(U32)? as u32),
+            "--retry-max" => cfg.load.retry_max = flags.num(U32)? as u32,
+            "--update-every" => cfg.load.update_every = flags.num(U64)?,
+            "--update-batch" => cfg.load.update_batch = flags.num(U64)?.max(1) as usize,
+            "--json" => json_path = Some(flags.value()?.to_string()),
+            "--addr" if profile == Load => addr = Some(flags.value()?.to_string()),
+            "--root-max" if profile == Load => root_max = Some(flags.num(U64)?),
+            "--tick-hint-ms" if profile == Load => tick_ms = Some(flags.num(U64)?.max(1)),
             "--no-shutdown" if profile == Load => shutdown = false,
-            "--chaos-every" if profile == Chaos => cfg.chaos.every_queries = knob()?.max(1),
-            "--chaos-max-events" if profile == Chaos => cfg.chaos.max_events = knob()?,
+            "--chaos-every" if profile == Chaos => cfg.chaos.every_queries = flags.num(U64)?.max(1),
+            "--chaos-max-events" if profile == Chaos => cfg.chaos.max_events = flags.num(U64)?,
             "--availability-gate" if profile == Chaos => {
-                let raw = value()?;
+                let raw = flags.value()?;
                 cfg.availability_gate = raw
                     .parse::<f64>()
                     .map_err(|_| format!("--availability-gate needs a float, got {raw:?}"))?;
             }
-            "--recovery-gate-ticks" if profile == Chaos => cfg.recovery_gate_ticks = knob()?,
-            "--rounds" if profile == Update => cfg.repair.rounds = knob()?.max(1),
-            "--batch" if profile == Update => cfg.repair.batch = knob()?.max(1),
-            "--roots" if profile == Update => cfg.repair.roots = knob()?.max(1) as usize,
+            "--recovery-gate-ticks" if profile == Chaos => {
+                cfg.recovery_gate_ticks = flags.num(U64)?;
+            }
+            "--rounds" if profile == Update => cfg.repair.rounds = flags.num(U64)?.max(1),
+            "--batch" if profile == Update => cfg.repair.batch = flags.num(U64)?.max(1),
+            "--roots" if profile == Update => cfg.repair.roots = flags.num(U64)?.max(1) as usize,
             other => return Err(format!("unknown argument {other:?} for this profile")),
         }
     }
@@ -185,8 +176,7 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         _ => {}
     }
     let ranks = ranks.unwrap_or(if profile == Chaos { 8 } else { 4 });
-    // The ranges the server's `load` command enforces, from one check.
-    cfg.session = sized_session(scale.unwrap_or(14), ranks, 256, 64)?;
+    cfg.session = cli::sized_session(scale.unwrap_or(14), ranks, 256, 64)?;
     let external = addr.map(|addr| {
         let target = Target {
             addr,
@@ -265,10 +255,7 @@ fn run_external(cfg: &SoakConfig, target: &Target, shutdown: bool) -> std::io::R
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = parse(&args).unwrap_or_else(|msg| {
-        eprintln!("soak: {msg}\n{USAGE}");
-        std::process::exit(2);
-    });
+    let cli = parse(&args).unwrap_or_else(|msg| cli::refuse(format_args!("{msg}\n{USAGE}")));
     let name = &args[0];
     let cfg = &cli.cfg;
     eprintln!(

@@ -197,7 +197,7 @@ must_refuse() {
     fi
 }
 
-# Positional knobs outside the range bfs_server's `load` accepts (or
+# Positional knobs the shared knob reader (`sunbfs::cli`) refuses (or
 # zero roots) are refused by name, never a panic or a silently
 # different run.
 echo "==> graph500_runner knob refusals"
@@ -353,12 +353,13 @@ tcp_talk() {
     exec 3>&-
 }
 
-# Smoke: mistyped graph knobs are the protocol's typed `load` refusals
-# (never a silent default-config build), no arguments is the usage, and
-# soak refuses an out-of-range size from the same check.
+# Smoke: mistyped or out-of-range knobs are the shared knob reader's
+# refusals (never a silent default-config build), no arguments is the
+# usage, and soak refuses an out-of-range size from the same check.
 echo "==> bfs_server flag and fault-plan refusals"
-must_refuse 'load knob "scale" must be an unsigned integer' "$BFS_SERVER" --tcp 127.0.0.1:0 --scale x
-must_refuse 'load knob "h_threshold"' "$BFS_SERVER" --tcp 127.0.0.1:0 --scale 9 --ranks 4 --h-threshold 512
+must_refuse 'knob "scale" must be an unsigned integer' "$BFS_SERVER" --tcp 127.0.0.1:0 --scale x
+must_refuse 'knob "h_threshold"' "$BFS_SERVER" --tcp 127.0.0.1:0 --scale 9 --ranks 4 --h-threshold 512
+must_refuse 'knob "batch_max"' "$BFS_SERVER" --tcp 127.0.0.1:0 --batch-max 65
 must_refuse 'usage: bfs_server --tcp ADDR' "$BFS_SERVER"
 must_refuse 'knob "scale"' ./target/release/examples/soak load --scale 70
 for PLAN in "straggle@0:0:-1" "panic@9:0"; do

@@ -33,6 +33,9 @@
 //!   one report. A root that fails — lost ranks past the retry budget,
 //!   an engine error, a failed validation — is quarantined in the
 //!   report, never an `Err`.
+//! * [`cli`] — the one knob reader of the example binaries: a graph is
+//!   sized from the command line that launches it, and a bad knob is
+//!   refused by name with exit code 2.
 //!
 //! There is no general vertex-program framework (the paper's §8 future
 //! work): BFS is the boolean, monotone semiring the engine's lanes are
@@ -48,6 +51,7 @@
 //! assert!(report.validated);
 //! ```
 
+pub mod cli;
 pub mod driver;
 pub mod metrics;
 
