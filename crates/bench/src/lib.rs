@@ -90,6 +90,7 @@ pub fn run_and_summarize(label: &str, cfg: &RunConfig) -> BenchmarkReport {
 pub fn group_by_subgraph(times: &TimeAccumulator) -> Vec<(String, f64)> {
     let mut groups: std::collections::BTreeMap<&str, f64> = Default::default();
     for (cat, secs) in times.entries() {
+        let cat = cat.to_string();
         let bucket = if cat.starts_with("reduce.") || cat.contains(".reduce.") {
             "reduce"
         } else if let Some(comp) = ["EH2EH", "E2L", "L2E", "H2L", "L2H", "L2L"]
@@ -153,6 +154,7 @@ pub fn group_by_phase_direction(times: &TimeAccumulator) -> Vec<(String, f64)> {
     let mut other_push = 0.0;
     let mut other = 0.0;
     for (cat, secs) in times.entries() {
+        let cat = cat.to_string();
         if cat.starts_with("sub.EH2EH.pull") {
             eh_pull += secs;
         } else if cat.starts_with("sub.EH2EH.push") {

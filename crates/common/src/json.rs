@@ -764,8 +764,10 @@ mod tests {
         assert_eq!(SimTime::secs(0.25).to_json().render(), "0.25");
         let mut acc = TimeAccumulator::new();
         acc.add("b", SimTime::secs(2.0));
+        acc.add(crate::Category::joined("a.", "x"), SimTime::secs(0.5));
         acc.add("a", SimTime::secs(1.0));
-        // BTreeMap entries: lexicographic, deterministic.
-        assert_eq!(acc.to_json().render(), r#"{"a":1.0,"b":2.0}"#);
+        acc.add("a.x", SimTime::secs(0.25));
+        // Entries in printed-name order, a joined key printed in full.
+        assert_eq!(acc.to_json().render(), r#"{"a":1.0,"a.x":0.75,"b":2.0}"#);
     }
 }

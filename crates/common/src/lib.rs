@@ -33,5 +33,5 @@ pub use json::{JsonObject, JsonValue, ToJson, MAX_PARSE_DEPTH};
 pub use machine::MachineConfig;
 pub use pool::PoolStats;
 pub use rng::{LabelScrambler, SplitMix64};
-pub use timing::{SimTime, TimeAccumulator};
+pub use timing::{Category, CategoryMap, SimTime, TimeAccumulator};
 pub use types::{Edge, GlobalGraphHeader, VertexId, INVALID_VERTEX};

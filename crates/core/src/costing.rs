@@ -19,7 +19,7 @@ const SCAN_CYCLES: f64 = 8.0;
 /// Charge a streaming edge scan (push, or the sequential side of a
 /// pull): DMA-bound adjacency streaming overlapped with per-edge CPE
 /// work — the slower of the two dominates.
-pub fn charge_scan(ctx: &mut RankCtx, category: &str, edges: u64) {
+pub fn charge_scan(ctx: &mut RankCtx, category: &'static str, edges: u64) {
     if edges == 0 {
         return;
     }
@@ -39,7 +39,7 @@ fn scan_time(m: &MachineConfig, edges: u64) -> SimTime {
 /// frontier prefix-sum.
 pub fn charge_balanced_push(
     ctx: &mut RankCtx,
-    category: &str,
+    category: &'static str,
     max_chunk_edges: u64,
     frontier: u64,
 ) {
@@ -63,7 +63,7 @@ pub fn charge_balanced_push(
 /// segments shows up as it would on hardware.
 pub fn charge_eh_pull(
     ctx: &mut RankCtx,
-    category: &str,
+    category: &'static str,
     edges: u64,
     probes_per_segment: &[u64],
     segmenting: bool,
@@ -82,7 +82,7 @@ pub fn charge_eh_pull(
 
 /// Charge the receiver-side application of a message batch (the
 /// two-stage destination update of §4.4: coarse bucket + in-LDM update).
-pub fn charge_apply(ctx: &mut RankCtx, category: &str, messages: u64) {
+pub fn charge_apply(ctx: &mut RankCtx, category: &'static str, messages: u64) {
     if messages == 0 {
         return;
     }

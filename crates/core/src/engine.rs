@@ -229,7 +229,7 @@ impl<'s, M> Spares<'s, M> {
 /// each mode's byte-identity contract.
 fn hub_sync_collective(
     ctx: &mut RankCtx,
-    op: &str,
+    op: &'static str,
     words: &[u64],
     counters: &[u64],
 ) -> (Vec<u64>, Vec<u64>) {
@@ -672,6 +672,10 @@ impl<'a, L: Lane> Engine<'a, L> {
     ///
     /// Only a single-root [`Bit`] traversal may pass `checkpoints`: the
     /// checkpoint codec carries no depth slots.
+    ///
+    /// The run takes `ctx`'s time accounting and collective counters for
+    /// its output, less what they held when it started (`Engine::new`'s
+    /// setup collective and anything before it), and leaves them empty.
     pub(crate) fn run(
         mut self,
         ctx: &mut RankCtx,
@@ -947,12 +951,14 @@ impl<'a, L: Lane> Engine<'a, L> {
             ctx.allreduce_with(Scope::World, "reduce.teps", tallies, None, |a, b| *a += b);
 
         // Charge the resumed segment on top of the checkpointed base
-        // (both zero when not resuming), so interrupted-then-resumed
-        // runs report one continuous traversal.
-        let mut times = base.times;
-        times.merge(&ctx.accumulator().diff(&acc_start));
-        let mut comm = base.comm;
-        comm.merge(&ctx.comm_stats().diff(&comm_start));
+        // (empty when not resuming), so interrupted-then-resumed runs
+        // report one continuous traversal.
+        let mut times = ctx.take_accumulator();
+        times.subtract(&acc_start);
+        times.merge(&base.times);
+        let mut comm = ctx.take_comm_stats();
+        comm.subtract(&comm_start);
+        comm.merge(&base.comm);
         Ok(BatchOutput {
             num_roots: width,
             parents,
@@ -997,10 +1003,12 @@ impl<'a, L: Lane> Engine<'a, L> {
             l_visited: self.l.seen.clone(),
             l_parent: self.l.parent.clone(),
         };
-        let mut times = base.times.clone();
-        times.merge(&ctx.accumulator().diff(acc_start));
-        let mut comm = base.comm.clone();
-        comm.merge(&ctx.comm_stats().diff(comm_start));
+        let mut times = ctx.accumulator().clone();
+        times.subtract(acc_start);
+        times.merge(&base.times);
+        let mut comm = ctx.comm_stats().clone();
+        comm.subtract(comm_start);
+        comm.merge(&base.comm);
         let stats = ResumeStats {
             iterations: iterations.to_vec(),
             times,
@@ -1095,7 +1103,12 @@ impl<'a, L: Lane> Engine<'a, L> {
     /// counters that feed the mid-iteration direction refresh without a
     /// dedicated scalar collective. Returns `None` when there are no
     /// hubs (no sync happens).
-    fn sync_hubs(&mut self, ctx: &mut RankCtx, op: &str, counters: &[u64]) -> Option<Vec<u64>> {
+    fn sync_hubs(
+        &mut self,
+        ctx: &mut RankCtx,
+        op: &'static str,
+        counters: &[u64],
+    ) -> Option<Vec<u64>> {
         if self.hub_update.is_empty() {
             return None;
         }
@@ -1427,8 +1440,8 @@ impl<'a, L: Lane> Engine<'a, L> {
         &mut self,
         ctx: &mut RankCtx,
         msgs: Vec<L::Msg>,
-        comm_op: &str,
-        cost_category: &str,
+        comm_op: &'static str,
+        cost_category: &'static str,
     ) {
         let dist = self.part.dist;
         let topo = ctx.topology();
@@ -1452,7 +1465,7 @@ impl<'a, L: Lane> Engine<'a, L> {
     /// coarse-sorted into fixed-length vertex ranges with OCS-RMA, then
     /// each range is updated in LDM by its owning consumer — no atomic
     /// bit-sets against main memory.
-    fn apply_l_messages(&mut self, ctx: &mut RankCtx, msgs: Vec<L::Msg>, category: &str) {
+    fn apply_l_messages(&mut self, ctx: &mut RankCtx, msgs: Vec<L::Msg>, category: &'static str) {
         if msgs.is_empty() {
             return;
         }

@@ -22,6 +22,14 @@
 //!    the caller's category (`comm.alltoallv`, `comm.allgather`,
 //!    `comm.reduce_scatter`, ... — the categories of Figure 11).
 //!
+//! The bookkeeping of a collective allocates nothing once its keys
+//! exist. Op tags and categories are `&'static str`, and the composed
+//! names are [`Category`] keys joined on output only: [`CommStats`]
+//! keys a call as `"<scope>/" + op` and an all-reduce charges its halves
+//! as `"comm.reduce_scatter." + op` and `"comm.allgather." + op`. An
+//! all-to-all's per-destination volume row is shared by every member
+//! that costs it, not copied to each.
+//!
 //! The SPMD contract: all members of a scope must call the same
 //! collectives in the same order. Mismatches are detected by per-op tag
 //! checks and turn into a typed [`SpmdViolation`] unwind (plus barrier
@@ -35,13 +43,14 @@
 //! aggregate panic naming *every* failing rank.
 
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
-use sunbfs_common::{json_record, JsonValue, MachineConfig, SimTime, TimeAccumulator, ToJson};
+use sunbfs_common::{
+    json_record, Category, CategoryMap, JsonValue, MachineConfig, SimTime, TimeAccumulator, ToJson,
+};
 
 use crate::barrier::{BarrierPoisoned, PoisonBarrier};
 use crate::cost::{self, Scope};
@@ -70,8 +79,10 @@ struct Deposit {
     tag: u64,
     /// Payload size in bytes (for gather/reduce costing).
     bytes: u64,
-    /// Per-destination byte volumes (for alltoallv costing).
-    volumes: Option<Vec<u64>>,
+    /// Per-destination byte volumes (for alltoallv costing), shared
+    /// with every member that collects them; `None` for the collectives
+    /// that carry none.
+    volumes: Option<Arc<[u64]>>,
     /// Length + checksum of the *pristine* payload, computed by the
     /// sender before the fault-injection hook ran (`None` on the
     /// fault-free fast path).
@@ -698,18 +709,32 @@ json_record! {
 
 /// Per-scope collective call counts and byte volumes on one rank.
 ///
-/// Keys are `"<scope>/<op>"` (`"row/hubsync.EH2EH"`,
+/// Keys are `"<scope>/" + op` ([`Category::joined`]: `"row/hubsync.EH2EH"`,
 /// `"world/comm.alltoallv.L2L"`, ...), so the same op tag stays
 /// distinguishable between its row and column hops — the traffic split
 /// that decides what rides the supernode network versus the
 /// oversubscribed tree.
 ///
-/// Equality compares the full per-key state — the merge/diff round-trip
-/// property (`(a ⊎ b) − b = a`) the serve layer's per-query comm
-/// attribution relies on is tested against it.
+/// Equality compares the full per-key state — the merge/subtract
+/// round-trip property (`(a ⊎ b) − b = a`) the serve layer's per-query
+/// comm attribution relies on is tested against it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CommStats {
-    ops: BTreeMap<String, CommOpStats>,
+    ops: CategoryMap<CommOpStats>,
+}
+
+impl std::ops::AddAssign for CommOpStats {
+    fn add_assign(&mut self, other: CommOpStats) {
+        self.count += other.count;
+        self.bytes += other.bytes;
+    }
+}
+
+impl std::ops::SubAssign for CommOpStats {
+    fn sub_assign(&mut self, other: CommOpStats) {
+        self.count -= other.count;
+        self.bytes -= other.bytes;
+    }
 }
 
 impl CommStats {
@@ -719,70 +744,41 @@ impl CommStats {
     }
 
     /// Record one collective call of `op` on `scope` with `bytes` sent.
-    pub fn record(&mut self, scope: Scope, op: &str, bytes: u64) {
-        with_joined(&[scope_label(scope), "/", op], |key| {
-            match self.ops.get_mut(key) {
-                Some(e) => {
-                    e.count += 1;
-                    e.bytes += bytes;
-                }
-                None => {
-                    self.ops
-                        .insert(key.to_string(), CommOpStats { count: 1, bytes });
-                }
-            }
-        })
+    pub fn record(&mut self, scope: Scope, op: &'static str, bytes: u64) {
+        let key = Category::joined(scope_prefix(scope), op);
+        self.ops.add(key, CommOpStats { count: 1, bytes });
     }
 
     /// Stats for one `(scope, op)` pair (zero when absent).
     pub fn get(&self, scope: Scope, op: &str) -> CommOpStats {
-        with_joined(&[scope_label(scope), "/", op], |key| {
-            self.ops.get(key).copied()
-        })
-        .unwrap_or_default()
+        self.ops.get(scope_prefix(scope), op)
     }
 
-    /// All `(key, stats)` pairs in lexicographic key order.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, CommOpStats)> {
-        self.ops.iter().map(|(k, v)| (k.as_str(), *v))
+    /// All `(key, stats)` pairs in printed-key order.
+    pub fn entries(&self) -> impl Iterator<Item = (Category, CommOpStats)> + '_ {
+        self.ops.iter()
     }
 
-    /// Total calls and bytes for keys starting with `prefix`.
+    /// Total calls and bytes for keys whose printed name starts with
+    /// `prefix`.
     pub fn total_with_prefix(&self, prefix: &str) -> CommOpStats {
         let mut total = CommOpStats::default();
-        for (k, v) in &self.ops {
-            if k.starts_with(prefix) {
-                total.count += v.count;
-                total.bytes += v.bytes;
-            }
+        for (_, v) in self.entries().filter(|(k, _)| k.starts_with(prefix)) {
+            total += v;
         }
         total
     }
 
     /// Merge another rank's stats into this one.
     pub fn merge(&mut self, other: &CommStats) {
-        for (k, v) in &other.ops {
-            let e = self.ops.entry(k.clone()).or_default();
-            e.count += v.count;
-            e.bytes += v.bytes;
-        }
+        self.ops.merge(&other.ops);
     }
 
-    /// Per-key difference `self - earlier` (used to isolate one phase
-    /// from a running recorder, mirroring [`TimeAccumulator::diff`]).
-    pub fn diff(&self, earlier: &CommStats) -> CommStats {
-        let mut out = CommStats::new();
-        for (k, v) in &self.ops {
-            let base = earlier.ops.get(k).copied().unwrap_or_default();
-            let d = CommOpStats {
-                count: v.count - base.count,
-                bytes: v.bytes - base.bytes,
-            };
-            if d != CommOpStats::default() {
-                out.ops.insert(k.clone(), d);
-            }
-        }
-        out
+    /// Subtract `earlier` per key, in place, dropping keys that reach
+    /// zero (isolates one phase from a running recorder, as
+    /// [`TimeAccumulator::subtract`] does).
+    pub fn subtract(&mut self, earlier: &CommStats) {
+        self.ops.subtract(&earlier.ops);
     }
 }
 
@@ -796,21 +792,13 @@ impl ToJson for CommStats {
     }
 }
 
-/// Call `f` with the concatenation of `parts`, composed on the stack
-/// (on the heap only when it does not fit): a map key that is looked up
-/// once per collective must not cost an allocation per lookup.
-fn with_joined<R>(parts: &[&str], f: impl FnOnce(&str) -> R) -> R {
-    let len: usize = parts.iter().map(|p| p.len()).sum();
-    let mut buf = [0u8; 64];
-    if len > buf.len() {
-        return f(&parts.concat());
+/// The printed prefix of a [`CommStats`] key on `scope`.
+fn scope_prefix(scope: Scope) -> &'static str {
+    match scope {
+        Scope::World => "world/",
+        Scope::Row => "row/",
+        Scope::Col => "col/",
     }
-    let mut at = 0;
-    for p in parts {
-        buf[at..at + p.len()].copy_from_slice(p.as_bytes());
-        at += p.len();
-    }
-    f(std::str::from_utf8(&buf[..len]).expect("a concatenation of strs"))
 }
 
 pub(crate) fn scope_label(scope: Scope) -> &'static str {
@@ -919,7 +907,7 @@ impl RankCtx {
 
     /// Advance this rank's simulated clock by `t`, attributed to
     /// `category` (local compute, chip kernels, ...).
-    pub fn charge(&mut self, category: &str, t: SimTime) {
+    pub fn charge(&mut self, category: &'static str, t: SimTime) {
         self.clock += t;
         self.acc.add(category, t);
     }
@@ -937,6 +925,11 @@ impl RankCtx {
     /// Take the collective counters (for returning from the rank closure).
     pub fn take_comm_stats(&mut self) -> CommStats {
         std::mem::take(&mut self.comm)
+    }
+
+    /// Take the time accounting, leaving this rank's empty.
+    pub fn take_accumulator(&mut self) -> TimeAccumulator {
+        std::mem::take(&mut self.acc)
     }
 
     /// Number of ranks in `scope`.
@@ -1018,10 +1011,12 @@ impl RankCtx {
     }
 
     /// Core rendezvous: deposit `payload`, wait for all scope members,
-    /// collect everyone's payloads (as shared `Arc`s) and metadata.
+    /// collect everyone's payloads (as shared `Arc`s), and hand each
+    /// member's deposit to `collect`, in scope position order, for the
+    /// metadata the caller costs the collective by.
     ///
-    /// Returns `(payloads, bytes, volumes, entry-clock max)` in scope
-    /// position order.
+    /// Returns `(payloads, entry-clock max)`, payloads in scope position
+    /// order.
     ///
     /// Fault-free (no framing) this is **one** barrier: deposit into
     /// the scope's buffer `seq mod 2`, wait, collect. Nothing protects
@@ -1032,15 +1027,15 @@ impl RankCtx {
     /// fault plan the exchange is the two-phase protocol — deposit,
     /// barrier, [`Self::heal_corrupt_deposits`], collect, barrier — so
     /// a heal round always works on slots no member has moved past.
-    #[allow(clippy::type_complexity)]
     fn exchange<T: Payload>(
         &mut self,
         scope: Scope,
-        op: &str,
+        op: &'static str,
         payload: T,
         bytes: u64,
-        volumes: Option<Vec<u64>>,
-    ) -> (Vec<Arc<T>>, Vec<u64>, Vec<Vec<u64>>, SimTime) {
+        volumes: Option<Arc<[u64]>>,
+        mut collect: impl FnMut(&Deposit),
+    ) -> (Vec<Arc<T>>, SimTime) {
         let shared = Arc::clone(&self.shared);
         let (ss, pos, seq_idx) = shared.scope_of(self.rank, scope);
         let seq = self.seqs[seq_idx];
@@ -1104,8 +1099,6 @@ impl RankCtx {
         }
 
         let mut payloads = Vec::with_capacity(n);
-        let mut all_bytes = Vec::with_capacity(n);
-        let mut all_volumes = Vec::with_capacity(n);
         let mut max_entry = SimTime::ZERO;
         for p in 0..n {
             let member = ss.members[p];
@@ -1128,8 +1121,7 @@ impl RankCtx {
                 );
             };
             payloads.push(typed);
-            all_bytes.push(dep.bytes);
-            all_volumes.push(dep.volumes.clone().unwrap_or_default());
+            collect(dep);
             let entry = SimTime::secs(f64::from_bits(clocks[p].load(Ordering::Acquire)));
             max_entry = max_entry.max(entry);
         }
@@ -1138,7 +1130,7 @@ impl RankCtx {
             // the next collective until everyone has collected.
             ss.barrier.wait();
         }
-        (payloads, all_bytes, all_volumes, max_entry)
+        (payloads, max_entry)
     }
 
     /// Self-healing pass between the deposit and collect barriers:
@@ -1164,7 +1156,7 @@ impl RankCtx {
         tag: u64,
         bytes: u64,
         frame: Option<Frame>,
-        volumes: &Option<Vec<u64>>,
+        volumes: &Option<Arc<[u64]>>,
         pristine: &Option<T>,
     ) {
         let n = ss.members.len();
@@ -1254,7 +1246,7 @@ impl RankCtx {
     /// latest entry, then advance to `max_entry + cost` charged under
     /// `category` (plus any pending retransmit heal time under
     /// `comm.retransmit`).
-    fn settle(&mut self, category: &str, max_entry: SimTime, cost: SimTime) {
+    fn settle(&mut self, category: Category, max_entry: SimTime, cost: SimTime) {
         let heal = std::mem::replace(&mut self.pending_retransmit, SimTime::ZERO);
         let skew = max_entry - self.clock;
         if skew.as_secs() > 0.0 {
@@ -1269,8 +1261,8 @@ impl RankCtx {
 
     /// Barrier over `scope`: synchronizes clocks, charges only skew.
     pub fn barrier(&mut self, scope: Scope) {
-        let (_, _, _, max_entry) = self.exchange(scope, "barrier", (), 0, None);
-        self.settle("comm.barrier", max_entry, SimTime::ZERO);
+        let (_, max_entry) = self.exchange(scope, "barrier", (), 0, None, |_| ());
+        self.settle(Category::new("comm.barrier"), max_entry, SimTime::ZERO);
     }
 
     /// Irregular all-to-all: `send[p]` goes to scope member `p`; returns
@@ -1280,7 +1272,7 @@ impl RankCtx {
     pub fn alltoallv<T: Wire>(
         &mut self,
         scope: Scope,
-        category: &str,
+        category: &'static str,
         send: Vec<Vec<T>>,
     ) -> Vec<Vec<T>> {
         let n = self.scope_size(scope);
@@ -1290,18 +1282,25 @@ impl RankCtx {
             "alltoallv send buffer count must equal scope size"
         );
         let item = std::mem::size_of::<T>() as u64;
-        let volumes: Vec<u64> = send.iter().map(|v| v.len() as u64 * item).collect();
+        let volumes: Arc<[u64]> = send.iter().map(|v| v.len() as u64 * item).collect();
         let bytes: u64 = volumes.iter().sum();
         let my_pos = self.shared.scope_of(self.rank, scope).1;
-        let (payloads, _, all_volumes, max_entry) =
-            self.exchange(scope, category, Parts::from(send), bytes, Some(volumes));
+        let mut rows = Vec::with_capacity(n);
+        let (payloads, max_entry) = self.exchange(
+            scope,
+            category,
+            Parts::from(send),
+            bytes,
+            Some(volumes),
+            |dep| rows.extend(dep.volumes.clone()),
+        );
         let cost = cost::alltoallv_cost(
             &self.shared.machine,
             &self.shared.topo,
             self.scope_members(scope),
-            &all_volumes,
+            &rows,
         );
-        self.settle(category, max_entry, cost);
+        self.settle(Category::new(category), max_entry, cost);
         payloads.iter().map(|p| p.take(my_pos)).collect()
     }
 
@@ -1310,13 +1309,16 @@ impl RankCtx {
     pub fn allgatherv<T: Wire>(
         &mut self,
         scope: Scope,
-        category: &str,
+        category: &'static str,
         send: Vec<T>,
     ) -> Vec<Vec<T>> {
         let bytes = (send.len() * std::mem::size_of::<T>()) as u64;
-        let (payloads, all_bytes, _, max_entry) = self.exchange(scope, category, send, bytes, None);
+        let mut all_bytes = Vec::with_capacity(self.scope_size(scope));
+        let (payloads, max_entry) = self.exchange(scope, category, send, bytes, None, |dep| {
+            all_bytes.push(dep.bytes)
+        });
         let cost = cost::allgatherv_cost(&self.shared.machine, scope, &all_bytes);
-        self.settle(category, max_entry, cost);
+        self.settle(Category::new(category), max_entry, cost);
         payloads.iter().map(|p| p.as_ref().clone()).collect()
     }
 
@@ -1332,7 +1334,7 @@ impl RankCtx {
     pub fn allreduce_with<T, F>(
         &mut self,
         scope: Scope,
-        op: &str,
+        op: &'static str,
         mine: Vec<T>,
         charged_bytes: Option<u64>,
         combine: F,
@@ -1351,7 +1353,7 @@ impl RankCtx {
     pub fn allreduce_with_indexed<T, F>(
         &mut self,
         scope: Scope,
-        op: &str,
+        op: &'static str,
         mine: Vec<T>,
         charged_bytes: Option<u64>,
         combine: F,
@@ -1363,7 +1365,7 @@ impl RankCtx {
         let n = self.scope_size(scope);
         let bytes = charged_bytes.unwrap_or((mine.len() * std::mem::size_of::<T>()) as u64);
         let len = mine.len();
-        let (payloads, _, _, max_entry) = self.exchange(scope, op, mine, bytes, None);
+        let (payloads, max_entry) = self.exchange(scope, op, mine, bytes, None, |_| ());
         let members = self.scope_members(scope);
         // The deposited payloads may differ in length from this rank's
         // contribution — an SPMD bug or an injected truncation. Check
@@ -1391,22 +1393,27 @@ impl RankCtx {
         // can group the same totals per comm type (Figure 11) *and* per
         // algorithm phase (Figure 10).
         let half = cost::allreduce_half_cost(&self.shared.machine, scope, n, bytes);
-        with_joined(&["comm.reduce_scatter.", op], |category| {
-            self.settle(category, max_entry, half)
-        });
-        with_joined(&["comm.allgather.", op], |category| {
-            self.charge(category, half)
-        });
+        self.settle_allreduce(op, max_entry, half);
         result
     }
 
+    /// Settle an all-reduce of `op` at `max_entry`, charging `half` to
+    /// each half. Not generic, so every all-reduce keys its halves with
+    /// the same prefix strings.
+    fn settle_allreduce(&mut self, op: &'static str, max_entry: SimTime, half: SimTime) {
+        let reduce_scatter = Category::joined("comm.reduce_scatter.", op);
+        self.settle(reduce_scatter, max_entry, half);
+        self.clock += half;
+        self.acc.add(Category::joined("comm.allgather.", op), half);
+    }
+
     /// Sum a scalar across the scope.
-    pub fn allreduce_sum(&mut self, scope: Scope, op: &str, x: u64) -> u64 {
+    pub fn allreduce_sum(&mut self, scope: Scope, op: &'static str, x: u64) -> u64 {
         self.allreduce_with(scope, op, vec![x], None, |a, b| *a += b)[0]
     }
 
     /// Max of a scalar across the scope.
-    pub fn allreduce_max(&mut self, scope: Scope, op: &str, x: u64) -> u64 {
+    pub fn allreduce_max(&mut self, scope: Scope, op: &'static str, x: u64) -> u64 {
         self.allreduce_with(scope, op, vec![x], None, |a, b| *a = (*a).max(*b))[0]
     }
 
@@ -1642,20 +1649,68 @@ mod tests {
             );
             assert_eq!(stats.total_with_prefix("row/").count, 2);
         }
-        // diff isolates a phase; merge adds ranks.
+        // subtract isolates a phase; merge adds ranks.
         let mut merged = CommStats::new();
         for s in &out {
             merged.merge(s);
         }
         assert_eq!(merged.get(Scope::Row, "rowsum").count, 8);
-        let d = merged.diff(&out[0]);
-        assert_eq!(d.get(Scope::Row, "rowsum").count, 6);
+        merged.subtract(&out[0]);
+        assert_eq!(merged.get(Scope::Row, "rowsum").count, 6);
         // JSON rendering is deterministic and keyed by scope/op.
         let js = out[0].to_json().render();
         assert!(
             js.contains("\"row/rowsum\":{\"count\":2,\"bytes\":16}"),
             "got {js}"
         );
+    }
+
+    #[test]
+    fn comm_keys_print_in_scope_then_op_order() {
+        let mut stats = CommStats::new();
+        stats.record(Scope::World, "x", 1);
+        stats.record(Scope::Row, "x", 2);
+        stats.record(Scope::Col, "x", 4);
+        stats.record(Scope::Row, "hubsync.L2E", 8);
+        stats.record(Scope::Row, "x", 16);
+        let keys: Vec<String> = stats.entries().map(|(k, _)| k.to_string()).collect();
+        assert_eq!(keys, ["col/x", "row/hubsync.L2E", "row/x", "world/x"]);
+        assert_eq!(
+            stats.total_with_prefix("row/"),
+            CommOpStats {
+                count: 3,
+                bytes: 26
+            }
+        );
+        assert_eq!(
+            stats.to_json().render(),
+            "{\"col/x\":{\"count\":1,\"bytes\":4},\
+             \"row/hubsync.L2E\":{\"count\":1,\"bytes\":8},\
+             \"row/x\":{\"count\":2,\"bytes\":18},\
+             \"world/x\":{\"count\":1,\"bytes\":1}}"
+        );
+    }
+
+    #[test]
+    fn an_allreduce_half_and_the_literal_it_prints_as_share_one_entry() {
+        let c = small_cluster(1, 2);
+        let out = c.run(|ctx| {
+            ctx.allgatherv(Scope::World, "comm.allgather.H2L", vec![1u64]);
+            ctx.allreduce_sum(Scope::World, "H2L", 1);
+            ctx.barrier(Scope::World);
+            let acc = ctx.take_accumulator();
+            acc.entries()
+                .map(|(k, _)| k.to_string())
+                .collect::<Vec<_>>()
+        });
+        for keys in out {
+            let want = [
+                "comm.allgather.H2L",
+                "comm.barrier",
+                "comm.reduce_scatter.H2L",
+            ];
+            assert_eq!(keys, want);
+        }
     }
 
     #[test]

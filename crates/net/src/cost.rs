@@ -54,29 +54,43 @@ pub fn collective_latency(machine: &MachineConfig, n: usize) -> SimTime {
     SimTime::secs(machine.net_latency * hops)
 }
 
+/// Scopes of up to this many members, on meshes of up to this many
+/// supernodes, are costed without allocating.
+const STACK_TALLIES: usize = 64;
+
 /// Cost of an irregular all-to-all given the full byte-volume matrix
 /// `volumes[src][dst]` (scope-local indices; `members` maps them to
-/// global ranks for supernode attribution).
+/// global ranks for supernode attribution). The rows are borrowed, and
+/// nothing is allocated for scopes up to [`STACK_TALLIES`].
 ///
 /// Three bottleneck candidates are evaluated and the worst taken:
 /// per-node injection, per-node reception, and per-supernode uplink
 /// (inter-supernode volume over the oversubscribed capacity).
-pub fn alltoallv_cost(
+pub fn alltoallv_cost<R: AsRef<[u64]>>(
     machine: &MachineConfig,
     topo: &Topology,
     members: &[usize],
-    volumes: &[Vec<u64>],
+    volumes: &[R],
 ) -> SimTime {
     let n = members.len();
     debug_assert_eq!(volumes.len(), n);
     if n <= 1 {
         return SimTime::ZERO;
     }
-    let mut inject = vec![0u64; n];
-    let mut receive = vec![0u64; n];
+    let supernodes = topo.num_supernodes();
+    let mut stack = [0u64; 3 * STACK_TALLIES];
+    let mut heap = Vec::new();
+    let tallies = if n <= STACK_TALLIES && supernodes <= STACK_TALLIES {
+        &mut stack[..2 * n + supernodes]
+    } else {
+        heap.resize(2 * n + supernodes, 0u64);
+        &mut heap[..]
+    };
+    let (inject, rest) = tallies.split_at_mut(n);
     // Inter-supernode byte totals, per supernode (out + in).
-    let mut sn_traffic = vec![0u64; topo.num_supernodes()];
+    let (receive, sn_traffic) = rest.split_at_mut(n);
     for (s, row) in volumes.iter().enumerate() {
+        let row = row.as_ref();
         debug_assert_eq!(row.len(), n);
         for (d, &bytes) in row.iter().enumerate() {
             if s == d || bytes == 0 {

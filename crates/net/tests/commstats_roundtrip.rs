@@ -1,10 +1,11 @@
-//! Property test for the `CommStats` merge/diff algebra.
+//! Property test for the `CommStats` merge/subtract algebra.
 //!
-//! `diff` is load-bearing for per-query comm attribution in the serve
-//! layer: a batch's comm volume is `recorder_after.diff(recorder_before)`.
-//! The invariant that makes that attribution exact is the round trip
-//! `(a ⊎ b) − b = a` for any two recorders — merging never loses keys
-//! and diffing recovers exactly the pre-merge state.
+//! `subtract` is load-bearing for per-query comm attribution in the
+//! engine: a traversal's comm volume is the recorder it hands over minus
+//! the snapshot taken before it. The invariant that makes that
+//! attribution exact is the round trip `(a ⊎ b) − b = a` for any two
+//! recorders — merging never loses keys and subtracting recovers exactly
+//! the pre-merge state.
 
 use proptest::prelude::*;
 use sunbfs_net::{CommStats, Scope};
@@ -33,7 +34,7 @@ fn record_all(events: &[(u8, u8, u64)]) -> CommStats {
 
 proptest! {
     #[test]
-    fn merge_then_diff_round_trips(
+    fn merge_then_subtract_round_trips(
         a_events in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u64>()), 0..64),
         b_events in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u64>()), 0..64),
     ) {
@@ -41,10 +42,15 @@ proptest! {
         let b = record_all(&b_events);
         let mut a = a_before.clone();
         a.merge(&b);
-        prop_assert_eq!(a.diff(&b), a_before);
+        let minus = |x: &CommStats, y: &CommStats| {
+            let mut d = x.clone();
+            d.subtract(y);
+            d
+        };
+        prop_assert_eq!(minus(&a, &b), a_before.clone());
         // And the degenerate round trips on each side.
-        prop_assert_eq!(a.diff(&a_before), b);
-        prop_assert_eq!(a_before.diff(&CommStats::new()), a_before.clone());
+        prop_assert_eq!(minus(&a, &a_before), b);
+        prop_assert_eq!(minus(&a_before, &CommStats::new()), a_before);
     }
 
     #[test]

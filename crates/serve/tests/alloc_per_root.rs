@@ -12,6 +12,15 @@
 //! stays under 64 KiB, so the root path's growth is also counted from
 //! 4 KiB: a root whose scans grew fresh lists made about 22 of those.
 //!
+//! It also counts every allocator call (`alloc`, `alloc_zeroed`,
+//! `realloc`). A warmed root made 3,130 of them while each collective
+//! keyed its accounting by `String`, cloned, diffed and merged the rank's
+//! maps per root, copied every volume row to every member and allocated
+//! its cost tallies; with static keys, maps handed over and shared rows
+//! it makes 1,977, and a warmed 64-wide batch 5,357 → 3,896. What is
+//! left is the collectives' payload vectors, the OCS buckets and the
+//! engine's per-level buffers.
+//!
 //! One test in its own binary, so no other test moves the counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -30,6 +39,15 @@ const SMALL: usize = 4 << 10;
 /// measured at 3.4 (21.8 when every scan grew a fresh list).
 const MAX_SMALL_GROWS_PER_ROOT: f64 = 4.0;
 
+/// Allocator calls one warmed root may make: measured at 1,976.2 to
+/// 1,977.0, debug and release, plus a 2.5 % margin (the count moves by
+/// a call or two between runs).
+const MAX_CALLS_PER_ROOT: f64 = 2_025.0;
+
+/// Allocator calls one warmed 64-wide batch may make: measured at
+/// 3,895.6 on every run, plus the same margin in calls.
+const MAX_CALLS_PER_BATCH: f64 = 3_945.0;
+
 /// Large allocations one warmed root may make, as measured: none, its
 /// bitmaps and result slots are smaller.
 const MAX_LARGE_ALLOCS_PER_ROOT: f64 = 0.0;
@@ -38,6 +56,7 @@ const MAX_LARGE_ALLOCS_PER_ROOT: f64 = 0.0;
 /// each is allocated at its final size.
 const MAX_LARGE_ALLOCS_PER_BATCH: f64 = 21.0;
 
+static CALLS: AtomicU64 = AtomicU64::new(0);
 static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static LARGE_GROWS: AtomicU64 = AtomicU64::new(0);
 static SMALL_GROWS: AtomicU64 = AtomicU64::new(0);
@@ -50,6 +69,7 @@ struct Counting;
 // that never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         if layout.size() >= LARGE {
             LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
@@ -58,6 +78,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         if layout.size() >= LARGE {
             LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
@@ -71,6 +92,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         if new_size > layout.size() {
             if new_size >= SMALL {
                 SMALL_GROWS.fetch_add(1, Ordering::Relaxed);
@@ -88,10 +110,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// `[large allocations, large growth reallocs, small growth reallocs]`
-/// that `f` makes.
-fn count(f: impl FnOnce()) -> [u64; 3] {
-    let counters = [&LARGE_ALLOCS, &LARGE_GROWS, &SMALL_GROWS];
+/// `[allocator calls, large allocations, large growth reallocs, small
+/// growth reallocs]` that `f` makes.
+fn count(f: impl FnOnce()) -> [u64; 4] {
+    let counters = [&CALLS, &LARGE_ALLOCS, &LARGE_GROWS, &SMALL_GROWS];
     let before = counters.map(|c| c.load(Ordering::Relaxed));
     f();
     let after = counters.map(|c| c.load(Ordering::Relaxed));
@@ -118,15 +140,18 @@ fn warmed_roots_and_batches_grow_no_message_list() {
     };
 
     (0..8).for_each(run_root);
-    let [root_allocs, root_grows, root_small_grows] = count(|| (8..40).for_each(run_root));
+    let [root_calls, root_allocs, root_grows, root_small_grows] =
+        count(|| (8..40).for_each(run_root));
     (0..8).for_each(run_batch);
-    let [batch_allocs, batch_grows, _] = count(|| (8..16).for_each(run_batch));
+    let [batch_calls, batch_allocs, batch_grows, _] = count(|| (8..16).for_each(run_batch));
 
     let per_root = root_allocs as f64 / 32.0;
     let per_batch = batch_allocs as f64 / 8.0;
     let small_grows_per_root = root_small_grows as f64 / 32.0;
+    let calls_per_root = root_calls as f64 / 32.0;
+    let calls_per_batch = batch_calls as f64 / 8.0;
     eprintln!(
-        "large allocations: {per_root:.2} per root, {per_batch:.2} per batch; \
+        "allocator calls: {calls_per_root:.1} per root, {calls_per_batch:.1} per batch; large allocations: {per_root:.2} per root, {per_batch:.2} per batch; \
          large growth reallocs: {root_grows} over 32 roots, {batch_grows} over 8 batches; \
          growth reallocs from 4 KiB: {small_grows_per_root:.2} per root"
     );
@@ -135,6 +160,14 @@ fn warmed_roots_and_batches_grow_no_message_list() {
     assert!(
         small_grows_per_root <= MAX_SMALL_GROWS_PER_ROOT,
         "{small_grows_per_root} growth reallocs from 4 KiB per root"
+    );
+    assert!(
+        calls_per_root <= MAX_CALLS_PER_ROOT,
+        "{calls_per_root} allocator calls per root"
+    );
+    assert!(
+        calls_per_batch <= MAX_CALLS_PER_BATCH,
+        "{calls_per_batch} allocator calls per batch"
     );
     assert!(
         per_root <= MAX_LARGE_ALLOCS_PER_ROOT,

@@ -24,7 +24,7 @@ use sunbfs_net::{RankCtx, Scope, Wire};
 /// Approximate node-local sort rate used for time accounting: an
 /// 8-byte-key radix pass is DMA-bound, so we charge `key_bytes` streaming
 /// passes over the data at chip DMA bandwidth.
-fn charge_local_sort(ctx: &mut RankCtx, category: &str, bytes: u64, passes: u32) {
+fn charge_local_sort(ctx: &mut RankCtx, category: &'static str, bytes: u64, passes: u32) {
     let t = SimTime::from_bytes(bytes * passes as u64 * 2, ctx.machine().dma_bandwidth);
     ctx.charge(category, t);
 }
@@ -36,7 +36,7 @@ fn charge_local_sort(ctx: &mut RankCtx, category: &str, bytes: u64, passes: u32)
 /// permutation of the concatenated inputs.
 pub fn psrs_sort_by_key<T, K>(
     ctx: &mut RankCtx,
-    category: &str,
+    category: &'static str,
     mut local: Vec<T>,
     key: K,
     key_bytes: u32,

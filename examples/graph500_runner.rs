@@ -29,7 +29,7 @@
 //! refusal. So is a knob the shared reader (`sunbfs::cli`) refuses —
 //! a non-integer, scale outside 1..=40, ranks outside 1..=65536,
 //! thresholds outside `u32` or h > e — or zero roots: the refusal names
-//! the knob.
+//! the knob. A sixth positional argument is refused by its value.
 
 use sunbfs::cli::{self, Flags, U64};
 use sunbfs::core::{DirectionHeuristic, EngineConfig};
@@ -74,7 +74,12 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--load-graph" => parsed.load_graph = Some(flags.value()?.to_string()),
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}\n{USAGE}")),
             raw => {
-                let name = POSITIONAL.get(parsed.positional.len()).unwrap_or(&"unused");
+                let Some(name) = POSITIONAL.get(parsed.positional.len()) else {
+                    let n = POSITIONAL.len();
+                    return Err(format!(
+                        "unexpected positional argument {raw:?}: at most {n} knobs\n{USAGE}"
+                    ));
+                };
                 parsed.positional.push(cli::knob(name, raw, U64)?);
             }
         }

@@ -10,8 +10,13 @@
 # that goes first alternates from pair to pair. For each of the six
 # end-to-end metrics it prints every pair's values, both sides' medians
 # and quartiles, and the pairs the change won (ties count for neither),
-# then the failed-operation share of each side. Run length is
-# BENCHMARK.json's run_seconds unless [seconds] is given.
+# then two verdicts: whether the change is a gain by docs/PERF.md's rule
+# (it won at least 9 pairs in 10, and its median is better than the
+# parent's by more than the parent's interquartile range), and whether
+# its median is worse than the parent's by more than the metric's
+# BENCHMARK.json bound. Last comes the failed-operation share of each
+# side. Run length is BENCHMARK.json's run_seconds unless [seconds] is
+# given.
 #
 # It adds nothing to sunbfs_bench/ or BENCHMARK.json; each side writes
 # its run records under its own sunbfs_bench/out/, and the per-run JSON
@@ -93,6 +98,14 @@ for m in bench["end_to_end"]:
     print(f"  change median {cm:.4g} [q1 {c1:.4g}, q3 {c3:.4g}]")
     print(f"  change {100 * (cm - pm) / pm:+.1f} % at the median; wins {wins}/{pairs}; "
           f"median gap {abs(cm - pm):.4g} vs parent IQR {p3 - p1:.4g}")
+    better = cm < pm if lower else cm > pm
+    gain = 10 * wins >= 9 * pairs and better and abs(cm - pm) > p3 - p1
+    print(f"  gain rule (>= 9/10 wins, median gap > parent IQR): "
+          f"{'met' if gain else 'not met'}")
+    limit = pm * (1 + m["bound"]) if lower else pm * (1 - m["bound"])
+    worse = cm > limit if lower else cm < limit
+    print(f"  bound: change median {'WORSE than' if worse else 'within'} "
+          f"the {m['bound']:.0%} bound ({limit:.4g})")
 for s in ("parent", "change"):
     attempted = sum(r["attempted"] for r in side[s])
     failed = sum(r["failed"] for r in side[s])

@@ -206,6 +206,7 @@ must_refuse 'knob "ranks"' "$RUNNER" 9 0 256 64 1
 must_refuse 'knob "scale"' "$RUNNER" 70 4 256 64 1
 must_refuse 'knob "scale"' "$RUNNER" 4294967305 4 256 64 1
 must_refuse 'knob "num_roots"' "$RUNNER" 9 4 256 64 0
+must_refuse 'unexpected positional argument "7"' "$RUNNER" 9 4 256 64 1 7
 
 # The two exploration examples refuse their knobs the same way: a
 # non-integer or out-of-range knob is exit 2 naming it, never a panic,

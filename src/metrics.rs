@@ -222,18 +222,15 @@ pub fn grouped_times(times: &TimeAccumulator) -> JsonValue {
     let mut groups: Vec<Group> = Vec::new();
     let mut overall = 0.0;
     for (cat, secs) in times.entries() {
+        let cat = cat.to_string();
         let prefix = cat.split('.').next().unwrap_or("other").to_string();
         overall += secs;
         match groups.iter_mut().find(|(p, _, _)| *p == prefix) {
             Some((_, cats, total)) => {
-                cats.push((cat.to_string(), JsonValue::Float(secs)));
+                cats.push((cat, JsonValue::Float(secs)));
                 *total += secs;
             }
-            None => groups.push((
-                prefix,
-                vec![(cat.to_string(), JsonValue::Float(secs))],
-                secs,
-            )),
+            None => groups.push((prefix, vec![(cat, JsonValue::Float(secs))], secs)),
         }
     }
     let mut out = JsonValue::object().field("total_s", overall);
