@@ -7,7 +7,9 @@
 //!    endpoints),
 //! 2. gather all vertices with `deg ≥ h` and build the replicated
 //!    [`HubDirectory`] (identical on every rank by construction),
-//! 3. route every edge to the rank(s) that store it, per §4.1:
+//! 3. route every edge to the rank(s) that store it, in two passes of
+//!    one routing function (the first counts each send list, the
+//!    second fills lists allocated at those counts), per §4.1:
 //!    * **EH2EH** (both endpoints hubs): both orientations,
 //!      2D-partitioned — orientation `(s → d)` lives at mesh position
 //!      `(dest_row(d), src_col(s))`,
@@ -30,6 +32,13 @@
 //! routed, `alltoallv` moves each part to its receiver, and each
 //! component is indexed right after its own exchange, reading the
 //! received parts in place, before the next component is exchanged.
+//! Every send list is allocated at its exact length: the census and the
+//! routing count per destination before they fill, so no list holds
+//! doubling slack or leaves its outgrown blocks in the rank's allocator
+//! arena. Routing looks endpoints up in a dense `vertex → hub id` table
+//! (4 bytes a vertex) that is dropped with the chunk before the first
+//! exchange. The build peaks while the first component is exchanged and
+//! indexed, with the other four send sets still held.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -204,6 +213,88 @@ pub fn row_vertex_range(
     dist.range_of(first).start..dist.range_of(last).end
 }
 
+/// Send-set indices of the five routed components, in exchange order.
+const EH: usize = 0;
+const EL: usize = 1;
+const H2L: usize = 2;
+const LH: usize = 3;
+const L2L: usize = 4;
+
+/// One component's send set: the `(key, target)` pairs for each
+/// destination rank.
+type SendSet = Vec<Vec<(u64, u64)>>;
+
+/// Where each edge of a chunk is stored (step 3 of the module doc).
+struct Router<'a> {
+    topo: Topology,
+    dist: VertexDistribution,
+    directory: &'a HubDirectory,
+    /// [`HubDirectory::hub_id_table`] over every vertex: `u32::MAX` is L.
+    hub_of: Vec<u32>,
+}
+
+impl Router<'_> {
+    /// Call `emit(component, dest, pair)` once per stored copy of `e`,
+    /// in send order. A self loop emits nothing.
+    #[inline]
+    fn route(&self, e: &Edge, mut emit: impl FnMut(usize, usize, (u64, u64))) {
+        const L: u32 = u32::MAX;
+        if e.is_self_loop() {
+            return;
+        }
+        let (topo, dist, dir) = (&self.topo, &self.dist, self.directory);
+        let (rows, cols) = (topo.shape().rows, topo.shape().cols);
+        let (hub, hub_v, l) = match (self.hub_of[e.u as usize], self.hub_of[e.v as usize]) {
+            // L ↔ L: both orientations at their source owners.
+            (L, L) => {
+                emit(L2L, dist.owner(e.u), (e.u, e.v));
+                emit(L2L, dist.owner(e.v), (e.v, e.u));
+                return;
+            }
+            (h, L) => (h, e.u, e.v),
+            (L, h) => (h, e.v, e.u),
+            // Both hubs: both orientations, 2D-partitioned.
+            (hu, hv) => {
+                for (hs, hd) in [(hu, hv), (hv, hu)] {
+                    let dest = topo.rank_at(dir.dest_row(hd, rows), dir.src_col(hs, cols));
+                    emit(EH, dest, (hs as u64, hd as u64));
+                }
+                return;
+            }
+        };
+        if dir.is_e(hub) {
+            // E ↔ L: stored once at L's owner.
+            emit(EL, dist.owner(l), (hub as u64, l));
+        } else {
+            // H ↔ L: H→L copy at (row(owner(l)), col(owner(h))),
+            // L→H copy at owner(l).
+            let inter = topo.rank_at(topo.row_of(dist.owner(l)), topo.col_of(dist.owner(hub_v)));
+            emit(H2L, inter, (hub as u64, l));
+            emit(LH, dist.owner(l), (hub as u64, l));
+        }
+    }
+
+    /// The five send sets of `edges`, indexed by component, every list
+    /// allocated at its exact length: a counting pass of [`Self::route`]
+    /// sizes them and a second pass fills them.
+    fn send_sets(&self, edges: &[Edge]) -> [SendSet; 5] {
+        let mut counts = vec![[0usize; 5]; self.dist.num_ranks()];
+        for e in edges {
+            self.route(e, |c, dest, _| counts[dest][c] += 1);
+        }
+        let mut sets: [SendSet; 5] = std::array::from_fn(|c| {
+            counts
+                .iter()
+                .map(|count| Vec::with_capacity(count[c]))
+                .collect()
+        });
+        for e in edges {
+            self.route(e, |c, dest, pair| sets[c][dest].push(pair));
+        }
+        sets
+    }
+}
+
 /// Build this rank's partition from its chunk of the global edge list.
 ///
 /// SPMD: every rank calls this with the same `n` and `thresholds` and
@@ -223,7 +314,14 @@ pub fn build_1p5d<'a>(
     let dist = VertexDistribution::new(n, p);
 
     // ---- (1) exact degrees at owners ----------------------------------
-    let mut endpoint_msgs: Vec<Vec<VertexId>> = vec![Vec::new(); p];
+    // Counted per owner first, so every list is allocated at its length.
+    let mut counts = vec![0usize; p];
+    for e in edges.iter() {
+        counts[dist.owner(e.u)] += 1;
+        counts[dist.owner(e.v)] += 1;
+    }
+    let mut endpoint_msgs: Vec<Vec<VertexId>> =
+        counts.into_iter().map(Vec::with_capacity).collect();
     for e in edges.iter() {
         endpoint_msgs[dist.owner(e.u)].push(e.u);
         endpoint_msgs[dist.owner(e.v)].push(e.v);
@@ -246,53 +344,17 @@ pub fn build_1p5d<'a>(
         .collect();
     let gathered = ctx.allgatherv(Scope::World, "prep.allgather", local_heavy);
     let directory = HubDirectory::build(gathered.into_iter().flatten().collect(), thresholds);
-    let (rows, cols) = (topo.shape().rows, topo.shape().cols);
 
     // ---- (3) route edges to their storage ranks ------------------------
-    let mut eh_msgs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
-    let mut el_msgs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
-    let mut h2l_msgs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
-    let mut lh_msgs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
-    let mut l2l_msgs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
-
-    let route_hub_pair = |eh_msgs: &mut Vec<Vec<(u64, u64)>>, hs: u32, hd: u32| {
-        let dest = topo.rank_at(directory.dest_row(hd, rows), directory.src_col(hs, cols));
-        eh_msgs[dest].push((hs as u64, hd as u64));
+    // The hub-id table lives only as long as the routing passes.
+    let router = Router {
+        topo,
+        dist,
+        directory: &directory,
+        hub_of: directory.hub_id_table(n),
     };
-
-    for e in edges.iter() {
-        if e.is_self_loop() {
-            continue;
-        }
-        // One directory probe per endpoint: a hub id, or L.
-        let (hub, hub_v, l) = match (directory.hub_id(e.u), directory.hub_id(e.v)) {
-            // Both hubs: both orientations, 2D-partitioned.
-            (Some(hu), Some(hv)) => {
-                route_hub_pair(&mut eh_msgs, hu, hv);
-                route_hub_pair(&mut eh_msgs, hv, hu);
-                continue;
-            }
-            // L ↔ L: both orientations at their source owners.
-            (None, None) => {
-                l2l_msgs[dist.owner(e.u)].push((e.u, e.v));
-                l2l_msgs[dist.owner(e.v)].push((e.v, e.u));
-                continue;
-            }
-            (Some(h), None) => (h, e.u, e.v),
-            (None, Some(h)) => (h, e.v, e.u),
-        };
-        if directory.is_e(hub) {
-            // E ↔ L: stored once at L's owner.
-            el_msgs[dist.owner(l)].push((hub as u64, l));
-        } else {
-            // H ↔ L: H→L copy at (row(owner(l)), col(owner(h))),
-            // L→H copy at owner(l).
-            let inter = topo.rank_at(topo.row_of(dist.owner(l)), topo.col_of(dist.owner(hub_v)));
-            h2l_msgs[inter].push((hub as u64, l));
-            lh_msgs[dist.owner(l)].push((hub as u64, l));
-        }
-    }
-
+    let [eh_msgs, el_msgs, h2l_msgs, lh_msgs, l2l_msgs] = router.send_sets(&edges);
+    drop(router);
     drop(edges);
 
     // ---- (4) component CSRs --------------------------------------------
@@ -551,6 +613,92 @@ mod tests {
             );
         }
         assert_eq!(reassemble(&parts), canonical_input(&edges));
+    }
+
+    /// The build's routing as one pass of `push`es onto empty lists,
+    /// probing the directory's hash index.
+    fn route_by_push(
+        topo: Topology,
+        dist: VertexDistribution,
+        dir: &HubDirectory,
+        edges: &[Edge],
+    ) -> [SendSet; 5] {
+        let (rows, cols) = (topo.shape().rows, topo.shape().cols);
+        let mut sets: [SendSet; 5] = std::array::from_fn(|_| vec![Vec::new(); topo.num_ranks()]);
+        let eh_dest =
+            |hs: u32, hd: u32| topo.rank_at(dir.dest_row(hd, rows), dir.src_col(hs, cols));
+        for e in edges.iter().filter(|e| !e.is_self_loop()) {
+            match (dir.hub_id(e.u), dir.hub_id(e.v)) {
+                (Some(hu), Some(hv)) => {
+                    sets[EH][eh_dest(hu, hv)].push((hu as u64, hv as u64));
+                    sets[EH][eh_dest(hv, hu)].push((hv as u64, hu as u64));
+                }
+                (None, None) => {
+                    sets[L2L][dist.owner(e.u)].push((e.u, e.v));
+                    sets[L2L][dist.owner(e.v)].push((e.v, e.u));
+                }
+                (Some(h), None) | (None, Some(h)) => {
+                    let l = if dir.hub_id(e.u).is_some() { e.v } else { e.u };
+                    let owner_l = dist.owner(l);
+                    if dir.is_e(h) {
+                        sets[EL][owner_l].push((h as u64, l));
+                    } else {
+                        let owner_h = dist.owner(dir.vertex_of(h));
+                        let inter = topo.rank_at(topo.row_of(owner_l), topo.col_of(owner_h));
+                        sets[H2L][inter].push((h as u64, l));
+                        sets[LH][owner_l].push((h as u64, l));
+                    }
+                }
+            }
+        }
+        sets
+    }
+
+    #[test]
+    fn send_sets_are_exactly_sized_and_match_one_pass_routing() {
+        let n = 256;
+        let mut edges = skewed_edges(n, 3000, 8);
+        edges.extend([Edge::new(5, 5), Edge::new(0, 0)]);
+        // Vertex 0 is E, 1..4 are H, the rest L.
+        let th = Thresholds::new(500, 100);
+        let mut deg = vec![0u32; n as usize];
+        for e in &edges {
+            deg[e.u as usize] += 1;
+            deg[e.v as usize] += 1;
+        }
+        let heavy = (0..n)
+            .map(|v| (v, deg[v as usize]))
+            .filter(|&(_, d)| th.class_of_degree(u64::from(d)) != VertexClass::L)
+            .collect();
+        let directory = HubDirectory::build(heavy, th);
+        assert!(directory.num_e() > 0 && directory.num_h() > 0);
+        assert!(directory.num_hubs() < n as u32);
+        for (rows, cols) in [(1, 1), (2, 2), (2, 3)] {
+            let topo = Topology::new(MeshShape::new(rows, cols));
+            let dist = VertexDistribution::new(n, rows * cols);
+            let router = Router {
+                topo,
+                dist,
+                directory: &directory,
+                hub_of: directory.hub_id_table(n),
+            };
+            let sets = router.send_sets(&edges);
+            for (c, set) in sets.iter().enumerate() {
+                assert_eq!(set.len(), rows * cols);
+                for (dest, list) in set.iter().enumerate() {
+                    assert_eq!(
+                        list.len(),
+                        list.capacity(),
+                        "set {c}, rank {dest} of {rows}x{cols}"
+                    );
+                }
+            }
+            let reference = route_by_push(topo, dist, &directory, &edges);
+            assert_eq!(sets, reference, "{rows}x{cols}");
+            assert!(sets
+                .iter()
+                .all(|set| set.iter().any(|list| !list.is_empty())));
+        }
     }
 
     #[test]

@@ -25,11 +25,13 @@ use sunbfs_common::{json_record, VertexId};
 /// constant (every input bit reaches the product's high bits) and one
 /// rotate that brings those high bits down to where the table takes
 /// its bucket index — ids that differ only in their high bits
-/// (multiples of a large power of two) still spread. The build's
-/// routing loop probes the index twice per edge, which is what SipHash
-/// was too slow for; its flood resistance buys nothing here, because
-/// the keys are the hub table (vertices the degree census selected),
-/// not strings a peer chooses.
+/// (multiples of a large power of two) still spread. A commit probes
+/// the index for both endpoints of every edge it adds (`mutate`'s
+/// delta); the build's routing, which looks up every endpoint of a
+/// chunk twice, reads [`HubDirectory::hub_id_table`] instead. SipHash's
+/// flood resistance buys nothing here, because the keys are the hub
+/// table (vertices the degree census selected), not strings a peer
+/// chooses.
 ///
 /// **Invariant:** the map is only ever probed (`get`), never iterated,
 /// so its internal order — the one thing a hasher could change about a
@@ -221,6 +223,20 @@ impl HubDirectory {
     #[inline]
     pub fn hub_id(&self, v: VertexId) -> Option<u32> {
         self.hub_of.get(&v).copied()
+    }
+
+    /// [`Self::hub_id`] of every vertex in `0..n` as one dense table:
+    /// entry `v` is `v`'s hub id, or `u32::MAX` if `v` is L. The build's
+    /// routing passes look every endpoint up twice, where an array load
+    /// beats a hash probe; at 4 bytes a vertex the table is too large to
+    /// keep, so the build drops it before its exchanges. Every hub must
+    /// be below `n`.
+    pub fn hub_id_table(&self, n: u64) -> Vec<u32> {
+        let mut table = vec![u32::MAX; n as usize];
+        for (h, &(v, _)) in self.hubs.iter().enumerate() {
+            table[v as usize] = h as u32;
+        }
+        table
     }
 
     /// Class of vertex `v`.

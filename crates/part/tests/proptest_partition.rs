@@ -2,13 +2,13 @@
 //! multigraph, mesh shape, and threshold setting, the six components
 //! must exactly cover the input's undirected edge set, land on the
 //! storage ranks §4.1 prescribes, and agree across ranks on the hub
-//! directory.
+//! directory, whose dense hub-id table the routing reads.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use sunbfs_common::{Edge, MachineConfig};
 use sunbfs_net::{Cluster, MeshShape, Topology};
-use sunbfs_part::{build_1p5d, RankPartition, Thresholds};
+use sunbfs_part::{build_1p5d, HubDirectory, RankPartition, Thresholds, VertexClass};
 
 fn build(rows: usize, cols: usize, n: u64, edges: &[Edge], th: Thresholds) -> Vec<RankPartition> {
     let cluster = Cluster::new(MeshShape::new(rows, cols), MachineConfig::new_sunway());
@@ -154,6 +154,46 @@ proptest! {
             prop_assert_eq!(p.directory.num_hubs(), d0.num_hubs());
             for h in 0..d0.num_hubs() {
                 prop_assert_eq!(p.directory.vertex_of(h), d0.vertex_of(h));
+            }
+        }
+    }
+
+    /// The dense hub-id table the build routes by answers exactly what
+    /// the directory's hash index answers, for every vertex: with no
+    /// hubs, with E hubs only and with E and H hubs.
+    #[test]
+    fn dense_hub_table_matches_the_directory(
+        n in 1u64..400,
+        raw_heavy in prop::collection::vec((0u64..400, 1u32..200), 0..120),
+        e_th in 1u32..200,
+        h_div in 1u32..10,
+    ) {
+        // One degree per vertex, as the census produces.
+        let mut degrees = std::collections::BTreeMap::new();
+        for &(v, d) in &raw_heavy {
+            degrees.insert(v % n, d);
+        }
+        for th in [
+            Thresholds::none(),
+            Thresholds::heavy_only(e_th),
+            Thresholds::new(e_th, (e_th / h_div).max(1)),
+        ] {
+            let heavy: Vec<(u64, u32)> = degrees
+                .iter()
+                .map(|(&v, &d)| (v, d))
+                .filter(|&(_, d)| th.class_of_degree(u64::from(d)) != VertexClass::L)
+                .collect();
+            let dir = HubDirectory::build(heavy, th);
+            if th == Thresholds::none() {
+                prop_assert_eq!(dir.num_hubs(), 0);
+            } else if th.h == th.e {
+                prop_assert_eq!(dir.num_h(), 0);
+            }
+            let table = dir.hub_id_table(n);
+            prop_assert_eq!(table.len() as u64, n);
+            for v in 0..n {
+                let dense = Some(table[v as usize]).filter(|&h| h != u32::MAX);
+                prop_assert_eq!(dense, dir.hub_id(v), "v={}", v);
             }
         }
     }

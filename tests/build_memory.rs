@@ -9,7 +9,9 @@
 //! (28 MiB here). A build that keeps the generated chunk, every
 //! exchanged payload twice and every component's received buffer alive
 //! at once raises the peak by 3.2–3.4 times that; one that holds each
-//! routed edge once, by 2.3 times.
+//! routed edge once in send lists grown by doubling, by 2.3 times; one
+//! that counts its send lists before it fills them, by 1.64–1.84 times
+//! (ten runs).
 //!
 //! One test in its own binary, so no other test's allocations move the
 //! peak; skipped where `/proc/self/status` does not exist.
@@ -18,8 +20,11 @@ use sunbfs::net::{FaultPlan, MeshShape};
 use sunbfs::part::RankPartition;
 use sunbfs::serve::{GraphSession, SessionConfig};
 
-/// Allowed peak growth during `load`, per resident partition byte.
-const PEAK_PER_PARTITION_BYTE: f64 = 2.75;
+/// Allowed peak growth during `load`, per resident partition byte: the
+/// highest of ten measured runs (1.84) plus a margin of 0.26, more than
+/// the runs' spread (1.64–1.84) and below the 2.14–2.30 of send lists
+/// grown by doubling.
+const PEAK_PER_PARTITION_BYTE: f64 = 2.1;
 
 /// `VmHWM` of this process in bytes, if the kernel reports it.
 fn peak_rss_bytes() -> Option<u64> {
