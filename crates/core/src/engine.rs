@@ -258,7 +258,7 @@ fn range_bucket(offset: u64, span: u64, ranges: u64) -> usize {
 /// order — read off the partition's index: which hubs a rank owns is a
 /// property of the partition, and nothing a root pays for may depend
 /// only on that.
-fn owned_hubs(part: &RankPartition) -> impl Iterator<Item = (usize, usize)> + '_ {
+fn owned_hubs(part: &RankPartition) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
     let hubs = part.owned_hubs.hubs.iter();
     hubs.map(|&(h, li)| (h as usize, li as usize))
 }
@@ -275,17 +275,19 @@ fn owned_class_totals(part: &RankPartition) -> (u64, [u64; 3]) {
 ///
 /// The owner-local L slots *are* the output — roots and messages are
 /// routed by class, so an owned hub's L slots are never written — and
-/// only the owned hubs' slots are patched in, from the reduced hub
-/// parents and the replicated hub depths (`depths` stays empty for a
-/// lane that keeps none).
+/// only the owned hubs' slots are patched in, from their reduced
+/// parents (`owned_hub_parents`, `width` slots per hub in
+/// [`owned_hubs`] order) and the replicated hub depths (`depths` stays
+/// empty for a lane that keeps none).
 fn assemble_owned(
     part: &RankPartition,
     width: usize,
     mut parents: Vec<u64>,
     mut depths: Vec<u32>,
-    hub_parents: &[u64],
+    owned_hub_parents: &[u64],
     hub_depths: &[u32],
 ) -> (Vec<u64>, Vec<u32>, Vec<u64>) {
+    debug_assert_eq!(owned_hub_parents.len(), part.owned_hubs.hubs.len() * width);
     debug_assert!(
         owned_hubs(part).all(|(_, li)| {
             let slots = li * width..(li + 1) * width;
@@ -296,9 +298,10 @@ fn assemble_owned(
         }),
         "an owned hub's L slots were written: the traversal routed a hub as an L vertex"
     );
-    for (h, li) in owned_hubs(part) {
+    let reduced = owned_hub_parents.chunks_exact(width);
+    for ((h, li), reduced) in owned_hubs(part).zip(reduced) {
         let (from, to) = (h * width..(h + 1) * width, li * width..(li + 1) * width);
-        parents[to.clone()].copy_from_slice(&hub_parents[from.clone()]);
+        parents[to.clone()].copy_from_slice(reduced);
         if !depths.is_empty() {
             depths[to].copy_from_slice(&hub_depths[from]);
         }
@@ -930,12 +933,15 @@ impl<'a, L: Lane> Engine<'a, L> {
         }
 
         // ---- delayed reduction of delegated parents (§5) ----
-        let reduced_hub_parents = ctx.allreduce_with(
+        // Charged as the full all-reduce; each rank folds only the
+        // parents of the hubs it owns, the only ones it outputs.
+        let owned_hub_parents = ctx.allreduce_picked(
             Scope::World,
             "reduce.parent",
             std::mem::take(&mut self.hub.parent),
             None,
-            |a, b| *a = (*a).min(*b),
+            owned_hubs(self.part).map(|(h, _)| h * width..(h + 1) * width),
+            |_, a, b| *a = (*a).min(*b),
         );
 
         // ---- assemble owned slots + TEPS inputs (per-root tallies) ----
@@ -944,7 +950,7 @@ impl<'a, L: Lane> Engine<'a, L> {
             width,
             self.l.parent,
             self.l.depth,
-            &reduced_hub_parents,
+            &owned_hub_parents,
             &self.hub.depth,
         );
         let tallies =
@@ -1890,7 +1896,21 @@ mod tests {
                         hubs,
                     );
                     assert_eq!(literal, want, "the two oracles, width {width}");
-                    let got = assemble_owned(part, width, l_parents, l_depths, hubs.0, hubs.1);
+                    // What the reduction hands a rank: its owned hubs'
+                    // slots only, in hub-id order.
+                    let owned_hub_parents: Vec<u64> = owned_hubs_by_table_walk(part)
+                        .into_iter()
+                        .flat_map(|(h, _)| &hub_parents[h * width..(h + 1) * width])
+                        .copied()
+                        .collect();
+                    let got = assemble_owned(
+                        part,
+                        width,
+                        l_parents,
+                        l_depths,
+                        &owned_hub_parents,
+                        hubs.1,
+                    );
                     assert_eq!(got, want, "width {width}, depths {keep_depths}");
                 }
             }

@@ -43,6 +43,7 @@
 //! aggregate panic naming *every* failing rank.
 
 use std::any::Any;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -1362,6 +1363,44 @@ impl RankCtx {
         T: Wire,
         F: Fn(usize, &mut T, &T),
     {
+        let len = mine.len();
+        self.allreduce_picked(
+            scope,
+            op,
+            mine,
+            charged_bytes,
+            std::iter::once(0..len),
+            combine,
+        )
+    }
+
+    /// [`Self::allreduce_with_indexed`] that folds and returns only the
+    /// elements at `picks`, concatenated in pick order: a rank that
+    /// needs only the slots it owns reads back only those (the owner
+    /// side of a reduce-scatter). The charge is the full all-reduce's —
+    /// same op name, deposited bytes, [`CommStats`] and simulated clock
+    /// — because the modelled collective still reduces every element,
+    /// and every deposit's length is still checked against `mine`'s.
+    ///
+    /// `picks` is walked twice, once to size the result and once to
+    /// fill it, so it must be a cheap [`Clone`].
+    ///
+    /// # Panics
+    /// If a pick reaches past the end of `mine`.
+    pub fn allreduce_picked<T, F, I>(
+        &mut self,
+        scope: Scope,
+        op: &'static str,
+        mine: Vec<T>,
+        charged_bytes: Option<u64>,
+        picks: I,
+        combine: F,
+    ) -> Vec<T>
+    where
+        T: Wire,
+        F: Fn(usize, &mut T, &T),
+        I: Iterator<Item = Range<usize>> + Clone,
+    {
         let n = self.scope_size(scope);
         let bytes = charged_bytes.unwrap_or((mine.len() * std::mem::size_of::<T>()) as u64);
         let len = mine.len();
@@ -1381,11 +1420,16 @@ impl RankCtx {
                 );
             }
         }
-        let mut result: Vec<T> = payloads[0].as_ref().clone();
-        for p in &payloads[1..] {
-            let other: &[T] = p.as_ref();
-            for (i, (a, b)) in result.iter_mut().zip(other).enumerate() {
-                combine(i, a, b);
+        let mut result = Vec::with_capacity(picks.clone().map(|r| r.len()).sum());
+        for range in picks {
+            let at = result.len();
+            result.extend_from_slice(&payloads[0][range.clone()]);
+            let folded = &mut result[at..];
+            for p in &payloads[1..] {
+                let other = &p[range.clone()];
+                for (k, (a, b)) in folded.iter_mut().zip(other).enumerate() {
+                    combine(range.start + k, a, b);
+                }
             }
         }
         // A ring all-reduce is a reduce-scatter then an allgather, one
@@ -2092,6 +2136,105 @@ mod tests {
         assert_eq!(violation.kind, SpmdViolationKind::TagMismatch);
         assert_eq!(violation.scope, Scope::World);
         assert!(violation.op == "op_a" || violation.op == "op_b");
+    }
+
+    /// The slot ranges rank `rank` picks out of `len` slots: none at
+    /// all on rank 0, empty ranges among the picks on rank 1, random,
+    /// unordered and overlapping ranges elsewhere.
+    fn picks_of(rank: usize, len: usize, seed: u64) -> Vec<Range<usize>> {
+        let mut rng = sunbfs_common::SplitMix64::new(seed ^ ((rank as u64) << 32));
+        let mut picks = Vec::new();
+        if rank == 0 {
+            return picks;
+        }
+        for _ in 0..1 + rng.next_below(6) {
+            let start = rng.next_below(len as u64 + 1) as usize;
+            let end = start + rng.next_below((len - start) as u64 + 1) as usize;
+            picks.push(start..end);
+            if rank == 1 {
+                picks.push(end..end);
+            }
+        }
+        picks
+    }
+
+    #[test]
+    fn a_picked_fold_equals_the_full_allreduce_at_its_picks() {
+        type Seen = (Vec<Vec<u64>>, u64, Vec<(String, u64)>, CommStats);
+        // Three all-reduces over every scope kind, random payloads, one
+        // with its charge overridden; each rank either reads the whole
+        // result or folds only its picks.
+        let program = |ctx: &mut RankCtx, picked: bool| -> Seen {
+            let mut rng = sunbfs_common::SplitMix64::new(ctx.rank() as u64 + 1);
+            let mut outs = Vec::new();
+            for (k, (scope, op, charged)) in [
+                (Scope::World, "red.world", None),
+                (Scope::Row, "red.row", Some(40)),
+                (Scope::Col, "red.col", None),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let len = 17 + 23 * k;
+                let mine: Vec<u64> = (0..len).map(|_| rng.next_below(1 << 20)).collect();
+                let min = |a: &mut u64, b: &u64| *a = (*a).min(*b);
+                outs.push(if picked {
+                    let picks = picks_of(ctx.rank(), len, k as u64).into_iter();
+                    ctx.allreduce_picked(scope, op, mine, charged, picks, |_, a, b| min(a, b))
+                } else {
+                    ctx.allreduce_with(scope, op, mine, charged, min)
+                });
+            }
+            let times = ctx.accumulator().entries();
+            let times = times
+                .map(|(c, t)| (format!("{c:?}"), t.to_bits()))
+                .collect();
+            (
+                outs,
+                ctx.now().as_secs().to_bits(),
+                times,
+                ctx.comm_stats().clone(),
+            )
+        };
+        for (rows, cols) in [(2, 2), (2, 3)] {
+            let c = small_cluster(rows, cols);
+            let full = c.run(|ctx| program(ctx, false));
+            let picked = c.run(|ctx| program(ctx, true));
+            for (rank, (want, got)) in full.iter().zip(&picked).enumerate() {
+                let at = format!("{rows}x{cols} rank {rank}");
+                for (k, (whole, folded)) in want.0.iter().zip(&got.0).enumerate() {
+                    let picks = picks_of(rank, whole.len(), k as u64);
+                    let expected: Vec<u64> =
+                        picks.into_iter().flat_map(|r| &whole[r]).copied().collect();
+                    assert_eq!(folded, &expected, "{at}, op {k}");
+                }
+                let read: usize = got.0.iter().map(Vec::len).sum();
+                assert_eq!(read == 0, rank == 0, "{at}: owns nothing iff rank 0");
+                assert_eq!(got.1, want.1, "{at}: clock");
+                assert_eq!(got.2, want.2, "{at}: time accumulator");
+                assert_eq!(got.3, want.3, "{at}: comm stats");
+            }
+        }
+
+        // A short deposit is an SPMD violation, whatever the picks.
+        let c = small_cluster(2, 2);
+        let results = c.run_fallible(|ctx| {
+            let len = if ctx.rank() == 3 { 7 } else { 8 };
+            let picks = std::iter::once(0..2);
+            ctx.allreduce_picked(
+                Scope::World,
+                "red",
+                vec![1u64; len],
+                None,
+                picks,
+                |_, a, b| *a += b,
+            )
+        });
+        assert!(results.iter().all(Result::is_err));
+        assert!(results.iter().any(|r| matches!(
+            &r.as_ref().unwrap_err().kind,
+            FailureKind::Violation(v) if v.kind == SpmdViolationKind::LengthMismatch
+        )));
     }
 
     #[test]

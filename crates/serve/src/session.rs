@@ -261,12 +261,12 @@ pub struct RootTraversal {
 }
 
 /// A resident graph: one cluster plus every rank's partition, built
-/// once and shared with each query run. Every run that can own what it
-/// uses — the build, a compaction, a single-source root — goes to the
-/// cluster's resident rank threads ([`Cluster::run_resident`]), so a
-/// loop of roots spawns no thread; a batch borrows its roots and runs
-/// on threads spawned for it. Both kinds of traversal draw their scan
-/// buffers from the session's per-rank [`EngineScratch`].
+/// once and shared with each query run. Every run — the build, a
+/// compaction, a single-source root, a batch — goes to the cluster's
+/// resident rank threads ([`Cluster::run_resident`]), so a loop of
+/// roots or batches spawns no thread, and each rank's traversals reuse
+/// its thread's allocator arena. Both kinds of traversal draw their
+/// scan buffers from the session's per-rank [`EngineScratch`].
 pub struct GraphSession {
     cfg: SessionConfig,
     cluster: Cluster,
@@ -703,12 +703,13 @@ impl GraphSession {
         &self,
         roots: &[u64],
     ) -> Vec<Result<Result<BatchOutput, EngineError>, RankFailure>> {
-        let (parts, scratch) = (&self.parts, &self.scratch);
-        let engine = self.cfg.engine;
-        self.cluster.run_fallible(move |ctx| {
-            let part = &parts[ctx.rank()];
-            rank_scratch(scratch, ctx).run_batch(ctx, part, roots, &engine)
-        })
+        let (parts, scratch) = (Arc::clone(&self.parts), Arc::clone(&self.scratch));
+        let (roots, engine): (Arc<[u64]>, _) = (roots.into(), self.cfg.engine);
+        self.cluster
+            .run_resident(Arc::new(move |ctx: &mut RankCtx| {
+                let part = &parts[ctx.rank()];
+                rank_scratch(&scratch, ctx).run_batch(ctx, part, &roots, &engine)
+            }))
     }
 
     /// One single-source traversal, one attempt, no checkpoints (the

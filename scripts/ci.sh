@@ -42,6 +42,17 @@ if [ -n "$OWN_LOOPS" ]; then
     exit 1
 fi
 
+# A session has one launch path: the build, compactions, roots and
+# batches all run on the cluster's resident rank threads, so no job
+# spawns threads of its own. `Cluster::run`/`run_fallible` stay in
+# crates/net for the frozen benchmark's probes and the net tests.
+echo "==> the serving crate launches only on resident threads"
+SPAWNING=$(grep -rl run_fallible crates/serve/src || true)
+if [ -n "$SPAWNING" ]; then
+    echo "run_fallible in" $SPAWNING "- launch through Cluster::run_resident"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
