@@ -60,13 +60,6 @@ impl Bitmap {
         old
     }
 
-    /// Clear bit `i`.
-    #[inline]
-    pub fn clear_bit(&mut self, i: u64) {
-        debug_assert!(i < self.bits);
-        self.words[(i / 64) as usize] &= !(1u64 << (i % 64));
-    }
-
     /// Zero the whole bitmap, keeping capacity.
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -95,12 +88,6 @@ impl Bitmap {
     pub fn and_not_assign(&mut self, other: &Bitmap) {
         assert_eq!(self.bits, other.bits, "bitmap length mismatch");
         wide::and_not_assign(&mut self.words, &other.words);
-    }
-
-    /// Count bits set in `self` but not in `other` (`|self \ other|`).
-    pub fn count_and_not(&self, other: &Bitmap) -> u64 {
-        assert_eq!(self.bits, other.bits, "bitmap length mismatch");
-        wide::and_not_count(&self.words, &other.words)
     }
 
     /// Count set bits within `[start, end)`.
@@ -165,20 +152,6 @@ impl Bitmap {
             current: self.words.get(wstart).copied().unwrap_or(0),
         }
     }
-
-    /// Iterate over set-bit indices within `[start, end)`.
-    ///
-    /// Word-indexed: only the words overlapping the range are visited,
-    /// so a short window over a huge bitmap costs O(window), not
-    /// O(len).
-    pub fn iter_ones_range(&self, start: u64, end: u64) -> impl Iterator<Item = u64> + '_ {
-        let end = end.min(self.bits);
-        let wstart = (start / 64) as usize;
-        let wend = end.div_ceil(64) as usize;
-        self.iter_ones_words(wstart, wend)
-            .skip_while(move |&i| i < start)
-            .take_while(move |&i| i < end)
-    }
 }
 
 /// Iterator over set bit indices of a [`Bitmap`].
@@ -238,15 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_bit_resets() {
-        let mut b = Bitmap::new(10);
-        b.set(5);
-        b.clear_bit(5);
-        assert!(!b.get(5));
-        assert!(b.is_zero());
-    }
-
-    #[test]
     fn or_assign_unions() {
         let mut a = Bitmap::new(70);
         let mut b = Bitmap::new(70);
@@ -264,7 +228,6 @@ mod tests {
         a.set(1);
         a.set(2);
         b.set(2);
-        assert_eq!(a.count_and_not(&b), 1);
         a.and_not_assign(&b);
         assert!(a.get(1) && !a.get(2));
     }
@@ -278,16 +241,6 @@ mod tests {
         }
         let got: Vec<u64> = b.iter_ones().collect();
         assert_eq!(got, idxs);
-    }
-
-    #[test]
-    fn iter_ones_range_windows() {
-        let mut b = Bitmap::new(100);
-        for i in (0..100).step_by(10) {
-            b.set(i);
-        }
-        let got: Vec<u64> = b.iter_ones_range(15, 55).collect();
-        assert_eq!(got, vec![20, 30, 40, 50]);
     }
 
     #[test]
@@ -305,7 +258,7 @@ mod tests {
             (1, 299),
             (128, 300),
         ] {
-            let expect = b.iter_ones_range(lo, hi).count() as u64;
+            let expect = b.iter_ones().filter(|i| (lo..hi).contains(i)).count() as u64;
             assert_eq!(b.count_ones_range(lo, hi), expect, "range [{lo},{hi})");
         }
     }

@@ -39,32 +39,6 @@ pub fn count_ones(words: &[u64]) -> u64 {
     total
 }
 
-/// Population count of `a & !b` over paired slices (`|a \ b|`),
-/// unrolled over 4-word blocks.
-///
-/// # Panics
-/// Panics when the slices differ in length.
-pub fn and_not_count(a: &[u64], b: &[u64]) -> u64 {
-    assert_eq!(a.len(), b.len(), "word slice length mismatch");
-    let mut ca = a.chunks_exact(BLOCK_WORDS);
-    let mut cb = b.chunks_exact(BLOCK_WORDS);
-    let mut c0 = 0u64;
-    let mut c1 = 0u64;
-    let mut c2 = 0u64;
-    let mut c3 = 0u64;
-    for (x, y) in (&mut ca).zip(&mut cb) {
-        c0 += (x[0] & !y[0]).count_ones() as u64;
-        c1 += (x[1] & !y[1]).count_ones() as u64;
-        c2 += (x[2] & !y[2]).count_ones() as u64;
-        c3 += (x[3] & !y[3]).count_ones() as u64;
-    }
-    let mut total = c0 + c1 + c2 + c3;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        total += (x & !y).count_ones() as u64;
-    }
-    total
-}
-
 /// `dst[i] |= src[i]` over paired slices, unrolled over 4-word blocks.
 ///
 /// # Panics
@@ -220,79 +194,6 @@ pub fn or_and_not_assign(dst: &mut [u64], a: &[u64], b: &[u64]) {
     }
 }
 
-/// Visit every **unset**-bit index of `words` within the item range
-/// `[start, end)` (`end` clamped to `bits`), ascending — the pull-scan
-/// complement of [`for_each_one`]. Words are inverted on the fly with
-/// head/tail masks, so slack bits past `bits` and outside the range are
-/// never reported.
-pub fn for_each_zero(words: &[u64], bits: u64, start: u64, end: u64, mut f: impl FnMut(u64)) {
-    let end = end.min(bits);
-    if start >= end {
-        return;
-    }
-    let ws = (start / 64) as usize;
-    let we = ((end - 1) / 64) as usize;
-    for (off, word) in words[ws..=we].iter().enumerate() {
-        let wi = ws + off;
-        let mut inv = !word;
-        if wi == ws {
-            inv &= u64::MAX << (start % 64);
-        }
-        if wi == we {
-            let top = end - wi as u64 * 64;
-            if top < 64 {
-                inv &= (1u64 << top) - 1;
-            }
-        }
-        while inv != 0 {
-            let idx = wi as u64 * 64 + inv.trailing_zeros() as u64;
-            inv &= inv - 1;
-            f(idx);
-        }
-    }
-}
-
-/// Visit every index of `[start, end)` (`end` clamped to `bits`) where
-/// **neither** `a` nor `b` has the bit set, ascending — the pull-scan
-/// skip test `visited.get(i) || update.get(i)` fused into one inverted
-/// word walk.
-///
-/// # Panics
-/// Panics when the slices differ in length.
-pub fn for_each_unset_pair(
-    a: &[u64],
-    b: &[u64],
-    bits: u64,
-    start: u64,
-    end: u64,
-    mut f: impl FnMut(u64),
-) {
-    assert_eq!(a.len(), b.len(), "word slice length mismatch");
-    let end = end.min(bits);
-    if start >= end {
-        return;
-    }
-    let ws = (start / 64) as usize;
-    let we = ((end - 1) / 64) as usize;
-    for wi in ws..=we {
-        let mut inv = !(a[wi] | b[wi]);
-        if wi == ws {
-            inv &= u64::MAX << (start % 64);
-        }
-        if wi == we {
-            let top = end - wi as u64 * 64;
-            if top < 64 {
-                inv &= (1u64 << top) - 1;
-            }
-        }
-        while inv != 0 {
-            let idx = wi as u64 * 64 + inv.trailing_zeros() as u64;
-            inv &= inv - 1;
-            f(idx);
-        }
-    }
-}
-
 /// Visit every index of `[start, end)` where `a[i] & !b[i]` is nonzero,
 /// with that difference word: the batch engine's `new = mask & !seen`
 /// discovery advance. 4-item blocks are skipped with one OR-reduction
@@ -372,20 +273,6 @@ mod tests {
             let w = soup(len, 42 + len as u64);
             let scalar: u64 = w.iter().map(|x| x.count_ones() as u64).sum();
             assert_eq!(count_ones(&w), scalar, "len={len}");
-        }
-    }
-
-    #[test]
-    fn and_not_count_matches_scalar_at_ragged_lengths() {
-        for len in [0usize, 1, 3, 4, 6, 9, 64, 67] {
-            let a = soup(len, 1);
-            let b = soup(len, 2);
-            let scalar: u64 = a
-                .iter()
-                .zip(&b)
-                .map(|(x, y)| (x & !y).count_ones() as u64)
-                .sum();
-            assert_eq!(and_not_count(&a, &b), scalar, "len={len}");
         }
     }
 
@@ -480,27 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_zero_is_the_complement() {
-        let mut b = super::super::Bitmap::new(333);
-        for i in (0..333).step_by(3) {
-            b.set(i);
-        }
-        for (lo, hi) in [
-            (0u64, 333u64),
-            (0, 0),
-            (64, 64),
-            (17, 200),
-            (63, 65),
-            (300, 9999),
-        ] {
-            let mut got = Vec::new();
-            for_each_zero(b.words(), b.len(), lo, hi, |i| got.push(i));
-            let expect: Vec<u64> = (lo..hi.min(b.len())).filter(|&i| !b.get(i)).collect();
-            assert_eq!(got, expect, "range [{lo},{hi})");
-        }
-    }
-
-    #[test]
     fn or_and_not_assign_matches_scalar() {
         for len in [0usize, 1, 4, 6, 64, 71] {
             let a = soup(len, 31);
@@ -514,26 +380,6 @@ mod tests {
                 .map(|(d, (x, y))| d | (x & !y))
                 .collect();
             assert_eq!(wide, scalar, "len={len}");
-        }
-    }
-
-    #[test]
-    fn for_each_unset_pair_matches_scalar_skip_test() {
-        let mut a = super::super::Bitmap::new(250);
-        let mut b = super::super::Bitmap::new(250);
-        for i in (0..250).step_by(3) {
-            a.set(i);
-        }
-        for i in (0..250).step_by(5) {
-            b.set(i);
-        }
-        for (lo, hi) in [(0u64, 250u64), (7, 201), (63, 66), (128, 128), (240, 9999)] {
-            let mut got = Vec::new();
-            for_each_unset_pair(a.words(), b.words(), 250, lo, hi, |i| got.push(i));
-            let expect: Vec<u64> = (lo..hi.min(250))
-                .filter(|&i| !a.get(i) && !b.get(i))
-                .collect();
-            assert_eq!(got, expect, "range [{lo},{hi})");
         }
     }
 

@@ -17,7 +17,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Sub};
 
 /// A duration/instant on the simulated clock, in seconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, PartialOrd)]
@@ -240,7 +240,7 @@ impl<V> Default for CategoryMap<V> {
     }
 }
 
-impl<V: Copy + Default + PartialEq + AddAssign + SubAssign> CategoryMap<V> {
+impl<V: Copy + Default + PartialEq + AddAssign> CategoryMap<V> {
     /// The entry whose key is `key`'s very strings, or the free slot
     /// where they would go.
     fn probe(&self, key: &Category) -> Result<usize, usize> {
@@ -264,21 +264,24 @@ impl<V: Copy + Default + PartialEq + AddAssign + SubAssign> CategoryMap<V> {
             .position(|e| e.hash == hash && e.key.cmp_printed(prefix, name).is_eq())
     }
 
-    /// Add `v` to `key`'s value (from zero when the key is new).
-    pub fn add(&mut self, key: Category, v: V) {
+    /// Add `value` to `key`'s value (from zero when the key is new). A
+    /// zero `value` makes no new key: an account lists only what was
+    /// charged.
+    pub fn add(&mut self, key: Category, value: V) {
         let free = match self.probe(&key) {
-            Ok(i) => return self.entries[i].value += v,
+            Ok(i) => return self.entries[i].value += value,
             Err(free) => free,
         };
         let hash = printed_hash(key.prefix, key.name);
         if let Some(i) = self.position(key.prefix, key.name, hash) {
-            return self.entries[i].value += v;
+            return self.entries[i].value += value;
+        }
+        if value == V::default() {
+            return;
         }
         if self.entries.capacity() == 0 {
             self.entries.reserve(FIRST_CAPACITY);
         }
-        let mut value = V::default();
-        value += v;
         self.entries.push(Entry { key, hash, value });
         if self.entries.len() <= MAX_SLOTTED {
             self.slots[free] = self.entries.len() as u8;
@@ -304,26 +307,6 @@ impl<V: Copy + Default + PartialEq + AddAssign + SubAssign> CategoryMap<V> {
     pub fn merge(&mut self, other: &CategoryMap<V>) {
         for e in &other.entries {
             self.add(e.key, e.value);
-        }
-    }
-
-    /// Subtract `earlier`'s value from each key's, in place, and drop
-    /// the keys that reach zero (keys only in `earlier` are ignored):
-    /// what isolates one phase from a running recorder.
-    pub fn subtract(&mut self, earlier: &CategoryMap<V>) {
-        for e in &mut self.entries {
-            let found = earlier.probe(&e.key).ok();
-            let found = found.or_else(|| earlier.position(e.key.prefix, e.key.name, e.hash));
-            if let Some(i) = found {
-                e.value -= earlier.entries[i].value;
-            }
-        }
-        self.entries.retain(|e| e.value != V::default());
-        self.slots.fill(0);
-        for i in 0..self.entries.len().min(MAX_SLOTTED) {
-            if let Err(free) = self.probe(&self.entries[i].key) {
-                self.slots[free] = i as u8 + 1;
-            }
         }
     }
 }
@@ -401,13 +384,6 @@ impl TimeAccumulator {
     pub fn entries(&self) -> impl Iterator<Item = (Category, f64)> + '_ {
         self.totals.iter()
     }
-
-    /// Subtract `earlier` per category, in place, dropping categories
-    /// that reach zero (see [`CategoryMap::subtract`]). Used to isolate
-    /// one phase's times from a running accumulator.
-    pub fn subtract(&mut self, earlier: &TimeAccumulator) {
-        self.totals.subtract(&earlier.totals);
-    }
 }
 
 #[cfg(test)]
@@ -438,6 +414,11 @@ mod tests {
         assert_eq!(acc.get("comm.alltoallv").as_secs(), 3.0);
         assert_eq!(acc.total_with_prefix("comm.").as_secs(), 7.0);
         assert_eq!(acc.total().as_secs(), 15.0);
+        // A zero charge makes no key, and leaves a charged one as it is.
+        acc.add("idle", SimTime::ZERO);
+        acc.add("compute", SimTime::ZERO);
+        let keys: Vec<String> = acc.entries().map(|(k, _)| k.to_string()).collect();
+        assert_eq!(keys, ["comm.allgather", "comm.alltoallv", "compute"]);
     }
 
     #[test]
@@ -450,23 +431,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.get("x").as_secs(), 3.0);
         assert_eq!(a.get("y").as_secs(), 3.0);
-    }
-
-    #[test]
-    fn subtract_isolates_a_phase() {
-        let mut acc = TimeAccumulator::new();
-        acc.add("a", SimTime::secs(1.0));
-        acc.add("c", SimTime::secs(4.0));
-        let snapshot = acc.clone();
-        acc.add("a", SimTime::secs(2.0));
-        acc.add("b", SimTime::secs(5.0));
-        acc.subtract(&snapshot);
-        assert_eq!(acc.get("a").as_secs(), 2.0);
-        assert_eq!(acc.get("b").as_secs(), 5.0);
-        assert_eq!(acc.total().as_secs(), 7.0);
-        // A category the phase did not charge is dropped, not kept at 0.
-        let keys: Vec<String> = acc.entries().map(|(k, _)| k.to_string()).collect();
-        assert_eq!(keys, vec!["a", "b"]);
     }
 
     #[test]
@@ -501,7 +465,6 @@ mod tests {
                 .enumerate()
                 .for_each(|(i, k)| map.add(k, i as u64 * round));
         }
-        let snapshot = map.clone();
         keys().take(3).for_each(|k| map.add(k, 1));
         for (i, k) in keys().enumerate() {
             let printed = k.to_string();
@@ -511,14 +474,6 @@ mod tests {
         let mut want = printed.clone();
         want.sort();
         assert_eq!((printed.len(), &printed), (144, &want));
-        map.subtract(&snapshot);
-        let left: Vec<(String, u64)> = map.iter().map(|(k, v)| (k.to_string(), v)).collect();
-        assert_eq!(
-            left,
-            [("k/0".into(), 1), ("k/1".into(), 1), ("k/2".into(), 1)]
-        );
-        map.add(Category::joined("k/", "1"), 1);
-        assert_eq!(map.get("k/", "1"), 2);
     }
 
     #[test]

@@ -47,8 +47,8 @@ use std::ops::Range;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use sunbfs_common::bitmap::wide;
-use sunbfs_common::{pool, Bitmap, PoolStats, TimeAccumulator, INVALID_VERTEX};
-use sunbfs_net::{CommStats, RankCtx, Scope};
+use sunbfs_common::{pool, Bitmap, PoolStats, INVALID_VERTEX};
+use sunbfs_net::{RankCtx, Scope};
 use sunbfs_part::{Csr, RankPartition};
 use sunbfs_sunway::{ocs_sort_rma, KernelReport, OcsConfig, SegmentedBitvec};
 
@@ -581,6 +581,11 @@ impl<'a, L: Lane> Engine<'a, L> {
             payload.extend(class_mass);
         }
         let totals = ctx.allreduce_with(Scope::World, "heur.totals", payload, None, |a, b| *a += b);
+        // The traversal charges into empty accounts: the setup
+        // collective and anything before it (a build on the same ctx)
+        // are not the run's.
+        ctx.take_accumulator();
+        ctx.take_comm_stats();
         let class_mass_total = match totals.get(5..8) {
             Some(m) => [m[0], m[1], m[2]],
             None => [0; 3],
@@ -677,8 +682,8 @@ impl<'a, L: Lane> Engine<'a, L> {
     /// checkpoint codec carries no depth slots.
     ///
     /// The run takes `ctx`'s time accounting and collective counters for
-    /// its output, less what they held when it started (`Engine::new`'s
-    /// setup collective and anything before it), and leaves them empty.
+    /// its output (empty since `Engine::new`'s setup collective), and
+    /// leaves them empty.
     pub(crate) fn run(
         mut self,
         ctx: &mut RankCtx,
@@ -687,8 +692,6 @@ impl<'a, L: Lane> Engine<'a, L> {
     ) -> Result<BatchOutput, EngineError> {
         debug_assert_eq!(roots.len(), self.lane.width());
         let t_start = ctx.now();
-        let acc_start = ctx.accumulator().clone();
-        let comm_start = ctx.comm_stats().clone();
         let dir = &self.part.directory;
         let range = self.part.owned_range();
         let width = self.lane.width();
@@ -919,7 +922,7 @@ impl<'a, L: Lane> Engine<'a, L> {
                     visited_l,
                     &iterations,
                     base_sim_seconds + (ctx.now() - t_start).as_secs(),
-                    (&base, &acc_start, &comm_start),
+                    &base,
                 );
             }
             done = self.hub.curr.is_zero() && active_l == 0;
@@ -960,10 +963,8 @@ impl<'a, L: Lane> Engine<'a, L> {
         // (empty when not resuming), so interrupted-then-resumed runs
         // report one continuous traversal.
         let mut times = ctx.take_accumulator();
-        times.subtract(&acc_start);
         times.merge(&base.times);
         let mut comm = ctx.take_comm_stats();
-        comm.subtract(&comm_start);
         comm.merge(&base.comm);
         Ok(BatchOutput {
             num_roots: width,
@@ -992,7 +993,7 @@ impl<'a, L: Lane> Engine<'a, L> {
         visited_l: u64,
         iterations: &[IterationStats],
         sim_seconds: f64,
-        (base, acc_start, comm_start): (&ResumeStats, &TimeAccumulator, &CommStats),
+        base: &ResumeStats,
     ) {
         let state = CheckpointState {
             iter: self.iter,
@@ -1010,10 +1011,8 @@ impl<'a, L: Lane> Engine<'a, L> {
             l_parent: self.l.parent.clone(),
         };
         let mut times = ctx.accumulator().clone();
-        times.subtract(acc_start);
         times.merge(&base.times);
         let mut comm = ctx.comm_stats().clone();
-        comm.subtract(comm_start);
         comm.merge(&base.comm);
         let stats = ResumeStats {
             iterations: iterations.to_vec(),
@@ -2210,6 +2209,55 @@ mod tests {
             }
             roots8.rotate_left(1);
             roots64.rotate_left(1);
+        }
+    }
+
+    #[test]
+    fn a_traversal_after_a_build_on_its_ctx_accounts_only_its_own_charges() {
+        // The build's `prep.*` charges and the setup collective sit on
+        // the ctx when the engine starts; neither is the traversal's.
+        let params = RmatParams::graph500(8, 42);
+        let n = params.num_vertices();
+        let edges = sunbfs_rmat::generate_chunk(&params, 0, 16);
+        let roots: Vec<u64> = edges.iter().map(|e| e.u).take(8).collect();
+        let cfg = EngineConfig::default();
+        let traverse = |ctx: &mut RankCtx, part: &RankPartition, roots: &[u64]| {
+            let mut scratch = EngineScratch::default();
+            let out = match roots.len() {
+                1 => Engine::new(ctx, part, cfg, Bit, &mut scratch).run(ctx, roots, None),
+                nb => {
+                    let lane = Word::new(nb);
+                    Engine::new(ctx, part, cfg, lane, &mut scratch).run(ctx, roots, None)
+                }
+            };
+            out.expect("terminates").stats
+        };
+        let cluster = || Cluster::new(MeshShape::new(2, 2), MachineConfig::new_sunway());
+        for (lane, roots) in [&roots[..1], &roots[..]].into_iter().enumerate() {
+            let built = cluster().run(|ctx| {
+                let chunk = sunbfs_rmat::generate_chunk(&params, ctx.rank() as u64, 4);
+                let part = build_1p5d(ctx, n, &chunk, Thresholds::new(64, 16));
+                assert!(ctx.accumulator().total_with_prefix("prep.").as_secs() > 0.0);
+                let stats = traverse(ctx, &part, roots);
+                (part, stats)
+            });
+            let parts: Vec<RankPartition> = built.iter().map(|(p, _)| p.clone()).collect();
+            let fresh = cluster().run(|ctx| traverse(ctx, &parts[ctx.rank()], roots));
+            for ((_, got), want) in built.iter().zip(&fresh) {
+                assert_eq!(got.comm, want.comm, "lane {lane}");
+                for (key, _) in got.comm.entries() {
+                    let key = key.to_string();
+                    assert!(
+                        !key.contains("prep.") && !key.contains("heur.totals"),
+                        "{key}"
+                    );
+                }
+                assert!(got.times.entries().next().is_some(), "lane {lane}");
+                for (key, secs) in got.times.entries() {
+                    let key = key.to_string();
+                    assert!(secs > 0.0 && !key.starts_with("prep."), "{key}: {secs}");
+                }
+            }
         }
     }
 

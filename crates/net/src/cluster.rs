@@ -716,9 +716,7 @@ json_record! {
 /// that decides what rides the supernode network versus the
 /// oversubscribed tree.
 ///
-/// Equality compares the full per-key state — the merge/subtract
-/// round-trip property (`(a ⊎ b) − b = a`) the serve layer's per-query
-/// comm attribution relies on is tested against it.
+/// Equality compares the full per-key state.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CommStats {
     ops: CategoryMap<CommOpStats>,
@@ -728,13 +726,6 @@ impl std::ops::AddAssign for CommOpStats {
     fn add_assign(&mut self, other: CommOpStats) {
         self.count += other.count;
         self.bytes += other.bytes;
-    }
-}
-
-impl std::ops::SubAssign for CommOpStats {
-    fn sub_assign(&mut self, other: CommOpStats) {
-        self.count -= other.count;
-        self.bytes -= other.bytes;
     }
 }
 
@@ -773,13 +764,6 @@ impl CommStats {
     /// Merge another rank's stats into this one.
     pub fn merge(&mut self, other: &CommStats) {
         self.ops.merge(&other.ops);
-    }
-
-    /// Subtract `earlier` per key, in place, dropping keys that reach
-    /// zero (isolates one phase from a running recorder, as
-    /// [`TimeAccumulator::subtract`] does).
-    pub fn subtract(&mut self, earlier: &CommStats) {
-        self.ops.subtract(&earlier.ops);
     }
 }
 
@@ -1693,14 +1677,12 @@ mod tests {
             );
             assert_eq!(stats.total_with_prefix("row/").count, 2);
         }
-        // subtract isolates a phase; merge adds ranks.
+        // merge adds ranks.
         let mut merged = CommStats::new();
         for s in &out {
             merged.merge(s);
         }
         assert_eq!(merged.get(Scope::Row, "rowsum").count, 8);
-        merged.subtract(&out[0]);
-        assert_eq!(merged.get(Scope::Row, "rowsum").count, 6);
         // JSON rendering is deterministic and keyed by scope/op.
         let js = out[0].to_json().render();
         assert!(
@@ -1747,13 +1729,9 @@ mod tests {
                 .map(|(k, _)| k.to_string())
                 .collect::<Vec<_>>()
         });
+        // The barrier met no skew: it charged 0 s and made no key.
         for keys in out {
-            let want = [
-                "comm.allgather.H2L",
-                "comm.barrier",
-                "comm.reduce_scatter.H2L",
-            ];
-            assert_eq!(keys, want);
+            assert_eq!(keys, ["comm.allgather.H2L", "comm.reduce_scatter.H2L"]);
         }
     }
 

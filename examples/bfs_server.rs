@@ -40,7 +40,9 @@
 //! out-of-range knob is refused by name (`knob "scale" must be …`),
 //! never a silent fall-back to the default value. Transport knobs are
 //! `--max-conns`, `--inflight-cap`, `--read-timeout-ms`,
-//! `--write-timeout-ms`, `--tick-ms`, `--shutdown-grace-ms`. Chaos knobs arm a seeded live
+//! `--write-timeout-ms`, `--tick-ms` (the last three at least 1: a
+//! zero socket timeout is an error for every accepted connection, a
+//! zero tick spins the service loop), `--shutdown-grace-ms`. Chaos knobs arm a seeded live
 //! fault schedule against the resident cluster (`docs/FAULTS.md`):
 //! `--chaos-every N` (one fault per N executed queries, 0 = off,
 //! forces an armed fault plan), `--chaos-seed N`,
@@ -132,9 +134,9 @@ impl Cli {
                 "--flush-deadline" => serve.flush_deadline = flags.num(U32)? as u32,
                 "--max-conns" => net.max_connections = flags.num(U64)? as usize,
                 "--inflight-cap" => net.inflight_cap = flags.num(U64)? as usize,
-                "--read-timeout-ms" => net.read_timeout = ms(flags.num(U64)?),
-                "--write-timeout-ms" => net.write_timeout = ms(flags.num(U64)?),
-                "--tick-ms" => net.tick_interval = ms(flags.num(U64)?),
+                "--read-timeout-ms" => net.read_timeout = ms(flags.num(1..=u64::MAX)?),
+                "--write-timeout-ms" => net.write_timeout = ms(flags.num(1..=u64::MAX)?),
+                "--tick-ms" => net.tick_interval = ms(flags.num(1..=u64::MAX)?),
                 "--shutdown-grace-ms" => net.shutdown_grace = ms(flags.num(U64)?),
                 "--chaos-every" => chaos.every_queries = flags.num(U64)?,
                 "--chaos-seed" => chaos.seed = flags.num(U64)?,

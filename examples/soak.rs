@@ -125,13 +125,16 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     let (mut scale, mut ranks) = (None, None);
     let (mut addr, mut root_max, mut tick_ms, mut shutdown) = (None, None, None, true);
     let mut json_path = None;
+    // Each connection costs the load generator two threads; a server
+    // admits no more than its default connection cap.
+    let max_conns = NetConfig::default().max_connections as u64;
     let mut flags = Flags::new(&args[1..]);
     while let Some(arg) = flags.next() {
         match arg {
             "--scale" => scale = Some(flags.num(U64)?),
             "--ranks" => ranks = Some(flags.num(U64)?),
-            "--conns" => cfg.load.connections = flags.num(U64)? as usize,
-            "--qps" => cfg.load.qps = flags.num(U64)?.max(1),
+            "--conns" => cfg.load.connections = flags.num(1..=max_conns)? as usize,
+            "--qps" => cfg.load.qps = flags.num(1..=u64::MAX)?,
             "--duration" => cfg.load.duration = Duration::from_secs(flags.num(U64)?),
             "--seed" => {
                 cfg.load.seed = flags.num(U64)?;
@@ -141,13 +144,15 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             "--deadline-ticks" => cfg.load.deadline_ticks = Some(flags.num(U32)? as u32),
             "--retry-max" => cfg.load.retry_max = flags.num(U32)? as u32,
             "--update-every" => cfg.load.update_every = flags.num(U64)?,
-            "--update-batch" => cfg.load.update_batch = flags.num(U64)?.max(1) as usize,
+            "--update-batch" => cfg.load.update_batch = flags.num(1..=u64::MAX)? as usize,
             "--json" => json_path = Some(flags.value()?.to_string()),
             "--addr" if profile == Load => addr = Some(flags.value()?.to_string()),
             "--root-max" if profile == Load => root_max = Some(flags.num(U64)?),
-            "--tick-hint-ms" if profile == Load => tick_ms = Some(flags.num(U64)?.max(1)),
+            "--tick-hint-ms" if profile == Load => tick_ms = Some(flags.num(1..=u64::MAX)?),
             "--no-shutdown" if profile == Load => shutdown = false,
-            "--chaos-every" if profile == Chaos => cfg.chaos.every_queries = flags.num(U64)?.max(1),
+            "--chaos-every" if profile == Chaos => {
+                cfg.chaos.every_queries = flags.num(1..=u64::MAX)?
+            }
             "--chaos-max-events" if profile == Chaos => cfg.chaos.max_events = flags.num(U64)?,
             "--availability-gate" if profile == Chaos => {
                 let raw = flags.value()?;
@@ -158,9 +163,9 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             "--recovery-gate-ticks" if profile == Chaos => {
                 cfg.recovery_gate_ticks = flags.num(U64)?;
             }
-            "--rounds" if profile == Update => cfg.repair.rounds = flags.num(U64)?.max(1),
-            "--batch" if profile == Update => cfg.repair.batch = flags.num(U64)?.max(1),
-            "--roots" if profile == Update => cfg.repair.roots = flags.num(U64)?.max(1) as usize,
+            "--rounds" if profile == Update => cfg.repair.rounds = flags.num(1..=u64::MAX)?,
+            "--batch" if profile == Update => cfg.repair.batch = flags.num(1..=u64::MAX)?,
+            "--roots" if profile == Update => cfg.repair.roots = flags.num(1..=u64::MAX)? as usize,
             other => return Err(format!("unknown argument {other:?} for this profile")),
         }
     }

@@ -369,12 +369,22 @@ tcp_talk() {
 # Smoke: mistyped or out-of-range knobs are the shared knob reader's
 # refusals (never a silent default-config build), no arguments is the
 # usage, and soak refuses an out-of-range size from the same check.
+# Zero socket timeouts (every connection closed unanswered), a zero
+# tick (a spinning service loop) and soak knobs it used to clamp are
+# refused the same way, at parse time: no socket, session or thread
+# exists yet.
 echo "==> bfs_server flag and fault-plan refusals"
 must_refuse 'knob "scale" must be an unsigned integer' "$BFS_SERVER" --tcp 127.0.0.1:0 --scale x
 must_refuse 'knob "h_threshold"' "$BFS_SERVER" --tcp 127.0.0.1:0 --scale 9 --ranks 4 --h-threshold 512
 must_refuse 'knob "batch_max"' "$BFS_SERVER" --tcp 127.0.0.1:0 --batch-max 65
+must_refuse 'knob "read_timeout_ms"' "$BFS_SERVER" --tcp 127.0.0.1:0 --read-timeout-ms 0
+must_refuse 'knob "write_timeout_ms"' "$BFS_SERVER" --tcp 127.0.0.1:0 --write-timeout-ms 0
+must_refuse 'knob "tick_ms"' "$BFS_SERVER" --tcp 127.0.0.1:0 --tick-ms 0
 must_refuse 'usage: bfs_server --tcp ADDR' "$BFS_SERVER"
 must_refuse 'knob "scale"' ./target/release/examples/soak load --scale 70
+must_refuse 'knob "conns" must be in 1..=64, got 0' ./target/release/examples/soak load --conns 0
+must_refuse 'knob "conns" must be in 1..=64, got 65' ./target/release/examples/soak load --conns 65
+must_refuse 'knob "qps"' ./target/release/examples/soak load --qps 0
 for PLAN in "straggle@0:0:-1" "panic@9:0"; do
     must_refuse_plan "$PLAN" "$BFS_SERVER" --tcp 127.0.0.1:0 --scale 9 --ranks 4
 done

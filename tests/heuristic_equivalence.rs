@@ -469,11 +469,6 @@ fn wide_primitives_cover_ragged_tails_exhaustively() {
         let ones = vec![u64::MAX; len];
         let zeros = vec![0u64; len];
         assert_eq!(wide::count_ones(&ones), len as u64 * 64, "len={len}");
-        assert_eq!(
-            wide::and_not_count(&ones, &zeros),
-            len as u64 * 64,
-            "len={len}"
-        );
 
         let mut visited = Vec::new();
         wide::for_each_nonzero_word(&ones, 0, len, |wi, w| visited.push((wi, w)));
@@ -482,10 +477,6 @@ fn wide_primitives_cover_ragged_tails_exhaustively() {
         let mut bits = 0u64;
         wide::for_each_one(&ones, len as u64 * 64, 0, len, |_| bits += 1);
         assert_eq!(bits, len as u64 * 64, "every bit visited at len={len}");
-
-        let mut unset = 0u64;
-        wide::for_each_zero(&zeros, len as u64 * 64, 0, len as u64 * 64, |_| unset += 1);
-        assert_eq!(unset, len as u64 * 64, "every zero visited at len={len}");
 
         let mut diff = Vec::new();
         wide::for_each_and_not(&ones, &zeros, 0, len, |wi, w| diff.push((wi, w)));
@@ -518,9 +509,6 @@ proptest! {
 
         let scalar_count: u64 = a.iter().map(|w| w.count_ones() as u64).sum();
         prop_assert_eq!(wide::count_ones(&a), scalar_count);
-
-        let scalar_and_not: u64 = a.iter().zip(&b).map(|(x, y)| (x & !y).count_ones() as u64).sum();
-        prop_assert_eq!(wide::and_not_count(&a, &b), scalar_and_not);
 
         let mut or = a.clone();
         wide::or_assign(&mut or, &b);
@@ -565,20 +553,6 @@ proptest! {
         wide::for_each_one(&words, bits, start as usize, end as usize, |i| got.push(i));
         let expect: Vec<u64> = (lo as u64 * 64..(hi as u64 * 64).min(bits))
             .filter(|&i| words[(i / 64) as usize] >> (i % 64) & 1 == 1)
-            .collect();
-        prop_assert_eq!(got, expect);
-
-        let get = |ws: &[u64], i: u64| ws[(i / 64) as usize] >> (i % 64) & 1 == 1;
-        let top = end.min(bits);
-        let mut got = Vec::new();
-        wide::for_each_zero(&words, bits, start, end, |i| got.push(i));
-        let expect: Vec<u64> = (start.min(top)..top).filter(|&i| !get(&words, i)).collect();
-        prop_assert_eq!(got, expect);
-
-        let mut got = Vec::new();
-        wide::for_each_unset_pair(&words, &other, bits, start, end, |i| got.push(i));
-        let expect: Vec<u64> = (start.min(top)..top)
-            .filter(|&i| !get(&words, i) && !get(&other, i))
             .collect();
         prop_assert_eq!(got, expect);
 
