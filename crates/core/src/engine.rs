@@ -397,7 +397,7 @@ fn push_scan<L: Lane>(
             let p = parent(k);
             for &t in adj.neighbors(k) {
                 edges += 1;
-                out.push(L::pack(t, p, m));
+                out.push(L::pack(u64::from(t), p, m));
             }
         });
         (edges, out)
@@ -439,6 +439,7 @@ fn pull_scan<L: Lane>(
             debug_assert_eq!(k - adj.key_base(), i, "seen-set index is the key offset");
             for &t in adj.neighbors(k) {
                 edges += 1;
+                let t = u64::from(t);
                 if let Some((got, done)) = L::hit(src, src_index(t), &mut want) {
                     let (dest, parent) = msg(i, k, t);
                     out.push(L::pack(dest, parent, got));
@@ -1222,7 +1223,7 @@ impl<'a, L: Lane> Engine<'a, L> {
                             let parent = dir.vertex_of(s as u32);
                             for &dst in part.eh_by_src.neighbors(s) {
                                 edges += 1;
-                                out.push(L::pack(dst, parent, m));
+                                out.push(L::pack(u64::from(dst), parent, m));
                             }
                         }
                         (edges, out)
@@ -1283,9 +1284,10 @@ impl<'a, L: Lane> Engine<'a, L> {
                         };
                         for &s in part.eh_by_dst.neighbors(dst) {
                             edges += 1;
-                            probes[seg_of(s)] += 1;
-                            if let Some((got, done)) = L::hit(hub_curr, s, &mut want) {
-                                out.push(L::pack(dst, dir.vertex_of(s as u32), got));
+                            let hub = u64::from(s);
+                            probes[seg_of(hub)] += 1;
+                            if let Some((got, done)) = L::hit(hub_curr, hub, &mut want) {
+                                out.push(L::pack(dst, dir.vertex_of(s), got));
                                 if done {
                                     break; // early exit
                                 }
@@ -1590,6 +1592,7 @@ impl<'a, L: Lane> Engine<'a, L> {
                         debug_assert_eq!(l - part.l2l.key_base(), li);
                         for &u in part.l2l.neighbors(l) {
                             edges += 1;
+                            let u = u64::from(u);
                             out[dist.owner(u)].push(L::pack(u, l, want));
                         }
                     });

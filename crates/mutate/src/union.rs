@@ -62,24 +62,19 @@ impl<'a> UnionAdjacency<'a> {
             Some(h) => {
                 let h = h as u64;
                 for p in self.parts {
-                    for &d in p.eh_by_src.neighbors(h) {
-                        out.push(dir.vertex_of(d as u32));
-                    }
-                    out.extend_from_slice(p.el_by_hub.neighbors(h));
-                    out.extend_from_slice(p.lh_by_hub.neighbors(h));
+                    out.extend(p.eh_by_src.neighbors(h).iter().map(|&d| dir.vertex_of(d)));
+                    out.extend(p.el_by_hub.neighbors(h).iter().map(|&l| u64::from(l)));
+                    out.extend(p.lh_by_hub.neighbors(h).iter().map(|&l| u64::from(l)));
                     scanned +=
                         p.eh_by_src.degree(h) + p.el_by_hub.degree(h) + p.lh_by_hub.degree(h);
                 }
             }
             None => {
                 let p = &self.parts[self.parts[0].dist.owner(v)];
-                for &h in p.el_by_local.neighbors(v) {
-                    out.push(dir.vertex_of(h as u32));
-                }
-                for &h in p.lh_by_local.neighbors(v) {
-                    out.push(dir.vertex_of(h as u32));
-                }
-                out.extend_from_slice(p.l2l.neighbors(v));
+                let hubs = p.el_by_local.neighbors(v).iter();
+                let hubs = hubs.chain(p.lh_by_local.neighbors(v));
+                out.extend(hubs.map(|&h| dir.vertex_of(h)));
+                out.extend(p.l2l.neighbors(v).iter().map(|&u| u64::from(u)));
                 scanned += p.el_by_local.degree(v) + p.lh_by_local.degree(v) + p.l2l.degree(v);
             }
         }

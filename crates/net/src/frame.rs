@@ -84,10 +84,10 @@ impl WordWriter {
         self.buf.extend_from_slice(&x.to_le_bytes());
     }
 
-    /// Append `xs` behind its length.
-    pub fn put_slice(&mut self, xs: &[u64]) {
+    /// Append `xs` behind its length, each element widened to a word.
+    pub fn put_slice<T: Copy + Into<u64>>(&mut self, xs: &[T]) {
         self.put(xs.len() as u64);
-        xs.iter().for_each(|&x| self.put(x));
+        xs.iter().for_each(|&x| self.put(x.into()));
     }
 
     /// Append the FNV-1a seal of everything put so far; the stream's
@@ -133,16 +133,25 @@ impl<'a> WordReader<'a> {
     /// names it) must fit in the words left, so a damaged one cannot
     /// become a huge allocation.
     pub fn slice(&mut self, what: &'static str) -> Result<Vec<u64>, Damage> {
+        Ok(self.words(what)?.collect())
+    }
+
+    /// The next length-prefixed slice's words, read in place, for a
+    /// caller that keeps them in another form; the length is checked
+    /// as [`WordReader::slice`] checks it.
+    pub fn words(
+        &mut self,
+        what: &'static str,
+    ) -> Result<impl ExactSizeIterator<Item = u64> + 'a, Damage> {
         let len = self.word()?;
         if len > self.remaining() {
             return Err(Damage::Corrupt(what));
         }
         let end = self.pos + len as usize * 8;
-        let words = self.body[self.pos..end].chunks_exact(8);
+        let body: &'a [u8] = self.body;
+        let words = body[self.pos..end].chunks_exact(8);
         self.pos = end;
-        Ok(words
-            .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
-            .collect())
+        Ok(words.map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes"))))
     }
 
     /// Require that the body was read to its end (`what` names the
@@ -379,7 +388,7 @@ mod tests {
     fn sealed_words_round_trip_and_name_their_damage() {
         let mut w = WordWriter::default();
         w.put(7);
-        w.put_slice(&[1, 2, 3]);
+        w.put_slice(&[1u64, 2, 3]);
         let stream = w.seal();
         assert_eq!(stream.len(), 6 * 8, "word, length, three words, seal");
         let mut r = WordReader::unseal(&stream, "seal").unwrap();

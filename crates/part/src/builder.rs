@@ -46,7 +46,7 @@ use std::ops::Range;
 use sunbfs_common::{Bitmap, Edge, JsonValue, ToJson, VertexId};
 use sunbfs_net::{RankCtx, Scope, Topology};
 
-use crate::csr::Csr;
+use crate::csr::{targets_fit, Csr, MAX_SCALE};
 use crate::directory::{HubDirectory, Thresholds, VertexClass};
 use crate::distribution::VertexDistribution;
 
@@ -301,12 +301,19 @@ impl Router<'_> {
 /// its own `edges` chunk; the union of chunks is the global multigraph.
 /// A chunk passed by value (`Vec<Edge>`) is freed once its edges are
 /// routed; a borrowed one (`&chunk`) stays with the caller.
+///
+/// # Panics
+/// When `n` exceeds `2^`[`MAX_SCALE`]: a stored target is a `u32`.
 pub fn build_1p5d<'a>(
     ctx: &mut RankCtx,
     n: u64,
     edges: impl Into<Cow<'a, [Edge]>>,
     thresholds: Thresholds,
 ) -> RankPartition {
+    assert!(
+        targets_fit(n),
+        "{n} vertices exceed the 2^{MAX_SCALE} a partition's u32 targets hold"
+    );
     let edges = edges.into();
     let topo = ctx.topology();
     let p = ctx.nranks();

@@ -3,7 +3,11 @@
 //! Every subgraph component is stored as one or two [`Csr`] indexes
 //! (by source for push, by destination for pull). Keys are dense ids in
 //! a half-open range (hub ids, or a rank's owned vertex interval);
-//! targets are whatever the component's other endpoint space is.
+//! targets are whatever the component's other endpoint space is: hub
+//! ids (`u32` already in the directory) or vertex ids below `n`. Each
+//! target is stored in four bytes, so a partition holds at most
+//! `2^`[`MAX_SCALE`] vertices; offsets stay `u64`, because they count a
+//! rank's stored edges, which `2^32` does not bound.
 //!
 //! Construction is a counting sort by key followed by an in-place
 //! PARADIS radix sort of each adjacency list's target ids (§5: "local
@@ -20,12 +24,21 @@
 
 use sunbfs_common::Bitmap;
 
+/// The largest Graph 500 SCALE a partition holds: every vertex id is
+/// below `2^SCALE` and must fit a stored `u32` target.
+pub const MAX_SCALE: u64 = 32;
+
+/// Whether `n` vertices fit the `u32` targets: `n <= 2^`[`MAX_SCALE`].
+pub fn targets_fit(n: u64) -> bool {
+    n <= 1 << MAX_SCALE
+}
+
 /// CSR adjacency over keys `key_base .. key_base + num_keys`.
 #[derive(Clone, Debug)]
 pub struct Csr {
     key_base: u64,
     offsets: Vec<u64>,
-    targets: Vec<u64>,
+    targets: Vec<u32>,
     /// Bit `k` set iff key `key_base + k` has an adjacency — derived
     /// from `offsets` by every constructor, never stored.
     nonempty: Bitmap,
@@ -43,7 +56,8 @@ fn nonempty_keys(offsets: &[u64]) -> Bitmap {
 }
 
 impl Csr {
-    /// Build from `(key, target)` pairs. Keys outside the range panic.
+    /// Build from `(key, target)` pairs. Keys outside the range panic,
+    /// and so does a target that does not fit a `u32`.
     /// When `dedup` is set, duplicate `(key, target)` pairs collapse to
     /// one (the input edge list is a multigraph; adjacency is simple).
     ///
@@ -72,18 +86,21 @@ impl Csr {
             counts[i + 1] += counts[i];
         }
         let offsets = counts;
-        let mut targets = vec![0u64; offsets[nk] as usize];
+        let mut targets = vec![0u32; offsets[nk] as usize];
         let mut cursor = offsets.clone();
-        let mut max_target = 0u64;
+        let mut max_target = 0u32;
         for (k, t) in pairs {
             let idx = (k - key_base) as usize;
+            let t = u32::try_from(t).unwrap_or_else(|_| {
+                panic!("target {t} exceeds u32::MAX, the stored target limit (SCALE {MAX_SCALE})")
+            });
             targets[cursor[idx] as usize] = t;
             cursor[idx] += 1;
             max_target = max_target.max(t);
         }
         // ...then in-place PARADIS radix sort per adjacency list, over
         // the bytes the largest target has.
-        let key_bytes = (u64::BITS - max_target.leading_zeros()).div_ceil(8).max(1);
+        let key_bytes = (u32::BITS - max_target.leading_zeros()).div_ceil(8).max(1);
         let mut csr = Csr {
             key_base,
             offsets,
@@ -93,7 +110,8 @@ impl Csr {
         for k in 0..nk {
             let lo = csr.offsets[k] as usize;
             let hi = csr.offsets[k + 1] as usize;
-            sunbfs_sort::radix_sort_in_place(&mut csr.targets[lo..hi], &|t: &u64| *t, 1, key_bytes);
+            let list = &mut csr.targets[lo..hi];
+            sunbfs_sort::radix_sort_in_place(list, &|t: &u32| u64::from(*t), 1, key_bytes);
         }
         if dedup {
             csr.dedup_targets();
@@ -131,7 +149,7 @@ impl Csr {
     /// at `targets.len()`; callers deserializing untrusted bytes must
     /// validate *before* constructing (the store does), because a
     /// violated invariant here is a panic, not a typed error.
-    pub fn from_raw(key_base: u64, offsets: Vec<u64>, targets: Vec<u64>) -> Csr {
+    pub fn from_raw(key_base: u64, offsets: Vec<u64>, targets: Vec<u32>) -> Csr {
         assert!(
             !offsets.is_empty(),
             "offsets must hold num_keys + 1 entries"
@@ -172,7 +190,7 @@ impl Csr {
     /// The raw target array, concatenated per-key adjacency lists.
     /// Exposed for serialization.
     #[inline]
-    pub fn targets(&self) -> &[u64] {
+    pub fn targets(&self) -> &[u32] {
         &self.targets
     }
 
@@ -196,7 +214,7 @@ impl Csr {
 
     /// Neighbors of `key` (sorted ascending).
     #[inline]
-    pub fn neighbors(&self, key: u64) -> &[u64] {
+    pub fn neighbors(&self, key: u64) -> &[u32] {
         debug_assert!(key >= self.key_base);
         let idx = (key - self.key_base) as usize;
         let lo = self.offsets[idx] as usize;
@@ -215,7 +233,9 @@ impl Csr {
     pub fn iter_edges(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         (0..self.num_keys()).flat_map(move |k| {
             let key = self.key_base + k as u64;
-            self.neighbors(key).iter().map(move |&t| (key, t))
+            self.neighbors(key)
+                .iter()
+                .map(move |&t| (key, u64::from(t)))
         })
     }
 }
@@ -231,7 +251,7 @@ mod tests {
         assert_eq!(csr.num_keys(), 4);
         assert_eq!(csr.num_edges(), 5);
         assert_eq!(csr.neighbors(10), &[2, 2, 3]);
-        assert_eq!(csr.neighbors(11), &[] as &[u64]);
+        assert_eq!(csr.neighbors(11), &[] as &[u32]);
         assert_eq!(csr.neighbors(12), &[1, 5]);
         assert_eq!(csr.degree(10), 3);
     }
@@ -247,7 +267,7 @@ mod tests {
 
     /// What `from_pairs` must equal: sort the pairs, dedup, read off
     /// each key's run.
-    fn naive(key_base: u64, num_keys: u64, pairs: &[(u64, u64)], dedup: bool) -> Vec<Vec<u64>> {
+    fn naive(key_base: u64, num_keys: u64, pairs: &[(u64, u64)], dedup: bool) -> Vec<Vec<u32>> {
         let mut sorted = pairs.to_vec();
         sorted.sort_unstable();
         if dedup {
@@ -255,30 +275,22 @@ mod tests {
         }
         let mut lists = vec![Vec::new(); num_keys as usize];
         for (k, t) in sorted {
-            lists[(k - key_base) as usize].push(t);
+            lists[(k - key_base) as usize].push(u32::try_from(t).unwrap());
         }
         lists
     }
 
     #[test]
     fn every_target_width_matches_the_naive_reference() {
-        // One target space per PARADIS key width 1..=8 (the largest
-        // target decides it), `u64::MAX` itself, and no input at all.
-        // 3000 pairs over 8 keys: lists long enough to leave the
-        // comparison-sort fallback and take the radix levels.
-        let spaces = [
-            1u64 << 7,
-            1 << 15,
-            1 << 23,
-            1 << 31,
-            1 << 39,
-            1 << 47,
-            1 << 55,
-            u64::MAX,
-        ];
+        // One target space per PARADIS key width 1..=4 (the largest
+        // target decides it), the whole `u32` space with `u32::MAX`
+        // itself, and no input at all. 3000 pairs over 8 keys: lists
+        // long enough to leave the comparison-sort fallback and take
+        // the radix levels.
+        let spaces = [1u64 << 7, 1 << 15, 1 << 23, 1 << 31, 1 << 32];
         let (key_base, num_keys) = (100, 8);
-        for (width, &space) in spaces.iter().enumerate() {
-            let mut rng = sunbfs_common::SplitMix64::new(width as u64);
+        for (seed, &space) in spaces.iter().enumerate() {
+            let mut rng = sunbfs_common::SplitMix64::new(seed as u64);
             let mut pairs: Vec<(u64, u64)> = (0..3000)
                 .map(|_| {
                     // Half the draws from a small pool, so `dedup` has
@@ -290,8 +302,8 @@ mod tests {
                     (key_base + rng.next_below(num_keys), t)
                 })
                 .collect();
-            if space == u64::MAX {
-                pairs.push((key_base, u64::MAX));
+            if space == 1 << 32 {
+                pairs.push((key_base, u64::from(u32::MAX)));
             }
             for dedup in [false, true] {
                 let csr = Csr::from_pairs(key_base, num_keys, pairs.iter().copied(), dedup);
@@ -300,8 +312,7 @@ mod tests {
                     assert_eq!(
                         csr.neighbors(key_base + k as u64),
                         list.as_slice(),
-                        "{} target byte(s), dedup {dedup}, key {k}",
-                        width + 1
+                        "target space {space}, dedup {dedup}, key {k}"
                     );
                 }
                 // The transposed orientation off the same buffer.
@@ -321,11 +332,11 @@ mod tests {
     /// The first-written dedup, kept as the oracle: walk each sorted
     /// list and push every target that differs from its predecessor
     /// into a second array.
-    fn copy_dedup(offsets: &[u64], targets: &[u64]) -> (Vec<u64>, Vec<u64>) {
+    fn copy_dedup(offsets: &[u64], targets: &[u32]) -> (Vec<u64>, Vec<u32>) {
         let mut new_targets = Vec::with_capacity(targets.len());
         let mut new_offsets = vec![0u64; offsets.len()];
         for k in 0..offsets.len() - 1 {
-            let mut prev: Option<u64> = None;
+            let mut prev: Option<u32> = None;
             for &t in &targets[offsets[k] as usize..offsets[k + 1] as usize] {
                 if prev != Some(t) {
                     new_targets.push(t);
@@ -377,7 +388,7 @@ mod tests {
     fn empty_component() {
         let csr = Csr::from_pairs(5, 3, vec![], true);
         assert_eq!(csr.num_edges(), 0);
-        assert_eq!(csr.neighbors(6), &[] as &[u64]);
+        assert_eq!(csr.neighbors(6), &[] as &[u32]);
     }
 
     #[test]
@@ -416,5 +427,20 @@ mod tests {
     #[should_panic]
     fn out_of_range_key_panics() {
         Csr::from_pairs(0, 2, vec![(2, 0)], false);
+    }
+
+    #[test]
+    #[should_panic(expected = "target 4294967296 exceeds u32::MAX")]
+    fn a_target_past_u32_panics() {
+        Csr::from_pairs(0, 2, vec![(0, 1), (1, 1 << 32)], false);
+    }
+
+    #[test]
+    fn targets_fit_up_to_max_scale() {
+        assert!(targets_fit(1));
+        assert!(targets_fit(1 << MAX_SCALE));
+        assert!(!targets_fit((1 << MAX_SCALE) + 1));
+        assert!(!targets_fit(1 << 40));
+        assert!(!targets_fit(u64::MAX));
     }
 }

@@ -25,6 +25,6 @@ pub mod directory;
 pub mod distribution;
 
 pub use builder::{build_1p5d, row_vertex_range, ComponentStats, OwnedHubs, RankPartition};
-pub use csr::Csr;
+pub use csr::{targets_fit, Csr, MAX_SCALE};
 pub use directory::{HubDirectory, Thresholds, VertexClass};
 pub use distribution::VertexDistribution;

@@ -60,7 +60,10 @@ fn fingerprint(part: &RankPartition) -> u64 {
     for csr in csrs {
         feed(&[csr.key_base()]);
         feed(csr.offsets());
-        feed(csr.targets());
+        // Hashed as words, the width the store writes, so the pinned
+        // values do not depend on the width a target is held in.
+        let targets: Vec<u64> = csr.targets().iter().map(|&t| u64::from(t)).collect();
+        feed(&targets);
     }
     let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
     fnv1a(&bytes)

@@ -27,7 +27,9 @@
 //! * **Streams 1..=R — one per rank**, each starting on the page
 //!   boundary its directory entry names: rank magic, rank index, the
 //!   vertex distribution, the replicated hub directory, the owner
-//!   degree table, all nine CSR blocks, and the component stats.
+//!   degree table, all nine CSR blocks, and the component stats. A
+//!   CSR's targets are words on disk and `u32` in memory: they are
+//!   narrowed as they are read.
 //!
 //! The page directory is what lets a reader load ranks by streamed
 //! sequential page reads — seek to `first_page`, read
@@ -41,7 +43,8 @@
 //! whole number of pages, any page whose seal fails, any stream whose
 //! seal fails, a directory entry pointing outside the file, and any
 //! structural inconsistency (CSR offsets that are not monotone, a
-//! degree table whose length disagrees with the distribution, a CSR
+//! degree table whose length disagrees with the distribution, a scale
+//! above [`MAX_SCALE`], a CSR target word of `2^32` or more, a CSR
 //! keyed over or pointing outside the vertex or hub space it
 //! addresses, …). All
 //! length fields are guarded against the remaining input *before*
@@ -59,7 +62,7 @@ use std::path::Path;
 use sunbfs_net::{fnv1a, Damage, MeshShape, Topology, WordReader, WordWriter};
 use sunbfs_part::{
     row_vertex_range, ComponentStats, Csr, HubDirectory, OwnedHubs, RankPartition,
-    VertexDistribution,
+    VertexDistribution, MAX_SCALE,
 };
 
 /// File magic: "SBFSTORE" little-endian.
@@ -504,7 +507,21 @@ fn decode_csr(r: &mut WordReader<'_>) -> Result<Csr, StoreError> {
             what: "csr offsets must be non-decreasing",
         });
     }
-    let targets = r.slice("csr targets length")?;
+    // Narrowed as they are read: one pass over the bytes, no `u64`
+    // copy of the array. Any bit past the low 32 in any word refuses it.
+    let mut high = 0u64;
+    let words = r.words("csr targets length")?;
+    let targets: Vec<u32> = words
+        .map(|t| {
+            high |= t >> 32;
+            t as u32
+        })
+        .collect();
+    if high != 0 {
+        return Err(StoreError::Corrupt {
+            what: "csr target exceeds u32",
+        });
+    }
     if *offsets.last().unwrap() != targets.len() as u64 {
         return Err(StoreError::Corrupt {
             what: "csr edge count disagrees with offsets",
@@ -524,7 +541,8 @@ fn check_csr(
     what: &'static str,
 ) -> Result<(), StoreError> {
     let keyed = csr.key_base() == keys.start && csr.num_keys() as u64 == keys.end - keys.start;
-    if !keyed || csr.targets().iter().any(|t| !targets.contains(t)) {
+    let outside = |&t: &u32| !targets.contains(&u64::from(t));
+    if !keyed || csr.targets().iter().any(outside) {
         return Err(StoreError::Corrupt { what });
     }
     Ok(())
@@ -549,7 +567,8 @@ fn decode_rank(
     }
     let n = r.word()?;
     let p = r.word()?;
-    if header.scale >= 64 || n != 1u64 << header.scale {
+    // `read_store` refused a scale above `MAX_SCALE` before any rank.
+    if n != 1u64 << header.scale {
         return Err(StoreError::Corrupt {
             what: "vertex count disagrees with scale",
         });
@@ -722,7 +741,7 @@ pub fn read_store<R: Read + Seek>(
         num_ranks: r.word()?,
         epoch: r.word()?,
     };
-    if header.scale >= 64 {
+    if header.scale > MAX_SCALE {
         return Err(StoreError::Corrupt {
             what: "scale too large",
         });

@@ -31,7 +31,7 @@
 //! ```
 //!
 //! Graph knobs size the graph once, at startup, through the knob
-//! reader every binary shares (`sunbfs::cli`): `--scale` (10, 1..=40),
+//! reader every binary shares (`sunbfs::cli`): `--scale` (10, 1..=32),
 //! `--ranks` (4, 1..=65536), `--edge-factor` (16), `--e-threshold`
 //! (256), `--h-threshold` (64, at most the E threshold), `--seed` (42),
 //! `--queue-capacity` (256, 1..=2^20), `--batch-max` (64, 1..=64),

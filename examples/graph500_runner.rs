@@ -27,7 +27,7 @@
 //! Unknown `--flags` are an error (exit code 2), not a warning: a typo
 //! like `--jsno` silently producing a default run is worse than a
 //! refusal. So is a knob the shared reader (`sunbfs::cli`) refuses —
-//! a non-integer, scale outside 1..=40, ranks outside 1..=65536,
+//! a non-integer, scale outside 1..=32, ranks outside 1..=65536,
 //! thresholds outside `u32` or h > e — or zero roots: the refusal names
 //! the knob. A sixth positional argument is refused by its value.
 

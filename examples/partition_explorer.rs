@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Defaults: SCALE 14 on 16 ranks. The knobs go through the reader
-//! every binary shares (`sunbfs::cli`: scale 1..=40, ranks 1..=65536);
+//! every binary shares (`sunbfs::cli`: scale 1..=32, ranks 1..=65536);
 //! a non-integer or out-of-range knob is refused by name, exit code 2.
 
 use sunbfs::cli::{self, U64};

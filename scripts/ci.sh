@@ -106,9 +106,11 @@ timeout 300 cargo test -q --release -p sunbfs-part --test build_reference
 timeout 300 cargo test -q --release -p sunbfs-rmat integer_cut_points_equal_the_f64_definition
 
 # Partition build memory: loading a SCALE-16 session may raise the
-# process's peak resident set by at most 2.1x the partition it leaves
-# resident — each routed edge held about once, in send lists counted
-# before they are filled (docs/PERF.md, "Rule 8, measured" and "Rule 12,
+# process's peak resident set by at most 1.85x the partition it leaves
+# resident, counted at eight bytes a CSR entry — each routed edge held
+# about once, in send lists counted before they are filled — and the
+# CSRs themselves may hold at most 0.6x that, each target in four bytes
+# (docs/PERF.md, "Rule 8, measured", "Rule 12, measured" and "Rule 14,
 # measured"). A binary of its own, so no other test moves the peak.
 echo "==> partition build memory gate (release, hard timeout)"
 timeout 300 cargo test -q --release --test build_memory
@@ -216,6 +218,7 @@ echo "==> graph500_runner knob refusals"
 must_refuse 'knob "h_threshold"' "$RUNNER" 9 4 16 64 1
 must_refuse 'knob "ranks"' "$RUNNER" 9 0 256 64 1
 must_refuse 'knob "scale"' "$RUNNER" 70 4 256 64 1
+must_refuse 'knob "scale" must be in 1..=32' "$RUNNER" 33 4 256 64 1
 must_refuse 'knob "scale"' "$RUNNER" 4294967305 4 256 64 1
 must_refuse 'knob "num_roots"' "$RUNNER" 9 4 256 64 0
 must_refuse 'unexpected positional argument "7"' "$RUNNER" 9 4 256 64 1 7
@@ -375,6 +378,7 @@ tcp_talk() {
 # exists yet.
 echo "==> bfs_server flag and fault-plan refusals"
 must_refuse 'knob "scale" must be an unsigned integer' "$BFS_SERVER" --tcp 127.0.0.1:0 --scale x
+must_refuse 'knob "scale" must be in 1..=32' "$BFS_SERVER" --tcp 127.0.0.1:0 --scale 33
 must_refuse 'knob "h_threshold"' "$BFS_SERVER" --tcp 127.0.0.1:0 --scale 9 --ranks 4 --h-threshold 512
 must_refuse 'knob "batch_max"' "$BFS_SERVER" --tcp 127.0.0.1:0 --batch-max 65
 must_refuse 'knob "read_timeout_ms"' "$BFS_SERVER" --tcp 127.0.0.1:0 --read-timeout-ms 0

@@ -4,7 +4,7 @@
 //! (Graph 500's `graph500_bfs(SCALE, edgefactor)` takes its size the
 //! same way), never over the serving protocol. Every binary reads its
 //! numeric knobs here, so a knob that is not an unsigned integer or is
-//! out of range is refused by name (`knob "scale" must be in 1..=40,
+//! out of range is refused by name (`knob "scale" must be in 1..=32,
 //! got 70`) with exit code 2 — never a silent run of the default value.
 
 use std::ops::RangeInclusive;
@@ -58,11 +58,12 @@ pub fn positional(n: usize, name: &str, default: u64, range: RangeInclusive<u64>
 /// refused by name; the rest is [`SessionConfig::small`].
 ///
 /// # Errors
-/// `knob "scale" must be in 1..=40, got 70`, likewise `ranks`
+/// `knob "scale" must be in 1..=32, got 70` (a partition stores its
+/// targets as `u32`: [`sunbfs_part::MAX_SCALE`]), likewise `ranks`
 /// (1..=65536) and the thresholds (`u32`, with `h_threshold` at most
 /// `e_threshold`).
 pub fn sized_session(scale: u64, ranks: u64, e: u64, h: u64) -> Result<SessionConfig, String> {
-    let scale = in_range("scale", scale, 1..=40)?;
+    let scale = in_range("scale", scale, 1..=sunbfs_part::MAX_SCALE)?;
     let ranks = in_range("ranks", ranks, 1..=1 << 16)?;
     let e = in_range("e_threshold", e, U32)?;
     let h = in_range("h_threshold", h, U32)?;
@@ -144,7 +145,7 @@ mod tests {
         for (got, needle) in [
             (knob("scale", "9x", U64).map(drop), "unsigned integer"),
             (knob("scale", "-1", U64).map(drop), "unsigned integer"),
-            (sized_session(99, 4, 256, 64).map(drop), "must be in 1..=40"),
+            (sized_session(99, 4, 256, 64).map(drop), "must be in 1..=32"),
             (
                 sized_session(9, 0, 256, 64).map(drop),
                 "\"ranks\" must be in 1..=65536",

@@ -5,26 +5,34 @@
 //! SCALE-16 session on a 2x2 mesh may raise the process's peak resident
 //! set (`VmHWM`) by at most `PEAK_PER_PARTITION_BYTE` times the bytes
 //! of the partition it leaves resident — the nine CSRs and the owned
-//! degrees, counted the way the benchmark's `part.bytes` counts them
-//! (28 MiB here). A build that keeps the generated chunk, every
-//! exchanged payload twice and every component's received buffer alive
-//! at once raises the peak by 3.2–3.4 times that; one that holds each
-//! routed edge once in send lists grown by doubling, by 2.3 times; one
-//! that counts its send lists before it fills them, by 1.64–1.84 times
-//! (ten runs).
+//! degrees, counted the way the benchmark's `part.bytes` counts them,
+//! eight bytes a CSR entry (28 MiB here). A build that keeps the
+//! generated chunk, every exchanged payload twice and every component's
+//! received buffer alive at once raises the peak by 3.2–3.4 times that;
+//! one that holds each routed edge once in send lists grown by
+//! doubling, by 2.3 times; one that counts its send lists before it
+//! fills them, by 1.64–1.84 times, and by 1.36–1.68 times once each
+//! target is stored in four bytes. The CSRs themselves must hold at
+//! most `CSR_BYTES_PER_WORD_ENTRY` times eight bytes an entry.
 //!
 //! One test in its own binary, so no other test's allocations move the
 //! peak; skipped where `/proc/self/status` does not exist.
 
 use sunbfs::net::{FaultPlan, MeshShape};
-use sunbfs::part::RankPartition;
+use sunbfs::part::{Csr, RankPartition};
 use sunbfs::serve::{GraphSession, SessionConfig};
 
 /// Allowed peak growth during `load`, per resident partition byte: the
-/// highest of ten measured runs (1.84) plus a margin of 0.26, more than
-/// the runs' spread (1.64–1.84) and below the 2.14–2.30 of send lists
-/// grown by doubling.
-const PEAK_PER_PARTITION_BYTE: f64 = 2.1;
+/// highest of thirty measured runs (1.68) plus a margin of 0.17, less
+/// than the runs' spread (1.36–1.68). Word targets read 1.64–1.84 and
+/// pass it too (the CSR bound below refuses them); send lists grown by
+/// doubling read 2.14–2.30.
+const PEAK_PER_PARTITION_BYTE: f64 = 1.85;
+
+/// Allowed resident bytes of the CSRs per eight-byte entry: offsets
+/// are words and targets `u32`, which read 0.56 here; word targets
+/// would read 1.0.
+const CSR_BYTES_PER_WORD_ENTRY: f64 = 0.6;
 
 /// `VmHWM` of this process in bytes, if the kernel reports it.
 fn peak_rss_bytes() -> Option<u64> {
@@ -34,10 +42,9 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Bytes of one rank's resident arrays: nine CSRs (offsets and targets,
-/// eight bytes an entry) and the owned degrees (four).
-fn partition_bytes(part: &RankPartition) -> u64 {
-    let csrs = [
+/// One rank's nine CSRs.
+fn csrs(part: &RankPartition) -> [&Csr; 9] {
+    [
         &part.eh_by_src,
         &part.eh_by_dst,
         &part.el_by_hub,
@@ -47,12 +54,25 @@ fn partition_bytes(part: &RankPartition) -> u64 {
         &part.lh_by_hub,
         &part.lh_by_local,
         &part.l2l,
-    ];
-    let words: usize = csrs
-        .iter()
-        .map(|c| c.offsets().len() + c.targets().len())
-        .sum();
-    (words * 8 + part.owned_degrees.len() * 4) as u64
+    ]
+}
+
+/// Offset and target entries of one rank's CSRs.
+fn csr_entries(part: &RankPartition) -> u64 {
+    let entries = csrs(part).map(|c| c.offsets().len() + c.targets().len());
+    entries.iter().sum::<usize>() as u64
+}
+
+/// Bytes of one rank's arrays as `part.bytes` counts them: the CSR
+/// entries at eight bytes each and the owned degrees at four.
+fn partition_bytes(part: &RankPartition) -> u64 {
+    csr_entries(part) * 8 + part.owned_degrees.len() as u64 * 4
+}
+
+/// Bytes one rank's CSR arrays hold in memory.
+fn resident_csr_bytes(part: &RankPartition) -> u64 {
+    let bytes = csrs(part).map(|c| size_of_val(c.offsets()) + size_of_val(c.targets()));
+    bytes.iter().sum::<usize>() as u64
 }
 
 #[test]
@@ -65,7 +85,8 @@ fn loading_a_partition_peaks_near_one_copy_of_its_edges() {
     cfg.mesh = MeshShape::new(2, 2);
     let session = GraphSession::load(cfg, FaultPlan::none()).expect("a fault-free load");
     let after = peak_rss_bytes().expect("VmHWM was readable before the load");
-    let resident: u64 = session.partitions().iter().map(partition_bytes).sum();
+    let parts = session.partitions();
+    let resident: u64 = parts.iter().map(partition_bytes).sum();
     let growth = after.saturating_sub(before);
     let mib = |b: u64| b as f64 / (1 << 20) as f64;
     let ratio = growth as f64 / resident as f64;
@@ -80,5 +101,16 @@ fn loading_a_partition_peaks_near_one_copy_of_its_edges() {
          (allowed {PEAK_PER_PARTITION_BYTE}x)",
         mib(growth),
         mib(resident)
+    );
+    let entries: u64 = parts.iter().map(csr_entries).sum();
+    let csr_bytes: u64 = parts.iter().map(resident_csr_bytes).sum();
+    let share = csr_bytes as f64 / (entries * 8) as f64;
+    eprintln!(
+        "CSRs hold {:.1} MiB, {share:.2}x eight bytes an entry",
+        mib(csr_bytes)
+    );
+    assert!(
+        share <= CSR_BYTES_PER_WORD_ENTRY,
+        "the CSRs hold {share:.2}x eight bytes an entry (allowed {CSR_BYTES_PER_WORD_ENTRY}x)"
     );
 }

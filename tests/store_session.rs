@@ -10,9 +10,10 @@ use std::path::PathBuf;
 
 use common::Scenario;
 use sunbfs::driver::{run_benchmark, RunConfig};
-use sunbfs::net::FaultPlan;
+use sunbfs::net::{fnv1a, FaultPlan, WordWriter};
 use sunbfs::part::Thresholds;
 use sunbfs::serve::{GraphSession, SessionConfig, SessionError, StoreError};
+use sunbfs::store::{PAGE_PAYLOAD, PAGE_SIZE};
 
 const SCALE: u32 = 10;
 const RANKS: usize = 4;
@@ -105,6 +106,101 @@ fn open_refuses_a_damaged_file_at_every_page_boundary() {
                 let _ = e.to_string();
             }
             Err(other) => panic!("byte {at}: expected a store error, got {other}"),
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// The body words (seal dropped) of the `byte_len`-byte stream whose
+/// first page is `first_page`.
+fn stream_words(file: &[u8], first_page: usize, byte_len: usize) -> Vec<u64> {
+    let pages = file[first_page * PAGE_SIZE..].chunks(PAGE_SIZE);
+    let stream: Vec<u8> = pages
+        .flat_map(|p| &p[..PAGE_PAYLOAD])
+        .copied()
+        .take(byte_len)
+        .collect();
+    let body = &stream[..byte_len - 8];
+    body.chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+        .collect()
+}
+
+/// Re-seal `words` as a stream through `WordWriter` and lay it over
+/// the pages from `first_page`, each page sealed again.
+fn reseal(file: &mut [u8], first_page: usize, words: &[u64]) {
+    let mut w = WordWriter::default();
+    words.iter().for_each(|&x| w.put(x));
+    let stream = w.seal();
+    for (i, chunk) in stream.chunks(PAGE_PAYLOAD).enumerate() {
+        let page = &mut file[(first_page + i) * PAGE_SIZE..][..PAGE_SIZE];
+        page[..chunk.len()].copy_from_slice(chunk);
+        let seal = fnv1a(&page[..PAGE_PAYLOAD]);
+        page[PAGE_PAYLOAD..].copy_from_slice(&seal.to_le_bytes());
+    }
+}
+
+/// Word index of the first CSR target in a rank stream's body: past
+/// the rank magic, index, n, p, the hub table and the degree table,
+/// then through the nine CSRs (key base, offsets, targets) to the
+/// first one that stores an edge.
+fn first_target_word(words: &[u64]) -> usize {
+    let num_hubs = words[5] as usize;
+    let mut at = 6 + 2 * num_hubs;
+    at += 1 + words[at] as usize; // owned degrees
+    for _ in 0..9 {
+        at += 1; // key base
+        at += 1 + words[at] as usize; // offsets
+        if words[at] > 0 {
+            return at + 1;
+        }
+        at += 1;
+    }
+    panic!("no CSR of this rank stores an edge")
+}
+
+/// Disk input that passes every seal: a real file whose rank stream
+/// names a CSR target of `2^32`, or whose header names SCALE 33, is
+/// re-sealed through `WordWriter` — `open` refuses it as `Corrupt`
+/// without a panic. Re-sealing the words unchanged opens, so the
+/// refusal is the word's, not the re-seal's.
+#[test]
+fn open_refuses_resealed_words_a_partition_cannot_hold() {
+    let path = temp_store("reseal");
+    let mut built = GraphSession::load(session_cfg(SEED), FaultPlan::none()).expect("build");
+    built.save(&path).expect("save");
+    let clean = std::fs::read(&path).expect("read store file");
+    let header = stream_words(&clean, 0, (12 + 2 * RANKS + 1) * 8);
+    let (first_page, byte_len) = (header[12] as usize, header[13] as usize);
+    let rank0 = stream_words(&clean, first_page, byte_len);
+    let target = first_target_word(&rank0);
+
+    let open = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).expect("write re-sealed file");
+        GraphSession::open(&path, session_cfg(SEED), FaultPlan::none()).map(drop)
+    };
+    let cases = [
+        (first_page, rank0.clone(), None),
+        (first_page, rank0, Some((target, 1u64 << 32))),
+        (0, header, Some((3, 33))),
+    ];
+    for (page, mut words, change) in cases {
+        let mut bytes = clean.clone();
+        if let Some((at, value)) = change {
+            words[at] = value;
+        }
+        reseal(&mut bytes, page, &words);
+        match (change, open(&bytes)) {
+            (None, got) => got.expect("re-sealed unchanged words open"),
+            (Some(_), Err(SessionError::Store(StoreError::Corrupt { what }))) => {
+                let want = if page == 0 {
+                    "scale too large"
+                } else {
+                    "csr target exceeds u32"
+                };
+                assert_eq!(what, want);
+            }
+            (Some(change), got) => panic!("{change:?}: expected Corrupt, got {got:?}"),
         }
     }
     std::fs::remove_file(&path).ok();
