@@ -1,5 +1,6 @@
-//! Service observability: everything the metrics JSON `serve` section
-//! (`docs/METRICS.md`) reports about one service lifetime.
+//! Service observability: everything the `serve` record (`docs/METRICS.md`)
+//! reports about one service lifetime — the `stats` reply and the soak
+//! artifacts carry it.
 
 use sunbfs_common::{json_record, JsonValue, ToJson};
 
@@ -53,9 +54,6 @@ json_record! {
         pub served: u64,
         /// Riders quarantined.
         pub quarantined: u64,
-        /// Simulated seconds the same roots took sequentially (present only
-        /// when the service measures baselines).
-        pub seq_sim_seconds: Option<f64>,
     }
 }
 
@@ -141,9 +139,6 @@ pub struct ServeReport {
     pub queries: Vec<QueryRecord>,
     /// Total simulated seconds spent executing batches.
     pub batch_sim_seconds: f64,
-    /// Total simulated seconds the sequential baseline spent on the
-    /// same roots (present only when baselines were measured).
-    pub sequential_sim_seconds: Option<f64>,
     /// Simulated seconds the session's partition build took.
     pub build_sim_seconds: f64,
     /// Simulated seconds across *all* session build attempts, failed
@@ -181,17 +176,6 @@ impl ServeReport {
         }
     }
 
-    /// Roots per simulated second of the sequential baseline, when
-    /// measured.
-    pub fn sequential_roots_per_sec(&self) -> Option<f64> {
-        let seq = self.sequential_sim_seconds?;
-        if seq > 0.0 {
-            Some(self.served as f64 / seq)
-        } else {
-            None
-        }
-    }
-
     /// Fraction of completed queries that were served: `served /
     /// (served + quarantined + deadline_exceeded)`. `1.0` when nothing
     /// completed yet. Rejections are *not* completions — a shed query
@@ -203,17 +187,6 @@ impl ServeReport {
             1.0
         } else {
             self.served as f64 / completed as f64
-        }
-    }
-
-    /// Batched-over-sequential throughput ratio, when the baseline was
-    /// measured (> 1.0 means batching wins).
-    pub fn speedup(&self) -> Option<f64> {
-        let seq = self.sequential_sim_seconds?;
-        if self.batch_sim_seconds > 0.0 {
-            Some(seq / self.batch_sim_seconds)
-        } else {
-            None
         }
     }
 }
@@ -262,10 +235,7 @@ impl ServeReport {
             .field("fallback_batches", self.fallback_batches)
             .field("occupancy_histogram", occupancy)
             .field("batch_sim_seconds", self.batch_sim_seconds)
-            .field("sequential_sim_seconds", self.sequential_sim_seconds)
             .field("batch_roots_per_sec", self.batch_roots_per_sec())
-            .field("sequential_roots_per_sec", self.sequential_roots_per_sec())
-            .field("speedup", self.speedup())
             .field("build_sim_seconds", self.build_sim_seconds)
             .field("load_sim_seconds", self.load_sim_seconds)
             .field("load_attempts", u64::from(self.load_attempts))
@@ -324,29 +294,12 @@ mod tests {
     }
 
     #[test]
-    fn speedup_requires_a_measured_baseline() {
-        let mut r = ServeReport {
-            served: 8,
-            batch_sim_seconds: 2.0,
-            ..ServeReport::default()
-        };
-        assert_eq!(r.speedup(), None);
-        assert_eq!(r.sequential_roots_per_sec(), None);
-        r.sequential_sim_seconds = Some(8.0);
-        assert_eq!(r.speedup(), Some(4.0));
-        assert_eq!(r.batch_roots_per_sec(), 4.0);
-        assert_eq!(r.sequential_roots_per_sec(), Some(1.0));
-    }
-
-    #[test]
     fn report_json_carries_the_serve_section_fields() {
         let r = ServeReport::default();
         let js = r.to_json().render();
         for key in [
             "occupancy_histogram",
             "batch_roots_per_sec",
-            "sequential_roots_per_sec",
-            "speedup",
             "max_queue_depth",
             "batches",
             "queries",

@@ -80,10 +80,6 @@ pub struct ServeConfig {
     pub flush_deadline: u32,
     /// Retries a fallback (per-root) run gets before quarantine.
     pub max_root_retries: u32,
-    /// Also run each batch's roots through the sequential single-source
-    /// path and record the comparison (costs one extra SPMD pass per
-    /// batch; for benchmarking, not serving).
-    pub measure_baseline: bool,
 }
 
 impl Default for ServeConfig {
@@ -93,7 +89,6 @@ impl Default for ServeConfig {
             batch_max: MAX_BATCH,
             flush_deadline: 4,
             max_root_retries: 2,
-            measure_baseline: false,
         }
     }
 }
@@ -1019,13 +1014,6 @@ impl BfsService {
         }
         self.executed_queries += batch.len() as u64;
 
-        // Optional sequential baseline over the same roots.
-        let seq_sim_seconds = if self.cfg.measure_baseline {
-            self.measure_sequential(&roots)
-        } else {
-            None
-        };
-
         let served = results
             .iter()
             .filter(|r| matches!(r.status, QueryStatus::Served))
@@ -1034,9 +1022,6 @@ impl BfsService {
         self.report.served += served as u64;
         self.report.quarantined += quarantined;
         self.report.batch_sim_seconds += sim_seconds;
-        if let Some(s) = seq_sim_seconds {
-            *self.report.sequential_sim_seconds.get_or_insert(0.0) += s;
-        }
         self.report.occupancy_histogram[crate::report::occupancy_bucket(batch.len())] += 1;
         if fallback {
             self.report.fallback_batches += 1;
@@ -1053,7 +1038,6 @@ impl BfsService {
             fallback,
             served: served as u64,
             quarantined,
-            seq_sim_seconds,
         });
         for r in &results {
             self.record(r);
@@ -1220,23 +1204,6 @@ impl BfsService {
                 self.session.epoch(),
             ),
         }
-    }
-
-    /// The sequential baseline: the same roots, one single-source
-    /// traversal each (the driver's per-root loop shape). Returns the
-    /// summed per-root simulated time, or `None` if a traversal failed
-    /// mid-measurement.
-    fn measure_sequential(&mut self, roots: &[u64]) -> Option<f64> {
-        let mut total = 0.0;
-        for &root in roots {
-            let outs = all_ranks_ok(self.session.run_single(root)).ok()?;
-            let mut sim = 0.0f64;
-            for out in outs {
-                sim = sim.max(out.ok()?.stats.sim_seconds);
-            }
-            total += sim;
-        }
-        Some(total)
     }
 }
 

@@ -712,8 +712,10 @@ impl GraphSession {
             }))
     }
 
-    /// One single-source traversal, one attempt, no checkpoints (the
-    /// sequential baseline path).
+    /// One single-source traversal: one attempt, no checkpoints, no
+    /// retry. For callers that time a loop of roots and recover from a
+    /// lost rank themselves, or not at all; [`Self::run_root`] is the
+    /// recoverable form.
     pub fn run_single(
         &self,
         root: u64,

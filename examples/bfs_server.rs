@@ -35,7 +35,7 @@
 //! `--ranks` (4, 1..=65536), `--edge-factor` (16), `--e-threshold`
 //! (256), `--h-threshold` (64, at most the E threshold), `--seed` (42),
 //! `--queue-capacity` (256, 1..=2^20), `--batch-max` (64, 1..=64),
-//! `--flush-deadline` (4), `--baseline`, `--path FILE` — a
+//! `--flush-deadline` (4), `--path FILE` — a
 //! `sunbfs-store` file to open instead of rebuilding. A mistyped or
 //! out-of-range knob is refused by name (`knob "scale" must be …`),
 //! never a silent fall-back to the default value. Transport knobs are
@@ -64,7 +64,7 @@ use sunbfs::serve::{
 
 const USAGE: &str = "usage: bfs_server --tcp ADDR [--scale N] [--ranks N] [--edge-factor N] \
     [--e-threshold N] [--h-threshold N] [--seed N] [--queue-capacity N] [--batch-max N] \
-    [--flush-deadline N] [--baseline] [--path FILE] [--max-conns N] [--inflight-cap N] \
+    [--flush-deadline N] [--path FILE] [--max-conns N] [--inflight-cap N] \
     [--read-timeout-ms N] [--write-timeout-ms N] [--tick-ms N] [--shutdown-grace-ms N] \
     [--chaos-every N] [--chaos-seed N] [--chaos-max-events N]";
 
@@ -121,7 +121,6 @@ impl Cli {
         while let Some(flag) = flags.next() {
             match flag {
                 "--tcp" => addr = Some(flags.value()?.to_string()),
-                "--baseline" => serve.measure_baseline = true,
                 "--path" => path = Some(flags.value()?.to_string()),
                 "--scale" => scale = flags.num(U64)?,
                 "--ranks" => ranks = flags.num(U64)?,

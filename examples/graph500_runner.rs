@@ -6,15 +6,12 @@
 //! ```text
 //! cargo run --release --example graph500_runner -- \
 //!     [scale] [ranks] [e_threshold] [h_threshold] [num_roots] \
-//!     [--json [path]] [--seed <u64>] [--batch [--baseline]] \
+//!     [--json [path]] [--seed <u64>] \
 //!     [--save-graph <path>] [--load-graph <path>]
 //!
 //! # defaults:         14      16          256          64        8
 //! # --json without a path writes BENCH_<scale>_<rows>x<cols>.json
 //! # --seed sets the R-MAT generator seed (default 42)
-//! # --batch routes the roots through the multi-source serve path;
-//! # --baseline additionally runs the sequential per-root loop on the
-//! #   same resident session and reports the roots/sec speedup
 //! # --save-graph writes the built partition to a sunbfs-store file
 //! #   (docs/STORE.md); --load-graph opens one instead of rebuilding
 //! #   (building and saving it first when the file doesn't exist yet)
@@ -37,8 +34,7 @@ use sunbfs::driver::{run_benchmark, FaultSpec, RunConfig};
 use sunbfs::metrics;
 
 const USAGE: &str = "usage: graph500_runner [scale] [ranks] [e_threshold] [h_threshold] \
-    [num_roots] [--json [path]] [--seed <u64>] [--batch [--baseline]] \
-    [--save-graph <path>] [--load-graph <path>]";
+    [num_roots] [--json [path]] [--seed <u64>] [--save-graph <path>] [--load-graph <path>]";
 
 /// The positional knobs, in order.
 const POSITIONAL: [&str; 5] = ["scale", "ranks", "e_threshold", "h_threshold", "num_roots"];
@@ -50,8 +46,6 @@ struct Args {
     /// `--json [path]`; `Some(None)` means "default filename".
     json: Option<Option<String>>,
     seed: u64,
-    batch: bool,
-    baseline: bool,
     save_graph: Option<String>,
     load_graph: Option<String>,
 }
@@ -68,8 +62,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         match arg {
             "--json" => parsed.json = Some(flags.value_if_any().map(String::from)),
             "--seed" => parsed.seed = flags.num(U64)?,
-            "--batch" => parsed.batch = true,
-            "--baseline" => parsed.baseline = true,
             "--save-graph" => parsed.save_graph = Some(flags.value()?.to_string()),
             "--load-graph" => parsed.load_graph = Some(flags.value()?.to_string()),
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}\n{USAGE}")),
@@ -93,8 +85,6 @@ fn main() {
         positional,
         json,
         seed,
-        batch,
-        baseline,
         save_graph,
         load_graph,
     } = parse_args(&args).unwrap_or_else(|e| cli::refuse(e));
@@ -130,8 +120,6 @@ fn main() {
         // Injection comes from SUNBFS_FAULT_PLAN when set (see
         // docs/FAULTS.md); no seeded campaign by default.
         faults: FaultSpec::NONE,
-        serve_batch: batch,
-        serve_baseline: baseline,
         save_graph,
         load_graph,
         ..RunConfig::default()
@@ -153,16 +141,6 @@ fn main() {
     );
     println!("  roots:          {num_roots}");
     println!("  seed:           {seed}");
-    if batch {
-        println!(
-            "  mode:           batched serve path{}",
-            if baseline {
-                " (+ sequential baseline)"
-            } else {
-                ""
-            }
-        );
-    }
     if let Some(path) = &config.load_graph {
         println!("  load graph:     {path}");
     }
@@ -221,24 +199,6 @@ fn main() {
             report.recovery.checkpoints_taken,
             report.recovery.iterations_salvaged
         );
-    }
-
-    if let Some(serve) = &report.serve {
-        println!(
-            "\nserve:                {} served / {} quarantined over {} batches, {:.3} ms sim",
-            serve.served,
-            serve.quarantined,
-            serve.batches.len(),
-            serve.batch_sim_seconds * 1e3,
-        );
-        println!(
-            "batched roots/sec:    {:.1} (simulated)",
-            serve.batch_roots_per_sec()
-        );
-        if let (Some(seq), Some(speedup)) = (serve.sequential_roots_per_sec(), serve.speedup()) {
-            println!("sequential roots/sec: {seq:.1} (simulated)");
-            println!("batch speedup:        {speedup:.2}x");
-        }
     }
 
     if let Some(store) = &report.store {

@@ -18,7 +18,7 @@
 //!
 //! Every profile runs in-process on an ephemeral port
 //! (`sunbfs::serve::run_soak`), prints
-//! `{"schema_version":11,"<section>":{...}}` (tables in
+//! `{"schema_version":12,"<section>":{...}}` (tables in
 //! `docs/METRICS.md`) and writes it to `--json PATH` when given.
 //!
 //! ```text

@@ -16,20 +16,26 @@
 #   * wall-clock smoke (SCALE 14 only): parallel must not lose to a
 #     serial (SUNBFS_WORKERS=1) reference on >= 4 cores, and must stay
 #     within a generous overhead bound (>= serial/3) everywhere.
-#   * schema smoke: every artifact carries the v11 wall section, with its
+#   * schema smoke: every artifact carries the v12 wall section, with its
 #     load / traverse / validate split.
 #
 # Knobs (env): BENCH_SCALES ("14 16 18"), BENCH_RANKS (4), BENCH_ROOTS
-# (4), BENCH_WORKERS (4), BENCH_TIMEOUT (600 s per run, hard).
+# (4), BENCH_WORKERS (4 on a host with >= 4 cores, else 1: four ranks'
+# worker pools on fewer cores oversubscribe them and the wall section
+# reads slower than serial), BENCH_TIMEOUT (600 s per run, hard).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SCALES="${BENCH_SCALES:-14 16 18}"
 RANKS="${BENCH_RANKS:-4}"
 ROOTS="${BENCH_ROOTS:-4}"
-WORKERS="${BENCH_WORKERS:-4}"
 BENCH_TIMEOUT="${BENCH_TIMEOUT:-600}"
 CORES="$(nproc 2>/dev/null || echo 1)"
+if [ "$CORES" -ge 4 ]; then
+    WORKERS="${BENCH_WORKERS:-4}"
+else
+    WORKERS="${BENCH_WORKERS:-1}"
+fi
 
 # One number per report: the wall section's edges_per_second and the
 # top-level harmonic_mean_gteps each appear exactly once in the schema
@@ -69,7 +75,7 @@ for SCALE in $SCALES; do
         "validate $(wall_of validate_seconds "$BENCH_JSON") s)"
 
     # --- schema smoke: wall section present and sane ------------------
-    grep -Eq '"schema_version": *11' "$BENCH_JSON"
+    grep -Eq '"schema_version": *12' "$BENCH_JSON"
     grep -q '"wall":' "$BENCH_JSON"
     grep -q '"available_parallelism":' "$BENCH_JSON"
     grep -Eq '"workers": *'"$WORKERS" "$BENCH_JSON"

@@ -177,7 +177,7 @@ SUNBFS_FAULT_PLAN="corrupt@1:0:bitflip" timeout 300 \
     > /dev/null
 grep -Eq '"retransmits": *[1-9]' "$SMOKE_JSON"
 grep -Eq '"op": *"heur.totals"' "$SMOKE_JSON"
-grep -Eq '"schema_version": *11' "$SMOKE_JSON"
+grep -Eq '"schema_version": *12' "$SMOKE_JSON"
 rm -f "$SMOKE_JSON"
 
 # Plans that parse but could not act as written are refused before the
@@ -222,6 +222,7 @@ must_refuse 'knob "scale" must be in 1..=32' "$RUNNER" 33 4 256 64 1
 must_refuse 'knob "scale"' "$RUNNER" 4294967305 4 256 64 1
 must_refuse 'knob "num_roots"' "$RUNNER" 9 4 256 64 0
 must_refuse 'unexpected positional argument "7"' "$RUNNER" 9 4 256 64 1 7
+must_refuse 'unknown flag --batch' "$RUNNER" 9 4 256 64 1 --batch
 
 # The two exploration examples refuse their knobs the same way: a
 # non-integer or out-of-range knob is exit 2 naming it, never a panic,
@@ -319,7 +320,7 @@ timeout 600 cargo run -q --release --example graph500_runner -- 14 16 256 64 2 \
     --json "$WARM_JSON" --load-graph "$STORE_FILE" > /dev/null
 grep -Eq '"saved": *true' "$COLD_JSON"
 grep -Eq '"opened": *true' "$WARM_JSON"
-grep -Eq '"schema_version": *11' "$WARM_JSON"
+grep -Eq '"schema_version": *12' "$WARM_JSON"
 COLD_S=$(grep -o '"cold_build_wall_seconds": *[0-9.e-]*' "$COLD_JSON" | grep -o '[0-9.e-]*$')
 WARM_S=$(grep -o '"warm_open_wall_seconds": *[0-9.e-]*' "$WARM_JSON" | grep -o '[0-9.e-]*$')
 awk -v cold="$COLD_S" -v warm="$WARM_S" \
@@ -385,6 +386,7 @@ must_refuse 'knob "read_timeout_ms"' "$BFS_SERVER" --tcp 127.0.0.1:0 --read-time
 must_refuse 'knob "write_timeout_ms"' "$BFS_SERVER" --tcp 127.0.0.1:0 --write-timeout-ms 0
 must_refuse 'knob "tick_ms"' "$BFS_SERVER" --tcp 127.0.0.1:0 --tick-ms 0
 must_refuse 'usage: bfs_server --tcp ADDR' "$BFS_SERVER"
+must_refuse 'unknown flag "--baseline"' "$BFS_SERVER" --tcp 127.0.0.1:0 --baseline
 must_refuse 'knob "scale"' ./target/release/examples/soak load --scale 70
 must_refuse 'knob "conns" must be in 1..=64, got 0' ./target/release/examples/soak load --conns 0
 must_refuse 'knob "conns" must be in 1..=64, got 65' ./target/release/examples/soak load --conns 65
@@ -452,7 +454,7 @@ rm -f "$SERVER_STORE" "$FIRST_LOG" "$SECOND_LOG" "$SECOND_OUT"
 # offers well beyond what a capacity-16 queue admits at SCALE 14, so the
 # run must produce queue-full rejections while keeping every accounting
 # invariant (soak exits nonzero on any lost/duplicated/unacked/
-# malformed reply), emit the committed schema-v11 serve_load artifact,
+# malformed reply), emit the committed schema-v12 serve_load artifact,
 # and the server must drain cleanly on shutdown with zero dropped
 # results.
 echo "==> TCP sustained-load smoke (bfs_server --tcp + soak load --addr)"
@@ -463,7 +465,7 @@ timeout 300 ./target/release/examples/soak load --addr "$SERVER_ADDR" \
     --conns 4 --qps 400 --duration 4 --root-max 16384 --seed 42 \
     --json SERVE_LOAD_14.json > /dev/null
 wait "$SERVER_PID"
-grep -Eq '"schema_version": *11' SERVE_LOAD_14.json
+grep -Eq '"schema_version": *12' SERVE_LOAD_14.json
 grep -Eq '"protocol_errors": *0' SERVE_LOAD_14.json
 grep -Eq '"lost_replies": *0' SERVE_LOAD_14.json
 grep -Eq '"duplicate_replies": *0' SERVE_LOAD_14.json
@@ -479,14 +481,14 @@ rm -f "$TCP_LOG"
 # hint-honoring retries) stay connected; a side connection polls the
 # `health` state machine. The soak must end with zero protocol losses,
 # availability at or above the gate, the service recovered to healthy
-# within the tick budget, and the committed schema-v11 serve_chaos
+# within the tick budget, and the committed schema-v12 serve_chaos
 # artifact well-formed (soak exits nonzero on any gate failure).
 echo "==> chaos soak smoke (SCALE 14, hard timeout)"
 timeout 600 ./target/release/examples/soak chaos \
     --scale 14 --ranks 8 --conns 4 --qps 300 --duration 4 --seed 42 \
     --chaos-every 48 --chaos-max-events 4 --deadline-ticks 400 --retry-max 3 \
     --availability-gate 0.90 --json SERVE_CHAOS_14.json > /dev/null
-grep -Eq '"schema_version": *11' SERVE_CHAOS_14.json
+grep -Eq '"schema_version": *12' SERVE_CHAOS_14.json
 grep -Eq '"passed": *true' SERVE_CHAOS_14.json
 grep -Eq '"recovered": *true' SERVE_CHAOS_14.json
 grep -Eq '"final_health": *"healthy"' SERVE_CHAOS_14.json
@@ -501,13 +503,13 @@ grep -Eq '"chaos_injected": *[1-9]' SERVE_CHAOS_14.json
 # batches are interleaved into paced TCP load with a seeded update plan
 # armed, and the epoch stamped on every reply must never regress on a
 # connection (the torn-read proxy) through a clean drain. soak exits
-# nonzero on any gate failure and regenerates the committed schema-v11
+# nonzero on any gate failure and regenerates the committed schema-v12
 # UPDATE_14.json artifact.
 echo "==> update soak smoke (SCALE 14, hard timeout)"
 timeout 600 ./target/release/examples/soak update \
     --scale 14 --ranks 4 --rounds 6 --batch 64 --seed 42 \
     --json UPDATE_14.json > /dev/null
-grep -Eq '"schema_version": *11' UPDATE_14.json
+grep -Eq '"schema_version": *12' UPDATE_14.json
 grep -Eq '"passed": *true' UPDATE_14.json
 grep -Eq '"equivalence_violations": *0' UPDATE_14.json
 grep -Eq '"torn_reads": *0' UPDATE_14.json
@@ -517,7 +519,7 @@ grep -Eq '"updates_committed": *[1-9]' UPDATE_14.json
 # Perf trajectory: regenerate the committed GTEPS curve — one
 # BENCH_<scale>_<rows>x<cols>.json per scale in the 14/16/18 sweep —
 # gate the fresh SCALE-14 harmonic mean against the committed baseline,
-# and smoke-check the schema-v11 wall-clock section plus the
+# and smoke-check the schema-v12 wall-clock section plus the
 # parallel-vs-serial throughput bound (strict only on >= 4 cores; see
 # the script header and docs/PERF.md).
 echo "==> bench trajectory (hard timeout inside)"

@@ -14,14 +14,11 @@ use std::time::{Duration, Instant};
 
 use sunbfs_common::{json_record, pool, Edge, MachineConfig, TimeAccumulator};
 use sunbfs_core::validate::{self, DistinctEdges};
-use sunbfs_core::{EngineConfig, IterationStats};
+use sunbfs_core::{BfsOutput, EngineConfig, IterationStats};
 use sunbfs_net::{CommStats, FaultPlan, FaultRecord, MeshShape, RetransmitRecord};
 use sunbfs_part::{ComponentStats, Thresholds};
 use sunbfs_rmat::RmatParams;
-use sunbfs_serve::{
-    BfsService, GraphSession, Quarantine, QueryResult, QueryStatus, RootTraversal, ServeConfig,
-    ServeReport, SessionConfig, SessionError, StoreActivity,
-};
+use sunbfs_serve::{GraphSession, Quarantine, SessionConfig, SessionError, StoreActivity};
 
 /// Edges per vertex of every benchmark graph (the Graph 500 spec's 16).
 pub const EDGE_FACTOR: u32 = 16;
@@ -52,14 +49,6 @@ pub struct RunConfig {
     /// How many times a root whose traversal lost a rank is retried
     /// (with backoff) before it is quarantined.
     pub max_root_retries: u32,
-    /// Route the benchmark's roots through the serve layer's
-    /// bit-parallel multi-source batch path (up to 64 roots per
-    /// traversal) instead of the per-root loop.
-    pub serve_batch: bool,
-    /// With `serve_batch`, also measure the sequential single-source
-    /// baseline over the same roots and record the comparison in the
-    /// report's `serve` section.
-    pub serve_baseline: bool,
     /// Write the built partition to this persistent-store path after
     /// the session load.
     pub save_graph: Option<String>,
@@ -84,8 +73,6 @@ impl Default for RunConfig {
             validate: false,
             faults: FaultSpec::NONE,
             max_root_retries: 2,
-            serve_batch: false,
-            serve_baseline: false,
             save_graph: None,
             load_graph: None,
         }
@@ -222,14 +209,12 @@ impl FaultReport {
 }
 
 /// Results of one root's traversal, aggregated over ranks.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct RootRun {
     /// The root vertex.
     pub root: u64,
     /// Simulated traversal seconds (max over ranks — they finish
-    /// together at the final collective). A batched rider's is its
-    /// *batch's* simulated time — up to 64 riders share it — so GTEPS
-    /// per root on a `serve_batch` run is a service-level number.
+    /// together at the final collective).
     pub sim_seconds: f64,
     /// Graph 500 `m` for this root: the spec-conformant
     /// [`validate::component_edges`] count when validation ran,
@@ -245,7 +230,6 @@ pub struct RootRun {
     pub gteps: f64,
     /// Iteration series (identical replicated counters from rank 0;
     /// every `end_op` counts from this traversal's first collective).
-    /// Empty for a batched rider.
     pub iterations: Vec<IterationStats>,
     /// Per-category simulated time summed over ranks (for breakdowns).
     pub times: TimeAccumulator,
@@ -379,9 +363,6 @@ pub struct BenchmarkReport {
     pub faults: FaultReport,
     /// Retransmit and checkpoint/resume bookkeeping.
     pub recovery: RecoveryReport,
-    /// Serve-layer observability when the roots went through the batch
-    /// path (`None` on the per-root loop, store-only runs included).
-    pub serve: Option<ServeReport>,
     /// Persistent-store activity when the run saved or opened a graph
     /// file (`None` when no store path was involved).
     pub store: Option<StoreActivity>,
@@ -453,94 +434,42 @@ pub fn pick_roots(params: &RmatParams, k: usize) -> Result<Vec<u64>, DriverError
     Ok(roots)
 }
 
-/// One root's traversal before validation: what it cost and — when it
-/// completed — its [`RootRun`] (`traversed_edges` still the engine's
-/// estimate, `gteps` unset) with the global parent array to validate.
-struct RootRecord {
-    root: u64,
-    attempts: u32,
-    iterations_salvaged: u32,
-    checkpoints_taken: u64,
-    result: Result<(RootRun, Vec<u64>), Quarantine>,
-}
-
-impl RootRecord {
-    /// The per-root loop's record: every rank's output folded into one
-    /// run (ranks own consecutive vertex blocks, so the global parent
-    /// array is the rank slices in rank order).
-    fn from_traversal(root: u64, t: RootTraversal) -> Self {
-        let result = t.result.map(|mut per_rank| {
-            let parents = per_rank.iter().flat_map(|o| o.parents.iter().copied());
-            let parents: Vec<u64> = parents.collect();
-            let mut times = TimeAccumulator::new();
-            let mut comm = CommStats::new();
-            let mut sim_seconds = 0.0f64;
-            for out in &per_rank {
-                times.merge(&out.stats.times);
-                comm.merge(&out.stats.comm);
-                sim_seconds = sim_seconds.max(out.stats.sim_seconds);
-            }
-            // Replicated counters: rank 0 speaks for all.
-            let stats = per_rank.swap_remove(0).stats;
-            let run = RootRun {
-                root,
-                sim_seconds,
-                traversed_edges: stats.traversed_edges,
-                engine_traversed_edges: stats.traversed_edges,
-                visited_vertices: stats.visited_vertices,
-                gteps: 0.0,
-                iterations: stats.iterations,
-                times,
-                comm,
-                validate_seconds: 0.0,
-            };
-            (run, parents)
-        });
-        RootRecord {
-            root,
-            attempts: t.attempts,
-            iterations_salvaged: t.iterations_salvaged,
-            checkpoints_taken: t.checkpoints_taken,
-            result,
-        }
+/// Fold one completed traversal's per-rank outputs into its [`RootRun`]
+/// (`traversed_edges` still the engine's estimate, `gteps` unset) and
+/// the global parent array to validate: ranks own consecutive vertex
+/// blocks, so that array is the rank slices in rank order.
+fn fold_ranks(root: u64, mut per_rank: Vec<BfsOutput>) -> (RootRun, Vec<u64>) {
+    let parents = per_rank.iter().flat_map(|o| o.parents.iter().copied());
+    let parents: Vec<u64> = parents.collect();
+    let mut times = TimeAccumulator::new();
+    let mut comm = CommStats::new();
+    let mut sim_seconds = 0.0f64;
+    for out in &per_rank {
+        times.merge(&out.stats.times);
+        comm.merge(&out.stats.comm);
+        sim_seconds = sim_seconds.max(out.stats.sim_seconds);
     }
-
-    /// The service drain's record: one query result. The service does
-    /// its own retrying (per-rider fallback) and reports no per-level
-    /// series, so a rider is one attempt with empty `iterations`. The
-    /// validator reads the whole tree, so the handle is gathered here.
-    fn from_query(r: QueryResult) -> Self {
-        let result = match (r.status, r.parents) {
-            (QueryStatus::Quarantined(q), _) => Err(q),
-            (QueryStatus::Served, Some(parents)) => Ok((
-                RootRun {
-                    root: r.root,
-                    sim_seconds: r.sim_latency_s,
-                    traversed_edges: r.engine_traversed_edges,
-                    engine_traversed_edges: r.engine_traversed_edges,
-                    visited_vertices: r.visited,
-                    ..RootRun::default()
-                },
-                parents.to_vec(),
-            )),
-            (QueryStatus::Served, None) => unreachable!("served queries carry a parent handle"),
-            (QueryStatus::DeadlineExceeded { .. }, _) => {
-                unreachable!("driver queries carry no deadline budget")
-            }
-        };
-        RootRecord {
-            root: r.root,
-            attempts: 1,
-            iterations_salvaged: 0,
-            checkpoints_taken: 0,
-            result,
-        }
-    }
+    // Replicated counters: rank 0 speaks for all.
+    let stats = per_rank.swap_remove(0).stats;
+    let run = RootRun {
+        root,
+        sim_seconds,
+        traversed_edges: stats.traversed_edges,
+        engine_traversed_edges: stats.traversed_edges,
+        visited_vertices: stats.visited_vertices,
+        gteps: 0.0,
+        iterations: stats.iterations,
+        times,
+        comm,
+        validate_seconds: 0.0,
+    };
+    (run, parents)
 }
 
 /// Run the complete benchmark pipeline: obtain one resident
 /// [`GraphSession`] (built, or opened from `load_graph`; saved to
-/// `save_graph`), run every root on it, validate, report.
+/// `save_graph`), run every root on it, validate each root's tree as
+/// it finishes, report.
 ///
 /// Fault containment: a root whose traversal fails — injected rank
 /// failure (after `max_root_retries` retries with backoff), replicated
@@ -622,48 +551,10 @@ pub fn run_benchmark_with_sleeper(
     // and leaves payload framing off).
     session.cluster().fault_plan().inject(campaign);
 
-    // `serve_batch` only swaps how the per-root records are produced:
-    // a service drain instead of the per-root loop.
-    let traversals_start = Instant::now();
-    let mut serve = None;
-    let records: Vec<RootRecord>;
-    let session = if config.serve_batch {
-        let mut service = BfsService::new(
-            session,
-            ServeConfig {
-                queue_capacity: roots.len().max(1),
-                max_root_retries: config.max_root_retries,
-                measure_baseline: config.serve_baseline,
-                ..ServeConfig::default()
-            },
-        );
-        for &root in &roots {
-            service
-                .submit(root)
-                .expect("capacity covers every root and pick_roots yields in-range roots");
-        }
-        let mut results = service.drain();
-        results.sort_by_key(|r| r.id);
-        records = results.into_iter().map(RootRecord::from_query).collect();
-        serve = Some(service.report());
-        service.into_session()
-    } else {
-        let mut backoff = |attempts: u32| sleep(Duration::from_millis(1u64 << attempts.min(6)));
-        records = roots
-            .iter()
-            .map(|&root| {
-                let t = session.run_root(root, config.max_root_retries, &mut backoff);
-                RootRecord::from_traversal(root, t)
-            })
-            .collect();
-        session
-    };
-    let traverse_seconds = traversals_start.elapsed().as_secs_f64();
-
-    // Validation and aggregation. A validation failure quarantines the
-    // root rather than aborting: the report stays complete. Which input
-    // entries are duplicates is the same for every root, so that half
-    // of the TEPS edge count is taken once, here.
+    // Which input entries are duplicates is the same for every root, so
+    // that half of the TEPS edge count is taken once, before the first
+    // root. The oracle touches no cluster state: a campaign's `op_index`
+    // still counts traversal collectives only.
     let n = session.num_vertices();
     let validate_start = Instant::now();
     let oracle: Option<(Vec<Edge>, DistinctEdges)> = config.validate.then(|| {
@@ -672,23 +563,27 @@ pub fn run_benchmark_with_sleeper(
         (edges, distinct)
     });
     let mut validate_seconds = validate_start.elapsed().as_secs_f64();
-    let mut runs = Vec::with_capacity(records.len());
-    let mut faults = FaultReport {
-        injected: session.cluster().fault_log(),
-        ..FaultReport::default()
-    };
-    let mut recovery = RecoveryReport {
-        retransmit_log: session.cluster().retransmit_log(),
-        ..RecoveryReport::default()
-    };
-    for rec in records {
-        let result = rec.result.and_then(|(mut run, parents)| {
+
+    // One root at a time: traverse, validate, record — so one parent
+    // array is alive at a time. A validation failure quarantines the
+    // root rather than aborting: the report stays complete.
+    let mut traverse_seconds = 0.0;
+    let mut runs = Vec::with_capacity(roots.len());
+    let mut faults = FaultReport::default();
+    let mut recovery = RecoveryReport::default();
+    let mut backoff = |attempts: u32| sleep(Duration::from_millis(1u64 << attempts.min(6)));
+    for &root in &roots {
+        let started = Instant::now();
+        let t = session.run_root(root, config.max_root_retries, &mut backoff);
+        let traversed = t.result.map(|per_rank| fold_ranks(root, per_rank));
+        traverse_seconds += started.elapsed().as_secs_f64();
+        let result = traversed.and_then(|(mut run, parents)| {
             // Spec-conformant TEPS `m`: duplicate generator edges count
             // once. Only computable with the full edge list on the
             // driver, so the engine's estimate stands when not validating.
             if let Some((edges, distinct)) = &oracle {
                 let started = Instant::now();
-                let verdict = validate::validate_parents(n, edges, run.root, &parents);
+                let verdict = validate::validate_parents(n, edges, root, &parents);
                 if verdict.is_ok() {
                     run.traversed_edges = distinct.component_edges(&parents);
                 }
@@ -701,8 +596,7 @@ pub fn run_benchmark_with_sleeper(
                 debug_assert_eq!(
                     run.traversed_edges,
                     validate::component_edges(edges, &parents),
-                    "root {}",
-                    run.root
+                    "root {root}"
                 );
             }
             if run.sim_seconds > 0.0 {
@@ -711,22 +605,21 @@ pub fn run_benchmark_with_sleeper(
             Ok(run)
         });
         faults.outcomes.push(RootOutcome {
-            root: rec.root,
-            attempts: rec.attempts,
+            root,
+            attempts: t.attempts,
             quarantined: result.is_err(),
-            iterations_salvaged: rec.iterations_salvaged,
+            iterations_salvaged: t.iterations_salvaged,
         });
-        faults.total_retries += u64::from(rec.attempts - 1);
-        recovery.checkpoints_taken += rec.checkpoints_taken;
-        recovery.iterations_salvaged += u64::from(rec.iterations_salvaged);
+        faults.total_retries += u64::from(t.attempts - 1);
+        recovery.checkpoints_taken += t.checkpoints_taken;
+        recovery.iterations_salvaged += u64::from(t.iterations_salvaged);
         match result {
             Ok(run) => runs.push(run),
-            Err(reason) => faults.quarantined.push(QuarantinedRoot {
-                root: rec.root,
-                reason,
-            }),
+            Err(reason) => faults.quarantined.push(QuarantinedRoot { root, reason }),
         }
     }
+    faults.injected = session.cluster().fault_log();
+    recovery.retransmit_log = session.cluster().retransmit_log();
     let wall = WallClockReport::new(
         wall_start.elapsed().as_secs_f64(),
         load_seconds,
@@ -741,7 +634,6 @@ pub fn run_benchmark_with_sleeper(
         validated: oracle.is_some() && !faults.degraded(),
         faults,
         recovery,
-        serve,
         store: session.store.clone(),
         wall,
     })

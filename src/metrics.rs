@@ -104,7 +104,18 @@ use crate::driver::{
 /// output block prints them); every `roots[]` entry gained
 /// `validate_seconds`; and the optional `serve` / `store` sections are
 /// omitted when the run had none, where v10 rendered `null`.
-pub const SCHEMA_VERSION: u64 = 11;
+///
+/// v12: one Graph 500 loop, one sequential-baseline knob fewer — a
+/// removal only: no field is added, renamed or retyped. The BENCH
+/// report lost `config.serve_batch`, `config.serve_baseline` and the
+/// `serve` section (the driver no longer batches its roots: a batched
+/// rider reported its batch's simulated time, which is not a Graph 500
+/// TEPS number); the `serve` record (the `stats` reply and the soak
+/// artifacts) lost `sequential_sim_seconds`, `sequential_roots_per_sec`,
+/// `speedup` and `batches[].seq_sim_seconds`, which no server or soak
+/// ever filled. The bump is needed because a v11 reader may key on
+/// those fields; one version covers the BENCH and soak artifacts alike.
+pub const SCHEMA_VERSION: u64 = 12;
 
 /// The one envelope every soak artifact is written in:
 /// `{"schema_version":N,"<section>":{...}}`, the section named by the
@@ -138,9 +149,6 @@ impl BenchmarkReport {
             )
             .field("faults", faults_json(&self.faults))
             .field("recovery", recovery_json(&self.recovery));
-        if let Some(serve) = &self.serve {
-            doc = doc.field("serve", serve.to_json());
-        }
         if let Some(store) = &self.store {
             doc = doc.field("store", store.to_json());
         }
@@ -206,8 +214,6 @@ fn config_json(c: &RunConfig) -> JsonValue {
         .field("validate", c.validate)
         .field("faults", c.faults.to_json())
         .field("max_root_retries", c.max_root_retries)
-        .field("serve_batch", c.serve_batch)
-        .field("serve_baseline", c.serve_baseline)
         .field("save_graph", c.save_graph.as_deref())
         .field("load_graph", c.load_graph.as_deref())
         .build()

@@ -49,7 +49,7 @@ fn quarantined_root_still_yields_schema_valid_degraded_json() {
 
     // The JSON report is complete and carries the fault section.
     let js = report.to_json().render();
-    assert!(js.contains("\"schema_version\":11"), "got {js}");
+    assert!(js.contains("\"schema_version\":12"), "got {js}");
     assert!(js.contains("\"degraded\":true"));
     assert!(js.contains("\"total_retries\":0"));
     assert!(js.contains("\"reason\":\"rank_failure\""));

@@ -128,25 +128,6 @@ fn recovery_json_schema_matches_golden_at_scale_9() {
 }
 
 #[test]
-fn serve_json_schema_matches_golden_at_scale_9() {
-    // The serve path fills the schema-v4 `serve` section (occupancy
-    // histogram, per-batch and per-query records, baseline comparison);
-    // the golden pins its skeleton. Two batches (batch_max 2, 3 roots)
-    // so the partial-flush shape is exercised too.
-    let cfg = RunConfig {
-        serve_batch: true,
-        serve_baseline: true,
-        ..RunConfig::small_test(9, 4)
-    };
-    let report = run_benchmark(&cfg).expect("serve benchmark must pass");
-    assert!(report.validated, "served trees must validate");
-    let serve = report.serve.as_ref().expect("serve section present");
-    assert_eq!(serve.served, 3);
-    assert!(serve.speedup().is_some(), "baseline requested");
-    check_against_golden(&report.to_json(), "bench_schema_scale9_serve.txt");
-}
-
-#[test]
 fn store_json_schema_matches_golden_at_scale_9() {
     // A save → load round trip fills the schema-v6 `store` section;
     // the golden pins the *opened* shape (null cold-build seconds, a
@@ -178,14 +159,13 @@ fn store_json_schema_matches_golden_at_scale_9() {
 #[test]
 fn classic_path_omits_the_serve_and_store_sections() {
     let report = run_benchmark(&RunConfig::small_test(9, 4)).expect("benchmark must pass");
-    assert!(report.serve.is_none());
     assert!(report.store.is_none());
     let js = report.to_json().render();
     assert!(!js.contains("\"serve\":"));
     assert!(!js.contains("\"store\":"));
-    assert!(js.contains("\"schema_version\":11"));
-    assert!(js.contains("\"serve_batch\":false"));
-    assert!(js.contains("\"serve_baseline\":false"));
+    assert!(js.contains("\"schema_version\":12"));
+    assert!(!js.contains("\"serve_batch\":"));
+    assert!(!js.contains("\"serve_baseline\":"));
     assert!(js.contains("\"save_graph\":null"));
     assert!(js.contains("\"load_graph\":null"));
 }
@@ -409,7 +389,6 @@ fn plain_records_render_byte_exact() {
             fallback: true,
             served: 63,
             quarantined: 1,
-            seq_sim_seconds: Some(8.0),
         },
         BatchRecord {
             batch_id: 5,
@@ -419,18 +398,17 @@ fn plain_records_render_byte_exact() {
             fallback: false,
             served: 3,
             quarantined: 0,
-            seq_sim_seconds: None,
         },
     ];
     pin_render(
-        "BatchRecord (Some)",
+        "BatchRecord (fallback)",
         &batches[0].to_json(),
-        r#"{"batch_id":4,"occupancy":64,"sim_seconds":2.0,"wall_seconds":0.125,"fallback":true,"served":63,"quarantined":1,"seq_sim_seconds":8.0}"#,
+        r#"{"batch_id":4,"occupancy":64,"sim_seconds":2.0,"wall_seconds":0.125,"fallback":true,"served":63,"quarantined":1}"#,
     );
     pin_render(
-        "BatchRecord (None)",
+        "BatchRecord (batched)",
         &batches[1].to_json(),
-        r#"{"batch_id":5,"occupancy":3,"sim_seconds":0.5,"wall_seconds":1.0,"fallback":false,"served":3,"quarantined":0,"seq_sim_seconds":null}"#,
+        r#"{"batch_id":5,"occupancy":3,"sim_seconds":0.5,"wall_seconds":1.0,"fallback":false,"served":3,"quarantined":0}"#,
     );
 
     let queries = vec![
@@ -565,14 +543,13 @@ fn plain_records_render_byte_exact() {
         batches,
         queries,
         batch_sim_seconds: 2.5,
-        sequential_sim_seconds: Some(10.0),
         load_attempts: 1,
         ..ServeReport::default()
     };
     pin_render(
         "ServeReport",
         &serve.to_json(),
-        r#"{"queue_capacity":16,"batch_max":64,"flush_deadline":128,"submitted":70,"served":66,"quarantined":1,"rejected_full":0,"rejected_invalid":0,"rejected_degraded":0,"deadline_exceeded":0,"availability":0.9850746268656716,"ticks":0,"health":"degraded","health_transitions":[{"from":"healthy","to":"degraded","at_tick":12,"reason":"2/4 window batches failed: \"rank 3\""},{"from":"degraded","to":"healthy","at_tick":30,"reason":""}],"chaos_injected":0,"chaos_panics":0,"chaos_stragglers":0,"chaos_corruptions":0,"max_queue_depth":0,"current_queue_depth":0,"fallback_batches":0,"occupancy_histogram":{"1":1,"2-3":0,"4-7":0,"8-15":0,"16-31":0,"32-63":0,"64":1},"batch_sim_seconds":2.5,"sequential_sim_seconds":10.0,"batch_roots_per_sec":26.4,"sequential_roots_per_sec":6.6,"speedup":4.0,"build_sim_seconds":0.0,"load_sim_seconds":0.0,"load_attempts":1,"updates_applied":0,"update_edges":0,"updates_failed":0,"epoch":0,"compactions":0,"repaired_queries":0,"repaired_vertices":0,"batches":[{"batch_id":4,"occupancy":64,"sim_seconds":2.0,"wall_seconds":0.125,"fallback":true,"served":63,"quarantined":1,"seq_sim_seconds":8.0},{"batch_id":5,"occupancy":3,"sim_seconds":0.5,"wall_seconds":1.0,"fallback":false,"served":3,"quarantined":0,"seq_sim_seconds":null}],"queries":[{"id":9,"root":77,"batch_id":4,"status":"served","sim_latency_s":3.0,"wall_latency_s":0.25,"via_fallback":true},{"id":10,"root":0,"batch_id":null,"status":"deadline_exceeded","sim_latency_s":0.0,"wall_latency_s":1.5,"via_fallback":false}]}"#,
+        r#"{"queue_capacity":16,"batch_max":64,"flush_deadline":128,"submitted":70,"served":66,"quarantined":1,"rejected_full":0,"rejected_invalid":0,"rejected_degraded":0,"deadline_exceeded":0,"availability":0.9850746268656716,"ticks":0,"health":"degraded","health_transitions":[{"from":"healthy","to":"degraded","at_tick":12,"reason":"2/4 window batches failed: \"rank 3\""},{"from":"degraded","to":"healthy","at_tick":30,"reason":""}],"chaos_injected":0,"chaos_panics":0,"chaos_stragglers":0,"chaos_corruptions":0,"max_queue_depth":0,"current_queue_depth":0,"fallback_batches":0,"occupancy_histogram":{"1":1,"2-3":0,"4-7":0,"8-15":0,"16-31":0,"32-63":0,"64":1},"batch_sim_seconds":2.5,"batch_roots_per_sec":26.4,"build_sim_seconds":0.0,"load_sim_seconds":0.0,"load_attempts":1,"updates_applied":0,"update_edges":0,"updates_failed":0,"epoch":0,"compactions":0,"repaired_queries":0,"repaired_vertices":0,"batches":[{"batch_id":4,"occupancy":64,"sim_seconds":2.0,"wall_seconds":0.125,"fallback":true,"served":63,"quarantined":1},{"batch_id":5,"occupancy":3,"sim_seconds":0.5,"wall_seconds":1.0,"fallback":false,"served":3,"quarantined":0}],"queries":[{"id":9,"root":77,"batch_id":4,"status":"served","sim_latency_s":3.0,"wall_latency_s":0.25,"via_fallback":true},{"id":10,"root":0,"batch_id":null,"status":"deadline_exceeded","sim_latency_s":0.0,"wall_latency_s":1.5,"via_fallback":false}]}"#,
     );
 
     // Records the BENCH report embeds: config's mesh / thresholds /
@@ -634,7 +611,6 @@ fn plain_records_render_byte_exact() {
             checkpoints_taken: 6,
             iterations_salvaged: 4,
         },
-        serve: None,
         store: None,
         wall: WallClockReport {
             workers: 4,
@@ -671,7 +647,7 @@ fn plain_records_render_byte_exact() {
         ),
         (
             &["config"][..],
-            r#"{"scale":9,"edge_factor":16,"mesh":{"rows":2,"cols":3},"thresholds":{"e":512,"h":32},"engine":{"alpha_local":0.03,"beta_crossing":1.0,"sub_iteration":true,"vanilla_alpha":0.03,"segmenting":true,"direction_heuristic":"measured","alpha_measured":3.0,"beta_measured":6.0},"seed":42,"num_roots":3,"validate":false,"faults":{"seed":5,"panics":1,"stragglers":2,"corruptions":3,"straggler_secs":2.0,"horizon":40},"max_root_retries":2,"serve_batch":false,"serve_baseline":false,"save_graph":"g.sbfs","load_graph":null}"#,
+            r#"{"scale":9,"edge_factor":16,"mesh":{"rows":2,"cols":3},"thresholds":{"e":512,"h":32},"engine":{"alpha_local":0.03,"beta_crossing":1.0,"sub_iteration":true,"vanilla_alpha":0.03,"segmenting":true,"direction_heuristic":"measured","alpha_measured":3.0,"beta_measured":6.0},"seed":42,"num_roots":3,"validate":false,"faults":{"seed":5,"panics":1,"stragglers":2,"corruptions":3,"straggler_secs":2.0,"horizon":40},"max_root_retries":2,"save_graph":"g.sbfs","load_graph":null}"#,
         ),
         (
             &["wall"][..],

@@ -140,30 +140,30 @@ fn reseal(file: &mut [u8], first_page: usize, words: &[u64]) {
     }
 }
 
-/// Word index of the first CSR target in a rank stream's body: past
-/// the rank magic, index, n, p, the hub table and the degree table,
-/// then through the nine CSRs (key base, offsets, targets) to the
-/// first one that stores an edge.
-fn first_target_word(words: &[u64]) -> usize {
+/// Word indices of the first CSR in a rank stream's body that stores
+/// an edge: its offsets' and its targets' length words. Past the rank
+/// magic, index, n, p, the hub table and the degree table, then
+/// through the nine CSRs (key base, offsets, targets).
+fn first_edge_csr(words: &[u64]) -> (usize, usize) {
     let num_hubs = words[5] as usize;
     let mut at = 6 + 2 * num_hubs;
     at += 1 + words[at] as usize; // owned degrees
     for _ in 0..9 {
-        at += 1; // key base
-        at += 1 + words[at] as usize; // offsets
+        let offsets = at + 1; // past the key base
+        at = offsets + 1 + words[offsets] as usize;
         if words[at] > 0 {
-            return at + 1;
+            return (offsets, at);
         }
         at += 1;
     }
     panic!("no CSR of this rank stores an edge")
 }
 
-/// Disk input that passes every seal: a real file whose rank stream
-/// names a CSR target of `2^32`, or whose header names SCALE 33, is
-/// re-sealed through `WordWriter` — `open` refuses it as `Corrupt`
-/// without a panic. Re-sealing the words unchanged opens, so the
-/// refusal is the word's, not the re-seal's.
+/// Disk input that passes every seal: a real file with one word of a
+/// rank stream or of the header changed to a value no partition holds,
+/// re-sealed through `WordWriter` — `open` refuses each as `Corrupt`,
+/// naming the check, without a panic. Re-sealing the words unchanged
+/// opens, so each refusal is the word's, not the re-seal's.
 #[test]
 fn open_refuses_resealed_words_a_partition_cannot_hold() {
     let path = temp_store("reseal");
@@ -173,34 +173,61 @@ fn open_refuses_resealed_words_a_partition_cannot_hold() {
     let header = stream_words(&clean, 0, (12 + 2 * RANKS + 1) * 8);
     let (first_page, byte_len) = (header[12] as usize, header[13] as usize);
     let rank0 = stream_words(&clean, first_page, byte_len);
-    let target = first_target_word(&rank0);
+    let (n, num_hubs) = (rank0[2], rank0[5]);
+    assert!(num_hubs > 0, "rank 0 holds a hub table to damage");
+    let degrees = 6 + 2 * num_hubs as usize;
+    let (offsets, targets) = first_edge_csr(&rank0);
+    // Two adjacent offsets past the leading 0 that rise, so swapping
+    // them makes the sequence decrease.
+    let last = offsets + rank0[offsets] as usize;
+    let rise = (offsets + 2..last)
+        .find(|&i| rank0[i] < rank0[i + 1])
+        .expect("a CSR storing edges over several keys has a rising step");
 
     let open = |bytes: &[u8]| {
         std::fs::write(&path, bytes).expect("write re-sealed file");
         GraphSession::open(&path, session_cfg(SEED), FaultPlan::none()).map(drop)
     };
-    let cases = [
-        (first_page, rank0.clone(), None),
-        (first_page, rank0, Some((target, 1u64 << 32))),
-        (0, header, Some((3, 33))),
+    // (first page of the stream, (word, value) changes, the `what` of
+    // the refusal — empty for the unchanged words, which open).
+    type Case<'a> = (usize, &'a [(usize, u64)], &'a str);
+    let cases: [Case; 8] = [
+        (first_page, &[], ""),
+        (
+            first_page,
+            &[(targets + 1, 1 << 32)],
+            "csr target exceeds u32",
+        ),
+        (
+            first_page,
+            &[(rise, rank0[rise + 1]), (rise + 1, rank0[rise])],
+            "csr offsets must be non-decreasing",
+        ),
+        (first_page, &[(4, num_hubs + 1)], "hub counts"),
+        (
+            first_page,
+            &[(degrees, rank0[degrees] + 1)],
+            "owned degree table length",
+        ),
+        (first_page, &[(6, n)], "hub vertex out of range"),
+        (first_page, &[(7, 1 << 32)], "hub degree exceeds u32"),
+        (0, &[(3, 33)], "scale too large"),
     ];
-    for (page, mut words, change) in cases {
-        let mut bytes = clean.clone();
-        if let Some((at, value)) = change {
+    for (page, changes, want) in cases {
+        let mut words = if page == 0 {
+            header.clone()
+        } else {
+            rank0.clone()
+        };
+        for &(at, value) in changes {
             words[at] = value;
         }
+        let mut bytes = clean.clone();
         reseal(&mut bytes, page, &words);
-        match (change, open(&bytes)) {
-            (None, got) => got.expect("re-sealed unchanged words open"),
-            (Some(_), Err(SessionError::Store(StoreError::Corrupt { what }))) => {
-                let want = if page == 0 {
-                    "scale too large"
-                } else {
-                    "csr target exceeds u32"
-                };
-                assert_eq!(what, want);
-            }
-            (Some(change), got) => panic!("{change:?}: expected Corrupt, got {got:?}"),
+        match (want, open(&bytes)) {
+            ("", got) => got.expect("re-sealed unchanged words open"),
+            (_, Err(SessionError::Store(StoreError::Corrupt { what }))) => assert_eq!(what, want),
+            (_, got) => panic!("{changes:?}: expected Corrupt {{ {want:?} }}, got {got:?}"),
         }
     }
     std::fs::remove_file(&path).ok();
@@ -221,7 +248,7 @@ fn driver_save_then_load_reports_store_activity() {
 
     let plain = run_benchmark(&base).expect("plain run");
     assert!(plain.validated);
-    assert!(plain.store.is_none() && plain.serve.is_none());
+    assert!(plain.store.is_none());
 
     let cold = run_benchmark(&RunConfig {
         save_graph: Some(path_str.clone()),
@@ -249,9 +276,6 @@ fn driver_save_then_load_reports_store_activity() {
         .expect("load_graph records store activity");
     assert!(store.opened && !store.saved);
     assert!(store.warm_open_wall_seconds.is_some());
-
-    // Store-only runs take the per-root loop, not the service.
-    assert!(cold.serve.is_none() && warm.serve.is_none());
 
     // Provenance invariance: same roots, same per-level series, same
     // simulated clock on every side of the restart.
